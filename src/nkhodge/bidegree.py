@@ -3,26 +3,28 @@
 The (1,0)-coframe is built from P^{1,0} = (Id - iJ)/2 on degree one; a
 maximal independent subset of its images under the coframe basis is chosen
 exactly and every 1-form is re-expressed through it.  Monomials in the
-Chosen (1,0)/(0,1) generators give bases of every Lambda^{p,q}; expanding
-basis forms through them yields the bidegree projectors without any
-eigen-decomposition.
+chosen (1,0)/(0,1) generators give bases of every Lambda^{p,q}; expanding
+basis forms through them yields the bidegree pieces of any form without
+any eigen-decomposition.  Monomials, coordinate expansions and the J action
+are all images under algebra maps of the coframe, built lazily by
+``wedge_image``.
 
 ``differential_split`` produces the four components with bidegrees
-(2,-1), (1,0), (0,1), (-1,2).  Small models use the literal
-projector-sandwich definition; large ones use the fact that each component
-is a derivation, so its coframe values determine it (the two routes are
-checked against each other in the test suite on six-dimensional models).
+(2,-1), (1,0), (0,1), (-1,2).  Each component is a derivation, so it is
+reconstructed from the bidegree pieces of d on the (1,0)/(0,1) coframe, in
+every dimension; the test suite checks it against the literal
+projector-sandwich definition on the small models.  d^c = J^{-1} d J is
+likewise a derivation built from its coframe values (``twisted_differential``),
+shared by ``d_c`` and the DC_DEF check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exterior import Form, wedge_masks
+from .exterior import Form, wedge_image
 from .operators import GradedOperator, adjoint, derivation_from_one_forms, mult_operator
-from .scalars import I, ONE, ZERO, Scalar, rational
-
-_PROJECTOR_ROUTE_MAX_DIM = 8
+from .scalars import I, ZERO, Scalar, rational
 
 
 class PQBasis:
@@ -45,8 +47,16 @@ class PQBasis:
         self.eta_bar = [f.conjugate() for f in self.eta]
         # S[i][a]: eta_all[i] = sum_a S[i][a] eta[a]
         self.S = coords
-        self._pq_form_table: dict[int, Form] = {0: Form.basis(dim, 0)}
-        self._col_cache: dict[int, dict[int, Scalar]] = {}
+        # images of the generators: eta^a for bit a, conj(eta^a) for bit n + a
+        self._generators = self.eta + self.eta_bar
+        # u^i = eta_all[i] + conj(eta_all[i]) in eta-monomial coordinates
+        self._u_in_pq = []
+        for row in coords:
+            u = {1 << a: s for a, s in row.items()}
+            u.update({1 << (n + a): s.conjugate() for a, s in row.items()})
+            self._u_in_pq.append(Form(dim, u))
+        self._pq_form_table: dict[int, Form] = {}
+        self._col_cache: dict[int, Form] = {}
 
     @staticmethod
     def _choose_basis(forms: list[Form], dim: int, n: int):
@@ -126,17 +136,8 @@ class PQBasis:
         return out
 
     def monomial_form(self, pqmask: int) -> Form:
-        """Real-coordinate expansion of one eta-monomial (cached, built by DP)."""
-        cached = self._pq_form_table.get(pqmask)
-        if cached is not None:
-            return cached
-        low = pqmask & -pqmask
-        rest = pqmask ^ low
-        a = low.bit_length() - 1
-        gen = self.eta[a] if a < self.n else self.eta_bar[a - self.n]
-        val = gen.wedge(self.monomial_form(rest))
-        self._pq_form_table[pqmask] = val
-        return val
+        """Real-coordinate expansion of one eta-monomial (cached)."""
+        return wedge_image(self._generators, pqmask, self._pq_form_table)
 
     def form_to_pq(self, form: Form) -> dict[int, Scalar]:
         """Coordinates of a form in the eta-monomial basis."""
@@ -153,36 +154,8 @@ class PQBasis:
         return out
 
     def _mask_expansion(self, mask: int) -> dict[int, Scalar]:
-        cached = self._col_cache.get(mask)
-        if cached is not None:
-            return cached
-        if mask == 0:
-            out = {0: ONE}
-        else:
-            low = mask & -mask
-            rest = mask ^ low
-            i = low.bit_length() - 1
-            slots: list[tuple[int, Scalar]] = []
-            for a, s in self.S[i].items():
-                slots.append((1 << a, s))
-                slots.append((1 << (self.n + a), s.conjugate()))
-            out = {}
-            for pqrest, v in self._mask_expansion(rest).items():
-                for bit, s in slots:
-                    sign, m = wedge_masks(bit, pqrest)
-                    if sign == 0:
-                        continue
-                    piece = s * v
-                    if sign < 0:
-                        piece = -piece
-                    t = out.get(m)
-                    piece = piece if t is None else t + piece
-                    if piece.is_zero():
-                        out.pop(m, None)
-                    else:
-                        out[m] = piece
-        self._col_cache[mask] = out
-        return out
+        """eta-monomial coordinates of the basis form u^mask (cached)."""
+        return wedge_image(self._u_in_pq, mask, self._col_cache).coeffs
 
     def pq_coords_to_form(self, coords: dict[int, Scalar]) -> Form:
         out = Form.zero(self.dim)
@@ -207,72 +180,16 @@ def decompose_form(model, form: Form) -> dict[tuple[int, int], Form]:
     return {bid: pq.pq_coords_to_form(coords) for bid, coords in groups.items()}
 
 
-def form_bidegree_coords(model, form: Form) -> dict[tuple[int, int], dict[int, Scalar]]:
-    pq = pq_basis(model)
-    groups: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for pqmask, v in pq.form_to_pq(form).items():
-        groups.setdefault(pq.bidegree_of_mask(pqmask), {})[pqmask] = v
-    return groups
-
-
-def pq_projector(model, p: int, q: int) -> GradedOperator:
-    """Projector onto Lambda^{p,q} as a matrix over the real-index basis."""
-    pq = pq_basis(model)
-    if not (0 <= p <= pq.n and 0 <= q <= pq.n):
-        raise ValueError(f"bidegree ({p},{q}) out of range")
-
-    def build():
-        cols = {}
-        k = p + q
-        for mask in range(1 << model.dim):
-            if mask.bit_count() != k:
-                continue
-            wanted = {
-                m: v
-                for m, v in pq._mask_expansion(mask).items()
-                if pq.bidegree_of_mask(m) == (p, q)
-            }
-            if wanted:
-                col = pq.pq_coords_to_form(wanted)
-                if not col.is_zero():
-                    cols[mask] = dict(col.coeffs)
-        return GradedOperator(model.dim, cols, 0, (0, 0), check=False)
-
-    return model._memo(f"projector{p},{q}", build)
-
-
 # ---------------------------------------------------------------------------
 # J acting multiplicatively on forms
 
 def j_apply(model, form: Form) -> Form:
     """(J alpha)(X_1,...,X_k) = alpha(J X_1,...,J X_k), extended linearly."""
     rows = model._memo("j_rows", model.j_one_form_rows)
-    dim = model.dim
-    table = model._cache.setdefault("j_table", {0: Form.basis(dim, 0)})
-    out = Form.zero(dim)
+    table = model._memo("j_table", dict)
+    out = Form.zero(model.dim)
     for mask, coeff in form.coeffs.items():
-        img = table.get(mask)
-        if img is None:
-            low = mask & -mask
-            rest = mask ^ low
-            if rest not in table:
-                # fill ancestors iteratively to keep recursion shallow
-                stack = [rest]
-                while stack:
-                    m = stack[-1]
-                    if m in table:
-                        stack.pop()
-                        continue
-                    lw = m & -m
-                    rs = m ^ lw
-                    if rs in table:
-                        table[m] = rows[lw.bit_length() - 1].wedge(table[rs])
-                        stack.pop()
-                    else:
-                        stack.append(rs)
-            img = rows[low.bit_length() - 1].wedge(table[rest])
-            table[mask] = img
-        out = out + img.scale(coeff)
+        out = out + wedge_image(rows, mask, table).scale(coeff)
     return out
 
 
@@ -292,11 +209,9 @@ def j_operator(model) -> GradedOperator:
     """J as an explicit matrix (small models; the action is used elsewhere)."""
 
     def build():
-        cols = {}
-        for mask in range(1 << model.dim):
-            f = j_apply(model, Form.basis(model.dim, mask))
-            if not f.is_zero():
-                cols[mask] = dict(f.coeffs)
+        rows = model._memo("j_rows", model.j_one_form_rows)
+        table = model._memo("j_table", dict)
+        cols = {m: dict(wedge_image(rows, m, table).coeffs) for m in range(1 << model.dim)}
         return GradedOperator(model.dim, cols, 0, check=False)
 
     return model._memo("j_operator", build)
@@ -320,12 +235,32 @@ class DifferentialSplit:
 
 
 def differential_split(model) -> DifferentialSplit:
+    """The four components of d; each is the derivation with its coframe values."""
+
     def build():
-        if model.dim <= _PROJECTOR_ROUTE_MAX_DIM:
-            split = _split_by_projectors(model)
-        else:
-            split = _split_by_derivations(model)
+        pq = pq_basis(model)
         d = model.d()
+        dim = model.dim
+        zero = Form.zero(dim)
+        mu_im, del_im, delbar_im, mubar_im = [], [], [], []
+        for i in range(dim):
+            eta = pq.eta_all[i]
+            d_eta = decompose_form(model, d.apply(eta))
+            d_etabar = decompose_form(model, d.apply(eta.conjugate()))
+            mu_im.append(d_etabar.get((2, 0), zero))
+            del_im.append(d_eta.get((2, 0), zero) + d_etabar.get((1, 1), zero))
+            delbar_im.append(d_eta.get((1, 1), zero) + d_etabar.get((0, 2), zero))
+            mubar_im.append(d_eta.get((0, 2), zero))
+        ops = []
+        for images, bid in (
+            (mu_im, (2, -1)),
+            (del_im, (1, 0)),
+            (delbar_im, (0, 1)),
+            (mubar_im, (-1, 2)),
+        ):
+            op = derivation_from_one_forms(dim, images)
+            ops.append(GradedOperator(dim, op.cols, 1, bid, check=False))
+        split = DifferentialSplit(*ops)
         if split.total() != d:
             raise AssertionError("bidegree split does not reassemble d")
         if split.mubar != split.mu.conjugated() or split.delbar != split.del_.conjugated():
@@ -335,60 +270,11 @@ def differential_split(model) -> DifferentialSplit:
     return model._memo("split", build)
 
 
-def _split_by_projectors(model) -> DifferentialSplit:
-    d = model.d()
-    n = model.dim // 2
-    shifts = {"mu": (2, -1), "del": (1, 0), "delbar": (0, 1), "mubar": (-1, 2)}
-    parts = {}
-    for name, (dp, dq) in shifts.items():
-        acc = GradedOperator.zero(model.dim, 1)
-        for p in range(n + 1):
-            for q in range(n + 1):
-                if not (0 <= p + dp <= n and 0 <= q + dq <= n):
-                    continue
-                left = pq_projector(model, p + dp, q + dq)
-                right = pq_projector(model, p, q)
-                acc = acc + left.compose(d.compose(right))
-        parts[name] = GradedOperator(model.dim, acc.cols, 1, (dp, dq), check=False)
-    return DifferentialSplit(parts["mu"], parts["del"], parts["delbar"], parts["mubar"])
-
-
-def _split_by_derivations(model) -> DifferentialSplit:
-    """Each component of d is a derivation; its coframe values determine it."""
-    pq = pq_basis(model)
-    d = model.d()
-    dim = model.dim
-    mu_im, del_im, delbar_im, mubar_im = [], [], [], []
-    for i in range(dim):
-        eta = pq.eta_all[i]
-        etabar = eta.conjugate()
-        d_eta = _pieces(model, d.apply(eta))
-        d_etabar = _pieces(model, d.apply(etabar))
-        mu_im.append(d_etabar.get((2, 0), Form.zero(dim)))
-        del_im.append(d_eta.get((2, 0), Form.zero(dim)) + d_etabar.get((1, 1), Form.zero(dim)))
-        delbar_im.append(d_eta.get((1, 1), Form.zero(dim)) + d_etabar.get((0, 2), Form.zero(dim)))
-        mubar_im.append(d_eta.get((0, 2), Form.zero(dim)))
-    ops = []
-    for images, bid in (
-        (mu_im, (2, -1)),
-        (del_im, (1, 0)),
-        (delbar_im, (0, 1)),
-        (mubar_im, (-1, 2)),
-    ):
-        op = derivation_from_one_forms(dim, images)
-        ops.append(GradedOperator(dim, op.cols, 1, bid, check=False))
-    return DifferentialSplit(*ops)
-
-
-def _pieces(model, form: Form) -> dict[tuple[int, int], Form]:
-    return decompose_form(model, form)
-
-
 # ---------------------------------------------------------------------------
 # derived operators
 
-def d_c(model) -> GradedOperator:
-    """J^{-1} d J, cross-checked against i(mu - del + delbar - mubar)."""
+def twisted_differential(model) -> GradedOperator:
+    """J^{-1} d J: the derivation with coframe values J^{-1} d J u^i."""
 
     def build():
         dim = model.dim
@@ -396,7 +282,16 @@ def d_c(model) -> GradedOperator:
         for i in range(dim):
             ju = j_apply(model, Form.basis(dim, 1 << i))
             images.append(j_inverse_apply(model, model.d().apply(ju)))
-        twisted = derivation_from_one_forms(dim, images)
+        return derivation_from_one_forms(dim, images)
+
+    return model._memo("jdj", build)
+
+
+def d_c(model) -> GradedOperator:
+    """J^{-1} d J, cross-checked against i(mu - del + delbar - mubar)."""
+
+    def build():
+        twisted = twisted_differential(model)
         split = differential_split(model)
         alt = (split.mu - split.del_ + split.delbar - split.mubar).scale(I)
         if twisted != alt:

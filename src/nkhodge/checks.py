@@ -17,6 +17,13 @@ Applicability is a static guard per check:
 
 Models of dimension >= 10 are checked in their exactly orthogonalized
 presentation; identities are coframe-covariant, so verdicts transfer.
+
+Each operator has one route in every dimension.  The split of d comes from
+``differential_split`` (each component is the derivation with its coframe
+values), and DC_DEF tests the same J^{-1} d J derivation that ``d_c``
+builds (``twisted_differential``).  The ORDER_* checks use the Koszul test
+of ``algebraic_order_at_most``: an operator of order <= r equals the
+reconstruction from its columns on forms of degree <= r.
 """
 
 from __future__ import annotations
@@ -29,9 +36,9 @@ from .bidegree import (
     decompose_form,
     differential_split,
     j_apply,
-    j_operator,
     lefschetz_triple,
     pq_basis,
+    twisted_differential,
 )
 from .exterior import Form, mask_label
 from .hodge import (
@@ -264,23 +271,7 @@ def check_nij_mu(model, acc: _Acc):
 def check_dc_def(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
     alt = (mu - de + db - mb).scale(I)
-    if model.dim <= 8:
-        j_op = j_operator(model)
-        j_inv_cols = {}
-        for c, col in j_op.cols.items():
-            sign = ONE if c.bit_count() % 2 == 0 else Scalar(-1, 0, 0, 0)
-            j_inv_cols[c] = {r: v * sign for r, v in col.items()}
-        j_inv = GradedOperator(model.dim, j_inv_cols, 0, check=False)
-        twisted = j_inv.compose(model.d().compose(j_op))
-    else:
-        from .bidegree import j_inverse_apply
-
-        images = []
-        for i in range(model.dim):
-            ju = j_apply(model, Form.basis(model.dim, 1 << i))
-            images.append(j_inverse_apply(model, model.d().apply(ju)))
-        twisted = derivation_from_one_forms(model.dim, images)
-    acc.op("J^-1 d J - i(mu - del + delbar - mubar)", twisted - alt)
+    acc.op("J^-1 d J - i(mu - del + delbar - mubar)", twisted_differential(model) - alt)
 
 
 def check_nk_def(model, acc: _Acc):

@@ -2,8 +2,12 @@
 
 Subcommands: ``validate``, ``suite``, ``hodge``, ``order``, ``models``.
 Models are addressed either as ``builtin:<name>`` or as a path to a model
-JSON file.  Exit codes: 0 pass, 1 validation/check failure, 2 usage error,
-3 applicability error (e.g. Hodge table of a non-nearly-Kahler model).
+JSON file.  Exit codes: 0 pass, 1 validation/check failure (including a
+claimed ``expected`` flag that the exact recomputation contradicts), 2
+usage error (including any malformed model file), 3 applicability error
+(e.g. Hodge table of a non-nearly-Kahler model), 4 internal invariant
+broken (an exact self-check of the engine failed; the message is the
+witness).
 
 Reports are deterministic: two runs on the same input differ at most in the
 timing fields.
@@ -25,6 +29,7 @@ from .models import (
     model_from_json,
     model_hash,
     model_to_json,
+    nearly_kahler_residual,
     validate_model,
 )
 from .operators import adjoint, algebraic_order_at_most
@@ -32,6 +37,9 @@ from .bidegree import lefschetz_triple
 
 USAGE_ERROR = 2
 APPLICABILITY_ERROR = 3
+INTERNAL_ERROR = 4
+
+_FLAGS = ("nearly_kahler", "strict", "kahler")
 
 
 def _load_model(spec: str) -> LieAlgebraModel:
@@ -55,18 +63,32 @@ def _emit(doc: dict, as_json: bool, text_lines: list[str]) -> None:
         print("\n".join(text_lines))
 
 
+def _flag_mismatches(model: LieAlgebraModel) -> list[str]:
+    """Claimed expected flags that the exact nearly Kahler residual contradicts."""
+    derived = model._memo("nk_report", lambda: nearly_kahler_residual(model))
+    return [
+        f"expected flag {flag} is {str(model.expected[flag]).lower()}, "
+        f"re-derived {str(getattr(derived, flag)).lower()}"
+        for flag in _FLAGS
+        if flag in model.expected and model.expected[flag] != getattr(derived, flag)
+    ]
+
+
 def cmd_validate(args) -> int:
     model = _load_model(args.model)
     report = validate_model(model)
+    mismatches = _flag_mismatches(model) if report.ok else []
     doc = {
         "model": model.name,
         "model_hash": model_hash(model),
         "version": __version__,
-        "ok": report.ok,
+        "ok": report.ok and not mismatches,
         "issues": [{"check": i.check, "witness": list(i.witness)} for i in report.issues],
     }
-    _emit(doc, args.report == "json", [report.summary()])
-    return 0 if report.ok else 1
+    if mismatches:
+        doc["flag_mismatches"] = mismatches
+    _emit(doc, args.report == "json", [report.summary(), *mismatches])
+    return 0 if doc["ok"] else 1
 
 
 def cmd_suite(args) -> int:
@@ -80,6 +102,7 @@ def cmd_suite(args) -> int:
             print(f"known ids: {', '.join(sorted(CHECKS))}", file=sys.stderr)
             return USAGE_ERROR
     report = run_suite(model, selection=selection, deep=args.deep)
+    mismatches = _flag_mismatches(model)
     checks_doc = []
     lines = [f"model {report.model} ({model.dim}-dimensional)"]
     for res in report.results:
@@ -103,17 +126,21 @@ def cmd_suite(args) -> int:
         if res.status == "skip":
             note = f"  ({res.skip_reason})"
         lines.append(f"  {res.check_id:18s} {res.status:5s}{note}")
-    lines.append(f"verdict: {'pass' if report.verdict else 'FAIL'}")
+    verdict = report.verdict and not mismatches
+    lines.extend(mismatches)
+    lines.append(f"verdict: {'pass' if verdict else 'FAIL'}")
     doc = {
         "model": report.model,
         "model_hash": model_hash(model),
         "version": __version__,
         "checks": checks_doc,
-        "verdict": report.verdict,
+        "verdict": verdict,
         "total_ms": round(report.total_ms, 3),
     }
+    if mismatches:
+        doc["flag_mismatches"] = mismatches
     _emit(doc, args.report == "json", lines)
-    return 0 if report.verdict else 1
+    return 0 if verdict else 1
 
 
 def cmd_hodge(args) -> int:
@@ -260,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except AssertionError as exc:
+        print(f"internal invariant broken: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -45,10 +45,6 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_degree(mask: int) -> int:
-    return mask.bit_count()
-
-
 def wedge_masks(m1: int, m2: int) -> tuple[int, int]:
     """(sign, union) for u^m1 ^ u^m2; sign 0 when they overlap."""
     if m1 & m2:
@@ -62,11 +58,6 @@ def wedge_masks(m1: int, m2: int) -> tuple[int, int]:
             sign = -sign
         m ^= low
     return sign, m1 | m2
-
-
-def _wedge_sign(m1: int, m2: int) -> int:
-    sign, _ = wedge_masks(m1, m2)
-    return sign
 
 
 def graded_lex_key(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -208,8 +199,25 @@ class Form:
         return "Form(" + " + ".join(parts) + ")"
 
 
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
+def wedge_image(images: list[Form], mask: int, table: dict[int, Form]) -> Form:
+    """Image of u^mask under the algebra map u^i -> images[i].
+
+    ``table`` memoizes images by mask and is filled lazily: a miss builds
+    only the chain mask, mask minus its lowest index, ... down to the first
+    cached entry, as images[low] ^ image(rest).
+    """
+    chain = []
+    m = mask
+    while m not in table:
+        if m == 0:
+            table[0] = Form.basis(images[0].dim, 0)
+            break
+        chain.append(m)
+        m &= m - 1
+    for m in reversed(chain):
+        low = m & -m
+        table[m] = images[low.bit_length() - 1].wedge(table[m ^ low])
+    return table[mask]
 
 
 # ---------------------------------------------------------------------------

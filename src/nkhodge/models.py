@@ -229,21 +229,9 @@ class LieAlgebraModel:
         ]
 
     def nabla_op(self, i: int) -> GradedOperator:
-        def build():
-            images = self.nabla_images(i)
-            dim = self.dim
-            table: dict[int, Form] = {0: Form.zero(dim)}
-            for mask in range(1, 1 << dim):
-                low = mask & -mask
-                rest = mask ^ low
-                idx = low.bit_length() - 1
-                head = images[idx].wedge(Form.basis(dim, rest))
-                tail = Form.basis(dim, low).wedge(table[rest])
-                table[mask] = head + tail
-            cols = {m: dict(f.coeffs) for m, f in table.items() if not f.is_zero()}
-            return GradedOperator(dim, cols, 0)
-
-        return self._memo(f"nabla{i}", build)
+        return self._memo(
+            f"nabla{i}", lambda: derivation_from_one_forms(self.dim, self.nabla_images(i), degree=0)
+        )
 
     def omega(self) -> Form:
         def build():
@@ -721,10 +709,26 @@ def model_to_json(model: LieAlgebraModel) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _file_int(value, what: str) -> int:
+    # bool is a subclass of int in Python; a flag is no index
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _file_matrix(value, dim: int, what: str, scal) -> Matrix:
+    if not isinstance(value, list) or len(value) != dim or any(
+        not isinstance(row, list) or len(row) != dim for row in value
+    ):
+        raise ValueError(f"{what} must be a dimension x dimension matrix")
+    return [[scal(v, what) for v in row] for row in value]
+
+
 def model_from_json(text: str) -> LieAlgebraModel:
+    """Parse a model file; every malformed input raises ValueError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("model file must contain a JSON object")
@@ -734,40 +738,48 @@ def model_from_json(text: str) -> LieAlgebraModel:
     missing = set(_FILE_KEYS) - set(doc)
     if missing:
         raise ValueError(f"missing model file keys: {sorted(missing)}")
-    dim = doc["dimension"]
-    ext_d = doc["extension_d"]
-    if not isinstance(dim, int) or dim <= 0:
+    if not isinstance(doc["name"], str):
+        raise ValueError("name must be a string")
+    dim = _file_int(doc["dimension"], "dimension")
+    ext_d = _file_int(doc["extension_d"], "extension_d")
+    if dim <= 0:
         raise ValueError("dimension must be a positive integer")
-    if not isinstance(ext_d, int) or ext_d < 1:
+    if ext_d < 1:
         raise ValueError("extension_d must be a positive integer")
     from .scalars import _squarefree
 
     if not _squarefree(ext_d):
         raise ValueError(f"extension_d = {ext_d} is not squarefree")
 
-    def scal(text_value: str) -> Scalar:
-        return Scalar.parse(text_value, ext_d)
+    def scal(value, what: str) -> Scalar:
+        if not isinstance(value, str):
+            raise ValueError(f"{what} entries must be scalar literal strings, got {value!r}")
+        return Scalar.parse(value, ext_d)
 
+    records = doc["structure_constants"]
+    if not isinstance(records, list):
+        raise ValueError("structure_constants must be a list of records")
     structure: Structure = {}
-    for entry in doc["structure_constants"]:
-        if set(entry) != {"i", "j", "k", "value"}:
+    for entry in records:
+        if not isinstance(entry, dict) or set(entry) != {"i", "j", "k", "value"}:
             raise ValueError(f"bad structure constant record {entry}")
-        i, j, k = entry["i"] - 1, entry["j"] - 1, entry["k"] - 1
+        i, j, k = (_file_int(entry[key], f"structure constant index {key}") - 1 for key in "ijk")
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim) or i >= j:
             raise ValueError(f"bad structure constant indices {entry}")
-        structure.setdefault((i, j), {})[k] = scal(entry["value"])
-    metric = [[scal(v) for v in row] for row in doc["metric"]]
-    jmat = [[scal(v) for v in row] for row in doc["complex_structure"]]
-    if len(metric) != dim or any(len(r) != dim for r in metric):
-        raise ValueError("metric must be a dimension x dimension matrix")
-    if len(jmat) != dim or any(len(r) != dim for r in jmat):
-        raise ValueError("complex_structure must be a dimension x dimension matrix")
+        slot = structure.setdefault((i, j), {})
+        if k in slot:
+            raise ValueError(f"duplicate structure constant record {entry}")
+        slot[k] = scal(entry["value"], "structure constant value")
+    metric = _file_matrix(doc["metric"], dim, "metric", scal)
+    jmat = _file_matrix(doc["complex_structure"], dim, "complex_structure", scal)
     expected = doc["expected"]
-    if set(expected) != {"nearly_kahler", "strict", "kahler"}:
+    if (
+        not isinstance(expected, dict)
+        or set(expected) != {"nearly_kahler", "strict", "kahler"}
+        or not all(isinstance(v, bool) for v in expected.values())
+    ):
         raise ValueError("expected must have exactly the three boolean flags")
-    return LieAlgebraModel(
-        str(doc["name"]), dim, ext_d, structure, metric, jmat, dict(expected)
-    )
+    return LieAlgebraModel(doc["name"], dim, ext_d, structure, metric, jmat, dict(expected))
 
 
 def model_hash(model: LieAlgebraModel) -> str:

@@ -12,6 +12,16 @@ implementations are provided: a literal minor-determinant sandwich
 an exact orthogonal-coframe route (``adjoint``) that conjugates into an
 LDL^T-orthogonalized coframe where the Gram blocks are diagonal.  Both
 compute the same matrix; the test suite checks this.
+
+Every operator is uniquely P = sum_J L_{beta_J} iota_J, with iota_J the
+contraction u^J ^ u^R -> u^R, and its algebraic order is max |J| over the
+nonzero beta_J (Koszul, *Crochet de Schouten-Nijenhuis et cohomologie*,
+1985).  ``koszul_coefficients`` reads the beta_J with |J| <= r off the
+columns of degree <= r and ``reconstruct`` sums them back up, so an
+operator of order <= r is the reconstruction of its low-degree columns.
+That is the order test (``algebraic_order_at_most``: P equals its
+reconstruction) and the only route from coframe values to a derivation
+(``derivation_from_one_forms``).
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from .exterior import (
     GramData,
     graded_lex_key,
     mask_label,
+    wedge_image,
     wedge_masks,
 )
 from .scalars import ONE, ZERO, Scalar
@@ -269,14 +280,9 @@ class OrthoFrame:
         self.dprod = dprod
 
     def _wedge_extension(self, images: list[Form]) -> GradedOperator:
-        n = self.dim
-        table: dict[int, Form] = {0: Form.basis(n, 0)}
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            rest = mask ^ low
-            table[mask] = images[low.bit_length() - 1].wedge(table[rest])
-        cols = {m: dict(f.coeffs) for m, f in table.items() if not f.is_zero()}
-        return GradedOperator(n, cols, 0, check=False)
+        table: dict[int, Form] = {}
+        cols = {m: dict(wedge_image(images, m, table).coeffs) for m in range(1 << self.dim)}
+        return GradedOperator(self.dim, cols, 0, check=False)
 
 
 def _ortho_frame(gram: GramData) -> OrthoFrame:
@@ -369,59 +375,71 @@ def laplacian(p: GradedOperator, gram: GramData) -> GradedOperator:
 
 
 # ---------------------------------------------------------------------------
-# derivations
+# Koszul reconstruction, derivations and algebraic order
 
-def derivation_from_one_forms(dim: int, images: list[Form]) -> GradedOperator:
-    """Unique degree-1 derivation with the given coframe images, zero on 1."""
+def _koszul_column(beta: dict[int, Form], mask: int) -> Column:
+    """Column ``mask`` of sum_J L_{beta_J} iota_J: the terms with J inside mask."""
+    col: Column = {}
+    for jm, form in beta.items():
+        if jm & mask != jm:
+            continue
+        rest = mask ^ jm
+        eps, _ = wedge_masks(jm, rest)  # u^mask = eps u^J ^ u^rest
+        for bm, bv in form.coeffs.items():
+            sign, target = wedge_masks(bm, rest)
+            if sign == 0:
+                continue
+            v = bv if sign == eps else -bv
+            t = col.get(target)
+            v = v if t is None else t + v
+            if v.is_zero():
+                col.pop(target, None)
+            else:
+                col[target] = v
+    return col
+
+
+def koszul_coefficients(p: GradedOperator, r: int) -> dict[int, Form]:
+    """beta_J for |J| <= r, read off the columns of P on masks of degree <= r.
+
+    In order of increasing degree, beta_M = P(u^M) - sum eps beta_J ^ u^{M-J}
+    over the proper subsets J of M, where u^M = eps u^J ^ u^{M-J}.  Zero
+    coefficients are omitted.
+    """
+    beta: dict[int, Form] = {}
+    masks = sorted((m for m in range(1 << p.dim) if m.bit_count() <= r), key=int.bit_count)
+    for mask in masks:
+        b = p.column_form(mask) - Form(p.dim, _koszul_column(beta, mask))
+        if not b.is_zero():
+            beta[mask] = b
+    return beta
+
+
+def reconstruct(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOperator:
+    """sum_J L_{beta_J} iota_J for coefficient forms keyed by the mask J."""
+    cols = {m: _koszul_column(beta, m) for m in range(1 << dim)}
+    return GradedOperator(dim, cols, degree)
+
+
+def derivation_from_one_forms(dim: int, images: list[Form], degree: int = 1) -> GradedOperator:
+    """Unique derivation with the given coframe images, zero on 1.
+
+    It is sum_i L_{images[i]} iota_i; the Koszul sum carries the sign of an
+    odd (degree 1) or even (degree 0) derivation by itself.
+    """
     if len(images) != dim:
         raise ValueError(f"need {dim} coframe images, got {len(images)}")
-    table: dict[int, Form] = {0: Form.zero(dim)}
-    for mask in range(1, 1 << dim):
-        low = mask & -mask
-        rest = mask ^ low
-        i = low.bit_length() - 1
-        head = images[i].wedge(Form.basis(dim, rest))
-        tail = Form.basis(dim, low).wedge(table[rest])
-        table[mask] = head - tail
-    cols = {m: dict(f.coeffs) for m, f in table.items() if not f.is_zero()}
-    return GradedOperator(dim, cols, 1)
+    return reconstruct(dim, {1 << i: f for i, f in enumerate(images) if not f.is_zero()}, degree)
 
 
-# ---------------------------------------------------------------------------
-# algebraic order
-
-def algebraic_order_at_most(p: GradedOperator, r: int, _memo=None) -> bool:
+def algebraic_order_at_most(p: GradedOperator, r: int) -> bool:
     """Whether P lies in the algebraic-order filtration level r.
 
     Level 0 is exactly the multiplication operators; level r requires
-    [[P, L_beta]] to lie in level r-1 for every form beta.  Since the
-    commutator is linear in beta and the lower levels absorb products with
-    multiplication operators, it suffices to range beta over the coframe.
+    [[P, L_beta]] to lie in level r-1 for every form beta.  By Koszul's
+    theorem that holds exactly when P equals the reconstruction from its
+    columns of degree <= r.
     """
     if r < 0:
         raise ValueError("order bound must be nonnegative")
-    if _memo is None:
-        _memo = {}
-    key = (id(p), r)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    if r == 0:
-        candidate = p.apply(Form.basis(p.dim, 0))
-        if candidate.degree() is None and not candidate.is_zero():
-            _memo[key] = False
-            return False
-        result = p == mult_operator(_with_dim(candidate, p.dim))
-    else:
-        result = True
-        for i in range(p.dim):
-            lb = mult_operator(Form.basis(p.dim, 1 << i))
-            if not algebraic_order_at_most(graded_commutator(p, lb), r - 1, _memo):
-                result = False
-                break
-    _memo[key] = result
-    return result
-
-
-def _with_dim(form: Form, dim: int) -> Form:
-    return form if form.dim == dim else Form(dim, form.coeffs)
+    return p == reconstruct(p.dim, koszul_coefficients(p, r), p.degree)

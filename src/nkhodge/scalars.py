@@ -72,17 +72,9 @@ class Scalar:
         return cls(p, 0, 0, 0, q)
 
     @classmethod
-    def from_fraction(cls, f: Fraction) -> Scalar:
-        return cls(f.numerator, 0, 0, 0, f.denominator)
-
-    @classmethod
     def sqrt_ext(cls, d: int, num: int = 1, den: int = 1) -> Scalar:
         """num/den times sqrt(d)."""
         return cls(0, num, 0, 0, den, d)
-
-    @classmethod
-    def imag_unit(cls) -> Scalar:
-        return cls(0, 0, 1, 0)
 
     # -- predicates ----------------------------------------------------
 
@@ -91,9 +83,6 @@ class Scalar:
 
     def is_real(self) -> bool:
         return self.c == 0 and self.e == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.e == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -295,6 +284,8 @@ class Scalar:
             n = int(num) * (-1 if sgn == "-" else 1)
             coords[key] = n
             dens[key] = int(den) if den else 1
+            if dens[key] == 0:
+                raise ValueError(f"zero denominator in scalar literal {text!r}")
             pos = m.end()
         lcm = 1
         for v in dens.values():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nkhodge.bidegree import (
+    DifferentialSplit,
     counting_operator,
     d_c,
     decompose_form,
@@ -13,13 +14,66 @@ from nkhodge.bidegree import (
     j_operator,
     lefschetz_triple,
     pq_basis,
-    pq_projector,
-    _split_by_derivations,
-    _split_by_projectors,
+    twisted_differential,
 )
 from nkhodge.exterior import Form
 from nkhodge.operators import GradedOperator, graded_commutator
 from nkhodge.scalars import I, ONE, Scalar, rational
+
+
+# -- oracles: the literal definitions that the derivation routes replace ------
+
+def pq_projector(model, p, q) -> GradedOperator:
+    """Projector onto Lambda^{p,q} as a matrix over the real-index basis."""
+    pq = pq_basis(model)
+    if not (0 <= p <= pq.n and 0 <= q <= pq.n):
+        raise ValueError(f"bidegree ({p},{q}) out of range")
+
+    def build():
+        cols = {}
+        for mask in range(1 << model.dim):
+            if mask.bit_count() != p + q:
+                continue
+            wanted = {
+                m: v
+                for m, v in pq._mask_expansion(mask).items()
+                if pq.bidegree_of_mask(m) == (p, q)
+            }
+            if wanted:
+                cols[mask] = dict(pq.pq_coords_to_form(wanted).coeffs)
+        return GradedOperator(model.dim, cols, 0, (0, 0), check=False)
+
+    return model._memo(f"projector{p},{q}", build)
+
+
+def split_by_projectors(model) -> DifferentialSplit:
+    """Each component as the sum over (p,q) of pi^{p+dp,q+dq} d pi^{p,q}."""
+    d = model.d()
+    n = model.dim // 2
+    shifts = {"mu": (2, -1), "del": (1, 0), "delbar": (0, 1), "mubar": (-1, 2)}
+    parts = {}
+    for name, (dp, dq) in shifts.items():
+        acc = GradedOperator.zero(model.dim, 1)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                if not (0 <= p + dp <= n and 0 <= q + dq <= n):
+                    continue
+                left = pq_projector(model, p + dp, q + dq)
+                right = pq_projector(model, p, q)
+                acc = acc + left.compose(d.compose(right))
+        parts[name] = GradedOperator(model.dim, acc.cols, 1, (dp, dq), check=False)
+    return DifferentialSplit(parts["mu"], parts["del"], parts["delbar"], parts["mubar"])
+
+
+def j_inverse_d_j_matrix(model) -> GradedOperator:
+    """J^{-1} o d o J as a literal product of matrices, J^{-1} = (-1)^k J on degree k."""
+    j_op = j_operator(model)
+    j_inv_cols = {
+        c: {r: (v if c.bit_count() % 2 == 0 else -v) for r, v in col.items()}
+        for c, col in j_op.cols.items()
+    }
+    j_inv = GradedOperator(model.dim, j_inv_cols, 0, check=False)
+    return j_inv.compose(model.d().compose(j_op))
 
 
 class TestPQBasis:
@@ -112,10 +166,10 @@ class TestJAction:
 
 
 class TestSplit:
-    def test_routes_agree_dim6(self, s3xs3, torus6):
-        for m in (s3xs3, torus6):
-            a = _split_by_projectors(m)
-            b = _split_by_derivations(m)
+    def test_routes_agree_dim6(self, s3xs3, torus6, kodaira):
+        for m in (s3xs3, torus6, kodaira):
+            a = split_by_projectors(m)
+            b = differential_split(m)
             for name in ("mu", "del", "delbar", "mubar"):
                 assert a.components()[name] == b.components()[name]
 
@@ -162,6 +216,10 @@ class TestDC:
 
     def test_dc_nonzero_strict(self, s3xs3):
         assert not d_c(s3xs3).is_zero()
+
+    def test_derivation_route_matches_matrix_route(self, s3xs3, torus6, kodaira):
+        for m in (s3xs3, torus6, kodaira):
+            assert twisted_differential(m) == j_inverse_d_j_matrix(m)
 
     def test_dc_differs_from_adjoint_bracket_by_torsion(self, s3xs3):
         # [d*, L] + d^c = 3i(mu - mubar) != 0 in the strict case

@@ -43,6 +43,75 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "/does/not/exist.json")
         assert code == 2
 
+    def test_malformed_file_exit_2(self, capsys, tmp_path, kodaira):
+        from nkhodge.models import model_to_json
+
+        doc = json.loads(model_to_json(kodaira))
+        doc["structure_constants"] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert "structure_constants must be a list" in err
+
+
+def _claim_every_flag(tmp_path, model):
+    from nkhodge.models import model_to_json
+
+    doc = json.loads(model_to_json(model))
+    doc["expected"] = {"nearly_kahler": True, "strict": True, "kahler": True}
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestClaimedFlags:
+    def test_validate_names_each_wrong_flag(self, capsys, tmp_path, kodaira):
+        code, out, _ = run_cli(capsys, "validate", _claim_every_flag(tmp_path, kodaira))
+        assert code == 1
+        for flag in ("nearly_kahler", "strict", "kahler"):
+            assert f"expected flag {flag} is true, re-derived false" in out
+
+    def test_validate_json_reports_mismatch(self, capsys, tmp_path, s3xs3):
+        # s3xs3-nk is strict nearly Kahler but not Kahler
+        path = _claim_every_flag(tmp_path, s3xs3)
+        code, out, _ = run_cli(capsys, "validate", path, "--report", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["flag_mismatches"] == ["expected flag kahler is true, re-derived false"]
+
+    def test_suite_fails_on_wrong_flag(self, capsys, tmp_path, torus6):
+        code, out, _ = run_cli(
+            capsys, "suite", _claim_every_flag(tmp_path, torus6), "--checks", "SL2", "--report", "json"
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdict"] is False
+        assert doc["flag_mismatches"] == ["expected flag strict is true, re-derived false"]
+
+    def test_agreeing_flags_add_nothing(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "builtin:kodaira-thurston", "--report", "json")
+        assert code == 0
+        assert "flag_mismatches" not in json.loads(out)
+
+
+class TestInternalInvariant:
+    def test_broken_split_exits_4(self, capsys, tmp_path, monkeypatch):
+        import nkhodge.bidegree
+        from nkhodge.operators import GradedOperator
+
+        # a file model, so the cached built-ins never see the broken builder
+        path = tmp_path / "s.json"
+        assert run_cli(capsys, "models", "show", "s3xs3-nk", "--emit", str(path))[0] == 0
+        monkeypatch.setattr(
+            nkhodge.bidegree, "derivation_from_one_forms",
+            lambda dim, images, degree=1: GradedOperator.zero(dim, degree),
+        )
+        code, out, err = run_cli(capsys, "suite", str(path), "--checks", "D2_SPLIT")
+        assert code == 4
+        assert err.startswith("internal invariant broken: bidegree split does not reassemble d")
+
 
 class TestSuite:
     def test_torus_two_checks(self, capsys):

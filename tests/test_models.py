@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nkhodge.exterior import Form
 from nkhodge.models import (
@@ -274,6 +277,93 @@ class TestModelFiles:
         doc["structure_constants"][0]["j"] = doc["structure_constants"][0]["i"]
         with pytest.raises(ValueError, match="indices"):
             model_from_json(json.dumps(doc))
+
+    def test_rejects_string_index(self, kodaira):
+        doc = json.loads(model_to_json(kodaira))
+        doc["structure_constants"][0]["i"] = "1"
+        with pytest.raises(ValueError, match="index i must be an integer"):
+            model_from_json(json.dumps(doc))
+
+    def test_rejects_non_list_structure_constants(self, kodaira):
+        doc = json.loads(model_to_json(kodaira))
+        doc["structure_constants"] = 5
+        with pytest.raises(ValueError, match="structure_constants must be a list"):
+            model_from_json(json.dumps(doc))
+
+    def test_rejects_duplicate_record(self, kodaira):
+        # a later zero record used to erase the model's only bracket
+        doc = json.loads(model_to_json(kodaira))
+        doc["structure_constants"].append(dict(doc["structure_constants"][0], value="0"))
+        with pytest.raises(ValueError, match="duplicate structure constant"):
+            model_from_json(json.dumps(doc))
+
+    def test_rejects_non_bool_flag(self, kodaira):
+        doc = json.loads(model_to_json(kodaira))
+        doc["expected"]["kahler"] = "no"
+        with pytest.raises(ValueError, match="boolean flags"):
+            model_from_json(json.dumps(doc))
+
+    def test_rejects_non_string_scalar(self, kodaira):
+        doc = json.loads(model_to_json(kodaira))
+        doc["metric"][0][0] = 1
+        with pytest.raises(ValueError, match="metric entries must be scalar literal strings"):
+            model_from_json(json.dumps(doc))
+
+    def test_rejects_zero_denominator(self, kodaira):
+        doc = json.loads(model_to_json(kodaira))
+        doc["metric"][0][0] = "1/0"
+        with pytest.raises(ValueError, match="zero denominator"):
+            model_from_json(json.dumps(doc))
+
+    def test_rejects_bool_dimension(self, kodaira):
+        doc = json.loads(model_to_json(kodaira))
+        doc["dimension"] = True
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            model_from_json(json.dumps(doc))
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 20),
+    st.sampled_from(["", "0", "1", "-1", "1/2", "1/0", "1*w", "I", "x", "1", "4"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["i", "j", "k", "value", "name", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_model_documents(draw):
+    """A valid model file with a few fields replaced by arbitrary JSON."""
+    doc = json.loads(model_to_json(builtin_model("kodaira-thurston")))
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(["top", "record", "row", "expected"]))
+        if target == "top":
+            doc[draw(st.sampled_from(sorted(doc) + ["extra"]))] = draw(_JSON_VALUES)
+        elif target == "record" and isinstance(doc.get("structure_constants"), list):
+            doc["structure_constants"].append(
+                draw(st.dictionaries(st.sampled_from(["i", "j", "k", "value"]), _JSON_LEAVES))
+            )
+        elif target == "row" and isinstance(doc.get("metric"), list) and doc["metric"]:
+            doc["metric"][0] = draw(_JSON_VALUES)
+        elif target == "expected" and isinstance(doc.get("expected"), dict):
+            doc["expected"][draw(st.sampled_from(["kahler", "strict", "other"]))] = draw(_JSON_LEAVES)
+    return doc
+
+
+class TestModelFileFuzz:
+    @given(st.one_of(_JSON_VALUES, mutated_model_documents()))
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_loads_or_raises_value_error(self, doc):
+        try:
+            model = model_from_json(json.dumps(doc))
+        except ValueError:
+            return
+        assert isinstance(model, LieAlgebraModel)
 
 
 class TestGramPositivity:
