@@ -12,8 +12,9 @@ This is the one-command reproduction of everything the package claims.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nkhodge.checks import run_suite
 from nkhodge.hodge import hodge_numbers

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exterior import Form, wedge_image
+from .exterior import Form, wedge_image, wedge_map
 from .operators import GradedOperator, adjoint, derivation_from_one_forms, mult_operator
 from .scalars import I, ZERO, Scalar, rational
 
@@ -141,21 +141,7 @@ class PQBasis:
 
     def form_to_pq(self, form: Form) -> dict[int, Scalar]:
         """Coordinates of a form in the eta-monomial basis."""
-        out: dict[int, Scalar] = {}
-        for mask, coeff in form.coeffs.items():
-            for pqmask, v in self._mask_expansion(mask).items():
-                t = out.get(pqmask)
-                piece = v * coeff
-                piece = piece if t is None else t + piece
-                if piece.is_zero():
-                    out.pop(pqmask, None)
-                else:
-                    out[pqmask] = piece
-        return out
-
-    def _mask_expansion(self, mask: int) -> dict[int, Scalar]:
-        """eta-monomial coordinates of the basis form u^mask (cached)."""
-        return wedge_image(self._u_in_pq, mask, self._col_cache).coeffs
+        return wedge_map(self._u_in_pq, form, self._col_cache).coeffs
 
     def pq_coords_to_form(self, coords: dict[int, Scalar]) -> Form:
         out = Form.zero(self.dim)
@@ -186,11 +172,7 @@ def decompose_form(model, form: Form) -> dict[tuple[int, int], Form]:
 def j_apply(model, form: Form) -> Form:
     """(J alpha)(X_1,...,X_k) = alpha(J X_1,...,J X_k), extended linearly."""
     rows = model._memo("j_rows", model.j_one_form_rows)
-    table = model._memo("j_table", dict)
-    out = Form.zero(model.dim)
-    for mask, coeff in form.coeffs.items():
-        out = out + wedge_image(rows, mask, table).scale(coeff)
-    return out
+    return wedge_map(rows, form, model._memo("j_table", dict))
 
 
 def j_inverse_apply(model, form: Form) -> Form:

@@ -15,8 +15,10 @@ Applicability is a static guard per check:
   otherwise the check is skipped;
 * ``kahler``     - need mu = 0 on a nearly Kahler model, otherwise skipped.
 
-Models of dimension >= 10 are checked in their exactly orthogonalized
-presentation; identities are coframe-covariant, so verdicts transfer.
+Every model is checked in its exactly orthogonalized presentation
+(``LieAlgebraModel.orthogonalized``, the model itself when its metric is
+diagonal); identities are coframe-covariant, so verdicts transfer, and
+witnesses name that presentation's coframe.
 
 Each operator has one route in every dimension.  The split of d comes from
 ``differential_split`` (each component is the derivation with its coframe
@@ -41,15 +43,9 @@ from .bidegree import (
     twisted_differential,
 )
 from .exterior import Form, mask_label
-from .hodge import (
-    computation_model,
-    harmonic_pq,
-    harmonic_space,
-    hodge_laplacian,
-    operator_degree_rows,
-)
+from .hodge import harmonic_pq, harmonic_space, hodge_laplacian, operator_degree_rows
 from .linalg import sparse_kernel, sparse_rank
-from .models import LieAlgebraModel, nearly_kahler_residual, su3_extract
+from .models import LieAlgebraModel, nk_report, su3_extract
 from .operators import (
     GradedOperator,
     adjoint,
@@ -816,7 +812,7 @@ DEEP_DIM = 10
 def _skip_reason(model, spec: CheckSpec) -> str | None:
     if spec.applicability in ("universal", "nk"):
         return None
-    report = model._memo("nk_report", lambda: nearly_kahler_residual(model))
+    report = nk_report(model)
     if spec.applicability == "nk6":
         if model.dim != 6:
             return "requires a six-dimensional model"
@@ -835,11 +831,11 @@ def run_check(model: LieAlgebraModel, check_id: str) -> CheckResult:
     if spec is None:
         raise KeyError(f"unknown check id {check_id!r}")
     start = time.perf_counter()
-    reason = _skip_reason(model, spec)
+    target = model.orthogonalized()
+    reason = _skip_reason(target, spec)
     if reason is not None:
         ms = (time.perf_counter() - start) * 1000.0
         return CheckResult(check_id, "skip", False, 0.0, None, ms, reason)
-    target = computation_model(model)
     acc = _Acc()
     spec.fn(target, acc)
     ms = (time.perf_counter() - start) * 1000.0

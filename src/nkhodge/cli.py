@@ -3,8 +3,10 @@
 Subcommands: ``validate``, ``suite``, ``hodge``, ``order``, ``models``.
 Models are addressed either as ``builtin:<name>`` or as a path to a model
 JSON file.  Exit codes: 0 pass, 1 validation/check failure (including a
-claimed ``expected`` flag that the exact recomputation contradicts), 2
-usage error (including any malformed model file), 3 applicability error
+claimed ``expected`` flag that the exact recomputation contradicts, and a
+file model that fails validation before ``suite``, ``hodge`` or ``order``
+runs on it), 2 usage error (including any malformed model file, a dimension
+above 14 or an extension_d above 10^9), 3 applicability error
 (e.g. Hodge table of a non-nearly-Kahler model), 4 internal invariant
 broken (an exact self-check of the engine failed; the message is the
 witness).
@@ -29,7 +31,7 @@ from .models import (
     model_from_json,
     model_hash,
     model_to_json,
-    nearly_kahler_residual,
+    nk_report,
     validate_model,
 )
 from .operators import adjoint, algebraic_order_at_most
@@ -63,9 +65,24 @@ def _emit(doc: dict, as_json: bool, text_lines: list[str]) -> None:
         print("\n".join(text_lines))
 
 
+def _load_valid_model(spec: str) -> LieAlgebraModel | None:
+    """The model, or None after printing why a file model fails validation.
+
+    Built-ins are validated when they are built; a file model is validated
+    here, before any check, table or order test runs on it.
+    """
+    model = _load_model(spec)
+    if not spec.startswith("builtin:"):
+        report = validate_model(model)
+        if not report.ok:
+            print(report.summary(), file=sys.stderr)
+            return None
+    return model
+
+
 def _flag_mismatches(model: LieAlgebraModel) -> list[str]:
     """Claimed expected flags that the exact nearly Kahler residual contradicts."""
-    derived = model._memo("nk_report", lambda: nearly_kahler_residual(model))
+    derived = nk_report(model)
     return [
         f"expected flag {flag} is {str(model.expected[flag]).lower()}, "
         f"re-derived {str(getattr(derived, flag)).lower()}"
@@ -92,7 +109,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    model = _load_model(args.model)
+    model = _load_valid_model(args.model)
+    if model is None:
+        return 1
     selection = None
     if args.checks:
         selection = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -144,7 +163,9 @@ def cmd_suite(args) -> int:
 
 
 def cmd_hodge(args) -> int:
-    model = _load_model(args.model)
+    model = _load_valid_model(args.model)
+    if model is None:
+        return 1
     try:
         report = hodge_numbers(model)
     except ValueError as exc:
@@ -167,14 +188,17 @@ def cmd_hodge(args) -> int:
 
 
 def cmd_order(args) -> int:
-    model = _load_model(args.model)
-    gram = model.gram()
+    model = _load_valid_model(args.model)
+    if model is None:
+        return 1
+    # the algebraic order does not depend on the coframe
+    comp = model.orthogonalized()
     if args.op == "d":
-        op = model.d()
+        op = comp.d()
     elif args.op == "dstar":
-        op = adjoint(model.d(), gram)
+        op = adjoint(comp.d(), comp.gram())
     elif args.op == "lambda_omega":
-        op = lefschetz_triple(model)[1]
+        op = lefschetz_triple(comp)[1]
     else:  # pragma: no cover - argparse restricts choices
         return USAGE_ERROR
     results = {}

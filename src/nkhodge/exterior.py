@@ -7,14 +7,18 @@ maps mask -> Scalar with zero coefficients never stored.
 
 ``GramData`` holds the metric on 1-forms and everything derived from it:
 the inverse metric (which is the pairing of coframe elements), the induced
-Hermitian pairing on each exterior power via minor determinants, an exact
-LDL^T orthogonalization used by the fast adjoint path, and the Hodge star
-when det(g) is a perfect square in the field.
+Hermitian pairing on each exterior power via minor determinants, the exact
+LDL^T factorization that orthogonalizes a coupled coframe, and, for a
+diagonal metric, the norm weights that make every adjoint a weighted
+conjugate transpose.
+
+``wedge_image`` and ``wedge_map`` extend a map of the coframe to the whole
+algebra (a change of coframe, the J action, the (p,q) expansion).
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar, sqrt_in_field
+from .scalars import ONE, ZERO, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +224,21 @@ def wedge_image(images: list[Form], mask: int, table: dict[int, Form]) -> Form:
     return table[mask]
 
 
+def wedge_map(images: list[Form], form: Form, table: dict[int, Form]) -> Form:
+    """Image of a form under the algebra map u^i -> images[i] (lazy, as above)."""
+    out: dict[int, Scalar] = {}
+    for mask, coeff in form.coeffs.items():
+        for m, v in wedge_image(images, mask, table).coeffs.items():
+            t = out.get(m)
+            piece = v * coeff
+            piece = piece if t is None else t + piece
+            if piece.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = piece
+    return Form(form.dim, out)
+
+
 # ---------------------------------------------------------------------------
 # metric data
 
@@ -276,15 +295,12 @@ class GramData:
                     raise ValueError(f"metric not symmetric at ({i + 1},{j + 1})")
         self._check_positive_definite()
         self.g_inv = self._invert(g)
-        self._g_rows = [
-            {j: v for j, v in enumerate(row) if not v.is_zero()} for j, row in enumerate(g)
-        ]
         self._ginv_rows = [
             {j: v for j, v in enumerate(row) if not v.is_zero()} for row in self.g_inv
         ]
         self._pair_cache: dict[tuple[int, int], Scalar] = {}
         self._ldl: tuple[list[list[Scalar]], list[Scalar]] | None = None
-        self._star_data: tuple[Scalar, dict[int, tuple[int, int]]] | None | bool = False
+        self._weights: tuple[list[Scalar], list[Scalar]] | None = None
 
     # -- construction helpers -----------------------------------------------
 
@@ -329,12 +345,6 @@ class GramData:
         self._pair_cache[key] = val
         return val
 
-    def metric_minor(self, mask_i: int, mask_j: int) -> Scalar:
-        """det of the g minor on (I, J): the inverse Gram matrix entry."""
-        rows = [self._g_rows[i - 1] for i in indices_from_mask(mask_i)]
-        cols = tuple(j - 1 for j in indices_from_mask(mask_j))
-        return _det_sparse(rows, cols)
-
     def inner(self, a: Form, b: Form) -> Scalar:
         """Hermitian pairing, linear in the first slot."""
         if a.dim != self.dim or b.dim != self.dim:
@@ -367,7 +377,7 @@ class GramData:
             raise ValueError("dimension mismatch with metric")
         return target.contract_vector(self.sharp(alpha))
 
-    # -- exact orthogonalization (for the fast adjoint path) -----------------
+    # -- orthogonalization and norm weights -----------------------------------
 
     def ldl(self) -> tuple[list[list[Scalar]], list[Scalar]]:
         """g = M diag(D) M^T with M unit lower triangular; computed once."""
@@ -388,76 +398,21 @@ class GramData:
             self._ldl = (m, dvals)
         return self._ldl
 
-    def det(self) -> Scalar:
-        _, dvals = self.ldl()
-        out = ONE
-        for v in dvals:
-            out = out * v
-        return out
+    def mask_weights(self) -> tuple[list[Scalar], list[Scalar]]:
+        """(w, 1/w) by mask, w(m) = prod_{i in m} g_ii = 1/<u^m, u^m>.
 
-    # -- Hodge star ---------------------------------------------------------
-
-    def _star_table(self):
-        if self._star_data is False:
-            root = sqrt_in_field(self.det(), self.ext_d)
-            if root is None:
-                self._star_data = None
-            else:
-                full = (1 << self.dim) - 1
-                signs = {}
-                for m in range(1 << self.dim):
-                    comp = full ^ m
-                    s, _ = wedge_masks(m, comp)
-                    signs[m] = (s, comp)
-                self._star_data = (root, signs)
-        return self._star_data
-
-    def star_available(self) -> bool:
-        return self._star_table() is not None
-
-    def volume_form(self) -> Form:
-        table = self._star_table()
-        if table is None:
-            raise ValueError("star unavailable: det(g) is not a square in the field")
-        root, _ = table
-        return Form.basis(self.dim, (1 << self.dim) - 1, root)
-
-    def star(self, a: Form) -> Form:
-        """Complex-linear star with a ^ star(b) = <a, conj(b)> vol."""
-        table = self._star_table()
-        if table is None:
-            raise ValueError("star unavailable: det(g) is not a square in the field")
-        root, signs = table
-        out = Form.zero(self.dim)
-        for mj, s in a.coeffs.items():
-            k = mj.bit_count()
-            piece: dict[int, Scalar] = {}
-            for mi in self._same_degree_masks(k):
-                p = self.pairing(mi, mj)
-                if p.is_zero():
-                    continue
-                sgn, comp = signs[mi]
-                v = p * s * root
-                if sgn < 0:
-                    v = -v
-                t = piece.get(comp)
-                v = v if t is None else t + v
-                if not v.is_zero():
-                    piece[comp] = v
-                elif comp in piece:
-                    del piece[comp]
-            out = out + Form(self.dim, piece)
-        return out
-
-    def _same_degree_masks(self, k: int):
-        # iterate all masks of degree k (Gosper's hack)
-        if k == 0:
-            yield 0
-            return
-        m = (1 << k) - 1
-        top = 1 << self.dim
-        while m < top:
-            yield m
-            c = m & -m
-            r = m + c
-            m = (((r ^ m) >> 2) // c) | r
+        Diagonal metrics only; computed once.  A coupled metric raises
+        ValueError: orthogonalize the model first
+        (``LieAlgebraModel.orthogonalized``).
+        """
+        if self._weights is None:
+            n = self.dim
+            if any(not self.g[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
+                raise ValueError("norm weights need a diagonal metric; orthogonalize the model first")
+            weights = [ONE] * (1 << n)
+            for mask in range(1, 1 << n):
+                low = mask & -mask
+                i = low.bit_length() - 1
+                weights[mask] = weights[mask ^ low] * self.g[i][i]
+            self._weights = (weights, [w.inverse() for w in weights])
+        return self._weights

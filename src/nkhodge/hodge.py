@@ -1,15 +1,15 @@
 """Harmonic spaces, Betti numbers, and Hodge tables.
 
 Harmonic spaces are exact kernels of the Hodge Laplacian [[d*, d]], computed
-by sparse fraction-free elimination (the dense oracle in ``linalg`` recomputes
-them independently in the tests).  Betti numbers are deliberately computed
-metric-free, from ranks of d alone, so that the sum rule
-b^k = sum_{p+q=k} h^{p,q} compares two genuinely different computations:
-harmonic dimensions against homology of the complex.
+by sparse fraction-free elimination (a dense oracle in the tests recomputes
+them independently).  Betti numbers are deliberately computed metric-free,
+from ranks of d alone, so that the sum rule b^k = sum_{p+q=k} h^{p,q}
+compares two genuinely different computations: harmonic dimensions against
+homology of the complex.
 
-Models of dimension >= 10 are handled in their exactly orthogonalized
-presentation (the numbers are coframe-invariant; returned basis forms are
-mapped back to the native coframe).
+Everything is computed in the orthogonalized presentation of the model
+(the numbers are coframe-invariant); returned basis forms are mapped back to
+the model's own coframe.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exterior import Form, graded_lex_key
-from .linalg import SparseRow, dense_kernel, sparse_kernel, sparse_rank
+from .linalg import SparseRow, sparse_kernel, sparse_rank
 from .operators import GradedOperator, laplacian
-from .scalars import ZERO
-
-_ORTHO_DIM_THRESHOLD = 10
 
 
 @dataclass
@@ -42,22 +39,6 @@ class HodgeReport:
             if total != self.betti[k]:
                 return False
         return True
-
-
-def computation_model(model):
-    """Presentation used for heavy exact computation (coframe-invariant)."""
-    if model.dim >= _ORTHO_DIM_THRESHOLD:
-        return model.orthogonalized()
-    return model
-
-
-def _to_native(model, comp, forms: list[Form]) -> list[Form]:
-    if comp is model:
-        return forms
-    from .operators import _ortho_frame
-
-    frame = _ortho_frame(model.gram())
-    return [frame.from_v.apply(f) for f in forms]
 
 
 def hodge_laplacian(model) -> GradedOperator:
@@ -84,7 +65,7 @@ def operator_degree_rows(op: GradedOperator, k: int, dim: int) -> tuple[list[Spa
 
 def harmonic_space(model, k: int) -> list[Form]:
     """Exact basis of the Delta_d-kernel in degree k (sparse elimination)."""
-    comp = computation_model(model)
+    comp = model.orthogonalized()
 
     def build():
         lap = hodge_laplacian(comp)
@@ -92,37 +73,12 @@ def harmonic_space(model, k: int) -> list[Form]:
         vectors = sparse_kernel(rows, len(masks))
         return [Form(comp.dim, {masks[i]: v for i, v in vec.items()}) for vec in vectors]
 
-    forms = comp._memo(f"harmonic:{k}", build)
-    return _to_native(model, comp, forms)
-
-
-def harmonic_space_dense_oracle(model, k: int) -> list[Form]:
-    """Same space via the independent dense elimination (oracle route)."""
-    comp = computation_model(model)
-    lap = hodge_laplacian(comp)
-    masks = degree_masks(comp.dim, k)
-    index = {m: i for i, m in enumerate(masks)}
-    dense = [[ZERO] * len(masks) for _ in masks]
-    for c, col in lap.cols.items():
-        ci = index.get(c)
-        if ci is None:
-            continue
-        for r, v in col.items():
-            dense[index[r]][ci] = v
-    vectors = dense_kernel(dense, len(masks))
-    return _to_native(
-        model,
-        comp,
-        [
-            Form(comp.dim, {masks[i]: v for i, v in enumerate(vec) if not v.is_zero()})
-            for vec in vectors
-        ],
-    )
+    return [model.to_native(f) for f in comp._memo(f"harmonic:{k}", build)]
 
 
 def harmonic_pq(model, p: int, q: int) -> list[Form]:
     """Exact basis of the Delta_d-harmonic (p,q)-forms."""
-    comp = computation_model(model)
+    comp = model.orthogonalized()
 
     def build():
         from .bidegree import pq_basis
@@ -146,13 +102,12 @@ def harmonic_pq(model, p: int, q: int) -> list[Form]:
             out.append(f)
         return out
 
-    forms = comp._memo(f"harmonic_pq:{p},{q}", build)
-    return _to_native(model, comp, forms)
+    return [model.to_native(f) for f in comp._memo(f"harmonic_pq:{p},{q}", build)]
 
 
 def betti_numbers(model) -> list[int]:
     """Homology dimensions of (invariant forms, d); no metric involved."""
-    comp = computation_model(model)
+    comp = model.orthogonalized()
 
     def build():
         d = comp.d()
@@ -173,9 +128,9 @@ def betti_numbers(model) -> list[int]:
 
 
 def hodge_numbers(model) -> HodgeReport:
-    from .models import nearly_kahler_residual
+    from .models import nk_report
 
-    report = model._memo("nk_report", lambda: nearly_kahler_residual(model))
+    report = nk_report(model)
     if not report.nearly_kahler:
         raise ValueError(
             f"not nearly Kahler: residual witness {report.witness}"

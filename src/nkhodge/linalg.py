@@ -1,17 +1,11 @@
 """Exact kernels and ranks over the scalar tower.
 
-Two deliberately independent elimination routes live here:
-
-* a sparse fraction-free (Bareiss-style) elimination with pivoting by
-  least bit-complexity entry, used by all production kernel and rank
-  computations; and
-* a dense textbook Gauss-Jordan elimination with first-nonzero pivoting,
-  kept as an oracle the test suite compares against.
-
-Matrices are lists of sparse rows (dict col -> Scalar) for the sparse
-route and plain lists of lists for the dense one.  Division is exact in
-the field, so the fraction-free step is purely a coefficient-growth
-strategy, never an approximation.
+Every kernel and rank is a sparse fraction-free (Bareiss-style) elimination
+with pivoting by least bit-complexity entry.  Matrices are lists of sparse
+rows (dict col -> Scalar).  Division is exact in the field, so the
+fraction-free step is purely a coefficient-growth strategy, never an
+approximation.  The test suite compares the kernels with an independent
+dense Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
@@ -131,43 +125,6 @@ def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     return basis
 
 
-def dense_kernel(matrix: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Oracle route: dense Gauss-Jordan, first-nonzero pivoting."""
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v if v.is_zero() else v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [
-                    a if b.is_zero() else a - f * b for a, b in zip(rows[i], rows[r])
-                ]
-        pivot_of_col[c] = r
-        r += 1
-    basis = []
-    for c in range(ncols):
-        if c in pivot_of_col:
-            continue
-        vec = [ZERO] * ncols
-        vec[c] = ONE
-        for pc, pr in pivot_of_col.items():
-            vec[pc] = -rows[pr][c]
-        basis.append(vec)
-    return basis
-
-
 def spans_equal(basis_a: list[SparseRow], basis_b: list[SparseRow]) -> bool:
     """Exact span equality via three rank computations."""
     if len(basis_a) != len(basis_b):
@@ -178,6 +135,3 @@ def spans_equal(basis_a: list[SparseRow], basis_b: list[SparseRow]) -> bool:
         return False
     return sparse_rank(basis_a + basis_b) == ra
 
-
-def dense_to_sparse(vectors: list[list[Scalar]]) -> list[SparseRow]:
-    return [{i: v for i, v in enumerate(vec) if not v.is_zero()} for vec in vectors]

@@ -20,9 +20,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .exterior import Form, GramData
+from .exterior import Form, GramData, wedge_map
 from .operators import GradedOperator, derivation_from_one_forms
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar, rational
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, _squarefree, rational
 
 Structure = dict[tuple[int, int], dict[int, Scalar]]
 Matrix = list[list[Scalar]]
@@ -155,6 +155,8 @@ class LieAlgebraModel:
         self.expected = expected or {}
         self.expected_failures = tuple(expected_failures)
         self._cache: dict = {}
+        # v^i in the u-coframe when this is an orthogonalized presentation
+        self._native_coframe: list[Form] | None = None
 
     # -- raw structure access ------------------------------------------------
 
@@ -298,28 +300,33 @@ class LieAlgebraModel:
         )
 
     def orthogonalized(self) -> LieAlgebraModel:
-        """Same geometry in an exactly orthogonalized coframe (diagonal metric)."""
+        """Same geometry in an exactly orthogonalized coframe (diagonal metric).
+
+        Every computation runs on this presentation; a model whose metric is
+        already diagonal is its own.  With g = M diag(D) M^T from LDL^T, the
+        new coframe is v^i = sum_j T[i][j] u^j for T = M^T, whose metric is
+        diag(D).  ``to_native`` maps its forms back to the u-coframe through
+        the algebra map v^i -> T[i], kept on the presentation.
+        """
         if self.metric_is_diagonal():
             return self
 
         def build():
-            from .operators import _ortho_frame
-
             n = self.dim
             m, dvals = self.gram().ldl()
-            t = [[m[j][i] for j in range(n)] for i in range(n)]  # T = M^T
+            t = [[m[j][i] for j in range(n)] for i in range(n)]
             tinv = GramData._invert(t)
-            frame = _ortho_frame(self.gram())
+            u_in_v = [Form.one_form(n, row) for row in tinv]
+            table: dict[int, Form] = {}
             d_op = self.d()
             structure: Structure = {}
             for a in range(n):
-                # dv^a in v-coordinates
                 du = Form.zero(n)
                 for j in range(n):
                     if not t[a][j].is_zero():
                         du = du + d_op.column_form(1 << j).scale(t[a][j])
-                dv = frame.to_v.apply(du)
-                for mask, coeff in dv.coeffs.items():
+                # dv^a = -sum_{i<j} c^a_ij v^i ^ v^j
+                for mask, coeff in wedge_map(u_in_v, du, table).coeffs.items():
                     i = (mask & -mask).bit_length() - 1
                     j = mask.bit_length() - 1
                     structure.setdefault((i, j), {})[a] = -coeff
@@ -335,12 +342,20 @@ class LieAlgebraModel:
                 dict(self.expected),
                 self.expected_failures,
             )
+            out._native_coframe = [Form.one_form(n, row) for row in t]
             report = validate_model(out)
             if not report.ok:
                 raise AssertionError("orthogonalized presentation failed validation:\n" + report.summary())
             return out
 
         return self._memo("ortho", build)
+
+    def to_native(self, form: Form) -> Form:
+        """A form of ``orthogonalized()`` in this model's own coframe."""
+        comp = self.orthogonalized()
+        if comp is self:
+            return form
+        return wedge_map(comp._native_coframe, form, comp._memo("native_table", dict))
 
     def __repr__(self) -> str:
         return f"LieAlgebraModel({self.name!r}, dim={self.dim})"
@@ -484,6 +499,16 @@ def nearly_kahler_residual(model: LieAlgebraModel) -> ResidualReport:
     mu_zero = differential_split(model).mu.is_zero()
     kahler = nk and mu_zero
     return ResidualReport(nk, strict, kahler, mu_zero, worst, witness)
+
+
+def nk_report(model: LieAlgebraModel) -> ResidualReport:
+    """The nearly Kahler residual of the computation presentation, computed once.
+
+    Its flags do not depend on the coframe; its witness is reported in the
+    orthogonalized one.
+    """
+    comp = model.orthogonalized()
+    return comp._memo("nk_report", lambda: nearly_kahler_residual(comp))
 
 
 def su3_extract(model: LieAlgebraModel) -> SU3Data:
@@ -670,6 +695,13 @@ def builtin_model(name: str) -> LieAlgebraModel:
 # ---------------------------------------------------------------------------
 # model files
 
+# Operators on a model of dimension n have 2^n columns: dimension 12 is the
+# largest built-in and 14 the next one to try, so a file asking for more is
+# refused before any matrix is read.
+MAX_DIMENSION = 14
+# The squarefree test of extension_d is trial division up to its square root.
+MAX_EXTENSION_D = 10**9
+
 _FILE_KEYS = (
     "name",
     "dimension",
@@ -744,10 +776,12 @@ def model_from_json(text: str) -> LieAlgebraModel:
     ext_d = _file_int(doc["extension_d"], "extension_d")
     if dim <= 0:
         raise ValueError("dimension must be a positive integer")
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"dimension {dim} exceeds the supported maximum {MAX_DIMENSION}")
     if ext_d < 1:
         raise ValueError("extension_d must be a positive integer")
-    from .scalars import _squarefree
-
+    if ext_d > MAX_EXTENSION_D:
+        raise ValueError(f"extension_d = {ext_d} exceeds the supported maximum {MAX_EXTENSION_D}")
     if not _squarefree(ext_d):
         raise ValueError(f"extension_d = {ext_d} is not squarefree")
 

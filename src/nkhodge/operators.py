@@ -5,13 +5,13 @@ sparse column of row mask -> Scalar), tagged with a degree and optionally
 a bidegree.  Everything here is exact; operator equality is literal matrix
 equality over the scalar tower.
 
-The metric adjoint P* is the operator with <P a, b> = <a, P* b>, i.e. the
-Gram-sandwich G^{-1} P^dagger G over the block Hermitian Gram matrix.  Two
-implementations are provided: a literal minor-determinant sandwich
-(``adjoint_via_minors``, fine for small models and used as an oracle) and
-an exact orthogonal-coframe route (``adjoint``) that conjugates into an
-LDL^T-orthogonalized coframe where the Gram blocks are diagonal.  Both
-compute the same matrix; the test suite checks this.
+The metric adjoint P* is the operator with <P a, b> = <a, P* b>.  Every
+computation runs in an orthogonal coframe (``LieAlgebraModel.orthogonalized``),
+where the basis forms are pairwise orthogonal with <u^m, u^m> = 1/w(m), so
+the adjoint is the weighted conjugate transpose
+P*[c][r] = conj(P[r][c]) w(c) / w(r).  A coupled metric is refused; the test
+suite checks the result against the literal minor-determinant sandwich
+G^{-1} P^dagger G on coupled metrics and against -*d* for d.
 
 Every operator is uniquely P = sum_J L_{beta_J} iota_J, with iota_J the
 contraction u^J ^ u^R -> u^R, and its algebraic order is max |J| over the
@@ -26,15 +26,8 @@ reconstruction) and the only route from coframe values to a derivation
 
 from __future__ import annotations
 
-from .exterior import (
-    Form,
-    GramData,
-    graded_lex_key,
-    mask_label,
-    wedge_image,
-    wedge_masks,
-)
-from .scalars import ONE, ZERO, Scalar
+from .exterior import Form, GramData, graded_lex_key, mask_label, wedge_masks
+from .scalars import ONE, Scalar
 
 Column = dict[int, Scalar]
 
@@ -213,13 +206,6 @@ class GradedOperator:
         cols = {c: col for c, col in self.cols.items() if c.bit_count() == k}
         return GradedOperator(self.dim, cols, self.degree, self.bidegree, check=False)
 
-    def transposed_entries(self) -> dict[int, Column]:
-        rows: dict[int, Column] = {}
-        for c, col in self.cols.items():
-            for r, v in col.items():
-                rows.setdefault(r, {})[c] = v
-        return rows
-
     def __repr__(self) -> str:
         return f"GradedOperator(dim={self.dim}, degree={self.degree}, nnz={self.nnz()})"
 
@@ -254,105 +240,17 @@ def mult_operator(beta: Form) -> GradedOperator:
 # ---------------------------------------------------------------------------
 # adjoints
 
-class OrthoFrame:
-    """Exact change of coframe making the metric diagonal (from LDL^T).
-
-    v^i = sum_j T[i][j] u^j with T unit upper triangular; in the v-coframe
-    the pairing of basis k-forms is diagonal with weight prod_{i in K} 1/D_i.
-    """
-
-    def __init__(self, gram: GramData):
-        m, dvals = gram.ldl()
-        n = gram.dim
-        # T = M^T (unit upper); v = T u diagonalizes the coframe pairing
-        t_rows = [[m[j][i] for j in range(n)] for i in range(n)]
-        tinv = GramData._invert(t_rows)
-        self.dim = n
-        self.dvals = dvals
-        one_forms_v = [Form.one_form(n, t_rows[i]) for i in range(n)]
-        one_forms_u = [Form.one_form(n, tinv[i]) for i in range(n)]
-        self.from_v = self._wedge_extension(one_forms_v)
-        self.to_v = self._wedge_extension(one_forms_u)
-        dprod: dict[int, Scalar] = {0: ONE}
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            dprod[mask] = dprod[mask ^ low] * dvals[low.bit_length() - 1]
-        self.dprod = dprod
-
-    def _wedge_extension(self, images: list[Form]) -> GradedOperator:
-        table: dict[int, Form] = {}
-        cols = {m: dict(wedge_image(images, m, table).coeffs) for m in range(1 << self.dim)}
-        return GradedOperator(self.dim, cols, 0, check=False)
-
-
-def _ortho_frame(gram: GramData) -> OrthoFrame:
-    frame = getattr(gram, "_ortho_frame", None)
-    if frame is None:
-        frame = OrthoFrame(gram)
-        gram._ortho_frame = frame
-    return frame
-
-
 def adjoint(p: GradedOperator, gram: GramData) -> GradedOperator:
-    """Metric adjoint via the orthogonal-coframe route (exact, any dimension)."""
-    of = _ortho_frame(gram)
-    a = of.to_v.compose(p.compose(of.from_v))
+    """Metric adjoint over a diagonal metric; a coupled one raises ValueError."""
+    weights, inverses = gram.mask_weights()
     cols: dict[int, Column] = {}
-    dprod = of.dprod
-    for c, col in a.cols.items():
-        wc = dprod[c]
+    for c, col in p.cols.items():
+        wc = weights[c]
         for r, v in col.items():
-            cols.setdefault(r, {})[c] = v.conjugate() * wc / dprod[r]
+            cols.setdefault(r, {})[c] = v.conjugate() * wc * inverses[r]
     deg = -p.degree if p.degree is not None else None
     bid = (-p.bidegree[0], -p.bidegree[1]) if p.bidegree else None
-    star_v = GradedOperator(p.dim, cols, deg, check=False)
-    out = of.from_v.compose(star_v.compose(of.to_v))
-    return GradedOperator(p.dim, out.cols, deg, bid, check=False)
-
-
-def adjoint_via_minors(p: GradedOperator, gram: GramData) -> GradedOperator:
-    """Literal per-block G^{-1} P^dagger G with minor-determinant Gram blocks."""
-    dim = p.dim
-    rows_of_p = p.transposed_entries()
-    masks_by_degree: dict[int, list[int]] = {}
-    for m in range(1 << dim):
-        masks_by_degree.setdefault(m.bit_count(), []).append(m)
-    cols: dict[int, Column] = {}
-    deg = -p.degree if p.degree is not None else None
-    for mj in range(1 << dim):
-        km = mj.bit_count()
-        if deg is not None and not 0 <= km + deg <= dim:
-            continue
-        # v1 = P^dagger (G column of mj)
-        v1: Column = {}
-        for mjp in masks_by_degree[km]:
-            gv = gram.pairing(mjp, mj)
-            if gv.is_zero():
-                continue
-            prow = rows_of_p.get(mjp)
-            if not prow:
-                continue
-            for mip, pv in prow.items():
-                t = v1.get(mip)
-                piece = pv.conjugate() * gv
-                v1[mip] = piece if t is None else t + piece
-        if not v1:
-            continue
-        # v2 = G^{-1} v1 using the compound of g (inverse Gram block)
-        col: Column = {}
-        target_deg = next(iter(v1)).bit_count()
-        for mi in masks_by_degree[target_deg]:
-            acc = ZERO
-            for mip, v in v1.items():
-                w = gram.metric_minor(mi, mip)
-                if not w.is_zero():
-                    acc = acc + w * v
-            if not acc.is_zero():
-                col[mi] = acc
-        if col:
-            cols[mj] = col
-    bid = (-p.bidegree[0], -p.bidegree[1]) if p.bidegree else None
-    return GradedOperator(dim, cols, deg, bid, check=False)
+    return GradedOperator(p.dim, cols, deg, bid, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 
 def _squarefree(d: int) -> bool:
@@ -316,54 +315,3 @@ HALF = Scalar(1, 0, 0, 0, 2)
 def rational(p: int, q: int = 1) -> Scalar:
     return Scalar(p, 0, 0, 0, q)
 
-
-def sqrt_in_field(s: Scalar, d: int) -> Scalar | None:
-    """Exact square root of a nonnegative real scalar inside Q(sqrt d), or None."""
-    if not s.is_real():
-        raise ValueError("square root of a non-real scalar")
-    if s.sign() < 0:
-        return None
-    sa = Fraction(s.a, s.q)
-    sb = Fraction(s.b, s.q)
-
-    def _rat_sqrt(f: Fraction) -> Fraction | None:
-        if f < 0:
-            return None
-        np_, dp = f.numerator, f.denominator
-        rn, rd = math.isqrt(np_), math.isqrt(dp)
-        if rn * rn == np_ and rd * rd == dp:
-            return Fraction(rn, rd)
-        return None
-
-    def _build(x: Fraction, y: Fraction) -> Scalar:
-        den = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
-        return Scalar(
-            x.numerator * (den // x.denominator),
-            y.numerator * (den // y.denominator),
-            0,
-            0,
-            den,
-            d,
-        )
-
-    if sb == 0:
-        r = _rat_sqrt(sa)
-        if r is not None:
-            return _build(r, Fraction(0))
-        r = _rat_sqrt(sa / d)
-        if r is not None:
-            return _build(Fraction(0), r)
-        return None
-    disc = _rat_sqrt(sa * sa - d * sb * sb)
-    if disc is None:
-        return None
-    for t in ((sa + disc) / 2, (sa - disc) / 2):
-        x = _rat_sqrt(t)
-        if x is not None and x != 0:
-            y = sb / (2 * x)
-            cand = _build(x, y)
-            if cand * cand == Scalar(s.a, s.b, 0, 0, s.q, d):
-                if cand.sign() < 0:
-                    cand = -cand
-                return cand
-    return None

@@ -21,3 +21,9 @@ def kodaira():
 @pytest.fixture(scope="session")
 def su2four():
     return builtin_model("su2-four")
+
+
+@pytest.fixture(scope="session")
+def s3xs3_ortho(s3xs3):
+    """s3xs3-nk in its orthogonalized coframe, where adjoints are defined."""
+    return s3xs3.orthogonalized()

@@ -15,7 +15,6 @@ from nkhodge.checks import UNIVERSAL_CHECKS, run_check, run_suite
 from nkhodge.hodge import (
     harmonic_pq,
     harmonic_space,
-    harmonic_space_dense_oracle,
     hodge_numbers,
 )
 from nkhodge.linalg import spans_equal, sparse_rank
@@ -27,6 +26,7 @@ from nkhodge.models import (
     su3_extract,
 )
 from nkhodge.scalars import rational
+from oracles import harmonic_space_dense_oracle
 
 UNIVERSAL = sorted(UNIVERSAL_CHECKS)
 
@@ -111,7 +111,7 @@ class TestCriterion3:
 
 
 class TestCriterion4:
-    def test_dim6_eigenvalues(self, s3xs3):
+    def test_dim6_eigenvalues(self, s3xs3, s3xs3_ortho):
         res = run_check(s3xs3, "DIM6_EIGEN")
         assert res.status == "pass", res.witness
         # independent spot re-derivation at (p,q) = (0,0): the scalar is lambda^2 * 9/4
@@ -119,7 +119,7 @@ class TestCriterion4:
         from nkhodge.checks import _laplacian, _l_mu_omega
         from nkhodge.exterior import Form
 
-        lap = _laplacian(s3xs3, "L_mu_omega", lambda: _l_mu_omega(s3xs3))
+        lap = _laplacian(s3xs3_ortho, "L_mu_omega", lambda: _l_mu_omega(s3xs3_ortho))
         unit = Form.basis(6, 0)
         assert lap.apply(unit) == unit.scale(su3.lambda_sq * rational(9, 4))
         _announce(4, True, f"(16 blocks, lambda^2 = {su3.lambda_sq.literal()})")
@@ -154,16 +154,17 @@ class TestCriterion6:
 
 
 class TestCriterion7:
-    def test_vanishing_from_invertibility(self, s3xs3):
+    def test_vanishing_from_invertibility(self, s3xs3, s3xs3_ortho):
         res = run_check(s3xs3, "VANISH_COR")
         assert res.status == "pass", res.witness
         # the invertible blocks are exactly those off {p=q} union {p+q=3}
         # (8 blocks; the criterion text says 12, a miscount -- see ledger)
         from nkhodge.checks import _l_mu_omega, _l_mubar_omega, _laplacian
 
-        pqb = pq_basis(s3xs3)
-        diff = _laplacian(s3xs3, "L_mu_omega", lambda: _l_mu_omega(s3xs3)) - _laplacian(
-            s3xs3, "L_mubar_omega", lambda: _l_mubar_omega(s3xs3)
+        ortho = s3xs3_ortho
+        pqb = pq_basis(ortho)
+        diff = _laplacian(ortho, "L_mu_omega", lambda: _l_mu_omega(ortho)) - _laplacian(
+            ortho, "L_mubar_omega", lambda: _l_mubar_omega(ortho)
         )
         invertible = set()
         for p in range(4):

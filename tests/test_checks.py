@@ -102,6 +102,19 @@ class TestSuite:
         rep = run_suite(torus6, selection=["SL2", "D2_SPLIT"])
         assert [r.check_id for r in rep.results] == ["D2_SPLIT", "SL2"]
 
+    def test_native_presentation_builds_only_its_coframe_data(self, s3xs3):
+        # every check and table runs on the orthogonalized presentation, so a
+        # coupled model itself holds only what orthogonalizing it needs
+        from nkhodge.hodge import hodge_numbers
+        from nkhodge.models import model_from_json, model_to_json, validate_model
+
+        fresh = model_from_json(model_to_json(s3xs3))
+        assert validate_model(fresh).ok
+        rep = run_suite(fresh, selection=sorted(CHECKS))
+        assert rep.verdict and len(rep.results) == 30
+        assert hodge_numbers(fresh).sum_rule_holds()
+        assert set(fresh._cache) <= {"gram", "d", "ortho"}
+
     def test_metric_scaling_preserves_verdicts(self, s3xs3):
         scaled = scaled_metric(s3xs3, rational(4))
         rep_a = run_suite(s3xs3)
@@ -114,7 +127,7 @@ class TestSuite:
 
 class TestMixedDimensionProducts:
     def test_dim8_product_universal_checks(self, kodaira):
-        # dimension 8 still uses the literal projector-route split
+        # a diagonal metric: the product is its own orthogonalized presentation
         from nkhodge.models import product_model, validate_model
 
         p = product_model(kodaira, kodaira)
@@ -124,7 +137,7 @@ class TestMixedDimensionProducts:
         assert rep.verdict and all(r.status == "pass" for r in rep.results)
 
     def test_dim10_coupled_nonnk_product(self, kodaira, s3xs3):
-        # dimension 10 with a coupled metric goes through the orthogonalized
+        # a coupled metric in dimension 10, checked in its orthogonalized
         # presentation; the product is not nearly Kahler (one factor is not)
         from nkhodge.models import nearly_kahler_residual, product_model, validate_model
 

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from nkhodge.cli import main
+from nkhodge.scalars import rational
 
 
 def run_cli(capsys, *argv):
@@ -250,3 +253,74 @@ class TestModels:
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "models", "show", "nope")
         assert code == 2
+
+
+class TestModelFileLimits:
+    def test_huge_extension_d_exit_2(self, capsys, tmp_path, torus6):
+        # the squarefree test is trial division up to sqrt(d): refuse before it
+        from nkhodge.models import model_to_json
+
+        doc = json.loads(model_to_json(torus6))
+        doc["extension_d"] = 10**30
+        path = tmp_path / "huge_d.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert "extension_d" in err and "exceeds" in err
+
+    def test_dimension_16_exit_2(self, capsys, tmp_path):
+        # a flat 16-torus, valid apart from its size
+        n = 16
+        doc = {
+            "name": "torus16",
+            "dimension": n,
+            "extension_d": 1,
+            "structure_constants": [],
+            "metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+            "complex_structure": [
+                ["-1" if (i % 2 == 0 and j == i + 1) else "1" if (i % 2 == 1 and j == i - 1) else "0"
+                 for j in range(n)]
+                for i in range(n)
+            ],
+            "expected": {"nearly_kahler": True, "strict": False, "kahler": True},
+        }
+        path = tmp_path / "torus16.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "suite", str(path))
+        assert code == 2
+        assert "dimension 16 exceeds" in err
+
+
+class TestInvalidFileModels:
+    @pytest.mark.parametrize("dim", [6, 10])
+    @pytest.mark.parametrize("command", [["suite"], ["hodge"], ["order", "--op", "d"]], ids=["suite", "hodge", "order"])
+    def test_refused_before_running(self, capsys, tmp_path, s3xs3, kodaira, dim, command):
+        # c^5_12 shifted by 1/2 breaks Jacobi; the metric is coupled in both
+        from nkhodge.models import model_to_json, perturbed_structure, product_model
+
+        bad = perturbed_structure(s3xs3, 0, 1, 4, rational(1, 2))
+        if dim == 10:
+            bad = product_model(bad, kodaira)
+        path = tmp_path / "bad.json"
+        path.write_text(model_to_json(bad))
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert code == 1
+        assert out == ""
+        assert "invariant failure(s)" in err and "jacobi fails at" in err
+
+
+class TestVerificationScript:
+    def test_runs_from_any_directory(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(script), "--models", "torus6,kodaira-thurston"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "overall: ok" in proc.stdout

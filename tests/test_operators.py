@@ -9,7 +9,6 @@ from nkhodge.models import builtin_model
 from nkhodge.operators import (
     GradedOperator,
     adjoint,
-    adjoint_via_minors,
     algebraic_order_at_most,
     derivation_from_one_forms,
     graded_commutator,
@@ -19,6 +18,7 @@ from nkhodge.operators import (
     reconstruct,
 )
 from nkhodge.scalars import ONE, ZERO, Scalar, rational
+from oracles import adjoint_via_ldl, adjoint_via_minors, star_operator
 
 
 # -- oracles for the Koszul order test ---------------------------------------
@@ -156,10 +156,10 @@ class TestMultOperators:
         lam1 = adjoint(mult_operator(Form.basis(6, 0b000001)), torus6.gram())
         assert lam1.apply(Form.basis(6, 0b000011)) == Form.basis(6, 0b000010)
 
-    def test_lambda_omega_matches_triple(self, s3xs3):
-        _, lam, _ = lefschetz_triple(s3xs3)
-        l_om = mult_operator(s3xs3.omega())
-        assert adjoint(l_om, s3xs3.gram()) == lam
+    def test_lambda_omega_matches_triple(self, s3xs3_ortho):
+        _, lam, _ = lefschetz_triple(s3xs3_ortho)
+        l_om = mult_operator(s3xs3_ortho.omega())
+        assert adjoint(l_om, s3xs3_ortho.gram()) == lam
 
     def test_lambda_omega_on_omega_is_n(self, torus6):
         _, lam, _ = lefschetz_triple(torus6)
@@ -167,19 +167,19 @@ class TestMultOperators:
 
 
 class TestAdjoint:
-    def test_identity_self_adjoint(self, s3xs3):
+    def test_identity_self_adjoint(self, s3xs3_ortho):
         ident = GradedOperator.identity(6)
-        assert adjoint(ident, s3xs3.gram()) == ident
+        assert adjoint(ident, s3xs3_ortho.gram()) == ident
 
-    def test_involution(self, s3xs3):
-        d = s3xs3.d()
-        assert adjoint(adjoint(d, s3xs3.gram()), s3xs3.gram()) == d
+    def test_involution(self, s3xs3_ortho):
+        d = s3xs3_ortho.d()
+        assert adjoint(adjoint(d, s3xs3_ortho.gram()), s3xs3_ortho.gram()) == d
 
     @pytest.mark.parametrize("name", ["mu", "del", "delbar", "mubar"])
-    def test_duality_full_basis(self, s3xs3, name):
+    def test_duality_full_basis(self, s3xs3_ortho, name):
         # <P a, b> = <a, P* b> over the full basis, exact
-        gram = s3xs3.gram()
-        p = differential_split(s3xs3).components()[name]
+        gram = s3xs3_ortho.gram()
+        p = differential_split(s3xs3_ortho).components()[name]
         ps = adjoint(p, gram)
         for a_mask in range(64):
             a = Form.basis(6, a_mask)
@@ -195,7 +195,7 @@ class TestAdjoint:
             gram = model.gram()
             for op in (model.d(), mult_operator(model.omega())):
                 op = GradedOperator(model.dim, op.cols, op.degree if op.degree is not None else 2, check=False)
-                assert adjoint(op, gram) == adjoint_via_minors(op, gram)
+                assert adjoint_via_ldl(op, gram) == adjoint_via_minors(op, gram)
 
     @given(
         st.lists(st.integers(-2, 2), min_size=16, max_size=16),
@@ -220,12 +220,25 @@ class TestAdjoint:
         if beta.is_zero():
             return
         op = mult_operator(beta)
-        assert adjoint(op, gram) == adjoint_via_minors(op, gram)
+        assert adjoint_via_ldl(op, gram) == adjoint_via_minors(op, gram)
 
-    def test_duality_for_adjoint_operators(self, s3xs3):
+    def test_coupled_metric_rejected(self, s3xs3):
+        with pytest.raises(ValueError, match="diagonal metric"):
+            adjoint(s3xs3.d(), s3xs3.gram())
+
+    def test_dstar_is_minus_star_d_star(self, kodaira, s3xs3_ortho):
+        # an independent route through the Hodge star; det(g) is 1 and 27/64
+        for model in (kodaira, s3xs3_ortho):
+            gram = model.gram()
+            star = star_operator(gram)
+            d = model.d()
+            assert not d.is_zero()
+            assert adjoint(d, gram) == -star.compose(d.compose(star))
+
+    def test_duality_for_adjoint_operators(self, s3xs3_ortho):
         # the spec-listed eight: the four components and their adjoints
-        gram = s3xs3.gram()
-        split = differential_split(s3xs3)
+        gram = s3xs3_ortho.gram()
+        split = differential_split(s3xs3_ortho)
         for p in split.components().values():
             ps = adjoint(p, gram)
             for a_mask in range(64):
@@ -237,10 +250,10 @@ class TestAdjoint:
                     b = Form.basis(6, b_mask)
                     assert gram.inner(psa, b) == gram.inner(a, p.apply(b))
 
-    def test_bracket_adjoint_rule(self, s3xs3):
+    def test_bracket_adjoint_rule(self, s3xs3_ortho):
         # [[P,Q]]* = [[Q*,P*]] on catalogue pairs
-        gram = s3xs3.gram()
-        ops = catalogue_ops(s3xs3)
+        gram = s3xs3_ortho.gram()
+        ops = catalogue_ops(s3xs3_ortho)
         for a, b in itertools.combinations(ops.values(), 2):
             lhs = adjoint(graded_commutator(a, b), gram)
             rhs = graded_commutator(adjoint(b, gram), adjoint(a, gram))
@@ -258,8 +271,8 @@ class TestCommutator:
         assert graded_commutator(d, d) == d.compose(d).scale(rational(2))
         assert graded_commutator(d, d).is_zero()
 
-    def test_graded_jacobi_on_catalogue(self, s3xs3):
-        ops = list(catalogue_ops(s3xs3).values())
+    def test_graded_jacobi_on_catalogue(self, s3xs3_ortho):
+        ops = list(catalogue_ops(s3xs3_ortho).values())
         for p, q, r in itertools.combinations(ops, 3):
             lhs = graded_commutator(p, graded_commutator(q, r))
             rhs = graded_commutator(graded_commutator(p, q), r)
@@ -270,8 +283,8 @@ class TestCommutator:
                 rhs = rhs + term
             assert lhs == rhs
 
-    def test_conjugation_compatibility(self, s3xs3):
-        ops = catalogue_ops(s3xs3)
+    def test_conjugation_compatibility(self, s3xs3_ortho):
+        ops = catalogue_ops(s3xs3_ortho)
         for a, b in itertools.combinations(ops.values(), 2):
             lhs = graded_commutator(a, b).conjugated()
             rhs = graded_commutator(a.conjugated(), b.conjugated())
@@ -279,25 +292,25 @@ class TestCommutator:
 
 
 class TestLaplacian:
-    def test_degree_zero_and_self_adjoint(self, s3xs3):
-        gram = s3xs3.gram()
-        lap = laplacian(s3xs3.d(), gram)
+    def test_degree_zero_and_self_adjoint(self, s3xs3_ortho):
+        gram = s3xs3_ortho.gram()
+        lap = laplacian(s3xs3_ortho.d(), gram)
         assert lap.degree == 0
         assert adjoint(lap, gram) == lap
 
     def test_torus_hodge_laplacian_zero(self, torus6):
         assert laplacian(torus6.d(), torus6.gram()).is_zero()
 
-    def test_lefschetz_laplacian_is_minus_counting(self, s3xs3):
+    def test_lefschetz_laplacian_is_minus_counting(self, s3xs3_ortho):
         from nkhodge.bidegree import counting_operator
 
-        l_op, _, h = lefschetz_triple(s3xs3)
-        assert laplacian(l_op, s3xs3.gram()) == -h
+        l_op, _, h = lefschetz_triple(s3xs3_ortho)
+        assert laplacian(l_op, s3xs3_ortho.gram()) == -h
 
     @given(forms6())
     @settings(max_examples=25, deadline=None)
     def test_positive_semidefinite_odd_degree(self, f):
-        model = __import__("nkhodge.models", fromlist=["builtin_model"]).builtin_model("s3xs3-nk")
+        model = builtin_model("s3xs3-nk").orthogonalized()
         gram = model.gram()
         lap = laplacian(model.d(), gram)
         val = gram.inner(lap.apply(f), f)
@@ -348,17 +361,17 @@ class TestAlgebraicOrder:
         assert not algebraic_order_at_most(s3xs3.d(), 0)
         assert algebraic_order_at_most(s3xs3.d(), 1)
 
-    def test_coframe_reduction_matches_full_recursion(self, s3xs3):
+    def test_coframe_reduction_matches_full_recursion(self, s3xs3_ortho):
         # the definition ranges beta over all basis forms, the coframe oracle
         # over u^i only -- all three tests agree on a genuine order-2 case
-        lam = lefschetz_triple(s3xs3)[1]
+        lam = lefschetz_triple(s3xs3_ortho)[1]
         for r in (1, 2):
             assert full_order_at_most(lam, r) == coframe_order_at_most(lam, r)
             assert full_order_at_most(lam, r) == algebraic_order_at_most(lam, r)
 
     @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
     def test_koszul_matches_both_oracles(self, name):
-        model = builtin_model(name)
+        model = builtin_model(name).orthogonalized()
         for label, op in order_test_operators(model).items():
             # the levels are nested, so the full recursion runs up to its first pass
             full_first = next((r for r in range(4) if full_order_at_most(op, r)), 4)
@@ -367,9 +380,9 @@ class TestAlgebraicOrder:
                 assert got == coframe_order_at_most(op, r), (label, r)
                 assert got == (r >= full_first), (label, r)
 
-    def test_known_orders(self, s3xs3):
+    def test_known_orders(self, s3xs3_ortho):
         first = {}
-        for label, op in order_test_operators(s3xs3).items():
+        for label, op in order_test_operators(s3xs3_ortho).items():
             first[label] = next(r for r in range(5) if algebraic_order_at_most(op, r))
         assert first == {
             "d": 1, "d*": 2, "L": 0, "Lambda": 2, "H": 1, "[d*,L]": 1,
@@ -392,9 +405,9 @@ class TestAlgebraicOrder:
         for r in range(5):
             assert algebraic_order_at_most(op, r) == (r >= order)
 
-    def test_full_expansion_reconstructs(self, s3xs3):
-        dstar = adjoint(s3xs3.d(), s3xs3.gram())
-        for op in (dstar, s3xs3.d().compose(dstar)):
+    def test_full_expansion_reconstructs(self, s3xs3_ortho):
+        dstar = adjoint(s3xs3_ortho.d(), s3xs3_ortho.gram())
+        for op in (dstar, s3xs3_ortho.d().compose(dstar)):
             beta = koszul_coefficients(op, 6)
             assert max(jm.bit_count() for jm in beta) <= 3
             assert reconstruct(6, beta, op.degree) == op
@@ -403,9 +416,9 @@ class TestAlgebraicOrder:
         with pytest.raises(ValueError, match="nonnegative"):
             algebraic_order_at_most(s3xs3.d(), -1)
 
-    def test_bracket_order_bound(self, s3xs3):
+    def test_bracket_order_bound(self, s3xs3_ortho):
         # [[A^r, A^s]] subset A^{r+s-1}: order([d*, L]) <= 1
-        gram = s3xs3.gram()
-        dstar = adjoint(s3xs3.d(), gram)
-        l_op = lefschetz_triple(s3xs3)[0]
+        gram = s3xs3_ortho.gram()
+        dstar = adjoint(s3xs3_ortho.d(), gram)
+        l_op = lefschetz_triple(s3xs3_ortho)[0]
         assert algebraic_order_at_most(graded_commutator(dstar, l_op), 1)

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nkhodge.scalars import HALF, I, ONE, ZERO, Scalar, rational, sqrt_in_field
+from nkhodge.scalars import HALF, I, ONE, ZERO, Scalar, rational
+from oracles import sqrt_in_field
 
 
 def scal(a=0, b=0, c=0, e=0, q=1, d=3):
