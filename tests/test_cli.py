@@ -268,24 +268,12 @@ class TestModelFileLimits:
         assert code == 2
         assert "extension_d" in err and "exceeds" in err
 
-    def test_dimension_16_exit_2(self, capsys, tmp_path):
-        # a flat 16-torus, valid apart from its size
-        n = 16
-        doc = {
-            "name": "torus16",
-            "dimension": n,
-            "extension_d": 1,
-            "structure_constants": [],
-            "metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
-            "complex_structure": [
-                ["-1" if (i % 2 == 0 and j == i + 1) else "1" if (i % 2 == 1 and j == i - 1) else "0"
-                 for j in range(n)]
-                for i in range(n)
-            ],
-            "expected": {"nearly_kahler": True, "strict": False, "kahler": True},
-        }
-        path = tmp_path / "torus16.json"
-        path.write_text(json.dumps(doc))
+    def test_dimension_16_exit_2(self, capsys, tmp_path, torus6, kodaira):
+        # a valid model apart from its size: 2^16 columns per operator
+        from nkhodge.models import model_to_json, product_model
+
+        path = tmp_path / "dim16.json"
+        path.write_text(model_to_json(product_model(product_model(torus6, torus6), kodaira)))
         code, _, err = run_cli(capsys, "suite", str(path))
         assert code == 2
         assert "dimension 16 exceeds" in err
