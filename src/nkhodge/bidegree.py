@@ -1,11 +1,12 @@
 """Bidegree structure: (p,q) projections, the split of d, and the sl2 triple.
 
-The (1,0)-coframe is built from P^{1,0} = (Id - iJ)/2 on degree one; a
-maximal independent subset of its images under the coframe basis is chosen
-exactly and every 1-form is re-expressed through it.  Monomials in the
-chosen (1,0)/(0,1) generators give bases of every Lambda^{p,q}; expanding
-basis forms through them yields the bidegree pieces of any form without
-any eigen-decomposition.  Monomials, coordinate expansions and the J action
+The (1,0)-coframe is built from P^{1,0} = (Id - iJ)/2 on degree one.  One
+greedy scan with ``linalg.solve`` goes through its images of the coframe
+basis in order: an image outside the span of those kept so far is kept as
+the next generator, any other gets its exact coordinates in them.
+Monomials in the chosen (1,0)/(0,1) generators give bases of every
+Lambda^{p,q}; expanding basis forms through them yields the bidegree pieces
+of any form without any eigen-decomposition.  Monomials, coordinate expansions and the J action
 are all images under algebra maps of the coframe, built lazily by
 ``wedge_image``.
 
@@ -23,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exterior import Form, wedge_image, wedge_map
+from .linalg import solve
 from .operators import GradedOperator, adjoint, derivation_from_one_forms, mult_operator
-from .scalars import I, ZERO, Scalar, rational
+from .scalars import I, ONE, Scalar, rational
 
 
 class PQBasis:
@@ -41,12 +43,20 @@ class PQBasis:
             Form.basis(dim, 1 << i).scale(Scalar(1, 0, 0, 0, 2)) + j_rows[i].scale(half_i)
             for i in range(dim)
         ]
-        chosen, coords = self._choose_basis(self.eta_all, dim, n)
-        self.chosen = chosen
-        self.eta = [self.eta_all[i] for i in chosen]
+        # greedy scan: keep eta_all[i] when it is outside the span of the
+        # forms kept so far, otherwise record its coordinates in them
+        self.chosen: list[int] = []
+        coords: list[dict[int, Scalar]] = []
+        for i, f in enumerate(self.eta_all):
+            x = solve([self.eta_all[c].coeffs for c in self.chosen], f.coeffs)
+            if x is None:
+                x = {len(self.chosen): ONE}
+                self.chosen.append(i)
+            coords.append(x)
+        if len(self.chosen) != n:
+            raise ValueError("(1,0)-coframe does not have the expected rank")
+        self.eta = [self.eta_all[i] for i in self.chosen]
         self.eta_bar = [f.conjugate() for f in self.eta]
-        # S[i][a]: eta_all[i] = sum_a S[i][a] eta[a]
-        self.S = coords
         # images of the generators: eta^a for bit a, conj(eta^a) for bit n + a
         self._generators = self.eta + self.eta_bar
         # u^i = eta_all[i] + conj(eta_all[i]) in eta-monomial coordinates
@@ -57,67 +67,6 @@ class PQBasis:
             self._u_in_pq.append(Form(dim, u))
         self._pq_form_table: dict[int, Form] = {}
         self._col_cache: dict[int, Form] = {}
-
-    @staticmethod
-    def _choose_basis(forms: list[Form], dim: int, n: int):
-        """Greedy exact independence scan, then exact coordinates in the basis."""
-        basis_rows: list[tuple[dict[int, Scalar], int]] = []  # (reduced row, pivot)
-        chosen: list[int] = []
-        for idx, f in enumerate(forms):
-            row = dict(f.coeffs)
-            for brow, piv in basis_rows:
-                v = row.get(piv)
-                if v is None:
-                    continue
-                fac = v / brow[piv]
-                for c, w in brow.items():
-                    t = row.get(c, ZERO) - fac * w
-                    if t.is_zero():
-                        row.pop(c, None)
-                    else:
-                        row[c] = t
-            if row:
-                basis_rows.append((row, min(row)))
-                chosen.append(idx)
-        if len(chosen) != n:
-            raise ValueError("(1,0)-coframe does not have the expected rank")
-        coords = [
-            PQBasis._solve_in_basis(f, [forms[c] for c in chosen]) for f in forms
-        ]
-        return chosen, coords
-
-    @staticmethod
-    def _solve_in_basis(f: Form, basis: list[Form]) -> dict[int, Scalar]:
-        masks = sorted(set().union(f.coeffs, *[b.coeffs for b in basis]))
-        rows = []
-        for m in masks:
-            rows.append([b.coeffs.get(m, ZERO) for b in basis] + [f.coeffs.get(m, ZERO)])
-        ncols = len(basis)
-        # dense elimination with the target as the augmented column
-        r = 0
-        pivots = []
-        for c in range(ncols):
-            piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [v * inv for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and not rows[i][c].is_zero():
-                    fac = rows[i][c]
-                    rows[i] = [a - fac * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        for i in range(r, len(rows)):
-            if not rows[i][ncols].is_zero():
-                raise ValueError("form not in the span of the chosen coframe")
-        out = {}
-        for row_idx, c in enumerate(pivots):
-            v = rows[row_idx][ncols]
-            if not v.is_zero():
-                out[c] = v
-        return out
 
     # -- monomial indexing --------------------------------------------------
     # bit a (a < n): generator eta^a; bit n + a: generator conj(eta^a)

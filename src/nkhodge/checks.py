@@ -44,8 +44,8 @@ from .bidegree import (
 )
 from .exterior import Form, mask_label
 from .hodge import harmonic_pq, harmonic_space, hodge_laplacian, operator_degree_rows
-from .linalg import sparse_kernel, sparse_rank
-from .models import LieAlgebraModel, nk_report, su3_extract
+from .linalg import inverse, sparse_kernel, sparse_rank
+from .models import LieAlgebraModel, nabla_omega_symmetrization, nk_report, su3_extract
 from .operators import (
     GradedOperator,
     adjoint,
@@ -273,30 +273,17 @@ def check_dc_def(model, acc: _Acc):
 def check_nk_def(model, acc: _Acc):
     n = model.dim
     nabla_om = [model.nabla_omega(i) for i in range(n)]
-
-    def ev(f: Form, a: int, b: int) -> Scalar:
-        if a == b:
-            return ZERO
-        mask = (1 << min(a, b)) | (1 << max(a, b))
-        v = f.coeffs.get(mask, ZERO)
-        return v if a < b else -v
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc.scalar(
-                    f"(nabla omega) symmetrization ({i + 1},{j + 1},{k + 1})",
-                    ev(nabla_om[i], j, k) + ev(nabla_om[j], i, k),
-                )
+    for (i, j, k), r in nabla_omega_symmetrization(nabla_om):
+        acc.scalar(f"(nabla omega) symmetrization ({i},{j},{k})", r)
     d_om = model.d().apply(model.omega())
     three = rational(3)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                mask = (1 << i) | (1 << j) | (1 << k)
+                jk = (1 << j) | (1 << k)
                 acc.scalar(
                     f"(d omega - 3 nabla omega)({i + 1},{j + 1},{k + 1})",
-                    d_om.coeffs.get(mask, ZERO) - three * ev(nabla_om[i], j, k),
+                    d_om.coeffs.get((1 << i) | jk, ZERO) - three * nabla_om[i].coeffs.get(jk, ZERO),
                 )
 
 
@@ -543,8 +530,6 @@ def check_dim6_eigen(model, acc: _Acc):
 
 
 def check_theta_bracket(model, acc: _Acc):
-    from .exterior import GramData
-
     su3 = model._memo("su3", lambda: su3_extract(model))
     lam2 = su3.lambda_sq
     gram = model.gram()
@@ -553,13 +538,11 @@ def check_theta_bracket(model, acc: _Acc):
     eta = pqb.eta
     lm = _l_mu_omega(model)
 
-    def unitary_weighted_sum(forms: list[Form], degree: int) -> GradedOperator:
+    def unitary_weighted_sum(forms: list[Form]) -> GradedOperator:
         h = [[gram.inner(x, y) for y in forms] for x in forms]
-        hinv = GramData._invert(h)
+        hinv = inverse(h)
         acc_op = GradedOperator.zero(dim, 0)
-        ops = [
-            GradedOperator(dim, mult_operator(f).cols, degree, check=False) for f in forms
-        ]
+        ops = [mult_operator(f) for f in forms]
         adjs = [adjoint(op, gram) for op in ops]
         for a in range(len(forms)):
             for b in range(len(forms)):
@@ -567,9 +550,9 @@ def check_theta_bracket(model, acc: _Acc):
                     acc_op = acc_op + ops[a].compose(adjs[b]).scale(hinv[b][a])
         return acc_op
 
-    s1 = unitary_weighted_sum(eta, 1)
+    s1 = unitary_weighted_sum(eta)
     pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
-    s2 = unitary_weighted_sum([eta[a].wedge(eta[b]) for a, b in pairs], 2)
+    s2 = unitary_weighted_sum([eta[a].wedge(eta[b]) for a, b in pairs])
     lhs = br(adjoint(lm, gram), lm)
     rhs = (GradedOperator.identity(dim) - s1 + s2).scale(lam2 * rational(9, 4))
     acc.op("[[L_theta*, L_theta]] - (9l2/4)(Id - S1 + S2)", lhs - rhs)
@@ -716,10 +699,7 @@ def check_nk6_vanish(model, acc: _Acc):
 
 def check_order_lb(model, acc: _Acc):
     gram = model.gram()
-    lam1 = adjoint(
-        GradedOperator(model.dim, mult_operator(Form.basis(model.dim, 1)).cols, 1, check=False),
-        gram,
-    )
+    lam1 = adjoint(mult_operator(Form.basis(model.dim, 1)), gram)
     acc.require("order(Lambda_u1) <= 1", algebraic_order_at_most(lam1, 1))
     lam = lefschetz_triple(model)[1]
     acc.require("order(Lambda_omega) <= 2", algebraic_order_at_most(lam, 2))

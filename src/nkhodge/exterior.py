@@ -6,11 +6,13 @@ itself, and wedge signs come from transposition parity.  Forms are sparse
 maps mask -> Scalar with zero coefficients never stored.
 
 ``GramData`` holds the metric on 1-forms and everything derived from it:
-the inverse metric (which is the pairing of coframe elements), the induced
-Hermitian pairing on each exterior power via minor determinants, the exact
-LDL^T factorization that orthogonalizes a coupled coframe, and, for a
-diagonal metric, the norm weights that make every adjoint a weighted
-conjugate transpose.
+the inverse metric (which is the pairing of coframe elements, computed by
+``linalg.inverse``), the induced Hermitian pairing on each exterior power
+via minor determinants, the exact LDL^T factorization that orthogonalizes a
+coupled coframe, and, for a diagonal metric, the norm weights that make
+every adjoint a weighted conjugate transpose.  The LDL^T runs when the data
+is built and doubles as the positive-definiteness test: by Sylvester's
+criterion every pivot is positive exactly when every leading minor is.
 
 ``wedge_image`` and ``wedge_map`` extend a map of the coframe to the whole
 algebra (a change of coframe, the J action, the (p,q) expansion).
@@ -18,6 +20,7 @@ algebra (a change of coframe, the J action, the (p,q) expansion).
 
 from __future__ import annotations
 
+from .linalg import inverse
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -283,9 +286,8 @@ def _det_sparse(rows: list[dict[int, Scalar]], cols: tuple[int, ...]) -> Scalar:
 class GramData:
     """Metric on 1-forms plus every derived pairing the operators need."""
 
-    def __init__(self, g: list[list[Scalar]], ext_d: int = 1):
+    def __init__(self, g: list[list[Scalar]]):
         self.dim = len(g)
-        self.ext_d = ext_d
         self.g = g
         for i in range(self.dim):
             for j in range(self.dim):
@@ -293,41 +295,14 @@ class GramData:
                     raise ValueError("metric entries must be real")
                 if g[i][j] != g[j][i]:
                     raise ValueError(f"metric not symmetric at ({i + 1},{j + 1})")
-        self._check_positive_definite()
-        self.g_inv = self._invert(g)
+        self._ldl: tuple[list[list[Scalar]], list[Scalar]] | None = None
+        self.ldl()
+        self.g_inv = inverse(g)
         self._ginv_rows = [
             {j: v for j, v in enumerate(row) if not v.is_zero()} for row in self.g_inv
         ]
         self._pair_cache: dict[tuple[int, int], Scalar] = {}
-        self._ldl: tuple[list[list[Scalar]], list[Scalar]] | None = None
         self._weights: tuple[list[Scalar], list[Scalar]] | None = None
-
-    # -- construction helpers -----------------------------------------------
-
-    def _check_positive_definite(self) -> None:
-        for k in range(1, self.dim + 1):
-            rows = [
-                {j: v for j, v in enumerate(self.g[i][:k]) if not v.is_zero()}
-                for i in range(k)
-            ]
-            minor = _det_sparse(rows, tuple(range(k)))
-            if minor.sign() <= 0:
-                raise ValueError(f"metric not positive-definite (leading minor {k})")
-
-    @staticmethod
-    def _invert(m: list[list[Scalar]]) -> list[list[Scalar]]:
-        n = len(m)
-        a = [row[:] + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if not a[r][col].is_zero())
-            a[col], a[piv] = a[piv], a[col]
-            inv = a[col][col].inverse()
-            a[col] = [v * inv for v in a[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return [row[n:] for row in a]
 
     # -- pairings ---------------------------------------------------------
 
@@ -371,16 +346,15 @@ class GramData:
                 vec[j] = vec[j] + s * gij
         return vec
 
-    def contract(self, alpha: Form, target: Form) -> Form:
-        """Contraction of ``target`` by the metric dual of the 1-form ``alpha``."""
-        if alpha.dim != self.dim or target.dim != self.dim:
-            raise ValueError("dimension mismatch with metric")
-        return target.contract_vector(self.sharp(alpha))
-
     # -- orthogonalization and norm weights -----------------------------------
 
     def ldl(self) -> tuple[list[list[Scalar]], list[Scalar]]:
-        """g = M diag(D) M^T with M unit lower triangular; computed once."""
+        """g = M diag(D) M^T with M unit lower triangular; computed once, at init.
+
+        By Sylvester's criterion D_{k-1} is leading minor k over leading
+        minor k-1, so the first pivot D_{k-1} <= 0 names the first leading
+        minor that is not positive.
+        """
         if self._ldl is None:
             n = self.dim
             m = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
@@ -389,6 +363,8 @@ class GramData:
                 acc = self.g[j][j]
                 for k in range(j):
                     acc = acc - m[j][k] * m[j][k] * dvals[k]
+                if acc.sign() <= 0:
+                    raise ValueError(f"metric not positive-definite (leading minor {j + 1})")
                 dvals[j] = acc
                 for i in range(j + 1, n):
                     s = self.g[i][j]

@@ -1,16 +1,24 @@
-"""Exact kernels and ranks over the scalar tower.
+"""Exact kernels, ranks, solutions and inverses over the scalar tower.
 
-Every kernel and rank is a sparse fraction-free (Bareiss-style) elimination
-with pivoting by least bit-complexity entry.  Matrices are lists of sparse
-rows (dict col -> Scalar).  Division is exact in the field, so the
-fraction-free step is purely a coefficient-growth strategy, never an
-approximation.  The test suite compares the kernels with an independent
-dense Gauss-Jordan elimination.
+Every exact elimination in src is the one sparse fraction-free
+(Bareiss-style) elimination ``sparse_echelon``, with pivoting by least
+bit-complexity entry, followed where needed by the back-substitution that
+``sparse_kernel`` and ``solve`` share.  The one other factorization is the
+LDL^T of the metric in ``exterior.GramData``, which also tests
+positive-definiteness.  Matrices are lists of sparse rows
+(dict col -> Scalar).  Division is exact in the field, so the fraction-free
+step is purely a coefficient-growth strategy, never an approximation.
+
+``solve(columns, target)`` gives the coordinates of a vector in independent
+columns (``None`` outside their span), and ``inverse`` solves for each
+column of the identity.  The test suite compares the kernels and solutions
+with an independent dense Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -103,35 +111,63 @@ def sparse_rank(rows: list[SparseRow]) -> int:
     return len(pivots)
 
 
+def _back_substitute(pivots: list[tuple[SparseRow, int]], x: SparseRow) -> SparseRow:
+    """Fill in the pivot columns of x from its free columns, in place."""
+    for prow, pc in reversed(pivots):
+        acc = ZERO
+        for c, v in prow.items():
+            if c == pc:
+                continue
+            xv = x.get(c)
+            if xv is not None:
+                acc = acc + v * xv
+        if not acc.is_zero():
+            x[pc] = -acc / prow[pc]
+    return x
+
+
 def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     """Basis of { x : M x = 0 }, one sparse vector per free column."""
     pivots, _ = sparse_echelon(rows)
     pivot_cols = {pc for _, pc in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis: list[SparseRow] = []
-    for f in free_cols:
-        x: SparseRow = {f: ONE}
-        for prow, pc in reversed(pivots):
-            acc = ZERO
-            for c, v in prow.items():
-                if c == pc:
-                    continue
-                xv = x.get(c)
-                if xv is not None:
-                    acc = acc + v * xv
-            if not acc.is_zero():
-                x[pc] = -acc / prow[pc]
-        basis.append(x)
-    return basis
+    return [_back_substitute(pivots, {f: ONE}) for f in range(ncols) if f not in pivot_cols]
 
 
-def spans_equal(basis_a: list[SparseRow], basis_b: list[SparseRow]) -> bool:
-    """Exact span equality via three rank computations."""
-    if len(basis_a) != len(basis_b):
-        return False
-    ra = sparse_rank(basis_a)
-    rb = sparse_rank(basis_b)
-    if ra != rb:
-        return False
-    return sparse_rank(basis_a + basis_b) == ra
+def solve(columns: list[SparseRow], target: SparseRow) -> SparseRow | None:
+    """x with sum_a x[a] columns[a] = target, or None when target is outside the span.
 
+    Vectors are sparse (dict index -> Scalar); zero coordinates are omitted.
+    The columns must be independent, otherwise ValueError.  The augmented
+    system [columns | -target] has a kernel of dimension one exactly when
+    the solution exists and is unique, spanned by a vector whose last entry
+    is nonzero.
+    """
+    n = len(columns)
+    rows: dict[int, SparseRow] = defaultdict(dict)
+    for a, col in enumerate(columns):
+        for r, v in col.items():
+            rows[r][a] = v
+    for r, v in target.items():
+        rows[r][n] = -v
+    pivots, _ = sparse_echelon(list(rows.values()))
+    pivot_cols = {pc for _, pc in pivots}
+    free = [c for c in range(n + 1) if c not in pivot_cols]
+    if not free:
+        return None
+    x = _back_substitute(pivots, {free[0]: ONE})
+    scale = x.pop(n, None)
+    if len(free) > 1 or scale is None:
+        raise ValueError("dependent columns")
+    return {a: x[a] / scale for a in sorted(x)}
+
+
+def inverse(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
+    """Exact inverse of a square matrix (list of rows); singular raises ValueError.
+
+    Column j of the inverse solves A x = e_j; independent columns span
+    everything, so ``solve`` never returns None here.
+    """
+    n = len(matrix)
+    columns = [{i: matrix[i][j] for i in range(n) if not matrix[i][j].is_zero()} for j in range(n)]
+    solved = [solve(columns, {j: ONE}) for j in range(n)]
+    return [[solved[j].get(i, ZERO) for j in range(n)] for i in range(n)]

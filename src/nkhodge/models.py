@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 from .exterior import Form, GramData, wedge_map
+from .linalg import inverse
 from .operators import GradedOperator, derivation_from_one_forms
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, _squarefree, rational
 
@@ -203,7 +204,7 @@ class LieAlgebraModel:
         return self._cache[key]
 
     def gram(self) -> GramData:
-        return self._memo("gram", lambda: GramData(self.metric, self.ext_d))
+        return self._memo("gram", lambda: GramData(self.metric))
 
     def d(self) -> GradedOperator:
         def build():
@@ -315,7 +316,7 @@ class LieAlgebraModel:
             n = self.dim
             m, dvals = self.gram().ldl()
             t = [[m[j][i] for j in range(n)] for i in range(n)]
-            tinv = GramData._invert(t)
+            tinv = inverse(t)
             u_in_v = [Form.one_form(n, row) for row in tinv]
             table: dict[int, Form] = {}
             d_op = self.d()
@@ -470,27 +471,33 @@ def scaled_metric(model: LieAlgebraModel, factor: Scalar) -> LieAlgebraModel:
 # ---------------------------------------------------------------------------
 # nearly Kahler structure
 
-def nearly_kahler_residual(model: LieAlgebraModel) -> ResidualReport:
-    n = model.dim
-    nabla_om = [model.nabla_omega(i) for i in range(n)]
+def _two_form_entry(f: Form, a: int, b: int) -> Scalar:
+    """f(e_a, e_b) for a 2-form f and 0-based frame indices."""
+    if a == b:
+        return ZERO
+    v = f.coeffs.get((1 << a) | (1 << b), ZERO)
+    return v if a < b else -v
 
-    def ev(f: Form, a: int, b: int) -> Scalar:
-        if a == b:
-            return ZERO
-        mask = (1 << min(a, b)) | (1 << max(a, b))
-        v = f.coeffs.get(mask, ZERO)
-        return v if a < b else -v
 
-    witness = None
-    worst = 0.0
+def nabla_omega_symmetrization(nabla_om: list[Form]):
+    """Yield ((i, j, k) 1-based, (nabla_i omega)(e_j, e_k) + (nabla_j omega)(e_i, e_k))."""
+    n = len(nabla_om)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                r = ev(nabla_om[i], j, k) + ev(nabla_om[j], i, k)
-                if not r.is_zero():
-                    size = abs(r.approx())
-                    if witness is None or size > worst:
-                        witness, worst = (i + 1, j + 1, k + 1), size
+                r = _two_form_entry(nabla_om[i], j, k) + _two_form_entry(nabla_om[j], i, k)
+                yield (i + 1, j + 1, k + 1), r
+
+
+def nearly_kahler_residual(model: LieAlgebraModel) -> ResidualReport:
+    nabla_om = [model.nabla_omega(i) for i in range(model.dim)]
+    witness = None
+    worst = 0.0
+    for ijk, r in nabla_omega_symmetrization(nabla_om):
+        if not r.is_zero():
+            size = abs(r.approx())
+            if witness is None or size > worst:
+                witness, worst = ijk, size
     nk = witness is None
     d_omega = model.d().apply(model.omega())
     strict = nk and not d_omega.is_zero()

@@ -202,10 +202,6 @@ class GradedOperator:
                     out = a
         return out
 
-    def restrict_degree(self, k: int) -> GradedOperator:
-        cols = {c: col for c, col in self.cols.items() if c.bit_count() == k}
-        return GradedOperator(self.dim, cols, self.degree, self.bidegree, check=False)
-
     def __repr__(self) -> str:
         return f"GradedOperator(dim={self.dim}, degree={self.degree}, nnz={self.nnz()})"
 
@@ -214,27 +210,14 @@ class GradedOperator:
 # multiplication operators
 
 def mult_operator(beta: Form) -> GradedOperator:
-    """Left wedge multiplication L_beta; beta must be homogeneous (or zero)."""
+    """Left wedge multiplication L_beta, the Koszul sum with beta_{empty} = beta only.
+
+    beta must be homogeneous (or zero).
+    """
     deg = beta.degree()
     if deg is None and not beta.is_zero():
         raise ValueError("multiplication operator needs a homogeneous form")
-    cols: dict[int, Column] = {}
-    for m in range(1 << beta.dim):
-        col: Column = {}
-        for bm, bv in beta.coeffs.items():
-            sign, target = wedge_masks(bm, m)
-            if sign == 0:
-                continue
-            v = bv if sign > 0 else -bv
-            t = col.get(target)
-            v = v if t is None else t + v
-            if v.is_zero():
-                col.pop(target, None)
-            else:
-                col[target] = v
-        if col:
-            cols[m] = col
-    return GradedOperator(beta.dim, cols, deg if deg is not None else 0, check=False)
+    return reconstruct(beta.dim, {0: beta}, deg if deg is not None else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@
   presentation amounts to.
 * ``dense_kernel`` and ``harmonic_space_dense_oracle``: textbook dense
   Gauss-Jordan elimination with first-nonzero pivoting, against the sparse
-  fraction-free production route.
+  fraction-free production route; ``spans_equal`` compares the results.
 * The Hodge star (``star``, ``star_operator``, ``volume_form``) with
   a ^ star(b) = <a, conj(b)> vol, available when det(g) is a square in the
-  field (``sqrt_in_field``); d* = -*d* in even dimension.
+  field Q(sqrt d)(i) the caller names (``sqrt_in_field``); d* = -*d* in even
+  dimension.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 from nkhodge.exterior import Form, GramData, _det_sparse, indices_from_mask, wedge_image, wedge_masks
 from nkhodge.hodge import degree_masks, hodge_laplacian
+from nkhodge.linalg import inverse, sparse_rank
 from nkhodge.operators import Column, GradedOperator, adjoint
 from nkhodge.scalars import ONE, ZERO, Scalar
 
@@ -100,7 +102,7 @@ def adjoint_via_ldl(p: GradedOperator, gram: GramData) -> GradedOperator:
     m, dvals = gram.ldl()
     t = [[m[j][i] for j in range(n)] for i in range(n)]
     from_v = _algebra_map([Form.one_form(n, row) for row in t])
-    to_v = _algebra_map([Form.one_form(n, row) for row in GramData._invert(t)])
+    to_v = _algebra_map([Form.one_form(n, row) for row in inverse(t)])
     diagonal = GramData([[dvals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
     inner = adjoint(to_v.compose(p.compose(from_v)), diagonal)
     out = from_v.compose(inner.compose(to_v))
@@ -146,6 +148,17 @@ def dense_kernel(matrix: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
             vec[pc] = -rows[pr][c]
         basis.append(vec)
     return basis
+
+
+def spans_equal(basis_a: list[dict[int, Scalar]], basis_b: list[dict[int, Scalar]]) -> bool:
+    """Exact span equality via three rank computations."""
+    if len(basis_a) != len(basis_b):
+        return False
+    ra = sparse_rank(basis_a)
+    rb = sparse_rank(basis_b)
+    if ra != rb:
+        return False
+    return sparse_rank(basis_a + basis_b) == ra
 
 
 def dense_to_sparse(vectors: list[list[Scalar]]) -> list[dict[int, Scalar]]:
@@ -233,19 +246,19 @@ def det(gram: GramData) -> Scalar:
     return out
 
 
-def _volume_root(gram: GramData) -> Scalar:
-    root = sqrt_in_field(det(gram), gram.ext_d)
+def _volume_root(gram: GramData, d: int) -> Scalar:
+    root = sqrt_in_field(det(gram), d)
     if root is None:
         raise ValueError("star unavailable: det(g) is not a square in the field")
     return root
 
 
-def star_available(gram: GramData) -> bool:
-    return sqrt_in_field(det(gram), gram.ext_d) is not None
+def star_available(gram: GramData, d: int) -> bool:
+    return sqrt_in_field(det(gram), d) is not None
 
 
-def volume_form(gram: GramData) -> Form:
-    return Form.basis(gram.dim, (1 << gram.dim) - 1, _volume_root(gram))
+def volume_form(gram: GramData, d: int) -> Form:
+    return Form.basis(gram.dim, (1 << gram.dim) - 1, _volume_root(gram, d))
 
 
 def _same_degree_masks(dim: int, k: int):
@@ -262,9 +275,9 @@ def _same_degree_masks(dim: int, k: int):
         m = (((r ^ m) >> 2) // c) | r
 
 
-def star(gram: GramData, a: Form) -> Form:
-    """Complex-linear star with a ^ star(b) = <a, conj(b)> vol."""
-    root = _volume_root(gram)
+def star(gram: GramData, d: int, a: Form) -> Form:
+    """Complex-linear star with a ^ star(b) = <a, conj(b)> vol, over Q(sqrt d)(i)."""
+    root = _volume_root(gram, d)
     full = (1 << gram.dim) - 1
     out = Form.zero(gram.dim)
     for mj, s in a.coeffs.items():
@@ -288,6 +301,6 @@ def star(gram: GramData, a: Form) -> Form:
     return out
 
 
-def star_operator(gram: GramData) -> GradedOperator:
-    cols = {m: star(gram, Form.basis(gram.dim, m)).coeffs for m in range(1 << gram.dim)}
+def star_operator(gram: GramData, d: int) -> GradedOperator:
+    cols = {m: star(gram, d, Form.basis(gram.dim, m)).coeffs for m in range(1 << gram.dim)}
     return GradedOperator(gram.dim, cols, None, check=False)

@@ -17,7 +17,7 @@ from nkhodge.hodge import (
     harmonic_space,
     hodge_numbers,
 )
-from nkhodge.linalg import spans_equal, sparse_rank
+from nkhodge.linalg import sparse_rank
 from nkhodge.models import (
     builtin_model,
     nearly_kahler_residual,
@@ -26,7 +26,7 @@ from nkhodge.models import (
     su3_extract,
 )
 from nkhodge.scalars import rational
-from oracles import harmonic_space_dense_oracle
+from oracles import harmonic_space_dense_oracle, spans_equal
 
 UNIVERSAL = sorted(UNIVERSAL_CHECKS)
 

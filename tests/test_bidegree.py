@@ -17,6 +17,7 @@ from nkhodge.bidegree import (
     twisted_differential,
 )
 from nkhodge.exterior import Form
+from nkhodge.linalg import sparse_rank
 from nkhodge.operators import GradedOperator, graded_commutator
 from nkhodge.scalars import I, ONE, Scalar, rational
 
@@ -90,6 +91,36 @@ class TestPQBasis:
         for p in range(n + 1):
             for q in range(n + 1):
                 assert len(pqb.monomial_masks(p, q)) == comb(n, p) * comb(n, q)
+
+    @pytest.mark.parametrize(
+        "name, chosen",
+        [
+            ("torus6", [0, 2, 4]),
+            ("s3xs3-nk", [0, 1, 2]),
+            ("kodaira-thurston", [0, 2]),
+            ("su2-four", [0, 1, 2, 6, 7, 8]),
+        ],
+    )
+    @pytest.mark.parametrize("presentation", ["native", "orthogonalized"])
+    def test_greedy_first_independent_subset(self, name, chosen, presentation, request):
+        fixture = {"torus6": "torus6", "s3xs3-nk": "s3xs3", "kodaira-thurston": "kodaira", "su2-four": "su2four"}
+        model = request.getfixturevalue(fixture[name])
+        if presentation == "orthogonalized":
+            model = model.orthogonalized()
+        pqb = pq_basis(model)
+        rows = [f.coeffs for f in pqb.eta_all]
+        # eta_all[i] is kept exactly when it raises the rank of eta_all[:i]
+        greedy = [i for i in range(model.dim) if sparse_rank(rows[: i + 1]) > sparse_rank(rows[:i])]
+        assert pqb.chosen == greedy == chosen
+        assert pqb.eta == [pqb.eta_all[i] for i in chosen]
+        n = model.dim // 2
+        for f in pqb.eta_all:
+            coords = pqb.form_to_pq(f)
+            assert all(m.bit_count() == 1 and m < 1 << n for m in coords)
+            rebuilt = Form.zero(model.dim)
+            for m, x in coords.items():
+                rebuilt = rebuilt + pqb.eta[m.bit_length() - 1].scale(x)
+            assert rebuilt == f
 
     def test_roundtrip(self, s3xs3):
         pqb = pq_basis(s3xs3)

@@ -68,6 +68,20 @@ def _claim_every_flag(tmp_path, model):
     return str(path)
 
 
+    def test_indefinite_metric_exit_1(self, capsys, tmp_path, torus6):
+        from nkhodge.models import model_to_json
+
+        doc = json.loads(model_to_json(torus6))
+        doc["metric"][0][:2] = ["1", "2"]
+        doc["metric"][1][:2] = ["2", "1"]
+        path = tmp_path / "indefinite.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "validate", str(path), "--report", "json")
+        assert code == 1
+        issues = json.loads(out)["issues"]
+        assert {"check": "metric_positive_definite", "witness": ["metric not positive-definite (leading minor 2)"]} in issues
+
+
 class TestClaimedFlags:
     def test_validate_names_each_wrong_flag(self, capsys, tmp_path, kodaira):
         code, out, _ = run_cli(capsys, "validate", _claim_every_flag(tmp_path, kodaira))

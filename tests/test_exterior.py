@@ -27,9 +27,14 @@ def forms(draw, dim=DIM, max_terms=4):
     return Form(dim, coeffs)
 
 
-def identity_gram(dim, ext_d=1):
+def identity_gram(dim):
     g = [[ONE if i == j else Scalar(0, 0, 0, 0) for j in range(dim)] for i in range(dim)]
-    return GramData(g, ext_d)
+    return GramData(g)
+
+
+def contract(gram, alpha, target):
+    """Contraction of ``target`` by the metric dual of the 1-form ``alpha``."""
+    return target.contract_vector(gram.sharp(alpha))
 
 
 def e(i, dim=DIM):
@@ -104,7 +109,7 @@ class TestContraction:
 
     def test_sharp_identity_metric(self):
         gram = identity_gram(DIM)
-        assert gram.contract(e(1), e(1).wedge(e(3))) == e(3)
+        assert contract(gram, e(1), e(1).wedge(e(3))) == e(3)
 
     def test_square_zero(self):
         gram = identity_gram(DIM)
@@ -134,7 +139,7 @@ class TestInnerProduct:
 
     def test_unit_complex_coframe(self):
         # (1/sqrt 2)(e1 + i e2) has unit norm for the identity metric (d = 2)
-        gram = identity_gram(2, ext_d=2)
+        gram = identity_gram(2)
         inv_sqrt2 = Scalar.sqrt_ext(2, 1, 2)
         theta = (Form.basis(2, 0b01) + Form.basis(2, 0b10).scale(I)).scale(inv_sqrt2)
         assert gram.inner(theta, theta) == ONE
@@ -171,27 +176,27 @@ class TestStar:
     def test_top_form_dim6(self):
         gram = identity_gram(6)
         f = Form.basis(6, mask_from_indices((1, 2, 3), 6))
-        assert star(gram, f) == Form.basis(6, mask_from_indices((4, 5, 6), 6))
+        assert star(gram, 1, f) == Form.basis(6, mask_from_indices((4, 5, 6), 6))
 
     def test_star_one_is_volume(self):
         gram = identity_gram(6)
-        assert star(gram, Form.basis(6, 0)) == volume_form(gram)
+        assert star(gram, 1, Form.basis(6, 0)) == volume_form(gram, 1)
 
     def test_star_star_sign(self):
         gram = identity_gram(6)
         f = e(1, 6)
-        assert star(gram, star(gram, f)) == -f
+        assert star(gram, 1, star(gram, 1, f)) == -f
 
     def test_unavailable(self):
         z = Scalar(0, 0, 0, 0)
         g = [[rational(2) if i == j else z for j in range(2)] for i in range(2)]
-        gram = GramData(g, ext_d=3)  # det = 4... that's square; use det 2 instead
+        gram = GramData(g)  # det = 4, a square; det 2 below is not one in Q(sqrt 3)
         g2 = [[rational(2), z], [z, ONE]]
-        gram2 = GramData(g2, ext_d=3)
-        assert not star_available(gram2)
+        gram2 = GramData(g2)
+        assert not star_available(gram2, 3)
         with pytest.raises(ValueError):
-            star(gram2, Form.basis(2, 0b01))
-        assert star_available(gram)
+            star(gram2, 3, Form.basis(2, 0b01))
+        assert star_available(gram, 3)
 
     @given(forms(dim=4), forms(dim=4))
     @settings(max_examples=40)
@@ -199,9 +204,9 @@ class TestStar:
         # top-degree part of a ^ star(conj b) is <a,b> vol (lower parts only
         # arise for inhomogeneous inputs, where the pairing is degree-diagonal)
         gram = identity_gram(4)
-        vol = volume_form(gram)
+        vol = volume_form(gram, 1)
         full = (1 << 4) - 1
-        lhs = a.wedge(star(gram, b.conjugate()))
+        lhs = a.wedge(star(gram, 1, b.conjugate()))
         top = Form(4, {m: s for m, s in lhs.coeffs.items() if m == full})
         assert top == vol.scale(gram.inner(a, b))
 
@@ -212,26 +217,34 @@ class TestStar:
         # square in Q(sqrt 3): per-pair blocks [[1,-1/2],[-1/2,1]], det = 9/16
         z = Scalar(0, 0, 0, 0)
         g = [[ONE, -HALF, z, z], [-HALF, ONE, z, z], [z, z, ONE, -HALF], [z, z, -HALF, ONE]]
-        gram = GramData(g, ext_d=3)
-        assert star_available(gram)
-        vol = volume_form(gram)
+        gram = GramData(g)
+        assert star_available(gram, 3)
+        vol = volume_form(gram, 3)
         full = (1 << 4) - 1
-        lhs = a.wedge(star(gram, b.conjugate()))
+        lhs = a.wedge(star(gram, 3, b.conjugate()))
         top = Form(4, {m: s for m, s in lhs.coeffs.items() if m == full})
         assert top == vol.scale(gram.inner(a, b))
 
     def test_star_star_sign_coupled_metric(self):
         z = Scalar(0, 0, 0, 0)
         g = [[ONE, -HALF, z, z], [-HALF, ONE, z, z], [z, z, ONE, -HALF], [z, z, -HALF, ONE]]
-        gram = GramData(g, ext_d=3)
+        gram = GramData(g)
         for mask in range(16):
             f = Form.basis(4, mask)
             sign = 1 if mask.bit_count() % 2 == 0 else -1
             expect = f if sign > 0 else -f
-            assert star(gram, star(gram, f)) == expect
+            assert star(gram, 3, star(gram, 3, f)) == expect
 
 
 class TestLDL:
+    @pytest.mark.parametrize(
+        "entries, minor", [(((0, 1), (1, 0)), 1), (((1, 2), (2, 1)), 2)]
+    )
+    def test_rejects_metric_that_is_not_positive_definite(self, entries, minor):
+        g = [[rational(v) for v in row] for row in entries]
+        with pytest.raises(ValueError, match=rf"metric not positive-definite \(leading minor {minor}\)"):
+            GramData(g)
+
     def test_reconstructs_metric(self):
         z = Scalar(0, 0, 0, 0)
         g = [

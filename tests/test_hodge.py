@@ -10,9 +10,8 @@ from nkhodge.hodge import (
     hodge_laplacian,
     hodge_numbers,
 )
-from nkhodge.linalg import spans_equal
 from nkhodge.models import builtin_model
-from oracles import harmonic_space_dense_oracle
+from oracles import harmonic_space_dense_oracle, spans_equal
 
 
 def _as_rows(forms):
