@@ -182,16 +182,9 @@ def differential_split(model) -> DifferentialSplit:
             del_im.append(d_eta.get((2, 0), zero) + d_etabar.get((1, 1), zero))
             delbar_im.append(d_eta.get((1, 1), zero) + d_etabar.get((0, 2), zero))
             mubar_im.append(d_eta.get((0, 2), zero))
-        ops = []
-        for images, bid in (
-            (mu_im, (2, -1)),
-            (del_im, (1, 0)),
-            (delbar_im, (0, 1)),
-            (mubar_im, (-1, 2)),
-        ):
-            op = derivation_from_one_forms(dim, images)
-            ops.append(GradedOperator(dim, op.cols, 1, bid, check=False))
-        split = DifferentialSplit(*ops)
+        split = DifferentialSplit(
+            *(derivation_from_one_forms(dim, im) for im in (mu_im, del_im, delbar_im, mubar_im))
+        )
         if split.total() != d:
             raise AssertionError("bidegree split does not reassemble d")
         if split.mubar != split.mu.conjugated() or split.delbar != split.del_.conjugated():
@@ -240,7 +233,6 @@ def counting_operator(model) -> GradedOperator:
 def lefschetz_triple(model) -> tuple[GradedOperator, GradedOperator, GradedOperator]:
     def build():
         l_op = mult_operator(model.omega())
-        l_op = GradedOperator(model.dim, l_op.cols, 2, (1, 1), check=False)
         lam = adjoint(l_op, model.gram())
         return (l_op, lam, counting_operator(model))
 

@@ -44,7 +44,7 @@ from .bidegree import (
 )
 from .exterior import Form, mask_label
 from .hodge import harmonic_pq, harmonic_space, hodge_laplacian, operator_degree_rows
-from .linalg import inverse, sparse_kernel, sparse_rank
+from .linalg import inverse, sparse_kernel, sparse_rank, transpose
 from .models import LieAlgebraModel, nabla_omega_symmetrization, nk_report, su3_extract
 from .operators import (
     GradedOperator,
@@ -112,10 +112,6 @@ class _Acc:
 # ---------------------------------------------------------------------------
 # shared derived operators (memoized per model)
 
-def _split(model):
-    return differential_split(model)
-
-
 def _adj(model, key: str, op_builder):
     return model._memo(
         "adj:" + key, lambda: adjoint(op_builder(), model.gram())
@@ -123,7 +119,7 @@ def _adj(model, key: str, op_builder):
 
 
 def _parts(model):
-    s = _split(model)
+    s = differential_split(model)
     return s.mu, s.del_, s.delbar, s.mubar
 
 
@@ -139,20 +135,24 @@ def _adjoints(model):
 
 def _l_mu_omega(model) -> GradedOperator:
     def build():
-        mu = _split(model).mu
+        mu = differential_split(model).mu
         op = mult_operator(mu.apply(model.omega()))
-        return GradedOperator(model.dim, op.cols, 3, (3, 0), check=False)
+        return GradedOperator(model.dim, op.cols, 3, check=False)
 
     return model._memo("L_mu_omega", build)
 
 
 def _l_mubar_omega(model) -> GradedOperator:
     def build():
-        mb = _split(model).mubar
+        mb = differential_split(model).mubar
         op = mult_operator(mb.apply(model.omega()))
-        return GradedOperator(model.dim, op.cols, 3, (0, 3), check=False)
+        return GradedOperator(model.dim, op.cols, 3, check=False)
 
     return model._memo("L_mubar_omega", build)
+
+
+def _su3(model):
+    return model._memo("su3", lambda: su3_extract(model))
 
 
 def _laplacian(model, key: str, op_builder) -> GradedOperator:
@@ -346,7 +346,7 @@ def check_br67(model, acc: _Acc):
 
 def check_su3_struct(model, acc: _Acc):
     try:
-        su3 = model._memo("su3", lambda: su3_extract(model))
+        su3 = _su3(model)
     except ValueError as exc:
         acc.require(f"SU(3) data extraction: {exc}", False)
         return
@@ -415,7 +415,6 @@ def check_torsion_op(model, acc: _Acc):
     l_op, lam, _ = lefschetz_triple(model)
     d_om = model.d().apply(model.omega())
     l_dom = mult_operator(d_om) if not d_om.is_zero() else GradedOperator.zero(model.dim, 3)
-    l_dom = GradedOperator(model.dim, l_dom.cols, 3, check=False)
     lm, lmb = _l_mu_omega(model), _l_mubar_omega(model)
     three = rational(3)
     acc.op("[Lambda, L_d_omega] + 3(mu+mubar)", br(lam, l_dom) + (mu + mb).scale(three))
@@ -492,7 +491,7 @@ def check_prop_lap(model, acc: _Acc):
 
 
 def check_dim6_eigen(model, acc: _Acc):
-    su3 = model._memo("su3", lambda: su3_extract(model))
+    su3 = _su3(model)
     lam2 = su3.lambda_sq
     pqb = pq_basis(model)
     mu, de, db, mb = _parts(model)
@@ -530,7 +529,7 @@ def check_dim6_eigen(model, acc: _Acc):
 
 
 def check_theta_bracket(model, acc: _Acc):
-    su3 = model._memo("su3", lambda: su3_extract(model))
+    su3 = _su3(model)
     lam2 = su3.lambda_sq
     gram = model.gram()
     pqb = pq_basis(model)
@@ -657,17 +656,12 @@ def check_vanish_cor(model, acc: _Acc):
     for p in range(n + 1):
         for q in range(n + 1):
             masks = pqb.monomial_masks(p, q)
-            index = {m: i for i, m in enumerate(masks)}
-            rows: dict[int, dict[int, Scalar]] = {}
-            pure = True
-            for j, mask in enumerate(masks):
-                img = diff.apply(pqb.monomial_form(mask))
-                for pqmask, v in pqb.form_to_pq(img).items():
-                    if pqb.bidegree_of_mask(pqmask) != (p, q):
-                        pure = False
-                    rows.setdefault(pqmask, {})[j] = v
-            acc.require(f"difference Laplacian preserves ({p},{q})", pure)
-            invertible = sparse_rank(list(rows.values())) == len(masks)
+            cols = [pqb.form_to_pq(diff.apply(pqb.monomial_form(mask))) for mask in masks]
+            acc.require(
+                f"difference Laplacian preserves ({p},{q})",
+                all(pqb.bidegree_of_mask(m) == (p, q) for col in cols for m in col),
+            )
+            invertible = sparse_rank(transpose(enumerate(cols))) == len(masks)
             if invertible:
                 acc.require(
                     f"invertible difference on ({p},{q}) forces h = 0",
@@ -676,7 +670,7 @@ def check_vanish_cor(model, acc: _Acc):
 
 
 def check_nk6_vanish(model, acc: _Acc):
-    su3 = model._memo("su3", lambda: su3_extract(model))
+    su3 = _su3(model)
     mu, _, _, mb = _parts(model)
     theta = su3.theta_s
     acc.require("mubar(mu omega) != 0", not mb.apply(theta).is_zero())

@@ -6,7 +6,8 @@ JSON file.  Exit codes: 0 pass, 1 validation/check failure (including a
 claimed ``expected`` flag that the exact recomputation contradicts, and a
 file model that fails validation before ``suite``, ``hodge`` or ``order``
 runs on it), 2 usage error (including any malformed model file, a dimension
-above 14 or an extension_d above 10^9), 3 applicability error
+above 14, an extension_d above 10^9, an ``order --max`` outside
+0..dimension and an unwritable ``models show --emit`` path), 3 applicability error
 (e.g. Hodge table of a non-nearly-Kahler model), 4 internal invariant
 broken (an exact self-check of the engine failed; the message is the
 witness).
@@ -191,6 +192,11 @@ def cmd_order(args) -> int:
     model = _load_valid_model(args.model)
     if model is None:
         return 1
+    if not 0 <= args.max <= model.dim:
+        # every operator on the exterior algebra has order <= dimension
+        print(f"error: --max must lie in 0..{model.dim} (the dimension), got {args.max}",
+              file=sys.stderr)
+        return USAGE_ERROR
     # the algebraic order does not depend on the coframe
     comp = model.orthogonalized()
     if args.op == "d":
@@ -242,8 +248,11 @@ def cmd_models(args) -> int:
     model = builtin_model(args.name)
     text = model_to_json(model)
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.emit!r}: {exc}") from exc
         print(f"wrote {args.emit}")
     else:
         print(text, end="")

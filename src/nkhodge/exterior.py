@@ -20,7 +20,7 @@ algebra (a change of coframe, the J action, the (p,q) expansion).
 
 from __future__ import annotations
 
-from .linalg import inverse
+from .linalg import add_scaled, inverse
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -116,15 +116,7 @@ class Form:
 
     def __add__(self, other: Form) -> Form:
         self._check(other)
-        out = dict(self.coeffs)
-        for m, s in other.coeffs.items():
-            t = out.get(m)
-            v = s if t is None else t + s
-            if v.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = v
-        return Form(self.dim, out)
+        return Form(self.dim, add_scaled(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other: Form) -> Form:
         return self + (-other)
@@ -231,14 +223,7 @@ def wedge_map(images: list[Form], form: Form, table: dict[int, Form]) -> Form:
     """Image of a form under the algebra map u^i -> images[i] (lazy, as above)."""
     out: dict[int, Scalar] = {}
     for mask, coeff in form.coeffs.items():
-        for m, v in wedge_image(images, mask, table).coeffs.items():
-            t = out.get(m)
-            piece = v * coeff
-            piece = piece if t is None else t + piece
-            if piece.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = piece
+        add_scaled(out, wedge_image(images, mask, table).coeffs, coeff)
     return Form(form.dim, out)
 
 

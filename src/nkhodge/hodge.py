@@ -1,15 +1,17 @@
 """Harmonic spaces, Betti numbers, and Hodge tables.
 
 Harmonic spaces are exact kernels of the Hodge Laplacian [[d*, d]], computed
-by sparse fraction-free elimination (a dense oracle in the tests recomputes
-them independently).  Betti numbers are deliberately computed metric-free,
+by sparse fraction-free elimination on the rows that ``linalg.transpose``
+makes of its columns (a dense oracle in the tests recomputes them
+independently).  Betti numbers are deliberately computed metric-free,
 from ranks of d alone, so that the sum rule b^k = sum_{p+q=k} h^{p,q}
 compares two genuinely different computations: harmonic dimensions against
 homology of the complex.
 
 Everything is computed in the orthogonalized presentation of the model
-(the numbers are coframe-invariant); returned basis forms are mapped back to
-the model's own coframe.
+(the numbers are coframe-invariant); the basis forms that ``harmonic_space``
+and ``harmonic_pq`` return are mapped back to the model's own coframe, and
+``hodge_numbers`` reports only their dimensions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exterior import Form, graded_lex_key
-from .linalg import SparseRow, sparse_kernel, sparse_rank
+from .linalg import SparseRow, sparse_kernel, sparse_rank, transpose
 from .operators import GradedOperator, laplacian
 
 
@@ -25,7 +27,6 @@ from .operators import GradedOperator, laplacian
 class HodgeReport:
     h: list[list[int]]  # h[p][q]
     betti: list[int]
-    harmonic_bases: dict[tuple[int, int], list[Form]]
 
     def h_table(self) -> list[list[int]]:
         return [row[:] for row in self.h]
@@ -53,14 +54,7 @@ def operator_degree_rows(op: GradedOperator, k: int, dim: int) -> tuple[list[Spa
     """Row-sparse matrix of the degree-k block (columns indexed by mask order)."""
     masks = degree_masks(dim, k)
     index = {m: i for i, m in enumerate(masks)}
-    rows: dict[int, SparseRow] = {}
-    for c, col in op.cols.items():
-        ci = index.get(c)
-        if ci is None:
-            continue
-        for r, v in col.items():
-            rows.setdefault(r, {})[ci] = v
-    return list(rows.values()), masks
+    return transpose((index[c], col) for c, col in op.cols.items() if c in index), masks
 
 
 def harmonic_space(model, k: int) -> list[Form]:
@@ -84,23 +78,13 @@ def harmonic_pq(model, p: int, q: int) -> list[Form]:
         from .bidegree import pq_basis
 
         pqb = pq_basis(comp)
-        basis = pqb.basis_forms(p, q)
-        if not basis:
-            return []
+        masks = pqb.monomial_masks(p, q)
         lap = hodge_laplacian(comp)
-        rows: dict[int, SparseRow] = {}
-        for j, b in enumerate(basis):
-            img = lap.apply(b)
-            for mask, v in img.coeffs.items():
-                rows.setdefault(mask, {})[j] = v
-        vectors = sparse_kernel(list(rows.values()), len(basis))
-        out = []
-        for vec in vectors:
-            f = Form.zero(comp.dim)
-            for j, v in vec.items():
-                f = f + basis[j].scale(v)
-            out.append(f)
-        return out
+        rows = transpose((j, lap.apply(pqb.monomial_form(m)).coeffs) for j, m in enumerate(masks))
+        return [
+            pqb.pq_coords_to_form({masks[j]: v for j, v in vec.items()})
+            for vec in sparse_kernel(rows, len(masks))
+        ]
 
     return [model.to_native(f) for f in comp._memo(f"harmonic_pq:{p},{q}", build)]
 
@@ -136,15 +120,8 @@ def hodge_numbers(model) -> HodgeReport:
             f"not nearly Kahler: residual witness {report.witness}"
         )
     n = model.dim // 2
-    h = [[0] * (n + 1) for _ in range(n + 1)]
-    bases: dict[tuple[int, int], list[Form]] = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            basis = harmonic_pq(model, p, q)
-            h[p][q] = len(basis)
-            bases[(p, q)] = basis
-    betti = betti_numbers(model)
-    out = HodgeReport(h, betti, bases)
+    h = [[len(harmonic_pq(model, p, q)) for q in range(n + 1)] for p in range(n + 1)]
+    out = HodgeReport(h, betti_numbers(model))
     if not out.sum_rule_holds():
         raise AssertionError("harmonic (p,q) dimensions do not sum to Betti numbers")
     for p in range(n + 1):

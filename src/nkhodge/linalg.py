@@ -1,4 +1,9 @@
-"""Exact kernels, ranks, solutions and inverses over the scalar tower.
+"""Sparse vectors, exact kernels, ranks, solutions and inverses over the scalar tower.
+
+Sparse vectors are dicts index -> Scalar with no zero stored.  ``add_scaled``
+(acc += s vec, dropping what cancels) carries every sum of forms and every
+operator sum, product and application; ``transpose`` turns sparse columns
+into the sparse rows that elimination takes.
 
 Every exact elimination in src is the one sparse fraction-free
 (Bareiss-style) elimination ``sparse_echelon``, with pivoting by least
@@ -18,11 +23,42 @@ with an independent dense Gauss-Jordan elimination.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
 from .scalars import ONE, ZERO, Scalar
 
 SparseRow = dict[int, Scalar]
+
+
+def add_scaled(acc: SparseRow, vec: SparseRow, s: Scalar | None = None) -> SparseRow:
+    """acc += s * vec (acc += vec when s is None) in place; returns acc.
+
+    A key whose sum is exactly zero is removed, so sparse vectors built by
+    repeated accumulation compare literally.
+    """
+    for k, v in vec.items():
+        if s is not None:
+            v = v * s
+        t = acc.get(k)
+        if t is not None:
+            v = t + v
+        if v.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = v
+    return acc
+
+
+def transpose(pairs) -> list[SparseRow]:
+    """Sparse rows of the columns given as (column index, sparse column) pairs.
+
+    Rows come out in order of first appearance while walking the pairs in
+    their given order (the order steers ``sparse_echelon``'s pivot choice).
+    """
+    rows: dict[int, SparseRow] = {}
+    for c, col in pairs:
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
+    return list(rows.values())
 
 
 def _complexity(s: Scalar) -> int:
@@ -143,13 +179,7 @@ def solve(columns: list[SparseRow], target: SparseRow) -> SparseRow | None:
     is nonzero.
     """
     n = len(columns)
-    rows: dict[int, SparseRow] = defaultdict(dict)
-    for a, col in enumerate(columns):
-        for r, v in col.items():
-            rows[r][a] = v
-    for r, v in target.items():
-        rows[r][n] = -v
-    pivots, _ = sparse_echelon(list(rows.values()))
+    pivots, _ = sparse_echelon(transpose(enumerate([*columns, {r: -v for r, v in target.items()}])))
     pivot_cols = {pc for _, pc in pivots}
     free = [c for c in range(n + 1) if c not in pivot_cols]
     if not free:

@@ -1,8 +1,9 @@
 """Graded operators as sparse exact matrices on the exterior algebra.
 
 Operators are stored column-wise over the bitmask basis (column mask ->
-sparse column of row mask -> Scalar), tagged with a degree and optionally
-a bidegree.  Everything here is exact; operator equality is literal matrix
+sparse column of row mask -> Scalar), tagged with a degree.  Sums,
+products and applications accumulate columns through ``linalg.add_scaled``,
+which drops every entry that cancels, so operator equality is literal matrix
 equality over the scalar tower.
 
 The metric adjoint P* is the operator with <P a, b> = <a, P* b>.  Every
@@ -27,22 +28,23 @@ reconstruction) and the only route from coframe values to a derivation
 from __future__ import annotations
 
 from .exterior import Form, GramData, graded_lex_key, mask_label, wedge_masks
+from .linalg import add_scaled
 from .scalars import ONE, Scalar
 
 Column = dict[int, Scalar]
 
 
 class GradedOperator:
-    """Sparse exact matrix with a declared degree (and optional bidegree)."""
+    """Sparse exact matrix with a declared degree."""
 
-    __slots__ = ("dim", "cols", "degree", "bidegree")
+    __slots__ = ("dim", "cols", "degree")
 
     def __init__(
         self,
         dim: int,
         cols: dict[int, Column],
         degree: int | None = None,
-        bidegree: tuple[int, int] | None = None,
+        *,
         check: bool = True,
     ):
         clean: dict[int, Column] = {}
@@ -53,7 +55,6 @@ class GradedOperator:
         self.dim = dim
         self.cols = clean
         self.degree = degree
-        self.bidegree = bidegree
         if check and degree is not None:
             for c, col in clean.items():
                 kc = c.bit_count()
@@ -63,10 +64,6 @@ class GradedOperator:
                             f"entry ({mask_label(r)}, {mask_label(c)}) violates degree {degree}"
                         )
 
-    @property
-    def parity(self) -> int | None:
-        return None if self.degree is None else self.degree % 2
-
     # -- basic structure ---------------------------------------------------
 
     @classmethod
@@ -75,7 +72,7 @@ class GradedOperator:
 
     @classmethod
     def identity(cls, dim: int) -> GradedOperator:
-        return cls(dim, {m: {m: ONE} for m in range(1 << dim)}, 0, (0, 0), check=False)
+        return cls(dim, {m: {m: ONE} for m in range(1 << dim)}, 0, check=False)
 
     @classmethod
     def diagonal(cls, dim: int, weight) -> GradedOperator:
@@ -85,7 +82,7 @@ class GradedOperator:
             w = weight(m)
             if not w.is_zero():
                 cols[m] = {m: w}
-        return cls(dim, cols, 0, (0, 0), check=False)
+        return cls(dim, cols, 0, check=False)
 
     def is_zero(self) -> bool:
         return not self.cols
@@ -97,16 +94,8 @@ class GradedOperator:
         out: Column = {}
         for m, s in form.coeffs.items():
             col = self.cols.get(m)
-            if col is None:
-                continue
-            for r, v in col.items():
-                t = out.get(r)
-                piece = v * s
-                piece = piece if t is None else t + piece
-                if piece.is_zero():
-                    out.pop(r, None)
-                else:
-                    out[r] = piece
+            if col is not None:
+                add_scaled(out, col, s)
         return Form(self.dim, out)
 
     def column_form(self, mask: int) -> Form:
@@ -116,18 +105,10 @@ class GradedOperator:
 
     def __add__(self, other: GradedOperator) -> GradedOperator:
         deg = self.degree if self.degree == other.degree else None
-        bid = self.bidegree if self.bidegree == other.bidegree else None
         cols = {c: dict(col) for c, col in self.cols.items()}
         for c, col in other.cols.items():
-            mine = cols.setdefault(c, {})
-            for r, v in col.items():
-                t = mine.get(r)
-                val = v if t is None else t + v
-                if val.is_zero():
-                    mine.pop(r, None)
-                else:
-                    mine[r] = val
-        return GradedOperator(self.dim, cols, deg, bid, check=False)
+            add_scaled(cols.setdefault(c, {}), col)
+        return GradedOperator(self.dim, cols, deg, check=False)
 
     def __sub__(self, other: GradedOperator) -> GradedOperator:
         return self + other.scale(Scalar(-1, 0, 0, 0))
@@ -137,43 +118,31 @@ class GradedOperator:
 
     def scale(self, s: Scalar) -> GradedOperator:
         if s.is_zero():
-            return GradedOperator(self.dim, {}, self.degree, self.bidegree, check=False)
+            return GradedOperator(self.dim, {}, self.degree, check=False)
         cols = {c: {r: v * s for r, v in col.items()} for c, col in self.cols.items()}
-        return GradedOperator(self.dim, cols, self.degree, self.bidegree, check=False)
+        return GradedOperator(self.dim, cols, self.degree, check=False)
 
     def compose(self, other: GradedOperator) -> GradedOperator:
         """self after other (matrix product self . other)."""
         deg = None
         if self.degree is not None and other.degree is not None:
             deg = self.degree + other.degree
-        bid = None
-        if self.bidegree is not None and other.bidegree is not None:
-            bid = (self.bidegree[0] + other.bidegree[0], self.bidegree[1] + other.bidegree[1])
         cols: dict[int, Column] = {}
         my = self.cols
         for c, col in other.cols.items():
             acc: Column = {}
             for mid, v in col.items():
                 right = my.get(mid)
-                if right is None:
-                    continue
-                for r, w in right.items():
-                    t = acc.get(r)
-                    piece = w * v
-                    piece = piece if t is None else t + piece
-                    if piece.is_zero():
-                        acc.pop(r, None)
-                    else:
-                        acc[r] = piece
+                if right is not None:
+                    add_scaled(acc, right, v)
             if acc:
                 cols[c] = acc
-        return GradedOperator(self.dim, cols, deg, bid, check=False)
+        return GradedOperator(self.dim, cols, deg, check=False)
 
     def conjugated(self) -> GradedOperator:
         """conj . P . conj; entry-wise conjugation since the basis is real."""
-        bid = (self.bidegree[1], self.bidegree[0]) if self.bidegree else None
         cols = {c: {r: v.conjugate() for r, v in col.items()} for c, col in self.cols.items()}
-        return GradedOperator(self.dim, cols, self.degree, bid, check=False)
+        return GradedOperator(self.dim, cols, self.degree, check=False)
 
     # -- comparison & diagnostics ---------------------------------------------
 
@@ -232,8 +201,7 @@ def adjoint(p: GradedOperator, gram: GramData) -> GradedOperator:
         for r, v in col.items():
             cols.setdefault(r, {})[c] = v.conjugate() * wc * inverses[r]
     deg = -p.degree if p.degree is not None else None
-    bid = (-p.bidegree[0], -p.bidegree[1]) if p.bidegree else None
-    return GradedOperator(p.dim, cols, deg, bid, check=False)
+    return GradedOperator(p.dim, cols, deg, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,6 @@ class Scalar:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def rational(cls, p: int, q: int = 1) -> Scalar:
-        return cls(p, 0, 0, 0, q)
-
-    @classmethod
     def sqrt_ext(cls, d: int, num: int = 1, den: int = 1) -> Scalar:
         """num/den times sqrt(d)."""
         return cls(0, num, 0, 0, den, d)

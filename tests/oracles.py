@@ -82,8 +82,7 @@ def adjoint_via_minors(p: GradedOperator, gram: GramData) -> GradedOperator:
                 col[mi] = acc
         if col:
             cols[mj] = col
-    bid = (-p.bidegree[0], -p.bidegree[1]) if p.bidegree else None
-    return GradedOperator(dim, cols, deg, bid, check=False)
+    return GradedOperator(dim, cols, deg, check=False)
 
 
 def _algebra_map(images: list[Form]) -> GradedOperator:
@@ -107,8 +106,7 @@ def adjoint_via_ldl(p: GradedOperator, gram: GramData) -> GradedOperator:
     inner = adjoint(to_v.compose(p.compose(from_v)), diagonal)
     out = from_v.compose(inner.compose(to_v))
     deg = -p.degree if p.degree is not None else None
-    bid = (-p.bidegree[0], -p.bidegree[1]) if p.bidegree else None
-    return GradedOperator(n, out.cols, deg, bid, check=False)
+    return GradedOperator(n, out.cols, deg, check=False)
 
 
 # -- dense elimination -----------------------------------------------------------

@@ -42,7 +42,7 @@ def pq_projector(model, p, q) -> GradedOperator:
             }
             if wanted:
                 cols[mask] = dict(pq.pq_coords_to_form(wanted).coeffs)
-        return GradedOperator(model.dim, cols, 0, (0, 0), check=False)
+        return GradedOperator(model.dim, cols, 0, check=False)
 
     return model._memo(f"projector{p},{q}", build)
 
@@ -62,7 +62,7 @@ def split_by_projectors(model) -> DifferentialSplit:
                 left = pq_projector(model, p + dp, q + dq)
                 right = pq_projector(model, p, q)
                 acc = acc + left.compose(d.compose(right))
-        parts[name] = GradedOperator(model.dim, acc.cols, 1, (dp, dq), check=False)
+        parts[name] = GradedOperator(model.dim, acc.cols, 1, check=False)
     return DifferentialSplit(parts["mu"], parts["del"], parts["delbar"], parts["mubar"])
 
 
@@ -278,3 +278,22 @@ class TestLefschetz:
             assert graded_commutator(l_op, lam) == h
             assert graded_commutator(h, l_op) == l_op.scale(rational(2))
             assert graded_commutator(h, lam) == lam.scale(rational(-2))
+
+
+class TestDeclaredDegrees:
+    """Declared degrees, which fix the signs of the graded commutators in the checks."""
+
+    def test_split_lefschetz_degrees(self, s3xs3_ortho, torus6, kodaira):
+        for m in (s3xs3_ortho, torus6, kodaira):
+            for op in differential_split(m).components().values():
+                assert op.degree == 1
+            l_op, lam, h = lefschetz_triple(m)
+            assert (l_op.degree, lam.degree, h.degree) == (2, -2, 0)
+
+    def test_zero_l_mu_omega_keeps_degree_three(self, torus6, kodaira):
+        from nkhodge.checks import _l_mu_omega, _l_mubar_omega
+
+        for m in (torus6, kodaira):
+            for op in (_l_mu_omega(m), _l_mubar_omega(m)):
+                assert op.is_zero()
+                assert op.degree == 3

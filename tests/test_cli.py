@@ -222,6 +222,15 @@ class TestOrder:
         doc = json.loads(out)
         assert doc["order_at_most"] == {"0": False, "1": False, "2": True}
 
+    @pytest.mark.parametrize("bound", ["-1", "5"])
+    def test_max_outside_zero_to_dimension_exit_2(self, capsys, bound):
+        code, out, err = run_cli(
+            capsys, "order", "builtin:kodaira-thurston", "--op", "d", "--max", bound
+        )
+        assert code == 2
+        assert out == ""
+        assert "0..4" in err  # kodaira-thurston has dimension 4
+
 
 class TestModels:
     def test_list(self, capsys):
@@ -248,6 +257,14 @@ class TestModels:
         # the emitted file re-runs identically: same suite verdict
         code, out, _ = run_cli(capsys, "suite", str(path), "--checks", "NK_MAIN,SL2")
         assert code == 0
+
+    def test_emit_to_unwritable_path_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "models", "show", "torus6", "--emit", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert not path.exists()
 
     def test_show_requires_name(self, capsys):
         code, _, err = run_cli(capsys, "models", "show")

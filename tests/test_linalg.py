@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from nkhodge.linalg import inverse, solve, sparse_kernel, sparse_rank
+from nkhodge.linalg import add_scaled, inverse, solve, sparse_kernel, sparse_rank, transpose
 from nkhodge.scalars import ONE, ZERO, Scalar
 from oracles import dense_kernel, dense_to_sparse, spans_equal
 
@@ -165,3 +165,72 @@ def test_solve_matches_dense_oracle(mat, data):
     (vec,) = kernel
     scale = vec[ncols]
     assert got == {j: vec[j] / scale for j in range(ncols) if not vec[j].is_zero()}
+
+
+# -- sparse-vector primitives ----------------------------------------------------
+
+scalars_q3i = st.builds(
+    lambda a, b, c, e, q: Scalar(a, b, c, e, q, 3), entry, entry, entry, entry, st.integers(1, 3)
+)
+sparse_vectors = st.dictionaries(st.integers(0, 6), scalars_q3i, max_size=6).map(
+    lambda v: {k: x for k, x in v.items() if not x.is_zero()}
+)
+
+
+@st.composite
+def accumulations(draw):
+    """(acc, vec, s) where acc holds -s*vec exactly on some keys of vec."""
+    vec = draw(sparse_vectors)
+    s = draw(st.none() | scalars_q3i)
+    acc = draw(sparse_vectors)
+    for k in draw(st.sets(st.sampled_from(sorted(vec)))) if vec else ():
+        acc[k] = -(vec[k] if s is None else vec[k] * s)
+    return {k: x for k, x in acc.items() if not x.is_zero()}, vec, s
+
+
+@given(accumulations())
+@settings(max_examples=150, deadline=None)
+def test_add_scaled_matches_naive_sum(case):
+    acc, vec, s = case
+    factor = ONE if s is None else s
+    want = {}
+    for k in set(acc) | set(vec):
+        total = acc.get(k, ZERO) + vec.get(k, ZERO) * factor
+        if not total.is_zero():
+            want[k] = total
+    out = dict(acc)
+    assert add_scaled(out, vec, s) is out
+    assert out == want
+    assert all(not x.is_zero() for x in out.values())
+
+
+def test_add_scaled_drops_exact_cancellation():
+    w = Scalar(1, 2, 0, -1, 3, 3)  # (1 + 2 sqrt3 - i sqrt3) / 3
+    acc = {0: w * Scalar(0, 0, 1, 0), 1: ONE}
+    add_scaled(acc, {0: w}, Scalar(0, 0, -1, 0))
+    assert acc == {1: ONE} and 0 not in acc
+    add_scaled(acc, {1: Scalar(-1, 0, 0, 0)})
+    assert acc == {}
+
+
+def test_transpose_rows_in_order_of_first_appearance():
+    a, b, c, d = (Scalar(k, 1, 0, 0, 1, 3) for k in range(1, 5))
+    rows = transpose([(0, {5: a, 2: b}), (1, {2: c, 7: d}), (3, {0: a})])
+    # row keys first seen in the order 5, 2, 7, 0
+    assert rows == [{0: a}, {0: b, 1: c}, {1: d}, {3: a}]
+    assert [list(r) for r in rows] == [[0], [0, 1], [1], [3]]
+
+
+@given(matrices())
+@settings(max_examples=80, deadline=None)
+def test_transpose_twice_gives_back_the_matrix(mat):
+    cells, ncols = mat
+    cols = [{i: row[j] for i, row in enumerate(cells) if not row[j].is_zero()} for j in range(ncols)]
+    row_keys = list(dict.fromkeys(r for col in cols for r in col))
+    rows = transpose(enumerate(cols))
+    assert rows == [as_rows(cells)[r] for r in row_keys]
+    # the second transpose labels each row by its position in ``rows``
+    col_keys = list(dict.fromkeys(c for row in rows for c in row))
+    back = transpose(enumerate(rows))
+    assert [{row_keys[p]: v for p, v in col.items()} for col in back] == [cols[c] for c in col_keys]
+    assert sorted(col_keys) == [c for c in range(ncols) if cols[c]]

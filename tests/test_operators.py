@@ -24,7 +24,7 @@ from oracles import adjoint_via_ldl, adjoint_via_minors, star_operator
 def restrict_degree(p, k):
     """The columns of P on forms of degree k."""
     cols = {c: col for c, col in p.cols.items() if c.bit_count() == k}
-    return GradedOperator(p.dim, cols, p.degree, p.bidegree, check=False)
+    return GradedOperator(p.dim, cols, p.degree, check=False)
 
 
 # -- oracles for the Koszul order test ---------------------------------------
@@ -131,6 +131,11 @@ class TestGradedOperator:
     def test_degree_enforced(self):
         with pytest.raises(ValueError, match="degree"):
             GradedOperator(4, {0b0001: {0b0011: ONE}}, degree=0)
+
+    def test_check_is_keyword_only(self):
+        # a fourth positional argument (once a bidegree tag) is refused
+        with pytest.raises(TypeError):
+            GradedOperator(4, {}, 0, False)
 
     def test_apply_matches_columns(self, s3xs3):
         d = s3xs3.d()
