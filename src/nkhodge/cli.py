@@ -110,17 +110,24 @@ def cmd_validate(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    model = _load_valid_model(args.model)
-    if model is None:
-        return 1
     selection = None
-    if args.checks:
+    if args.checks is not None:
         selection = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not selection:
+            print(f"--checks {args.checks!r} names no check id", file=sys.stderr)
+            return USAGE_ERROR
         unknown = [c for c in selection if c not in CHECKS]
         if unknown:
             print(f"unknown check id(s): {', '.join(unknown)}", file=sys.stderr)
             print(f"known ids: {', '.join(sorted(CHECKS))}", file=sys.stderr)
             return USAGE_ERROR
+        repeated = sorted({c for c in selection if selection.count(c) > 1})
+        if repeated:
+            print(f"check id(s) given more than once: {', '.join(repeated)}", file=sys.stderr)
+            return USAGE_ERROR
+    model = _load_valid_model(args.model)
+    if model is None:
+        return 1
     report = run_suite(model, selection=selection, deep=args.deep)
     mismatches = _flag_mismatches(model)
     checks_doc = []

@@ -6,18 +6,23 @@ operator sum, product and application; ``transpose`` turns sparse columns
 into the sparse rows that elimination takes.
 
 Every exact elimination in src is the one sparse fraction-free
-(Bareiss-style) elimination ``sparse_echelon``, with pivoting by least
-bit-complexity entry, followed where needed by the back-substitution that
-``sparse_kernel`` and ``solve`` share.  The one other factorization is the
-LDL^T of the metric in ``exterior.GramData``, which also tests
-positive-definiteness.  Matrices are lists of sparse rows
-(dict col -> Scalar).  Division is exact in the field, so the fraction-free
-step is purely a coefficient-growth strategy, never an approximation.
+(Bareiss-style) elimination ``sparse_echelon``, followed where needed by the
+back-substitution that ``sparse_kernel`` and ``solve`` share.  The pivot is
+the least bit-complexity entry, ties broken by the first active row, then
+the lowest column; each active row caches its own least (complexity,
+column), recomputed only when a step rebuilds the row, so a step does not
+rescan every entry.  The one other factorization is the LDL^T of the metric
+in ``exterior.GramData``, which also tests positive-definiteness.  Matrices
+are lists of sparse rows (dict col -> Scalar).  Division is exact in the
+field, so the fraction-free step is purely a coefficient-growth strategy,
+never an approximation, and dividing by the previous pivot through its
+inverse, taken once per step, gives the same normalized scalars.
 
 ``solve(columns, target)`` gives the coordinates of a vector in independent
 columns (``None`` outside their span), and ``inverse`` solves for each
 column of the identity.  The test suite compares the kernels and solutions
-with an independent dense Gauss-Jordan elimination.
+with an independent dense Gauss-Jordan elimination, and ``sparse_echelon``
+with the full-scan elimination it replaced, row for row.
 """
 
 from __future__ import annotations
@@ -62,13 +67,13 @@ def transpose(pairs) -> list[SparseRow]:
 
 
 def _complexity(s: Scalar) -> int:
-    return (
-        abs(s.a).bit_length()
-        + abs(s.b).bit_length()
-        + abs(s.c).bit_length()
-        + abs(s.e).bit_length()
-        + s.q.bit_length()
-    )
+    """Bit size of a scalar; ``int.bit_length`` ignores the sign."""
+    return s.a.bit_length() + s.b.bit_length() + s.c.bit_length() + s.e.bit_length() + s.q.bit_length()
+
+
+def _row_min(row: SparseRow) -> tuple[int, int]:
+    """(complexity, column) of the row's least-complexity entry, lowest column first."""
+    return min((_complexity(v), c) for c, v in row.items())
 
 
 def _clear_row(row: SparseRow) -> SparseRow:
@@ -96,47 +101,60 @@ def sparse_echelon(rows: list[SparseRow]) -> tuple[list[tuple[SparseRow, int]], 
     """Forward fraction-free elimination.
 
     Returns (pivots, spent) where pivots is the list of (row, pivot_col) in
-    elimination order.  Input rows are not mutated.
+    elimination order and spent the active rows left at the end, which is
+    always empty: every nonzero row ends up as a pivot row or as zero.
+    Input rows are not mutated.
+
+    The pivot is the least-complexity entry of the active rows, ties broken
+    by the first row in order, then the lowest column.  Each active row
+    keeps its own least (complexity, column), and only the rows a step
+    rebuilds (those with an entry in the pivot column) recompute it, so a
+    step costs one pass over the cached minima instead of a scan of every
+    entry.  The update is row <- (pval row - rv prow) / prev_piv with the
+    division hoisted: pval / prev_piv once per step, -rv / prev_piv once
+    per row.  Arithmetic in the field is exact and every scalar is
+    normalized, so the rows are literally those of the undivided formula.
     """
     active = [_clear_row(dict(r)) for r in rows if r]
+    mins = [_row_min(r) for r in active]  # cached per row, recomputed when rebuilt
+    cxs = [cx for cx, _ in mins]
+    cols = [c for _, c in mins]
     pivots: list[tuple[SparseRow, int]] = []
     prev_piv = ONE
-    while True:
-        best = None  # (complexity, row_index, col)
-        for ri, row in enumerate(active):
-            for c, v in row.items():
-                key = (_complexity(v), ri, c)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, ri, pc = best
-        prow = active.pop(ri)
+    while active:
+        ri = cxs.index(min(cxs))  # the first row with the least complexity
+        prow, pc = active.pop(ri), cols.pop(ri)
+        del cxs[ri]
         pval = prow[pc]
-        nxt = []
-        for row in active:
-            rv = row.get(pc)
-            if rv is None:
-                nxt.append(row)
-                continue
-            out: SparseRow = {}
-            for c, v in row.items():
-                if c == pc:
-                    continue
-                t = pval * v
-                pv = prow.get(c)
-                if pv is not None:
-                    t = t - rv * pv
-                if not t.is_zero():
-                    out[c] = t / prev_piv
-            for c, pv in prow.items():
-                if c != pc and c not in row:
-                    t = -(rv * pv) / prev_piv
-                    if not t.is_zero():
+        inv = prev_piv.inverse()
+        scale = pval * inv
+        others = [(c, pv) for c, pv in prow.items() if c != pc]
+        emptied = []
+        # rows without the pivot column keep their place and their cached minimum
+        for i in [i for i, row in enumerate(active) if pc in row]:
+            row = active[i]
+            # scale, the row's pivot-column entry and the stored entries are
+            # nonzero, so no product is zero
+            neg = -row[pc] * inv
+            out: SparseRow = {c: scale * v for c, v in row.items() if c != pc}
+            for c, pv in others:
+                t = neg * pv
+                v = out.get(c)
+                if v is None:
+                    out[c] = t
+                else:
+                    t = v + t
+                    if t.is_zero():
+                        del out[c]
+                    else:
                         out[c] = t
             if out:
-                nxt.append(out)
-        active = nxt
+                active[i] = out
+                cxs[i], cols[i] = _row_min(out)
+            else:
+                emptied.append(i)
+        for i in reversed(emptied):
+            del active[i], cxs[i], cols[i]
         pivots.append((prow, pc))
         prev_piv = pval
     return pivots, active

@@ -8,6 +8,10 @@
 * ``dense_kernel`` and ``harmonic_space_dense_oracle``: textbook dense
   Gauss-Jordan elimination with first-nonzero pivoting, against the sparse
   fraction-free production route; ``spans_equal`` compares the results.
+* ``sparse_echelon_scan``: the fraction-free elimination that rescans every
+  active entry for the pivot at each step and divides each entry by the
+  previous pivot; the production ``sparse_echelon`` with cached per-row
+  minima and a hoisted division must return literally the same rows.
 * The Hodge star (``star``, ``star_operator``, ``volume_form``) with
   a ^ star(b) = <a, conj(b)> vol, available when det(g) is a square in the
   field Q(sqrt d)(i) the caller names (``sqrt_in_field``); d* = -*d* in even
@@ -21,7 +25,7 @@ from fractions import Fraction
 
 from nkhodge.exterior import Form, GramData, _det_sparse, indices_from_mask, wedge_image, wedge_masks
 from nkhodge.hodge import degree_masks, hodge_laplacian
-from nkhodge.linalg import inverse, sparse_rank
+from nkhodge.linalg import SparseRow, _clear_row, _complexity, inverse, sparse_rank
 from nkhodge.operators import Column, GradedOperator, adjoint
 from nkhodge.scalars import ONE, ZERO, Scalar
 
@@ -180,6 +184,56 @@ def harmonic_space_dense_oracle(model, k: int) -> list[Form]:
         model.to_native(Form(comp.dim, {masks[i]: v for i, v in enumerate(vec) if not v.is_zero()}))
         for vec in dense_kernel(dense, len(masks))
     ]
+
+
+def sparse_echelon_scan(rows: list[SparseRow]) -> tuple[list[tuple[SparseRow, int]], list[SparseRow]]:
+    """Fraction-free elimination with a full pivot scan at every step.
+
+    The pivot key is (complexity, row index, column) over every active
+    entry; each updated entry is (pval v - rv pv) / prev_piv.
+    """
+    active = [_clear_row(dict(r)) for r in rows if r]
+    pivots: list[tuple[SparseRow, int]] = []
+    prev_piv = ONE
+    while True:
+        best = None  # (complexity, row_index, col)
+        for ri, row in enumerate(active):
+            for c, v in row.items():
+                key = (_complexity(v), ri, c)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        _, ri, pc = best
+        prow = active.pop(ri)
+        pval = prow[pc]
+        nxt = []
+        for row in active:
+            rv = row.get(pc)
+            if rv is None:
+                nxt.append(row)
+                continue
+            out: SparseRow = {}
+            for c, v in row.items():
+                if c == pc:
+                    continue
+                t = pval * v
+                pv = prow.get(c)
+                if pv is not None:
+                    t = t - rv * pv
+                if not t.is_zero():
+                    out[c] = t / prev_piv
+            for c, pv in prow.items():
+                if c != pc and c not in row:
+                    t = -(rv * pv) / prev_piv
+                    if not t.is_zero():
+                        out[c] = t
+            if out:
+                nxt.append(out)
+        active = nxt
+        pivots.append((prow, pc))
+        prev_piv = pval
+    return pivots, active
 
 
 # -- Hodge star ------------------------------------------------------------------

@@ -151,6 +151,19 @@ class TestSuite:
         assert code == 2
         assert "unknown check id" in err
 
+    @pytest.mark.parametrize("selection", [",", " , ,", ""])
+    def test_empty_check_selection_exit_2(self, capsys, selection):
+        code, out, err = run_cli(capsys, "suite", "builtin:torus6", "--checks", selection)
+        assert code == 2
+        assert "names no check id" in err
+        assert out == ""
+
+    def test_repeated_check_id_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "suite", "builtin:torus6", "--checks", "SL2,DELTA_SUM, SL2")
+        assert code == 2
+        assert "more than once: SL2" in err
+        assert out == ""
+
     def test_json_schema_fields(self, capsys):
         code, out, _ = run_cli(
             capsys, "suite", "builtin:torus6", "--checks", "SL2", "--report", "json"

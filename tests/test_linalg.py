@@ -2,9 +2,12 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from nkhodge.linalg import add_scaled, inverse, solve, sparse_kernel, sparse_rank, transpose
+import nkhodge.linalg as linalg
+from nkhodge.hodge import hodge_laplacian, operator_degree_rows
+from nkhodge.linalg import add_scaled, inverse, solve, sparse_echelon, sparse_kernel, sparse_rank, transpose
+from nkhodge.models import builtin_model
 from nkhodge.scalars import ONE, ZERO, Scalar
-from oracles import dense_kernel, dense_to_sparse, spans_equal
+from oracles import dense_kernel, dense_to_sparse, sparse_echelon_scan, spans_equal
 
 entry = st.integers(min_value=-5, max_value=5)
 
@@ -234,3 +237,60 @@ def test_transpose_twice_gives_back_the_matrix(mat):
     back = transpose(enumerate(rows))
     assert [{row_keys[p]: v for p, v in col.items()} for col in back] == [cols[c] for c in col_keys]
     assert sorted(col_keys) == [c for c in range(ncols) if cols[c]]
+
+
+# -- pivot search --------------------------------------------------------------
+# the cached per-row minima must pick every pivot the full scan picks, and the
+# hoisted division must give the same normalized scalars, key order included
+
+
+def literal(echelon):
+    pivots, spent = echelon
+    return [(list(r.items()), pc) for r, pc in pivots], [list(r.items()) for r in spent]
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    """Sparse rows over Q(sqrt 3)(i) from a few values: equal complexities,
+    repeated rows and empty rows are common."""
+    pool = draw(st.lists(scalars_q3i.filter(lambda x: not x.is_zero()), min_size=1, max_size=3))
+    ncols = draw(st.integers(1, 7))
+    value = st.sampled_from(pool).map(lambda x: -x) | st.sampled_from(pool)
+    row = st.dictionaries(st.integers(0, ncols - 1), value, max_size=ncols)
+    rows = draw(st.lists(row, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        src = draw(st.sampled_from(rows)) if rows else {}
+        rows.insert(draw(st.integers(0, len(rows))), dict(src))
+    return rows
+
+
+@given(tie_heavy_rows())
+@settings(max_examples=300, deadline=None)
+def test_echelon_matches_full_scan_oracle(rows):
+    assert literal(sparse_echelon(rows)) == literal(sparse_echelon_scan(rows))
+
+
+@pytest.mark.parametrize("name", ["torus6", "s3xs3-nk"])
+def test_echelon_matches_full_scan_oracle_on_builtins(name):
+    comp = builtin_model(name).orthogonalized()
+    for op in (comp.d(), hodge_laplacian(comp)):
+        for k in range(comp.dim + 1):
+            rows, _ = operator_degree_rows(op, k, comp.dim)
+            assert literal(sparse_echelon(rows)) == literal(sparse_echelon_scan(rows))
+
+
+def test_echelon_scores_each_entry_once_on_a_diagonal(monkeypatch):
+    calls = 0
+    complexity = linalg._complexity
+
+    def counting(s):
+        nonlocal calls
+        calls += 1
+        return complexity(s)
+
+    monkeypatch.setattr(linalg, "_complexity", counting)
+    n = 50
+    pivots, _ = sparse_echelon([{i: Scalar(i + 1, 1, 0, 0, 1, 3)} for i in range(n)])
+    assert [pc for _, pc in pivots] == list(range(n))
+    # a full rescan would score n + (n - 1) + ... + 1 = n(n + 1)/2 entries
+    assert calls == n
