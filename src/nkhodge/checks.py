@@ -25,7 +25,8 @@ Each operator has one route in every dimension.  The split of d comes from
 values), and DC_DEF tests the same J^{-1} d J derivation that ``d_c``
 builds (``twisted_differential``).  The ORDER_* checks use the Koszul test
 of ``algebraic_order_at_most``: an operator of order <= r equals the
-reconstruction from its columns on forms of degree <= r.
+reconstruction from its columns on forms of degree <= r.  HODGE_ABCD
+takes one kernel per degree, of the PSD sum of the component Laplacians.
 """
 
 from __future__ import annotations
@@ -583,16 +584,32 @@ def check_delta_sum(model, acc: _Acc):
     acc.op("Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar", lap_d - d_mix - d_mu - d_mb)
 
 
-def check_hodge_abcd(model, acc: _Acc):
+def _component_laplacians(model) -> list[GradedOperator]:
+    """Delta_mu, Delta_del, Delta_delbar, Delta_mubar (memoized)."""
     mu, de, db, mb = _parts(model)
-    mus, des, dbs, mbs = _adjoints(model)
-    eight = [mu, de, db, mb, mus, des, dbs, mbs]
-    laps = [
+    return [
         _laplacian(model, "mu", lambda: mu),
         _laplacian(model, "del", lambda: de),
         _laplacian(model, "delbar", lambda: db),
         _laplacian(model, "mubar", lambda: mb),
     ]
+
+
+def check_hodge_abcd(model, acc: _Acc):
+    """(a) harmonic = intersection of the kernels of the components and their
+    adjoints, (b) = that of the four component Laplacians, (c) bidegree
+    split, (d) conjugation symmetry.
+
+    Lemma: the Hermitian product is positive definite, so
+    ker sum_i P_i* P_i = intersection of the ker P_i.  Over the eight
+    operators of (a) the sum is S = Delta_mu + Delta_del + Delta_delbar +
+    Delta_mubar, and each Delta_P = P*P + PP*, so one kernel of S per degree
+    closes (a) and (b).
+    """
+    mu, de, db, mb = _parts(model)
+    eight = [mu, de, db, mb, *_adjoints(model)]
+    laps = _component_laplacians(model)
+    s_op = laps[0] + laps[1] + laps[2] + laps[3]
     n = model.dim // 2
     pq_dims: dict[tuple[int, int], int] = {}
     pq_bases: dict[tuple[int, int], list[Form]] = {}
@@ -605,7 +622,7 @@ def check_hodge_abcd(model, acc: _Acc):
         harmonic = harmonic_space(model, k)
         hk = len(harmonic)
         # (a), (b): containment of the harmonic space in every kernel, then
-        # dimension equality of the stacked kernels closes both directions
+        # nullity(S) = dim harmonic closes both directions
         for v in harmonic:
             for idx, op in enumerate(eight):
                 if not op.apply(v).is_zero():
@@ -613,24 +630,10 @@ def check_hodge_abcd(model, acc: _Acc):
             for idx, op in enumerate(laps):
                 if not op.apply(v).is_zero():
                     acc.require(f"(b) harmonic {k}-form escapes a component Laplacian kernel", False)
-        row_sets = []
-        masks: list[int] = []
-        for op in eight:
-            r, masks = operator_degree_rows(op, k, model.dim)
-            row_sets.extend(r)
-        acc.require(
-            f"(a) dim intersection of 8 kernels = dim harmonic, degree {k}",
-            len(sparse_kernel(row_sets, len(masks))) == hk,
-        )
-        # (b) same with the four Laplacians
-        row_sets_b = []
-        for op in laps:
-            r, masks = operator_degree_rows(op, k, model.dim)
-            row_sets_b.extend(r)
-        acc.require(
-            f"(b) dim intersection of 4 Laplacian kernels = dim harmonic, degree {k}",
-            len(sparse_kernel(row_sets_b, len(masks))) == hk,
-        )
+        rows, masks = operator_degree_rows(s_op, k, model.dim)
+        nullity = len(sparse_kernel(rows, len(masks)))
+        acc.require(f"(a) dim intersection of 8 kernels = dim harmonic, degree {k}", nullity == hk)
+        acc.require(f"(b) dim intersection of 4 Laplacian kernels = dim harmonic, degree {k}", nullity == hk)
         # (c) bidegree split
         total = sum(pq_dims.get((p, k - p), 0) for p in range(max(0, k - n), min(n, k) + 1))
         acc.require(f"(c) sum of h^(p,q) = dim harmonic, degree {k}", total == hk)

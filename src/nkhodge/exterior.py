@@ -7,12 +7,14 @@ maps mask -> Scalar with zero coefficients never stored.
 
 ``GramData`` holds the metric on 1-forms and everything derived from it:
 the inverse metric (which is the pairing of coframe elements, computed by
-``linalg.inverse``), the induced Hermitian pairing on each exterior power
-via minor determinants, the exact LDL^T factorization that orthogonalizes a
-coupled coframe, and, for a diagonal metric, the norm weights that make
-every adjoint a weighted conjugate transpose.  The LDL^T runs when the data
-is built and doubles as the positive-definiteness test: by Sylvester's
-criterion every pivot is positive exactly when every leading minor is.
+``linalg.inverse``, behind ``sharp``), the exact LDL^T factorization that
+orthogonalizes a coupled coframe, and, for a diagonal metric, the norm
+weights w(m) = 1/<u^m, u^m>.  The weights carry both the Hermitian pairing
+``inner`` and every adjoint (a weighted conjugate transpose); both refuse a
+coupled metric, which is orthogonalized first.  The LDL^T runs when the
+data is built and doubles as the positive-definiteness test: by
+Sylvester's criterion every pivot is positive exactly when every leading
+minor is.
 
 ``wedge_image`` and ``wedge_map`` extend a map of the coframe to the whole
 algebra (a change of coframe, the J action, the (p,q) expansion).
@@ -230,44 +232,6 @@ def wedge_map(images: list[Form], form: Form, table: dict[int, Form]) -> Form:
 # ---------------------------------------------------------------------------
 # metric data
 
-def _det_sparse(rows: list[dict[int, Scalar]], cols: tuple[int, ...]) -> Scalar:
-    """Determinant of the submatrix rows x cols, expanding along sparse rows."""
-    n = len(rows)
-    if n == 0:
-        return ONE
-    if n != len(cols):
-        raise ValueError("non-square minor")
-
-    def rec(row_ids: tuple[int, ...], col_ids: tuple[int, ...]) -> Scalar:
-        if not row_ids:
-            return ONE
-        # expand along the row with fewest live entries
-        best, best_live = None, None
-        for ri in row_ids:
-            live = [c for c in col_ids if c in rows[ri]]
-            if best_live is None or len(live) < len(best_live):
-                best, best_live = ri, live
-                if len(live) <= 1:
-                    break
-        if not best_live:
-            return ZERO
-        rest_rows = tuple(r for r in row_ids if r != best)
-        acc = ZERO
-        for c in best_live:
-            j = col_ids.index(c)
-            sub = rec(rest_rows, col_ids[:j] + col_ids[j + 1:])
-            if sub.is_zero():
-                continue
-            i = row_ids.index(best)
-            term = rows[best][c] * sub
-            if (i + j) & 1:
-                term = -term
-            acc = acc + term
-        return acc
-
-    return rec(tuple(range(n)), tuple(cols))
-
-
 class GramData:
     """Metric on 1-forms plus every derived pairing the operators need."""
 
@@ -286,38 +250,24 @@ class GramData:
         self._ginv_rows = [
             {j: v for j, v in enumerate(row) if not v.is_zero()} for row in self.g_inv
         ]
-        self._pair_cache: dict[tuple[int, int], Scalar] = {}
         self._weights: tuple[list[Scalar], list[Scalar]] | None = None
 
     # -- pairings ---------------------------------------------------------
 
-    def pairing(self, mask_i: int, mask_j: int) -> Scalar:
-        """<u^I, u^J> = det of the g^{-1} minor on (I, J)."""
-        if mask_i.bit_count() != mask_j.bit_count():
-            return ZERO
-        key = (mask_i, mask_j)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        rows = [self._ginv_rows[i - 1] for i in indices_from_mask(mask_i)]
-        cols = tuple(j - 1 for j in indices_from_mask(mask_j))
-        val = _det_sparse(rows, cols)
-        self._pair_cache[key] = val
-        return val
-
     def inner(self, a: Form, b: Form) -> Scalar:
-        """Hermitian pairing, linear in the first slot."""
+        """Hermitian pairing, linear in the first slot: sum_m a_m conj(b_m) / w(m).
+
+        The coframe monomials are pairwise orthogonal with <u^m, u^m> = 1/w(m)
+        (``mask_weights``), so a coupled metric raises ValueError.
+        """
         if a.dim != self.dim or b.dim != self.dim:
             raise ValueError("dimension mismatch with metric")
+        _, inverses = self.mask_weights()
         acc = ZERO
-        for mi, sa in a.coeffs.items():
-            ki = mi.bit_count()
-            for mj, sb in b.coeffs.items():
-                if mj.bit_count() != ki:
-                    continue
-                p = self.pairing(mi, mj)
-                if not p.is_zero():
-                    acc = acc + sa * sb.conjugate() * p
+        for m, sa in a.coeffs.items():
+            sb = b.coeffs.get(m)
+            if sb is not None:
+                acc = acc + sa * sb.conjugate() * inverses[m]
         return acc
 
     def sharp(self, one_form: Form) -> list[Scalar]:

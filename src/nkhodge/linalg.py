@@ -97,13 +97,11 @@ def _clear_row(row: SparseRow) -> SparseRow:
     return out
 
 
-def sparse_echelon(rows: list[SparseRow]) -> tuple[list[tuple[SparseRow, int]], list[SparseRow]]:
+def sparse_echelon(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
     """Forward fraction-free elimination.
 
-    Returns (pivots, spent) where pivots is the list of (row, pivot_col) in
-    elimination order and spent the active rows left at the end, which is
-    always empty: every nonzero row ends up as a pivot row or as zero.
-    Input rows are not mutated.
+    Returns the pivots, (row, pivot_col) in elimination order; every nonzero
+    row ends up as a pivot row or as zero.  Input rows are not mutated.
 
     The pivot is the least-complexity entry of the active rows, ties broken
     by the first row in order, then the lowest column.  Each active row
@@ -157,12 +155,11 @@ def sparse_echelon(rows: list[SparseRow]) -> tuple[list[tuple[SparseRow, int]], 
             del active[i], cxs[i], cols[i]
         pivots.append((prow, pc))
         prev_piv = pval
-    return pivots, active
+    return pivots
 
 
 def sparse_rank(rows: list[SparseRow]) -> int:
-    pivots, _ = sparse_echelon(rows)
-    return len(pivots)
+    return len(sparse_echelon(rows))
 
 
 def _back_substitute(pivots: list[tuple[SparseRow, int]], x: SparseRow) -> SparseRow:
@@ -182,7 +179,7 @@ def _back_substitute(pivots: list[tuple[SparseRow, int]], x: SparseRow) -> Spars
 
 def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     """Basis of { x : M x = 0 }, one sparse vector per free column."""
-    pivots, _ = sparse_echelon(rows)
+    pivots = sparse_echelon(rows)
     pivot_cols = {pc for _, pc in pivots}
     return [_back_substitute(pivots, {f: ONE}) for f in range(ncols) if f not in pivot_cols]
 
@@ -197,7 +194,7 @@ def solve(columns: list[SparseRow], target: SparseRow) -> SparseRow | None:
     is nonzero.
     """
     n = len(columns)
-    pivots, _ = sparse_echelon(transpose(enumerate([*columns, {r: -v for r, v in target.items()}])))
+    pivots = sparse_echelon(transpose(enumerate([*columns, {r: -v for r, v in target.items()}])))
     pivot_cols = {pc for _, pc in pivots}
     free = [c for c in range(n + 1) if c not in pivot_cols]
     if not free:

@@ -519,20 +519,23 @@ def nk_report(model: LieAlgebraModel) -> ResidualReport:
 
 
 def su3_extract(model: LieAlgebraModel) -> SU3Data:
+    """SU(3) data, computed in the orthogonalized presentation; ``theta_s``
+    and ``omega`` are mapped back to the model's own coframe."""
     from .bidegree import decompose_form, differential_split
 
     if model.dim != 6:
         raise ValueError("SU(3) data requires a six-dimensional model")
-    split = differential_split(model)
-    omega = model.omega()
+    comp = model.orthogonalized()
+    split = differential_split(comp)
+    omega = comp.omega()
     theta_s = split.mu.apply(omega)
     if theta_s.is_zero():
         raise ValueError("not strict nearly Kahler: mu(omega) = 0")
-    parts = decompose_form(model, theta_s)
+    parts = decompose_form(comp, theta_s)
     if set(parts) != {(3, 0)}:
         raise ValueError("mu(omega) is not of pure type (3,0)")
     im_theta = (theta_s - theta_s.conjugate()).scale(Scalar(0, 0, -1, 0, 2))
-    lhs = model.d().apply(im_theta)
+    lhs = comp.d().apply(im_theta)
     omega_sq = omega.wedge(omega)
     mask, ref = next(iter(sorted(omega_sq.coeffs.items())))
     ratio = lhs.coeffs.get(mask, ZERO) / ref
@@ -544,9 +547,9 @@ def su3_extract(model: LieAlgebraModel) -> SU3Data:
     lam_sq = ratio * rational(-8, 3)
     if not lam_sq.is_real() or lam_sq.sign() <= 0:
         raise ValueError("structure equation inconsistent: lambda^2 not positive")
-    if lam_sq * rational(9, 4) != model.gram().inner(theta_s, theta_s):
+    if lam_sq * rational(9, 4) != comp.gram().inner(theta_s, theta_s):
         raise ValueError("structure equation inconsistent: lambda^2 does not match |mu omega|^2")
-    return SU3Data(lam_sq, theta_s, omega)
+    return SU3Data(lam_sq, model.to_native(theta_s), model.to_native(omega))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Independent reference routes the tests compare the production code with.
 
+* ``pairing_via_minors`` and ``inner_via_minors``: the Hermitian pairing
+  induced on each exterior power, <u^I, u^J> = det of the g^{-1} minor on
+  (I, J); works on coupled metrics, against the production pairing through
+  the norm weights of a diagonal metric.
 * ``adjoint_via_minors``: the literal Gram sandwich G^{-1} P^dagger G, with
   the inverse Gram blocks as minors of g; works on coupled metrics.
 * ``adjoint_via_ldl``: the production adjoint conjugated through the LDL^T
@@ -12,6 +16,10 @@
   active entry for the pivot at each step and divides each entry by the
   previous pivot; the production ``sparse_echelon`` with cached per-row
   minima and a hoisted division must return literally the same rows.
+* ``stacked_kernel_nullities``: the kernel intersections of HODGE_ABCD
+  (a) and (b) as stacked eliminations of the eight components and adjoints
+  and of the four component Laplacians, against the production kernel of
+  their PSD sum.
 * The Hodge star (``star``, ``star_operator``, ``volume_form``) with
   a ^ star(b) = <a, conj(b)> vol, available when det(g) is a square in the
   field Q(sqrt d)(i) the caller names (``sqrt_in_field``); d* = -*d* in even
@@ -23,23 +31,84 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from nkhodge.exterior import Form, GramData, _det_sparse, indices_from_mask, wedge_image, wedge_masks
-from nkhodge.hodge import degree_masks, hodge_laplacian
-from nkhodge.linalg import SparseRow, _clear_row, _complexity, inverse, sparse_rank
-from nkhodge.operators import Column, GradedOperator, adjoint
+from nkhodge.bidegree import differential_split
+from nkhodge.exterior import Form, GramData, indices_from_mask, wedge_image, wedge_masks
+from nkhodge.hodge import degree_masks, hodge_laplacian, operator_degree_rows
+from nkhodge.linalg import SparseRow, _clear_row, _complexity, inverse, sparse_kernel, sparse_rank
+from nkhodge.operators import Column, GradedOperator, adjoint, laplacian
 from nkhodge.scalars import ONE, ZERO, Scalar
 
 
-# -- adjoints ------------------------------------------------------------------
+# -- pairings and adjoints -----------------------------------------------------
 
-def metric_minor(gram: GramData, mask_i: int, mask_j: int) -> Scalar:
-    """det of the g minor on (I, J): the inverse Gram matrix entry."""
+def _det_sparse(rows: list[dict[int, Scalar]], cols: tuple[int, ...]) -> Scalar:
+    """Determinant of the submatrix rows x cols, expanding along sparse rows."""
+    n = len(rows)
+    if n == 0:
+        return ONE
+    if n != len(cols):
+        raise ValueError("non-square minor")
+
+    def rec(row_ids: tuple[int, ...], col_ids: tuple[int, ...]) -> Scalar:
+        if not row_ids:
+            return ONE
+        # expand along the row with fewest live entries
+        best, best_live = None, None
+        for ri in row_ids:
+            live = [c for c in col_ids if c in rows[ri]]
+            if best_live is None or len(live) < len(best_live):
+                best, best_live = ri, live
+                if len(live) <= 1:
+                    break
+        if not best_live:
+            return ZERO
+        rest_rows = tuple(r for r in row_ids if r != best)
+        acc = ZERO
+        for c in best_live:
+            j = col_ids.index(c)
+            sub = rec(rest_rows, col_ids[:j] + col_ids[j + 1:])
+            if sub.is_zero():
+                continue
+            i = row_ids.index(best)
+            term = rows[best][c] * sub
+            if (i + j) & 1:
+                term = -term
+            acc = acc + term
+        return acc
+
+    return rec(tuple(range(n)), tuple(cols))
+
+
+def _minor(matrix: list[list[Scalar]], mask_i: int, mask_j: int) -> Scalar:
     rows = [
-        {j: v for j, v in enumerate(gram.g[i - 1]) if not v.is_zero()}
+        {j: v for j, v in enumerate(matrix[i - 1]) if not v.is_zero()}
         for i in indices_from_mask(mask_i)
     ]
     cols = tuple(j - 1 for j in indices_from_mask(mask_j))
     return _det_sparse(rows, cols)
+
+
+def pairing_via_minors(gram: GramData, mask_i: int, mask_j: int) -> Scalar:
+    """<u^I, u^J> = det of the g^{-1} minor on (I, J)."""
+    if mask_i.bit_count() != mask_j.bit_count():
+        return ZERO
+    return _minor(gram.g_inv, mask_i, mask_j)
+
+
+def inner_via_minors(gram: GramData, a: Form, b: Form) -> Scalar:
+    """Hermitian pairing, linear in the first slot, over any metric."""
+    acc = ZERO
+    for mi, sa in a.coeffs.items():
+        for mj, sb in b.coeffs.items():
+            p = pairing_via_minors(gram, mi, mj)
+            if not p.is_zero():
+                acc = acc + sa * sb.conjugate() * p
+    return acc
+
+
+def metric_minor(gram: GramData, mask_i: int, mask_j: int) -> Scalar:
+    """det of the g minor on (I, J): the inverse Gram matrix entry."""
+    return _minor(gram.g, mask_i, mask_j)
 
 
 def adjoint_via_minors(p: GradedOperator, gram: GramData) -> GradedOperator:
@@ -61,7 +130,7 @@ def adjoint_via_minors(p: GradedOperator, gram: GramData) -> GradedOperator:
         # v1 = P^dagger (G column of mj)
         v1: Column = {}
         for mjp in masks_by_degree[km]:
-            gv = gram.pairing(mjp, mj)
+            gv = pairing_via_minors(gram, mjp, mj)
             if gv.is_zero():
                 continue
             prow = rows_of_p.get(mjp)
@@ -186,7 +255,7 @@ def harmonic_space_dense_oracle(model, k: int) -> list[Form]:
     ]
 
 
-def sparse_echelon_scan(rows: list[SparseRow]) -> tuple[list[tuple[SparseRow, int]], list[SparseRow]]:
+def sparse_echelon_scan(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
     """Fraction-free elimination with a full pivot scan at every step.
 
     The pivot key is (complexity, row index, column) over every active
@@ -233,7 +302,25 @@ def sparse_echelon_scan(rows: list[SparseRow]) -> tuple[list[tuple[SparseRow, in
         active = nxt
         pivots.append((prow, pc))
         prev_piv = pval
-    return pivots, active
+    return pivots
+
+
+def stacked_kernel_nullities(model) -> list[tuple[int, int]]:
+    """Per degree, the nullities of the stacked eight components and adjoints
+    and of the stacked four component Laplacians, in the orthogonalized coframe."""
+    comp = model.orthogonalized()
+    gram = comp.gram()
+    parts = list(differential_split(comp).components().values())
+    eight = parts + [adjoint(p, gram) for p in parts]
+    laps = [laplacian(p, gram) for p in parts]
+
+    def nullity(ops: list[GradedOperator], k: int) -> int:
+        rows: list[SparseRow] = []
+        for op in ops:
+            rows.extend(operator_degree_rows(op, k, comp.dim)[0])
+        return len(sparse_kernel(rows, math.comb(comp.dim, k)))
+
+    return [(nullity(eight, k), nullity(laps, k)) for k in range(comp.dim + 1)]
 
 
 # -- Hodge star ------------------------------------------------------------------
@@ -335,7 +422,7 @@ def star(gram: GramData, d: int, a: Form) -> Form:
     for mj, s in a.coeffs.items():
         piece: dict[int, Scalar] = {}
         for mi in _same_degree_masks(gram.dim, mj.bit_count()):
-            p = gram.pairing(mi, mj)
+            p = pairing_via_minors(gram, mi, mj)
             if p.is_zero():
                 continue
             comp = full ^ mi

@@ -4,12 +4,16 @@ from nkhodge.checks import (
     CHECKS,
     FAST_SUBSET,
     UNIVERSAL_CHECKS,
+    _component_laplacians,
     default_selection,
     run_check,
     run_suite,
 )
-from nkhodge.models import KODAIRA_EXPECTED_FAILURES, scaled_metric
+from nkhodge.hodge import harmonic_space, operator_degree_rows
+from nkhodge.linalg import sparse_kernel
+from nkhodge.models import KODAIRA_EXPECTED_FAILURES, builtin_model, scaled_metric
 from nkhodge.scalars import rational
+from oracles import stacked_kernel_nullities
 
 
 class TestCatalogue:
@@ -149,3 +153,23 @@ class TestMixedDimensionProducts:
         assert rep.verdict and all(r.status == "pass" for r in rep.results)
         nk = run_check(p, "NK_DEF")
         assert nk.status == "fail" and nk.witness is not None
+
+
+class TestHodgeAbcdKernel:
+    @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
+    def test_psd_sum_kernel_equals_stacked_kernels(self, name):
+        # ker (Delta_mu + Delta_del + Delta_delbar + Delta_mubar) is the
+        # intersection of the eight component kernels and of the four
+        # Laplacian kernels, also where it is smaller than the harmonic space
+        model = builtin_model(name)
+        comp = model.orthogonalized()
+        laps = _component_laplacians(comp)
+        s_op = laps[0] + laps[1] + laps[2] + laps[3]
+        short = []
+        for k, stacked in enumerate(stacked_kernel_nullities(model)):
+            rows, masks = operator_degree_rows(s_op, k, comp.dim)
+            nullity = len(sparse_kernel(rows, len(masks)))
+            assert (nullity, nullity) == stacked, k
+            if nullity != len(harmonic_space(model, k)):
+                short.append(k)
+        assert short == ([1, 3] if name == "kodaira-thurston" else [])

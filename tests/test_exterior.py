@@ -10,7 +10,7 @@ from nkhodge.exterior import (
     wedge_masks,
 )
 from nkhodge.scalars import HALF, I, ONE, Scalar, rational
-from oracles import star, star_available, volume_form
+from oracles import inner_via_minors, star, star_available, volume_form
 
 DIM = 4
 
@@ -163,13 +163,37 @@ class TestInnerProduct:
         gram = identity_gram(DIM)
         assert gram.inner(e(1), e(1).wedge(e(2))).is_zero()
 
+    def test_coupled_metric_rejected(self):
+        z = Scalar(0, 0, 0, 0)
+        g = [[ONE, -HALF, z, z], [-HALF, ONE, z, z], [z, z, ONE, z], [z, z, z, ONE]]
+        with pytest.raises(ValueError, match="diagonal metric"):
+            GramData(g).inner(e(1), e(1))
+
+    @given(
+        st.lists(
+            st.builds(lambda a, b, q: Scalar(a, b, 0, 0, q, 3), small, small, st.integers(1, 3)).filter(
+                lambda s: s.sign() > 0
+            ),
+            min_size=DIM,
+            max_size=DIM,
+        ),
+        forms(max_terms=6),
+        forms(max_terms=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_pairing_equals_minor_pairing(self, diag, a, b):
+        # random positive diagonal metrics over Q(sqrt 3); the forms mix degrees
+        z = Scalar(0, 0, 0, 0)
+        gram = GramData([[diag[i] if i == j else z for j in range(DIM)] for i in range(DIM)])
+        assert gram.inner(a, b) == inner_via_minors(gram, a, b)
+
     def test_nontrivial_metric(self):
         # g = [[1,-1/2],[-1/2,1]] on two indices; <u1,u1> = 4/3
         z = Scalar(0, 0, 0, 0)
         g = [[ONE, -HALF], [-HALF, ONE]]
         gram = GramData([[g[i][j] if i < 2 and j < 2 else (ONE if i == j else z) for j in range(4)] for i in range(4)])
-        assert gram.inner(e(1), e(1)) == rational(4, 3)
-        assert gram.inner(e(1), e(2)) == rational(2, 3)
+        assert inner_via_minors(gram, e(1), e(1)) == rational(4, 3)
+        assert inner_via_minors(gram, e(1), e(2)) == rational(2, 3)
 
 
 class TestStar:
@@ -223,7 +247,7 @@ class TestStar:
         full = (1 << 4) - 1
         lhs = a.wedge(star(gram, 3, b.conjugate()))
         top = Form(4, {m: s for m, s in lhs.coeffs.items() if m == full})
-        assert top == vol.scale(gram.inner(a, b))
+        assert top == vol.scale(inner_via_minors(gram, a, b))
 
     def test_star_star_sign_coupled_metric(self):
         z = Scalar(0, 0, 0, 0)

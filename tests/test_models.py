@@ -19,6 +19,7 @@ from nkhodge.models import (
     validate_model,
 )
 from nkhodge.scalars import MINUS_ONE, ONE, ZERO, rational
+from oracles import inner_via_minors
 
 
 class TestValidation:
@@ -121,7 +122,7 @@ class TestConnection:
         for i in range(6):
             nab = s3xs3.nabla_op(i)
             assert nab.apply(a.wedge(b)) == nab.apply(a).wedge(b) + a.wedge(nab.apply(b))
-            assert (gram.inner(nab.apply(a), b) + gram.inner(a, nab.apply(b))).is_zero()
+            assert (inner_via_minors(gram, nab.apply(a), b) + inner_via_minors(gram, a, nab.apply(b))).is_zero()
 
     def test_trace_contraction_of_nabla_omega_vanishes(self, s3xs3):
         # sum_{ij} g^{ij} iota(u_i) nabla_j omega = 0
@@ -190,8 +191,20 @@ class TestSU3:
         su3 = su3_extract(s3xs3)
         assert su3.lambda_sq == rational(8, 9)
         # independent route: lambda^2 = (4/9) |mu omega|^2
-        norm = s3xs3.gram().inner(su3.theta_s, su3.theta_s)
+        norm = inner_via_minors(s3xs3.gram(), su3.theta_s, su3.theta_s)
         assert su3.lambda_sq == rational(4, 9) * norm
+
+    def test_native_extract_maps_back_and_builds_only_coframe_data(self):
+        # computed in the orthogonalized presentation, returned in the native coframe
+        from nkhodge.bidegree import differential_split
+
+        fresh = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
+        su3 = su3_extract(fresh)
+        assert set(fresh._cache) <= {"gram", "d", "ortho"}
+        native = model_from_json(model_to_json(fresh))
+        assert su3.theta_s == differential_split(native).mu.apply(native.omega())
+        assert su3.omega == native.omega()
+        assert su3.lambda_sq == rational(8, 9)
 
     def test_torus_not_strict(self, torus6):
         with pytest.raises(ValueError, match="not strict"):
@@ -371,7 +384,7 @@ class TestGramPositivity:
         gram = s3xs3.gram()
         for mask in range(64):
             f = Form.basis(6, mask)
-            v = gram.inner(f, f)
+            v = inner_via_minors(gram, f, f)
             assert v.is_real() and v.sign() > 0
 
 
