@@ -20,7 +20,10 @@ Every model is checked in its exactly orthogonalized presentation
 diagonal); identities are coframe-covariant, so verdicts transfer, and
 witnesses name that presentation's coframe.
 
-Each operator has one route in every dimension.  The split of d comes from
+Each operator has one route in every dimension.  The components of d,
+del - delbar, L, L_mu_omega and L_mubar_omega, their adjoints (``adj:mu``)
+and their Laplacians (``lap:mu``) come by name from ``named_operator``,
+which builds each once per model.  The split of d comes from
 ``differential_split`` (each component is the derivation with its coframe
 values), and DC_DEF tests the same J^{-1} d J derivation that ``d_c``
 builds (``twisted_differential``).  The ORDER_* checks use the Koszul test
@@ -37,9 +40,9 @@ from dataclasses import dataclass
 from .bidegree import (
     d_c,
     decompose_form,
-    differential_split,
     j_apply,
     lefschetz_triple,
+    named_operator,
     pq_basis,
     twisted_differential,
 )
@@ -53,7 +56,6 @@ from .operators import (
     algebraic_order_at_most,
     derivation_from_one_forms,
     graded_commutator as br,
-    laplacian,
     mult_operator,
 )
 from .scalars import I, ONE, ZERO, Scalar, rational
@@ -113,51 +115,20 @@ class _Acc:
 # ---------------------------------------------------------------------------
 # shared derived operators (memoized per model)
 
-def _adj(model, key: str, op_builder):
-    return model._memo(
-        "adj:" + key, lambda: adjoint(op_builder(), model.gram())
-    )
+def _ops(model, *names: str) -> list[GradedOperator]:
+    return [named_operator(model, name) for name in names]
 
 
 def _parts(model):
-    s = differential_split(model)
-    return s.mu, s.del_, s.delbar, s.mubar
+    return _ops(model, "mu", "del", "delbar", "mubar")
 
 
 def _adjoints(model):
-    mu, de, db, mb = _parts(model)
-    return (
-        _adj(model, "mu", lambda: mu),
-        _adj(model, "del", lambda: de),
-        _adj(model, "delbar", lambda: db),
-        _adj(model, "mubar", lambda: mb),
-    )
-
-
-def _l_mu_omega(model) -> GradedOperator:
-    def build():
-        mu = differential_split(model).mu
-        op = mult_operator(mu.apply(model.omega()))
-        return GradedOperator(model.dim, op.cols, 3, check=False)
-
-    return model._memo("L_mu_omega", build)
-
-
-def _l_mubar_omega(model) -> GradedOperator:
-    def build():
-        mb = differential_split(model).mubar
-        op = mult_operator(mb.apply(model.omega()))
-        return GradedOperator(model.dim, op.cols, 3, check=False)
-
-    return model._memo("L_mubar_omega", build)
+    return _ops(model, "adj:mu", "adj:del", "adj:delbar", "adj:mubar")
 
 
 def _su3(model):
     return model._memo("su3", lambda: su3_extract(model))
-
-
-def _laplacian(model, key: str, op_builder) -> GradedOperator:
-    return model._memo("lap:" + key, lambda: laplacian(op_builder(), model.gram()))
 
 
 def _frame_vectors(model) -> list[list[Scalar]]:
@@ -335,7 +306,7 @@ def check_lem_nk(model, acc: _Acc):
 
 def check_br67(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
-    lm, lmb = _l_mu_omega(model), _l_mubar_omega(model)
+    lm, lmb = _ops(model, "L_mu_omega", "L_mubar_omega")
     acc.op("[[L_mu_omega, mu]]", br(lm, mu))
     acc.op("[[L_mu_omega, del]]", br(lm, de))
     acc.op("[[L_mu_omega, delbar]]", br(lm, db))
@@ -364,16 +335,12 @@ def check_su3_struct(model, acc: _Acc):
 def check_dc_frame(model, acc: _Acc):
     n = model.dim
     mu, _, _, mb = _parts(model)
-    # sum over dual pairs (coframe, frame); no metric weight enters
-    cols = {}
-    for mask in range(1 << n):
-        f = Form.zero(n)
-        basis = Form.basis(n, mask)
-        for j in range(n):
-            f = f + j_apply(model, Form.basis(n, 1 << j)).wedge(model.nabla_op(j).apply(basis))
-        if not f.is_zero():
-            cols[mask] = dict(f.coeffs)
-    frame_sum = GradedOperator(n, cols, 1, check=False)
+    # sum_j L_{J u^j} nabla_j over dual pairs (coframe, frame); no metric weight enters
+    frame_sum = GradedOperator.zero(n, 1)
+    for j in range(n):
+        frame_sum = frame_sum + mult_operator(j_apply(model, Form.basis(n, 1 << j))).compose(
+            model.nabla_op(j)
+        )
     acc.op(
         "d^c + sum(J u^j ^ nabla_j) - 2i(mu-mubar)",
         d_c(model) + frame_sum - (mu - mb).scale(Scalar(0, 0, 2, 0)),
@@ -382,8 +349,7 @@ def check_dc_frame(model, acc: _Acc):
 
 def check_nk_main(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
-    dstar = _adj(model, "d", model.d)
-    l_op = lefschetz_triple(model)[0]
+    dstar, l_op = _ops(model, "adj:d", "L")
     lhs = br(dstar, l_op)
     acc.op(
         "[d*,L] + d^c - 3i(mu-mubar)",
@@ -416,19 +382,20 @@ def check_torsion_op(model, acc: _Acc):
     l_op, lam, _ = lefschetz_triple(model)
     d_om = model.d().apply(model.omega())
     l_dom = mult_operator(d_om) if not d_om.is_zero() else GradedOperator.zero(model.dim, 3)
-    lm, lmb = _l_mu_omega(model), _l_mubar_omega(model)
+    lm, lmb = _ops(model, "L_mu_omega", "L_mubar_omega")
     three = rational(3)
     acc.op("[Lambda, L_d_omega] + 3(mu+mubar)", br(lam, l_dom) + (mu + mb).scale(three))
     acc.op("[Lambda, L_mu_omega] + 3mu", br(lam, lm) + mu.scale(three))
     acc.op("[Lambda, L_mubar_omega] + 3mubar", br(lam, lmb) + mb.scale(three))
-    acc.op("[L_mu_omega*, L] + 3mu*", br(_adj(model, "L_mu_omega", lambda: lm), l_op) + mus.scale(three))
-    acc.op("[L_mubar_omega*, L] + 3mubar*", br(_adj(model, "L_mubar_omega", lambda: lmb), l_op) + mbs.scale(three))
+    lms, lmbs = _ops(model, "adj:L_mu_omega", "adj:L_mubar_omega")
+    acc.op("[L_mu_omega*, L] + 3mu*", br(lms, l_op) + mus.scale(three))
+    acc.op("[L_mubar_omega*, L] + 3mubar*", br(lmbs, l_op) + mbs.scale(three))
 
 
 def check_aux_com(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
     mus, des, dbs, mbs = _adjoints(model)
-    lm, lmb = _l_mu_omega(model), _l_mubar_omega(model)
+    lm, lmb = _ops(model, "L_mu_omega", "L_mubar_omega")
     third_i = I * rational(1, 3)
     acc.op("[[mubar*, L_mu_omega]]", br(mbs, lm))
     acc.op("[[delbar*, L_mu_omega]]", br(dbs, lm))
@@ -447,47 +414,46 @@ def check_lap_com(model, acc: _Acc):
     acc.op("[[mubar*,del]]", br(mbs, de))
     acc.op("[[mu*,mubar]]", br(mus, mb))
     acc.op("[[mubar*,mu]]", br(mbs, mu))
-    acc.op("[[delbar*,del]] + [[del*,mu]]", br(dbs, de) + br(des, mu))
-    acc.op("[[delbar*,del]] + [[mubar*,delbar]]", br(dbs, de) + br(mbs, db))
-    acc.op("[[del*,delbar]] + [[mu*,del]]", br(des, db) + br(mus, de))
-    acc.op("[[del*,delbar]] + [[delbar*,mubar]]", br(des, db) + br(dbs, mb))
+    dbs_de, des_db = br(dbs, de), br(des, db)
+    acc.op("[[delbar*,del]] + [[del*,mu]]", dbs_de + br(des, mu))
+    acc.op("[[delbar*,del]] + [[mubar*,delbar]]", dbs_de + br(mbs, db))
+    acc.op("[[del*,delbar]] + [[mu*,del]]", des_db + br(mus, de))
+    acc.op("[[del*,delbar]] + [[delbar*,mubar]]", des_db + br(dbs, mb))
 
 
 def check_prop_lap(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
     mus, _, _, mbs = _adjoints(model)
     l_op, lam, _ = lefschetz_triple(model)
-    lm, lmb = _l_mu_omega(model), _l_mubar_omega(model)
-    d_lm = _laplacian(model, "L_mu_omega", lambda: lm)
-    d_lmb = _laplacian(model, "L_mubar_omega", lambda: lmb)
+    lm, lmb, d_lm, d_lmb = _ops(model, "L_mu_omega", "L_mubar_omega", "lap:L_mu_omega", "lap:L_mubar_omega")
     third_i = I * rational(1, 3)
+    mb_mu, mus_lm, mbs_lmb = br(mb, mu), br(mus, lm), br(mbs, lmb)
+    lam_mu_lmb = br(lam, br(mu, lmb))
+    diff_l = d_lm - d_lmb
     acc.op(
         "[[mubar,mu]] + (i/3)[[mu*,L_mu_omega]] - (i/3)[[mubar*,L_mubar_omega]]",
-        br(mb, mu) + br(mus, lm).scale(third_i) - br(mbs, lmb).scale(third_i),
+        mb_mu + mus_lm.scale(third_i) - mbs_lmb.scale(third_i),
     )
     acc.op(
         "[[Lambda,[[mu,L_mubar_omega]]]] - i[[mu*,L_mu_omega]] - i[[mubar*,L_mubar_omega]]",
-        br(lam, br(mu, lmb)) - (br(mus, lm) + br(mbs, lmb)).scale(I),
+        lam_mu_lmb - (mus_lm + mbs_lmb).scale(I),
     )
     acc.op(
         "[[mubar,mu]] - (i/9)[Delta_Lmu - Delta_Lmubar, L]",
-        br(mb, mu) - br(d_lm - d_lmb, l_op).scale(I * rational(1, 9)),
+        mb_mu - br(diff_l, l_op).scale(I * rational(1, 9)),
     )
     acc.op(
         "[[Lambda,[[mu,L_mubar_omega]]]] + (i/3)[Delta_Lmu + Delta_Lmubar, L]",
-        br(lam, br(mu, lmb)) + br(d_lm + d_lmb, l_op).scale(third_i),
+        lam_mu_lmb + br(d_lm + d_lmb, l_op).scale(third_i),
     )
-    d_del = _laplacian(model, "del", lambda: de)
-    d_db = _laplacian(model, "delbar", lambda: db)
-    d_mu = _laplacian(model, "mu", lambda: mu)
-    d_mb = _laplacian(model, "mubar", lambda: mb)
+    d_mu, d_del, d_db, d_mb = _ops(model, "lap:mu", "lap:del", "lap:delbar", "lap:mubar")
     acc.op(
         "(Delta_del - Delta_delbar) + 2(Delta_mu - Delta_mubar)",
         (d_del - d_db) + (d_mu - d_mb).scale(rational(2)),
     )
     acc.op(
         "(Delta_del - Delta_delbar) + (2/9)(Delta_Lmu - Delta_Lmubar)",
-        (d_del - d_db) + (d_lm - d_lmb).scale(rational(2, 9)),
+        (d_del - d_db) + diff_l.scale(rational(2, 9)),
     )
 
 
@@ -495,11 +461,8 @@ def check_dim6_eigen(model, acc: _Acc):
     su3 = _su3(model)
     lam2 = su3.lambda_sq
     pqb = pq_basis(model)
-    mu, de, db, mb = _parts(model)
-    d_lm = _laplacian(model, "L_mu_omega", lambda: _l_mu_omega(model))
-    d_lmb = _laplacian(model, "L_mubar_omega", lambda: _l_mubar_omega(model))
-    d_del = _laplacian(model, "del", lambda: de)
-    d_db = _laplacian(model, "delbar", lambda: db)
+    mu, _, _, mb = _parts(model)
+    d_lm, d_lmb, d_del, d_db = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega", "lap:del", "lap:delbar")
     diff_l = d_lm - d_lmb
     diff_d = d_del - d_db
     commy = br(mb, mu)
@@ -536,7 +499,7 @@ def check_theta_bracket(model, acc: _Acc):
     pqb = pq_basis(model)
     dim = model.dim
     eta = pqb.eta
-    lm = _l_mu_omega(model)
+    lm, lms = _ops(model, "L_mu_omega", "adj:L_mu_omega")
 
     def unitary_weighted_sum(forms: list[Form]) -> GradedOperator:
         h = [[gram.inner(x, y) for y in forms] for x in forms]
@@ -553,7 +516,7 @@ def check_theta_bracket(model, acc: _Acc):
     s1 = unitary_weighted_sum(eta)
     pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
     s2 = unitary_weighted_sum([eta[a].wedge(eta[b]) for a, b in pairs])
-    lhs = br(adjoint(lm, gram), lm)
+    lhs = br(lms, lm)
     rhs = (GradedOperator.identity(dim) - s1 + s2).scale(lam2 * rational(9, 4))
     acc.op("[[L_theta*, L_theta]] - (9l2/4)(Id - S1 + S2)", lhs - rhs)
 
@@ -563,7 +526,7 @@ def check_l_delta(model, acc: _Acc):
     mus, _, _, mbs = _adjoints(model)
     l_op = lefschetz_triple(model)[0]
     lap_d = hodge_laplacian(model)
-    lm, lmb = _l_mu_omega(model), _l_mubar_omega(model)
+    lm, lmb = _ops(model, "L_mu_omega", "L_mubar_omega")
     two_i = Scalar(0, 0, 2, 0)
     acc.op(
         "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2",
@@ -576,23 +539,8 @@ def check_l_delta(model, acc: _Acc):
 
 
 def check_delta_sum(model, acc: _Acc):
-    mu, de, db, mb = _parts(model)
-    lap_d = hodge_laplacian(model)
-    d_mix = _laplacian(model, "del-delbar", lambda: de - db)
-    d_mu = _laplacian(model, "mu", lambda: mu)
-    d_mb = _laplacian(model, "mubar", lambda: mb)
+    lap_d, d_mix, d_mu, d_mb = _ops(model, "lap:d", "lap:del-delbar", "lap:mu", "lap:mubar")
     acc.op("Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar", lap_d - d_mix - d_mu - d_mb)
-
-
-def _component_laplacians(model) -> list[GradedOperator]:
-    """Delta_mu, Delta_del, Delta_delbar, Delta_mubar (memoized)."""
-    mu, de, db, mb = _parts(model)
-    return [
-        _laplacian(model, "mu", lambda: mu),
-        _laplacian(model, "del", lambda: de),
-        _laplacian(model, "delbar", lambda: db),
-        _laplacian(model, "mubar", lambda: mb),
-    ]
 
 
 def check_hodge_abcd(model, acc: _Acc):
@@ -608,7 +556,7 @@ def check_hodge_abcd(model, acc: _Acc):
     """
     mu, de, db, mb = _parts(model)
     eight = [mu, de, db, mb, *_adjoints(model)]
-    laps = _component_laplacians(model)
+    laps = _ops(model, "lap:mu", "lap:del", "lap:delbar", "lap:mubar")
     s_op = laps[0] + laps[1] + laps[2] + laps[3]
     n = model.dim // 2
     pq_dims: dict[tuple[int, int], int] = {}
@@ -652,8 +600,7 @@ def check_hodge_abcd(model, acc: _Acc):
 
 def check_vanish_cor(model, acc: _Acc):
     pqb = pq_basis(model)
-    d_lm = _laplacian(model, "L_mu_omega", lambda: _l_mu_omega(model))
-    d_lmb = _laplacian(model, "L_mubar_omega", lambda: _l_mubar_omega(model))
+    d_lm, d_lmb = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega")
     diff = d_lm - d_lmb
     n = pqb.n
     for p in range(n + 1):
@@ -703,12 +650,11 @@ def check_order_lb(model, acc: _Acc):
 
 
 def check_order_dstar(model, acc: _Acc):
-    acc.require("order(d*) <= 2", algebraic_order_at_most(_adj(model, "d", model.d), 2))
+    acc.require("order(d*) <= 2", algebraic_order_at_most(named_operator(model, "adj:d"), 2))
 
 
 def check_order_bracket(model, acc: _Acc):
-    dstar = _adj(model, "d", model.d)
-    l_op = lefschetz_triple(model)[0]
+    dstar, l_op = _ops(model, "adj:d", "L")
     acc.require("order([d*,L]) <= 1", algebraic_order_at_most(br(dstar, l_op), 1))
 
 
@@ -721,11 +667,8 @@ def check_order_det(model, acc: _Acc):
 
 
 def check_diff_lapl_kahler(model, acc: _Acc):
-    _, de, db, _ = _parts(model)
-    acc.op(
-        "Delta_del - Delta_delbar (mu = 0 degeneration)",
-        _laplacian(model, "del", lambda: de) - _laplacian(model, "delbar", lambda: db),
-    )
+    d_del, d_db = _ops(model, "lap:del", "lap:delbar")
+    acc.op("Delta_del - Delta_delbar (mu = 0 degeneration)", d_del - d_db)
 
 
 @dataclass(frozen=True)

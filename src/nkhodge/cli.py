@@ -35,8 +35,8 @@ from .models import (
     nk_report,
     validate_model,
 )
-from .operators import adjoint, algebraic_order_at_most
-from .bidegree import lefschetz_triple
+from .operators import algebraic_order_at_most
+from .bidegree import named_operator
 
 USAGE_ERROR = 2
 APPLICABILITY_ERROR = 3
@@ -195,6 +195,10 @@ def cmd_hodge(args) -> int:
     return 0
 
 
+# memo names of the operators ``order --op`` can test
+ORDER_OPERATORS = {"d": "d", "dstar": "adj:d", "lambda_omega": "adj:L"}
+
+
 def cmd_order(args) -> int:
     model = _load_valid_model(args.model)
     if model is None:
@@ -206,14 +210,7 @@ def cmd_order(args) -> int:
         return USAGE_ERROR
     # the algebraic order does not depend on the coframe
     comp = model.orthogonalized()
-    if args.op == "d":
-        op = comp.d()
-    elif args.op == "dstar":
-        op = adjoint(comp.d(), comp.gram())
-    elif args.op == "lambda_omega":
-        op = lefschetz_triple(comp)[1]
-    else:  # pragma: no cover - argparse restricts choices
-        return USAGE_ERROR
+    op = named_operator(comp, ORDER_OPERATORS[args.op])
     results = {}
     first = None
     for r in range(args.max + 1):
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order", help="algebraic-order bounds of an operator")
     p.add_argument("model")
-    p.add_argument("--op", choices=("d", "dstar", "lambda_omega"), required=True)
+    p.add_argument("--op", choices=tuple(ORDER_OPERATORS), required=True)
     p.add_argument("--max", type=int, default=2)
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_order)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bidegree import named_operator, pq_basis
 from .exterior import Form, graded_lex_key
 from .linalg import SparseRow, sparse_kernel, sparse_rank, transpose
-from .operators import GradedOperator, laplacian
+from .operators import GradedOperator
 
 
 @dataclass
@@ -43,7 +44,7 @@ class HodgeReport:
 
 
 def hodge_laplacian(model) -> GradedOperator:
-    return model._memo("lap:d", lambda: laplacian(model.d(), model.gram()))
+    return named_operator(model, "lap:d")
 
 
 def degree_masks(dim: int, k: int) -> list[int]:
@@ -75,8 +76,6 @@ def harmonic_pq(model, p: int, q: int) -> list[Form]:
     comp = model.orthogonalized()
 
     def build():
-        from .bidegree import pq_basis
-
         pqb = pq_basis(comp)
         masks = pqb.monomial_masks(p, q)
         lap = hodge_laplacian(comp)

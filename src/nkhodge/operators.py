@@ -12,7 +12,10 @@ where the basis forms are pairwise orthogonal with <u^m, u^m> = 1/w(m), so
 the adjoint is the weighted conjugate transpose
 P*[c][r] = conj(P[r][c]) w(c) / w(r).  A coupled metric is refused; the test
 suite checks the result against the literal minor-determinant sandwich
-G^{-1} P^dagger G on coupled metrics and against -*d* for d.
+G^{-1} P^dagger G on coupled metrics and against -*d* for d.  The
+Laplacian ``laplacian(p, p_star)`` = [[P*, P]] takes the adjoint as an
+argument and never builds one; ``bidegree.named_operator`` is where both
+are built and memoized.
 
 Every operator is uniquely P = sum_J L_{beta_J} iota_J, with iota_J the
 contraction u^J ^ u^R -> u^R, and its algebraic order is max |J| over the
@@ -218,9 +221,9 @@ def graded_commutator(p: GradedOperator, q: GradedOperator) -> GradedOperator:
     return pq - qp
 
 
-def laplacian(p: GradedOperator, gram: GramData) -> GradedOperator:
-    """P-Laplacian [[P*, P]]."""
-    return graded_commutator(adjoint(p, gram), p)
+def laplacian(p: GradedOperator, p_star: GradedOperator) -> GradedOperator:
+    """P-Laplacian [[P*, P]] from P and its adjoint P*."""
+    return graded_commutator(p_star, p)
 
 
 # ---------------------------------------------------------------------------

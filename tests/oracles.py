@@ -311,8 +311,9 @@ def stacked_kernel_nullities(model) -> list[tuple[int, int]]:
     comp = model.orthogonalized()
     gram = comp.gram()
     parts = list(differential_split(comp).components().values())
-    eight = parts + [adjoint(p, gram) for p in parts]
-    laps = [laplacian(p, gram) for p in parts]
+    adjs = [adjoint(p, gram) for p in parts]
+    eight = parts + adjs
+    laps = [laplacian(p, ps) for p, ps in zip(parts, adjs)]
 
     def nullity(ops: list[GradedOperator], k: int) -> int:
         rows: list[SparseRow] = []

@@ -116,10 +116,10 @@ class TestCriterion4:
         assert res.status == "pass", res.witness
         # independent spot re-derivation at (p,q) = (0,0): the scalar is lambda^2 * 9/4
         su3 = su3_extract(s3xs3)
-        from nkhodge.checks import _laplacian, _l_mu_omega
+        from nkhodge.bidegree import named_operator
         from nkhodge.exterior import Form
 
-        lap = _laplacian(s3xs3_ortho, "L_mu_omega", lambda: _l_mu_omega(s3xs3_ortho))
+        lap = named_operator(s3xs3_ortho, "lap:L_mu_omega")
         unit = Form.basis(6, 0)
         assert lap.apply(unit) == unit.scale(su3.lambda_sq * rational(9, 4))
         _announce(4, True, f"(16 blocks, lambda^2 = {su3.lambda_sq.literal()})")
@@ -159,13 +159,11 @@ class TestCriterion7:
         assert res.status == "pass", res.witness
         # the invertible blocks are exactly those off {p=q} union {p+q=3}
         # (8 blocks; the criterion text says 12, a miscount -- see ledger)
-        from nkhodge.checks import _l_mu_omega, _l_mubar_omega, _laplacian
+        from nkhodge.bidegree import named_operator
 
         ortho = s3xs3_ortho
         pqb = pq_basis(ortho)
-        diff = _laplacian(ortho, "L_mu_omega", lambda: _l_mu_omega(ortho)) - _laplacian(
-            ortho, "L_mubar_omega", lambda: _l_mubar_omega(ortho)
-        )
+        diff = named_operator(ortho, "lap:L_mu_omega") - named_operator(ortho, "lap:L_mubar_omega")
         invertible = set()
         for p in range(4):
             for q in range(4):

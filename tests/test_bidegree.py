@@ -1,25 +1,33 @@
+import itertools
+import sys
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nkhodge.operators
 from nkhodge.bidegree import (
+    _BASE_OPERATORS,
     DifferentialSplit,
     counting_operator,
     d_c,
     decompose_form,
     differential_split,
     j_apply,
-    j_inverse_apply,
     j_operator,
     lefschetz_triple,
+    named_operator,
     pq_basis,
     twisted_differential,
 )
+from nkhodge.checks import CHECKS, run_suite
 from nkhodge.exterior import Form
+from nkhodge.hodge import hodge_numbers
 from nkhodge.linalg import sparse_rank
+from nkhodge.models import builtin_model, model_from_json, model_to_json, nk_report
 from nkhodge.operators import GradedOperator, graded_commutator
 from nkhodge.scalars import I, ONE, Scalar, rational
+from oracles import adjoint_via_minors
 
 
 # -- oracles: the literal definitions that the derivation routes replace ------
@@ -75,6 +83,18 @@ def j_inverse_d_j_matrix(model) -> GradedOperator:
     }
     j_inv = GradedOperator(model.dim, j_inv_cols, 0, check=False)
     return j_inv.compose(model.d().compose(j_op))
+
+
+def j_inverse_apply(model, form: Form) -> Form:
+    """J^{-1} = (-1)^k J on degree k (since J^2 = (-1)^k there)."""
+    out = Form.zero(model.dim)
+    for k in range(model.dim + 1):
+        piece = Form(model.dim, {m: v for m, v in form.coeffs.items() if m.bit_count() == k})
+        if piece.is_zero():
+            continue
+        img = j_apply(model, piece)
+        out = out + (img if k % 2 == 0 else -img)
+    return out
 
 
 class TestPQBasis:
@@ -291,9 +311,49 @@ class TestDeclaredDegrees:
             assert (l_op.degree, lam.degree, h.degree) == (2, -2, 0)
 
     def test_zero_l_mu_omega_keeps_degree_three(self, torus6, kodaira):
-        from nkhodge.checks import _l_mu_omega, _l_mubar_omega
-
         for m in (torus6, kodaira):
-            for op in (_l_mu_omega(m), _l_mubar_omega(m)):
+            for op in (named_operator(m, "L_mu_omega"), named_operator(m, "L_mubar_omega")):
                 assert op.is_zero()
                 assert op.degree == 3
+
+
+class TestNamedOperator:
+    @pytest.mark.parametrize("base", sorted(_BASE_OPERATORS))
+    @pytest.mark.parametrize("fixture", ["s3xs3", "kodaira"])
+    def test_adjoint_and_laplacian_match_oracle(self, base, fixture, request):
+        model = request.getfixturevalue(fixture).orthogonalized()
+        p = named_operator(model, base)
+        p_star = adjoint_via_minors(p, model.gram())
+        assert named_operator(model, "adj:" + base) == p_star
+        assert named_operator(model, "lap:" + base) == graded_commutator(p_star, p)
+
+    def test_unknown_name(self, torus6):
+        for name in ("lambda", "adj:adj:d", "lap:", "star:d"):
+            with pytest.raises(KeyError):
+                named_operator(torus6, name)
+
+    @pytest.mark.parametrize(
+        "name, calls", [("torus6", 10), ("s3xs3-nk", 16), ("kodaira-thurston", 10)]
+    )
+    def test_catalogue_builds_each_adjoint_once(self, name, calls, monkeypatch):
+        # every module alias of adjoint records what it receives; the
+        # catalogue and the Hodge table then run on a model with empty caches
+        original = nkhodge.operators.adjoint
+        received = []
+
+        def recording(p, gram):
+            received.append(p)
+            return original(p, gram)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("nkhodge") and getattr(module, "adjoint", None) is original:
+                monkeypatch.setattr(module, "adjoint", recording)
+        model = model_from_json(model_to_json(builtin_model(name)))
+        run_suite(model, selection=sorted(CHECKS))
+        if nk_report(model).nearly_kahler:
+            hodge_numbers(model)
+        assert len(received) == calls
+        # zero operators of one degree are all equal (every d component on torus6)
+        nonzero = [p for p in received if not p.is_zero()]
+        for a, b in itertools.combinations(nonzero, 2):
+            assert not (a == b and a.degree == b.degree)

@@ -4,11 +4,11 @@ from nkhodge.checks import (
     CHECKS,
     FAST_SUBSET,
     UNIVERSAL_CHECKS,
-    _component_laplacians,
     default_selection,
     run_check,
     run_suite,
 )
+from nkhodge.bidegree import named_operator
 from nkhodge.hodge import harmonic_space, operator_degree_rows
 from nkhodge.linalg import sparse_kernel
 from nkhodge.models import KODAIRA_EXPECTED_FAILURES, builtin_model, scaled_metric
@@ -163,7 +163,7 @@ class TestHodgeAbcdKernel:
         # Laplacian kernels, also where it is smaller than the harmonic space
         model = builtin_model(name)
         comp = model.orthogonalized()
-        laps = _component_laplacians(comp)
+        laps = [named_operator(comp, "lap:" + c) for c in ("mu", "del", "delbar", "mubar")]
         s_op = laps[0] + laps[1] + laps[2] + laps[3]
         short = []
         for k, stacked in enumerate(stacked_kernel_nullities(model)):
