@@ -24,6 +24,7 @@ CASES = {
     "suite-kodaira-thurston.json": (["suite", "builtin:kodaira-thurston", "--report", "json"], 0),
     "hodge-torus6.json": (["hodge", "builtin:torus6", "--report", "json"], 0),
     "hodge-s3xs3-nk.json": (["hodge", "builtin:s3xs3-nk", "--report", "json"], 0),
+    "hodge-su2-four.json": (["hodge", "builtin:su2-four", "--report", "json"], 0),
     "order-s3xs3-nk-d.txt": (["order", "builtin:s3xs3-nk", "--op", "d", "--max", "3"], 0),
     "order-s3xs3-nk-dstar.txt": (["order", "builtin:s3xs3-nk", "--op", "dstar", "--max", "3"], 0),
     "order-s3xs3-nk-lambda_omega.txt": (
