@@ -1,14 +1,18 @@
-"""Bidegree structure: (p,q) projections, the split of d, and the sl2 triple.
+"""Bidegree structure: type through D_J, the split of d, and the sl2 triple.
 
-The (1,0)-coframe is built from P^{1,0} = (Id - iJ)/2 on degree one.  One
-greedy scan with ``linalg.solve`` goes through its images of the coframe
-basis in order: an image outside the span of those kept so far is kept as
-the next generator, any other gets its exact coordinates in them.
-Monomials in the chosen (1,0)/(0,1) generators give bases of every
-Lambda^{p,q}; expanding basis forms through them yields the bidegree pieces
-of any form without any eigen-decomposition.  Monomials, coordinate expansions and the J action
-are all images under algebra maps of the coframe, built lazily by
-``wedge_image``.
+Type is read from J alone.  D_J, the derivation extending J from 1-forms
+(``j_derivation``), acts on Lambda^{p,q} as i(p - q), and within one degree
+k the value p - q fixes (p,q).  ``off_type(model, form, p, q)`` =
+D_J form - i(p - q) form is the one type test: zero exactly when a
+(p+q)-form has type (p,q).  ``decompose_form`` takes, in each degree, the
+D_J eigencomponents by exact Lagrange interpolation over the types of that
+degree.
+
+``PQBasis`` keeps the (1,0)-coframe eta = P^{1,0} u = (u - iJu)/2.  A greedy
+scan with ``linalg.solve`` keeps, in order, each image outside the span of
+those kept so far.  Monomials in the chosen (1,0)/(0,1) generators, built
+lazily by ``wedge_image``, are bases of every Lambda^{p,q} (J_PQ,
+DIM6_EIGEN and VANISH_COR iterate over them).
 
 ``differential_split`` produces the four components with bidegrees
 (2,-1), (1,0), (0,1), (-1,2).  Each component is a derivation, so it is
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from .exterior import Form, wedge_image, wedge_map
 from .linalg import solve
 from .operators import GradedOperator, adjoint, derivation_from_one_forms, laplacian, mult_operator
-from .scalars import I, ONE, Scalar, rational
+from .scalars import I, Scalar, rational
 
 
 class PQBasis:
@@ -51,29 +55,18 @@ class PQBasis:
             for i in range(dim)
         ]
         # greedy scan: keep eta_all[i] when it is outside the span of the
-        # forms kept so far, otherwise record its coordinates in them
+        # forms kept so far
         self.chosen: list[int] = []
-        coords: list[dict[int, Scalar]] = []
         for i, f in enumerate(self.eta_all):
-            x = solve([self.eta_all[c].coeffs for c in self.chosen], f.coeffs)
-            if x is None:
-                x = {len(self.chosen): ONE}
+            if solve([self.eta_all[c].coeffs for c in self.chosen], f.coeffs) is None:
                 self.chosen.append(i)
-            coords.append(x)
         if len(self.chosen) != n:
             raise ValueError("(1,0)-coframe does not have the expected rank")
         self.eta = [self.eta_all[i] for i in self.chosen]
         self.eta_bar = [f.conjugate() for f in self.eta]
         # images of the generators: eta^a for bit a, conj(eta^a) for bit n + a
         self._generators = self.eta + self.eta_bar
-        # u^i = eta_all[i] + conj(eta_all[i]) in eta-monomial coordinates
-        self._u_in_pq = []
-        for row in coords:
-            u = {1 << a: s for a, s in row.items()}
-            u.update({1 << (n + a): s.conjugate() for a, s in row.items()})
-            self._u_in_pq.append(Form(dim, u))
         self._pq_form_table: dict[int, Form] = {}
-        self._col_cache: dict[int, Form] = {}
 
     # -- monomial indexing --------------------------------------------------
     # bit a (a < n): generator eta^a; bit n + a: generator conj(eta^a)
@@ -95,16 +88,6 @@ class PQBasis:
         """Real-coordinate expansion of one eta-monomial (cached)."""
         return wedge_image(self._generators, pqmask, self._pq_form_table)
 
-    def form_to_pq(self, form: Form) -> dict[int, Scalar]:
-        """Coordinates of a form in the eta-monomial basis."""
-        return wedge_map(self._u_in_pq, form, self._col_cache).coeffs
-
-    def pq_coords_to_form(self, coords: dict[int, Scalar]) -> Form:
-        out = Form.zero(self.dim)
-        for pqmask, v in coords.items():
-            out = out + self.monomial_form(pqmask).scale(v)
-        return out
-
     def basis_forms(self, p: int, q: int) -> list[Form]:
         return [self.monomial_form(m) for m in self.monomial_masks(p, q)]
 
@@ -113,13 +96,40 @@ def pq_basis(model) -> PQBasis:
     return model._memo("pq_basis", lambda: PQBasis(model))
 
 
+def j_derivation(model) -> GradedOperator:
+    """D_J, the derivation extending J from 1-forms; i(p - q) on Lambda^{p,q}."""
+    return model._memo(
+        "j_derivation",
+        lambda: derivation_from_one_forms(model.dim, model.j_one_form_rows(), degree=0),
+    )
+
+
+def off_type(model, form: Form, p: int, q: int) -> Form:
+    """D_J form - i(p - q) form: zero exactly when a (p+q)-form has type (p,q)."""
+    return j_derivation(model).apply(form) - form.scale(I * rational(p - q))
+
+
 def decompose_form(model, form: Form) -> dict[tuple[int, int], Form]:
-    """Split a form into its pure-bidegree pieces (zero pieces omitted)."""
-    pq = pq_basis(model)
-    groups: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for pqmask, v in pq.form_to_pq(form).items():
-        groups.setdefault(pq.bidegree_of_mask(pqmask), {})[pqmask] = v
-    return {bid: pq.pq_coords_to_form(coords) for bid, coords in groups.items()}
+    """Split a form into its pure-bidegree pieces (zero pieces omitted), by
+    degree and then increasing p.
+
+    In degree k the piece of type (p, k-p) is the D_J eigencomponent for
+    i(2p - k): the Lagrange product of (D_J - i(2r - k)) / (2i(p - r)) over
+    the other types (r, k-r) of that degree.
+    """
+    n = model.dim // 2
+    out: dict[tuple[int, int], Form] = {}
+    for k in sorted({m.bit_count() for m in form.coeffs}):
+        piece = Form(form.dim, {m: v for m, v in form.coeffs.items() if m.bit_count() == k})
+        types = range(max(0, k - n), min(n, k) + 1)
+        for p in types:
+            part = piece
+            for r in types:
+                if r != p:
+                    part = off_type(model, part, r, k - r).scale(I * rational(1, 2 * (r - p)))
+            if not part.is_zero():
+                out[(p, k - p)] = part
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,20 +29,6 @@ from .scalars import ONE, ZERO, Scalar
 # ---------------------------------------------------------------------------
 # multi-index helpers
 
-def mask_from_indices(indices: tuple[int, ...] | list[int], dim: int) -> int:
-    """Mask for a strictly increasing tuple of 1-based indices."""
-    mask = 0
-    prev = 0
-    for i in indices:
-        if not 1 <= i <= dim:
-            raise ValueError(f"index {i} out of range 1..{dim}")
-        if i <= prev:
-            raise ValueError(f"indices not strictly increasing: {tuple(indices)}")
-        prev = i
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def indices_from_mask(mask: int) -> tuple[int, ...]:
     out = []
     i = 1

@@ -8,6 +8,12 @@ from ranks of d alone, so that the sum rule b^k = sum_{p+q=k} h^{p,q}
 compares two genuinely different computations: harmonic dimensions against
 homology of the complex.
 
+The harmonic (p,q)-forms are the combinations of the degree-(p+q)
+harmonic basis that ``bidegree.off_type`` sends to zero: one small kernel
+with a column per harmonic form.  Their dimensions add up to dim H^k
+exactly when the harmonic space is spanned by forms of pure type, so the
+sum rule tests that as well.
+
 Everything is computed in the orthogonalized presentation of the model
 (the numbers are coframe-invariant); the basis forms that ``harmonic_space``
 and ``harmonic_pq`` return are mapped back to the model's own coframe, and
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bidegree import named_operator, pq_basis
+from .bidegree import named_operator, off_type
 from .exterior import Form, graded_lex_key
 from .linalg import SparseRow, sparse_kernel, sparse_rank, transpose
 from .operators import GradedOperator
@@ -72,17 +78,19 @@ def harmonic_space(model, k: int) -> list[Form]:
 
 
 def harmonic_pq(model, p: int, q: int) -> list[Form]:
-    """Exact basis of the Delta_d-harmonic (p,q)-forms."""
+    """Exact basis of the Delta_d-harmonic (p,q)-forms: the combinations of
+    ``harmonic_space(p + q)`` that ``off_type`` sends to zero."""
+    n = model.dim // 2
+    if not (0 <= p <= n and 0 <= q <= n):
+        raise ValueError(f"bidegree ({p},{q}) out of range")
     comp = model.orthogonalized()
 
     def build():
-        pqb = pq_basis(comp)
-        masks = pqb.monomial_masks(p, q)
-        lap = hodge_laplacian(comp)
-        rows = transpose((j, lap.apply(pqb.monomial_form(m)).coeffs) for j, m in enumerate(masks))
+        basis = harmonic_space(comp, p + q)
+        rows = transpose((i, off_type(comp, v, p, q).coeffs) for i, v in enumerate(basis))
         return [
-            pqb.pq_coords_to_form({masks[j]: v for j, v in vec.items()})
-            for vec in sparse_kernel(rows, len(masks))
+            sum((basis[i].scale(c) for i, c in vec.items()), Form.zero(comp.dim))
+            for vec in sparse_kernel(rows, len(basis))
         ]
 
     return [model.to_native(f) for f in comp._memo(f"harmonic_pq:{p},{q}", build)]

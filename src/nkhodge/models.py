@@ -370,12 +370,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ]
 
 
-def covariant_derivative(model: LieAlgebraModel, i: int, a: Form) -> Form:
-    if not 0 <= i < model.dim:
-        raise IndexError(f"frame index {i} out of range")
-    return model.nabla_op(i).apply(a)
-
-
 # ---------------------------------------------------------------------------
 # validation
 

@@ -20,6 +20,15 @@
   (a) and (b) as stacked eliminations of the eight components and adjoints
   and of the four component Laplacians, against the production kernel of
   their PSD sum.
+* ``form_to_pq``, ``pq_coords_to_form`` and ``decompose_via_monomials``:
+  coordinates in the monomials of the chosen (1,0)/(0,1) generators eta
+  of ``pq_basis``, through the images ``u_in_eta`` of the coframe (each
+  eta_all[i] solved in the chosen eta with ``linalg.solve``); grouping them
+  by bidegree is the type decomposition that the production D_J
+  eigencomponents of ``decompose_form`` must reproduce.
+* ``harmonic_pq_via_monomials``: the harmonic (p,q)-forms as the kernel of
+  Delta_d on the eta-monomials of type (p,q), against the production
+  filter of ``harmonic_space(p + q)`` by type.
 * The Hodge star (``star``, ``star_operator``, ``volume_form``) with
   a ^ star(b) = <a, conj(b)> vol, available when det(g) is a square in the
   field Q(sqrt d)(i) the caller names (``sqrt_in_field``); d* = -*d* in even
@@ -31,10 +40,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from nkhodge.bidegree import differential_split
-from nkhodge.exterior import Form, GramData, indices_from_mask, wedge_image, wedge_masks
+from nkhodge.bidegree import differential_split, pq_basis
+from nkhodge.exterior import Form, GramData, indices_from_mask, wedge_image, wedge_map, wedge_masks
 from nkhodge.hodge import degree_masks, hodge_laplacian, operator_degree_rows
-from nkhodge.linalg import SparseRow, _clear_row, _complexity, inverse, sparse_kernel, sparse_rank
+from nkhodge.linalg import (
+    SparseRow,
+    _clear_row,
+    _complexity,
+    inverse,
+    solve,
+    sparse_kernel,
+    sparse_rank,
+    transpose,
+)
 from nkhodge.operators import Column, GradedOperator, adjoint, laplacian
 from nkhodge.scalars import ONE, ZERO, Scalar
 
@@ -322,6 +340,62 @@ def stacked_kernel_nullities(model) -> list[tuple[int, int]]:
         return len(sparse_kernel(rows, math.comb(comp.dim, k)))
 
     return [(nullity(eight, k), nullity(laps, k)) for k in range(comp.dim + 1)]
+
+
+# -- eta-monomial coordinates ----------------------------------------------------
+# bit a (a < n) of a monomial mask: generator eta^a; bit n + a: conj(eta^a)
+
+def u_in_eta(model) -> list[Form]:
+    """u^i = eta_all[i] + conj(eta_all[i]) in eta-monomial coordinates."""
+
+    def build():
+        pqb = pq_basis(model)
+        n = pqb.n
+        chosen = [f.coeffs for f in pqb.eta]
+        out = []
+        for f in pqb.eta_all:
+            x = solve(chosen, f.coeffs)
+            u = {1 << a: s for a, s in x.items()}
+            u.update({1 << (n + a): s.conjugate() for a, s in x.items()})
+            out.append(Form(model.dim, u))
+        return out
+
+    return model._memo("oracle:u_in_eta", build)
+
+
+def form_to_pq(model, form: Form) -> dict[int, Scalar]:
+    """Coordinates of a form in the eta-monomial basis."""
+    return wedge_map(u_in_eta(model), form, model._memo("oracle:u_in_eta_table", dict)).coeffs
+
+
+def pq_coords_to_form(model, coords: dict[int, Scalar]) -> Form:
+    pqb = pq_basis(model)
+    out = Form.zero(model.dim)
+    for pqmask, v in coords.items():
+        out = out + pqb.monomial_form(pqmask).scale(v)
+    return out
+
+
+def decompose_via_monomials(model, form: Form) -> dict[tuple[int, int], Form]:
+    """The pure-bidegree pieces of a form, grouped by the type of each eta-monomial."""
+    pqb = pq_basis(model)
+    groups: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for pqmask, v in form_to_pq(model, form).items():
+        groups.setdefault(pqb.bidegree_of_mask(pqmask), {})[pqmask] = v
+    return {bid: pq_coords_to_form(model, coords) for bid, coords in groups.items()}
+
+
+def harmonic_pq_via_monomials(model, p: int, q: int) -> list[Form]:
+    """Kernel of Delta_d on the eta-monomials of type (p,q), in the model's coframe."""
+    comp = model.orthogonalized()
+    pqb = pq_basis(comp)
+    masks = pqb.monomial_masks(p, q)
+    lap = hodge_laplacian(comp)
+    rows = transpose((j, lap.apply(pqb.monomial_form(m)).coeffs) for j, m in enumerate(masks))
+    return [
+        model.to_native(pq_coords_to_form(comp, {masks[j]: v for j, v in vec.items()}))
+        for vec in sparse_kernel(rows, len(masks))
+    ]
 
 
 # -- Hodge star ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from nkhodge.models import (
     su3_extract,
 )
 from nkhodge.scalars import rational
-from oracles import harmonic_space_dense_oracle, spans_equal
+from oracles import form_to_pq, harmonic_space_dense_oracle, spans_equal
 
 UNIVERSAL = sorted(UNIVERSAL_CHECKS)
 
@@ -171,7 +171,7 @@ class TestCriterion7:
                 rows = {}
                 for j, mask in enumerate(masks):
                     img = diff.apply(pqb.monomial_form(mask))
-                    for pqmask, v in pqb.form_to_pq(img).items():
+                    for pqmask, v in form_to_pq(ortho, img).items():
                         rows.setdefault(pqmask, {})[j] = v
                 if sparse_rank(list(rows.values())) == len(masks):
                     invertible.add((p, q))

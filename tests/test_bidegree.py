@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 from math import comb
@@ -17,17 +18,25 @@ from nkhodge.bidegree import (
     j_operator,
     lefschetz_triple,
     named_operator,
+    off_type,
     pq_basis,
     twisted_differential,
 )
 from nkhodge.checks import CHECKS, run_suite
 from nkhodge.exterior import Form
-from nkhodge.hodge import hodge_numbers
+from nkhodge.hodge import harmonic_pq, hodge_numbers
 from nkhodge.linalg import sparse_rank
 from nkhodge.models import builtin_model, model_from_json, model_to_json, nk_report
 from nkhodge.operators import GradedOperator, graded_commutator
 from nkhodge.scalars import I, ONE, Scalar, rational
-from oracles import adjoint_via_minors
+from oracles import (
+    adjoint_via_minors,
+    decompose_via_monomials,
+    form_to_pq,
+    harmonic_pq_via_monomials,
+    pq_coords_to_form,
+    spans_equal,
+)
 
 
 # -- oracles: the literal definitions that the derivation routes replace ------
@@ -45,11 +54,11 @@ def pq_projector(model, p, q) -> GradedOperator:
                 continue
             wanted = {
                 m: v
-                for m, v in pq.form_to_pq(Form.basis(model.dim, mask)).items()
+                for m, v in form_to_pq(model, Form.basis(model.dim, mask)).items()
                 if pq.bidegree_of_mask(m) == (p, q)
             }
             if wanted:
-                cols[mask] = dict(pq.pq_coords_to_form(wanted).coeffs)
+                cols[mask] = dict(pq_coords_to_form(model, wanted).coeffs)
         return GradedOperator(model.dim, cols, 0, check=False)
 
     return model._memo(f"projector{p},{q}", build)
@@ -135,7 +144,7 @@ class TestPQBasis:
         assert pqb.eta == [pqb.eta_all[i] for i in chosen]
         n = model.dim // 2
         for f in pqb.eta_all:
-            coords = pqb.form_to_pq(f)
+            coords = form_to_pq(model, f)
             assert all(m.bit_count() == 1 and m < 1 << n for m in coords)
             rebuilt = Form.zero(model.dim)
             for m, x in coords.items():
@@ -143,10 +152,9 @@ class TestPQBasis:
             assert rebuilt == f
 
     def test_roundtrip(self, s3xs3):
-        pqb = pq_basis(s3xs3)
         for mask in range(64):
             f = Form.basis(6, mask)
-            assert pqb.pq_coords_to_form(pqb.form_to_pq(f)) == f
+            assert pq_coords_to_form(s3xs3, form_to_pq(s3xs3, f)) == f
 
     def test_projector_on_one_form(self, torus6):
         # pi^{1,0} e^1 = (e^1 - i J e^1)/2 = (e^1 + i e^2)/2 with Je_1 = e_2
@@ -173,6 +181,69 @@ class TestPQBasis:
     def test_out_of_range(self, s3xs3):
         with pytest.raises(ValueError):
             pq_projector(s3xs3, 4, 0)
+
+
+SMALL_MODELS = ["torus6", "s3xs3-nk", "kodaira-thurston"]
+
+
+@functools.lru_cache(maxsize=None)
+def _ortho(name):
+    return builtin_model(name).orthogonalized()
+
+
+class TestTypeByDerivation:
+    """Type through D_J against the eta-monomial coordinates of the oracles."""
+
+    @pytest.mark.parametrize("name", SMALL_MODELS)
+    def test_off_type_vanishes_exactly_at_the_monomial_type(self, name):
+        model = _ortho(name)
+        pqb = pq_basis(model)
+        n = pqb.n
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for v in pqb.basis_forms(p, q):
+                    k = p + q
+                    for r in range(max(0, k - n), min(n, k) + 1):
+                        assert off_type(model, v, r, k - r).is_zero() == (r == p)
+
+    @given(
+        st.sampled_from(SMALL_MODELS),
+        st.lists(
+            st.tuples(st.integers(0, 63), *[st.integers(-3, 3)] * 4), min_size=1, max_size=6
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decompose_matches_monomial_grouping(self, name, terms):
+        model = _ortho(name)
+        mask_limit = (1 << model.dim) - 1
+        form = Form(model.dim, {m & mask_limit: Scalar(a, b, c, e, 1, 3) for m, a, b, c, e in terms})
+        parts = decompose_form(model, form)
+        assert parts == decompose_via_monomials(model, form)
+        # by degree, then increasing p
+        assert list(parts) == sorted(parts, key=lambda pq: (pq[0] + pq[1], pq[0]))
+
+    def test_decompose_matches_monomial_grouping_on_d_eta_su2four(self, su2four):
+        model = su2four.orthogonalized()
+        d = model.d()
+        for eta in pq_basis(model).eta_all:
+            for f in (d.apply(eta), d.apply(eta.conjugate())):
+                assert decompose_form(model, f) == decompose_via_monomials(model, f)
+
+    @pytest.mark.parametrize("name", SMALL_MODELS)
+    def test_harmonic_pq_spans_match_monomial_kernel(self, name):
+        model = builtin_model(name)
+        n = model.dim // 2
+        for p in range(n + 1):
+            for q in range(n + 1):
+                got = harmonic_pq(model, p, q)
+                want = harmonic_pq_via_monomials(model, p, q)
+                assert len(got) == len(want), (p, q)
+                assert spans_equal([dict(f.coeffs) for f in got], [dict(f.coeffs) for f in want])
+
+    def test_harmonic_pq_out_of_range(self, s3xs3):
+        for p, q in ((4, 0), (0, -1), (3, 4)):
+            with pytest.raises(ValueError):
+                harmonic_pq(s3xs3, p, q)
 
 
 class TestJAction:

@@ -6,7 +6,6 @@ from nkhodge.exterior import (
     GramData,
     graded_lex_key,
     indices_from_mask,
-    mask_from_indices,
     wedge_masks,
 )
 from nkhodge.scalars import HALF, I, ONE, Scalar, rational
@@ -35,6 +34,20 @@ def identity_gram(dim):
 def contract(gram, alpha, target):
     """Contraction of ``target`` by the metric dual of the 1-form ``alpha``."""
     return target.contract_vector(gram.sharp(alpha))
+
+
+def mask_from_indices(indices: tuple[int, ...] | list[int], dim: int) -> int:
+    """Mask for a strictly increasing tuple of 1-based indices."""
+    mask = 0
+    prev = 0
+    for i in indices:
+        if not 1 <= i <= dim:
+            raise ValueError(f"index {i} out of range 1..{dim}")
+        if i <= prev:
+            raise ValueError(f"indices not strictly increasing: {tuple(indices)}")
+        prev = i
+        mask |= 1 << (i - 1)
+    return mask
 
 
 def e(i, dim=DIM):
