@@ -30,11 +30,13 @@ builds (``twisted_differential``).  The ORDER_* checks use the Koszul test
 of ``algebraic_order_at_most``: an operator of order <= r equals the
 reconstruction from its columns on forms of degree <= r.  HODGE_ABCD
 takes one kernel per degree, of the PSD sum of the component Laplacians.
-Type is tested only through ``bidegree.off_type``: VANISH_COR applies the
-difference Laplacian to the eta-monomials of each type (p,q), asks
-``off_type`` whether every image keeps type (p,q), and takes the rank of
-those images in real coordinates (a rank does not depend on the row
-basis); HODGE_ABCD (d) asks it of each conjugated harmonic form.
+Type is read only through ``bidegree``: ``decompose_form`` gives the pieces
+(LEM_NK, SU3_STRUCT) and ``off_type`` answers whether a form has a given
+type.  VANISH_COR applies the difference Laplacian to the eta-monomials of
+each type (p,q), asks ``off_type`` whether every image keeps type (p,q),
+and takes the rank of those images in real coordinates (a rank does not
+depend on the row basis); HODGE_ABCD (d) asks it of each conjugated
+harmonic form.
 """
 
 from __future__ import annotations
@@ -210,13 +212,14 @@ def check_mu_oneforms(model, acc: _Acc):
     nij = model.nijenhuis_op()
     for t in range(model.dim):
         a = Form.basis(model.dim, 1 << t)
+        mu_a, mb_a = mu.apply(a), mb.apply(a)
         acc.form(
             f"(mu+mubar)u^{t + 1} + (1/4) N u^{t + 1}",
-            (mu + mb).apply(a) + nij.apply(a).scale(rational(1, 4)),
+            mu_a + mb_a + nij.apply(a).scale(rational(1, 4)),
         )
         acc.form(
             f"(mu-mubar)u^{t + 1} + (i/4) N(J u^{t + 1})",
-            (mu - mb).apply(a) + nij.apply(j_apply(model, a)).scale(Scalar(0, 0, 1, 0, 4)),
+            mu_a - mb_a + nij.apply(j_apply(model, a)).scale(Scalar(0, 0, 1, 0, 4)),
         )
 
 
