@@ -3,8 +3,7 @@
 
 For every built-in model: validate, run the identity suite (respecting each
 model's declared expected failures), and print the Hodge table where the
-model is nearly Kahler.  With --deep the twelve-dimensional product model
-runs the full catalogue instead of the fast subset.
+model is nearly Kahler.
 
 This is the one-command reproduction of everything the package claims.
 """
@@ -23,7 +22,6 @@ from nkhodge.models import BUILTIN_NAMES, builtin_model, su3_extract, validate_m
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--deep", action="store_true", help="full catalogue on dim >= 10 models")
     parser.add_argument("--models", default=",".join(BUILTIN_NAMES))
     args = parser.parse_args()
 
@@ -36,7 +34,7 @@ def main() -> int:
         overall_ok &= report.ok
 
         t0 = time.time()
-        suite = run_suite(model, deep=args.deep)
+        suite = run_suite(model)
         n_pass = sum(1 for r in suite.results if r.status == "pass")
         n_fail = sum(1 for r in suite.results if r.status == "fail")
         n_skip = sum(1 for r in suite.results if r.status == "skip")

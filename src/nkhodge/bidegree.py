@@ -15,11 +15,14 @@ lazily by ``wedge_image``, are bases of every Lambda^{p,q} (J_PQ,
 DIM6_EIGEN and VANISH_COR iterate over them).
 
 ``differential_split`` produces the four components with bidegrees
-(2,-1), (1,0), (0,1), (-1,2).  Each component is a derivation, so it is
-reconstructed from the bidegree pieces of d on the (1,0)/(0,1) coframe, in
-every dimension; the test suite checks it against the literal
-projector-sandwich definition on the small models.  d^c = J^{-1} d J is
-likewise a derivation built from its coframe values (``twisted_differential``),
+(2,-1), (1,0), (0,1), (-1,2).  d is real and J is real, so delbar and mubar
+are the complex conjugates of del and mu.  Each component is a derivation:
+mu and del are reconstructed from the (0,2) and (2,0) + (1,1) pieces of
+d eta on the (1,0)-coframe (u^i = eta + conj eta), in every dimension, and
+delbar, mubar are their conjugates; the test suite checks the split against
+the literal projector-sandwich definition on the small models and against
+four separate derivations on every built-in.  d^c = J^{-1} d J is likewise
+a derivation built from its coframe values (``twisted_differential``),
 shared by ``d_c`` and the DC_DEF check.
 
 ``named_operator`` builds every derived operator the catalogue names: d,
@@ -27,7 +30,11 @@ the four components, del - delbar, L = L_omega, L_mu_omega and
 L_mubar_omega, and for each of them ``adj:<name>`` (the metric adjoint) and
 ``lap:<name>`` (the Laplacian from that adjoint).  Each name has one
 builder and is its own memo key, so an adjoint is built once and no key
-can hold another operator's answer.  ``lefschetz_triple`` is (L, adj:L, H).
+can hold another operator's answer.  The barred half is obtained by
+conjugation: L_mubar_omega is conj L_mu_omega (omega is real), and the
+adjoint and Laplacian of delbar, mubar and L_mubar_omega are the
+conjugates of those of del, mu and L_mu_omega, so only unbarred operators
+reach ``adjoint``.  ``lefschetz_triple`` is (L, adj:L, H).
 """
 
 from __future__ import annotations
@@ -171,29 +178,23 @@ class DifferentialSplit:
 
 
 def differential_split(model) -> DifferentialSplit:
-    """The four components of d; each is the derivation with its coframe values."""
+    """The four components of d: mu and del are the derivations with their
+    coframe values, delbar and mubar their complex conjugates."""
 
     def build():
-        pq = pq_basis(model)
         d = model.d()
-        dim = model.dim
-        zero = Form.zero(dim)
-        mu_im, del_im, delbar_im, mubar_im = [], [], [], []
-        for i in range(dim):
-            eta = pq.eta_all[i]
-            d_eta = decompose_form(model, d.apply(eta))
-            d_etabar = decompose_form(model, d.apply(eta.conjugate()))
-            mu_im.append(d_etabar.get((2, 0), zero))
-            del_im.append(d_eta.get((2, 0), zero) + d_etabar.get((1, 1), zero))
-            delbar_im.append(d_eta.get((1, 1), zero) + d_etabar.get((0, 2), zero))
-            mubar_im.append(d_eta.get((0, 2), zero))
-        split = DifferentialSplit(
-            *(derivation_from_one_forms(dim, im) for im in (mu_im, del_im, delbar_im, mubar_im))
-        )
+        zero = Form.zero(model.dim)
+        mu_im, del_im = [], []
+        for eta in pq_basis(model).eta_all:
+            # u^i = eta + conj(eta) and d(conj eta) = conj(d eta)
+            parts = decompose_form(model, d.apply(eta))
+            mu_im.append(parts.get((0, 2), zero).conjugate())
+            del_im.append(parts.get((2, 0), zero) + parts.get((1, 1), zero).conjugate())
+        mu = derivation_from_one_forms(model.dim, mu_im)
+        del_ = derivation_from_one_forms(model.dim, del_im)
+        split = DifferentialSplit(mu, del_, del_.conjugated(), mu.conjugated())
         if split.total() != d:
             raise AssertionError("bidegree split does not reassemble d")
-        if split.mubar != split.mu.conjugated() or split.delbar != split.del_.conjugated():
-            raise AssertionError("bidegree split breaks conjugation symmetry")
         return split
 
     return model._memo("split", build)
@@ -243,9 +244,9 @@ def lefschetz_triple(model) -> tuple[GradedOperator, GradedOperator, GradedOpera
 # ---------------------------------------------------------------------------
 # derived operators by name
 
-def _l_part_omega(model, part: str) -> GradedOperator:
-    """L_{P omega} for a component P of d, declared of degree 3 also where P omega = 0."""
-    op = mult_operator(named_operator(model, part).apply(model.omega()))
+def _l_part_omega(model) -> GradedOperator:
+    """L_{mu omega}, declared of degree 3 also where mu omega = 0."""
+    op = mult_operator(named_operator(model, "mu").apply(model.omega()))
     return GradedOperator(model.dim, op.cols, 3, check=False)
 
 
@@ -259,20 +260,30 @@ _BASE_OPERATORS = {
     "mubar": lambda m: differential_split(m).mubar,
     "del-delbar": lambda m: differential_split(m).del_ - differential_split(m).delbar,
     "L": lambda m: mult_operator(m.omega()),
-    "L_mu_omega": lambda m: _l_part_omega(m, "mu"),
-    "L_mubar_omega": lambda m: _l_part_omega(m, "mubar"),
+    "L_mu_omega": _l_part_omega,
+    "L_mubar_omega": lambda m: named_operator(m, "L_mu_omega").conjugated(),
 }
+
+# each barred name and the unbarred name it is the complex conjugate of
+_CONJUGATES = {"delbar": "del", "mubar": "mu", "L_mubar_omega": "L_mu_omega"}
 
 
 def named_operator(model, name: str) -> GradedOperator:
     """The operator ``name``: a key of ``_BASE_OPERATORS``, ``adj:<key>`` (its
     metric adjoint) or ``lap:<key>`` ([[P*, P]] from the memoized adjoint),
-    built once and memoized under ``name``."""
+    built once and memoized under ``name``.
+
+    The adjoint and Laplacian of a barred name are the conjugates of those
+    of its unbarred partner: the norm weights are real, so
+    conj(P*) = (conj P)*.
+    """
     kind, _, base = name.rpartition(":")
     if base not in _BASE_OPERATORS or kind not in ("", "adj", "lap"):
         raise KeyError(f"unknown operator name {name!r}")
 
     def build():
+        if kind and base in _CONJUGATES:
+            return named_operator(model, f"{kind}:{_CONJUGATES[base]}").conjugated()
         if kind == "adj":
             return adjoint(named_operator(model, base), model.gram())
         if kind == "lap":

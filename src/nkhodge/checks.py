@@ -24,11 +24,20 @@ Each operator has one route in every dimension.  The components of d,
 del - delbar, L, L_mu_omega and L_mubar_omega, their adjoints (``adj:mu``)
 and their Laplacians (``lap:mu``) come by name from ``named_operator``,
 which builds each once per model.  The split of d comes from
-``differential_split`` (each component is the derivation with its coframe
-values), and DC_DEF tests the same J^{-1} d J derivation that ``d_c``
-builds (``twisted_differential``).  The ORDER_* checks use the Koszul test
-of ``algebraic_order_at_most``: an operator of order <= r equals the
-reconstruction from its columns on forms of degree <= r.  HODGE_ABCD
+``differential_split`` (mu and del are the derivations with their coframe
+values, delbar and mubar their conjugates), and DC_DEF tests the same
+J^{-1} d J derivation that ``d_c`` builds (``twisted_differential``).
+
+A barred requirement that is the conjugate of an unbarred one, such as
+[delbar*, L] - i del of [del*, L] + i delbar, goes through ``_Acc.pair``:
+the unbarred operator is recorded, then right after it its entry-wise
+conjugate, so the barred half is never composed a second time.
+
+The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
+operator of order <= r equals the reconstruction from its columns on
+forms of degree <= r; ORDER_DET checks that d is a derivation through the
+graded Leibniz rule over ``Form.wedge`` on every basis form, independently
+of the reconstruction that builds d.  HODGE_ABCD
 takes one kernel per degree, of the PSD sum of the component Laplacians.
 Type is read only through ``bidegree``: ``decompose_form`` gives the pieces
 (LEM_NK, SU3_STRUCT) and ``off_type`` answers whether a form has a given
@@ -62,7 +71,6 @@ from .operators import (
     GradedOperator,
     adjoint,
     algebraic_order_at_most,
-    derivation_from_one_forms,
     graded_commutator as br,
     mult_operator,
 )
@@ -99,6 +107,12 @@ class _Acc:
     def op(self, label: str, op: GradedOperator):
         if not op.is_zero():
             self._fail(label + ": " + (op.first_witness() or ""), op.max_abs_approx())
+
+    def pair(self, label: str, conj_label: str, op: GradedOperator):
+        """``op`` under ``label``, then its conjugate, the barred partner
+        requirement, under ``conj_label``."""
+        self.op(label, op)
+        self.op(conj_label, op.conjugated())
 
     def form(self, label: str, f: Form):
         if not f.is_zero():
@@ -149,12 +163,9 @@ def _frame_vectors(model) -> list[list[Scalar]]:
 
 def check_d2_split(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
-    acc.op("mu^2", mu.compose(mu))
-    acc.op("mubar^2", mb.compose(mb))
-    acc.op("[[del,mu]]", br(de, mu))
-    acc.op("[[delbar,mubar]]", br(db, mb))
-    acc.op("[[delbar,mu]] + del^2", br(db, mu) + de.compose(de))
-    acc.op("[[del,mubar]] + delbar^2", br(de, mb) + db.compose(db))
+    acc.pair("mu^2", "mubar^2", mu.compose(mu))
+    acc.pair("[[del,mu]]", "[[delbar,mubar]]", br(de, mu))
+    acc.pair("[[delbar,mu]] + del^2", "[[del,mubar]] + delbar^2", br(db, mu) + de.compose(de))
     acc.op("[[del,delbar]] + [[mu,mubar]]", br(de, db) + br(mu, mb))
 
 
@@ -299,12 +310,9 @@ def check_lem_nk(model, acc: _Acc):
 def check_br67(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
     lm, lmb = _ops(model, "L_mu_omega", "L_mubar_omega")
-    acc.op("[[L_mu_omega, mu]]", br(lm, mu))
-    acc.op("[[L_mu_omega, del]]", br(lm, de))
-    acc.op("[[L_mu_omega, delbar]]", br(lm, db))
-    acc.op("[[L_mubar_omega, mubar]]", br(lmb, mb))
-    acc.op("[[L_mubar_omega, delbar]]", br(lmb, db))
-    acc.op("[[L_mubar_omega, del]]", br(lmb, de))
+    acc.pair("[[L_mu_omega, mu]]", "[[L_mubar_omega, mubar]]", br(lm, mu))
+    acc.pair("[[L_mu_omega, del]]", "[[L_mubar_omega, delbar]]", br(lm, de))
+    acc.pair("[[L_mu_omega, delbar]]", "[[L_mubar_omega, del]]", br(lm, db))
     acc.op("[[L_mu_omega, mubar]] + [[L_mubar_omega, mu]]", br(lm, mb) + br(lmb, mu))
 
 
@@ -358,59 +366,51 @@ def check_nk_cor(model, acc: _Acc):
     mus, des, dbs, mbs = _adjoints(model)
     l_op, lam, _ = lefschetz_triple(model)
     two_i = Scalar(0, 0, 2, 0)
-    acc.op("[del*,L] + i delbar", br(des, l_op) + db.scale(I))
-    acc.op("[del,Lambda] + i delbar*", br(de, lam) + dbs.scale(I))
-    acc.op("[delbar*,L] - i del", br(dbs, l_op) - de.scale(I))
-    acc.op("[delbar,Lambda] - i del*", br(db, lam) - des.scale(I))
-    acc.op("[mu*,L] + 2i mubar", br(mus, l_op) + mb.scale(two_i))
-    acc.op("[mu,Lambda] + 2i mubar*", br(mu, lam) + mbs.scale(two_i))
-    acc.op("[mubar*,L] - 2i mu", br(mbs, l_op) - mu.scale(two_i))
-    acc.op("[mubar,Lambda] - 2i mu*", br(mb, lam) - mus.scale(two_i))
+    acc.pair("[del*,L] + i delbar", "[delbar*,L] - i del", br(des, l_op) + db.scale(I))
+    acc.pair("[del,Lambda] + i delbar*", "[delbar,Lambda] - i del*", br(de, lam) + dbs.scale(I))
+    acc.pair("[mu*,L] + 2i mubar", "[mubar*,L] - 2i mu", br(mus, l_op) + mb.scale(two_i))
+    acc.pair("[mu,Lambda] + 2i mubar*", "[mubar,Lambda] - 2i mu*", br(mu, lam) + mbs.scale(two_i))
 
 
 def check_torsion_op(model, acc: _Acc):
-    mu, de, db, mb = _parts(model)
-    mus, _, _, mbs = _adjoints(model)
+    mu, _, _, mb = _parts(model)
     l_op, lam, _ = lefschetz_triple(model)
     d_om = model.d().apply(model.omega())
     l_dom = mult_operator(d_om) if not d_om.is_zero() else GradedOperator.zero(model.dim, 3)
-    lm, lmb = _ops(model, "L_mu_omega", "L_mubar_omega")
+    mus, lm, lms = _ops(model, "adj:mu", "L_mu_omega", "adj:L_mu_omega")
     three = rational(3)
     acc.op("[Lambda, L_d_omega] + 3(mu+mubar)", br(lam, l_dom) + (mu + mb).scale(three))
-    acc.op("[Lambda, L_mu_omega] + 3mu", br(lam, lm) + mu.scale(three))
-    acc.op("[Lambda, L_mubar_omega] + 3mubar", br(lam, lmb) + mb.scale(three))
-    lms, lmbs = _ops(model, "adj:L_mu_omega", "adj:L_mubar_omega")
-    acc.op("[L_mu_omega*, L] + 3mu*", br(lms, l_op) + mus.scale(three))
-    acc.op("[L_mubar_omega*, L] + 3mubar*", br(lmbs, l_op) + mbs.scale(three))
+    acc.pair(
+        "[Lambda, L_mu_omega] + 3mu", "[Lambda, L_mubar_omega] + 3mubar", br(lam, lm) + mu.scale(three)
+    )
+    acc.pair(
+        "[L_mu_omega*, L] + 3mu*", "[L_mubar_omega*, L] + 3mubar*", br(lms, l_op) + mus.scale(three)
+    )
 
 
 def check_aux_com(model, acc: _Acc):
-    mu, de, db, mb = _parts(model)
-    mus, des, dbs, mbs = _adjoints(model)
-    lm, lmb = _ops(model, "L_mu_omega", "L_mubar_omega")
+    mu, _, db, _ = _parts(model)
+    _, des, dbs, mbs = _adjoints(model)
+    lm = named_operator(model, "L_mu_omega")
     third_i = I * rational(1, 3)
-    acc.op("[[mubar*, L_mu_omega]]", br(mbs, lm))
-    acc.op("[[delbar*, L_mu_omega]]", br(dbs, lm))
-    acc.op("[[mu*, L_mubar_omega]]", br(mus, lmb))
-    acc.op("[[del*, L_mubar_omega]]", br(des, lmb))
-    acc.op("[[delbar,mu]] + (i/3)[[del*, L_mu_omega]]", br(db, mu) + br(des, lm).scale(third_i))
-    acc.op("[[del,mubar]] - (i/3)[[delbar*, L_mubar_omega]]", br(de, mb) - br(dbs, lmb).scale(third_i))
+    acc.pair("[[mubar*, L_mu_omega]]", "[[mu*, L_mubar_omega]]", br(mbs, lm))
+    acc.pair("[[delbar*, L_mu_omega]]", "[[del*, L_mubar_omega]]", br(dbs, lm))
+    acc.pair(
+        "[[delbar,mu]] + (i/3)[[del*, L_mu_omega]]",
+        "[[del,mubar]] - (i/3)[[delbar*, L_mubar_omega]]",
+        br(db, mu) + br(des, lm).scale(third_i),
+    )
 
 
 def check_lap_com(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
     mus, des, dbs, mbs = _adjoints(model)
-    acc.op("[[delbar*,mu]]", br(dbs, mu))
-    acc.op("[[del*,mubar]]", br(des, mb))
-    acc.op("[[mu*,delbar]]", br(mus, db))
-    acc.op("[[mubar*,del]]", br(mbs, de))
-    acc.op("[[mu*,mubar]]", br(mus, mb))
-    acc.op("[[mubar*,mu]]", br(mbs, mu))
-    dbs_de, des_db = br(dbs, de), br(des, db)
-    acc.op("[[delbar*,del]] + [[del*,mu]]", dbs_de + br(des, mu))
-    acc.op("[[delbar*,del]] + [[mubar*,delbar]]", dbs_de + br(mbs, db))
-    acc.op("[[del*,delbar]] + [[mu*,del]]", des_db + br(mus, de))
-    acc.op("[[del*,delbar]] + [[delbar*,mubar]]", des_db + br(dbs, mb))
+    acc.pair("[[delbar*,mu]]", "[[del*,mubar]]", br(dbs, mu))
+    acc.pair("[[mu*,delbar]]", "[[mubar*,del]]", br(mus, db))
+    acc.pair("[[mu*,mubar]]", "[[mubar*,mu]]", br(mus, mb))
+    dbs_de = br(dbs, de)
+    acc.pair("[[delbar*,del]] + [[del*,mu]]", "[[del*,delbar]] + [[delbar*,mubar]]", dbs_de + br(des, mu))
+    acc.pair("[[delbar*,del]] + [[mubar*,delbar]]", "[[del*,delbar]] + [[mu*,del]]", dbs_de + br(mbs, db))
 
 
 def check_prop_lap(model, acc: _Acc):
@@ -650,11 +650,17 @@ def check_order_bracket(model, acc: _Acc):
 
 
 def check_order_det(model, acc: _Acc):
+    """d(1) = 0 and the graded Leibniz rule on every basis form:
+    d(u^m) = d(u^low) ^ u^rest - u^low ^ d(u^rest), low the lowest index of m."""
     d = model.d()
-    rebuilt = derivation_from_one_forms(
-        model.dim, [d.apply(Form.basis(model.dim, 1 << i)) for i in range(model.dim)]
-    )
-    acc.op("derivation rebuilt from coframe values - d", rebuilt - d)
+    dim = model.dim
+    acc.form("d(1)", d.column_form(0))
+    for m in range(1, 1 << dim):
+        low, rest = m & -m, m & (m - 1)
+        leibniz = d.column_form(low).wedge(Form.basis(dim, rest)) - Form.basis(dim, low).wedge(
+            d.column_form(rest)
+        )
+        acc.form(f"d({mask_label(m)}) - graded Leibniz expansion", d.column_form(m) - leibniz)
 
 
 def check_diff_lapl_kahler(model, acc: _Acc):
@@ -703,22 +709,6 @@ CHECKS: dict[str, CheckSpec] = {
 
 UNIVERSAL_CHECKS = tuple(sorted(cid for cid, s in CHECKS.items() if s.applicability == "universal"))
 
-# checks cheap enough for big models without --deep: no adjoints, no kernels
-FAST_SUBSET = (
-    "BR67",
-    "BRACKET_PQ",
-    "D2_SPLIT",
-    "DC_DEF",
-    "DC_FRAME",
-    "LEM_NK",
-    "MU_ONEFORMS",
-    "NIJ_MU",
-    "NK_DEF",
-    "ORDER_DET",
-)
-
-DEEP_DIM = 10
-
 
 def _skip_reason(model, spec: CheckSpec) -> str | None:
     if spec.applicability in ("universal", "nk"):
@@ -754,21 +744,15 @@ def run_check(model: LieAlgebraModel, check_id: str) -> CheckResult:
     return CheckResult(check_id, status, acc.zero, acc.residual, acc.witness, ms)
 
 
-def default_selection(model: LieAlgebraModel, deep: bool) -> list[str]:
-    if model.dim >= DEEP_DIM and not deep:
-        return [cid for cid in sorted(CHECKS) if cid in FAST_SUBSET]
-    return sorted(CHECKS)
-
-
 def run_suite(
     model: LieAlgebraModel,
     selection: list[str] | None = None,
     expected_failures: tuple[str, ...] | None = None,
-    deep: bool = False,
 ) -> SuiteReport:
+    """Run the selected checks (default: the whole catalogue) in id order."""
     if expected_failures is None:
         expected_failures = model.expected_failures
-    chosen = sorted(selection) if selection is not None else default_selection(model, deep)
+    chosen = sorted(selection if selection is not None else CHECKS)
     start = time.perf_counter()
     results = [run_check(model, cid) for cid in chosen]
     verdict = True

@@ -128,7 +128,7 @@ def cmd_suite(args) -> int:
     model = _load_valid_model(args.model)
     if model is None:
         return 1
-    report = run_suite(model, selection=selection, deep=args.deep)
+    report = run_suite(model, selection=selection)
     mismatches = _flag_mismatches(model)
     checks_doc = []
     lines = [f"model {report.model} ({model.dim}-dimensional)"]
@@ -278,14 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the identity check catalogue")
     p.add_argument("model")
-    p.add_argument("--checks", help="comma-separated check ids (default: all applicable)")
+    p.add_argument("--checks", help="comma-separated check ids (default: the whole catalogue)")
     p.add_argument("--report", choices=("text", "json"), default="text")
-    p.add_argument(
-        "--deep",
-        action="store_true",
-        help="run the full catalogue on models of dimension >= 10 "
-        "(default there is a documented fast subset)",
-    )
     p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("hodge", help="harmonic (p,q) table and Betti numbers")

