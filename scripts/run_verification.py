@@ -24,10 +24,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--models", default=",".join(BUILTIN_NAMES))
     args = parser.parse_args()
+    names = [name.strip() for name in args.models.split(",")]
+    unknown = [name for name in names if name not in BUILTIN_NAMES]
+    if unknown:
+        # argparse's error: usage and message on stderr, exit 2
+        parser.error(
+            f"--models: unknown built-in model(s) {', '.join(map(repr, unknown))};"
+            f" have {', '.join(BUILTIN_NAMES)}"
+        )
 
     overall_ok = True
-    for name in args.models.split(","):
-        model = builtin_model(name.strip())
+    for name in names:
+        model = builtin_model(name)
         print(f"=== {model.name} (dim {model.dim}, extension d = {model.ext_d}) ===")
         report = validate_model(model)
         print(f"  validation: {'ok' if report.ok else 'FAILED'}")

@@ -4,9 +4,9 @@ Type is read from J alone.  D_J, the derivation extending J from 1-forms
 (``j_derivation``), acts on Lambda^{p,q} as i(p - q), and within one degree
 k the value p - q fixes (p,q).  ``off_type(model, form, p, q)`` =
 D_J form - i(p - q) form is the one type test: zero exactly when a
-(p+q)-form has type (p,q).  ``decompose_form`` takes, in each degree, the
-D_J eigencomponents by exact Lagrange interpolation over the types of that
-degree.
+(p+q)-form has type (p,q).  ``decompose_form`` takes, in each degree k
+with m types, the D_J eigencomponents from the powers D_J^j form, j < m,
+through the inverse Vandermonde matrix of the eigenvalues i(2p - k).
 
 ``PQBasis`` keeps the (1,0)-coframe eta = P^{1,0} u = (u - iJu)/2.  A greedy
 scan with ``linalg.solve`` keeps, in order, each image outside the span of
@@ -26,7 +26,7 @@ a derivation built from its coframe values (``twisted_differential``),
 shared by ``d_c`` and the DC_DEF check.
 
 ``named_operator`` builds every derived operator the catalogue names: d,
-the four components, del - delbar, L = L_omega, L_mu_omega and
+the four components, L = L_omega, L_mu_omega and
 L_mubar_omega, and for each of them ``adj:<name>`` (the metric adjoint) and
 ``lap:<name>`` (the Laplacian from that adjoint).  Each name has one
 builder and is its own memo key, so an adjoint is built once and no key
@@ -39,10 +39,11 @@ reach ``adjoint``.  ``lefschetz_triple`` is (L, adj:L, H).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .exterior import Form, wedge_image, wedge_map
-from .linalg import solve
+from .linalg import add_scaled, inverse, solve
 from .operators import GradedOperator, adjoint, derivation_from_one_forms, laplacian, mult_operator
 from .scalars import I, Scalar, rational
 
@@ -116,26 +117,38 @@ def off_type(model, form: Form, p: int, q: int) -> Form:
     return j_derivation(model).apply(form) - form.scale(I * rational(p - q))
 
 
+@functools.cache
+def _types_from_powers(k: int, n: int) -> tuple[tuple[int, list[Scalar]], ...]:
+    """(p, row p of V^{-1}) for the types (p, k - p) of degree k, p increasing,
+    where V[j][p] = (i(2p - k))^j: the row takes the powers D_J^j form to the
+    piece of type (p, k - p)."""
+    types = range(max(0, k - n), min(n, k) + 1)
+    vandermonde = [[(I * rational(2 * p - k)) ** j for p in types] for j in range(len(types))]
+    return tuple(zip(types, inverse(vandermonde)))
+
+
 def decompose_form(model, form: Form) -> dict[tuple[int, int], Form]:
     """Split a form into its pure-bidegree pieces (zero pieces omitted), by
     degree and then increasing p.
 
-    In degree k the piece of type (p, k-p) is the D_J eigencomponent for
-    i(2p - k): the Lagrange product of (D_J - i(2r - k)) / (2i(p - r)) over
-    the other types (r, k-r) of that degree.
+    In degree k the pieces x_p are the D_J eigencomponents for i(2p - k), so
+    D_J^j form = sum_p (i(2p - k))^j x_p for j below the number of types;
+    the inverse Vandermonde matrix solves for the x_p.
     """
     n = model.dim // 2
     out: dict[tuple[int, int], Form] = {}
     for k in sorted({m.bit_count() for m in form.coeffs}):
-        piece = Form(form.dim, {m: v for m, v in form.coeffs.items() if m.bit_count() == k})
-        types = range(max(0, k - n), min(n, k) + 1)
-        for p in types:
-            part = piece
-            for r in types:
-                if r != p:
-                    part = off_type(model, part, r, k - r).scale(I * rational(1, 2 * (r - p)))
-            if not part.is_zero():
-                out[(p, k - p)] = part
+        powers = [Form(form.dim, {m: v for m, v in form.coeffs.items() if m.bit_count() == k})]
+        rows = _types_from_powers(k, n)
+        while len(powers) < len(rows):
+            powers.append(j_derivation(model).apply(powers[-1]))
+        for p, row in rows:
+            part: dict[int, Scalar] = {}
+            for w, power in zip(row, powers):
+                if not w.is_zero():
+                    add_scaled(part, power.coeffs, w)
+            if part:
+                out[(p, k - p)] = Form(form.dim, part)
     return out
 
 
@@ -258,7 +271,6 @@ _BASE_OPERATORS = {
     "del": lambda m: differential_split(m).del_,
     "delbar": lambda m: differential_split(m).delbar,
     "mubar": lambda m: differential_split(m).mubar,
-    "del-delbar": lambda m: differential_split(m).del_ - differential_split(m).delbar,
     "L": lambda m: mult_operator(m.omega()),
     "L_mu_omega": _l_part_omega,
     "L_mubar_omega": lambda m: named_operator(m, "L_mu_omega").conjugated(),

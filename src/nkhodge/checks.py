@@ -21,7 +21,7 @@ diagonal); identities are coframe-covariant, so verdicts transfer, and
 witnesses name that presentation's coframe.
 
 Each operator has one route in every dimension.  The components of d,
-del - delbar, L, L_mu_omega and L_mubar_omega, their adjoints (``adj:mu``)
+L, L_mu_omega and L_mubar_omega, their adjoints (``adj:mu``)
 and their Laplacians (``lap:mu``) come by name from ``named_operator``,
 which builds each once per model.  The split of d comes from
 ``differential_split`` (mu and del are the derivations with their coframe
@@ -31,7 +31,11 @@ J^{-1} d J derivation that ``d_c`` builds (``twisted_differential``).
 A barred requirement that is the conjugate of an unbarred one, such as
 [delbar*, L] - i del of [del*, L] + i delbar, goes through ``_Acc.pair``:
 the unbarred operator is recorded, then right after it its entry-wise
-conjugate, so the barred half is never composed a second time.
+conjugate, so the barred half is never composed a second time.  Likewise
+a self-conjugate sum X + conj X, such as [[mubar,mu]] = mu mubar + conj(mu
+mubar) or Delta_(del-delbar) = Delta_del + Delta_delbar - X - conj X with
+X = [[delbar*,del]] (bilinearity of [[P*,P]]), is built by
+``_with_conjugate`` from its unbarred half X.
 
 The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
 operator of order <= r equals the reconstruction from its columns on
@@ -134,6 +138,11 @@ class _Acc:
         self.residual = max(self.residual, residual)
 
 
+def _with_conjugate(op: GradedOperator) -> GradedOperator:
+    """op + conj op: a self-conjugate sum from its unbarred half."""
+    return op + op.conjugated()
+
+
 # ---------------------------------------------------------------------------
 # shared derived operators (memoized per model)
 
@@ -153,11 +162,6 @@ def _su3(model):
     return model._memo("su3", lambda: su3_extract(model))
 
 
-def _frame_vectors(model) -> list[list[Scalar]]:
-    n = model.dim
-    return [[ONE if t == s else ZERO for t in range(n)] for s in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # the catalogue
 
@@ -166,7 +170,7 @@ def check_d2_split(model, acc: _Acc):
     acc.pair("mu^2", "mubar^2", mu.compose(mu))
     acc.pair("[[del,mu]]", "[[delbar,mubar]]", br(de, mu))
     acc.pair("[[delbar,mu]] + del^2", "[[del,mubar]] + delbar^2", br(db, mu) + de.compose(de))
-    acc.op("[[del,delbar]] + [[mu,mubar]]", br(de, db) + br(mu, mb))
+    acc.op("[[del,delbar]] + [[mu,mubar]]", _with_conjugate(de.compose(db) + mu.compose(mb)))
 
 
 def check_sl2(model, acc: _Acc):
@@ -189,8 +193,10 @@ def check_j_pq(model, acc: _Acc):
 
 
 def check_bracket_pq(model, acc: _Acc):
+    """The (0,1) components are the conjugates of the (1,0) ones: the frame,
+    J, N and the structure constants are real."""
     n = model.dim
-    basis = _frame_vectors(model)
+    basis = [[ONE if t == s else ZERO for t in range(n)] for s in range(n)]
     tensor = model.nijenhuis_tensor()
     half = rational(1, 2)
     eighth = rational(1, 8)
@@ -202,20 +208,13 @@ def check_bracket_pq(model, acc: _Acc):
             y10 = [(a - I * b) * half for a, b in zip(y, jy)]
             bracket = model.bracket(x10, y10)
             jb = model.j_vector(bracket)
-            got01 = [(v + I * w) * half for v, w in zip(bracket, jb)]
             nv = [tensor[i][j][k] for k in range(n)]
             jn = model.j_vector(nv)
-            want = [(a + I * b) * eighth for a, b in zip(nv, jn)]
-            for k in range(n):
-                acc.scalar(f"(1,0)-bracket component ({i + 1},{j + 1})_{k + 1}", got01[k] - want[k])
-            x01 = [(a + I * b) * half for a, b in zip(x, jx)]
-            y01 = [(a + I * b) * half for a, b in zip(y, jy)]
-            bracket2 = model.bracket(x01, y01)
-            jb2 = model.j_vector(bracket2)
-            got10 = [(v - I * w) * half for v, w in zip(bracket2, jb2)]
-            want2 = [(a - I * b) * eighth for a, b in zip(nv, jn)]
-            for k in range(n):
-                acc.scalar(f"(0,1)-bracket component ({i + 1},{j + 1})_{k + 1}", got10[k] - want2[k])
+            diffs = [(v + I * w) * half - (a + I * b) * eighth for v, w, a, b in zip(bracket, jb, nv, jn)]
+            for k, r in enumerate(diffs):
+                acc.scalar(f"(1,0)-bracket component ({i + 1},{j + 1})_{k + 1}", r)
+            for k, r in enumerate(diffs):
+                acc.scalar(f"(0,1)-bracket component ({i + 1},{j + 1})_{k + 1}", r.conjugate())
 
 
 def check_mu_oneforms(model, acc: _Acc):
@@ -309,11 +308,11 @@ def check_lem_nk(model, acc: _Acc):
 
 def check_br67(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
-    lm, lmb = _ops(model, "L_mu_omega", "L_mubar_omega")
+    lm = named_operator(model, "L_mu_omega")
     acc.pair("[[L_mu_omega, mu]]", "[[L_mubar_omega, mubar]]", br(lm, mu))
     acc.pair("[[L_mu_omega, del]]", "[[L_mubar_omega, delbar]]", br(lm, de))
     acc.pair("[[L_mu_omega, delbar]]", "[[L_mubar_omega, del]]", br(lm, db))
-    acc.op("[[L_mu_omega, mubar]] + [[L_mubar_omega, mu]]", br(lm, mb) + br(lmb, mu))
+    acc.op("[[L_mu_omega, mubar]] + [[L_mubar_omega, mu]]", _with_conjugate(br(lm, mb)))
 
 
 def check_su3_struct(model, acc: _Acc):
@@ -414,12 +413,14 @@ def check_lap_com(model, acc: _Acc):
 
 
 def check_prop_lap(model, acc: _Acc):
-    mu, de, db, mb = _parts(model)
-    mus, _, _, mbs = _adjoints(model)
+    mu, _, _, mb = _parts(model)
     l_op, lam, _ = lefschetz_triple(model)
-    lm, lmb, d_lm, d_lmb = _ops(model, "L_mu_omega", "L_mubar_omega", "lap:L_mu_omega", "lap:L_mubar_omega")
+    mus, lm, lmb, d_lm, d_lmb = _ops(
+        model, "adj:mu", "L_mu_omega", "L_mubar_omega", "lap:L_mu_omega", "lap:L_mubar_omega"
+    )
     third_i = I * rational(1, 3)
-    mb_mu, mus_lm, mbs_lmb = br(mb, mu), br(mus, lm), br(mbs, lmb)
+    mb_mu, mus_lm = _with_conjugate(mu.compose(mb)), br(mus, lm)
+    mbs_lmb = mus_lm.conjugated()
     lam_mu_lmb = br(lam, br(mu, lmb))
     diff_l = d_lm - d_lmb
     acc.op(
@@ -457,7 +458,7 @@ def check_dim6_eigen(model, acc: _Acc):
     d_lm, d_lmb, d_del, d_db = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega", "lap:del", "lap:delbar")
     diff_l = d_lm - d_lmb
     diff_d = d_del - d_db
-    commy = br(mb, mu)
+    commy = _with_conjugate(mu.compose(mb))
     omega = model.omega()
     for p in range(4):
         for q in range(4):
@@ -514,24 +515,19 @@ def check_theta_bracket(model, acc: _Acc):
 
 
 def check_l_delta(model, acc: _Acc):
-    mu, de, db, mb = _parts(model)
-    mus, _, _, mbs = _adjoints(model)
-    l_op = lefschetz_triple(model)[0]
-    lap_d = hodge_laplacian(model)
-    lm, lmb = _ops(model, "L_mu_omega", "L_mubar_omega")
-    two_i = Scalar(0, 0, 2, 0)
+    de, mus, l_op, lm = _ops(model, "del", "adj:mu", "L", "L_mu_omega")
+    unbarred = br(mus, lm) - de.compose(de).scale(Scalar(0, 0, 2, 0))
     acc.op(
         "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2",
-        br(l_op, lap_d)
-        - de.compose(de).scale(two_i)
-        + br(mus, lm)
-        + br(mbs, lmb)
-        + db.compose(db).scale(two_i),
+        br(l_op, hodge_laplacian(model)) + _with_conjugate(unbarred),
     )
 
 
 def check_delta_sum(model, acc: _Acc):
-    lap_d, d_mix, d_mu, d_mb = _ops(model, "lap:d", "lap:del-delbar", "lap:mu", "lap:mubar")
+    lap_d, d_del, d_db, d_mu, d_mb, dbs, de = _ops(
+        model, "lap:d", "lap:del", "lap:delbar", "lap:mu", "lap:mubar", "adj:delbar", "del"
+    )
+    d_mix = d_del + d_db - _with_conjugate(br(dbs, de))
     acc.op("Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar", lap_d - d_mix - d_mu - d_mb)
 
 

@@ -436,35 +436,6 @@ def validate_model(model: LieAlgebraModel) -> ValidationReport:
     return report
 
 
-def perturbed_structure(model: LieAlgebraModel, i: int, j: int, k: int, value: Scalar) -> LieAlgebraModel:
-    """Copy of the model with c^k_{ij} shifted; used by the robustness tests."""
-    structure = {key: dict(vals) for key, vals in model.structure.items()}
-    slot = structure.setdefault((i, j), {})
-    slot[k] = slot.get(k, ZERO) + value
-    return LieAlgebraModel(
-        model.name + "#perturbed",
-        model.dim,
-        model.ext_d,
-        structure,
-        model.metric,
-        model.J,
-        dict(model.expected),
-    )
-
-
-def scaled_metric(model: LieAlgebraModel, factor: Scalar) -> LieAlgebraModel:
-    return LieAlgebraModel(
-        model.name + "#scaled",
-        model.dim,
-        model.ext_d,
-        model.structure,
-        [[v * factor for v in row] for row in model.metric],
-        model.J,
-        dict(model.expected),
-        model.expected_failures,
-    )
-
-
 # ---------------------------------------------------------------------------
 # nearly Kahler structure
 

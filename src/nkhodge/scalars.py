@@ -179,12 +179,6 @@ class Scalar:
     def conjugate(self) -> Scalar:
         return Scalar(self.a, self.b, -self.c, -self.e, self.q, self.d)
 
-    def real(self) -> Scalar:
-        return Scalar(self.a, self.b, 0, 0, self.q, self.d)
-
-    def imag(self) -> Scalar:
-        return Scalar(self.c, self.e, 0, 0, self.q, self.d)
-
     # -- order structure on the real subfield ----------------------------
 
     def sign(self) -> int:

@@ -27,6 +27,9 @@
   NK_COR, LAP_COM, AUX_COM, BR67 and TORSION_OP composed directly from
   delbar, mubar, ``adjoint`` and ``mult_operator``, against the conjugates
   the checks record through ``_Acc.pair``.
+* ``laplacian_of_del_minus_delbar``: Delta_(del-delbar) as [[P*, P]] of
+  P = del - delbar with ``adjoint_via_minors``, against DELTA_SUM's
+  expansion Delta_del + Delta_delbar - X - conj X, X = [[delbar*, del]].
 * ``form_to_pq``, ``pq_coords_to_form`` and ``decompose_via_monomials``:
   coordinates in the monomials of the chosen (1,0)/(0,1) generators eta
   of ``pq_basis``, through the images ``u_in_eta`` of the coframe (each
@@ -419,6 +422,13 @@ def barred_requirements(model) -> dict[str, GradedOperator]:
         "[Lambda, L_mubar_omega] + 3mubar": br(lam, lmb) + mb.scale(three),
         "[L_mubar_omega*, L] + 3mubar*": br(lmbs, l_op) + mbs.scale(three),
     }
+
+
+def laplacian_of_del_minus_delbar(model) -> GradedOperator:
+    """[[P*, P]] for P = del - delbar, with the minor-sandwich adjoint."""
+    split = differential_split(model)
+    p = split.del_ - split.delbar
+    return laplacian(p, adjoint_via_minors(p, model.gram()))
 
 
 # -- eta-monomial coordinates ----------------------------------------------------

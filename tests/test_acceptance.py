@@ -21,12 +21,11 @@ from nkhodge.linalg import sparse_rank
 from nkhodge.models import (
     builtin_model,
     nearly_kahler_residual,
-    perturbed_structure,
-    scaled_metric,
     su3_extract,
 )
 from nkhodge.scalars import rational
 from oracles import form_to_pq, harmonic_space_dense_oracle, spans_equal
+from variants import perturbed_structure, scaled_metric
 
 UNIVERSAL = sorted(UNIVERSAL_CHECKS)
 

@@ -21,11 +21,11 @@ from nkhodge.models import (
     builtin_model,
     model_from_json,
     model_to_json,
-    scaled_metric,
 )
-from nkhodge.operators import derivation_from_one_forms
+from nkhodge.operators import GradedOperator, derivation_from_one_forms
 from nkhodge.scalars import Scalar, rational
-from oracles import barred_requirements, stacked_kernel_nullities
+from oracles import barred_requirements, laplacian_of_del_minus_delbar, stacked_kernel_nullities
+from variants import scaled_metric
 
 
 class TestCatalogue:
@@ -237,6 +237,47 @@ class TestBarredPairs:
         for label, op in want.items():
             assert not op.is_zero(), label
             assert acc.ops[label] == op, label
+
+
+class TestSelfConjugateSums:
+    @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
+    def test_no_conjugate_compose_pairs(self, name, monkeypatch):
+        # every product a check composes, its shared builds included (a fresh
+        # model per check): the entry-wise conjugate of a product comes from
+        # conjugating it, never from composing the conjugate operands
+        original = GradedOperator.compose
+        operands = []
+
+        def recording(p, q):
+            operands.append((p, q))
+            return original(p, q)
+
+        monkeypatch.setattr(GradedOperator, "compose", recording)
+        text = model_to_json(builtin_model(name))
+        found, seen = [], 0
+        for cid in sorted(CHECKS):
+            model = model_from_json(text)
+            operands.clear()
+            run_check(model, cid)
+            # zero operators of one degree are all equal (every d component on torus6)
+            pairs = [(p, q) for p, q in operands if not (p.is_zero() or q.is_zero())]
+            seen += len(pairs)
+            for x, (p, q) in enumerate(pairs):
+                conj = (p.conjugated(), q.conjugated())
+                if conj != (p, q):
+                    found += [(cid, x, y) for y in range(x + 1, len(pairs)) if pairs[y] == conj]
+        assert seen and found == []
+
+    @pytest.mark.parametrize("name", ["s3xs3-nk", "kodaira-thurston"])
+    def test_delta_sum_matches_minor_laplacian(self, name):
+        # DELTA_SUM records Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar;
+        # solve it for the Delta_(del-delbar) that the check expands
+        model = builtin_model(name).orthogonalized()
+        acc = _RecordingAcc()
+        CHECKS["DELTA_SUM"].fn(model, acc)
+        (recorded,) = acc.ops.values()
+        lap_d, d_mu, d_mb = (named_operator(model, n) for n in ("lap:d", "lap:mu", "lap:mubar"))
+        assert lap_d - d_mu - d_mb - recorded == laplacian_of_del_minus_delbar(model)
 
 
 class TestOrderDet:

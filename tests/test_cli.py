@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,7 +332,8 @@ class TestInvalidFileModels:
     @pytest.mark.parametrize("command", [["suite"], ["hodge"], ["order", "--op", "d"]], ids=["suite", "hodge", "order"])
     def test_refused_before_running(self, capsys, tmp_path, s3xs3, kodaira, dim, command):
         # c^5_12 shifted by 1/2 breaks Jacobi; the metric is coupled in both
-        from nkhodge.models import model_to_json, perturbed_structure, product_model
+        from nkhodge.models import model_to_json, product_model
+        from variants import perturbed_structure
 
         bad = perturbed_structure(s3xs3, 0, 1, 4, rational(1, 2))
         if dim == 10:
@@ -342,17 +347,23 @@ class TestInvalidFileModels:
 
 
 class TestVerificationScript:
-    def test_runs_from_any_directory(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
 
-        script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    def test_runs_from_any_directory(self, tmp_path):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         proc = subprocess.run(
-            [sys.executable, str(script), "--models", "torus6,kodaira-thurston"],
+            [sys.executable, str(self.SCRIPT), "--models", "torus6,kodaira-thurston"],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         assert "overall: ok" in proc.stdout
+
+    @pytest.mark.parametrize("models", ["nosuch", "", "torus6,nosuch", "torus6,"])
+    def test_unknown_model_refused_before_any_runs(self, models):
+        proc = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--models", models], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unknown built-in model" in proc.stderr and "have torus6, s3xs3-nk" in proc.stderr
+        assert "Traceback" not in proc.stderr

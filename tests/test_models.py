@@ -11,14 +11,13 @@ from nkhodge.models import (
     model_hash,
     model_to_json,
     nearly_kahler_residual,
-    perturbed_structure,
     product_model,
-    scaled_metric,
     su3_extract,
     validate_model,
 )
 from nkhodge.scalars import MINUS_ONE, ONE, ZERO, rational
 from oracles import inner_via_minors
+from variants import perturbed_structure, scaled_metric
 
 
 def covariant_derivative(model, i: int, a: Form) -> Form:
