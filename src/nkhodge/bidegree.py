@@ -2,11 +2,14 @@
 
 Type is read from J alone.  D_J, the derivation extending J from 1-forms
 (``j_derivation``), acts on Lambda^{p,q} as i(p - q), and within one degree
-k the value p - q fixes (p,q).  ``off_type(model, form, p, q)`` =
-D_J form - i(p - q) form is the one type test: zero exactly when a
-(p+q)-form has type (p,q).  ``decompose_form`` takes, in each degree k
-with m types, the D_J eigencomponents from the powers D_J^j form, j < m,
-through the inverse Vandermonde matrix of the eigenvalues i(2p - k).
+k the value p - q fixes (p,q).  Only its action is kept
+(``operators.DerivationAction``): a column is built the first time a form
+meets it, so the degrees that are never typed cost nothing.
+``off_type(model, form, p, q)`` = D_J form - i(p - q) form is the one type
+test: zero exactly when a (p+q)-form has type (p,q).  ``decompose_form``
+takes, in each degree k with m types, the D_J eigencomponents from the
+powers D_J^j form, j < m, through the inverse Vandermonde matrix of the
+eigenvalues i(2p - k).
 
 ``PQBasis`` keeps the (1,0)-coframe eta = P^{1,0} u = (u - iJu)/2.  A greedy
 scan with ``linalg.solve`` keeps, in order, each image outside the span of
@@ -44,7 +47,14 @@ from dataclasses import dataclass
 
 from .exterior import Form, wedge_image, wedge_map
 from .linalg import add_scaled, inverse, solve
-from .operators import GradedOperator, adjoint, derivation_from_one_forms, laplacian, mult_operator
+from .operators import (
+    DerivationAction,
+    GradedOperator,
+    adjoint,
+    derivation_from_one_forms,
+    laplacian,
+    mult_operator,
+)
 from .scalars import I, Scalar, rational
 
 
@@ -104,12 +114,12 @@ def pq_basis(model) -> PQBasis:
     return model._memo("pq_basis", lambda: PQBasis(model))
 
 
-def j_derivation(model) -> GradedOperator:
-    """D_J, the derivation extending J from 1-forms; i(p - q) on Lambda^{p,q}."""
-    return model._memo(
-        "j_derivation",
-        lambda: derivation_from_one_forms(model.dim, model.j_one_form_rows(), degree=0),
-    )
+def j_derivation(model) -> DerivationAction:
+    """D_J, the derivation extending J from 1-forms; i(p - q) on Lambda^{p,q}.
+
+    Only its action is kept, column by column as forms meet it: the callers
+    apply it to forms of degrees 2, 3 and the harmonic degrees."""
+    return model._memo("j_derivation", lambda: DerivationAction(model.dim, model.j_one_form_rows()))
 
 
 def off_type(model, form: Form, p: int, q: int) -> Form:
@@ -259,8 +269,7 @@ def lefschetz_triple(model) -> tuple[GradedOperator, GradedOperator, GradedOpera
 
 def _l_part_omega(model) -> GradedOperator:
     """L_{mu omega}, declared of degree 3 also where mu omega = 0."""
-    op = mult_operator(named_operator(model, "mu").apply(model.omega()))
-    return GradedOperator(model.dim, op.cols, 3, check=False)
+    return mult_operator(named_operator(model, "mu").apply(model.omega())).with_degree(3)
 
 
 # builders look up their helpers when they run, so a rebound module attribute

@@ -35,7 +35,8 @@ conjugate, so the barred half is never composed a second time.  Likewise
 a self-conjugate sum X + conj X, such as [[mubar,mu]] = mu mubar + conj(mu
 mubar) or Delta_(del-delbar) = Delta_del + Delta_delbar - X - conj X with
 X = [[delbar*,del]] (bilinearity of [[P*,P]]), is built by
-``_with_conjugate`` from its unbarred half X.
+``_with_conjugate`` from its unbarred half X.  That X is composed once
+per model, under a memo key of its own, and LAP_COM and DELTA_SUM share it.
 
 The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
 operator of order <= r equals the reconstruction from its columns on
@@ -156,6 +157,12 @@ def _parts(model):
 
 def _adjoints(model):
     return _ops(model, "adj:mu", "adj:del", "adj:delbar", "adj:mubar")
+
+
+def _delbar_star_del(model) -> GradedOperator:
+    """X = [[delbar*, del]], shared by LAP_COM and DELTA_SUM.  Its memo key is
+    not an operator name, so no ``named_operator`` build can hit it."""
+    return model._memo("[[adj:delbar,del]]", lambda: br(*_ops(model, "adj:delbar", "del")))
 
 
 def _su3(model):
@@ -407,7 +414,7 @@ def check_lap_com(model, acc: _Acc):
     acc.pair("[[delbar*,mu]]", "[[del*,mubar]]", br(dbs, mu))
     acc.pair("[[mu*,delbar]]", "[[mubar*,del]]", br(mus, db))
     acc.pair("[[mu*,mubar]]", "[[mubar*,mu]]", br(mus, mb))
-    dbs_de = br(dbs, de)
+    dbs_de = _delbar_star_del(model)
     acc.pair("[[delbar*,del]] + [[del*,mu]]", "[[del*,delbar]] + [[delbar*,mubar]]", dbs_de + br(des, mu))
     acc.pair("[[delbar*,del]] + [[mubar*,delbar]]", "[[del*,delbar]] + [[mu*,del]]", dbs_de + br(mbs, db))
 
@@ -524,10 +531,8 @@ def check_l_delta(model, acc: _Acc):
 
 
 def check_delta_sum(model, acc: _Acc):
-    lap_d, d_del, d_db, d_mu, d_mb, dbs, de = _ops(
-        model, "lap:d", "lap:del", "lap:delbar", "lap:mu", "lap:mubar", "adj:delbar", "del"
-    )
-    d_mix = d_del + d_db - _with_conjugate(br(dbs, de))
+    lap_d, d_del, d_db, d_mu, d_mb = _ops(model, "lap:d", "lap:del", "lap:delbar", "lap:mu", "lap:mubar")
+    d_mix = d_del + d_db - _with_conjugate(_delbar_star_del(model))
     acc.op("Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar", lap_d - d_mix - d_mu - d_mb)
 
 

@@ -61,7 +61,7 @@ def operator_degree_rows(op: GradedOperator, k: int, dim: int) -> tuple[list[Spa
     """Row-sparse matrix of the degree-k block (columns indexed by mask order)."""
     masks = degree_masks(dim, k)
     index = {m: i for i, m in enumerate(masks)}
-    return transpose((index[c], col) for c, col in op.cols.items() if c in index), masks
+    return transpose((index[c], col) for c, col in op.scalar_columns(k)), masks
 
 
 def harmonic_space(model, k: int) -> list[Form]:

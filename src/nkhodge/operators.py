@@ -1,16 +1,45 @@
 """Graded operators as sparse exact matrices on the exterior algebra.
 
-Operators are stored column-wise over the bitmask basis (column mask ->
-sparse column of row mask -> Scalar), tagged with a degree.  Sums,
-products and applications accumulate columns through ``linalg.add_scaled``,
-which drops every entry that cancels, so operator equality is literal matrix
-equality over the scalar tower.
+An operator is stored as one denominator times integer coordinates (Cohen,
+*A Course in Computational Algebraic Number Theory*, GTM 138, 1993, ch. 4):
+a positive denominator ``q``, the extension parameter ``d`` of the field
+Q(sqrt d)(i) its entries lie in, and, column by column over the bitmask
+basis, a dict ``coords[c]`` of row mask -> ``(a, b, c, e)`` of ints, meaning
+the entry (a + b sqrt(d) + i(c + e sqrt(d))) / q.  ``d`` joins as in
+``Scalar``: d = 1 operators (the counting operator, d itself on the
+built-ins) mix with any d, and two different d > 1 raise ValueError.
+
+Every result is normalized once.  Entries that cancel are dropped, q and
+all coordinates are divided by their gcd, d is 1 when no entry has a
+sqrt(d) part, and ``real`` records that no entry has an imaginary part.
+The store of an operator is therefore unique, and operator equality is
+literal equality of the stores, which stays exact.  Equal entries share
+one tuple (an operator has a few dozen distinct entries), which keeps the
+store smaller than a Scalar per entry, and the normalizing scans run over
+the distinct entries only.  Sums rescale both
+stores to the lcm of the two denominators; products multiply the
+denominators and the coordinates by the table of Q(sqrt d)(i), with fast
+paths when both factors are real; ``scale`` and ``conjugated`` act on the
+coordinates.  Each operation walks and inserts keys as accumulating through
+``linalg.add_scaled`` does (a key whose sum cancels is removed, and
+re-appended if it comes back), so the column and row orders that
+``linalg.transpose`` hands to elimination do not depend on the store.
+
+``Scalar`` appears only at the boundaries.  The constructor takes sparse
+columns of Scalars (``reconstruct``, ``diagonal`` and ``identity`` go
+through it); ``apply`` accumulates a form's image in integers and builds
+one Scalar per output entry, as do ``column_form`` and ``scalar_columns``;
+``first_witness`` and ``max_abs_approx`` read each entry as its normalized
+Scalar, so residuals and witnesses are those of the Scalar arithmetic to
+the last bit.  ``cols`` converts the whole operator once and keeps the
+result; no production route reads it.
 
 The metric adjoint P* is the operator with <P a, b> = <a, P* b>.  Every
 computation runs in an orthogonal coframe (``LieAlgebraModel.orthogonalized``),
 where the basis forms are pairwise orthogonal with <u^m, u^m> = 1/w(m), so
 the adjoint is the weighted conjugate transpose
-P*[c][r] = conj(P[r][c]) w(c) / w(r).  A coupled metric is refused; the test
+P*[c][r] = conj(P[r][c]) w(c) / w(r), with the weights as integer data
+(``GramData.integral_weights``).  A coupled metric is refused; the test
 suite checks the result against the literal minor-determinant sandwich
 G^{-1} P^dagger G on coupled metrics and against -*d* for d.  The
 Laplacian ``laplacian(p, p_star)`` = [[P*, P]] takes the adjoint as an
@@ -25,22 +54,56 @@ columns of degree <= r and ``reconstruct`` sums them back up, so an
 operator of order <= r is the reconstruction of its low-degree columns.
 That is the order test (``algebraic_order_at_most``: P equals its
 reconstruction) and the only route from coframe values to a derivation
-(``derivation_from_one_forms``).
+(``derivation_from_one_forms``).  ``DerivationAction`` applies the same
+Koszul sum to forms with each column built on first use.
 """
 
 from __future__ import annotations
+
+import math
 
 from .exterior import Form, GramData, graded_lex_key, mask_label, wedge_masks
 from .linalg import add_scaled
 from .scalars import ONE, Scalar
 
 Column = dict[int, Scalar]
+Coords = tuple[int, int, int, int]  # (a, b, c, e): (a + b sqrt d + i(c + e sqrt d)) / q
+Store = dict[int, dict[int, Coords]]  # column mask -> row mask -> coordinates
+
+
+def _join(d1: int, d2: int) -> int:
+    """Common extension parameter, as ``Scalar._join``."""
+    if d1 == d2 or d2 == 1:
+        return d1
+    if d1 == 1:
+        return d2
+    raise ValueError(f"incompatible extensions sqrt({d1}) vs sqrt({d2})")
+
+
+def _times(t: Coords, u: Coords, d: int) -> Coords:
+    """Coordinates of the product of two entries of Q(sqrt d)(i)."""
+    a1, b1, c1, e1 = t
+    a2, b2, c2, e2 = u
+    return (
+        a1 * a2 + d * (b1 * b2 - e1 * e2) - c1 * c2,
+        a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+        a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2),
+        a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+def _map_entries(coords: Store, fn) -> Store:
+    """The store with every entry t replaced by fn(t), an injective map
+    computed once per distinct entry, so that equal entries stay one tuple."""
+    image: dict[Coords, Coords] = {}
+    get, put = image.get, image.setdefault
+    return {c: {r: get(t) or put(t, fn(t)) for r, t in col.items()} for c, col in coords.items()}
 
 
 class GradedOperator:
-    """Sparse exact matrix with a declared degree."""
+    """Sparse exact matrix with a declared degree, over one denominator."""
 
-    __slots__ = ("dim", "cols", "degree")
+    __slots__ = ("dim", "degree", "q", "d", "real", "coords", "_cols")
 
     def __init__(
         self,
@@ -50,22 +113,71 @@ class GradedOperator:
         *,
         check: bool = True,
     ):
-        clean: dict[int, Column] = {}
+        """The operator with the given sparse columns of Scalars (zeros dropped)."""
+        kinds = {(v.q, v.d) for col in cols.values() for v in col.values()}
+        q = math.lcm(*(vq for vq, _ in kinds))
+        d = 1
+        for _, vd in kinds:
+            d = _join(d, vd)
+        # one conversion per Scalar object (the columns keep each one alive)
+        # and one tuple per value
+        image: dict[int, Coords] = {}
+        shared: dict[Coords, Coords] = {}
+        store: Store = {}
         for c, col in cols.items():
-            kept = {r: v for r, v in col.items() if not v.is_zero()}
+            kept = {}
+            for r, v in col.items():
+                t = image.get(id(v))
+                if t is None:
+                    if v.is_zero():
+                        continue
+                    f = q // v.q
+                    t = (v.a * f, v.b * f, v.c * f, v.e * f)
+                    t = image[id(v)] = shared.setdefault(t, t)
+                kept[r] = t
             if kept:
-                clean[c] = kept
-        self.dim = dim
-        self.cols = clean
-        self.degree = degree
+                store[c] = kept
+        # Scalars are normalized: q, the lcm of theirs, has no factor in
+        # common with every coordinate, and d > 1 only with a sqrt(d) part
+        self._set(dim, degree, q, d, not any(t[2] or t[3] for t in shared), store)
         if check and degree is not None:
-            for c, col in clean.items():
+            for c, col in store.items():
                 kc = c.bit_count()
                 for r in col:
                     if r.bit_count() != kc + degree:
                         raise ValueError(
                             f"entry ({mask_label(r)}, {mask_label(c)}) violates degree {degree}"
                         )
+
+    def _set(self, dim, degree, q, d, real, coords) -> GradedOperator:
+        self.dim = dim
+        self.degree = degree
+        self.q = q
+        self.d = d
+        self.real = real
+        self.coords = coords
+        self._cols = None
+        return self
+
+    @classmethod
+    def _normalized(
+        cls, dim: int, degree: int | None, q: int, d: int, real: bool, coords: Store
+    ) -> GradedOperator:
+        """The operator of a store with no zero entry and no empty column:
+        q and the coordinates divided by their gcd, d folded to 1 without a
+        sqrt(d) part, ``real`` made exact (``real=True`` is taken as known).
+        The scans run over the distinct entries only."""
+        distinct = {t for col in coords.values() for t in col.values()}
+        g = math.gcd(q, *(x for t in distinct for x in t))
+        if g != 1:
+            q //= g
+            coords = _map_entries(coords, lambda t: (t[0] // g, t[1] // g, t[2] // g, t[3] // g))
+            distinct = {(a // g, b // g, x // g, e // g) for a, b, x, e in distinct}
+        if d != 1 and not any(t[1] or t[3] for t in distinct):
+            d = 1
+        if not real:
+            real = not any(t[2] or t[3] for t in distinct)
+        return object.__new__(cls)._set(dim, degree, q, d, real, coords)
 
     # -- basic structure ---------------------------------------------------
 
@@ -80,99 +192,229 @@ class GradedOperator:
     @classmethod
     def diagonal(cls, dim: int, weight) -> GradedOperator:
         """Degree-0 operator m -> weight(m) * m for a mask -> Scalar function."""
-        cols = {}
-        for m in range(1 << dim):
-            w = weight(m)
-            if not w.is_zero():
-                cols[m] = {m: w}
-        return cls(dim, cols, 0, check=False)
+        return cls(dim, {m: {m: weight(m)} for m in range(1 << dim)}, 0, check=False)
+
+    def with_degree(self, degree: int | None) -> GradedOperator:
+        """The same matrix declared of another degree (the store is shared)."""
+        return object.__new__(GradedOperator)._set(self.dim, degree, self.q, self.d, self.real, self.coords)
 
     def is_zero(self) -> bool:
-        return not self.cols
+        return not self.coords
 
     def nnz(self) -> int:
-        return sum(len(col) for col in self.cols.values())
+        return sum(len(col) for col in self.coords.values())
+
+    def _entry(self, t: Coords) -> Scalar:
+        return Scalar(t[0], t[1], t[2], t[3], self.q, self.d)
+
+    def scalar_columns(self, degree: int | None = None):
+        """(mask, column of Scalars) in store order, only the columns on
+        forms of ``degree`` when it is given.  One Scalar per distinct
+        entry, shared by the columns; nothing is kept."""
+        image: dict[Coords, Scalar] = {}
+        entry = self._entry
+        for c, col in self.coords.items():
+            if degree is None or c.bit_count() == degree:
+                out = {}
+                for r, t in col.items():
+                    v = image.get(t)
+                    if v is None:
+                        v = image[t] = entry(t)
+                    out[r] = v
+                yield c, out
+
+    @property
+    def cols(self) -> dict[int, Column]:
+        """Every column as Scalars; converted on first read and kept."""
+        if self._cols is None:
+            self._cols = dict(self.scalar_columns())
+        return self._cols
 
     def apply(self, form: Form) -> Form:
-        out: Column = {}
-        for m, s in form.coeffs.items():
-            col = self.cols.get(m)
-            if col is not None:
-                add_scaled(out, col, s)
-        return Form(self.dim, out)
+        terms = [(col, s) for m, s in form.coeffs.items() if (col := self.coords.get(m)) is not None]
+        d, den = self.d, 1
+        for _, s in terms:
+            if s.d != d:
+                d = _join(d, s.d)
+            den = math.lcm(den, s.q)
+        out: dict[int, list[int]] = {}
+        for col, s in terms:
+            f = den // s.q
+            u = (s.a * f, s.b * f, s.c * f, s.e * f)
+            for r, t in col.items():
+                ra, rb, ia, ib = _times(t, u, d)
+                acc = out.get(r)
+                if acc is None:
+                    out[r] = [ra, rb, ia, ib]
+                else:
+                    acc[0] += ra
+                    acc[1] += rb
+                    acc[2] += ia
+                    acc[3] += ib
+                    if not (acc[0] or acc[1] or acc[2] or acc[3]):
+                        del out[r]
+        q = self.q * den
+        return Form(self.dim, {r: Scalar(a, b, c, e, q, d) for r, (a, b, c, e) in out.items()})
 
     def column_form(self, mask: int) -> Form:
-        return Form(self.dim, dict(self.cols.get(mask, {})))
+        col = self.coords.get(mask, {})
+        return Form(self.dim, {r: self._entry(t) for r, t in col.items()})
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: GradedOperator) -> GradedOperator:
+        """The sum over the lcm of the two denominators."""
         deg = self.degree if self.degree == other.degree else None
-        cols = {c: dict(col) for c, col in self.cols.items()}
-        for c, col in other.cols.items():
-            add_scaled(cols.setdefault(c, {}), col)
-        return GradedOperator(self.dim, cols, deg, check=False)
+        d = _join(self.d, other.d)
+        q = math.lcm(self.q, other.q)
+        f1, f2 = q // self.q, q // other.q
+        if f1 == 1:
+            cols = {c: dict(col) for c, col in self.coords.items()}
+        else:
+            cols = _map_entries(self.coords, lambda t: (t[0] * f1, t[1] * f1, t[2] * f1, t[3] * f1))
+        right = other.coords
+        if f2 != 1:
+            right = _map_entries(right, lambda t: (t[0] * f2, t[1] * f2, t[2] * f2, t[3] * f2))
+        sums: dict[Coords, Coords] = {}
+        share = sums.setdefault
+        emptied = False
+        for c, col in right.items():
+            acc = cols.get(c)
+            if acc is None:
+                cols[c] = col  # stores are never changed once built
+                continue
+            for r, u in col.items():
+                t = acc.get(r)
+                if t is None:
+                    acc[r] = u
+                    continue
+                s = (t[0] + u[0], t[1] + u[1], t[2] + u[2], t[3] + u[3])
+                if s[0] or s[1] or s[2] or s[3]:
+                    acc[r] = share(s, s)
+                else:
+                    del acc[r]
+                    emptied = emptied or not acc
+        if emptied:
+            cols = {c: col for c, col in cols.items() if col}
+        return GradedOperator._normalized(self.dim, deg, q, d, self.real and other.real, cols)
 
     def __sub__(self, other: GradedOperator) -> GradedOperator:
-        return self + other.scale(Scalar(-1, 0, 0, 0))
+        return self + (-other)
 
     def __neg__(self) -> GradedOperator:
-        return self.scale(Scalar(-1, 0, 0, 0))
+        cols = _map_entries(self.coords, lambda t: (-t[0], -t[1], -t[2], -t[3]))
+        return object.__new__(GradedOperator)._set(self.dim, self.degree, self.q, self.d, self.real, cols)
 
     def scale(self, s: Scalar) -> GradedOperator:
         if s.is_zero():
             return GradedOperator(self.dim, {}, self.degree, check=False)
-        cols = {c: {r: v * s for r, v in col.items()} for c, col in self.cols.items()}
-        return GradedOperator(self.dim, cols, self.degree, check=False)
+        d = _join(self.d, s.d)
+        u = (s.a, s.b, s.c, s.e)
+        cols = _map_entries(self.coords, lambda t: _times(t, u, d))
+        return GradedOperator._normalized(self.dim, self.degree, self.q * s.q, d, self.real and s.is_real(), cols)
 
     def compose(self, other: GradedOperator) -> GradedOperator:
         """self after other (matrix product self . other)."""
         deg = None
         if self.degree is not None and other.degree is not None:
             deg = self.degree + other.degree
-        cols: dict[int, Column] = {}
-        my = self.cols
-        for c, col in other.cols.items():
-            acc: Column = {}
-            for mid, v in col.items():
+        d = _join(self.d, other.d)
+        real = self.real and other.real
+        my = self.coords
+        products: dict[Coords, Coords] = {}
+        share = products.setdefault
+        cols: Store = {}
+        for c, col in other.coords.items():
+            acc: dict[int, list[int]] = {}
+            for mid, (a2, b2, c2, e2) in col.items():
                 right = my.get(mid)
-                if right is not None:
-                    add_scaled(acc, right, v)
+                if right is None:
+                    continue
+                if real and d == 1:
+                    for r, t in right.items():
+                        ra = t[0] * a2
+                        s = acc.get(r)
+                        if s is None:
+                            acc[r] = [ra, 0, 0, 0]
+                        else:
+                            s[0] += ra
+                            if not s[0]:
+                                del acc[r]
+                elif real:
+                    db2 = d * b2
+                    for r, t in right.items():
+                        a1, b1 = t[0], t[1]
+                        ra = a1 * a2 + b1 * db2
+                        rb = a1 * b2 + b1 * a2
+                        s = acc.get(r)
+                        if s is None:
+                            acc[r] = [ra, rb, 0, 0]
+                        else:
+                            s[0] += ra
+                            s[1] += rb
+                            if not (s[0] or s[1]):
+                                del acc[r]
+                else:
+                    db2, de2 = d * b2, d * e2
+                    for r, (a1, b1, c1, e1) in right.items():
+                        if b2 or c2:
+                            ra = a1 * a2 + b1 * db2 - c1 * c2 - e1 * de2
+                            rb = a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2
+                            ia = a1 * c2 + c1 * a2 + b1 * de2 + e1 * db2
+                            ib = a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2
+                        else:  # the right entry is a2 + i e2 sqrt(d): half the products
+                            ra = a1 * a2 - e1 * de2
+                            rb = b1 * a2 - c1 * e2
+                            ia = c1 * a2 + b1 * de2
+                            ib = e1 * a2 + a1 * e2
+                        s = acc.get(r)
+                        if s is None:
+                            acc[r] = [ra, rb, ia, ib]
+                        else:
+                            s[0] += ra
+                            s[1] += rb
+                            s[2] += ia
+                            s[3] += ib
+                            if not (s[0] or s[1] or s[2] or s[3]):
+                                del acc[r]
             if acc:
-                cols[c] = acc
-        return GradedOperator(self.dim, cols, deg, check=False)
+                cols[c] = {r: share(t, t) for r, t in zip(acc, map(tuple, acc.values()))}
+        return GradedOperator._normalized(self.dim, deg, self.q * other.q, d, real, cols)
 
     def conjugated(self) -> GradedOperator:
         """conj . P . conj; entry-wise conjugation since the basis is real."""
-        cols = {c: {r: v.conjugate() for r, v in col.items()} for c, col in self.cols.items()}
-        return GradedOperator(self.dim, cols, self.degree, check=False)
+        if self.real:
+            return self
+        cols = _map_entries(self.coords, lambda t: (t[0], t[1], -t[2], -t[3]))
+        return object.__new__(GradedOperator)._set(self.dim, self.degree, self.q, self.d, False, cols)
 
     # -- comparison & diagnostics ---------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedOperator):
             return NotImplemented
-        return self.dim == other.dim and self.cols == other.cols
+        return (
+            self.dim == other.dim
+            and self.q == other.q
+            and self.d == other.d
+            and self.coords == other.coords
+        )
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("GradedOperator is not hashable")
 
     def first_witness(self) -> str | None:
         """Label of the graded-lex-first nonzero entry (for residual reports)."""
-        if not self.cols:
+        if not self.coords:
             return None
-        c = min(self.cols, key=graded_lex_key)
-        r = min(self.cols[c], key=graded_lex_key)
-        return f"column {mask_label(c)}, row {mask_label(r)}: {self.cols[c][r].literal()}"
+        c = min(self.coords, key=graded_lex_key)
+        r = min(self.coords[c], key=graded_lex_key)
+        return f"column {mask_label(c)}, row {mask_label(r)}: {self._entry(self.coords[c][r]).literal()}"
 
     def max_abs_approx(self) -> float:
-        out = 0.0
-        for col in self.cols.values():
-            for v in col.values():
-                a = abs(v.approx())
-                if a > out:
-                    out = a
-        return out
+        """Largest |entry|, each distinct entry embedded as its normalized Scalar."""
+        distinct = {t for col in self.coords.values() for t in col.values()}
+        return max((abs(self._entry(t).approx()) for t in distinct), default=0.0)
 
     def __repr__(self) -> str:
         return f"GradedOperator(dim={self.dim}, degree={self.degree}, nnz={self.nnz()})"
@@ -197,14 +439,26 @@ def mult_operator(beta: Form) -> GradedOperator:
 
 def adjoint(p: GradedOperator, gram: GramData) -> GradedOperator:
     """Metric adjoint over a diagonal metric; a coupled one raises ValueError."""
-    weights, inverses = gram.mask_weights()
-    cols: dict[int, Column] = {}
-    for c, col in p.cols.items():
-        wc = weights[c]
-        for r, v in col.items():
-            cols.setdefault(r, {})[c] = v.conjugate() * wc * inverses[r]
+    wd, qw, w, qi, inv = gram.integral_weights()
+    d = _join(p.d, wd)
+    rational = wd == 1
+    entries: dict[Coords, Coords] = {}
+    share = entries.setdefault
+    cols: Store = {}
+    for c, col in p.coords.items():
+        xc, yc = w[c]
+        for r, (a, b, x, e) in col.items():
+            xr, yr = inv[r]
+            if rational:
+                k = xc * xr
+                t = (a * k, b * k, -x * k, -e * k)
+            else:
+                # conj(entry) times the real w(c)/w(r) = kx + ky sqrt(d)
+                kx, ky = xc * xr + d * yc * yr, xc * yr + yc * xr
+                t = (a * kx + d * b * ky, a * ky + b * kx, -(x * kx + d * e * ky), -(x * ky + e * kx))
+            cols.setdefault(r, {})[c] = share(t, t)
     deg = -p.degree if p.degree is not None else None
-    return GradedOperator(p.dim, cols, deg, check=False)
+    return GradedOperator._normalized(p.dim, deg, p.q * qw * qi, d, p.real, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +527,44 @@ def reconstruct(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOp
     return GradedOperator(dim, cols, degree)
 
 
+def _coframe_coefficients(dim: int, images: list[Form]) -> dict[int, Form]:
+    if len(images) != dim:
+        raise ValueError(f"need {dim} coframe images, got {len(images)}")
+    return {1 << i: f for i, f in enumerate(images) if not f.is_zero()}
+
+
 def derivation_from_one_forms(dim: int, images: list[Form], degree: int = 1) -> GradedOperator:
     """Unique derivation with the given coframe images, zero on 1.
 
     It is sum_i L_{images[i]} iota_i; the Koszul sum carries the sign of an
     odd (degree 1) or even (degree 0) derivation by itself.
     """
-    if len(images) != dim:
-        raise ValueError(f"need {dim} coframe images, got {len(images)}")
-    return reconstruct(dim, {1 << i: f for i, f in enumerate(images) if not f.is_zero()}, degree)
+    return reconstruct(dim, _coframe_coefficients(dim, images), degree)
+
+
+class DerivationAction:
+    """The derivation with the given coframe images, acting on forms.
+
+    It applies the columns of ``derivation_from_one_forms(dim, images)`` as
+    Scalars, each built by ``_koszul_column`` on first use and kept per
+    mask, so a derivation that only ever meets forms of a few degrees never
+    builds the other columns.
+    """
+
+    __slots__ = ("beta", "columns")
+
+    def __init__(self, dim: int, images: list[Form]):
+        self.beta = _coframe_coefficients(dim, images)
+        self.columns: dict[int, Column] = {}
+
+    def apply(self, form: Form) -> Form:
+        out: Column = {}
+        for m, s in form.coeffs.items():
+            col = self.columns.get(m)
+            if col is None:
+                col = self.columns[m] = _koszul_column(self.beta, m)
+            add_scaled(out, col, s)
+        return Form(form.dim, out)
 
 
 def algebraic_order_at_most(p: GradedOperator, r: int) -> bool:

@@ -64,6 +64,19 @@ class Scalar:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Scalar is immutable")
 
+    @classmethod
+    def _normalized(cls, a: int, b: int, c: int, e: int, q: int, d: int) -> Scalar:
+        """A scalar from coordinates that are already normalized (no gcd)."""
+        out = object.__new__(cls)
+        put = object.__setattr__
+        put(out, "a", a)
+        put(out, "b", b)
+        put(out, "c", c)
+        put(out, "e", e)
+        put(out, "q", q)
+        put(out, "d", d)
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -118,7 +131,7 @@ class Scalar:
         return self + (-other)
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self.a, -self.b, -self.c, -self.e, self.q, self.d)
+        return Scalar._normalized(-self.a, -self.b, -self.c, -self.e, self.q, self.d)
 
     def __mul__(self, other: Scalar) -> Scalar:
         if self.a == 0 and self.b == 0 and self.c == 0 and self.e == 0:
@@ -177,7 +190,7 @@ class Scalar:
         return out
 
     def conjugate(self) -> Scalar:
-        return Scalar(self.a, self.b, -self.c, -self.e, self.q, self.d)
+        return Scalar._normalized(self.a, self.b, -self.c, -self.e, self.q, self.d)
 
     # -- order structure on the real subfield ----------------------------
 

@@ -39,6 +39,11 @@
 * ``harmonic_pq_via_monomials``: the harmonic (p,q)-forms as the kernel of
   Delta_d on the eta-monomials of type (p,q), against the production
   filter of ``harmonic_space(p + q)`` by type.
+* ``ScalarOperator`` and ``scalar_adjoint``: the operator store as sparse
+  columns of ``Scalar`` (every entry normalized on its own, sums and
+  products through ``linalg.add_scaled``), against the production store of
+  one denominator times integer coordinates; ``ScalarOperator.of`` reads a
+  production operator entry by entry.
 * The Hodge star (``star``, ``star_operator``, ``volume_form``) with
   a ^ star(b) = <a, conj(b)> vol, available when det(g) is a square in the
   field Q(sqrt d)(i) the caller names (``sqrt_in_field``); d* = -*d* in even
@@ -51,10 +56,20 @@ import math
 from fractions import Fraction
 
 from nkhodge.bidegree import DifferentialSplit, decompose_form, differential_split, pq_basis
-from nkhodge.exterior import Form, GramData, indices_from_mask, wedge_image, wedge_map, wedge_masks
+from nkhodge.exterior import (
+    Form,
+    GramData,
+    graded_lex_key,
+    indices_from_mask,
+    mask_label,
+    wedge_image,
+    wedge_map,
+    wedge_masks,
+)
 from nkhodge.hodge import degree_masks, hodge_laplacian, operator_degree_rows
 from nkhodge.linalg import (
     SparseRow,
+    add_scaled,
     _clear_row,
     _complexity,
     inverse,
@@ -215,7 +230,7 @@ def adjoint_via_ldl(p: GradedOperator, gram: GramData) -> GradedOperator:
     inner = adjoint(to_v.compose(p.compose(from_v)), diagonal)
     out = from_v.compose(inner.compose(to_v))
     deg = -p.degree if p.degree is not None else None
-    return GradedOperator(n, out.cols, deg, check=False)
+    return out.with_degree(deg)
 
 
 # -- dense elimination -----------------------------------------------------------
@@ -391,7 +406,7 @@ def barred_requirements(model) -> dict[str, GradedOperator]:
     mus, des, dbs, mbs = (adjoint(p, gram) for p in (mu, de, db, mb))
     l_op = mult_operator(model.omega())
     lam = adjoint(l_op, gram)
-    lmb = GradedOperator(model.dim, mult_operator(mb.apply(model.omega())).cols, 3, check=False)
+    lmb = mult_operator(mb.apply(model.omega())).with_degree(3)
     lmbs = adjoint(lmb, gram)
     two_i, third_i, three = Scalar(0, 0, 2, 0), I * rational(1, 3), rational(3)
     return {
@@ -607,3 +622,116 @@ def star(gram: GramData, d: int, a: Form) -> Form:
 def star_operator(gram: GramData, d: int) -> GradedOperator:
     cols = {m: star(gram, d, Form.basis(gram.dim, m)).coeffs for m in range(1 << gram.dim)}
     return GradedOperator(gram.dim, cols, None, check=False)
+
+
+# -- the dict-of-Scalar operator store ---------------------------------------------
+
+class ScalarOperator:
+    """Sparse exact matrix as columns of normalized ``Scalar`` entries.
+
+    The reference for ``GradedOperator``: the same operations, each entry
+    its own Scalar, every sum and product accumulated through
+    ``linalg.add_scaled``.
+    """
+
+    __slots__ = ("dim", "cols", "degree")
+
+    def __init__(self, dim: int, cols: dict[int, Column], degree: int | None = None):
+        clean: dict[int, Column] = {}
+        for c, col in cols.items():
+            kept = {r: v for r, v in col.items() if not v.is_zero()}
+            if kept:
+                clean[c] = kept
+        self.dim = dim
+        self.cols = clean
+        self.degree = degree
+
+    @classmethod
+    def of(cls, op: GradedOperator) -> ScalarOperator:
+        return cls(op.dim, op.cols, op.degree)
+
+    def is_zero(self) -> bool:
+        return not self.cols
+
+    def nnz(self) -> int:
+        return sum(len(col) for col in self.cols.values())
+
+    def apply(self, form: Form) -> Form:
+        out: Column = {}
+        for m, s in form.coeffs.items():
+            col = self.cols.get(m)
+            if col is not None:
+                add_scaled(out, col, s)
+        return Form(self.dim, out)
+
+    def column_form(self, mask: int) -> Form:
+        return Form(self.dim, dict(self.cols.get(mask, {})))
+
+    def __add__(self, other: ScalarOperator) -> ScalarOperator:
+        deg = self.degree if self.degree == other.degree else None
+        cols = {c: dict(col) for c, col in self.cols.items()}
+        for c, col in other.cols.items():
+            add_scaled(cols.setdefault(c, {}), col)
+        return ScalarOperator(self.dim, cols, deg)
+
+    def __sub__(self, other: ScalarOperator) -> ScalarOperator:
+        return self + other.scale(Scalar(-1, 0, 0, 0))
+
+    def __neg__(self) -> ScalarOperator:
+        return self.scale(Scalar(-1, 0, 0, 0))
+
+    def scale(self, s: Scalar) -> ScalarOperator:
+        if s.is_zero():
+            return ScalarOperator(self.dim, {}, self.degree)
+        cols = {c: {r: v * s for r, v in col.items()} for c, col in self.cols.items()}
+        return ScalarOperator(self.dim, cols, self.degree)
+
+    def compose(self, other: ScalarOperator) -> ScalarOperator:
+        deg = None
+        if self.degree is not None and other.degree is not None:
+            deg = self.degree + other.degree
+        cols: dict[int, Column] = {}
+        for c, col in other.cols.items():
+            acc: Column = {}
+            for mid, v in col.items():
+                right = self.cols.get(mid)
+                if right is not None:
+                    add_scaled(acc, right, v)
+            if acc:
+                cols[c] = acc
+        return ScalarOperator(self.dim, cols, deg)
+
+    def conjugated(self) -> ScalarOperator:
+        cols = {c: {r: v.conjugate() for r, v in col.items()} for c, col in self.cols.items()}
+        return ScalarOperator(self.dim, cols, self.degree)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScalarOperator):
+            return NotImplemented
+        return self.dim == other.dim and self.cols == other.cols
+
+    __hash__ = None
+
+    def first_witness(self) -> str | None:
+        if not self.cols:
+            return None
+        c = min(self.cols, key=graded_lex_key)
+        r = min(self.cols[c], key=graded_lex_key)
+        return f"column {mask_label(c)}, row {mask_label(r)}: {self.cols[c][r].literal()}"
+
+    def max_abs_approx(self) -> float:
+        out = 0.0
+        for col in self.cols.values():
+            for v in col.values():
+                out = max(out, abs(v.approx()))
+        return out
+
+
+def scalar_adjoint(p: ScalarOperator, gram: GramData) -> ScalarOperator:
+    """The weighted conjugate transpose conj(P[r][c]) w(c) / w(r), entry by entry."""
+    weights, inverses = gram.mask_weights()
+    cols: dict[int, Column] = {}
+    for c, col in p.cols.items():
+        for r, v in col.items():
+            cols.setdefault(r, {})[c] = v.conjugate() * weights[c] * inverses[r]
+    return ScalarOperator(p.dim, cols, -p.degree if p.degree is not None else None)

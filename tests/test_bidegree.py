@@ -249,6 +249,19 @@ class TestTypeByDerivation:
         assert set(decompose_form(model, mu_omega)) == {(3, 0)}
         assert len(applied) == 3
 
+    def test_d_j_builds_only_the_columns_it_meets(self):
+        # D_J acts as the full derivation, but keeps only the columns of the
+        # forms it has been applied to (a fresh model, with no memo yet)
+        model = model_from_json(model_to_json(builtin_model("s3xs3-nk"))).orthogonalized()
+        full = nkhodge.operators.derivation_from_one_forms(6, model.j_one_form_rows(), degree=0)
+        d_j = j_derivation(model)
+        two_form = model.d().apply(Form.basis(6, 0b000001))
+        assert d_j.apply(two_form) == full.apply(two_form)
+        assert set(d_j.columns) == set(two_form.coeffs)
+        for mask in range(1 << 6):
+            assert d_j.apply(Form.basis(6, mask)) == full.column_form(mask)
+        assert len(d_j.columns) == 1 << 6
+
     @pytest.mark.parametrize("name", SMALL_MODELS)
     def test_harmonic_pq_spans_match_monomial_kernel(self, name):
         model = builtin_model(name)

@@ -268,6 +268,25 @@ class TestSelfConjugateSums:
                     found += [(cid, x, y) for y in range(x + 1, len(pairs)) if pairs[y] == conj]
         assert seen and found == []
 
+    @pytest.mark.parametrize("order", [("LAP_COM", "DELTA_SUM"), ("DELTA_SUM", "LAP_COM")])
+    def test_lap_com_and_delta_sum_share_x(self, order, monkeypatch):
+        # X = [[delbar*, del]] = delbar* del + del delbar*: two products per
+        # model, whichever of its two readers runs first
+        original = GradedOperator.compose
+        operands = []
+
+        def recording(p, q):
+            operands.append((p, q))
+            return original(p, q)
+
+        monkeypatch.setattr(GradedOperator, "compose", recording)
+        model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
+        for cid in order:
+            assert run_check(model, cid).status == "pass"
+        comp = model.orthogonalized()
+        x_factors = {id(named_operator(comp, "adj:delbar")), id(named_operator(comp, "del"))}
+        assert sum({id(p), id(q)} == x_factors for p, q in operands) == 2
+
     @pytest.mark.parametrize("name", ["s3xs3-nk", "kodaira-thurston"])
     def test_delta_sum_matches_minor_laplacian(self, name):
         # DELTA_SUM records Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar;

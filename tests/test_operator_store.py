@@ -1,0 +1,216 @@
+"""The integer-coordinate operator store against the dict-of-Scalar reference.
+
+Every operation of ``GradedOperator`` is compared with ``oracles.ScalarOperator``
+on random operators in dimension three over Q(sqrt 3)(i) and Q(i), with
+d = 1 and d = 3 operators mixed and coefficients above 2**64: the entries,
+the column and row orders that elimination sees, nnz, the witness and the
+float residual, and the normalization of the store itself.
+"""
+
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nkhodge.exterior import Form, GramData
+from nkhodge.operators import GradedOperator, adjoint, graded_commutator
+from nkhodge.scalars import ZERO, Scalar
+from oracles import ScalarOperator, scalar_adjoint
+
+DIM = 3
+MASKS = range(1 << DIM)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+coordinates = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**80), 2**80))
+denominators = st.one_of(st.integers(1, 12), st.integers(1, 2**70))
+
+
+@st.composite
+def scalars(draw, d=3, real=False):
+    """A scalar of Q(sqrt d)(i), possibly zero; real when asked."""
+    a, c = draw(coordinates), 0 if real else draw(coordinates)
+    b, e = (0, 0) if d == 1 else (draw(coordinates), 0 if real else draw(coordinates))
+    return Scalar(a, b, c, e, draw(denominators), d)
+
+
+fields = st.tuples(st.sampled_from([1, 3]), st.booleans())  # (d, real)
+
+
+@st.composite
+def operators(draw, degree=None, field=None):
+    """An operator of the given degree (any entries when None), over
+    Q(sqrt 3)(i) or Q(i) and real on a coin flip unless the field is given,
+    with repeated entries so that sums cancel."""
+    d, real = draw(fields) if field is None else field
+    pool = draw(st.lists(scalars(d, real), min_size=1, max_size=2))
+    cols = {}
+    for _ in range(draw(st.integers(0, 12))):
+        c = draw(st.sampled_from(MASKS))
+        rows = [r for r in MASKS if degree is None or r.bit_count() == c.bit_count() + degree]
+        if rows:
+            v = draw(st.sampled_from(pool))
+            cols.setdefault(c, {})[draw(st.sampled_from(rows))] = v if draw(st.booleans()) else -v
+    return GradedOperator(DIM, cols, degree)
+
+
+@st.composite
+def graded_pairs(draw):
+    return draw(operators(draw(st.integers(-1, 2)))), draw(operators(draw(st.integers(-1, 2))))
+
+
+@st.composite
+def diagonal_metrics(draw):
+    """A diagonal metric with entries a + b sqrt 3 > 0 (a > 2|b|)."""
+    diag = []
+    for _ in range(DIM):
+        b = draw(st.integers(-3, 3))
+        a = 2 * abs(b) + draw(st.integers(1, 5))
+        diag.append(Scalar(a, b, 0, 0, draw(st.integers(1, 6)), 3))
+    return GramData([[diag[i] if i == j else ZERO for j in range(DIM)] for i in range(DIM)])
+
+
+@st.composite
+def forms(draw):
+    d = draw(st.sampled_from([1, 3]))
+    return Form(DIM, {draw(st.sampled_from(MASKS)): draw(scalars(d)) for _ in range(draw(st.integers(0, 5)))})
+
+
+def assert_same(op: GradedOperator, ref: ScalarOperator):
+    assert isinstance(op, GradedOperator)
+    assert op.degree == ref.degree
+    assert op.cols == ref.cols
+    # the column and row orders that linalg.transpose hands to elimination
+    assert list(op.coords) == list(ref.cols)
+    assert all(list(op.coords[c]) == list(col) for c, col in ref.cols.items())
+    assert op.nnz() == ref.nnz()
+    assert op.is_zero() == ref.is_zero()
+    assert op.first_witness() == ref.first_witness()
+    assert op.max_abs_approx() == ref.max_abs_approx()
+    # the store is normalized, so equality of stores is equality of matrices
+    entries = [t for col in op.coords.values() for t in col.values()]
+    assert op.q > 0 and math.gcd(op.q, *(x for t in entries for x in t)) == 1
+    assert all(any(t) for t in entries)
+    assert (op.d != 1) == any(t[1] or t[3] for t in entries)
+    assert op.real == (not any(t[2] or t[3] for t in entries))
+    assert op == GradedOperator(ref.dim, ref.cols, ref.degree)
+
+
+EXAMPLES = settings(max_examples=150, deadline=None)
+
+
+class TestAgainstScalarStore:
+    @given(operators())
+    @EXAMPLES
+    def test_conversion_round_trip(self, p):
+        assert_same(p, ScalarOperator.of(p))
+
+    @given(operators(), operators())
+    @EXAMPLES
+    def test_add_sub_neg(self, p, q):
+        rp, rq = ScalarOperator.of(p), ScalarOperator.of(q)
+        assert_same(p + q, rp + rq)
+        assert_same(p - q, rp - rq)
+        assert_same(-p, -rp)
+        assert (p + q) - q == p
+        assert (p - p).is_zero()
+
+    @given(operators(), st.sampled_from([1, 3]).flatmap(scalars))
+    @EXAMPLES
+    def test_scale(self, p, s):
+        assert_same(p.scale(s), ScalarOperator.of(p).scale(s))
+
+    @given(operators(), operators())
+    @EXAMPLES
+    def test_compose(self, p, q):
+        assert_same(p.compose(q), ScalarOperator.of(p).compose(ScalarOperator.of(q)))
+
+    @given(fields.flatmap(lambda f: st.tuples(operators(field=f), operators(field=f))))
+    @EXAMPLES
+    def test_compose_and_add_in_one_field(self, pair):
+        # both factors real, or both over Q(i): the fast paths of compose
+        p, q = pair
+        rp, rq = ScalarOperator.of(p), ScalarOperator.of(q)
+        assert_same(p.compose(q), rp.compose(rq))
+        assert_same(p.compose(q) + q.compose(p), rp.compose(rq) + rq.compose(rp))
+
+    @given(operators())
+    @EXAMPLES
+    def test_conjugated(self, p):
+        assert_same(p.conjugated(), ScalarOperator.of(p).conjugated())
+        assert p.conjugated().conjugated() == p
+
+    @given(st.integers(-1, 2).flatmap(operators), diagonal_metrics())
+    @EXAMPLES
+    def test_adjoint(self, p, gram):
+        assert_same(adjoint(p, gram), scalar_adjoint(ScalarOperator.of(p), gram))
+
+    @given(graded_pairs())
+    @EXAMPLES
+    def test_graded_commutator(self, pair):
+        p, q = pair
+        assert_same(graded_commutator(p, q), graded_commutator(ScalarOperator.of(p), ScalarOperator.of(q)))
+
+    @given(operators(), forms())
+    @EXAMPLES
+    def test_apply(self, p, f):
+        got, want = p.apply(f), ScalarOperator.of(p).apply(f)
+        assert got == want
+        assert list(got.coeffs) == list(want.coeffs)
+        for mask in MASKS:
+            assert p.column_form(mask) == ScalarOperator.of(p).column_form(mask)
+
+    @given(operators(), operators())
+    @EXAMPLES
+    def test_equality(self, p, q):
+        assert (p == q) == (ScalarOperator.of(p) == ScalarOperator.of(q))
+        assert p.with_degree(5) == p
+
+
+class TestExtensions:
+    SQRT3 = Scalar(0, 1, 0, 0, 1, 3)
+    SQRT5 = Scalar(0, 1, 0, 0, 1, 5)
+
+    def test_different_extensions_raise(self):
+        # as Scalar does: sqrt(3) + sqrt(5) raises
+        p = GradedOperator(DIM, {1: {3: self.SQRT3}})
+        q = GradedOperator(DIM, {3: {1: self.SQRT5}})
+        for combine in (
+            lambda: self.SQRT3 + self.SQRT5,
+            lambda: p + q,
+            lambda: p - q,
+            lambda: p.compose(q),
+            lambda: q.compose(p),
+            lambda: p.scale(self.SQRT5),
+            lambda: p.apply(Form(DIM, {1: self.SQRT5})),
+            lambda: GradedOperator(DIM, {1: {3: self.SQRT3}, 2: {3: self.SQRT5}}),
+        ):
+            with pytest.raises(ValueError, match="incompatible extensions"):
+                combine()
+
+    def test_rational_operators_mix_with_any_extension(self):
+        half = Scalar(1, 0, 0, 0, 2)
+        counting = GradedOperator(DIM, {m: {m: half} for m in MASKS}, 0)
+        for s in (self.SQRT3, self.SQRT5):
+            p = GradedOperator(DIM, {1: {1: s}}, 0)
+            assert (counting + p).d == s.d
+            assert counting.compose(p) == p.scale(half)
+
+
+def test_import_leaves_numpy_and_scipy_out():
+    # the store is pure Python: neither the package nor a whole suite run
+    # may pull in numpy or scipy (each costs start-up time and memory)
+    code = (
+        "import sys, nkhodge\n"
+        "from nkhodge.checks import run_suite\n"
+        "from nkhodge.models import builtin_model\n"
+        "assert run_suite(builtin_model('torus6')).verdict\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
