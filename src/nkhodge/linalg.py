@@ -10,28 +10,47 @@ Every exact elimination in src is the one sparse fraction-free
 back-substitution that ``sparse_kernel`` and ``solve`` share.  The pivot is
 the least bit-complexity entry, ties broken by the first active row, then
 the lowest column; each active row caches its own least (complexity,
-column), recomputed only when a step rebuilds the row, so a step does not
-rescan every entry.  The one other factorization is the LDL^T of the metric
-in ``exterior.GramData``, which also tests positive-definiteness.  Matrices
-are lists of sparse rows (dict col -> Scalar).  Division is exact in the
-field, so the fraction-free step is purely a coefficient-growth strategy,
-never an approximation, and dividing by the previous pivot through its
-inverse, taken once per step, gives the same normalized scalars.
+column), recomputed only when a step rebuilds the row, and a column -> rows
+index finds the rows a step rebuilds, so a step neither rescans every
+entry nor walks every row.  The one other factorization is the LDL^T of the metric
+in ``exterior.GramData``, which also tests positive-definiteness.
+
+Matrices come in and go out as lists of sparse rows (dict col -> Scalar),
+but the elimination itself does plain integer arithmetic on entries
+``(a, b, c, e, q)``, each the normalized ``Scalar`` coordinates of
+((a + b w) + i (c + e w)) / q with w = sqrt(d): gcd divided out, q > 0, and
+b = e = 0 when d = 1.  The field's d is joined once per call (two different
+d > 1 raise ValueError, as ``Scalar`` arithmetic does), every input entry
+is read once, and only the pivot rows and kernel vectors a caller gets back
+are built as ``Scalar``; ``sparse_rank`` builds none.  A step's updated
+entry (pval v - rv pv) / prev_piv is summed over one denominator from the
+unreduced products (pval / prev_piv) v and (-rv / prev_piv) pv, and reduced
+once: by exact division where the denominator divides (as it does along a
+Bareiss chain), by the gcd otherwise.  Division is exact in the
+field and every entry is normalized, so the fraction-free step is purely a
+coefficient-growth strategy, never an approximation, and the rows are
+literally those that ``Scalar`` arithmetic gives.
 
 ``solve(columns, target)`` gives the coordinates of a vector in independent
 columns (``None`` outside their span), and ``inverse`` solves for each
 column of the identity.  The test suite compares the kernels and solutions
 with an independent dense Gauss-Jordan elimination, and ``sparse_echelon``
-with the full-scan elimination it replaced, row for row.
+with a full-scan elimination in ``Scalar`` arithmetic, row for row.
 """
 
 from __future__ import annotations
 
-import math
+import sys
+from math import gcd, lcm
 
 from .scalars import ONE, ZERO, Scalar
 
 SparseRow = dict[int, Scalar]
+Entry = tuple[int, int, int, int, int]  # normalized (a, b, c, e, q) of one field element
+EntryRow = dict[int, Entry]
+
+_ONE = (1, 0, 0, 0, 1)
+_RETIRED = sys.maxsize  # above any complexity
 
 
 def add_scaled(acc: SparseRow, vec: SparseRow, s: Scalar | None = None) -> SparseRow:
@@ -66,35 +85,189 @@ def transpose(pairs) -> list[SparseRow]:
     return list(rows.values())
 
 
-def _complexity(s: Scalar) -> int:
-    """Bit size of a scalar; ``int.bit_length`` ignores the sign."""
-    return s.a.bit_length() + s.b.bit_length() + s.c.bit_length() + s.e.bit_length() + s.q.bit_length()
+# -- entry arithmetic ---------------------------------------------------------
 
 
-def _row_min(row: SparseRow) -> tuple[int, int]:
-    """(complexity, column) of the row's least-complexity entry, lowest column first."""
-    return min((_complexity(v), c) for c, v in row.items())
+def _entry_rows(rows: list[SparseRow]) -> tuple[list[EntryRow], int]:
+    """The nonempty rows as primitive integral entry rows (``_clear_row``),
+    and the d of the field they share."""
+    d = 1
+    out = []
+    for row in rows:
+        if not row:
+            continue
+        entries = {}
+        for col, s in row.items():
+            if s.d != d and s.d != 1:
+                if d != 1:
+                    raise ValueError(f"incompatible extensions sqrt({d}) vs sqrt({s.d})")
+                d = s.d
+            entries[col] = (s.a, s.b, s.c, s.e, s.q)
+        out.append(_clear_row(entries))
+    return out, d
 
 
-def _clear_row(row: SparseRow) -> SparseRow:
+def _clear_row(row: EntryRow) -> EntryRow:
     """Scale a row to a primitive integral representative (kernel unchanged)."""
-    if not row:
-        return row
-    lcm = 1
-    for s in row.values():
-        lcm = lcm * s.q // math.gcd(lcm, s.q)
-    fac = Scalar(lcm, 0, 0, 0)
-    out = {c: v * fac for c, v in row.items()}
+    m = lcm(*(t[4] for t in row.values()))
+    if m != 1:
+        row = {col: (a * (m // q), b * (m // q), c * (m // q), e * (m // q), 1) for col, (a, b, c, e, q) in row.items()}
     content = 0
-    for v in out.values():
-        content = math.gcd(content, abs(v.a))
-        content = math.gcd(content, abs(v.b))
-        content = math.gcd(content, abs(v.c))
-        content = math.gcd(content, abs(v.e))
-    if content > 1:
-        inv = Scalar(1, 0, 0, 0, content)
-        out = {c: v * inv for c, v in out.items()}
-    return out
+    for a, b, c, e, _ in row.values():
+        content = gcd(content, a, b, c, e)
+        if content == 1:
+            return row
+    return {col: (a // content, b // content, c // content, e // content, 1) for col, (a, b, c, e, _) in row.items()}
+
+
+def _scalar_row(row: EntryRow, d: int) -> SparseRow:
+    """The entry row as Scalars of the field with this d."""
+    return {col: Scalar._normalized(a, b, c, e, q, d if b or e else 1) for col, (a, b, c, e, q) in row.items()}
+
+
+def _reduce(a: int, b: int, c: int, e: int, q: int) -> Entry:
+    """The normalized entry of ((a + b w) + i (c + e w)) / q for q > 0.
+
+    Trial division first: along a Bareiss chain q divides every coordinate,
+    and a remainder is what the gcd would reduce next anyway.
+    """
+    if q == 1:
+        return (a, b, c, e, 1)
+    a1, ra = divmod(a, q)
+    if not (b or c or e):
+        if not ra:
+            return (a1, 0, 0, 0, 1)
+        g = gcd(ra, q)
+        return (a, 0, 0, 0, q) if g == 1 else (a // g, 0, 0, 0, q // g)
+    b1, rb = divmod(b, q)
+    c1, rc = divmod(c, q)
+    e1, re = divmod(e, q)
+    if not (ra or rb or rc or re):
+        return (a1, b1, c1, e1, 1)
+    g = gcd(ra, rb, rc, re, q)
+    if g == 1:
+        return (a, b, c, e, q)
+    return (a // g, b // g, c // g, e // g, q // g)
+
+
+def _product(x: Entry, y: Entry, d: int) -> Entry:
+    """x y as an unreduced entry."""
+    a1, b1, c1, e1, q1 = x
+    a2, b2, c2, e2, q2 = y
+    if not (b1 or c1 or e1 or b2 or c2 or e2):
+        return (a1 * a2, 0, 0, 0, q1 * q2)
+    if not (c1 or e1 or c2 or e2):
+        return (a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, 0, 0, q1 * q2)
+    return (
+        a1 * a2 + d * (b1 * b2 - e1 * e2) - c1 * c2,
+        a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+        a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2),
+        a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
+        q1 * q2,
+    )
+
+
+def _inverse(x: Entry, d: int) -> Entry:
+    """1 / x for a nonzero entry: q times the other conjugates over the norm."""
+    a, b, c, e, q = x
+    if c or e:
+        # 1 / (u + i v) = (u - i v) / (u^2 + v^2), and u^2 + v^2 = r + s w is real
+        r, s = a * a + d * (b * b + e * e) + c * c, 2 * (a * b + c * e)
+        a, b, c, e, _ = _product((a, b, -c, -e, 1), (r, -s, 0, 0, 1), d)
+        n = r * r - d * s * s
+    else:
+        a, b, n = a, -b, a * a - d * b * b
+    if n < 0:
+        a, b, c, e, n = -a, -b, -c, -e, -n
+    return _reduce(q * a, q * b, q * c, q * e, n)
+
+
+def _sum(x: Entry, y: Entry) -> Entry:
+    """x + y as an unreduced entry."""
+    a1, b1, c1, e1, q1 = x
+    a2, b2, c2, e2, q2 = y
+    if q1 == q2:
+        return (a1 + a2, b1 + b2, c1 + c2, e1 + e2, q1)
+    return (a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, c1 * q2 + c2 * q1, e1 * q2 + e2 * q1, q1 * q2)
+
+
+def _times(x: Entry, y: Entry, d: int) -> Entry:
+    return _reduce(*_product(x, y, d))
+
+
+def _complexity(t: Entry) -> int:
+    """Bit size of a normalized entry; ``int.bit_length`` ignores the sign."""
+    a, b, c, e, q = t
+    if b or c or e:
+        return a.bit_length() + b.bit_length() + c.bit_length() + e.bit_length() + q.bit_length()
+    return a.bit_length() + q.bit_length()
+
+
+def _row_min(row: EntryRow) -> tuple[int, int]:
+    """(complexity, column) of the row's least-complexity entry, lowest column first."""
+    return min(zip(map(_complexity, row.values()), row))
+
+
+# -- elimination -------------------------------------------------------------------
+
+
+def _echelon(rows: list[SparseRow]) -> tuple[list[tuple[EntryRow, int]], int]:
+    """``sparse_echelon``'s pivots as entry rows, and the d of their field."""
+    active: list[EntryRow | None]
+    active, d = _entry_rows(rows)
+    mins = [_row_min(r) for r in active]  # cached per row, recomputed when rebuilt
+    cxs = [cx for cx, _ in mins]  # _RETIRED once the row is a pivot row or zero
+    cols = [c for _, c in mins]
+    # column -> every row that has held an entry there; a row that has since
+    # lost it (cancelled, retired or already rebuilt) is skipped when read
+    holders: dict[int, list[int]] = {}
+    for i, row in enumerate(active):
+        for col in row:
+            holders.setdefault(col, []).append(i)
+    pivots: list[tuple[EntryRow, int]] = []
+    inv = _ONE  # 1 / the previous pivot
+    for _ in range(len(active)):
+        cx = min(cxs)
+        if cx == _RETIRED:
+            break
+        ri = cxs.index(cx)  # the first row with the least complexity
+        prow, pc = active[ri], cols[ri]
+        active[ri], cxs[ri] = None, _RETIRED
+        pval = prow[pc]
+        # each updated entry is (pval v - rv pv) inv; the numerators pval inv
+        # and -rv inv carry the step's division
+        scale = _product(pval, inv, d)
+        others = [(col, pv) for col, pv in prow.items() if col != pc]
+        # rows without the pivot column keep their cached minimum
+        for i in holders.pop(pc):
+            row = active[i]
+            if row is None or pc not in row:
+                continue
+            a, b, c, e, q = row[pc]
+            neg = _product((-a, -b, -c, -e, q), inv, d)
+            out: EntryRow = {}
+            for col, v in row.items():
+                if col == pc:
+                    continue
+                t = _product(scale, v, d)
+                pv = prow.get(col)
+                if pv is not None:
+                    t = _sum(t, _product(neg, pv, d))
+                    if not (t[0] or t[1] or t[2] or t[3]):
+                        continue
+                out[col] = _reduce(*t)
+            for col, pv in others:
+                if col not in row:
+                    out[col] = _reduce(*_product(neg, pv, d))
+                    holders[col].append(i)
+            if out:
+                active[i] = out
+                cxs[i], cols[i] = _row_min(out)
+            else:
+                active[i], cxs[i] = None, _RETIRED
+        pivots.append((prow, pc))
+        inv = _inverse(pval, d)
+    return pivots, d
 
 
 def sparse_echelon(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
@@ -106,82 +279,46 @@ def sparse_echelon(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
     The pivot is the least-complexity entry of the active rows, ties broken
     by the first row in order, then the lowest column.  Each active row
     keeps its own least (complexity, column), and only the rows a step
-    rebuilds (those with an entry in the pivot column) recompute it, so a
-    step costs one pass over the cached minima instead of a scan of every
-    entry.  The update is row <- (pval row - rv prow) / prev_piv with the
-    division hoisted: pval / prev_piv once per step, -rv / prev_piv once
-    per row.  Arithmetic in the field is exact and every scalar is
-    normalized, so the rows are literally those of the undivided formula.
+    rebuilds (those with an entry in the pivot column, found through a
+    column -> rows index) recompute it, so a step costs one pass over the
+    cached minima instead of a scan of every entry.  The update is
+    row <- (pval row - rv prow) / prev_piv with the division hoisted:
+    pval / prev_piv once per step, -rv / prev_piv once per row.  Arithmetic
+    in the field is exact and every entry is normalized, so the rows are
+    literally those of the undivided formula.
     """
-    active = [_clear_row(dict(r)) for r in rows if r]
-    mins = [_row_min(r) for r in active]  # cached per row, recomputed when rebuilt
-    cxs = [cx for cx, _ in mins]
-    cols = [c for _, c in mins]
-    pivots: list[tuple[SparseRow, int]] = []
-    prev_piv = ONE
-    while active:
-        ri = cxs.index(min(cxs))  # the first row with the least complexity
-        prow, pc = active.pop(ri), cols.pop(ri)
-        del cxs[ri]
-        pval = prow[pc]
-        inv = prev_piv.inverse()
-        scale = pval * inv
-        others = [(c, pv) for c, pv in prow.items() if c != pc]
-        emptied = []
-        # rows without the pivot column keep their place and their cached minimum
-        for i in [i for i, row in enumerate(active) if pc in row]:
-            row = active[i]
-            # scale, the row's pivot-column entry and the stored entries are
-            # nonzero, so no product is zero
-            neg = -row[pc] * inv
-            out: SparseRow = {c: scale * v for c, v in row.items() if c != pc}
-            for c, pv in others:
-                t = neg * pv
-                v = out.get(c)
-                if v is None:
-                    out[c] = t
-                else:
-                    t = v + t
-                    if t.is_zero():
-                        del out[c]
-                    else:
-                        out[c] = t
-            if out:
-                active[i] = out
-                cxs[i], cols[i] = _row_min(out)
-            else:
-                emptied.append(i)
-        for i in reversed(emptied):
-            del active[i], cxs[i], cols[i]
-        pivots.append((prow, pc))
-        prev_piv = pval
-    return pivots
+    pivots, d = _echelon(rows)
+    return [(_scalar_row(prow, d), pc) for prow, pc in pivots]
 
 
 def sparse_rank(rows: list[SparseRow]) -> int:
-    return len(sparse_echelon(rows))
+    return len(_echelon(rows)[0])
 
 
-def _back_substitute(pivots: list[tuple[SparseRow, int]], x: SparseRow) -> SparseRow:
+def _back_substitute(pivots: list[tuple[EntryRow, int]], x: EntryRow, d: int) -> EntryRow:
     """Fill in the pivot columns of x from its free columns, in place."""
     for prow, pc in reversed(pivots):
-        acc = ZERO
-        for c, v in prow.items():
-            if c == pc:
+        acc = None
+        for col, v in prow.items():
+            if col == pc:
                 continue
-            xv = x.get(c)
+            xv = x.get(col)
             if xv is not None:
-                acc = acc + v * xv
-        if not acc.is_zero():
-            x[pc] = -acc / prow[pc]
+                t = _product(v, xv, d)
+                acc = _reduce(*(t if acc is None else _sum(acc, t)))
+        if acc is not None and (acc[0] or acc[1] or acc[2] or acc[3]):
+            a, b, c, e, q = acc
+            x[pc] = _times((-a, -b, -c, -e, q), _inverse(prow[pc], d), d)
     return x
 
 
 def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     """Basis of { x : M x = 0 }, one sparse vector per free column."""
-    pivots = sparse_echelon(rows)
+    pivots, d = _echelon(rows)
     pivot_cols = {pc for _, pc in pivots}
-    return [_back_substitute(pivots, {f: ONE}) for f in range(ncols) if f not in pivot_cols]
+    return [
+        _scalar_row(_back_substitute(pivots, {f: _ONE}, d), d) for f in range(ncols) if f not in pivot_cols
+    ]
 
 
 def solve(columns: list[SparseRow], target: SparseRow) -> SparseRow | None:
@@ -194,16 +331,17 @@ def solve(columns: list[SparseRow], target: SparseRow) -> SparseRow | None:
     is nonzero.
     """
     n = len(columns)
-    pivots = sparse_echelon(transpose(enumerate([*columns, {r: -v for r, v in target.items()}])))
+    pivots, d = _echelon(transpose(enumerate([*columns, {r: -v for r, v in target.items()}])))
     pivot_cols = {pc for _, pc in pivots}
     free = [c for c in range(n + 1) if c not in pivot_cols]
     if not free:
         return None
-    x = _back_substitute(pivots, {free[0]: ONE})
+    x = _back_substitute(pivots, {free[0]: _ONE}, d)
     scale = x.pop(n, None)
     if len(free) > 1 or scale is None:
         raise ValueError("dependent columns")
-    return {a: x[a] / scale for a in sorted(x)}
+    inv = _inverse(scale, d)
+    return _scalar_row({a: _times(x[a], inv, d) for a in sorted(x)}, d)
 
 
 def inverse(matrix: list[list[Scalar]]) -> list[list[Scalar]]:

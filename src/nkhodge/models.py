@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 from .exterior import Form, GramData, wedge_map
-from .linalg import inverse
+from .linalg import add_scaled, inverse
 from .operators import GradedOperator, derivation_from_one_forms
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, _squarefree, rational
 
@@ -387,19 +387,18 @@ def validate_model(model: LieAlgebraModel) -> ValidationReport:
         for k, v in vals.items():
             if not v.is_real():
                 report.issues.append(ValidationIssue("real_structure", (i + 1, jj + 1, k + 1)))
+    # Jacobi: [[x, y], z] + [[y, z], x] + [[z, x], y] = 0 on basis triples,
+    # summed over the nonzero structure constants only
+    brackets = [[dict(model.bracket_basis(x, y)) for y in range(n)] for x in range(n)]
     for i in range(n):
         for jj in range(i + 1, n):
             for k in range(jj + 1, n):
-                for l in range(n):
-                    acc = ZERO
-                    for m in range(n):
-                        acc = acc + model.cval(i, jj, m) * model.cval(m, k, l)
-                        acc = acc + model.cval(jj, k, m) * model.cval(m, i, l)
-                        acc = acc + model.cval(k, i, m) * model.cval(m, jj, l)
-                    if not acc.is_zero():
-                        report.issues.append(
-                            ValidationIssue("jacobi", (i + 1, jj + 1, k + 1, l + 1))
-                        )
+                acc: dict[int, Scalar] = {}
+                for x, y, z in ((i, jj, k), (jj, k, i), (k, i, jj)):
+                    for m, c in brackets[x][y].items():
+                        add_scaled(acc, brackets[m][z], c)
+                for l in sorted(acc):
+                    report.issues.append(ValidationIssue("jacobi", (i + 1, jj + 1, k + 1, l + 1)))
     for jj in range(n):
         acc = ZERO
         for i in range(n):

@@ -12,10 +12,14 @@
 * ``dense_kernel`` and ``harmonic_space_dense_oracle``: textbook dense
   Gauss-Jordan elimination with first-nonzero pivoting, against the sparse
   fraction-free production route; ``spans_equal`` compares the results.
-* ``sparse_echelon_scan``: the fraction-free elimination that rescans every
-  active entry for the pivot at each step and divides each entry by the
-  previous pivot; the production ``sparse_echelon`` with cached per-row
-  minima and a hoisted division must return literally the same rows.
+* ``sparse_echelon_scan``: the fraction-free elimination in ``Scalar``
+  arithmetic that rescans every active entry for the pivot at each step and
+  divides each entry by the previous pivot; the production
+  ``sparse_echelon``, with integer-tuple entries, cached per-row minima, a
+  column index and a hoisted division, must return literally the same rows.
+* ``jacobi_issues_dense``: the Jacobi identity on every basis triple as
+  the dense sum over every index through ``cval``, against the production
+  sum over the nonzero structure constants in ``validate_model``.
 * ``stacked_kernel_nullities``: the kernel intersections of HODGE_ABCD
   (a) and (b) as stacked eliminations of the eight components and adjoints
   and of the four component Laplacians, against the production kernel of
@@ -70,14 +74,13 @@ from nkhodge.hodge import degree_masks, hodge_laplacian, operator_degree_rows
 from nkhodge.linalg import (
     SparseRow,
     add_scaled,
-    _clear_row,
-    _complexity,
     inverse,
     solve,
     sparse_kernel,
     sparse_rank,
     transpose,
 )
+from nkhodge.models import ValidationIssue
 from nkhodge.operators import (
     Column,
     GradedOperator,
@@ -306,8 +309,30 @@ def harmonic_space_dense_oracle(model, k: int) -> list[Form]:
     ]
 
 
+def _complexity(s: Scalar) -> int:
+    """Bit size of a scalar; ``int.bit_length`` ignores the sign."""
+    return s.a.bit_length() + s.b.bit_length() + s.c.bit_length() + s.e.bit_length() + s.q.bit_length()
+
+
+def _clear_row(row: SparseRow) -> SparseRow:
+    """Scale a row to a primitive integral representative (kernel unchanged)."""
+    lcm = 1
+    for s in row.values():
+        lcm = lcm * s.q // math.gcd(lcm, s.q)
+    fac = Scalar(lcm, 0, 0, 0)
+    out = {c: v * fac for c, v in row.items()}
+    content = 0
+    for v in out.values():
+        content = math.gcd(content, abs(v.a), abs(v.b), abs(v.c), abs(v.e))
+    if content > 1:
+        inv = Scalar(1, 0, 0, 0, content)
+        out = {c: v * inv for c, v in out.items()}
+    return out
+
+
 def sparse_echelon_scan(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
-    """Fraction-free elimination with a full pivot scan at every step.
+    """Fraction-free elimination in ``Scalar`` arithmetic with a full pivot
+    scan at every step.
 
     The pivot key is (complexity, row index, column) over every active
     entry; each updated entry is (pval v - rv pv) / prev_piv.
@@ -373,6 +398,27 @@ def stacked_kernel_nullities(model) -> list[tuple[int, int]]:
         return len(sparse_kernel(rows, math.comb(comp.dim, k)))
 
     return [(nullity(eight, k), nullity(laps, k)) for k in range(comp.dim + 1)]
+
+
+# -- model validation ------------------------------------------------------------
+
+def jacobi_issues_dense(model) -> list[ValidationIssue]:
+    """The Jacobi failures by the dense sum over every index, through ``cval``."""
+    n = model.dim
+    c = model.cval
+    issues = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    acc = ZERO
+                    for m in range(n):
+                        acc = acc + c(i, j, m) * c(m, k, l)
+                        acc = acc + c(j, k, m) * c(m, i, l)
+                        acc = acc + c(k, i, m) * c(m, j, l)
+                    if not acc.is_zero():
+                        issues.append(ValidationIssue("jacobi", (i + 1, j + 1, k + 1, l + 1)))
+    return issues
 
 
 # -- the split of d and its barred half ----------------------------------------

@@ -279,17 +279,143 @@ def test_echelon_matches_full_scan_oracle_on_builtins(name):
 
 
 def test_echelon_scores_each_entry_once_on_a_diagonal(monkeypatch):
-    calls = 0
+    scored = []
     complexity = linalg._complexity
 
-    def counting(s):
-        nonlocal calls
-        calls += 1
-        return complexity(s)
+    def counting(t):
+        scored.append(t)
+        return complexity(t)
 
     monkeypatch.setattr(linalg, "_complexity", counting)
     n = 50
     pivots = sparse_echelon([{i: Scalar(i + 1, 1, 0, 0, 1, 3)} for i in range(n)])
     assert [pc for _, pc in pivots] == list(range(n))
-    # a full rescan would score n + (n - 1) + ... + 1 = n(n + 1)/2 entries
-    assert calls == n
+    # a full rescan would score n + (n - 1) + ... + 1 = n(n + 1)/2 entries;
+    # each entry is scored as its normalized (a, b, c, e, q) tuple
+    assert scored == [(i + 1, 1, 0, 0, 1) for i in range(n)]
+
+
+# -- integer-tuple elimination against the Scalar oracles --------------------------
+# rational rows (the product's fast path), rows over Q(sqrt 3)(i), d = 1 rows
+# among d = 3 rows, numerators and denominators up to 2^80, and rank-deficient
+# matrices whose extra rows are combinations of the others
+
+small = st.integers(-5, 5)
+num = small | st.integers(-(2**80), 2**80)
+den = st.integers(1, 3) | st.integers(1, 2**80)
+row_fields = {
+    "rational": st.builds(lambda a, q: Scalar(a, 0, 0, 0, q), num, den),
+    "q3i": st.builds(lambda a, b, c, e, q: Scalar(a, b, c, e, q, 3), num, small, num, small, den),
+    "q3": st.builds(lambda a, b, q: Scalar(a, b, 0, 0, q, 3), num, num, den),
+    "qi": st.builds(lambda a, c, q: Scalar(a, 0, c, 0, q), num, num, den),
+}
+field_mixes = {
+    "rational": ["rational"],
+    "q3": ["q3"],
+    "q3i": ["q3i"],
+    "mixed": ["rational", "qi", "q3", "q3i"],
+}
+
+
+@st.composite
+def field_matrices(draw):
+    """(rows, ncols): sparse rows of one field mix, some rows dependent."""
+    kinds = field_mixes[draw(st.sampled_from(sorted(field_mixes)))]
+    ncols = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        value = row_fields[draw(st.sampled_from(kinds))].filter(lambda x: not x.is_zero())
+        rows.append(draw(st.dictionaries(st.integers(0, ncols - 1), value, max_size=ncols)))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        coeff = row_fields[draw(st.sampled_from(kinds))]
+        combo = add_scaled(add_scaled({}, rows[i], draw(coeff)), rows[j], draw(coeff))
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return rows, ncols
+
+
+def dense_cells(rows, ncols):
+    return [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
+
+
+def normalized(vec):
+    """Every entry is the normalized representative of its value."""
+    return all(Scalar(v.a, v.b, v.c, v.e, v.q, v.d) == v for v in vec.values())
+
+
+@given(field_matrices())
+@settings(max_examples=150, deadline=None)
+def test_field_echelon_matches_scan_oracle(mat):
+    rows, _ = mat
+    assert literal(sparse_echelon(rows)) == literal(sparse_echelon_scan(rows))
+    assert sparse_rank(rows) == len(sparse_echelon_scan(rows))
+
+
+@given(field_matrices())
+@settings(max_examples=150, deadline=None)
+def test_field_kernel_matches_dense_oracle(mat):
+    rows, ncols = mat
+    cells = dense_cells(rows, ncols)
+    kernel = sparse_kernel(rows, ncols)
+    dense = dense_to_sparse(dense_kernel(cells, ncols))
+    assert len(kernel) == len(dense) and spans_equal(kernel, dense)
+    for vec in kernel:
+        assert normalized(vec)
+        assert all(v.is_zero() for v in apply_matrix(cells, vec, ncols))
+
+
+@given(field_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_field_solve_matches_dense_oracle(mat, data):
+    rows, ncols = mat
+    cells = dense_cells(rows, ncols)
+    columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(ncols)]
+    # the combination of the columns with coefficients from the rows' fields
+    coeffs = [data.draw(st.sampled_from([ONE, *(v for row in rows for v in row.values())])) for _ in range(ncols)]
+    target = {}
+    for col, x in zip(columns, coeffs):
+        add_scaled(target, col, x)
+    if dense_kernel(cells, ncols):
+        with pytest.raises(ValueError, match="dependent"):
+            solve(columns, target)
+        return
+    assert solve(columns, target) == {j: x for j, x in enumerate(coeffs)}
+
+
+def test_different_square_roots_raise():
+    r3, r5 = Scalar.sqrt_ext(3), Scalar.sqrt_ext(5)
+    rows = [{0: r3, 1: ONE}, {2: r5}]
+    for run in (sparse_echelon, sparse_rank, lambda r: sparse_kernel(r, 3)):
+        with pytest.raises(ValueError, match="incompatible extensions"):
+            run(rows)
+    with pytest.raises(ValueError, match="incompatible extensions"):
+        solve([{0: r3}], {1: r5})
+
+
+def test_scalars_are_built_only_for_the_output(monkeypatch):
+    comp = builtin_model("s3xs3-nk").orthogonalized()
+    lap = hodge_laplacian(comp)
+    degree_rows = [operator_degree_rows(lap, k, comp.dim) for k in range(comp.dim + 1)]
+    built = 0
+    init, normalized = Scalar.__init__, Scalar._normalized.__func__
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    def counting_normalized(cls, *args):
+        nonlocal built
+        built += 1
+        return normalized(cls, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    monkeypatch.setattr(Scalar, "_normalized", classmethod(counting_normalized))
+    ranks = []
+    for rows, masks in degree_rows:
+        ranks.append(sparse_rank(rows))
+        assert built == 0
+        kernel = sparse_kernel(rows, len(masks))
+        assert built == sum(len(vec) for vec in kernel)
+        built = 0
+    assert sum(ranks) == 2**comp.dim - 4  # every form but the harmonic ones, b = (1, 0, 0, 2, 0, 0, 1)

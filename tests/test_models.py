@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from nkhodge.exterior import Form
 from nkhodge.models import (
+    BUILTIN_NAMES,
     LieAlgebraModel,
     builtin_model,
     model_from_json,
@@ -16,7 +17,7 @@ from nkhodge.models import (
     validate_model,
 )
 from nkhodge.scalars import MINUS_ONE, ONE, ZERO, rational
-from oracles import inner_via_minors
+from oracles import inner_via_minors, jacobi_issues_dense
 from variants import perturbed_structure, scaled_metric
 
 
@@ -40,6 +41,24 @@ class TestValidation:
         assert any(issue.check == "jacobi" for issue in report.issues)
         jac = next(issue for issue in report.issues if issue.check == "jacobi")
         assert len(jac.witness) == 4
+
+    def test_sparse_jacobi_matches_dense_oracle(self, s3xs3):
+        def jacobi(model):
+            return [issue for issue in validate_model(model).issues if issue.check == "jacobi"]
+
+        for name in BUILTIN_NAMES:
+            model = builtin_model(name)
+            assert jacobi(model) == jacobi_issues_dense(model) == []
+        broken = 0
+        for i in range(6):
+            for j in range(i + 1, 6):
+                for k in range(6):
+                    bad = perturbed_structure(s3xs3, i, j, k, rational(1, 2))
+                    want = jacobi_issues_dense(bad)
+                    assert jacobi(bad) == want
+                    broken += bool(want)
+        # Jacobi fails exactly where d^2 = 0 does (criterion 10's 84 slots)
+        assert broken == 84
 
     def test_asymmetric_constant_on_torus(self, torus6):
         bad = perturbed_structure(torus6, 0, 1, 0, ONE)
