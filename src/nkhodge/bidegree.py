@@ -5,8 +5,11 @@ Type is read from J alone.  D_J, the derivation extending J from 1-forms
 k the value p - q fixes (p,q).  Only its action is kept
 (``operators.DerivationAction``): a column is built the first time a form
 meets it, so the degrees that are never typed cost nothing.
-``off_type(model, form, p, q)`` = D_J form - i(p - q) form is the one type
-test: zero exactly when a (p+q)-form has type (p,q).  ``decompose_form``
+``off_type(model, form, p, q)`` = D_J form - i(p - q) form is the type
+test of a form: zero exactly when a (p+q)-form has type (p,q).  A degree-0
+operator preserves every Lambda^{p,q} exactly when it commutes with D_J;
+VANISH_COR builds D_J as a whole operator for that one commutator and does
+not keep it.  ``decompose_form``
 takes, in each degree k with m types, the D_J eigencomponents from the
 powers D_J^j form, j < m, through the inverse Vandermonde matrix of the
 eigenvalues i(2p - k).
@@ -94,13 +97,13 @@ class PQBasis:
         return low.bit_count(), (pqmask >> self.n).bit_count()
 
     def monomial_masks(self, p: int, q: int) -> list[int]:
-        if not (0 <= p <= self.n and 0 <= q <= self.n):
+        """The masks with p low and q high bits, increasing."""
+        n = self.n
+        if not (0 <= p <= n and 0 <= q <= n):
             raise ValueError(f"bidegree ({p},{q}) out of range")
-        out = []
-        for pqmask in range(1 << self.dim):
-            if self.bidegree_of_mask(pqmask) == (p, q):
-                out.append(pqmask)
-        return out
+        low = [m for m in range(1 << n) if m.bit_count() == p]
+        high = [m << n for m in range(1 << n) if m.bit_count() == q]
+        return [h | m for h in high for m in low]
 
     def monomial_form(self, pqmask: int) -> Form:
         """Real-coordinate expansion of one eta-monomial (cached)."""

@@ -44,13 +44,14 @@ forms of degree <= r; ORDER_DET checks that d is a derivation through the
 graded Leibniz rule over ``Form.wedge`` on every basis form, independently
 of the reconstruction that builds d.  HODGE_ABCD
 takes one kernel per degree, of the PSD sum of the component Laplacians.
-Type is read only through ``bidegree``: ``decompose_form`` gives the pieces
+Type is read through D_J: ``bidegree.decompose_form`` gives the pieces
 (LEM_NK, SU3_STRUCT) and ``off_type`` answers whether a form has a given
-type.  VANISH_COR applies the difference Laplacian to the eta-monomials of
-each type (p,q), asks ``off_type`` whether every image keeps type (p,q),
-and takes the rank of those images in real coordinates (a rank does not
-depend on the row basis); HODGE_ABCD (d) asks it of each conjugated
-harmonic form.
+type; HODGE_ABCD (d) asks it of each conjugated harmonic form.  A degree-0
+operator preserves every Lambda^{p,q} exactly when it commutes with D_J, so
+VANISH_COR reads type preservation off the commutator of D_J with the
+difference Laplacian on the eta-monomials of each type (p,q), and takes the
+rank of the difference Laplacian's images of them in real coordinates (a
+rank does not depend on the row basis).
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from .operators import (
     GradedOperator,
     adjoint,
     algebraic_order_at_most,
+    derivation_from_one_forms,
     graded_commutator as br,
     mult_operator,
 )
@@ -295,12 +297,11 @@ def check_lem_nk(model, acc: _Acc):
     mm = mu - mb
     for i in range(n):
         vec = [ONE if s == i else ZERO for s in range(n)]
+        nabla = model.nabla_action(i)
         for t in range(n):
             a = Form.basis(n, 1 << t)
-            lhs = model.nabla_op(i).apply(j_apply(model, a))
-            rhs = -(mm.apply(a.scale(I))).contract_vector(vec) + j_apply(
-                model, model.nabla_op(i).apply(a)
-            )
+            lhs = nabla.apply(j_apply(model, a))
+            rhs = -(mm.apply(a.scale(I))).contract_vector(vec) + j_apply(model, nabla.apply(a))
             acc.form(f"nabla_{i + 1}(J u^{t + 1}) identity", lhs - rhs)
     gram = model.gram()
     for t in range(n):
@@ -591,18 +592,24 @@ def check_hodge_abcd(model, acc: _Acc):
 
 
 def check_vanish_cor(model, acc: _Acc):
+    """The degree-0 difference Laplacian preserves (p,q) when its commutator
+    C with D_J kills every eta-monomial m of type (p,q): D_J m = i(p-q) m, so
+    C m is exactly ``off_type(diff m, p, q)``.  D_J and C are built here and
+    not memoized (the memoized D_J is the lazy ``j_derivation``)."""
     pqb = pq_basis(model)
     d_lm, d_lmb = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega")
     diff = d_lm - d_lmb
+    comm = br(derivation_from_one_forms(model.dim, model.j_one_form_rows(), 0), diff)
     n = pqb.n
     for p in range(n + 1):
         for q in range(n + 1):
             masks = pqb.monomial_masks(p, q)
-            cols = [diff.apply(pqb.monomial_form(mask)) for mask in masks]
+            monomials = [pqb.monomial_form(mask) for mask in masks]
             acc.require(
                 f"difference Laplacian preserves ({p},{q})",
-                all(off_type(model, col, p, q).is_zero() for col in cols),
+                all(comm.apply(m).is_zero() for m in monomials),
             )
+            cols = [diff.apply(m) for m in monomials]
             rank = sparse_rank(transpose((j, col.coeffs) for j, col in enumerate(cols)))
             if rank == len(masks):
                 acc.require(

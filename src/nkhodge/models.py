@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .exterior import Form, GramData, wedge_map
 from .linalg import add_scaled, inverse
-from .operators import GradedOperator, derivation_from_one_forms
+from .operators import DerivationAction, GradedOperator, derivation_from_one_forms
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, _squarefree, rational
 
 Structure = dict[tuple[int, int], dict[int, Scalar]]
@@ -232,9 +232,14 @@ class LieAlgebraModel:
         ]
 
     def nabla_op(self, i: int) -> GradedOperator:
+        """nabla_i on all 2^dim basis forms; only an operator product needs it."""
         return self._memo(
             f"nabla{i}", lambda: derivation_from_one_forms(self.dim, self.nabla_images(i), degree=0)
         )
+
+    def nabla_action(self, i: int) -> DerivationAction:
+        """nabla_i acting on forms, a column built when a form first meets it."""
+        return self._memo(f"nabla_action{i}", lambda: DerivationAction(self.dim, self.nabla_images(i)))
 
     def omega(self) -> Form:
         def build():
@@ -290,7 +295,7 @@ class LieAlgebraModel:
         return self._memo("nijenhuis_op", build)
 
     def nabla_omega(self, i: int) -> Form:
-        return self.nabla_op(i).apply(self.omega())
+        return self._memo(f"nabla_omega{i}", lambda: self.nabla_action(i).apply(self.omega()))
 
     def metric_is_diagonal(self) -> bool:
         return all(

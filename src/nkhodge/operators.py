@@ -26,13 +26,17 @@ re-appended if it comes back), so the column and row orders that
 ``linalg.transpose`` hands to elimination do not depend on the store.
 
 ``Scalar`` appears only at the boundaries.  The constructor takes sparse
-columns of Scalars (``reconstruct``, ``diagonal`` and ``identity`` go
-through it); ``apply`` accumulates a form's image in integers and builds
-one Scalar per output entry, as do ``column_form`` and ``scalar_columns``;
-``first_witness`` and ``max_abs_approx`` read each entry as its normalized
-Scalar, so residuals and witnesses are those of the Scalar arithmetic to
-the last bit.  ``cols`` converts the whole operator once and keeps the
-result; no production route reads it.
+columns of Scalars (``diagonal`` and ``identity`` go through it);
+``reconstruct`` converts its coefficient forms once, over one common
+denominator, and builds the store from sums of their coordinates.
+``apply`` (and ``DerivationAction.apply``) accumulates a form's image in
+integers and builds one Scalar per output entry, as do ``column_form`` and
+``scalar_columns``; ``koszul_coefficients`` reads the coordinates and
+builds one Scalar per coefficient entry; ``first_witness`` and
+``max_abs_approx`` read each entry as its normalized Scalar, so residuals
+and witnesses are those of the Scalar arithmetic to the last bit.
+``cols`` converts the whole operator once and keeps the result; no
+production route reads it.
 
 The metric adjoint P* is the operator with <P a, b> = <a, P* b>.  Every
 computation runs in an orthogonal coframe (``LieAlgebraModel.orthogonalized``),
@@ -55,7 +59,8 @@ operator of order <= r is the reconstruction of its low-degree columns.
 That is the order test (``algebraic_order_at_most``: P equals its
 reconstruction) and the only route from coframe values to a derivation
 (``derivation_from_one_forms``).  ``DerivationAction`` applies the same
-Koszul sum to forms with each column built on first use.
+Koszul sum to forms with each column built on first use.  All of them sum
+columns through one primitive, ``_koszul_column``, on integer coordinates.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ from __future__ import annotations
 import math
 
 from .exterior import Form, GramData, graded_lex_key, mask_label, wedge_masks
-from .linalg import add_scaled
 from .scalars import ONE, Scalar
 
 Column = dict[int, Scalar]
@@ -98,6 +102,46 @@ def _map_entries(coords: Store, fn) -> Store:
     image: dict[Coords, Coords] = {}
     get, put = image.get, image.setdefault
     return {c: {r: get(t) or put(t, fn(t)) for r, t in col.items()} for c, col in coords.items()}
+
+
+def _check_degree(coords: Store, degree: int | None) -> None:
+    """ValueError at the first entry, in store order, off the declared degree."""
+    if degree is None:
+        return
+    for c, col in coords.items():
+        k = c.bit_count() + degree
+        for r in col:
+            if r.bit_count() != k:
+                raise ValueError(f"entry ({mask_label(r)}, {mask_label(c)}) violates degree {degree}")
+
+
+def _accumulate(dim: int, q: int, d: int, terms) -> Form:
+    """The form sum s * col over the (integer column over q, Scalar s) pairs
+    of ``terms``: accumulated in integers over one denominator, in the key
+    order of ``linalg.add_scaled``, with one Scalar per output entry."""
+    den = 1
+    for _, s in terms:
+        if s.d != d:
+            d = _join(d, s.d)
+        den = math.lcm(den, s.q)
+    out: dict[int, list[int]] = {}
+    for col, s in terms:
+        f = den // s.q
+        u = (s.a * f, s.b * f, s.c * f, s.e * f)
+        for r, t in col.items():
+            ra, rb, ia, ib = _times(t, u, d)
+            acc = out.get(r)
+            if acc is None:
+                out[r] = [ra, rb, ia, ib]
+            else:
+                acc[0] += ra
+                acc[1] += rb
+                acc[2] += ia
+                acc[3] += ib
+                if not (acc[0] or acc[1] or acc[2] or acc[3]):
+                    del out[r]
+    q *= den
+    return Form(dim, {r: Scalar(a, b, c, e, q, d) for r, (a, b, c, e) in out.items()})
 
 
 class GradedOperator:
@@ -140,14 +184,8 @@ class GradedOperator:
         # Scalars are normalized: q, the lcm of theirs, has no factor in
         # common with every coordinate, and d > 1 only with a sqrt(d) part
         self._set(dim, degree, q, d, not any(t[2] or t[3] for t in shared), store)
-        if check and degree is not None:
-            for c, col in store.items():
-                kc = c.bit_count()
-                for r in col:
-                    if r.bit_count() != kc + degree:
-                        raise ValueError(
-                            f"entry ({mask_label(r)}, {mask_label(c)}) violates degree {degree}"
-                        )
+        if check:
+            _check_degree(store, degree)
 
     def _set(self, dim, degree, q, d, real, coords) -> GradedOperator:
         self.dim = dim
@@ -232,29 +270,7 @@ class GradedOperator:
 
     def apply(self, form: Form) -> Form:
         terms = [(col, s) for m, s in form.coeffs.items() if (col := self.coords.get(m)) is not None]
-        d, den = self.d, 1
-        for _, s in terms:
-            if s.d != d:
-                d = _join(d, s.d)
-            den = math.lcm(den, s.q)
-        out: dict[int, list[int]] = {}
-        for col, s in terms:
-            f = den // s.q
-            u = (s.a * f, s.b * f, s.c * f, s.e * f)
-            for r, t in col.items():
-                ra, rb, ia, ib = _times(t, u, d)
-                acc = out.get(r)
-                if acc is None:
-                    out[r] = [ra, rb, ia, ib]
-                else:
-                    acc[0] += ra
-                    acc[1] += rb
-                    acc[2] += ia
-                    acc[3] += ib
-                    if not (acc[0] or acc[1] or acc[2] or acc[3]):
-                        del out[r]
-        q = self.q * den
-        return Form(self.dim, {r: Scalar(a, b, c, e, q, d) for r, (a, b, c, e) in out.items()})
+        return _accumulate(self.dim, self.q, self.d, terms)
 
     def column_form(self, mask: int) -> Form:
         col = self.coords.get(mask, {})
@@ -483,25 +499,48 @@ def laplacian(p: GradedOperator, p_star: GradedOperator) -> GradedOperator:
 # ---------------------------------------------------------------------------
 # Koszul reconstruction, derivations and algebraic order
 
-def _koszul_column(beta: dict[int, Form], mask: int) -> Column:
-    """Column ``mask`` of sum_J L_{beta_J} iota_J: the terms with J inside mask."""
-    col: Column = {}
+IntForm = dict[int, Coords]  # form mask -> coordinates over a denominator kept beside it
+
+
+def _integral(beta: dict[int, Form]) -> tuple[dict[int, IntForm], int, int]:
+    """The coefficient forms over one common denominator: (coordinates keyed
+    by J, q, d); zero forms are dropped."""
+    values = [v for form in beta.values() for v in form.coeffs.values()]
+    q = math.lcm(*(v.q for v in values))
+    d = 1
+    for vd in {v.d for v in values}:
+        d = _join(d, vd)
+    coords: dict[int, IntForm] = {}
+    for jm, form in beta.items():
+        if form.coeffs:
+            coords[jm] = {m: (v.a * (f := q // v.q), v.b * f, v.c * f, v.e * f) for m, v in form.coeffs.items()}
+    return coords, q, d
+
+
+def _koszul_column(beta: dict[int, IntForm], mask: int) -> IntForm:
+    """Column ``mask`` of sum_J L_{beta_J} iota_J: the terms with J inside
+    mask, summed as coordinates over the denominator of ``beta``."""
+    col: IntForm = {}
     for jm, form in beta.items():
         if jm & mask != jm:
             continue
         rest = mask ^ jm
-        eps, _ = wedge_masks(jm, rest)  # u^mask = eps u^J ^ u^rest
-        for bm, bv in form.coeffs.items():
-            sign, target = wedge_masks(bm, rest)
-            if sign == 0:
+        eps = wedge_masks(jm, rest)[0] if jm else 1  # u^mask = eps u^J ^ u^rest
+        for bm, u in form.items():
+            if bm & rest:
                 continue
-            v = bv if sign == eps else -bv
+            sign, target = wedge_masks(bm, rest)
+            if sign != eps:
+                u = (-u[0], -u[1], -u[2], -u[3])
             t = col.get(target)
-            v = v if t is None else t + v
-            if v.is_zero():
-                col.pop(target, None)
-            else:
+            if t is None:
+                col[target] = u
+                continue
+            v = (t[0] + u[0], t[1] + u[1], t[2] + u[2], t[3] + u[3])
+            if v[0] or v[1] or v[2] or v[3]:
                 col[target] = v
+            else:
+                del col[target]
     return col
 
 
@@ -509,22 +548,45 @@ def koszul_coefficients(p: GradedOperator, r: int) -> dict[int, Form]:
     """beta_J for |J| <= r, read off the columns of P on masks of degree <= r.
 
     In order of increasing degree, beta_M = P(u^M) - sum eps beta_J ^ u^{M-J}
-    over the proper subsets J of M, where u^M = eps u^J ^ u^{M-J}.  Zero
-    coefficients are omitted.
+    over the proper subsets J of M, where u^M = eps u^J ^ u^{M-J}.  The sums
+    run on P's coordinates, over P's denominator.  Zero coefficients are
+    omitted.
     """
-    beta: dict[int, Form] = {}
+    beta: dict[int, IntForm] = {}
     masks = sorted((m for m in range(1 << p.dim) if m.bit_count() <= r), key=int.bit_count)
     for mask in masks:
-        b = p.column_form(mask) - Form(p.dim, _koszul_column(beta, mask))
-        if not b.is_zero():
+        b = dict(p.coords.get(mask, {}))
+        for row, u in _koszul_column(beta, mask).items():
+            t = b.get(row)
+            if t is None:
+                b[row] = (-u[0], -u[1], -u[2], -u[3])
+                continue
+            v = (t[0] - u[0], t[1] - u[1], t[2] - u[2], t[3] - u[3])
+            if v[0] or v[1] or v[2] or v[3]:
+                b[row] = v
+            else:
+                del b[row]
+        if b:
             beta[mask] = b
-    return beta
+    return {jm: Form(p.dim, {m: p._entry(t) for m, t in b.items()}) for jm, b in beta.items()}
 
 
 def reconstruct(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOperator:
-    """sum_J L_{beta_J} iota_J for coefficient forms keyed by the mask J."""
-    cols = {m: _koszul_column(beta, m) for m in range(1 << dim)}
-    return GradedOperator(dim, cols, degree)
+    """sum_J L_{beta_J} iota_J for coefficient forms keyed by the mask J.
+
+    Every column is a Koszul sum of coordinates over the common denominator
+    of the beta_J, with one tuple per distinct entry; an entry off a
+    declared degree raises ValueError as the constructor does."""
+    coeffs, q, d = _integral(beta)
+    shared: dict[Coords, Coords] = {}
+    share = shared.setdefault
+    store: Store = {}
+    for m in range(1 << dim):
+        col = _koszul_column(coeffs, m)
+        if col:
+            store[m] = {r: share(t, t) for r, t in col.items()}
+    _check_degree(store, degree)
+    return GradedOperator._normalized(dim, degree, q, d, False, store)
 
 
 def _coframe_coefficients(dim: int, images: list[Form]) -> dict[int, Form]:
@@ -545,26 +607,29 @@ def derivation_from_one_forms(dim: int, images: list[Form], degree: int = 1) -> 
 class DerivationAction:
     """The derivation with the given coframe images, acting on forms.
 
-    It applies the columns of ``derivation_from_one_forms(dim, images)`` as
-    Scalars, each built by ``_koszul_column`` on first use and kept per
-    mask, so a derivation that only ever meets forms of a few degrees never
-    builds the other columns.
+    It applies the columns of ``derivation_from_one_forms(dim, images)``,
+    each a Koszul sum of coordinates built on first use and kept per mask,
+    so a derivation that only ever meets forms of a few degrees never
+    builds the other columns.  ``apply`` accumulates in integers as
+    ``GradedOperator.apply`` does.
     """
 
-    __slots__ = ("beta", "columns")
+    __slots__ = ("dim", "beta", "q", "d", "columns")
 
     def __init__(self, dim: int, images: list[Form]):
-        self.beta = _coframe_coefficients(dim, images)
-        self.columns: dict[int, Column] = {}
+        self.dim = dim
+        self.beta, self.q, self.d = _integral(_coframe_coefficients(dim, images))
+        self.columns: dict[int, IntForm] = {}
 
     def apply(self, form: Form) -> Form:
-        out: Column = {}
+        terms = []
         for m, s in form.coeffs.items():
             col = self.columns.get(m)
             if col is None:
                 col = self.columns[m] = _koszul_column(self.beta, m)
-            add_scaled(out, col, s)
-        return Form(form.dim, out)
+            if col:
+                terms.append((col, s))
+        return _accumulate(self.dim, self.q, self.d, terms)
 
 
 def algebraic_order_at_most(p: GradedOperator, r: int) -> bool:

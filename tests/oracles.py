@@ -48,6 +48,16 @@
   products through ``linalg.add_scaled``), against the production store of
   one denominator times integer coordinates; ``ScalarOperator.of`` reads a
   production operator entry by entry.
+* ``scalar_koszul_column``, ``scalar_reconstruct``, ``scalar_derivation``,
+  ``scalar_koszul_coefficients`` and ``ScalarDerivationAction``: the Koszul
+  sum sum_J L_{beta_J} iota_J column by column in ``Scalar`` arithmetic
+  (each sum and sign on its own Scalar, the operator through the Scalar
+  constructor), against the production sums of integer coordinates over
+  one common denominator; the results, key orders and degree errors must
+  be literally the same.
+* ``off_type_failures``: type preservation of the degree-0 difference
+  Laplacian as ``off_type`` on its image of every eta-monomial, against
+  VANISH_COR's commutator with D_J.
 * The Hodge star (``star``, ``star_operator``, ``volume_form``) with
   a ^ star(b) = <a, conj(b)> vol, available when det(g) is a square in the
   field Q(sqrt d)(i) the caller names (``sqrt_in_field``); d* = -*d* in even
@@ -59,7 +69,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from nkhodge.bidegree import DifferentialSplit, decompose_form, differential_split, pq_basis
+from nkhodge.bidegree import DifferentialSplit, decompose_form, differential_split, off_type, pq_basis
 from nkhodge.exterior import (
     Form,
     GramData,
@@ -781,3 +791,84 @@ def scalar_adjoint(p: ScalarOperator, gram: GramData) -> ScalarOperator:
         for r, v in col.items():
             cols.setdefault(r, {})[c] = v.conjugate() * weights[c] * inverses[r]
     return ScalarOperator(p.dim, cols, -p.degree if p.degree is not None else None)
+
+
+# -- the Scalar Koszul route ----------------------------------------------------------
+
+def scalar_koszul_column(beta: dict[int, Form], mask: int) -> Column:
+    """Column ``mask`` of sum_J L_{beta_J} iota_J: the terms with J inside mask."""
+    col: Column = {}
+    for jm, form in beta.items():
+        if jm & mask != jm:
+            continue
+        rest = mask ^ jm
+        eps, _ = wedge_masks(jm, rest)  # u^mask = eps u^J ^ u^rest
+        for bm, bv in form.coeffs.items():
+            sign, target = wedge_masks(bm, rest)
+            if sign == 0:
+                continue
+            v = bv if sign == eps else -bv
+            t = col.get(target)
+            v = v if t is None else t + v
+            if v.is_zero():
+                col.pop(target, None)
+            else:
+                col[target] = v
+    return col
+
+
+def scalar_reconstruct(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOperator:
+    cols = {m: scalar_koszul_column(beta, m) for m in range(1 << dim)}
+    return GradedOperator(dim, cols, degree)
+
+
+def _scalar_coframe_coefficients(images: list[Form]) -> dict[int, Form]:
+    return {1 << i: f for i, f in enumerate(images) if not f.is_zero()}
+
+
+def scalar_derivation(dim: int, images: list[Form], degree: int = 1) -> GradedOperator:
+    return scalar_reconstruct(dim, _scalar_coframe_coefficients(images), degree)
+
+
+def scalar_koszul_coefficients(p: GradedOperator, r: int) -> dict[int, Form]:
+    """beta_M = P(u^M) - sum eps beta_J ^ u^{M-J} in order of increasing |M| <= r."""
+    beta: dict[int, Form] = {}
+    masks = sorted((m for m in range(1 << p.dim) if m.bit_count() <= r), key=int.bit_count)
+    for mask in masks:
+        b = p.column_form(mask) - Form(p.dim, scalar_koszul_column(beta, mask))
+        if not b.is_zero():
+            beta[mask] = b
+    return beta
+
+
+class ScalarDerivationAction:
+    """The derivation with the given coframe images, column by column in Scalars."""
+
+    def __init__(self, dim: int, images: list[Form]):
+        self.beta = _scalar_coframe_coefficients(images)
+        self.columns: dict[int, Column] = {}
+
+    def apply(self, form: Form) -> Form:
+        out: Column = {}
+        for m, s in form.coeffs.items():
+            col = self.columns.get(m)
+            if col is None:
+                col = self.columns[m] = scalar_koszul_column(self.beta, m)
+            add_scaled(out, col, s)
+        return Form(form.dim, out)
+
+
+# -- VANISH_COR's type test ---------------------------------------------------------
+
+def off_type_failures(model, diff: GradedOperator) -> list[str]:
+    """VANISH_COR's labels "difference Laplacian preserves (p,q)" for the
+    types (p,q) where ``off_type`` finds an image diff(m) of an
+    eta-monomial m of type (p,q) that is not of type (p,q)."""
+    pqb = pq_basis(model)
+    failed = []
+    for p in range(pqb.n + 1):
+        for q in range(pqb.n + 1):
+            images = (diff.apply(pqb.monomial_form(mask)) for mask in pqb.monomial_masks(p, q))
+            if not all(off_type(model, img, p, q).is_zero() for img in images):
+                failed.append(f"difference Laplacian preserves ({p},{q})")
+    return failed

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -17,14 +18,21 @@ from nkhodge.exterior import Form
 from nkhodge.hodge import harmonic_space, operator_degree_rows
 from nkhodge.linalg import sparse_kernel
 from nkhodge.models import (
+    BUILTIN_NAMES,
     KODAIRA_EXPECTED_FAILURES,
     builtin_model,
     model_from_json,
     model_to_json,
+    nk_report,
 )
-from nkhodge.operators import GradedOperator, derivation_from_one_forms
+from nkhodge.operators import GradedOperator, derivation_from_one_forms, reconstruct
 from nkhodge.scalars import Scalar, rational
-from oracles import barred_requirements, laplacian_of_del_minus_delbar, stacked_kernel_nullities
+from oracles import (
+    barred_requirements,
+    laplacian_of_del_minus_delbar,
+    off_type_failures,
+    stacked_kernel_nullities,
+)
 from variants import scaled_metric
 
 
@@ -191,13 +199,19 @@ class TestHodgeAbcdKernel:
 
 
 class _RecordingAcc(_Acc):
-    """An _Acc that keeps every operator requirement by label and the
-    barred labels recorded through ``pair``."""
+    """An _Acc that keeps every operator requirement by label, the barred
+    labels recorded through ``pair`` and the labels of failed ``require``s."""
 
     def __init__(self):
         super().__init__()
         self.ops = {}
         self.paired = []
+        self.failed = []
+
+    def require(self, label, ok, residual=1.0):
+        if not ok:
+            self.failed.append(label)
+        super().require(label, ok, residual)
 
     def op(self, label, op):
         assert label not in self.ops, label
@@ -303,13 +317,96 @@ class TestOrderDet:
     def test_detects_a_sign_flip_in_the_reconstruction_of_d(self, monkeypatch):
         # a sign flipped on the columns of degree >= 3 of every Koszul
         # reconstruction, so of d itself: rebuilding d from its coframe
-        # values repeats the flip, the Leibniz rule does not
+        # values repeats the flip, the Leibniz rule does not.  A column is
+        # a dict of integer coordinates over the coefficients' denominator.
         original = nkhodge.operators._koszul_column
 
         def flipped(beta, mask):
             col = original(beta, mask)
-            return {r: -v for r, v in col.items()} if mask.bit_count() >= 3 else col
+            if mask.bit_count() < 3:
+                return col
+            return {r: (-a, -b, -c, -e) for r, (a, b, c, e) in col.items()}
 
         monkeypatch.setattr(nkhodge.operators, "_koszul_column", flipped)
         model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
         assert run_check(model, "ORDER_DET").status == "fail"
+
+
+def _fresh(name):
+    """A built-in model with no memo, not the shared cached instance."""
+    return model_from_json(model_to_json(builtin_model(name)))
+
+
+def _difference_laplacian(model):
+    return named_operator(model, "lap:L_mu_omega") - named_operator(model, "lap:L_mubar_omega")
+
+
+class TestVanishCor:
+    """VANISH_COR reads type preservation off the commutator with D_J; the
+    oracle runs ``off_type`` on the image of every eta-monomial."""
+
+    @staticmethod
+    def _type_failures(model):
+        acc = _RecordingAcc()
+        CHECKS["VANISH_COR"].fn(model, acc)
+        return [label for label in acc.failed if label.startswith("difference Laplacian preserves")]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_commutator_matches_off_type_oracle(self, name):
+        model = builtin_model(name).orthogonalized()
+        assert self._type_failures(model) == off_type_failures(model, _difference_laplacian(model))
+
+    def test_type_breaking_mutation_fails_with_the_oracle_labels(self, monkeypatch):
+        # L_{u^1} iota_{e_2} (u^2 -> u^1, degree 0) added to the difference
+        # Laplacian; J pairs u^1 with u^4 and u^2 with u^5, so it breaks type
+        model = _fresh("s3xs3-nk")
+        target = model.orthogonalized()
+        extra = reconstruct(target.dim, {0b10: Form.basis(target.dim, 0b1)}, 0)
+        want = off_type_failures(target, _difference_laplacian(target) + extra)
+        assert len(want) == 14  # every type but (0,0) and (3,3)
+        original = nkhodge.checks._ops
+
+        def mutated(m, *names):
+            return [op + extra if name == "lap:L_mu_omega" else op for name, op in zip(names, original(m, *names))]
+
+        monkeypatch.setattr(nkhodge.checks, "_ops", mutated)
+        assert self._type_failures(target) == want
+        res = run_check(model, "VANISH_COR")
+        assert res.status == "fail" and res.witness == want[0]
+
+
+class TestCostGuards:
+    def test_nk_residual_builds_no_nabla_operator(self):
+        # nabla omega is one lazy derivation action applied to omega; only
+        # DC_FRAME, which composes nabla, needs the 2^dim-column operators
+        model = _fresh("s3xs3-nk")
+        assert nk_report(model).nearly_kahler
+        assert run_check(model, "NK_DEF").status == "pass"
+        target = model.orthogonalized()
+        for cache in (model._cache, target._cache):
+            assert not [key for key in cache if re.fullmatch(r"nabla\d+", key)]
+        assert {f"nabla_omega{i}" for i in range(target.dim)} <= set(target._cache)
+
+    def test_vanish_cor_memoizes_neither_d_j_nor_the_commutator(self, monkeypatch):
+        model = _fresh("s3xs3-nk")
+        target = model.orthogonalized()
+        built = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                built.append(fn(*args, **kwargs))
+                return built[-1]
+
+            return wrapped
+
+        for name in ("derivation_from_one_forms", "br"):
+            monkeypatch.setattr(nkhodge.checks, name, spy(getattr(nkhodge.checks, name)))
+        before = set(target._cache)
+        assert run_check(model, "VANISH_COR").status == "pass"
+        d_j = derivation_from_one_forms(target.dim, target.j_one_form_rows(), 0)
+        assert len(built) == 2 and built[0] == d_j
+        added = [target._cache[key] for key in set(target._cache) - before]
+        assert added
+        for value in added:
+            assert all(value is not op for op in built)
+            assert not (isinstance(value, GradedOperator) and value == d_j)

@@ -4,7 +4,10 @@ Every operation of ``GradedOperator`` is compared with ``oracles.ScalarOperator`
 on random operators in dimension three over Q(sqrt 3)(i) and Q(i), with
 d = 1 and d = 3 operators mixed and coefficients above 2**64: the entries,
 the column and row orders that elimination sees, nnz, the witness and the
-float residual, and the normalization of the store itself.
+float residual, and the normalization of the store itself.  The Koszul sums
+(``reconstruct``, ``derivation_from_one_forms``, ``koszul_coefficients`` and
+``DerivationAction``) are compared in the same way with the Scalar Koszul
+route of ``oracles``, degree errors included.
 """
 
 import math
@@ -16,9 +19,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nkhodge.exterior import Form, GramData
-from nkhodge.operators import GradedOperator, adjoint, graded_commutator
+from nkhodge.operators import (
+    DerivationAction,
+    GradedOperator,
+    adjoint,
+    derivation_from_one_forms,
+    graded_commutator,
+    koszul_coefficients,
+    reconstruct,
+)
 from nkhodge.scalars import ZERO, Scalar
-from oracles import ScalarOperator, scalar_adjoint
+from oracles import (
+    ScalarDerivationAction,
+    ScalarOperator,
+    scalar_adjoint,
+    scalar_derivation,
+    scalar_koszul_coefficients,
+    scalar_reconstruct,
+)
 
 DIM = 3
 MASKS = range(1 << DIM)
@@ -167,6 +185,104 @@ class TestAgainstScalarStore:
     def test_equality(self, p, q):
         assert (p == q) == (ScalarOperator.of(p) == ScalarOperator.of(q))
         assert p.with_degree(5) == p
+
+
+@st.composite
+def coefficient_forms(draw, masks=MASKS, max_terms=4):
+    """A form on the given masks, possibly zero and not homogeneous, with
+    entries drawn from a pool of two scalars of Q(sqrt 3)(i) or Q(i) (mixed
+    denominators, large coefficients) and their negatives, so that the
+    Koszul sums cancel."""
+    pool = draw(st.lists(scalars(draw(st.sampled_from([1, 3]))), min_size=1, max_size=2))
+    coeffs = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        v = draw(st.sampled_from(pool))
+        coeffs[draw(st.sampled_from(masks))] = v if draw(st.booleans()) else -v
+    return Form(DIM, coeffs)
+
+
+@st.composite
+def koszul_data(draw):
+    """(beta, degree): coefficient forms keyed by J and a declared degree.
+    Half the draws make every beta_J homogeneous of degree |J| + degree, so
+    the sum has that degree; the others mostly violate it (or declare none)."""
+    degree = draw(st.sampled_from([None, -1, 0, 1, 2]))
+    consistent = degree is not None and draw(st.booleans())
+    beta = {}
+    for jm in draw(st.lists(st.sampled_from(MASKS), max_size=4, unique=True)):
+        masks = [m for m in MASKS if m.bit_count() == jm.bit_count() + degree] if consistent else MASKS
+        if masks:
+            beta[jm] = draw(coefficient_forms(masks))
+    return beta, degree
+
+
+def assert_literal(op: GradedOperator, ref: GradedOperator):
+    """The same normalized store, with the same column and row orders."""
+    assert (op.dim, op.degree, op.q, op.d, op.real) == (ref.dim, ref.degree, ref.q, ref.d, ref.real)
+    assert op.coords == ref.coords
+    assert list(op.coords) == list(ref.coords)
+    assert all(list(op.coords[c]) == list(col) for c, col in ref.coords.items())
+
+
+def assert_same_forms(got: Form, want: Form):
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)
+
+
+def same_outcome(build, reference):
+    """Both raise the same ValueError, or both return a value; returns the
+    pair of values (None, None) after a matching error."""
+    try:
+        want = reference()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == str(exc)
+        return None, None
+    return build(), want
+
+
+class TestKoszulAgainstScalarRoute:
+    @given(koszul_data())
+    @EXAMPLES
+    def test_reconstruct(self, data):
+        beta, degree = data
+        got, want = same_outcome(lambda: reconstruct(DIM, beta, degree), lambda: scalar_reconstruct(DIM, beta, degree))
+        if want is not None:
+            assert_literal(got, want)
+
+    def test_reconstruct_degree_error(self):
+        # u^1 as beta_{u^1 u^2}: a term of degree -1 in a sum declared of degree 0
+        beta = {0b011: Form.basis(DIM, 0b001)}
+        for build in (reconstruct, scalar_reconstruct):
+            with pytest.raises(ValueError, match=r"entry \(e1, e1\^e2\) violates degree 0"):
+                build(DIM, beta, 0)
+        assert_literal(reconstruct(DIM, beta, -1), scalar_reconstruct(DIM, beta, -1))
+
+    @given(st.lists(coefficient_forms(), min_size=DIM, max_size=DIM), st.sampled_from([0, 1, 2]))
+    @EXAMPLES
+    def test_derivation_from_one_forms(self, images, degree):
+        got, want = same_outcome(
+            lambda: derivation_from_one_forms(DIM, images, degree), lambda: scalar_derivation(DIM, images, degree)
+        )
+        if want is not None:
+            assert_literal(got, want)
+
+    @given(operators(), st.integers(0, DIM))
+    @EXAMPLES
+    def test_koszul_coefficients(self, p, r):
+        got, want = koszul_coefficients(p, r), scalar_koszul_coefficients(p, r)
+        assert list(got) == list(want)
+        for jm, form in want.items():
+            assert_same_forms(got[jm], form)
+
+    @given(st.lists(coefficient_forms(), min_size=DIM, max_size=DIM), st.lists(forms(), min_size=1, max_size=3))
+    @EXAMPLES
+    def test_derivation_action(self, images, inputs):
+        # the same action object twice over, so cached columns are reused
+        action, reference = DerivationAction(DIM, images), ScalarDerivationAction(DIM, images)
+        for f in inputs + inputs:
+            assert_same_forms(action.apply(f), reference.apply(f))
 
 
 class TestExtensions:
