@@ -6,19 +6,24 @@ k the value p - q fixes (p,q).  Only its action is kept
 (``operators.DerivationAction``): a column is built the first time a form
 meets it, so the degrees that are never typed cost nothing.
 ``off_type(model, form, p, q)`` = D_J form - i(p - q) form is the type
-test of a form: zero exactly when a (p+q)-form has type (p,q).  A degree-0
-operator preserves every Lambda^{p,q} exactly when it commutes with D_J;
-VANISH_COR builds D_J as a whole operator for that one commutator and does
-not keep it.  ``decompose_form``
+test of a form: zero exactly when a (p+q)-form has type (p,q).
+``decompose_form``
 takes, in each degree k with m types, the D_J eigencomponents from the
 powers D_J^j form, j < m, through the inverse Vandermonde matrix of the
 eigenvalues i(2p - k).
 
 ``PQBasis`` keeps the (1,0)-coframe eta = P^{1,0} u = (u - iJu)/2.  A greedy
 scan with ``linalg.solve`` keeps, in order, each image outside the span of
-those kept so far.  Monomials in the chosen (1,0)/(0,1) generators, built
-lazily by ``wedge_image``, are bases of every Lambda^{p,q} (J_PQ,
-DIM6_EIGEN and VANISH_COR iterate over them).
+those kept so far.  Monomials in the chosen (1,0)/(0,1) generators are
+bases of every Lambda^{p,q}; in that eta-frame the type of a form is read
+off the bits of its coordinates.  J_PQ and DIM6_EIGEN iterate over the
+monomials as forms, built lazily by ``wedge_image``.  ``frame_blocks`` is
+the change of basis itself, degree by degree on the integer store: E, the
+algebra map of the generators (its column m is the monomial m), and
+F = E^{-1}, the algebra map of each u^i to its coordinates in the
+generators.  A degree-0 operator P preserves every Lambda^{p,q} exactly
+when each column of type (p,q) of F P E has rows of type (p,q) only, which
+is how VANISH_COR reads it; no frame is kept.
 
 ``differential_split`` produces the four components with bidegrees
 (2,-1), (1,0), (0,1), (-1,2).  d is real and J is real, so delbar and mubar
@@ -54,11 +59,12 @@ from .operators import (
     DerivationAction,
     GradedOperator,
     adjoint,
+    algebra_map_blocks,
     derivation_from_one_forms,
     laplacian,
     mult_operator,
 )
-from .scalars import I, Scalar, rational
+from .scalars import I, ZERO, Scalar, rational
 
 
 class PQBasis:
@@ -111,6 +117,17 @@ class PQBasis:
 
     def basis_forms(self, p: int, q: int) -> list[Form]:
         return [self.monomial_form(m) for m in self.monomial_masks(p, q)]
+
+    def frame_blocks(self):
+        """(E_k, F_k) for k = 0, ..., dim, one degree at a time and kept
+        nowhere: E is the algebra map of the generators, so column m of E is
+        literally ``monomial_form(m)``, and F = E^{-1} the algebra map of u^i
+        to its coordinates in the generators (row i of the inverse of the
+        generator matrix, bit a for generator a)."""
+        dim = self.dim
+        matrix = [[g.coeffs.get(1 << i, ZERO) for i in range(dim)] for g in self._generators]
+        dual = [Form.one_form(dim, row) for row in inverse(matrix)]
+        return zip(algebra_map_blocks(dim, self._generators), algebra_map_blocks(dim, dual))
 
 
 def pq_basis(model) -> PQBasis:
@@ -200,7 +217,10 @@ class DifferentialSplit:
         return {"mu": self.mu, "del": self.del_, "delbar": self.delbar, "mubar": self.mubar}
 
     def total(self) -> GradedOperator:
-        return self.mu + self.del_ + self.delbar + self.mubar
+        """mu + del + delbar + mubar as s + conj s, s = mu + del: the barred
+        components are the conjugates of the unbarred ones."""
+        s = self.mu + self.del_
+        return s + s.conjugated()
 
 
 def differential_split(model) -> DifferentialSplit:

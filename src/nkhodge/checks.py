@@ -46,12 +46,14 @@ of the reconstruction that builds d.  HODGE_ABCD
 takes one kernel per degree, of the PSD sum of the component Laplacians.
 Type is read through D_J: ``bidegree.decompose_form`` gives the pieces
 (LEM_NK, SU3_STRUCT) and ``off_type`` answers whether a form has a given
-type; HODGE_ABCD (d) asks it of each conjugated harmonic form.  A degree-0
-operator preserves every Lambda^{p,q} exactly when it commutes with D_J, so
-VANISH_COR reads type preservation off the commutator of D_J with the
-difference Laplacian on the eta-monomials of each type (p,q), and takes the
-rank of the difference Laplacian's images of them in real coordinates (a
-rank does not depend on the row basis).
+type; HODGE_ABCD (d) asks it of each conjugated harmonic form.  VANISH_COR
+works in the eta-frame instead: it takes the matrix F diff E of the
+difference Laplacian in the eta-monomial basis (``PQBasis.frame_blocks``),
+reads type preservation off the rows of its columns of each type (p,q),
+and takes the rank of those columns, which is that of the images diff(m)
+in real coordinates since F is invertible.  DC_FRAME's frame sum
+sum_j L_{J u^j} nabla_j is one Koszul reconstruction from its coframe
+values.
 """
 
 from __future__ import annotations
@@ -339,18 +341,24 @@ def check_su3_struct(model, acc: _Acc):
     acc.form("d Im(mu omega) + (3/8) lambda^2 omega^2", lhs - rhs)
 
 
-def check_dc_frame(model, acc: _Acc):
+def _frame_sum(model) -> GradedOperator:
+    """sum_j L_{J u^j} nabla_j over dual pairs (coframe, frame); no metric
+    weight enters.  With nabla_j = sum_k L_{nabla_j u^k} iota_k this is, by
+    Koszul, the derivation with coframe values sum_j J u^j ^ nabla_j u^k."""
     n = model.dim
-    mu, _, _, mb = _parts(model)
-    # sum_j L_{J u^j} nabla_j over dual pairs (coframe, frame); no metric weight enters
-    frame_sum = GradedOperator.zero(n, 1)
+    images = [Form.zero(n)] * n
     for j in range(n):
-        frame_sum = frame_sum + mult_operator(j_apply(model, Form.basis(n, 1 << j))).compose(
-            model.nabla_op(j)
-        )
+        ju = j_apply(model, Form.basis(n, 1 << j))
+        for k, nabla_u in enumerate(model.nabla_images(j)):
+            images[k] = images[k] + ju.wedge(nabla_u)
+    return derivation_from_one_forms(n, images)
+
+
+def check_dc_frame(model, acc: _Acc):
+    mu, _, _, mb = _parts(model)
     acc.op(
         "d^c + sum(J u^j ^ nabla_j) - 2i(mu-mubar)",
-        d_c(model) + frame_sum - (mu - mb).scale(Scalar(0, 0, 2, 0)),
+        d_c(model) + _frame_sum(model) - (mu - mb).scale(Scalar(0, 0, 2, 0)),
     )
 
 
@@ -592,25 +600,28 @@ def check_hodge_abcd(model, acc: _Acc):
 
 
 def check_vanish_cor(model, acc: _Acc):
-    """The degree-0 difference Laplacian preserves (p,q) when its commutator
-    C with D_J kills every eta-monomial m of type (p,q): D_J m = i(p-q) m, so
-    C m is exactly ``off_type(diff m, p, q)``.  D_J and C are built here and
-    not memoized (the memoized D_J is the lazy ``j_derivation``)."""
+    """The degree-0 difference Laplacian in the eta-monomial basis, degree by
+    degree: D_k = F_k diff E_k with E the algebra map of the generators and
+    F = E^{-1} (``PQBasis.frame_blocks``).  It preserves (p,q) when every
+    row of each column of type (p,q) has type (p,q), and its rank there is
+    that of the images diff(m), F being invertible.  The frames are built
+    here one degree at a time and not kept."""
     pqb = pq_basis(model)
     d_lm, d_lmb = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega")
     diff = d_lm - d_lmb
-    comm = br(derivation_from_one_forms(model.dim, model.j_one_form_rows(), 0), diff)
+    columns = {}
+    for e_k, f_k in pqb.frame_blocks():
+        columns.update(f_k.compose(diff.compose(e_k)).scalar_columns())
     n = pqb.n
     for p in range(n + 1):
         for q in range(n + 1):
             masks = pqb.monomial_masks(p, q)
-            monomials = [pqb.monomial_form(mask) for mask in masks]
+            cols = [columns.get(mask, {}) for mask in masks]
             acc.require(
                 f"difference Laplacian preserves ({p},{q})",
-                all(comm.apply(m).is_zero() for m in monomials),
+                all(pqb.bidegree_of_mask(r) == (p, q) for col in cols for r in col),
             )
-            cols = [diff.apply(m) for m in monomials]
-            rank = sparse_rank(transpose((j, col.coeffs) for j, col in enumerate(cols)))
+            rank = sparse_rank(transpose(enumerate(cols)))
             if rank == len(masks):
                 acc.require(
                     f"invertible difference on ({p},{q}) forces h = 0",

@@ -231,12 +231,6 @@ class LieAlgebraModel:
             for k in range(self.dim)
         ]
 
-    def nabla_op(self, i: int) -> GradedOperator:
-        """nabla_i on all 2^dim basis forms; only an operator product needs it."""
-        return self._memo(
-            f"nabla{i}", lambda: derivation_from_one_forms(self.dim, self.nabla_images(i), degree=0)
-        )
-
     def nabla_action(self, i: int) -> DerivationAction:
         """nabla_i acting on forms, a column built when a form first meets it."""
         return self._memo(f"nabla_action{i}", lambda: DerivationAction(self.dim, self.nabla_images(i)))

@@ -61,6 +61,10 @@ reconstruction) and the only route from coframe values to a derivation
 (``derivation_from_one_forms``).  ``DerivationAction`` applies the same
 Koszul sum to forms with each column built on first use.  All of them sum
 columns through one primitive, ``_koszul_column``, on integer coordinates.
+``algebra_map_blocks`` is the degree-0 algebra map u^i -> images[i] of
+1-forms (a change of coframe), built one degree block at a time on the
+integer coordinates: column m is images[i] ^ (column m - i of the block
+before), with no Scalar and no ``Form.wedge``.
 """
 
 from __future__ import annotations
@@ -602,6 +606,72 @@ def derivation_from_one_forms(dim: int, images: list[Form], degree: int = 1) -> 
     odd (degree 1) or even (degree 0) derivation by itself.
     """
     return reconstruct(dim, _coframe_coefficients(dim, images), degree)
+
+
+def algebra_map_blocks(dim: int, images: list[Form]):
+    """The degree-0 algebra map u^i -> images[i] (1-forms), one block per
+    degree: for k = 0, ..., dim in turn, the operator of its columns on the
+    forms of degree k.
+
+    Column m of degree k is images[i] ^ (column m - i of degree k - 1), i
+    the lowest index of m, summed as coordinates over the denominator of
+    that block times the common denominator of the images, so a block needs
+    only the one before it.  It is literally ``exterior.wedge_image``'s
+    expansion, row orders included; the columns of a block come in
+    increasing mask order.
+    """
+    if len(images) != dim:
+        raise ValueError(f"need {dim} coframe images, got {len(images)}")
+    if any(m.bit_count() != 1 for f in images for m in f.coeffs):
+        raise ValueError("a degree-0 algebra map needs 1-form images")
+    coeffs, qg, dg = _integral({1 << i: f for i, f in enumerate(images)})
+    gens = [list(coeffs.get(1 << i, {}).items()) for i in range(dim)]
+    by_degree: list[list[int]] = [[] for _ in range(dim + 1)]
+    for m in range(1 << dim):
+        by_degree[m.bit_count()].append(m)
+    block = object.__new__(GradedOperator)._set(dim, 0, 1, 1, True, {0: {0: (1, 0, 0, 0)}})
+    yield block
+    for k in range(1, dim + 1):
+        d = _join(block.d, dg)
+        prev = block.coords
+        shared: dict[Coords, Coords] = {}
+        share = shared.setdefault
+        store: Store = {}
+        for m in by_degree[k]:
+            low = m & -m
+            rest = prev.get(m ^ low)
+            gen = gens[low.bit_length() - 1]
+            if rest is None or not gen:
+                continue
+            col: dict[int, list[int]] = {}
+            for b, (a1, b1, c1, e1) in gen:
+                below = b - 1
+                db1, de1 = d * b1, d * e1
+                for r, (a2, b2, c2, e2) in rest.items():
+                    if r & b:
+                        continue
+                    # the product of the two entries, as ``_times``
+                    ra = a1 * a2 + db1 * b2 - de1 * e2 - c1 * c2
+                    rb = a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2
+                    ia = a1 * c2 + c1 * a2 + db1 * e2 + de1 * b2
+                    ib = a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2
+                    if (r & below).bit_count() & 1:  # u^b ^ u^r = -u^{b+r}
+                        ra, rb, ia, ib = -ra, -rb, -ia, -ib
+                    target = r | b
+                    acc = col.get(target)
+                    if acc is None:
+                        col[target] = [ra, rb, ia, ib]
+                        continue
+                    acc[0] += ra
+                    acc[1] += rb
+                    acc[2] += ia
+                    acc[3] += ib
+                    if not (acc[0] or acc[1] or acc[2] or acc[3]):
+                        del col[target]
+            if col:
+                store[m] = {r: share(t, t) for r, t in zip(col, map(tuple, col.values()))}
+        block = GradedOperator._normalized(dim, 0, block.q * qg, d, False, store)
+        yield block
 
 
 class DerivationAction:

@@ -57,7 +57,10 @@
   be literally the same.
 * ``off_type_failures``: type preservation of the degree-0 difference
   Laplacian as ``off_type`` on its image of every eta-monomial, against
-  VANISH_COR's commutator with D_J.
+  VANISH_COR's matrix of it in the eta-monomial basis.
+* ``frame_sum_by_composition``: DC_FRAME's sum_j L_{J u^j} nabla_j composed
+  term by term from ``mult_operator`` and the operators ``nabla_operator``,
+  against the one Koszul reconstruction of the production route.
 * The Hodge star (``star``, ``star_operator``, ``volume_form``) with
   a ^ star(b) = <a, conj(b)> vol, available when det(g) is a square in the
   field Q(sqrt d)(i) the caller names (``sqrt_in_field``); d* = -*d* in even
@@ -69,7 +72,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from nkhodge.bidegree import DifferentialSplit, decompose_form, differential_split, off_type, pq_basis
+from nkhodge.bidegree import DifferentialSplit, decompose_form, differential_split, j_apply, off_type, pq_basis
 from nkhodge.exterior import (
     Form,
     GramData,
@@ -872,3 +875,20 @@ def off_type_failures(model, diff: GradedOperator) -> list[str]:
             if not all(off_type(model, img, p, q).is_zero() for img in images):
                 failed.append(f"difference Laplacian preserves ({p},{q})")
     return failed
+
+
+# -- DC_FRAME's frame sum -----------------------------------------------------
+
+def nabla_operator(model, i: int) -> GradedOperator:
+    """nabla_i on all 2^dim basis forms: the degree-0 derivation with the
+    coframe values ``nabla_images(i)``."""
+    return derivation_from_one_forms(model.dim, model.nabla_images(i), degree=0)
+
+
+def frame_sum_by_composition(model) -> GradedOperator:
+    """sum_j L_{J u^j} nabla_j as the sum of the compositions, term by term."""
+    n = model.dim
+    total = GradedOperator.zero(n, 1)
+    for j in range(n):
+        total = total + mult_operator(j_apply(model, Form.basis(n, 1 << j))).compose(nabla_operator(model, j))
+    return total

@@ -25,10 +25,10 @@ from nkhodge.bidegree import (
     twisted_differential,
 )
 from nkhodge.checks import CHECKS, run_suite
-from nkhodge.exterior import Form
+from nkhodge.exterior import Form, wedge_image
 from nkhodge.hodge import harmonic_pq, hodge_numbers
 from nkhodge.linalg import sparse_rank
-from nkhodge.models import builtin_model, model_from_json, model_to_json, nk_report
+from nkhodge.models import BUILTIN_NAMES, builtin_model, model_from_json, model_to_json, nk_report
 from nkhodge.operators import GradedOperator, graded_commutator
 from nkhodge.scalars import I, ONE, Scalar, rational
 from oracles import (
@@ -153,6 +153,23 @@ class TestPQBasis:
             for m, x in coords.items():
                 rebuilt = rebuilt + pqb.eta[m.bit_length() - 1].scale(x)
             assert rebuilt == f
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_frames_are_the_monomials_and_inverse(self, name):
+        # column m of E is the eta-monomial m, and F = E^{-1} degree by degree
+        model = builtin_model(name).orthogonalized()
+        pqb = pq_basis(model)
+        table = {}
+        blocks = list(pqb.frame_blocks())
+        assert len(blocks) == model.dim + 1
+        for k, (e_k, f_k) in enumerate(blocks):
+            masks = [m for m in range(1 << model.dim) if m.bit_count() == k]
+            assert list(e_k.coords) == list(f_k.coords) == masks
+            for m in masks:
+                assert e_k.column_form(m) == wedge_image(pqb.eta + pqb.eta_bar, m, table)
+            identity = GradedOperator(model.dim, {m: {m: ONE} for m in masks}, 0)
+            assert f_k.compose(e_k) == identity
+            assert e_k.compose(f_k) == identity
 
     def test_roundtrip(self, s3xs3):
         for mask in range(64):

@@ -13,7 +13,7 @@ from nkhodge.checks import (
     run_check,
     run_suite,
 )
-from nkhodge.bidegree import DifferentialSplit, named_operator
+from nkhodge.bidegree import DifferentialSplit, named_operator, pq_basis
 from nkhodge.exterior import Form
 from nkhodge.hodge import harmonic_space, operator_degree_rows
 from nkhodge.linalg import sparse_kernel
@@ -29,6 +29,7 @@ from nkhodge.operators import GradedOperator, derivation_from_one_forms, reconst
 from nkhodge.scalars import Scalar, rational
 from oracles import (
     barred_requirements,
+    frame_sum_by_composition,
     laplacian_of_del_minus_delbar,
     off_type_failures,
     stacked_kernel_nullities,
@@ -342,8 +343,9 @@ def _difference_laplacian(model):
 
 
 class TestVanishCor:
-    """VANISH_COR reads type preservation off the commutator with D_J; the
-    oracle runs ``off_type`` on the image of every eta-monomial."""
+    """VANISH_COR reads type preservation off the rows of the difference
+    Laplacian's matrix in the eta-monomial basis; the oracle runs
+    ``off_type`` on the image of every eta-monomial."""
 
     @staticmethod
     def _type_failures(model):
@@ -375,10 +377,17 @@ class TestVanishCor:
         assert res.status == "fail" and res.witness == want[0]
 
 
+class TestDcFrame:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_koszul_frame_sum_matches_composition(self, name):
+        model = builtin_model(name).orthogonalized()
+        assert nkhodge.checks._frame_sum(model) == frame_sum_by_composition(model)
+
+
 class TestCostGuards:
     def test_nk_residual_builds_no_nabla_operator(self):
-        # nabla omega is one lazy derivation action applied to omega; only
-        # DC_FRAME, which composes nabla, needs the 2^dim-column operators
+        # nabla omega is one lazy derivation action applied to omega; no
+        # route builds the 2^dim-column operators nabla_i
         model = _fresh("s3xs3-nk")
         assert nk_report(model).nearly_kahler
         assert run_check(model, "NK_DEF").status == "pass"
@@ -387,26 +396,38 @@ class TestCostGuards:
             assert not [key for key in cache if re.fullmatch(r"nabla\d+", key)]
         assert {f"nabla_omega{i}" for i in range(target.dim)} <= set(target._cache)
 
+    def test_dc_frame_builds_no_nabla_operator(self):
+        # the frame sum is one Koszul reconstruction from the coframe values
+        model = _fresh("s3xs3-nk")
+        assert run_check(model, "DC_FRAME").status == "pass"
+        for cache in (model._cache, model.orthogonalized()._cache):
+            assert not [key for key in cache if re.fullmatch(r"nabla\d+", key)]
+
     def test_vanish_cor_memoizes_neither_d_j_nor_the_commutator(self, monkeypatch):
+        # the check works in the eta-frame: it builds no D_J and no
+        # commutator, expands no eta-monomial as a form and keeps no frame
         model = _fresh("s3xs3-nk")
         target = model.orthogonalized()
-        built = []
+        called = []
 
-        def spy(fn):
+        def spy(name, fn):
             def wrapped(*args, **kwargs):
-                built.append(fn(*args, **kwargs))
-                return built[-1]
+                called.append(name)
+                return fn(*args, **kwargs)
 
             return wrapped
 
         for name in ("derivation_from_one_forms", "br"):
-            monkeypatch.setattr(nkhodge.checks, name, spy(getattr(nkhodge.checks, name)))
-        before = set(target._cache)
+            monkeypatch.setattr(nkhodge.checks, name, spy(name, getattr(nkhodge.checks, name)))
+        before = {id(cache): set(cache) for cache in (model._cache, target._cache)}
         assert run_check(model, "VANISH_COR").status == "pass"
-        d_j = derivation_from_one_forms(target.dim, target.j_one_form_rows(), 0)
-        assert len(built) == 2 and built[0] == d_j
-        added = [target._cache[key] for key in set(target._cache) - before]
+        assert called == []
+        pqb = pq_basis(target)
+        assert pqb._pq_form_table == {}
+        frames = [op for pair in pqb.frame_blocks() for op in pair]
+        added = [
+            cache[key] for cache in (model._cache, target._cache) for key in set(cache) - before[id(cache)]
+        ]
         assert added
         for value in added:
-            assert all(value is not op for op in built)
-            assert not (isinstance(value, GradedOperator) and value == d_j)
+            assert not (isinstance(value, GradedOperator) and any(value == op for op in frames))

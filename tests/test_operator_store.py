@@ -7,7 +7,8 @@ the column and row orders that elimination sees, nnz, the witness and the
 float residual, and the normalization of the store itself.  The Koszul sums
 (``reconstruct``, ``derivation_from_one_forms``, ``koszul_coefficients`` and
 ``DerivationAction``) are compared in the same way with the Scalar Koszul
-route of ``oracles``, degree errors included.
+route of ``oracles``, degree errors included, and every block of
+``algebra_map_blocks`` with the Scalar expansion ``exterior.wedge_image``.
 """
 
 import math
@@ -18,11 +19,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nkhodge.exterior import Form, GramData
+from nkhodge.exterior import Form, GramData, wedge_image
 from nkhodge.operators import (
     DerivationAction,
     GradedOperator,
     adjoint,
+    algebra_map_blocks,
     derivation_from_one_forms,
     graded_commutator,
     koszul_coefficients,
@@ -283,6 +285,28 @@ class TestKoszulAgainstScalarRoute:
         action, reference = DerivationAction(DIM, images), ScalarDerivationAction(DIM, images)
         for f in inputs + inputs:
             assert_same_forms(action.apply(f), reference.apply(f))
+
+
+class TestAlgebraMap:
+    @given(st.lists(coefficient_forms([1 << i for i in range(DIM)]), min_size=DIM, max_size=DIM))
+    @EXAMPLES
+    def test_blocks_match_wedge_image(self, images):
+        # every column against the Scalar expansion u^mask -> images[low] ^ image(rest)
+        blocks = list(algebra_map_blocks(DIM, images))
+        assert len(blocks) == DIM + 1
+        table = {}
+        for k, block in enumerate(blocks):
+            masks = [m for m in MASKS if m.bit_count() == k]
+            assert_literal(block, GradedOperator(DIM, {m: wedge_image(images, m, table).coeffs for m in masks}, 0))
+            entries = [t for col in block.coords.values() for t in col.values()]
+            assert block.q > 0 and math.gcd(block.q, *(x for t in entries for x in t)) == 1
+            assert all(any(t) for t in entries)
+
+    def test_images_must_be_one_forms(self):
+        with pytest.raises(ValueError, match="1-form images"):
+            next(algebra_map_blocks(DIM, [Form.basis(DIM, 0b11)] * DIM))
+        with pytest.raises(ValueError, match="coframe images"):
+            next(algebra_map_blocks(DIM, [Form.basis(DIM, 0b1)] * (DIM - 1)))
 
 
 class TestExtensions:
