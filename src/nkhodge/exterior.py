@@ -22,10 +22,8 @@ algebra (a change of coframe, the J action, the (p,q) expansion).
 
 from __future__ import annotations
 
-import math
-
 from .linalg import add_scaled, inverse
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, common
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +315,13 @@ class GramData:
             self._weights = (weights, [w.inverse() for w in weights])
         return self._weights
 
-    def integral_weights(self) -> tuple[int, int, list[tuple[int, int]], int, list[tuple[int, int]]]:
+    def integral_weights(self) -> tuple[int, int, list[tuple[int, int, int, int]], int, list[tuple[int, int, int, int]]]:
         """The norm weights as integer data, over one denominator each:
-        (d, qw, w, qi, inv) with w(m) = (x + y sqrt d) / qw for (x, y) = w[m]
-        and 1/w(m) = (x + y sqrt d) / qi for (x, y) = inv[m].  Computed once."""
+        (d, qw, w, qi, inv) with w(m) = (x + y sqrt d) / qw for (x, y, 0, 0) = w[m]
+        and 1/w(m) = (x + y sqrt d) / qi for (x, y, 0, 0) = inv[m].  Computed once."""
         if self._integral_weights is None:
             weights, inverses = self.mask_weights()
-            d = next((s.d for s in weights if s.d != 1), 1)
-
-            def common(scalars):
-                q = math.lcm(*(s.q for s in scalars))
-                return q, [(s.a * (q // s.q), s.b * (q // s.q)) for s in scalars]
-
-            self._integral_weights = (d, *common(weights), *common(inverses))
+            qw, d, w = common(weights)
+            qi, _, inv = common(inverses)
+            self._integral_weights = (d, qw, w, qi, inv)
         return self._integral_weights

@@ -16,18 +16,14 @@ entry nor walks every row.  The one other factorization is the LDL^T of the metr
 in ``exterior.GramData``, which also tests positive-definiteness.
 
 Matrices come in and go out as lists of sparse rows (dict col -> Scalar),
-but the elimination itself does plain integer arithmetic on entries
-``(a, b, c, e, q)``, each the normalized ``Scalar`` coordinates of
-((a + b w) + i (c + e w)) / q with w = sqrt(d): gcd divided out, q > 0, and
-b = e = 0 when d = 1.  The field's d is joined once per call (two different
-d > 1 raise ValueError, as ``Scalar`` arithmetic does), every input entry
-is read once, and only the pivot rows and kernel vectors a caller gets back
-are built as ``Scalar``; ``sparse_rank`` builds none.  A step's updated
-entry (pval v - rv pv) / prev_piv is summed over one denominator from the
-unreduced products (pval / prev_piv) v and (-rv / prev_piv) pv, and reduced
-once: by exact division where the denominator divides (as it does along a
-Bareiss chain), by the gcd otherwise.  Division is exact in the
-field and every entry is normalized, so the fraction-free step is purely a
+but the elimination itself runs on the normalized entries (a, b, c, e, q)
+of the field kernel in ``scalars``.  The field's d is joined once per call,
+every input entry is read once, and only the pivot rows and kernel vectors
+a caller gets back are built as ``Scalar``; ``sparse_rank`` builds none.  A
+step's updated entry (pval v - rv pv) / prev_piv is summed over one
+denominator from the unreduced products (pval / prev_piv) v and
+(-rv / prev_piv) pv, and reduced once.  Division is exact in the field and
+every entry is normalized, so the fraction-free step is purely a
 coefficient-growth strategy, never an approximation, and the rows are
 literally those that ``Scalar`` arithmetic gives.
 
@@ -43,10 +39,10 @@ from __future__ import annotations
 import sys
 from math import gcd, lcm
 
-from .scalars import ONE, ZERO, Scalar
+from . import scalars
+from .scalars import ONE, ZERO, Entry, Scalar, add, complexity, join, product, reduce
 
 SparseRow = dict[int, Scalar]
-Entry = tuple[int, int, int, int, int]  # normalized (a, b, c, e, q) of one field element
 EntryRow = dict[int, Entry]
 
 _ONE = (1, 0, 0, 0, 1)
@@ -85,7 +81,7 @@ def transpose(pairs) -> list[SparseRow]:
     return list(rows.values())
 
 
-# -- entry arithmetic ---------------------------------------------------------
+# -- entry rows -------------------------------------------------------------
 
 
 def _entry_rows(rows: list[SparseRow]) -> tuple[list[EntryRow], int]:
@@ -99,9 +95,7 @@ def _entry_rows(rows: list[SparseRow]) -> tuple[list[EntryRow], int]:
         entries = {}
         for col, s in row.items():
             if s.d != d and s.d != 1:
-                if d != 1:
-                    raise ValueError(f"incompatible extensions sqrt({d}) vs sqrt({s.d})")
-                d = s.d
+                d = join(d, s.d)
             entries[col] = (s.a, s.b, s.c, s.e, s.q)
         out.append(_clear_row(entries))
     return out, d
@@ -122,90 +116,12 @@ def _clear_row(row: EntryRow) -> EntryRow:
 
 def _scalar_row(row: EntryRow, d: int) -> SparseRow:
     """The entry row as Scalars of the field with this d."""
-    return {col: Scalar._normalized(a, b, c, e, q, d if b or e else 1) for col, (a, b, c, e, q) in row.items()}
-
-
-def _reduce(a: int, b: int, c: int, e: int, q: int) -> Entry:
-    """The normalized entry of ((a + b w) + i (c + e w)) / q for q > 0.
-
-    Trial division first: along a Bareiss chain q divides every coordinate,
-    and a remainder is what the gcd would reduce next anyway.
-    """
-    if q == 1:
-        return (a, b, c, e, 1)
-    a1, ra = divmod(a, q)
-    if not (b or c or e):
-        if not ra:
-            return (a1, 0, 0, 0, 1)
-        g = gcd(ra, q)
-        return (a, 0, 0, 0, q) if g == 1 else (a // g, 0, 0, 0, q // g)
-    b1, rb = divmod(b, q)
-    c1, rc = divmod(c, q)
-    e1, re = divmod(e, q)
-    if not (ra or rb or rc or re):
-        return (a1, b1, c1, e1, 1)
-    g = gcd(ra, rb, rc, re, q)
-    if g == 1:
-        return (a, b, c, e, q)
-    return (a // g, b // g, c // g, e // g, q // g)
-
-
-def _product(x: Entry, y: Entry, d: int) -> Entry:
-    """x y as an unreduced entry."""
-    a1, b1, c1, e1, q1 = x
-    a2, b2, c2, e2, q2 = y
-    if not (b1 or c1 or e1 or b2 or c2 or e2):
-        return (a1 * a2, 0, 0, 0, q1 * q2)
-    if not (c1 or e1 or c2 or e2):
-        return (a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, 0, 0, q1 * q2)
-    return (
-        a1 * a2 + d * (b1 * b2 - e1 * e2) - c1 * c2,
-        a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
-        a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2),
-        a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
-        q1 * q2,
-    )
-
-
-def _inverse(x: Entry, d: int) -> Entry:
-    """1 / x for a nonzero entry: q times the other conjugates over the norm."""
-    a, b, c, e, q = x
-    if c or e:
-        # 1 / (u + i v) = (u - i v) / (u^2 + v^2), and u^2 + v^2 = r + s w is real
-        r, s = a * a + d * (b * b + e * e) + c * c, 2 * (a * b + c * e)
-        a, b, c, e, _ = _product((a, b, -c, -e, 1), (r, -s, 0, 0, 1), d)
-        n = r * r - d * s * s
-    else:
-        a, b, n = a, -b, a * a - d * b * b
-    if n < 0:
-        a, b, c, e, n = -a, -b, -c, -e, -n
-    return _reduce(q * a, q * b, q * c, q * e, n)
-
-
-def _sum(x: Entry, y: Entry) -> Entry:
-    """x + y as an unreduced entry."""
-    a1, b1, c1, e1, q1 = x
-    a2, b2, c2, e2, q2 = y
-    if q1 == q2:
-        return (a1 + a2, b1 + b2, c1 + c2, e1 + e2, q1)
-    return (a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, c1 * q2 + c2 * q1, e1 * q2 + e2 * q1, q1 * q2)
-
-
-def _times(x: Entry, y: Entry, d: int) -> Entry:
-    return _reduce(*_product(x, y, d))
-
-
-def _complexity(t: Entry) -> int:
-    """Bit size of a normalized entry; ``int.bit_length`` ignores the sign."""
-    a, b, c, e, q = t
-    if b or c or e:
-        return a.bit_length() + b.bit_length() + c.bit_length() + e.bit_length() + q.bit_length()
-    return a.bit_length() + q.bit_length()
+    return {col: Scalar._normalized(*t, d) for col, t in row.items()}
 
 
 def _row_min(row: EntryRow) -> tuple[int, int]:
     """(complexity, column) of the row's least-complexity entry, lowest column first."""
-    return min(zip(map(_complexity, row.values()), row))
+    return min(zip(map(complexity, row.values()), row))
 
 
 # -- elimination -------------------------------------------------------------------
@@ -236,7 +152,7 @@ def _echelon(rows: list[SparseRow]) -> tuple[list[tuple[EntryRow, int]], int]:
         pval = prow[pc]
         # each updated entry is (pval v - rv pv) inv; the numerators pval inv
         # and -rv inv carry the step's division
-        scale = _product(pval, inv, d)
+        scale = product(pval, inv, d)
         others = [(col, pv) for col, pv in prow.items() if col != pc]
         # rows without the pivot column keep their cached minimum
         for i in holders.pop(pc):
@@ -244,21 +160,21 @@ def _echelon(rows: list[SparseRow]) -> tuple[list[tuple[EntryRow, int]], int]:
             if row is None or pc not in row:
                 continue
             a, b, c, e, q = row[pc]
-            neg = _product((-a, -b, -c, -e, q), inv, d)
+            neg = product((-a, -b, -c, -e, q), inv, d)
             out: EntryRow = {}
             for col, v in row.items():
                 if col == pc:
                     continue
-                t = _product(scale, v, d)
+                t = product(scale, v, d)
                 pv = prow.get(col)
                 if pv is not None:
-                    t = _sum(t, _product(neg, pv, d))
+                    t = add(t, product(neg, pv, d))
                     if not (t[0] or t[1] or t[2] or t[3]):
                         continue
-                out[col] = _reduce(*t)
+                out[col] = reduce(*t)
             for col, pv in others:
                 if col not in row:
-                    out[col] = _reduce(*_product(neg, pv, d))
+                    out[col] = reduce(*product(neg, pv, d))
                     holders[col].append(i)
             if out:
                 active[i] = out
@@ -266,7 +182,7 @@ def _echelon(rows: list[SparseRow]) -> tuple[list[tuple[EntryRow, int]], int]:
             else:
                 active[i], cxs[i] = None, _RETIRED
         pivots.append((prow, pc))
-        inv = _inverse(pval, d)
+        inv = scalars.inverse(pval, d)
     return pivots, d
 
 
@@ -304,11 +220,11 @@ def _back_substitute(pivots: list[tuple[EntryRow, int]], x: EntryRow, d: int) ->
                 continue
             xv = x.get(col)
             if xv is not None:
-                t = _product(v, xv, d)
-                acc = _reduce(*(t if acc is None else _sum(acc, t)))
+                t = product(v, xv, d)
+                acc = reduce(*(t if acc is None else add(acc, t)))
         if acc is not None and (acc[0] or acc[1] or acc[2] or acc[3]):
             a, b, c, e, q = acc
-            x[pc] = _times((-a, -b, -c, -e, q), _inverse(prow[pc], d), d)
+            x[pc] = reduce(*product((-a, -b, -c, -e, q), scalars.inverse(prow[pc], d), d))
     return x
 
 
@@ -340,8 +256,8 @@ def solve(columns: list[SparseRow], target: SparseRow) -> SparseRow | None:
     scale = x.pop(n, None)
     if len(free) > 1 or scale is None:
         raise ValueError("dependent columns")
-    inv = _inverse(scale, d)
-    return _scalar_row({a: _times(x[a], inv, d) for a in sorted(x)}, d)
+    inv = scalars.inverse(scale, d)
+    return _scalar_row({a: reduce(*product(x[a], inv, d)) for a in sorted(x)}, d)
 
 
 def inverse(matrix: list[list[Scalar]]) -> list[list[Scalar]]:

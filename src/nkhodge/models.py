@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .exterior import Form, GramData, wedge_map
 from .linalg import add_scaled, inverse
 from .operators import DerivationAction, GradedOperator, derivation_from_one_forms
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar, _squarefree, rational
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, rational, squarefree
 
 Structure = dict[tuple[int, int], dict[int, Scalar]]
 Matrix = list[list[Scalar]]
@@ -758,7 +758,7 @@ def model_from_json(text: str) -> LieAlgebraModel:
         raise ValueError("extension_d must be a positive integer")
     if ext_d > MAX_EXTENSION_D:
         raise ValueError(f"extension_d = {ext_d} exceeds the supported maximum {MAX_EXTENSION_D}")
-    if not _squarefree(ext_d):
+    if not squarefree(ext_d):
         raise ValueError(f"extension_d = {ext_d} is not squarefree")
 
     def scal(value, what: str) -> Scalar:

@@ -5,9 +5,10 @@ An operator is stored as one denominator times integer coordinates (Cohen,
 a positive denominator ``q``, the extension parameter ``d`` of the field
 Q(sqrt d)(i) its entries lie in, and, column by column over the bitmask
 basis, a dict ``coords[c]`` of row mask -> ``(a, b, c, e)`` of ints, meaning
-the entry (a + b sqrt(d) + i(c + e sqrt(d))) / q.  ``d`` joins as in
-``Scalar``: d = 1 operators (the counting operator, d itself on the
-built-ins) mix with any d, and two different d > 1 raise ValueError.
+the entry (a + b sqrt(d) + i(c + e sqrt(d))) / q.  The arithmetic is that
+of the field kernel in ``scalars``: ``d`` joins through ``scalars.join``,
+so d = 1 operators (the counting operator; d itself on the built-ins) mix
+with any d, and the hot loops specialize ``scalars.product`` inline.
 
 Every result is normalized once.  Entries that cancel are dropped, q and
 all coordinates are divided by their gcd, d is 1 when no entry has a
@@ -18,17 +19,16 @@ one tuple (an operator has a few dozen distinct entries), which keeps the
 store smaller than a Scalar per entry, and the normalizing scans run over
 the distinct entries only.  Sums rescale both
 stores to the lcm of the two denominators; products multiply the
-denominators and the coordinates by the table of Q(sqrt d)(i), with fast
-paths when both factors are real; ``scale`` and ``conjugated`` act on the
+denominators and the coordinates; ``scale`` and ``conjugated`` act on the
 coordinates.  Each operation walks and inserts keys as accumulating through
 ``linalg.add_scaled`` does (a key whose sum cancels is removed, and
 re-appended if it comes back), so the column and row orders that
 ``linalg.transpose`` hands to elimination do not depend on the store.
 
 ``Scalar`` appears only at the boundaries.  The constructor takes sparse
-columns of Scalars (``diagonal`` and ``identity`` go through it);
-``reconstruct`` converts its coefficient forms once, over one common
-denominator, and builds the store from sums of their coordinates.
+columns of Scalars (``diagonal`` and ``identity`` go through it) and, as
+``reconstruct`` does with its coefficient forms, converts them once over one
+common denominator (``scalars.common``).
 ``apply`` (and ``DerivationAction.apply``) accumulates a form's image in
 integers and builds one Scalar per output entry, as do ``column_form`` and
 ``scalar_columns``; ``koszul_coefficients`` reads the coordinates and
@@ -72,32 +72,11 @@ from __future__ import annotations
 import math
 
 from .exterior import Form, GramData, graded_lex_key, mask_label, wedge_masks
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, common, join, product
 
 Column = dict[int, Scalar]
 Coords = tuple[int, int, int, int]  # (a, b, c, e): (a + b sqrt d + i(c + e sqrt d)) / q
 Store = dict[int, dict[int, Coords]]  # column mask -> row mask -> coordinates
-
-
-def _join(d1: int, d2: int) -> int:
-    """Common extension parameter, as ``Scalar._join``."""
-    if d1 == d2 or d2 == 1:
-        return d1
-    if d1 == 1:
-        return d2
-    raise ValueError(f"incompatible extensions sqrt({d1}) vs sqrt({d2})")
-
-
-def _times(t: Coords, u: Coords, d: int) -> Coords:
-    """Coordinates of the product of two entries of Q(sqrt d)(i)."""
-    a1, b1, c1, e1 = t
-    a2, b2, c2, e2 = u
-    return (
-        a1 * a2 + d * (b1 * b2 - e1 * e2) - c1 * c2,
-        a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
-        a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2),
-        a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
-    )
 
 
 def _map_entries(coords: Store, fn) -> Store:
@@ -123,17 +102,16 @@ def _accumulate(dim: int, q: int, d: int, terms) -> Form:
     """The form sum s * col over the (integer column over q, Scalar s) pairs
     of ``terms``: accumulated in integers over one denominator, in the key
     order of ``linalg.add_scaled``, with one Scalar per output entry."""
-    den = 1
-    for _, s in terms:
-        if s.d != d:
-            d = _join(d, s.d)
-        den = math.lcm(den, s.q)
+    den, sd, scaled = common([s for _, s in terms])
+    d = join(d, sd)
     out: dict[int, list[int]] = {}
-    for col, s in terms:
-        f = den // s.q
-        u = (s.a * f, s.b * f, s.c * f, s.e * f)
-        for r, t in col.items():
-            ra, rb, ia, ib = _times(t, u, d)
+    for (col, _), (ua, ub, uc, ue) in zip(terms, scaled):
+        for r, (a, b, c, e) in col.items():
+            # the product of the two entries, as ``scalars.product``
+            ra = a * ua + d * (b * ub - e * ue) - c * uc
+            rb = a * ub + b * ua - c * ue - e * uc
+            ia = a * uc + c * ua + d * (b * ue + e * ub)
+            ib = a * ue + e * ua + b * uc + c * ub
             acc = out.get(r)
             if acc is None:
                 out[r] = [ra, rb, ia, ib]
@@ -162,27 +140,13 @@ class GradedOperator:
         check: bool = True,
     ):
         """The operator with the given sparse columns of Scalars (zeros dropped)."""
-        kinds = {(v.q, v.d) for col in cols.values() for v in col.values()}
-        q = math.lcm(*(vq for vq, _ in kinds))
-        d = 1
-        for _, vd in kinds:
-            d = _join(d, vd)
-        # one conversion per Scalar object (the columns keep each one alive)
-        # and one tuple per value
-        image: dict[int, Coords] = {}
-        shared: dict[Coords, Coords] = {}
+        q, d, coords = common([v for col in cols.values() for v in col.values()])
+        shared: dict[Coords, Coords] = {}  # one tuple per value
+        share = shared.setdefault
         store: Store = {}
+        values = iter(coords)  # zip reads each column's keys first, so it takes only their values
         for c, col in cols.items():
-            kept = {}
-            for r, v in col.items():
-                t = image.get(id(v))
-                if t is None:
-                    if v.is_zero():
-                        continue
-                    f = q // v.q
-                    t = (v.a * f, v.b * f, v.c * f, v.e * f)
-                    t = image[id(v)] = shared.setdefault(t, t)
-                kept[r] = t
+            kept = {r: share(t, t) for r, t in zip(col, values) if t != (0, 0, 0, 0)}
             if kept:
                 store[c] = kept
         # Scalars are normalized: q, the lcm of theirs, has no factor in
@@ -285,7 +249,7 @@ class GradedOperator:
     def __add__(self, other: GradedOperator) -> GradedOperator:
         """The sum over the lcm of the two denominators."""
         deg = self.degree if self.degree == other.degree else None
-        d = _join(self.d, other.d)
+        d = join(self.d, other.d)
         q = math.lcm(self.q, other.q)
         f1, f2 = q // self.q, q // other.q
         if f1 == 1:
@@ -308,7 +272,7 @@ class GradedOperator:
                 if t is None:
                     acc[r] = u
                     continue
-                s = (t[0] + u[0], t[1] + u[1], t[2] + u[2], t[3] + u[3])
+                s = (t[0] + u[0], t[1] + u[1], t[2] + u[2], t[3] + u[3])  # ``scalars.add``, one q
                 if s[0] or s[1] or s[2] or s[3]:
                     acc[r] = share(s, s)
                 else:
@@ -328,9 +292,9 @@ class GradedOperator:
     def scale(self, s: Scalar) -> GradedOperator:
         if s.is_zero():
             return GradedOperator(self.dim, {}, self.degree, check=False)
-        d = _join(self.d, s.d)
-        u = (s.a, s.b, s.c, s.e)
-        cols = _map_entries(self.coords, lambda t: _times(t, u, d))
+        d = join(self.d, s.d)
+        u = (s.a, s.b, s.c, s.e, 1)
+        cols = _map_entries(self.coords, lambda t: product((*t, 1), u, d)[:4])
         return GradedOperator._normalized(self.dim, self.degree, self.q * s.q, d, self.real and s.is_real(), cols)
 
     def compose(self, other: GradedOperator) -> GradedOperator:
@@ -338,7 +302,7 @@ class GradedOperator:
         deg = None
         if self.degree is not None and other.degree is not None:
             deg = self.degree + other.degree
-        d = _join(self.d, other.d)
+        d = join(self.d, other.d)
         real = self.real and other.real
         my = self.coords
         products: dict[Coords, Coords] = {}
@@ -350,6 +314,7 @@ class GradedOperator:
                 right = my.get(mid)
                 if right is None:
                     continue
+                # ``scalars.product`` for rational, real and complex entries
                 if real and d == 1:
                     for r, t in right.items():
                         ra = t[0] * a2
@@ -460,20 +425,20 @@ def mult_operator(beta: Form) -> GradedOperator:
 def adjoint(p: GradedOperator, gram: GramData) -> GradedOperator:
     """Metric adjoint over a diagonal metric; a coupled one raises ValueError."""
     wd, qw, w, qi, inv = gram.integral_weights()
-    d = _join(p.d, wd)
+    d = join(p.d, wd)
     rational = wd == 1
     entries: dict[Coords, Coords] = {}
     share = entries.setdefault
     cols: Store = {}
     for c, col in p.coords.items():
-        xc, yc = w[c]
+        xc, yc, _, _ = w[c]
         for r, (a, b, x, e) in col.items():
-            xr, yr = inv[r]
+            xr, yr, _, _ = inv[r]
             if rational:
                 k = xc * xr
                 t = (a * k, b * k, -x * k, -e * k)
             else:
-                # conj(entry) times the real w(c)/w(r) = kx + ky sqrt(d)
+                # conj(entry) times the real w(c)/w(r) = kx + ky sqrt(d), as ``scalars.product``
                 kx, ky = xc * xr + d * yc * yr, xc * yr + yc * xr
                 t = (a * kx + d * b * ky, a * ky + b * kx, -(x * kx + d * e * ky), -(x * ky + e * kx))
             cols.setdefault(r, {})[c] = share(t, t)
@@ -509,16 +474,9 @@ IntForm = dict[int, Coords]  # form mask -> coordinates over a denominator kept 
 def _integral(beta: dict[int, Form]) -> tuple[dict[int, IntForm], int, int]:
     """The coefficient forms over one common denominator: (coordinates keyed
     by J, q, d); zero forms are dropped."""
-    values = [v for form in beta.values() for v in form.coeffs.values()]
-    q = math.lcm(*(v.q for v in values))
-    d = 1
-    for vd in {v.d for v in values}:
-        d = _join(d, vd)
-    coords: dict[int, IntForm] = {}
-    for jm, form in beta.items():
-        if form.coeffs:
-            coords[jm] = {m: (v.a * (f := q // v.q), v.b * f, v.c * f, v.e * f) for m, v in form.coeffs.items()}
-    return coords, q, d
+    q, d, scaled = common([v for form in beta.values() for v in form.coeffs.values()])
+    values = iter(scaled)  # zip reads each form's keys first, so it takes only their values
+    return {jm: dict(zip(form.coeffs, values)) for jm, form in beta.items() if form.coeffs}, q, d
 
 
 def _koszul_column(beta: dict[int, IntForm], mask: int) -> IntForm:
@@ -540,7 +498,7 @@ def _koszul_column(beta: dict[int, IntForm], mask: int) -> IntForm:
             if t is None:
                 col[target] = u
                 continue
-            v = (t[0] + u[0], t[1] + u[1], t[2] + u[2], t[3] + u[3])
+            v = (t[0] + u[0], t[1] + u[1], t[2] + u[2], t[3] + u[3])  # ``scalars.add``, one q
             if v[0] or v[1] or v[2] or v[3]:
                 col[target] = v
             else:
@@ -632,7 +590,7 @@ def algebra_map_blocks(dim: int, images: list[Form]):
     block = object.__new__(GradedOperator)._set(dim, 0, 1, 1, True, {0: {0: (1, 0, 0, 0)}})
     yield block
     for k in range(1, dim + 1):
-        d = _join(block.d, dg)
+        d = join(block.d, dg)
         prev = block.coords
         shared: dict[Coords, Coords] = {}
         share = shared.setdefault
@@ -650,7 +608,7 @@ def algebra_map_blocks(dim: int, images: list[Form]):
                 for r, (a2, b2, c2, e2) in rest.items():
                     if r & b:
                         continue
-                    # the product of the two entries, as ``_times``
+                    # the product of the two entries, as ``scalars.product``
                     ra = a1 * a2 + db1 * b2 - de1 * e2 - c1 * c2
                     rb = a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2
                     ia = a1 * c2 + c1 * a2 + db1 * e2 + de1 * b2

@@ -9,8 +9,11 @@ rationals are field-agnostic and mix freely with any extension.
 
 Arithmetic is exact and closed; equality is coordinate-wise on the unique
 normalized representative (gcd-reduced, positive denominator, trivial
-extension folded).  Floating point appears only in :meth:`Scalar.approx`,
-which exists purely for diagnostics.
+extension folded).  The arithmetic is written once, as the field kernel
+below: functions on those integer coordinates, which ``Scalar``, the
+elimination in ``linalg`` and the operator store in ``operators`` share.
+Floating point appears only in :meth:`Scalar.approx`, which exists purely
+for diagnostics.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import re
 
 
-def _squarefree(d: int) -> bool:
+def squarefree(d: int) -> bool:
     if d < 1:
         return False
     k = 2
@@ -28,6 +31,116 @@ def _squarefree(d: int) -> bool:
             return False
         k += 1
     return True
+
+
+# -- the field kernel -----------------------------------------------------------
+# An entry is the (a, b, c, e, q) of ((a + b w) + i (c + e w)) / q, w = sqrt(d),
+# normalized when the gcd of all five is 1, q > 0 and b = e = 0 for d = 1; d
+# travels beside the entries.  ``operators`` keeps only the (a, b, c, e) of
+# each entry, over a denominator shared by the whole operator.
+
+Entry = tuple[int, int, int, int, int]
+
+
+def join(d1: int, d2: int) -> int:
+    """The d of a field holding both: d = 1 mixes with any d, and two
+    different d > 1 raise ValueError."""
+    if d1 == d2 or d2 == 1:
+        return d1
+    if d1 == 1:
+        return d2
+    raise ValueError(f"incompatible extensions sqrt({d1}) vs sqrt({d2})")
+
+
+def reduce(a: int, b: int, c: int, e: int, q: int) -> Entry:
+    """The normalized entry of ((a + b w) + i (c + e w)) / q for q > 0.
+
+    Trial division first: along a Bareiss chain q divides every coordinate,
+    and a remainder is what the gcd would reduce next anyway.
+    """
+    if q == 1:
+        return (a, b, c, e, 1)
+    a1, ra = divmod(a, q)
+    if not (b or c or e):
+        if not ra:
+            return (a1, 0, 0, 0, 1)
+        g = math.gcd(ra, q)
+        return (a, 0, 0, 0, q) if g == 1 else (a // g, 0, 0, 0, q // g)
+    b1, rb = divmod(b, q)
+    c1, rc = divmod(c, q)
+    e1, re = divmod(e, q)
+    if not (ra or rb or rc or re):
+        return (a1, b1, c1, e1, 1)
+    g = math.gcd(ra, rb, rc, re, q)
+    if g == 1:
+        return (a, b, c, e, q)
+    return (a // g, b // g, c // g, e // g, q // g)
+
+
+def product(x: Entry, y: Entry, d: int) -> Entry:
+    """x y as an unreduced entry, with fast paths for rational and real factors."""
+    a1, b1, c1, e1, q1 = x
+    a2, b2, c2, e2, q2 = y
+    if not (b1 or c1 or e1 or b2 or c2 or e2):
+        return (a1 * a2, 0, 0, 0, q1 * q2)
+    if not (c1 or e1 or c2 or e2):
+        return (a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, 0, 0, q1 * q2)
+    return (
+        a1 * a2 + d * (b1 * b2 - e1 * e2) - c1 * c2,
+        a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+        a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2),
+        a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
+        q1 * q2,
+    )
+
+
+def add(x: Entry, y: Entry) -> Entry:
+    """x + y as an unreduced entry."""
+    a1, b1, c1, e1, q1 = x
+    a2, b2, c2, e2, q2 = y
+    if q1 == q2:
+        return (a1 + a2, b1 + b2, c1 + c2, e1 + e2, q1)
+    return (a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, c1 * q2 + c2 * q1, e1 * q2 + e2 * q1, q1 * q2)
+
+
+def inverse(x: Entry, d: int) -> Entry:
+    """1 / x, normalized: q times the other conjugates over the norm, which
+    is 0 only for x = 0 (ZeroDivisionError)."""
+    a, b, c, e, q = x
+    if c or e:
+        # 1 / (u + i v) = (u - i v) / (u^2 + v^2), and u^2 + v^2 = r + s w is real
+        r, s = a * a + d * (b * b + e * e) + c * c, 2 * (a * b + c * e)
+        a, b, c, e, _ = product((a, b, -c, -e, 1), (r, -s, 0, 0, 1), d)
+        n = r * r - d * s * s
+    else:
+        b, n = -b, a * a - d * b * b
+    if n == 0:
+        raise ZeroDivisionError("scalar division by zero")
+    if n < 0:
+        a, b, c, e, n = -a, -b, -c, -e, -n
+    return reduce(q * a, q * b, q * c, q * e, n)
+
+
+def complexity(t: Entry) -> int:
+    """Bit size of a normalized entry; ``int.bit_length`` ignores the sign."""
+    a, b, c, e, q = t
+    if b or c or e:
+        return a.bit_length() + b.bit_length() + c.bit_length() + e.bit_length() + q.bit_length()
+    return a.bit_length() + q.bit_length()
+
+
+def common(values: list[Scalar]) -> tuple[int, int, list[tuple[int, int, int, int]]]:
+    """Scalars over one denominator: (q, d, coords) with q the lcm of their
+    denominators, d the join of their fields and coords[k] the (a, b, c, e)
+    of values[k] over q.  A normalized entry goes back through
+    ``Scalar._normalized``."""
+    q = d = 1
+    for v in values:
+        if q % v.q:
+            q = math.lcm(q, v.q)
+        if v.d != d and v.d != 1:
+            d = join(d, v.d)
+    return q, d, [(v.a * (f := q // v.q), v.b * f, v.c * f, v.e * f) for v in values]
 
 
 class Scalar:
@@ -42,31 +155,23 @@ class Scalar:
             a, b, c, e, q = -a, -b, -c, -e, -q
         if d == 1 and (b or e):
             # sqrt(1) = 1: fold into the rational coordinates
-            a, b = a + b, 0
-            c, e = c + e, 0
-        if b == 0 and e == 0:
-            d = 1
-        g = math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(e)))
-        g = math.gcd(g, q)
-        if g > 1:
-            a //= g
-            b //= g
-            c //= g
-            e //= g
-            q //= g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
+            a, b, c, e = a + b, 0, c + e, 0
+        a, b, c, e, q = reduce(a, b, c, e, q)
+        put = object.__setattr__
+        put(self, "a", a)
+        put(self, "b", b)
+        put(self, "c", c)
+        put(self, "e", e)
+        put(self, "q", q)
+        put(self, "d", d if b or e else 1)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Scalar is immutable")
 
     @classmethod
     def _normalized(cls, a: int, b: int, c: int, e: int, q: int, d: int) -> Scalar:
-        """A scalar from coordinates that are already normalized (no gcd)."""
+        """The scalar of a normalized entry (no gcd) of the field with this d;
+        d is folded to 1 when the entry has no sqrt(d) part."""
         out = object.__new__(cls)
         put = object.__setattr__
         put(out, "a", a)
@@ -74,7 +179,7 @@ class Scalar:
         put(out, "c", c)
         put(out, "e", e)
         put(out, "q", q)
-        put(out, "d", d)
+        put(out, "d", d if b or e else 1)
         return out
 
     # -- constructors -------------------------------------------------
@@ -95,37 +200,16 @@ class Scalar:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    # -- field bookkeeping ---------------------------------------------
-
-    def _join(self, other: Scalar) -> int:
-        """Common extension parameter, or raise on a genuine mismatch."""
-        if self.d == other.d:
-            return self.d
-        if self.d == 1:
-            return other.d
-        if other.d == 1:
-            return self.d
-        raise ValueError(
-            f"incompatible extensions sqrt({self.d}) vs sqrt({other.d})"
-        )
-
-    # -- arithmetic ------------------------------------------------------
+    # -- arithmetic, through the field kernel ------------------------------------
 
     def __add__(self, other: Scalar) -> Scalar:
         if other.a == 0 and other.b == 0 and other.c == 0 and other.e == 0:
             return self
         if self.a == 0 and self.b == 0 and self.c == 0 and self.e == 0:
             return other
-        d = self._join(other)
-        q1, q2 = self.q, other.q
-        return Scalar(
-            self.a * q2 + other.a * q1,
-            self.b * q2 + other.b * q1,
-            self.c * q2 + other.c * q1,
-            self.e * q2 + other.e * q1,
-            q1 * q2,
-            d,
-        )
+        d = self.d if self.d == other.d else join(self.d, other.d)
+        t = add((self.a, self.b, self.c, self.e, self.q), (other.a, other.b, other.c, other.e, other.q))
+        return Scalar._normalized(*reduce(*t), d)
 
     def __sub__(self, other: Scalar) -> Scalar:
         return self + (-other)
@@ -138,41 +222,12 @@ class Scalar:
             return self
         if other.a == 0 and other.b == 0 and other.c == 0 and other.e == 0:
             return other
-        d = self._join(other)
-        a1, b1, c1, e1 = self.a, self.b, self.c, self.e
-        a2, b2, c2, e2 = other.a, other.b, other.c, other.e
-        if c1 == 0 == e1 and c2 == 0 == e2:
-            # real * real fast path
-            return Scalar(
-                a1 * a2 + d * b1 * b2,
-                a1 * b2 + b1 * a2,
-                0,
-                0,
-                self.q * other.q,
-                d,
-            )
-        # (x1 + i y1)(x2 + i y2), each x,y in Q(sqrt d)
-        ra = a1 * a2 + d * b1 * b2 - c1 * c2 - d * e1 * e2
-        rb = a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2
-        ia = a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2)
-        ib = a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2
-        return Scalar(ra, rb, ia, ib, self.q * other.q, d)
-
-    def _real_inverse(self) -> Scalar:
-        # inverse of a + b*w: (a - b*w) / (a^2 - d b^2), times q
-        a, b, q, d = self.a, self.b, self.q, self.d
-        n = a * a - d * b * b
-        if n == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return Scalar(q * a, -q * b, 0, 0, n, d)
+        d = self.d if self.d == other.d else join(self.d, other.d)
+        t = product((self.a, self.b, self.c, self.e, self.q), (other.a, other.b, other.c, other.e, other.q), d)
+        return Scalar._normalized(*reduce(*t), d)
 
     def inverse(self) -> Scalar:
-        if self.is_zero():
-            raise ZeroDivisionError("scalar division by zero")
-        if self.is_real():
-            return self._real_inverse()
-        n = self * self.conjugate()  # real and nonzero
-        return self.conjugate() * n._real_inverse()
+        return Scalar._normalized(*inverse((self.a, self.b, self.c, self.e, self.q), self.d), self.d)
 
     def __truediv__(self, other: Scalar) -> Scalar:
         return self * other.inverse()
@@ -289,9 +344,7 @@ class Scalar:
             if dens[key] == 0:
                 raise ValueError(f"zero denominator in scalar literal {text!r}")
             pos = m.end()
-        lcm = 1
-        for v in dens.values():
-            lcm = lcm * v // math.gcd(lcm, v)
+        lcm = math.lcm(*dens.values())
         value = cls(
             coords[None] * (lcm // dens[None]),
             coords["*w"] * (lcm // dens["*w"]),

@@ -9,6 +9,11 @@
 * ``adjoint_via_ldl``: the production adjoint conjugated through the LDL^T
   coframe of a coupled metric, i.e. what computing in the orthogonalized
   presentation amounts to.
+* ``field_coordinates``, ``regular_matrix``, ``field_product`` and
+  ``normalized_entry``: Q(sqrt d)(i) in ``fractions.Fraction`` coordinates on
+  the basis 1, w, i, iw, each element acting by its 4x4 rational matrix,
+  against the integer field kernel of ``scalars`` that ``Scalar``,
+  ``linalg`` and ``operators`` share.
 * ``dense_kernel`` and ``harmonic_space_dense_oracle``: textbook dense
   Gauss-Jordan elimination with first-nonzero pivoting, against the sparse
   fraction-free production route; ``spans_equal`` compares the results.
@@ -247,6 +252,33 @@ def adjoint_via_ldl(p: GradedOperator, gram: GramData) -> GradedOperator:
     out = from_v.compose(inner.compose(to_v))
     deg = -p.degree if p.degree is not None else None
     return out.with_degree(deg)
+
+
+# -- the field Q(sqrt d)(i) --------------------------------------------------------
+
+def field_coordinates(a: int, b: int, c: int, e: int, q: int) -> list[Fraction]:
+    """The rational coordinates of ((a + b w) + i (c + e w)) / q on the basis 1, w, i, iw."""
+    return [Fraction(x, q) for x in (a, b, c, e)]
+
+
+def regular_matrix(x: list[Fraction], d: int) -> list[list[Fraction]]:
+    """The 4x4 rational matrix of multiplication by x on the basis 1, w, i, iw
+    (w^2 = d, i^2 = -1): its columns are x, x w, x i and x i w."""
+    a, b, c, e = x
+    cols = [(a, b, c, e), (d * b, a, d * e, c), (-c, -e, a, b), (-d * e, -c, d * b, a)]
+    return [[col[r] for col in cols] for r in range(4)]
+
+
+def field_product(x: list[Fraction], y: list[Fraction], d: int) -> list[Fraction]:
+    """x y, as the matrix of x applied to the coordinates of y."""
+    return [sum(m * v for m, v in zip(row, y)) for row in regular_matrix(x, d)]
+
+
+def normalized_entry(x: list[Fraction]) -> tuple[int, int, int, int, int]:
+    """The normalized (a, b, c, e, q) of rational coordinates: q is the lcm
+    of their reduced denominators, so no prime divides q and every numerator."""
+    q = math.lcm(*(f.denominator for f in x))
+    return (*(int(f * q) for f in x), q)
 
 
 # -- dense elimination -----------------------------------------------------------

@@ -280,13 +280,13 @@ def test_echelon_matches_full_scan_oracle_on_builtins(name):
 
 def test_echelon_scores_each_entry_once_on_a_diagonal(monkeypatch):
     scored = []
-    complexity = linalg._complexity
+    complexity = linalg.complexity
 
     def counting(t):
         scored.append(t)
         return complexity(t)
 
-    monkeypatch.setattr(linalg, "_complexity", counting)
+    monkeypatch.setattr(linalg, "complexity", counting)
     n = 50
     pivots = sparse_echelon([{i: Scalar(i + 1, 1, 0, 0, 1, 3)} for i in range(n)])
     assert [pc for _, pc in pivots] == list(range(n))

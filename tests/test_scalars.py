@@ -1,8 +1,24 @@
-import pytest
-from hypothesis import given, strategies as st
+import math
 
-from nkhodge.scalars import HALF, I, ONE, ZERO, Scalar, rational
-from oracles import sqrt_in_field
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nkhodge.scalars import (
+    HALF,
+    I,
+    ONE,
+    ZERO,
+    Scalar,
+    add,
+    common,
+    complexity,
+    inverse,
+    join,
+    product,
+    rational,
+    reduce,
+)
+from oracles import field_coordinates, field_product, normalized_entry, sqrt_in_field
 
 
 def scal(a=0, b=0, c=0, e=0, q=1, d=3):
@@ -78,6 +94,71 @@ class TestTower:
 
     def test_d_equals_one_folds(self):
         assert Scalar(1, 1, 0, 0, 1, 1) == rational(2)
+
+
+coordinates = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**80), 2**80))
+denominators = st.one_of(st.integers(1, 12), st.integers(1, 2**80))
+
+
+@st.composite
+def entries(draw, d):
+    """An entry of Q(sqrt d)(i), normalized by the oracle: real on a coin
+    flip, and on another a d = 1 entry (no sqrt(d) part)."""
+    a, b, c, e = (draw(coordinates) for _ in range(4))
+    if d == 1 or draw(st.booleans()):
+        b = e = 0
+    if draw(st.booleans()):
+        c = e = 0
+    return normalized_entry(field_coordinates(a, b, c, e, draw(denominators)))
+
+
+field_cases = st.sampled_from([1, 2, 3, 5]).flatmap(lambda d: st.tuples(st.just(d), entries(d), entries(d)))
+
+
+class TestFieldKernel:
+    """The integer kernel against Fraction coordinates and the regular representation."""
+
+    @given(field_cases, st.integers(1, 2**40))
+    @settings(max_examples=300, deadline=None)
+    def test_against_the_regular_representation(self, case, k):
+        d, x, y = case
+        fx, fy = field_coordinates(*x), field_coordinates(*y)
+        assert reduce(*(t * k for t in x)) == x
+        xy, s = field_product(fx, fy, d), [u + v for u, v in zip(fx, fy)]
+        assert field_coordinates(*product(x, y, d)) == xy
+        assert reduce(*product(x, y, d)) == normalized_entry(xy)
+        assert field_coordinates(*add(x, y)) == s
+        assert reduce(*add(x, y)) == normalized_entry(s)
+        assert complexity(x) == sum(abs(t).bit_length() for t in x)
+        if any(fx):
+            inv = inverse(x, d)
+            assert inv == normalized_entry(field_coordinates(*inv))
+            assert field_product(fx, field_coordinates(*inv), d) == [1, 0, 0, 0]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                inverse(x, d)
+        sx, sy = Scalar._normalized(*x, d), Scalar._normalized(*y, d)
+        q, dc, coords = common([sx, sy, sx])
+        assert q == math.lcm(x[4], y[4])
+        assert dc == (d if x[1] or x[3] or y[1] or y[3] else 1)
+        assert join(dc, sx.d) == join(sy.d, dc) == dc
+        assert [field_coordinates(*t, q) for t in coords] == [fx, fy, fx]
+        # Scalar arithmetic runs through the kernel
+        for got, want in ((sx * sy, xy), (sx + sy, s)):
+            assert (got.a, got.b, got.c, got.e, got.q) == normalized_entry(want)
+            assert got.d == (d if got.b or got.e else 1)
+
+    @pytest.mark.parametrize("d1, d2", [(2, 3), (3, 5), (5, 2)])
+    def test_two_extensions_raise(self, d1, d2):
+        with pytest.raises(ValueError, match=rf"incompatible extensions sqrt\({d1}\) vs sqrt\({d2}\)"):
+            join(d1, d2)
+        with pytest.raises(ValueError, match="incompatible extensions"):
+            common([Scalar.sqrt_ext(d1), rational(1, 2), Scalar.sqrt_ext(d2)])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_inverse_of_zero_raises(self, d):
+        with pytest.raises(ZeroDivisionError):
+            inverse((0, 0, 0, 0, 1), d)
 
 
 class TestOrder:
