@@ -1,29 +1,31 @@
-"""Bidegree structure: type through D_J, the split of d, and the sl2 triple.
+"""Bidegree structure: type in the eta-frame, the split of d, and the sl2 triple.
 
-Type is read from J alone.  D_J, the derivation extending J from 1-forms
-(``j_derivation``), acts on Lambda^{p,q} as i(p - q), and within one degree
-k the value p - q fixes (p,q).  Only its action is kept
-(``operators.DerivationAction``): a column is built the first time a form
-meets it, so the degrees that are never typed cost nothing.
-``off_type(model, form, p, q)`` = D_J form - i(p - q) form is the type
-test of a form: zero exactly when a (p+q)-form has type (p,q).
-``decompose_form``
-takes, in each degree k with m types, the D_J eigencomponents from the
-powers D_J^j form, j < m, through the inverse Vandermonde matrix of the
-eigenvalues i(2p - k).
-
-``PQBasis`` keeps the (1,0)-coframe eta = P^{1,0} u = (u - iJu)/2.  A greedy
-scan with ``linalg.solve`` keeps, in order, each image outside the span of
-those kept so far.  Monomials in the chosen (1,0)/(0,1) generators are
-bases of every Lambda^{p,q}; in that eta-frame the type of a form is read
-off the bits of its coordinates.  J_PQ and DIM6_EIGEN iterate over the
-monomials as forms, built lazily by ``wedge_image``.  ``frame_blocks`` is
-the change of basis itself, degree by degree on the integer store: E, the
+Type is read from J alone, in one frame.  ``PQBasis`` keeps the
+(1,0)-coframe eta = P^{1,0} u = (u - iJu)/2.  A greedy scan with
+``linalg.solve`` keeps, in order, each image outside the span of those kept
+so far.  The chosen eta^a and their conjugates generate the eta-frame: their
+monomials are bases of every Lambda^{p,q}, so in that frame the type of a
+form is read off the bits of its coordinates.  The change of basis is E, the
 algebra map of the generators (its column m is the monomial m), and
 F = E^{-1}, the algebra map of each u^i to its coordinates in the
-generators.  A degree-0 operator P preserves every Lambda^{p,q} exactly
-when each column of type (p,q) of F P E has rows of type (p,q) only, which
-is how VANISH_COR reads it; no frame is kept.
+generators (the dual coframe, computed once).  Every reading of type goes
+through one of two primitives, and neither keeps a block of E or F:
+
+* ``PQBasis.coordinates`` applies F to forms, through the columns of F
+  that their supports need (``operators.algebra_map_apply``).
+  ``PQBasis.outside`` keeps the coordinates off one type, the type test of
+  ``harmonic_pq`` and of HODGE_ABCD (d).  ``decompose_form`` groups them by
+  type and maps each group back through the columns of E it needs: the
+  split of d, LEM_NK, SU3_STRUCT and ``su3_extract``.
+* ``PQBasis.frame_blocks`` yields F_{k+deg} P E_k, the matrix of an
+  operator P in the eta-monomial basis, one degree k at a time.  A degree-0
+  P preserves every Lambda^{p,q} exactly when each column of type (p,q) has
+  rows of type (p,q) only (VANISH_COR); J_PQ asks that F J E be diagonal
+  with i^(p-q) on the columns of type (p,q), and DIM6_EIGEN compares each
+  of its operators with its scalar on every type.
+
+``j_operator`` is J, the algebra map of the J u^i, built on the integer
+store by ``operators.algebra_map_blocks``.
 
 ``differential_split`` produces the four components with bidegrees
 (2,-1), (1,0), (0,1), (-1,2).  d is real and J is real, so delbar and mubar
@@ -50,15 +52,15 @@ reach ``adjoint``.  ``lefschetz_triple`` is (L, adj:L, H).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from itertools import islice
 
-from .exterior import Form, wedge_image, wedge_map
-from .linalg import add_scaled, inverse, solve
+from .exterior import Form
+from .linalg import inverse, solve
 from .operators import (
-    DerivationAction,
     GradedOperator,
     adjoint,
+    algebra_map_apply,
     algebra_map_blocks,
     derivation_from_one_forms,
     laplacian,
@@ -68,7 +70,7 @@ from .scalars import I, ZERO, Scalar, rational
 
 
 class PQBasis:
-    """Chosen (1,0)/(0,1) coframe generators and everything indexed by them."""
+    """Chosen (1,0)/(0,1) coframe generators and the eta-frame they span."""
 
     def __init__(self, model):
         dim = model.dim
@@ -90,10 +92,11 @@ class PQBasis:
         if len(self.chosen) != n:
             raise ValueError("(1,0)-coframe does not have the expected rank")
         self.eta = [self.eta_all[i] for i in self.chosen]
-        self.eta_bar = [f.conjugate() for f in self.eta]
         # images of the generators: eta^a for bit a, conj(eta^a) for bit n + a
-        self._generators = self.eta + self.eta_bar
-        self._pq_form_table: dict[int, Form] = {}
+        self.generators = self.eta + [f.conjugate() for f in self.eta]
+        # u^i in the generators: row i of the inverse of the generator matrix
+        matrix = [[g.coeffs.get(1 << i, ZERO) for i in range(dim)] for g in self.generators]
+        self.dual = [Form.one_form(dim, row) for row in inverse(matrix)]
 
     # -- monomial indexing --------------------------------------------------
     # bit a (a < n): generator eta^a; bit n + a: generator conj(eta^a)
@@ -111,94 +114,50 @@ class PQBasis:
         high = [m << n for m in range(1 << n) if m.bit_count() == q]
         return [h | m for h in high for m in low]
 
-    def monomial_form(self, pqmask: int) -> Form:
-        """Real-coordinate expansion of one eta-monomial (cached)."""
-        return wedge_image(self._generators, pqmask, self._pq_form_table)
+    # -- the eta-frame ------------------------------------------------------
 
-    def basis_forms(self, p: int, q: int) -> list[Form]:
-        return [self.monomial_form(m) for m in self.monomial_masks(p, q)]
+    def coordinates(self, forms: list[Form]) -> list[dict[int, Scalar]]:
+        """F form for each form: its eta-monomial coordinates, from the
+        columns of F that the supports need only."""
+        return [f.coeffs for f in algebra_map_apply(self.dual, forms)]
 
-    def frame_blocks(self):
-        """(E_k, F_k) for k = 0, ..., dim, one degree at a time and kept
-        nowhere: E is the algebra map of the generators, so column m of E is
-        literally ``monomial_form(m)``, and F = E^{-1} the algebra map of u^i
-        to its coordinates in the generators (row i of the inverse of the
-        generator matrix, bit a for generator a)."""
-        dim = self.dim
-        matrix = [[g.coeffs.get(1 << i, ZERO) for i in range(dim)] for g in self._generators]
-        dual = [Form.one_form(dim, row) for row in inverse(matrix)]
-        return zip(algebra_map_blocks(dim, self._generators), algebra_map_blocks(dim, dual))
+    def outside(self, coords: dict[int, Scalar], p: int, q: int) -> dict[int, Scalar]:
+        """The type test: the coordinates off type (p,q), none exactly when
+        the form with these coordinates has type (p,q)."""
+        return {m: v for m, v in coords.items() if self.bidegree_of_mask(m) != (p, q)}
+
+    def frame_blocks(self, op: GradedOperator):
+        """F_{k+deg} op E_k for k = 0, 1, ..., where deg = op.degree >= 0: the
+        matrix of op in the eta-monomial basis, one degree at a time and kept
+        nowhere."""
+        f_blocks = islice(algebra_map_blocks(self.dim, self.dual), op.degree, None)
+        # F first, so that no E block is built past the last F block
+        for f_k, e_k in zip(f_blocks, algebra_map_blocks(self.dim, self.generators)):
+            yield f_k.compose(op.compose(e_k))
 
 
 def pq_basis(model) -> PQBasis:
     return model._memo("pq_basis", lambda: PQBasis(model))
 
 
-def j_derivation(model) -> DerivationAction:
-    """D_J, the derivation extending J from 1-forms; i(p - q) on Lambda^{p,q}.
-
-    Only its action is kept, column by column as forms meet it: the callers
-    apply it to forms of degrees 2, 3 and the harmonic degrees."""
-    return model._memo("j_derivation", lambda: DerivationAction(model.dim, model.j_one_form_rows()))
-
-
-def off_type(model, form: Form, p: int, q: int) -> Form:
-    """D_J form - i(p - q) form: zero exactly when a (p+q)-form has type (p,q)."""
-    return j_derivation(model).apply(form) - form.scale(I * rational(p - q))
-
-
-@functools.cache
-def _types_from_powers(k: int, n: int) -> tuple[tuple[int, list[Scalar]], ...]:
-    """(p, row p of V^{-1}) for the types (p, k - p) of degree k, p increasing,
-    where V[j][p] = (i(2p - k))^j: the row takes the powers D_J^j form to the
-    piece of type (p, k - p)."""
-    types = range(max(0, k - n), min(n, k) + 1)
-    vandermonde = [[(I * rational(2 * p - k)) ** j for p in types] for j in range(len(types))]
-    return tuple(zip(types, inverse(vandermonde)))
-
-
 def decompose_form(model, form: Form) -> dict[tuple[int, int], Form]:
     """Split a form into its pure-bidegree pieces (zero pieces omitted), by
-    degree and then increasing p.
-
-    In degree k the pieces x_p are the D_J eigencomponents for i(2p - k), so
-    D_J^j form = sum_p (i(2p - k))^j x_p for j below the number of types;
-    the inverse Vandermonde matrix solves for the x_p.
-    """
-    n = model.dim // 2
-    out: dict[tuple[int, int], Form] = {}
-    for k in sorted({m.bit_count() for m in form.coeffs}):
-        powers = [Form(form.dim, {m: v for m, v in form.coeffs.items() if m.bit_count() == k})]
-        rows = _types_from_powers(k, n)
-        while len(powers) < len(rows):
-            powers.append(j_derivation(model).apply(powers[-1]))
-        for p, row in rows:
-            part: dict[int, Scalar] = {}
-            for w, power in zip(row, powers):
-                if not w.is_zero():
-                    add_scaled(part, power.coeffs, w)
-            if part:
-                out[(p, k - p)] = Form(form.dim, part)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# J acting multiplicatively on forms
-
-def j_apply(model, form: Form) -> Form:
-    """(J alpha)(X_1,...,X_k) = alpha(J X_1,...,J X_k), extended linearly."""
-    rows = model._memo("j_rows", model.j_one_form_rows)
-    return wedge_map(rows, form, model._memo("j_table", dict))
+    degree and then increasing p: its eta-coordinates grouped by type, each
+    group mapped back through the columns of E that it needs only."""
+    pqb = pq_basis(model)
+    groups: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for m, v in pqb.coordinates([form])[0].items():
+        groups.setdefault(pqb.bidegree_of_mask(m), {})[m] = v
+    types = sorted(groups, key=lambda pq: (pq[0] + pq[1], pq[0]))
+    return dict(zip(types, algebra_map_apply(pqb.generators, [Form(form.dim, groups[pq]) for pq in types])))
 
 
 def j_operator(model) -> GradedOperator:
-    """J as an explicit matrix (small models; the action is used elsewhere)."""
+    """J, (J alpha)(X_1, ..., X_k) = alpha(J X_1, ..., J X_k): the algebra map
+    of the J u^i, its degree blocks summed into one operator."""
 
     def build():
-        rows = model._memo("j_rows", model.j_one_form_rows)
-        table = model._memo("j_table", dict)
-        cols = {m: dict(wedge_image(rows, m, table).coeffs) for m in range(1 << model.dim)}
-        return GradedOperator(model.dim, cols, 0, check=False)
+        return sum(algebra_map_blocks(model.dim, model.j_one_form_rows()), GradedOperator.zero(model.dim))
 
     return model._memo("j_operator", build)
 
@@ -253,13 +212,10 @@ def twisted_differential(model) -> GradedOperator:
     """J^{-1} d J: the derivation with coframe values J^{-1} d J u^i."""
 
     def build():
-        dim = model.dim
-        images = []
-        for i in range(dim):
-            ju = j_apply(model, Form.basis(dim, 1 << i))
-            # d(J u^i) is a 2-form, and J^{-1} = (-1)^2 J = J on degree two
-            images.append(j_apply(model, model.d().apply(ju)))
-        return derivation_from_one_forms(dim, images)
+        j, d = j_operator(model), model.d()
+        # d(J u^i) is a 2-form, and J^{-1} = (-1)^2 J = J on degree two
+        images = [j.apply(d.apply(ju)) for ju in model.j_one_form_rows()]
+        return derivation_from_one_forms(model.dim, images)
 
     return model._memo("jdj", build)
 

@@ -44,14 +44,17 @@ forms of degree <= r; ORDER_DET checks that d is a derivation through the
 graded Leibniz rule over ``Form.wedge`` on every basis form, independently
 of the reconstruction that builds d.  HODGE_ABCD
 takes one kernel per degree, of the PSD sum of the component Laplacians.
-Type is read through D_J: ``bidegree.decompose_form`` gives the pieces
-(LEM_NK, SU3_STRUCT) and ``off_type`` answers whether a form has a given
-type; HODGE_ABCD (d) asks it of each conjugated harmonic form.  VANISH_COR
-works in the eta-frame instead: it takes the matrix F diff E of the
-difference Laplacian in the eta-monomial basis (``PQBasis.frame_blocks``),
-reads type preservation off the rows of its columns of each type (p,q),
-and takes the rank of those columns, which is that of the images diff(m)
-in real coordinates since F is invertible.  DC_FRAME's frame sum
+Type is read in the eta-frame only (``bidegree.PQBasis``).
+``decompose_form`` gives the pieces (LEM_NK, SU3_STRUCT), and HODGE_ABCD
+(d) asks that each conjugated harmonic form have no eta-coordinate outside
+its type.  J_PQ, DIM6_EIGEN and VANISH_COR read operators in the
+eta-monomial basis, F P E (``PQBasis.frame_blocks``).  J_PQ asks that F J E
+be diagonal with i^(p-q) on the columns of type (p,q), and DIM6_EIGEN that
+each of its operators be its scalar, or that scalar times F L E, on the
+columns of each type.  VANISH_COR reads type preservation off the rows of
+the columns of each type (p,q), and takes the rank of those columns, which
+is that of the images diff(m) in real coordinates since F is invertible.
+A DIM6_EIGEN witness names an eta-monomial.  DC_FRAME's frame sum
 sum_j L_{J u^j} nabla_j is one Koszul reconstruction from its coframe
 values.
 """
@@ -64,10 +67,9 @@ from dataclasses import dataclass
 from .bidegree import (
     d_c,
     decompose_form,
-    j_apply,
+    j_operator,
     lefschetz_triple,
     named_operator,
-    off_type,
     pq_basis,
     twisted_differential,
 )
@@ -191,16 +193,21 @@ def check_sl2(model, acc: _Acc):
     acc.op("[H,Lambda] + 2Lambda", br(h, lam) + lam.scale(rational(2)))
 
 
+def _in_frame(model, op: GradedOperator) -> dict[int, dict[int, Scalar]]:
+    """The columns of F op E, the matrix of op in the eta-monomial basis,
+    keyed by eta-monomial; the blocks are built one degree at a time."""
+    return {m: col for block in pq_basis(model).frame_blocks(op) for m, col in block.scalar_columns()}
+
+
 def check_j_pq(model, acc: _Acc):
     pqb = pq_basis(model)
-    n = pqb.n
-    for p in range(n + 1):
-        for q in range(n + 1):
+    cols = _in_frame(model, j_operator(model))
+    for p in range(pqb.n + 1):
+        for q in range(pqb.n + 1):
             eig = I ** ((p - q) % 4)
-            for v in pqb.basis_forms(p, q):
-                if j_apply(model, v) != v.scale(eig):
-                    acc.require(f"J != i^(p-q) on ({p},{q})", False)
-                    return
+            if any(cols.get(m) != {m: eig} for m in pqb.monomial_masks(p, q)):
+                acc.require(f"J != i^(p-q) on ({p},{q})", False)
+                return
 
 
 def check_bracket_pq(model, acc: _Acc):
@@ -231,7 +238,7 @@ def check_bracket_pq(model, acc: _Acc):
 def check_mu_oneforms(model, acc: _Acc):
     mu, _, _, mb = _parts(model)
     nij = model.nijenhuis_op()
-    for t in range(model.dim):
+    for t, ju in enumerate(model.j_one_form_rows()):
         a = Form.basis(model.dim, 1 << t)
         mu_a, mb_a = mu.apply(a), mb.apply(a)
         acc.form(
@@ -240,7 +247,7 @@ def check_mu_oneforms(model, acc: _Acc):
         )
         acc.form(
             f"(mu-mubar)u^{t + 1} + (i/4) N(J u^{t + 1})",
-            mu_a - mb_a + nij.apply(j_apply(model, a)).scale(Scalar(0, 0, 1, 0, 4)),
+            mu_a - mb_a + nij.apply(ju).scale(Scalar(0, 0, 1, 0, 4)),
         )
 
 
@@ -297,13 +304,14 @@ def check_lem_nk(model, acc: _Acc):
             acc.form(f"(d omega)^{bid}", piece)
     mu, _, _, mb = _parts(model)
     mm = mu - mb
+    j, j_rows = j_operator(model), model.j_one_form_rows()
     for i in range(n):
         vec = [ONE if s == i else ZERO for s in range(n)]
         nabla = model.nabla_action(i)
         for t in range(n):
             a = Form.basis(n, 1 << t)
-            lhs = nabla.apply(j_apply(model, a))
-            rhs = -(mm.apply(a.scale(I))).contract_vector(vec) + j_apply(model, nabla.apply(a))
+            lhs = nabla.apply(j_rows[t])
+            rhs = -(mm.apply(a.scale(I))).contract_vector(vec) + j.apply(nabla.apply(a))
             acc.form(f"nabla_{i + 1}(J u^{t + 1}) identity", lhs - rhs)
     gram = model.gram()
     for t in range(n):
@@ -347,8 +355,7 @@ def _frame_sum(model) -> GradedOperator:
     Koszul, the derivation with coframe values sum_j J u^j ^ nabla_j u^k."""
     n = model.dim
     images = [Form.zero(n)] * n
-    for j in range(n):
-        ju = j_apply(model, Form.basis(n, 1 << j))
+    for j, ju in enumerate(model.j_one_form_rows()):
         for k, nabla_u in enumerate(model.nabla_images(j)):
             images[k] = images[k] + ju.wedge(nabla_u)
     return derivation_from_one_forms(n, images)
@@ -466,39 +473,32 @@ def check_prop_lap(model, acc: _Acc):
     )
 
 
+# DIM6_EIGEN's four operators in the order it reads them: each label and the
+# operator's scalar on Lambda^{p,q} over lambda^2 (for the last, times L)
+_DIM6_EIGENVALUES = (
+    ("Delta_L_mu_omega - (9l2/4)(1-p+p(p-1)/2)", lambda p, q: rational(9 * (2 - 2 * p + p * (p - 1)), 8)),
+    ("(Delta_del - Delta_delbar) - (l2/4)(3-p-q)(p-q)", lambda p, q: rational((3 - p - q) * (p - q), 4)),
+    ("(Delta_Lmu - Delta_Lmubar) + (9l2/8)(3-p-q)(p-q)", lambda p, q: rational(-9 * (3 - p - q) * (p - q), 8)),
+    ("[[mubar,mu]] - i(l2/4)(p-q)L", lambda p, q: I * rational(p - q, 4)),
+)
+
+
 def check_dim6_eigen(model, acc: _Acc):
-    su3 = _su3(model)
-    lam2 = su3.lambda_sq
+    lam2 = _su3(model).lambda_sq
     pqb = pq_basis(model)
     mu, _, _, mb = _parts(model)
-    d_lm, d_lmb, d_del, d_db = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega", "lap:del", "lap:delbar")
-    diff_l = d_lm - d_lmb
-    diff_d = d_del - d_db
-    commy = _with_conjugate(mu.compose(mb))
-    omega = model.omega()
+    d_lm, d_lmb, d_del, d_db, l_op = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega", "lap:del", "lap:delbar", "L")
+    ops = (d_lm, d_del - d_db, d_lm - d_lmb, _with_conjugate(mu.compose(mb)))
+    frames = [_in_frame(model, op) for op in ops]
+    l_frame = _in_frame(model, l_op)
     for p in range(4):
         for q in range(4):
-            c_mu = lam2 * rational(9, 4) * (rational(1) - rational(p) + rational(p * (p - 1), 2))
-            c_dl = lam2 * rational((3 - p - q) * (p - q), 4)
-            c_dlm = -lam2 * rational(9 * (3 - p - q) * (p - q), 8)
-            c_mm = lam2 * rational(p - q, 4) * I
-            for v in pqb.basis_forms(p, q):
-                acc.form(
-                    f"Delta_L_mu_omega - (9l2/4)(1-p+p(p-1)/2) on ({p},{q})",
-                    d_lm.apply(v) - v.scale(c_mu),
-                )
-                acc.form(
-                    f"(Delta_del - Delta_delbar) - (l2/4)(3-p-q)(p-q) on ({p},{q})",
-                    diff_d.apply(v) - v.scale(c_dl),
-                )
-                acc.form(
-                    f"(Delta_Lmu - Delta_Lmubar) + (9l2/8)(3-p-q)(p-q) on ({p},{q})",
-                    diff_l.apply(v) - v.scale(c_dlm),
-                )
-                acc.form(
-                    f"[[mubar,mu]] - i(l2/4)(p-q)L on ({p},{q})",
-                    commy.apply(v) - omega.wedge(v).scale(c_mm),
-                )
+            for m in pqb.monomial_masks(p, q):
+                # column m of F P E against the scalar times column m of F Id E or F L E
+                units = [Form.basis(model.dim, m)] * 3 + [Form(model.dim, l_frame.get(m, {}))]
+                for (label, coeff), frame, unit in zip(_DIM6_EIGENVALUES, frames, units):
+                    got = Form(model.dim, frame.get(m, {}))
+                    acc.form(f"{label} on ({p},{q})", got - unit.scale(lam2 * coeff(p, q)))
 
 
 def check_theta_bracket(model, acc: _Acc):
@@ -588,30 +588,25 @@ def check_hodge_abcd(model, acc: _Acc):
         total = sum(pq_dims.get((p, k - p), 0) for p in range(max(0, k - n), min(n, k) + 1))
         acc.require(f"(c) sum of h^(p,q) = dim harmonic, degree {k}", total == hk)
     # (d) conjugation maps harmonic (p,q) onto (q,p)
-    lap = hodge_laplacian(model)
+    lap, pqb = hodge_laplacian(model), pq_basis(model)
     for (p, q), basis in pq_bases.items():
         acc.require(f"(d) h^({p},{q}) = h^({q},{p})", pq_dims[(p, q)] == pq_dims[(q, p)])
-        for v in basis:
-            w = v.conjugate()
+        conjugates = [v.conjugate() for v in basis]
+        for w, coords in zip(conjugates, pqb.coordinates(conjugates)):
             if not lap.apply(w).is_zero():
                 acc.require(f"(d) conjugate of harmonic ({p},{q})-form not harmonic", False)
-            if not off_type(model, w, q, p).is_zero():
+            if pqb.outside(coords, q, p):
                 acc.require(f"(d) conjugate of ({p},{q})-form not of type ({q},{p})", False)
 
 
 def check_vanish_cor(model, acc: _Acc):
-    """The degree-0 difference Laplacian in the eta-monomial basis, degree by
-    degree: D_k = F_k diff E_k with E the algebra map of the generators and
-    F = E^{-1} (``PQBasis.frame_blocks``).  It preserves (p,q) when every
-    row of each column of type (p,q) has type (p,q), and its rank there is
-    that of the images diff(m), F being invertible.  The frames are built
-    here one degree at a time and not kept."""
+    """The degree-0 difference Laplacian in the eta-monomial basis, F diff E
+    with E the algebra map of the generators and F = E^{-1}.  It preserves
+    (p,q) when every row of each column of type (p,q) has type (p,q), and
+    its rank there is that of the images diff(m), F being invertible."""
     pqb = pq_basis(model)
     d_lm, d_lmb = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega")
-    diff = d_lm - d_lmb
-    columns = {}
-    for e_k, f_k in pqb.frame_blocks():
-        columns.update(f_k.compose(diff.compose(e_k)).scalar_columns())
+    columns = _in_frame(model, d_lm - d_lmb)
     n = pqb.n
     for p in range(n + 1):
         for q in range(n + 1):

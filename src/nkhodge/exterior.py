@@ -15,9 +15,6 @@ coupled metric, which is orthogonalized first.  The LDL^T runs when the
 data is built and doubles as the positive-definiteness test: by
 Sylvester's criterion every pivot is positive exactly when every leading
 minor is.
-
-``wedge_image`` and ``wedge_map`` extend a map of the coframe to the whole
-algebra (a change of coframe, the J action, the (p,q) expansion).
 """
 
 from __future__ import annotations
@@ -184,35 +181,6 @@ class Form:
             return "Form(0)"
         parts = [f"({s.literal()})*{mask_label(m)}" for m, s in self.terms()]
         return "Form(" + " + ".join(parts) + ")"
-
-
-def wedge_image(images: list[Form], mask: int, table: dict[int, Form]) -> Form:
-    """Image of u^mask under the algebra map u^i -> images[i].
-
-    ``table`` memoizes images by mask and is filled lazily: a miss builds
-    only the chain mask, mask minus its lowest index, ... down to the first
-    cached entry, as images[low] ^ image(rest).
-    """
-    chain = []
-    m = mask
-    while m not in table:
-        if m == 0:
-            table[0] = Form.basis(images[0].dim, 0)
-            break
-        chain.append(m)
-        m &= m - 1
-    for m in reversed(chain):
-        low = m & -m
-        table[m] = images[low.bit_length() - 1].wedge(table[m ^ low])
-    return table[mask]
-
-
-def wedge_map(images: list[Form], form: Form, table: dict[int, Form]) -> Form:
-    """Image of a form under the algebra map u^i -> images[i] (lazy, as above)."""
-    out: dict[int, Scalar] = {}
-    for mask, coeff in form.coeffs.items():
-        add_scaled(out, wedge_image(images, mask, table).coeffs, coeff)
-    return Form(form.dim, out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ compares two genuinely different computations: harmonic dimensions against
 homology of the complex.
 
 The harmonic (p,q)-forms are the combinations of the degree-(p+q)
-harmonic basis that ``bidegree.off_type`` sends to zero: one small kernel
-with a column per harmonic form.  Their dimensions add up to dim H^k
-exactly when the harmonic space is spanned by forms of pure type, so the
-sum rule tests that as well.
+harmonic basis with no eta-coordinate outside type (p,q)
+(``PQBasis.outside``): one small kernel with a column per harmonic form.
+Their dimensions add up to dim H^k exactly when the harmonic space is
+spanned by forms of pure type, so the sum rule tests that as well.
 
 Everything is computed in the orthogonalized presentation of the model
 (the numbers are coframe-invariant); the basis forms that ``harmonic_space``
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bidegree import named_operator, off_type
+from .bidegree import named_operator, pq_basis
 from .exterior import Form, graded_lex_key
 from .linalg import SparseRow, sparse_kernel, sparse_rank, transpose
 from .operators import GradedOperator
@@ -79,7 +79,7 @@ def harmonic_space(model, k: int) -> list[Form]:
 
 def harmonic_pq(model, p: int, q: int) -> list[Form]:
     """Exact basis of the Delta_d-harmonic (p,q)-forms: the combinations of
-    ``harmonic_space(p + q)`` that ``off_type`` sends to zero."""
+    ``harmonic_space(p + q)`` with no eta-coordinate outside type (p,q)."""
     n = model.dim // 2
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"bidegree ({p},{q}) out of range")
@@ -87,7 +87,9 @@ def harmonic_pq(model, p: int, q: int) -> list[Form]:
 
     def build():
         basis = harmonic_space(comp, p + q)
-        rows = transpose((i, off_type(comp, v, p, q).coeffs) for i, v in enumerate(basis))
+        pqb = pq_basis(comp)  # the eta-coordinates of the basis serve every type of its degree
+        coords = comp._memo(f"harmonic_eta:{p + q}", lambda: pqb.coordinates(basis))
+        rows = transpose((i, pqb.outside(c, p, q)) for i, c in enumerate(coords))
         return [
             sum((basis[i].scale(c) for i, c in vec.items()), Form.zero(comp.dim))
             for vec in sparse_kernel(rows, len(basis))

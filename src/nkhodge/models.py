@@ -20,9 +20,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .exterior import Form, GramData, wedge_map
+from .exterior import Form, GramData
 from .linalg import add_scaled, inverse
-from .operators import DerivationAction, GradedOperator, derivation_from_one_forms
+from .operators import DerivationAction, GradedOperator, algebra_map_apply, derivation_from_one_forms
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, rational, squarefree
 
 Structure = dict[tuple[int, int], dict[int, Scalar]]
@@ -319,16 +319,11 @@ class LieAlgebraModel:
             t = [[m[j][i] for j in range(n)] for i in range(n)]
             tinv = inverse(t)
             u_in_v = [Form.one_form(n, row) for row in tinv]
-            table: dict[int, Form] = {}
-            d_op = self.d()
+            d_v = [self.d().apply(Form.one_form(n, row)) for row in t]
             structure: Structure = {}
-            for a in range(n):
-                du = Form.zero(n)
-                for j in range(n):
-                    if not t[a][j].is_zero():
-                        du = du + d_op.column_form(1 << j).scale(t[a][j])
+            for a, dv in enumerate(algebra_map_apply(u_in_v, d_v)):
                 # dv^a = -sum_{i<j} c^a_ij v^i ^ v^j
-                for mask, coeff in wedge_map(u_in_v, du, table).coeffs.items():
+                for mask, coeff in dv.coeffs.items():
                     i = (mask & -mask).bit_length() - 1
                     j = mask.bit_length() - 1
                     structure.setdefault((i, j), {})[a] = -coeff
@@ -358,7 +353,7 @@ class LieAlgebraModel:
         comp = self.orthogonalized()
         if comp is self:
             return form
-        return wedge_map(comp._native_coframe, form, comp._memo("native_table", dict))
+        return algebra_map_apply(comp._native_coframe, [form])[0]
 
     def __repr__(self) -> str:
         return f"LieAlgebraModel({self.name!r}, dim={self.dim})"

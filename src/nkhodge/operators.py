@@ -64,7 +64,8 @@ columns through one primitive, ``_koszul_column``, on integer coordinates.
 ``algebra_map_blocks`` is the degree-0 algebra map u^i -> images[i] of
 1-forms (a change of coframe), built one degree block at a time on the
 integer coordinates: column m is images[i] ^ (column m - i of the block
-before), with no Scalar and no ``Form.wedge``.
+before), with no Scalar and no ``Form.wedge``.  ``algebra_map_apply``
+applies it to forms through the columns their supports need.
 """
 
 from __future__ import annotations
@@ -566,17 +567,19 @@ def derivation_from_one_forms(dim: int, images: list[Form], degree: int = 1) -> 
     return reconstruct(dim, _coframe_coefficients(dim, images), degree)
 
 
-def algebra_map_blocks(dim: int, images: list[Form]):
+def algebra_map_blocks(dim: int, images: list[Form], masks=None):
     """The degree-0 algebra map u^i -> images[i] (1-forms), one block per
     degree: for k = 0, ..., dim in turn, the operator of its columns on the
-    forms of degree k.
+    forms of degree k.  Given ``masks``, a block holds only the columns that
+    those masks need: each mask and the chain mask minus its lowest index,
+    and so on down to the empty mask.
 
     Column m of degree k is images[i] ^ (column m - i of degree k - 1), i
     the lowest index of m, summed as coordinates over the denominator of
     that block times the common denominator of the images, so a block needs
-    only the one before it.  It is literally ``exterior.wedge_image``'s
-    expansion, row orders included; the columns of a block come in
-    increasing mask order.
+    only the one before it.  It is literally the Scalar expansion, one
+    ``Form.wedge`` per index, row orders included; the columns of a block
+    come in increasing mask order.
     """
     if len(images) != dim:
         raise ValueError(f"need {dim} coframe images, got {len(images)}")
@@ -584,8 +587,13 @@ def algebra_map_blocks(dim: int, images: list[Form]):
         raise ValueError("a degree-0 algebra map needs 1-form images")
     coeffs, qg, dg = _integral({1 << i: f for i, f in enumerate(images)})
     gens = [list(coeffs.get(1 << i, {}).items()) for i in range(dim)]
+    wanted = set() if masks is not None else range(1 << dim)
+    for m in masks or ():
+        while m not in wanted:
+            wanted.add(m)
+            m &= m - 1
     by_degree: list[list[int]] = [[] for _ in range(dim + 1)]
-    for m in range(1 << dim):
+    for m in sorted(wanted):
         by_degree[m.bit_count()].append(m)
     block = object.__new__(GradedOperator)._set(dim, 0, 1, 1, True, {0: {0: (1, 0, 0, 0)}})
     yield block
@@ -630,6 +638,18 @@ def algebra_map_blocks(dim: int, images: list[Form]):
                 store[m] = {r: share(t, t) for r, t in zip(col, map(tuple, col.values()))}
         block = GradedOperator._normalized(dim, 0, block.q * qg, d, False, store)
         yield block
+
+
+def algebra_map_apply(images: list[Form], forms: list[Form]) -> list[Form]:
+    """The images of forms under the algebra map u^i -> images[i], from the
+    columns of ``algebra_map_blocks`` that their supports need, kept nowhere."""
+    masks = [m for f in forms for m in f.coeffs]
+    degrees = {m.bit_count() for m in masks}
+    out = [Form.zero(len(images)) for _ in forms]
+    for k, block in zip(range(max(degrees, default=-1) + 1), algebra_map_blocks(len(images), images, masks)):
+        if k in degrees:
+            out = [acc + block.apply(f) for acc, f in zip(out, forms)]
+    return out
 
 
 class DerivationAction:

@@ -9,6 +9,10 @@
 * ``adjoint_via_ldl``: the production adjoint conjugated through the LDL^T
   coframe of a coupled metric, i.e. what computing in the orthogonalized
   presentation amounts to.
+* ``wedge_image`` and ``wedge_map``: a degree-0 algebra map u^i -> images[i]
+  of 1-forms in Scalar arithmetic, one ``Form.wedge`` per index, against
+  the integer blocks of ``operators.algebra_map_blocks`` and
+  ``algebra_map_apply``.
 * ``field_coordinates``, ``regular_matrix``, ``field_product`` and
   ``normalized_entry``: Q(sqrt d)(i) in ``fractions.Fraction`` coordinates on
   the basis 1, w, i, iw, each element acting by its 4x4 rational matrix,
@@ -30,8 +34,9 @@
   and of the four component Laplacians, against the production kernel of
   their PSD sum.
 * ``split_by_four_derivations``: each component of d as its own
-  derivation, from the bidegree pieces of d eta and d conj(eta), against
-  the production split, which builds mu and del and conjugates them.
+  derivation, from the D_J pieces (``decompose_by_d_j``) of d eta and
+  d conj(eta), against the production split, which builds mu and del from
+  eta-frame pieces and conjugates them.
 * ``barred_requirements``: the twenty barred requirements of D2_SPLIT,
   NK_COR, LAP_COM, AUX_COM, BR67 and TORSION_OP composed directly from
   delbar, mubar, ``adjoint`` and ``mult_operator``, against the conjugates
@@ -39,12 +44,25 @@
 * ``laplacian_of_del_minus_delbar``: Delta_(del-delbar) as [[P*, P]] of
   P = del - delbar with ``adjoint_via_minors``, against DELTA_SUM's
   expansion Delta_del + Delta_delbar - X - conj X, X = [[delbar*, del]].
-* ``form_to_pq``, ``pq_coords_to_form`` and ``decompose_via_monomials``:
-  coordinates in the monomials of the chosen (1,0)/(0,1) generators eta
-  of ``pq_basis``, through the images ``u_in_eta`` of the coframe (each
-  eta_all[i] solved in the chosen eta with ``linalg.solve``); grouping them
-  by bidegree is the type decomposition that the production D_J
-  eigencomponents of ``decompose_form`` must reproduce.
+* ``monomial_form``, ``form_to_pq``, ``pq_coords_to_form`` and
+  ``decompose_via_monomials``: the eta-monomials of the chosen (1,0)/(0,1)
+  generators of ``pq_basis`` expanded as Scalar forms (``wedge_image``),
+  and coordinates in them through the images ``u_in_eta`` of the coframe
+  (each eta_all[i] solved in the chosen eta with ``linalg.solve``), all in
+  Scalar arithmetic; grouping them by bidegree is the type decomposition
+  that the production ``decompose_form``, on the integer eta-frame, must
+  reproduce.
+* ``j_derivation``, ``off_type`` and ``decompose_by_d_j``: type through D_J,
+  the derivation extending J from 1-forms (``ScalarDerivationAction``),
+  which acts on Lambda^{p,q} as i(p - q).  ``off_type`` = D_J form -
+  i(p - q) form is zero exactly when a (p+q)-form has type (p,q), and
+  ``decompose_by_d_j`` takes, in each degree k with m types, the D_J
+  eigencomponents from the powers D_J^j form, j < m, through the inverse
+  Vandermonde matrix of the eigenvalues i(2p - k).  Against the production
+  eta-frame type test and ``decompose_form``.
+* ``j_apply``: J on forms as the Scalar algebra map of the J u^i
+  (``wedge_map``), against the production ``j_operator`` on the integer
+  store.
 * ``harmonic_pq_via_monomials``: the harmonic (p,q)-forms as the kernel of
   Delta_d on the eta-monomials of type (p,q), against the production
   filter of ``harmonic_space(p + q)`` by type.
@@ -77,15 +95,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from nkhodge.bidegree import DifferentialSplit, decompose_form, differential_split, j_apply, off_type, pq_basis
+from nkhodge.bidegree import DifferentialSplit, differential_split, pq_basis
 from nkhodge.exterior import (
     Form,
     GramData,
     graded_lex_key,
     indices_from_mask,
     mask_label,
-    wedge_image,
-    wedge_map,
     wedge_masks,
 )
 from nkhodge.hodge import degree_masks, hodge_laplacian, operator_degree_rows
@@ -228,6 +244,36 @@ def adjoint_via_minors(p: GradedOperator, gram: GramData) -> GradedOperator:
         if col:
             cols[mj] = col
     return GradedOperator(dim, cols, deg, check=False)
+
+
+def wedge_image(images: list[Form], mask: int, table: dict[int, Form]) -> Form:
+    """Image of u^mask under the algebra map u^i -> images[i], in Scalar
+    arithmetic through ``Form.wedge``.
+
+    ``table`` memoizes images by mask and is filled lazily: a miss builds
+    only the chain mask, mask minus its lowest index, ... down to the first
+    cached entry, as images[low] ^ image(rest).
+    """
+    chain = []
+    m = mask
+    while m not in table:
+        if m == 0:
+            table[0] = Form.basis(images[0].dim, 0)
+            break
+        chain.append(m)
+        m &= m - 1
+    for m in reversed(chain):
+        low = m & -m
+        table[m] = images[low.bit_length() - 1].wedge(table[m ^ low])
+    return table[mask]
+
+
+def wedge_map(images: list[Form], form: Form, table: dict[int, Form]) -> Form:
+    """Image of a form under the algebra map u^i -> images[i] (lazy, as above)."""
+    out: dict[int, Scalar] = {}
+    for mask, coeff in form.coeffs.items():
+        add_scaled(out, wedge_image(images, mask, table).coeffs, coeff)
+    return Form(form.dim, out)
 
 
 def _algebra_map(images: list[Form]) -> GradedOperator:
@@ -476,8 +522,8 @@ def split_by_four_derivations(model) -> DifferentialSplit:
     zero = Form.zero(model.dim)
     mu_im, del_im, delbar_im, mubar_im = [], [], [], []
     for eta in pq_basis(model).eta_all:
-        d_eta = decompose_form(model, d.apply(eta))
-        d_etabar = decompose_form(model, d.apply(eta.conjugate()))
+        d_eta = decompose_by_d_j(model, d.apply(eta))
+        d_etabar = decompose_by_d_j(model, d.apply(eta.conjugate()))
         mu_im.append(d_etabar.get((2, 0), zero))
         del_im.append(d_eta.get((2, 0), zero) + d_etabar.get((1, 1), zero))
         delbar_im.append(d_eta.get((1, 1), zero) + d_etabar.get((0, 2), zero))
@@ -540,6 +586,12 @@ def laplacian_of_del_minus_delbar(model) -> GradedOperator:
 # -- eta-monomial coordinates ----------------------------------------------------
 # bit a (a < n) of a monomial mask: generator eta^a; bit n + a: conj(eta^a)
 
+def monomial_form(model, pqmask: int) -> Form:
+    """One eta-monomial in real coordinates, expanded as a Scalar form."""
+    table = model._memo("oracle:monomial_table", dict)
+    return wedge_image(pq_basis(model).generators, pqmask, table)
+
+
 def u_in_eta(model) -> list[Form]:
     """u^i = eta_all[i] + conj(eta_all[i]) in eta-monomial coordinates."""
 
@@ -564,10 +616,9 @@ def form_to_pq(model, form: Form) -> dict[int, Scalar]:
 
 
 def pq_coords_to_form(model, coords: dict[int, Scalar]) -> Form:
-    pqb = pq_basis(model)
     out = Form.zero(model.dim)
     for pqmask, v in coords.items():
-        out = out + pqb.monomial_form(pqmask).scale(v)
+        out = out + monomial_form(model, pqmask).scale(v)
     return out
 
 
@@ -586,11 +637,52 @@ def harmonic_pq_via_monomials(model, p: int, q: int) -> list[Form]:
     pqb = pq_basis(comp)
     masks = pqb.monomial_masks(p, q)
     lap = hodge_laplacian(comp)
-    rows = transpose((j, lap.apply(pqb.monomial_form(m)).coeffs) for j, m in enumerate(masks))
+    rows = transpose((j, lap.apply(monomial_form(comp, m)).coeffs) for j, m in enumerate(masks))
     return [
         model.to_native(pq_coords_to_form(comp, {masks[j]: v for j, v in vec.items()}))
         for vec in sparse_kernel(rows, len(masks))
     ]
+
+
+# -- type through D_J ------------------------------------------------------------
+
+def j_derivation(model) -> ScalarDerivationAction:
+    """D_J, the derivation extending J from 1-forms; i(p - q) on Lambda^{p,q}."""
+    return model._memo("oracle:j_derivation", lambda: ScalarDerivationAction(model.dim, model.j_one_form_rows()))
+
+
+def off_type(model, form: Form, p: int, q: int) -> Form:
+    """D_J form - i(p - q) form: zero exactly when a (p+q)-form has type (p,q)."""
+    return j_derivation(model).apply(form) - form.scale(I * rational(p - q))
+
+
+def decompose_by_d_j(model, form: Form) -> dict[tuple[int, int], Form]:
+    """The pure-bidegree pieces by degree, then increasing p.  In degree k
+    the piece x_p is the D_J eigencomponent for i(2p - k), so
+    D_J^j form = sum_p (i(2p - k))^j x_p for j below the number of types,
+    and the inverse Vandermonde matrix solves for the x_p."""
+    n = model.dim // 2
+    out: dict[tuple[int, int], Form] = {}
+    for k in sorted({m.bit_count() for m in form.coeffs}):
+        types = range(max(0, k - n), min(n, k) + 1)
+        powers = [Form(form.dim, {m: v for m, v in form.coeffs.items() if m.bit_count() == k})]
+        while len(powers) < len(types):
+            powers.append(j_derivation(model).apply(powers[-1]))
+        vandermonde = [[(I * rational(2 * p - k)) ** j for p in types] for j in range(len(types))]
+        for p, row in zip(types, inverse(vandermonde)):
+            part: dict[int, Scalar] = {}
+            for w, power in zip(row, powers):
+                if not w.is_zero():
+                    add_scaled(part, power.coeffs, w)
+            if part:
+                out[(p, k - p)] = Form(form.dim, part)
+    return out
+
+
+def j_apply(model, form: Form) -> Form:
+    """(J alpha)(X_1,...,X_k) = alpha(J X_1,...,J X_k), as the Scalar algebra
+    map of the J u^i."""
+    return wedge_map(model.j_one_form_rows(), form, model._memo("oracle:j_table", dict))
 
 
 # -- Hodge star ------------------------------------------------------------------
@@ -903,7 +995,7 @@ def off_type_failures(model, diff: GradedOperator) -> list[str]:
     failed = []
     for p in range(pqb.n + 1):
         for q in range(pqb.n + 1):
-            images = (diff.apply(pqb.monomial_form(mask)) for mask in pqb.monomial_masks(p, q))
+            images = (diff.apply(monomial_form(model, mask)) for mask in pqb.monomial_masks(p, q))
             if not all(off_type(model, img, p, q).is_zero() for img in images):
                 failed.append(f"difference Laplacian preserves ({p},{q})")
     return failed

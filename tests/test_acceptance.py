@@ -24,7 +24,7 @@ from nkhodge.models import (
     su3_extract,
 )
 from nkhodge.scalars import rational
-from oracles import form_to_pq, harmonic_space_dense_oracle, spans_equal
+from oracles import form_to_pq, harmonic_space_dense_oracle, monomial_form, spans_equal
 from variants import perturbed_structure, scaled_metric
 
 UNIVERSAL = sorted(UNIVERSAL_CHECKS)
@@ -169,7 +169,7 @@ class TestCriterion7:
                 masks = pqb.monomial_masks(p, q)
                 rows = {}
                 for j, mask in enumerate(masks):
-                    img = diff.apply(pqb.monomial_form(mask))
+                    img = diff.apply(monomial_form(ortho, mask))
                     for pqmask, v in form_to_pq(ortho, img).items():
                         rows.setdefault(pqmask, {})[j] = v
                 if sparse_rank(list(rows.values())) == len(masks):

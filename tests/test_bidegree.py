@@ -6,7 +6,6 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import nkhodge.bidegree
 import nkhodge.operators
 from nkhodge.bidegree import (
     _BASE_OPERATORS,
@@ -15,30 +14,32 @@ from nkhodge.bidegree import (
     d_c,
     decompose_form,
     differential_split,
-    j_apply,
-    j_derivation,
     j_operator,
     lefschetz_triple,
     named_operator,
-    off_type,
     pq_basis,
     twisted_differential,
 )
 from nkhodge.checks import CHECKS, run_suite
-from nkhodge.exterior import Form, wedge_image
-from nkhodge.hodge import harmonic_pq, hodge_numbers
+from nkhodge.exterior import Form
+from nkhodge.hodge import harmonic_pq, harmonic_space, hodge_numbers
 from nkhodge.linalg import sparse_rank
 from nkhodge.models import BUILTIN_NAMES, builtin_model, model_from_json, model_to_json, nk_report
-from nkhodge.operators import GradedOperator, graded_commutator
+from nkhodge.operators import GradedOperator, algebra_map_blocks, graded_commutator
 from nkhodge.scalars import I, ONE, Scalar, rational
 from oracles import (
     adjoint_via_minors,
+    decompose_by_d_j,
     decompose_via_monomials,
     form_to_pq,
     harmonic_pq_via_monomials,
+    j_apply,
+    monomial_form,
+    off_type,
     pq_coords_to_form,
     spans_equal,
     split_by_four_derivations,
+    wedge_image,
 )
 
 
@@ -86,9 +87,15 @@ def split_by_projectors(model) -> DifferentialSplit:
     return DifferentialSplit(parts["mu"], parts["del"], parts["delbar"], parts["mubar"])
 
 
+def j_matrix(model) -> GradedOperator:
+    """J as the matrix of its Scalar action on every basis form."""
+    cols = {m: j_apply(model, Form.basis(model.dim, m)).coeffs for m in range(1 << model.dim)}
+    return GradedOperator(model.dim, cols, 0, check=False)
+
+
 def j_inverse_d_j_matrix(model) -> GradedOperator:
     """J^{-1} o d o J as a literal product of matrices, J^{-1} = (-1)^k J on degree k."""
-    j_op = j_operator(model)
+    j_op = j_matrix(model)
     j_inv_cols = {
         c: {r: (v if c.bit_count() % 2 == 0 else -v) for r, v in col.items()}
         for c, col in j_op.cols.items()
@@ -104,7 +111,7 @@ def j_inverse_apply(model, form: Form) -> Form:
         piece = Form(model.dim, {m: v for m, v in form.coeffs.items() if m.bit_count() == k})
         if piece.is_zero():
             continue
-        img = j_apply(model, piece)
+        img = j_operator(model).apply(piece)
         out = out + (img if k % 2 == 0 else -img)
     return out
 
@@ -156,20 +163,26 @@ class TestPQBasis:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_frames_are_the_monomials_and_inverse(self, name):
-        # column m of E is the eta-monomial m, and F = E^{-1} degree by degree
+        # column m of E is the eta-monomial m, F = E^{-1} degree by degree,
+        # F Id E is the identity block by block, and F applied to a form
+        # is F's columns on its support
         model = builtin_model(name).orthogonalized()
         pqb = pq_basis(model)
         table = {}
-        blocks = list(pqb.frame_blocks())
-        assert len(blocks) == model.dim + 1
-        for k, (e_k, f_k) in enumerate(blocks):
+        e_blocks = list(algebra_map_blocks(model.dim, pqb.generators))
+        f_blocks = list(algebra_map_blocks(model.dim, pqb.dual))
+        frames = list(pqb.frame_blocks(GradedOperator.identity(model.dim)))
+        assert len(e_blocks) == len(frames) == model.dim + 1
+        for k, (e_k, f_k, frame) in enumerate(zip(e_blocks, f_blocks, frames)):
             masks = [m for m in range(1 << model.dim) if m.bit_count() == k]
             assert list(e_k.coords) == list(f_k.coords) == masks
             for m in masks:
-                assert e_k.column_form(m) == wedge_image(pqb.eta + pqb.eta_bar, m, table)
+                assert e_k.column_form(m) == wedge_image(pqb.generators, m, table)
             identity = GradedOperator(model.dim, {m: {m: ONE} for m in masks}, 0)
-            assert f_k.compose(e_k) == identity
+            assert frame == identity  # F_k Id E_k = F_k E_k
             assert e_k.compose(f_k) == identity
+            top = masks[-1]
+            assert pqb.coordinates([Form.basis(model.dim, top, I)]) == [f_k.column_form(top).scale(I).coeffs]
 
     def test_roundtrip(self, s3xs3):
         for mask in range(64):
@@ -212,7 +225,13 @@ def _ortho(name):
 
 
 class TestTypeByDerivation:
-    """Type through D_J against the eta-monomial coordinates of the oracles."""
+    """The eta-frame type test and decomposition against type through D_J
+    and the Scalar eta-monomial coordinates of the oracles."""
+
+    @staticmethod
+    def _of_type(model, form, p, q):
+        pqb = pq_basis(model)
+        return not pqb.outside(pqb.coordinates([form])[0], p, q)
 
     @pytest.mark.parametrize("name", SMALL_MODELS)
     def test_off_type_vanishes_exactly_at_the_monomial_type(self, name):
@@ -221,10 +240,24 @@ class TestTypeByDerivation:
         n = pqb.n
         for p in range(n + 1):
             for q in range(n + 1):
-                for v in pqb.basis_forms(p, q):
+                for mask in pqb.monomial_masks(p, q):
+                    v = monomial_form(model, mask)
                     k = p + q
                     for r in range(max(0, k - n), min(n, k) + 1):
                         assert off_type(model, v, r, k - r).is_zero() == (r == p)
+                        assert self._of_type(model, v, r, k - r) == (r == p)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_type_test_and_pieces_match_d_j_on_harmonic_forms(self, name):
+        # the harmonic forms of each degree and their conjugates, pure or not
+        model = _ortho(name)
+        n = model.dim // 2
+        for k in range(model.dim + 1):
+            for v in harmonic_space(model, k):
+                for f in (v, v.conjugate()):
+                    for r in range(max(0, k - n), min(n, k) + 1):
+                        assert self._of_type(model, f, r, k - r) == off_type(model, f, r, k - r).is_zero()
+                    assert decompose_form(model, f) == decompose_by_d_j(model, f)
 
     @given(
         st.sampled_from(SMALL_MODELS),
@@ -238,7 +271,7 @@ class TestTypeByDerivation:
         mask_limit = (1 << model.dim) - 1
         form = Form(model.dim, {m & mask_limit: Scalar(a, b, c, e, 1, 3) for m, a, b, c, e in terms})
         parts = decompose_form(model, form)
-        assert parts == decompose_via_monomials(model, form)
+        assert parts == decompose_via_monomials(model, form) == decompose_by_d_j(model, form)
         # by degree, then increasing p
         assert list(parts) == sorted(parts, key=lambda pq: (pq[0] + pq[1], pq[0]))
 
@@ -247,39 +280,9 @@ class TestTypeByDerivation:
         d = model.d()
         for eta in pq_basis(model).eta_all:
             for f in (d.apply(eta), d.apply(eta.conjugate())):
-                assert decompose_form(model, f) == decompose_via_monomials(model, f)
+                assert decompose_form(model, f) == decompose_via_monomials(model, f) == decompose_by_d_j(model, f)
 
-    def test_decompose_applies_d_j_once_per_power(self, s3xs3_ortho, monkeypatch):
-        # mu omega is a 3-form in dimension six: four types, so D_J, D_J^2
-        # and D_J^3 of it and no other application
-        model = s3xs3_ortho
-        mu_omega = named_operator(model, "mu").apply(model.omega())
-        d_j = j_derivation(model)
-        applied = []
-
-        class Counting:
-            def apply(self, form):
-                applied.append(form)
-                return d_j.apply(form)
-
-        monkeypatch.setattr(nkhodge.bidegree, "j_derivation", lambda m: Counting())
-        assert set(decompose_form(model, mu_omega)) == {(3, 0)}
-        assert len(applied) == 3
-
-    def test_d_j_builds_only_the_columns_it_meets(self):
-        # D_J acts as the full derivation, but keeps only the columns of the
-        # forms it has been applied to (a fresh model, with no memo yet)
-        model = model_from_json(model_to_json(builtin_model("s3xs3-nk"))).orthogonalized()
-        full = nkhodge.operators.derivation_from_one_forms(6, model.j_one_form_rows(), degree=0)
-        d_j = j_derivation(model)
-        two_form = model.d().apply(Form.basis(6, 0b000001))
-        assert d_j.apply(two_form) == full.apply(two_form)
-        assert set(d_j.columns) == set(two_form.coeffs)
-        for mask in range(1 << 6):
-            assert d_j.apply(Form.basis(6, mask)) == full.column_form(mask)
-        assert len(d_j.columns) == 1 << 6
-
-    @pytest.mark.parametrize("name", SMALL_MODELS)
+    @pytest.mark.parametrize("name", [*SMALL_MODELS, "su2-four"])
     def test_harmonic_pq_spans_match_monomial_kernel(self, name):
         model = builtin_model(name)
         n = model.dim // 2
@@ -297,12 +300,14 @@ class TestTypeByDerivation:
 
 
 class TestJAction:
+    """J built on the integer store against its Scalar action and its
+    eigenvalues on the eta-monomials."""
+
     def test_multiplicative(self, s3xs3):
+        j = j_operator(s3xs3)
         a = Form.basis(6, 0b000001)
         b = Form.basis(6, 0b001010)
-        lhs = j_apply(s3xs3, a.wedge(b))
-        rhs = j_apply(s3xs3, a).wedge(j_apply(s3xs3, b))
-        assert lhs == rhs
+        assert j.apply(a.wedge(b)) == j.apply(a).wedge(j.apply(b))
 
     @given(
         st.lists(st.tuples(st.integers(0, 63), st.integers(-3, 3), st.integers(-3, 3)), max_size=3),
@@ -310,31 +315,33 @@ class TestJAction:
     )
     @settings(max_examples=30, deadline=None)
     def test_multiplicative_random(self, terms_a, terms_b):
-        model = __import__("nkhodge.models", fromlist=["builtin_model"]).builtin_model("s3xs3-nk")
+        j = j_operator(builtin_model("s3xs3-nk"))
         a = Form(6, {m: Scalar(x, y, 0, 0, 1, 3) for m, x, y in terms_a})
         b = Form(6, {m: Scalar(x, 0, y, 0, 1, 3) for m, x, y in terms_b})
-        assert j_apply(model, a.wedge(b)) == j_apply(model, a).wedge(j_apply(model, b))
+        assert j.apply(a.wedge(b)) == j.apply(a).wedge(j.apply(b))
 
     def test_eigenvalues(self, s3xs3):
         pqb = pq_basis(s3xs3)
         for p in range(4):
             for q in range(4):
                 eig = I ** ((p - q) % 4)
-                for v in pqb.basis_forms(p, q):
-                    assert j_apply(s3xs3, v) == v.scale(eig)
+                for mask in pqb.monomial_masks(p, q):
+                    v = monomial_form(s3xs3, mask)
+                    assert j_operator(s3xs3).apply(v) == v.scale(eig)
 
     def test_omega_fixed(self, s3xs3, torus6):
         for m in (s3xs3, torus6):
-            assert j_apply(m, m.omega()) == m.omega()
+            assert j_operator(m).apply(m.omega()) == m.omega()
 
     def test_inverse(self, s3xs3):
         f = Form(6, {0b000111: ONE, 0b000001: I})
-        assert j_inverse_apply(s3xs3, j_apply(s3xs3, f)) == f
+        assert j_inverse_apply(s3xs3, j_operator(s3xs3).apply(f)) == f
 
-    def test_operator_matrix_matches_action(self, kodaira):
-        op = j_operator(kodaira)
+    def test_operator_matrix_matches_action(self, kodaira, s3xs3, torus6):
+        for model in (kodaira, s3xs3.orthogonalized(), torus6):
+            assert j_operator(model) == j_matrix(model)
         f = Form(4, {0b0011: ONE, 0b0101: I})
-        assert op.apply(f) == j_apply(kodaira, f)
+        assert j_operator(kodaira).apply(f) == j_apply(kodaira, f)
 
 
 class TestSplit:
@@ -367,8 +374,8 @@ class TestSplit:
             for p in range(4):
                 for q in range(4):
                     pt, qt = p + dp, q + dq
-                    for v in pq_basis(s3xs3).basis_forms(p, q):
-                        img = op.apply(v)
+                    for mask in pq_basis(s3xs3).monomial_masks(p, q):
+                        img = op.apply(monomial_form(s3xs3, mask))
                         if img.is_zero():
                             continue
                         parts = decompose_form(s3xs3, img)

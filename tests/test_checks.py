@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import nkhodge.bidegree
 import nkhodge.checks
 import nkhodge.operators
 from nkhodge.checks import (
@@ -15,7 +16,7 @@ from nkhodge.checks import (
 )
 from nkhodge.bidegree import DifferentialSplit, named_operator, pq_basis
 from nkhodge.exterior import Form
-from nkhodge.hodge import harmonic_space, operator_degree_rows
+from nkhodge.hodge import harmonic_pq, harmonic_space, operator_degree_rows
 from nkhodge.linalg import sparse_kernel
 from nkhodge.models import (
     BUILTIN_NAMES,
@@ -25,7 +26,7 @@ from nkhodge.models import (
     model_to_json,
     nk_report,
 )
-from nkhodge.operators import GradedOperator, derivation_from_one_forms, reconstruct
+from nkhodge.operators import GradedOperator, algebra_map_blocks, derivation_from_one_forms, reconstruct
 from nkhodge.scalars import Scalar, rational
 from oracles import (
     barred_requirements,
@@ -404,8 +405,8 @@ class TestCostGuards:
             assert not [key for key in cache if re.fullmatch(r"nabla\d+", key)]
 
     def test_vanish_cor_memoizes_neither_d_j_nor_the_commutator(self, monkeypatch):
-        # the check works in the eta-frame: it builds no D_J and no
-        # commutator, expands no eta-monomial as a form and keeps no frame
+        # the check works in the eta-frame: it builds no derivation and no
+        # commutator, and keeps no frame
         model = _fresh("s3xs3-nk")
         target = model.orthogonalized()
         called = []
@@ -422,12 +423,79 @@ class TestCostGuards:
         before = {id(cache): set(cache) for cache in (model._cache, target._cache)}
         assert run_check(model, "VANISH_COR").status == "pass"
         assert called == []
-        pqb = pq_basis(target)
-        assert pqb._pq_form_table == {}
-        frames = [op for pair in pqb.frame_blocks() for op in pair]
+        frames = _frame_blocks(pq_basis(target))
         added = [
             cache[key] for cache in (model._cache, target._cache) for key in set(cache) - before[id(cache)]
         ]
         assert added
         for value in added:
             assert not (isinstance(value, GradedOperator) and any(value == op for op in frames))
+
+    def test_catalogue_keeps_no_eta_monomial_form_or_frame_block(self):
+        # every reading of type goes through the eta-frame's two primitives,
+        # which keep nothing: after the whole catalogue no memo holds a form
+        # per eta-monomial or a block of E or F
+        model = _fresh("s3xs3-nk")
+        assert run_suite(model).verdict
+        target = model.orthogonalized()
+        pqb = pq_basis(target)
+        frames = _frame_blocks(pqb)
+        values = [value for cache in (model._cache, target._cache) for value in cache.values()]
+        assert pqb in values and any(isinstance(value, GradedOperator) for value in values)
+        for value in values:
+            assert not (isinstance(value, GradedOperator) and any(value == op for op in frames))
+            assert not any(isinstance(f, Form) for table in _dicts_in(value) for f in table.values())
+        attrs = list(vars(pqb).values())
+        kept = [f for attr in attrs if isinstance(attr, list) for f in attr if isinstance(f, Form)]
+        assert kept and all(f.degree() == 1 for f in kept)
+        assert not list(_dicts_in(attrs))
+
+
+def _frame_blocks(pqb):
+    """Every block of E and F of the eta-frame."""
+    return [*algebra_map_blocks(pqb.dim, pqb.generators), *algebra_map_blocks(pqb.dim, pqb.dual)]
+
+
+def _dicts_in(value):
+    """The dicts in a value, at any depth of lists, tuples and dicts."""
+    if isinstance(value, dict):
+        yield value
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _dicts_in(item)
+
+
+
+class TestTypeRouteMutations:
+    """The checks that read type in the eta-frame can still fail: each
+    mutation of the route, by monkeypatch, fails with a pinned label."""
+
+    def test_j_pq_fails_with_the_eigenvalue_i_to_the_q_minus_p(self, monkeypatch):
+        # I -> -i turns the expected i^(p-q) into i^(q-p)
+        monkeypatch.setattr(nkhodge.checks, "I", Scalar(0, 0, -1, 0))
+        res = run_check(_fresh("s3xs3-nk"), "J_PQ")
+        assert (res.status, res.witness) == ("fail", "J != i^(p-q) on (0,1)")
+
+    def test_dim6_eigen_fails_with_one_lambda_squared_coefficient_off(self, monkeypatch):
+        # (l2/2) in place of (l2/4) in the Delta_del - Delta_delbar formula:
+        # on (0,1), with lambda^2 = 8/9, the eta-coordinate of eta-monomial e4
+        # is off by lambda^2/2
+        table = list(nkhodge.checks._DIM6_EIGENVALUES)
+        table[1] = (table[1][0], lambda p, q: rational((3 - p - q) * (p - q), 2))
+        monkeypatch.setattr(nkhodge.checks, "_DIM6_EIGENVALUES", tuple(table))
+        res = run_check(_fresh("s3xs3-nk"), "DIM6_EIGEN")
+        assert res.status == "fail"
+        assert res.witness == "(Delta_del - Delta_delbar) - (l2/4)(3-p-q)(p-q) on (0,1): e4 = 4/9"
+
+    def test_harmonic_pq_with_p_and_q_swapped_in_the_type_test(self, monkeypatch):
+        # the (p,q) entries of the table of harmonic forms become the (q,p) ones
+        want = {pq: harmonic_pq(_fresh("s3xs3-nk"), *pq) for pq in ((0, 0), (1, 2), (2, 1), (3, 3))}
+        original = nkhodge.bidegree.PQBasis.outside
+        monkeypatch.setattr(nkhodge.bidegree.PQBasis, "outside", lambda self, c, p, q: original(self, c, q, p))
+        model = _fresh("s3xs3-nk")
+        got = {pq: harmonic_pq(model, *pq) for pq in want}
+        assert [len(got[pq]) for pq in want] == [1, 1, 1, 1]
+        assert got[(0, 0)] == want[(0, 0)] and got[(3, 3)] == want[(3, 3)]
+        assert got[(1, 2)] == want[(2, 1)] != want[(1, 2)]
+        assert got[(2, 1)] == want[(1, 2)] != want[(2, 1)]

@@ -8,7 +8,7 @@ float residual, and the normalization of the store itself.  The Koszul sums
 (``reconstruct``, ``derivation_from_one_forms``, ``koszul_coefficients`` and
 ``DerivationAction``) are compared in the same way with the Scalar Koszul
 route of ``oracles``, degree errors included, and every block of
-``algebra_map_blocks`` with the Scalar expansion ``exterior.wedge_image``.
+``algebra_map_blocks`` with the Scalar expansion ``oracles.wedge_image``.
 """
 
 import math
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nkhodge.exterior import Form, GramData, wedge_image
+from nkhodge.exterior import Form, GramData
 from nkhodge.operators import (
     DerivationAction,
     GradedOperator,
@@ -38,6 +38,7 @@ from oracles import (
     scalar_derivation,
     scalar_koszul_coefficients,
     scalar_reconstruct,
+    wedge_image,
 )
 
 DIM = 3

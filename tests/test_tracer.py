@@ -10,6 +10,8 @@ from pathlib import Path
 
 import nkhodge.bidegree
 import nkhodge.operators
+from nkhodge.checks import run_suite
+from nkhodge.models import builtin_model, model_from_json, model_to_json
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -35,3 +37,21 @@ def test_install_and_uninstall_restore_every_name():
     assert nkhodge.operators.mult_operator is mult
     assert nkhodge.bidegree.mult_operator is mult
     assert nkhodge.operators.GradedOperator.compose is compose
+
+
+def test_catalogue_records_the_type_route_spans():
+    # decompose_form and j_operator stay on the route the catalogue takes, so
+    # their per-layer self times measure it
+    tracer = load_tracer()
+    model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert run_suite(model).verdict
+    finally:
+        t.uninstall()
+    own = tracer.self_times(t.spans)
+    for name in ("bidegree.decompose", "bidegree.j_operator"):
+        spans = [i for i, span in enumerate(t.spans) if span[0] == name]
+        assert spans, name
+        assert sum(own[i] for i in spans) > 0, name
