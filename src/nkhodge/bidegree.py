@@ -20,12 +20,13 @@ through one of two primitives, and neither keeps a block of E or F:
 * ``PQBasis.frame_blocks`` yields F_{k+deg} P E_k, the matrix of an
   operator P in the eta-monomial basis, one degree k at a time.  A degree-0
   P preserves every Lambda^{p,q} exactly when each column of type (p,q) has
-  rows of type (p,q) only (VANISH_COR); J_PQ asks that F J E be diagonal
-  with i^(p-q) on the columns of type (p,q), and DIM6_EIGEN compares each
-  of its operators with its scalar on every type.
+  rows of type (p,q) only (VANISH_COR), and DIM6_EIGEN compares each of
+  its operators with its scalar on every type.  J_PQ asks the same of J
+  without F: J E = E D, D the diagonal of i^(p-q) on the columns of type
+  (p,q), E block by block.
 
 ``j_operator`` is J, the algebra map of the J u^i, built on the integer
-store by ``operators.algebra_map_blocks``.
+store by ``operators.algebra_map_blocks``; J_PQ and LEM_NK read it.
 
 ``differential_split`` produces the four components with bidegrees
 (2,-1), (1,0), (0,1), (-1,2).  d is real and J is real, so delbar and mubar
@@ -36,7 +37,8 @@ delbar, mubar are their conjugates; the test suite checks the split against
 the literal projector-sandwich definition on the small models and against
 four separate derivations on every built-in.  d^c = J^{-1} d J is likewise
 a derivation built from its coframe values (``twisted_differential``),
-shared by ``d_c`` and the DC_DEF check.
+shared by ``d_c`` and the DC_DEF check; it applies J to the 2-forms
+d(J u^i) through the columns of the algebra map they need, not the full J.
 
 ``named_operator`` builds every derived operator the catalogue names: d,
 the four components, L = L_omega, L_mu_omega and
@@ -212,9 +214,10 @@ def twisted_differential(model) -> GradedOperator:
     """J^{-1} d J: the derivation with coframe values J^{-1} d J u^i."""
 
     def build():
-        j, d = j_operator(model), model.d()
-        # d(J u^i) is a 2-form, and J^{-1} = (-1)^2 J = J on degree two
-        images = [j.apply(d.apply(ju)) for ju in model.j_one_form_rows()]
+        d, j_rows = model.d(), model.j_one_form_rows()
+        # d(J u^i) is a 2-form, and J^{-1} = (-1)^2 J = J on degree two: the
+        # algebra map of the J u^i on the columns these 2-forms need only
+        images = algebra_map_apply(j_rows, [d.apply(ju) for ju in j_rows])
         return derivation_from_one_forms(model.dim, images)
 
     return model._memo("jdj", build)

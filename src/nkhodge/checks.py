@@ -38,6 +38,15 @@ X = [[delbar*,del]] (bilinearity of [[P*,P]]), is built by
 ``_with_conjugate`` from its unbarred half X.  That X is composed once
 per model, under a memo key of its own, and LAP_COM and DELTA_SUM share it.
 
+A bracket of two components of d, or of one and L_mu_omega or
+L_mubar_omega, is never composed: the components are derivations, so
+``derivation_bracket`` builds a sum of such brackets (and an odd square
+P P = (1/2)[[P, P]]) as one derivation from its coframe values, and
+[[L_beta, P]] = [[P, L_beta]] = L_{P beta} for odd P and beta of degree 3
+(``multiplication_bracket``).  D2_SPLIT and BR67 compose nothing; AUX_COM,
+PROP_LAP, L_DELTA and DIM6_EIGEN take [[delbar,mu]], [[mubar,mu]],
+[[mu, L_mubar_omega]] and del^2 this way.
+
 The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
 operator of order <= r equals the reconstruction from its columns on
 forms of degree <= r; ORDER_DET checks that d is a derivation through the
@@ -47,13 +56,14 @@ takes one kernel per degree, of the PSD sum of the component Laplacians.
 Type is read in the eta-frame only (``bidegree.PQBasis``).
 ``decompose_form`` gives the pieces (LEM_NK, SU3_STRUCT), and HODGE_ABCD
 (d) asks that each conjugated harmonic form have no eta-coordinate outside
-its type.  J_PQ, DIM6_EIGEN and VANISH_COR read operators in the
-eta-monomial basis, F P E (``PQBasis.frame_blocks``).  J_PQ asks that F J E
-be diagonal with i^(p-q) on the columns of type (p,q), and DIM6_EIGEN that
-each of its operators be its scalar, or that scalar times F L E, on the
-columns of each type.  VANISH_COR reads type preservation off the rows of
-the columns of each type (p,q), and takes the rank of those columns, which
-is that of the images diff(m) in real coordinates since F is invertible.
+its type.  DIM6_EIGEN and VANISH_COR read operators in the eta-monomial
+basis, F P E (``PQBasis.frame_blocks``).  DIM6_EIGEN asks that each of its
+operators be its scalar, or that scalar times F L E, on the columns of each
+type.  J_PQ asks that F J E be diagonal with i^(p-q) on the columns of type
+(p,q), as J E = E D block by block, with no F.  VANISH_COR reads type
+preservation off the rows of the columns of each type (p,q), and takes the
+rank of those columns, which is that of the images diff(m) in real
+coordinates since F is invertible.
 A DIM6_EIGEN witness names an eta-monomial.  DC_FRAME's frame sum
 sum_j L_{J u^j} nabla_j is one Koszul reconstruction from its coframe
 values.
@@ -80,10 +90,13 @@ from .models import LieAlgebraModel, nabla_omega_symmetrization, nk_report, su3_
 from .operators import (
     GradedOperator,
     adjoint,
+    algebra_map_blocks,
     algebraic_order_at_most,
+    derivation_bracket,
     derivation_from_one_forms,
     graded_commutator as br,
     mult_operator,
+    multiplication_bracket,
 )
 from .scalars import I, ONE, ZERO, Scalar, rational
 
@@ -171,6 +184,12 @@ def _delbar_star_del(model) -> GradedOperator:
     return model._memo("[[adj:delbar,del]]", lambda: br(*_ops(model, "adj:delbar", "del")))
 
 
+def _mubar_mu(model) -> GradedOperator:
+    """[[mubar, mu]] = mu mubar + mubar mu, one derivation."""
+    mu, _, _, mb = _parts(model)
+    return derivation_bracket([(mb, mu)])
+
+
 def _su3(model):
     return model._memo("su3", lambda: su3_extract(model))
 
@@ -180,10 +199,10 @@ def _su3(model):
 
 def check_d2_split(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
-    acc.pair("mu^2", "mubar^2", mu.compose(mu))
-    acc.pair("[[del,mu]]", "[[delbar,mubar]]", br(de, mu))
-    acc.pair("[[delbar,mu]] + del^2", "[[del,mubar]] + delbar^2", br(db, mu) + de.compose(de))
-    acc.op("[[del,delbar]] + [[mu,mubar]]", _with_conjugate(de.compose(db) + mu.compose(mb)))
+    acc.pair("mu^2", "mubar^2", derivation_bracket([], squares=[mu]))
+    acc.pair("[[del,mu]]", "[[delbar,mubar]]", derivation_bracket([(de, mu)]))
+    acc.pair("[[delbar,mu]] + del^2", "[[del,mubar]] + delbar^2", derivation_bracket([(db, mu)], squares=[de]))
+    acc.op("[[del,delbar]] + [[mu,mubar]]", derivation_bracket([(de, db), (mu, mb)]))
 
 
 def check_sl2(model, acc: _Acc):
@@ -200,14 +219,24 @@ def _in_frame(model, op: GradedOperator) -> dict[int, dict[int, Scalar]]:
 
 
 def check_j_pq(model, acc: _Acc):
+    """J E_k = E_k D_k on each degree k, D_k the diagonal of i^(p-q) on the
+    eta-monomials of type (p,q); E is invertible, so this is F J E = D.  The
+    first type in (p, q) order with a column off is the witness."""
     pqb = pq_basis(model)
-    cols = _in_frame(model, j_operator(model))
-    for p in range(pqb.n + 1):
-        for q in range(pqb.n + 1):
-            eig = I ** ((p - q) % 4)
-            if any(cols.get(m) != {m: eig} for m in pqb.monomial_masks(p, q)):
-                acc.require(f"J != i^(p-q) on ({p},{q})", False)
-                return
+    j = j_operator(model)
+    eigenvalues = [I**k for k in range(4)]
+
+    def eigenvalue(m: int) -> Scalar:
+        p, q = pqb.bidegree_of_mask(m)
+        return eigenvalues[(p - q) % 4]
+
+    off = set()
+    for e_k in algebra_map_blocks(model.dim, pqb.generators):
+        wrong = j.compose(e_k) - e_k.scale_columns(eigenvalue)
+        off.update(pqb.bidegree_of_mask(m) for m in wrong.coords)
+    if off:
+        p, q = min(off)
+        acc.require(f"J != i^(p-q) on ({p},{q})", False)
 
 
 def check_bracket_pq(model, acc: _Acc):
@@ -326,11 +355,13 @@ def check_lem_nk(model, acc: _Acc):
 
 def check_br67(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
-    lm = named_operator(model, "L_mu_omega")
-    acc.pair("[[L_mu_omega, mu]]", "[[L_mubar_omega, mubar]]", br(lm, mu))
-    acc.pair("[[L_mu_omega, del]]", "[[L_mubar_omega, delbar]]", br(lm, de))
-    acc.pair("[[L_mu_omega, delbar]]", "[[L_mubar_omega, del]]", br(lm, db))
-    acc.op("[[L_mu_omega, mubar]] + [[L_mubar_omega, mu]]", _with_conjugate(br(lm, mb)))
+    mu_omega = mu.apply(model.omega())
+    # [[L_mu_omega, P]] = -(-1)^{3|P|} [[P, L_mu_omega]] = L_{P mu omega}: P is odd
+    lm_mu, lm_de, lm_db, lm_mb = (multiplication_bracket(p, mu_omega, 3) for p in (mu, de, db, mb))
+    acc.pair("[[L_mu_omega, mu]]", "[[L_mubar_omega, mubar]]", lm_mu)
+    acc.pair("[[L_mu_omega, del]]", "[[L_mubar_omega, delbar]]", lm_de)
+    acc.pair("[[L_mu_omega, delbar]]", "[[L_mubar_omega, del]]", lm_db)
+    acc.op("[[L_mu_omega, mubar]] + [[L_mubar_omega, mu]]", _with_conjugate(lm_mb))
 
 
 def check_su3_struct(model, acc: _Acc):
@@ -420,7 +451,7 @@ def check_aux_com(model, acc: _Acc):
     acc.pair(
         "[[delbar,mu]] + (i/3)[[del*, L_mu_omega]]",
         "[[del,mubar]] - (i/3)[[delbar*, L_mubar_omega]]",
-        br(db, mu) + br(des, lm).scale(third_i),
+        derivation_bracket([(db, mu)]) + br(des, lm).scale(third_i),
     )
 
 
@@ -436,15 +467,14 @@ def check_lap_com(model, acc: _Acc):
 
 
 def check_prop_lap(model, acc: _Acc):
-    mu, _, _, mb = _parts(model)
+    mu = named_operator(model, "mu")
     l_op, lam, _ = lefschetz_triple(model)
-    mus, lm, lmb, d_lm, d_lmb = _ops(
-        model, "adj:mu", "L_mu_omega", "L_mubar_omega", "lap:L_mu_omega", "lap:L_mubar_omega"
-    )
+    mus, lm, d_lm, d_lmb = _ops(model, "adj:mu", "L_mu_omega", "lap:L_mu_omega", "lap:L_mubar_omega")
     third_i = I * rational(1, 3)
-    mb_mu, mus_lm = _with_conjugate(mu.compose(mb)), br(mus, lm)
+    mb_mu, mus_lm = _mubar_mu(model), br(mus, lm)
     mbs_lmb = mus_lm.conjugated()
-    lam_mu_lmb = br(lam, br(mu, lmb))
+    # [[mu, L_mubar_omega]] = L_{mu(mubar omega)}, mubar omega = conj(mu omega)
+    lam_mu_lmb = br(lam, multiplication_bracket(mu, mu.apply(model.omega()).conjugate(), 3))
     diff_l = d_lm - d_lmb
     acc.op(
         "[[mubar,mu]] + (i/3)[[mu*,L_mu_omega]] - (i/3)[[mubar*,L_mubar_omega]]",
@@ -486,9 +516,8 @@ _DIM6_EIGENVALUES = (
 def check_dim6_eigen(model, acc: _Acc):
     lam2 = _su3(model).lambda_sq
     pqb = pq_basis(model)
-    mu, _, _, mb = _parts(model)
     d_lm, d_lmb, d_del, d_db, l_op = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega", "lap:del", "lap:delbar", "L")
-    ops = (d_lm, d_del - d_db, d_lm - d_lmb, _with_conjugate(mu.compose(mb)))
+    ops = (d_lm, d_del - d_db, d_lm - d_lmb, _mubar_mu(model))
     frames = [_in_frame(model, op) for op in ops]
     l_frame = _in_frame(model, l_op)
     for p in range(4):
@@ -532,7 +561,7 @@ def check_theta_bracket(model, acc: _Acc):
 
 def check_l_delta(model, acc: _Acc):
     de, mus, l_op, lm = _ops(model, "del", "adj:mu", "L", "L_mu_omega")
-    unbarred = br(mus, lm) - de.compose(de).scale(Scalar(0, 0, 2, 0))
+    unbarred = br(mus, lm) - derivation_bracket([], squares=[de]).scale(Scalar(0, 0, 2, 0))
     acc.op(
         "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2",
         br(l_op, hodge_laplacian(model)) + _with_conjugate(unbarred),

@@ -66,6 +66,19 @@ columns through one primitive, ``_koszul_column``, on integer coordinates.
 integer coordinates: column m is images[i] ^ (column m - i of the block
 before), with no Scalar and no ``Form.wedge``.  ``algebra_map_apply``
 applies it to forms through the columns their supports need.
+
+A derivation is fixed by its values on the coframe, and the graded
+commutator of two derivations P and Q is again one, of degree |P| + |Q|,
+with the values P(Q u^i) - (-1)^{|P||Q|} Q(P u^i); for a multiplication
+operator, [[P, L_beta]] = L_{P beta}.  ``derivation_bracket`` and
+``multiplication_bracket`` build brackets by these two rules, a sum of
+brackets in one reconstruction.  The values are the columns on the u^i of
+P Q and Q P, so the product kernel runs on dim columns, not on 2^dim.  The
+rules hold only when every operand passed as a derivation is one: the
+components of d are (``bidegree.differential_split`` reconstructs them
+from their coframe values), adjoints, Lambda and Laplacians are not, and
+their brackets go through ``graded_commutator``.  Each result is the full
+matrix, so it equals the composed commutator literally.
 """
 
 from __future__ import annotations
@@ -298,8 +311,26 @@ class GradedOperator:
         cols = _map_entries(self.coords, lambda t: product((*t, 1), u, d)[:4])
         return GradedOperator._normalized(self.dim, self.degree, self.q * s.q, d, self.real and s.is_real(), cols)
 
+    def scale_columns(self, weight) -> GradedOperator:
+        """P D for D the diagonal m -> weight(m) * m of a mask -> Scalar
+        function: each column times its scalar, with no product of matrices."""
+        masks = list(self.coords)
+        den, wd, scaled = common([weight(c) for c in masks])
+        d = join(self.d, wd)
+        cols: Store = {}
+        for c, w in zip(masks, scaled):
+            if any(w):
+                u = (*w, 1)
+                cols[c] = {r: product((*t, 1), u, d)[:4] for r, t in self.coords[c].items()}
+        return GradedOperator._normalized(self.dim, self.degree, self.q * den, d, False, cols)
+
     def compose(self, other: GradedOperator) -> GradedOperator:
         """self after other (matrix product self . other)."""
+        return self._times_columns(other, other.coords)
+
+    def _times_columns(self, other: GradedOperator, columns: Store) -> GradedOperator:
+        """self . other on ``columns`` only, a part of other's store: the
+        product kernel, which ``compose`` runs on every column."""
         deg = None
         if self.degree is not None and other.degree is not None:
             deg = self.degree + other.degree
@@ -309,7 +340,7 @@ class GradedOperator:
         products: dict[Coords, Coords] = {}
         share = products.setdefault
         cols: Store = {}
-        for c, col in other.coords.items():
+        for c, col in columns.items():
             acc: dict[int, list[int]] = {}
             for mid, (a2, b2, c2, e2) in col.items():
                 right = my.get(mid)
@@ -540,7 +571,11 @@ def reconstruct(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOp
     Every column is a Koszul sum of coordinates over the common denominator
     of the beta_J, with one tuple per distinct entry; an entry off a
     declared degree raises ValueError as the constructor does."""
-    coeffs, q, d = _integral(beta)
+    return _reconstruct(dim, *_integral(beta), degree)
+
+
+def _reconstruct(dim: int, coeffs: dict[int, IntForm], q: int, d: int, degree: int | None) -> GradedOperator:
+    """``reconstruct`` of coefficient forms given as coordinates over q."""
     shared: dict[Coords, Coords] = {}
     share = shared.setdefault
     store: Store = {}
@@ -565,6 +600,44 @@ def derivation_from_one_forms(dim: int, images: list[Form], degree: int = 1) -> 
     odd (degree 1) or even (degree 0) derivation by itself.
     """
     return reconstruct(dim, _coframe_coefficients(dim, images), degree)
+
+
+def derivation_bracket(pairs, squares=()) -> GradedOperator:
+    """The sum of [[P, Q]] over the ``pairs`` (P, Q) of derivations, plus P P
+    = (1/2)[[P, P]] over the odd derivations P in ``squares``, as one
+    derivation: the one with coframe values P(Q u^i) - (-1)^{|P||Q|} Q(P u^i)
+    (P(P u^i) for a square), summed and reconstructed once.  Every term must
+    have the same degree |P| + |Q|, which the result declares."""
+    terms = [*pairs, *((p, p) for p in squares)]
+    if any(p.degree is None or q.degree is None for p, q in terms):
+        raise ValueError("derivation bracket needs declared degrees")
+    if any(p.degree % 2 == 0 for p in squares):
+        raise ValueError("the square of an even derivation is not a derivation")
+    degrees = {p.degree + q.degree for p, q in terms}
+    if len(degrees) != 1:
+        raise ValueError(f"derivation bracket needs terms of one degree, got {sorted(degrees)}")
+    dim, degree = terms[0][0].dim, degrees.pop()
+    coframe = [1 << i for i in range(dim)]
+
+    def on_coframe(p: GradedOperator, q: GradedOperator) -> GradedOperator:
+        """P Q on the u^i only: column u^i is P(Q u^i)."""
+        return p._times_columns(q, {m: q.coords[m] for m in coframe if m in q.coords})
+
+    images = GradedOperator.zero(dim, degree)
+    for p, q in pairs:
+        qp = on_coframe(q, p)
+        images = images + on_coframe(p, q) + (qp if p.degree * q.degree % 2 else -qp)
+    for p in squares:
+        images = images + on_coframe(p, p)
+    # the coframe values keyed by the one-element masks J = {i}, as Koszul
+    # coefficients: derivation_from_one_forms without a Scalar
+    return _reconstruct(dim, images.coords, images.q, images.d, degree)
+
+
+def multiplication_bracket(p: GradedOperator, beta: Form, degree: int) -> GradedOperator:
+    """[[P, L_beta]] = L_{P beta} for a derivation P and a form beta of degree
+    ``degree``, declared of degree |P| + ``degree`` also where P beta = 0."""
+    return mult_operator(p.apply(beta)).with_degree(p.degree + degree)
 
 
 def algebra_map_blocks(dim: int, images: list[Form], masks=None):

@@ -41,6 +41,11 @@
   NK_COR, LAP_COM, AUX_COM, BR67 and TORSION_OP composed directly from
   delbar, mubar, ``adjoint`` and ``mult_operator``, against the conjugates
   the checks record through ``_Acc.pair``.
+* ``composed_requirements``: the requirements of D2_SPLIT, BR67, AUX_COM,
+  PROP_LAP and L_DELTA that contain a bracket of two components of d or of
+  a component and L_mu_omega, each such bracket composed as P Q -
+  (-1)^{|P||Q|} Q P from full matrices, against the checks, which build them
+  from coframe values (``derivation_bracket``, ``multiplication_bracket``).
 * ``laplacian_of_del_minus_delbar``: Delta_(del-delbar) as [[P*, P]] of
   P = del - delbar with ``adjoint_via_minors``, against DELTA_SUM's
   expansion Delta_del + Delta_delbar - X - conj X, X = [[delbar*, del]].
@@ -573,6 +578,59 @@ def barred_requirements(model) -> dict[str, GradedOperator]:
         # TORSION_OP
         "[Lambda, L_mubar_omega] + 3mubar": br(lam, lmb) + mb.scale(three),
         "[L_mubar_omega*, L] + 3mubar*": br(lmbs, l_op) + mbs.scale(three),
+    }
+
+
+def composed_requirements(model) -> dict[str, GradedOperator]:
+    """The requirements, by label, of the check sites whose brackets of
+    derivations, or of a derivation and L_mu_omega, the catalogue builds
+    from coframe values; here every such bracket is composed."""
+    split = differential_split(model)
+    mu, de, db, mb = split.mu, split.del_, split.delbar, split.mubar
+    gram = model.gram()
+    mus, des = adjoint(mu, gram), adjoint(de, gram)
+    l_op = mult_operator(model.omega())
+    lam = adjoint(l_op, gram)
+    lm = mult_operator(mu.apply(model.omega())).with_degree(3)
+    lmb = lm.conjugated()
+    d_lm = laplacian(lm, adjoint(lm, gram))
+    d_lmb = d_lm.conjugated()
+    third_i = I * rational(1, 3)
+    mb_mu = mu.compose(mb) + mb.compose(mu)
+    mus_lm = br(mus, lm)
+    mbs_lmb = mus_lm.conjugated()
+    lam_mu_lmb = br(lam, br(mu, lmb))
+    de2 = de.compose(de)
+    return {
+        # D2_SPLIT
+        "mu^2": mu.compose(mu),
+        "[[del,mu]]": br(de, mu),
+        "[[delbar,mu]] + del^2": br(db, mu) + de2,
+        "[[del,delbar]] + [[mu,mubar]]": br(de, db) + br(mu, mb),
+        # BR67
+        "[[L_mu_omega, mu]]": br(lm, mu),
+        "[[L_mu_omega, del]]": br(lm, de),
+        "[[L_mu_omega, delbar]]": br(lm, db),
+        "[[L_mu_omega, mubar]] + [[L_mubar_omega, mu]]": br(lm, mb) + br(lmb, mu),
+        # AUX_COM
+        "[[delbar,mu]] + (i/3)[[del*, L_mu_omega]]": br(db, mu) + br(des, lm).scale(third_i),
+        # PROP_LAP
+        "[[mubar,mu]] + (i/3)[[mu*,L_mu_omega]] - (i/3)[[mubar*,L_mubar_omega]]": (
+            mb_mu + mus_lm.scale(third_i) - mbs_lmb.scale(third_i)
+        ),
+        "[[Lambda,[[mu,L_mubar_omega]]]] - i[[mu*,L_mu_omega]] - i[[mubar*,L_mubar_omega]]": (
+            lam_mu_lmb - (mus_lm + mbs_lmb).scale(I)
+        ),
+        "[[mubar,mu]] - (i/9)[Delta_Lmu - Delta_Lmubar, L]": mb_mu - br(d_lm - d_lmb, l_op).scale(I * rational(1, 9)),
+        "[[Lambda,[[mu,L_mubar_omega]]]] + (i/3)[Delta_Lmu + Delta_Lmubar, L]": (
+            lam_mu_lmb + br(d_lm + d_lmb, l_op).scale(third_i)
+        ),
+        # L_DELTA
+        "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2": (
+            br(l_op, hodge_laplacian(model))
+            + (mus_lm - de2.scale(Scalar(0, 0, 2, 0)))
+            + (mus_lm - de2.scale(Scalar(0, 0, 2, 0))).conjugated()
+        ),
     }
 
 

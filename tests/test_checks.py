@@ -431,6 +431,35 @@ class TestCostGuards:
         for value in added:
             assert not (isinstance(value, GradedOperator) and any(value == op for op in frames))
 
+    def test_d2_split_and_br67_compose_nothing(self, monkeypatch):
+        # every bracket of both checks is a derivation or L_{P mu omega},
+        # built from coframe values: no product of matrices, the shared builds
+        # on a fresh model included (the split, L_mu_omega); validating the
+        # model and its orthogonalized coframe composes d d, so that runs first
+        original = GradedOperator.compose
+        calls = []
+
+        def recording(p, q):
+            calls.append((p, q))
+            return original(p, q)
+
+        model = _fresh("s3xs3-nk")
+        model.orthogonalized()
+        monkeypatch.setattr(GradedOperator, "compose", recording)
+        for cid in ("D2_SPLIT", "BR67"):
+            assert run_check(model, cid).status == "pass"
+        assert calls == []
+
+    def test_nk_main_and_dc_def_build_no_j_operator(self):
+        # J^{-1} d J takes J only on the twelve 2-forms d(J u^i), through the
+        # columns of the algebra map they need
+        model = _fresh("s3xs3-nk")
+        for cid in ("NK_MAIN", "DC_DEF"):
+            assert run_check(model, cid).status == "pass"
+        for cache in (model._cache, model.orthogonalized()._cache):
+            assert "j_operator" not in cache
+        assert "jdj" in model.orthogonalized()._cache
+
     def test_catalogue_keeps_no_eta_monomial_form_or_frame_block(self):
         # every reading of type goes through the eta-frame's two primitives,
         # which keep nothing: after the whole catalogue no memo holds a form

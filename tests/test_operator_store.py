@@ -9,6 +9,9 @@ float residual, and the normalization of the store itself.  The Koszul sums
 ``DerivationAction``) are compared in the same way with the Scalar Koszul
 route of ``oracles``, degree errors included, and every block of
 ``algebra_map_blocks`` with the Scalar expansion ``oracles.wedge_image``.
+The brackets built from coframe values (``derivation_bracket``,
+``multiplication_bracket``) are compared with the composed graded
+commutator, on random derivations and on the split of d of every built-in.
 """
 
 import math
@@ -16,24 +19,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nkhodge.bidegree import DifferentialSplit, named_operator
+from nkhodge.checks import CHECKS, _Acc, _mubar_mu
 from nkhodge.exterior import Form, GramData
+from nkhodge.models import BUILTIN_NAMES, builtin_model, model_from_json, model_to_json
 from nkhodge.operators import (
     DerivationAction,
     GradedOperator,
     adjoint,
     algebra_map_blocks,
+    derivation_bracket,
     derivation_from_one_forms,
     graded_commutator,
     koszul_coefficients,
+    mult_operator,
+    multiplication_bracket,
     reconstruct,
 )
 from nkhodge.scalars import ZERO, Scalar
 from oracles import (
     ScalarDerivationAction,
     ScalarOperator,
+    composed_requirements,
     scalar_adjoint,
     scalar_derivation,
     scalar_koszul_coefficients,
@@ -308,6 +320,119 @@ class TestAlgebraMap:
             next(algebra_map_blocks(DIM, [Form.basis(DIM, 0b11)] * DIM))
         with pytest.raises(ValueError, match="coframe images"):
             next(algebra_map_blocks(DIM, [Form.basis(DIM, 0b1)] * (DIM - 1)))
+
+
+@st.composite
+def derivations(draw, degrees=(0, 1, 2)):
+    """The derivation of a degree drawn from ``degrees`` with random coframe
+    values over Q(sqrt 3)(i) or Q(i), zero ones included."""
+    degree = draw(st.sampled_from(degrees))
+    masks = [m for m in MASKS if m.bit_count() == degree + 1]
+    return derivation_from_one_forms(DIM, draw(st.lists(coefficient_forms(masks), min_size=DIM, max_size=DIM)), degree)
+
+
+@st.composite
+def homogeneous_forms(draw):
+    """(beta, k): a form of degree k, possibly zero."""
+    k = draw(st.integers(0, DIM))
+    return draw(coefficient_forms([m for m in MASKS if m.bit_count() == k])), k
+
+
+def assert_same_matrix(op: GradedOperator, ref: GradedOperator):
+    """The same normalized store (key orders aside), q, d, real and degree."""
+    assert (op.dim, op.degree, op.q, op.d, op.real) == (ref.dim, ref.degree, ref.q, ref.d, ref.real)
+    assert op.coords == ref.coords
+
+
+class TestDerivationBrackets:
+    @given(derivations(), derivations(), derivations(), derivations())
+    @EXAMPLES
+    def test_brackets_are_graded_commutators(self, p, q, r, s):
+        assert_same_matrix(derivation_bracket([(p, q)]), graded_commutator(p, q))
+        # a sum of brackets is one derivation
+        if p.degree + q.degree != r.degree + s.degree:
+            with pytest.raises(ValueError, match="one degree"):
+                derivation_bracket([(p, q), (r, s)])
+            return
+        want = graded_commutator(p, q) + graded_commutator(r, s)
+        assert_same_matrix(derivation_bracket([(p, q), (r, s)]), want)
+
+    @given(derivations(degrees=(1,)), derivations(degrees=(1,)), derivations(degrees=(0, 2)))
+    @EXAMPLES
+    def test_an_odd_square_is_half_a_bracket(self, p, q, even):
+        assert_same_matrix(derivation_bracket([], squares=[p]), p.compose(p))
+        assert_same_matrix(derivation_bracket([(p, q)], squares=[q]), graded_commutator(p, q) + q.compose(q))
+        with pytest.raises(ValueError, match="even derivation"):
+            derivation_bracket([], squares=[even])
+
+    @given(derivations(), homogeneous_forms())
+    @EXAMPLES
+    def test_bracket_with_a_multiplication_operator(self, p, beta_k):
+        beta, k = beta_k
+        l_beta = mult_operator(beta).with_degree(k)
+        got = multiplication_bracket(p, beta, k)
+        assert_same_matrix(got, graded_commutator(p, l_beta))
+        assert_same_matrix(got, mult_operator(p.apply(beta)).with_degree(p.degree + k))
+
+    @given(operators(), st.dictionaries(st.sampled_from(MASKS), st.sampled_from([1, 3]).flatmap(scalars)))
+    @EXAMPLES
+    def test_scale_columns_is_the_product_with_a_diagonal(self, p, weights):
+        def weight(m):
+            return weights.get(m, ZERO)
+
+        assert_same_matrix(p.scale_columns(weight), p.compose(GradedOperator.diagonal(DIM, weight)))
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_split_brackets_match_their_compositions(self, name):
+        # every bracket the catalogue builds from coframe values, on the
+        # split of d itself: many are nonzero although the sums vanish
+        model = builtin_model(name).orthogonalized()
+        mu, de, db, mb = (named_operator(model, n) for n in ("mu", "del", "delbar", "mubar"))
+        lm = named_operator(model, "L_mu_omega")
+        for p, q in ((de, mu), (db, mu), (de, db), (mu, mb)):
+            assert_same_matrix(derivation_bracket([(p, q)]), graded_commutator(p, q))
+        for p in (mu, de):
+            assert_same_matrix(derivation_bracket([], squares=[p]), p.compose(p))
+        assert_same_matrix(_mubar_mu(model), mu.compose(mb) + mb.compose(mu))
+        mu_omega = mu.apply(model.omega())
+        for p in (mu, de, db, mb):
+            # BR67's [[L_mu_omega, P]] = [[P, L_mu_omega]], P odd
+            assert_same_matrix(multiplication_bracket(p, mu_omega, 3), graded_commutator(lm, p))
+        assert_same_matrix(
+            multiplication_bracket(mu, mu_omega.conjugate(), 3),
+            graded_commutator(mu, named_operator(model, "L_mubar_omega")),
+        )
+
+    def test_check_requirements_match_their_compositions(self):
+        # random mu and del over Q(i), as in the barred-pair test: no identity
+        # holds, so every requirement is a nonzero operator
+        model = model_from_json(model_to_json(builtin_model("torus6")))
+        rng = random.Random(20252)
+        two_masks = [m for m in range(1 << 6) if m.bit_count() == 2]
+
+        def random_derivation():
+            images = [
+                Form(6, {m: Scalar(rng.randint(-3, 3), 0, rng.randint(-3, 3), 0) for m in two_masks})
+                for _ in range(6)
+            ]
+            return derivation_from_one_forms(6, images)
+
+        mu, de = random_derivation(), random_derivation()
+        model._cache["split"] = DifferentialSplit(mu, de, de.conjugated(), mu.conjugated())
+        recorded = {}
+
+        class Recording(_Acc):
+            def op(self, label, op):
+                recorded[label] = op
+                super().op(label, op)
+
+        for cid in ("D2_SPLIT", "BR67", "AUX_COM", "PROP_LAP", "L_DELTA"):
+            CHECKS[cid].fn(model, Recording())
+        want = composed_requirements(model)
+        assert len(want) == 14
+        for label, op in want.items():
+            assert not op.is_zero(), label
+            assert_same_matrix(recorded[label], op)
 
 
 class TestExtensions:
