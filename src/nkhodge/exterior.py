@@ -2,8 +2,12 @@
 
 Basis multi-indices are bitmasks over {1, ..., 2n} (bit ``i-1`` set means
 index ``i`` is present); the canonical form of a multi-index is the mask
-itself, and wedge signs come from transposition parity.  Forms are sparse
-maps mask -> Scalar with zero coefficients never stored.
+itself, and wedge signs come from transposition parity, read off one sign
+key per mask: u^m ^ u^r = (-1)^popcount(r & K(m)) u^(m|r) for disjoint m
+and r, with K(m) (``sign_key``) the xor over x in m of the bits below x.
+``wedge_masks``, ``Form.wedge`` and, in ``operators``, the Koszul sums and
+the algebra maps all read this one rule.
+Forms are sparse maps mask -> Scalar with zero coefficients never stored.
 
 ``GramData`` holds the metric on 1-forms and everything derived from it:
 the inverse metric (which is the pairing of coframe elements, computed by
@@ -37,19 +41,31 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def sign_key(mask: int) -> int:
+    """K(mask), the xor over the indices x in mask of the bits below x.
+
+    For disjoint masks m and r, u^m ^ u^r = (-1)^popcount(r & K(m)) u^(m|r):
+    popcount(r & K(m)) has the parity of the number of pairs x in m, y in r
+    with y < x.  Bit p of K(m) is the parity of the bits of m above p, so
+    K(m) is the suffix xor of m shifted down by one: shifts by 1, 2, 4 and 8
+    cover masks of up to 16 indices, and wider masks take further doublings.
+    """
+    x = mask ^ (mask >> 1)
+    x ^= x >> 2
+    x ^= x >> 4
+    x ^= x >> 8
+    s = 16
+    while mask >> s:
+        x ^= x >> s
+        s <<= 1
+    return x >> 1
+
+
 def wedge_masks(m1: int, m2: int) -> tuple[int, int]:
     """(sign, union) for u^m1 ^ u^m2; sign 0 when they overlap."""
     if m1 & m2:
         return 0, 0
-    # sign = parity of #{(i, j) : i in m1, j in m2, j < i}
-    sign = 1
-    m = m1
-    while m:
-        low = m & -m
-        if (m2 & (low - 1)).bit_count() & 1:
-            sign = -sign
-        m ^= low
-    return sign, m1 | m2
+    return (-1 if (m2 & sign_key(m1)).bit_count() & 1 else 1), m1 | m2
 
 
 def graded_lex_key(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -118,12 +134,13 @@ class Form:
         self._check(other)
         out: dict[int, Scalar] = {}
         for m1, s1 in self.coeffs.items():
+            key = sign_key(m1)
             for m2, s2 in other.coeffs.items():
-                sign, m = wedge_masks(m1, m2)
-                if sign == 0:
+                if m1 & m2:
                     continue
+                m = m1 | m2
                 v = s1 * s2
-                if sign < 0:
+                if (m2 & key).bit_count() & 1:
                     v = -v
                 t = out.get(m)
                 v = v if t is None else t + v

@@ -18,7 +18,9 @@ literal equality of the stores, which stays exact.  Equal entries share
 one tuple (an operator has a few dozen distinct entries), which keeps the
 store smaller than a Scalar per entry, and the normalizing scans run over
 the distinct entries only.  Sums rescale both
-stores to the lcm of the two denominators; products multiply the
+stores to the lcm of the two denominators, and a difference is the same
+merge with the sign folded into the rescaling of the right operand, so no
+negated copy is built; products multiply the
 denominators and the coordinates; ``scale`` and ``conjugated`` act on the
 coordinates.  Each operation walks and inserts keys as accumulating through
 ``linalg.add_scaled`` does (a key whose sum cancels is removed, and
@@ -61,6 +63,13 @@ reconstruction) and the only route from coframe values to a derivation
 (``derivation_from_one_forms``).  ``DerivationAction`` applies the same
 Koszul sum to forms with each column built on first use.  All of them sum
 columns through one primitive, ``_koszul_column``, on integer coordinates.
+Its signs come from the sign keys of ``exterior.sign_key``: with rest =
+mask - J, the term of u^b in beta_J enters column ``mask`` with the sign
+(-1)^popcount(rest & (K(b) ^ K(J))).  Each coefficient form is prepared
+once (``_prepare``: once per reconstruction, once per ``DerivationAction``,
+once per new coefficient in ``koszul_coefficients``) into J and its
+entries (b, K(b) ^ K(J), coordinates, negated coordinates), so a term
+costs one ``bit_count`` and no call.
 ``algebra_map_blocks`` is the degree-0 algebra map u^i -> images[i] of
 1-forms (a change of coframe), built one degree block at a time on the
 integer coordinates: column m is images[i] ^ (column m - i of the block
@@ -85,7 +94,7 @@ from __future__ import annotations
 
 import math
 
-from .exterior import Form, GramData, graded_lex_key, mask_label, wedge_masks
+from .exterior import Form, GramData, graded_lex_key, mask_label, sign_key
 from .scalars import ONE, Scalar, common, join, product
 
 Column = dict[int, Scalar]
@@ -260,28 +269,38 @@ class GradedOperator:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: GradedOperator) -> GradedOperator:
-        """The sum over the lcm of the two denominators."""
+    def __add__(self, other: GradedOperator, sign: int = 1) -> GradedOperator:
+        """The sum over the lcm of the two denominators; with ``sign`` -1 the
+        difference.  Other's entries are rescaled and signed inside the
+        merge, one image per distinct entry, with no intermediate store."""
         deg = self.degree if self.degree == other.degree else None
         d = join(self.d, other.d)
         q = math.lcm(self.q, other.q)
-        f1, f2 = q // self.q, q // other.q
+        f1, f2 = q // self.q, sign * (q // other.q)
         if f1 == 1:
             cols = {c: dict(col) for c, col in self.coords.items()}
         else:
             cols = _map_entries(self.coords, lambda t: (t[0] * f1, t[1] * f1, t[2] * f1, t[3] * f1))
-        right = other.coords
-        if f2 != 1:
-            right = _map_entries(right, lambda t: (t[0] * f2, t[1] * f2, t[2] * f2, t[3] * f2))
+        image: dict[Coords, Coords] = {}
+        get, put = image.get, image.setdefault
+
+        def scaled(u: Coords) -> Coords:
+            return (u[0] * f2, u[1] * f2, u[2] * f2, u[3] * f2)
+
         sums: dict[Coords, Coords] = {}
         share = sums.setdefault
         emptied = False
-        for c, col in right.items():
+        for c, col in other.coords.items():
             acc = cols.get(c)
             if acc is None:
-                cols[c] = col  # stores are never changed once built
+                if f2 == 1:
+                    cols[c] = col  # stores are never changed once built
+                else:
+                    cols[c] = {r: get(u) or put(u, scaled(u)) for r, u in col.items()}
                 continue
             for r, u in col.items():
+                if f2 != 1:
+                    u = get(u) or put(u, scaled(u))
                 t = acc.get(r)
                 if t is None:
                     acc[r] = u
@@ -297,7 +316,7 @@ class GradedOperator:
         return GradedOperator._normalized(self.dim, deg, q, d, self.real and other.real, cols)
 
     def __sub__(self, other: GradedOperator) -> GradedOperator:
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __neg__(self) -> GradedOperator:
         cols = _map_entries(self.coords, lambda t: (-t[0], -t[1], -t[2], -t[3]))
@@ -501,6 +520,9 @@ def laplacian(p: GradedOperator, p_star: GradedOperator) -> GradedOperator:
 # Koszul reconstruction, derivations and algebraic order
 
 IntForm = dict[int, Coords]  # form mask -> coordinates over a denominator kept beside it
+# coefficient forms prepared for the Koszul sum: (J, entries of beta_J), each
+# entry (mask b, sign key K(b) ^ K(J), coordinates, negated coordinates)
+Prepared = list[tuple[int, list[tuple[int, int, Coords, Coords]]]]
 
 
 def _integral(beta: dict[int, Form]) -> tuple[dict[int, IntForm], int, int]:
@@ -511,21 +533,35 @@ def _integral(beta: dict[int, Form]) -> tuple[dict[int, IntForm], int, int]:
     return {jm: dict(zip(form.coeffs, values)) for jm, form in beta.items() if form.coeffs}, q, d
 
 
-def _koszul_column(beta: dict[int, IntForm], mask: int) -> IntForm:
+def _prepare(coeffs: dict[int, IntForm]) -> Prepared:
+    """The coefficient forms as ``_koszul_column`` reads them, in the order
+    of ``coeffs`` and of each form: every entry carries K(b) ^ K(J) and its
+    negated coordinates, so that a term's sign takes one ``bit_count``."""
+    prepared: Prepared = []
+    for jm, form in coeffs.items():
+        kj = sign_key(jm)
+        prepared.append((jm, [(bm, sign_key(bm) ^ kj, u, (-u[0], -u[1], -u[2], -u[3])) for bm, u in form.items()]))
+    return prepared
+
+
+def _koszul_column(beta: Prepared, mask: int) -> IntForm:
     """Column ``mask`` of sum_J L_{beta_J} iota_J: the terms with J inside
-    mask, summed as coordinates over the denominator of ``beta``."""
+    mask, summed as coordinates over the denominator of ``beta``.
+
+    With rest = mask - J, u^mask = (-1)^popcount(rest & K(J)) u^J ^ u^rest
+    and u^b ^ u^rest = (-1)^popcount(rest & K(b)) u^(b|rest), so the term of
+    u^b enters with the sign (-1)^popcount(rest & (K(b) ^ K(J)))."""
     col: IntForm = {}
-    for jm, form in beta.items():
+    for jm, form in beta:
         if jm & mask != jm:
             continue
         rest = mask ^ jm
-        eps = wedge_masks(jm, rest)[0] if jm else 1  # u^mask = eps u^J ^ u^rest
-        for bm, u in form.items():
+        for bm, key, u, neg in form:
             if bm & rest:
                 continue
-            sign, target = wedge_masks(bm, rest)
-            if sign != eps:
-                u = (-u[0], -u[1], -u[2], -u[3])
+            if (rest & key).bit_count() & 1:
+                u = neg
+            target = bm | rest
             t = col.get(target)
             if t is None:
                 col[target] = u
@@ -546,11 +582,19 @@ def koszul_coefficients(p: GradedOperator, r: int) -> dict[int, Form]:
     run on P's coordinates, over P's denominator.  Zero coefficients are
     omitted.
     """
+    beta, _ = _koszul_integral(p, r)
+    return {jm: Form(p.dim, {m: p._entry(t) for m, t in b.items()}) for jm, b in beta.items()}
+
+
+def _koszul_integral(p: GradedOperator, r: int) -> tuple[dict[int, IntForm], Prepared]:
+    """``koszul_coefficients`` as coordinates over P's denominator, each
+    coefficient also prepared for ``_koszul_column`` once, as it is found."""
     beta: dict[int, IntForm] = {}
+    prepared: Prepared = []
     masks = sorted((m for m in range(1 << p.dim) if m.bit_count() <= r), key=int.bit_count)
     for mask in masks:
         b = dict(p.coords.get(mask, {}))
-        for row, u in _koszul_column(beta, mask).items():
+        for row, u in _koszul_column(prepared, mask).items():
             t = b.get(row)
             if t is None:
                 b[row] = (-u[0], -u[1], -u[2], -u[3])
@@ -562,7 +606,8 @@ def koszul_coefficients(p: GradedOperator, r: int) -> dict[int, Form]:
                 del b[row]
         if b:
             beta[mask] = b
-    return {jm: Form(p.dim, {m: p._entry(t) for m, t in b.items()}) for jm, b in beta.items()}
+            prepared += _prepare({mask: b})
+    return beta, prepared
 
 
 def reconstruct(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOperator:
@@ -571,11 +616,14 @@ def reconstruct(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOp
     Every column is a Koszul sum of coordinates over the common denominator
     of the beta_J, with one tuple per distinct entry; an entry off a
     declared degree raises ValueError as the constructor does."""
-    return _reconstruct(dim, *_integral(beta), degree)
+    coeffs, q, d = _integral(beta)
+    return _reconstruct(dim, _prepare(coeffs), q, d, degree)
 
 
-def _reconstruct(dim: int, coeffs: dict[int, IntForm], q: int, d: int, degree: int | None) -> GradedOperator:
-    """``reconstruct`` of coefficient forms given as coordinates over q."""
+def _reconstruct(dim: int, coeffs: Prepared, q: int, d: int, degree: int | None) -> GradedOperator:
+    """``reconstruct`` of prepared coefficient forms, coordinates over q.
+    Every entry of the sum has the degree |b| - |J| of a coefficient entry,
+    so the store needs the degree check only where one of those is off."""
     shared: dict[Coords, Coords] = {}
     share = shared.setdefault
     store: Store = {}
@@ -583,7 +631,10 @@ def _reconstruct(dim: int, coeffs: dict[int, IntForm], q: int, d: int, degree: i
         col = _koszul_column(coeffs, m)
         if col:
             store[m] = {r: share(t, t) for r, t in col.items()}
-    _check_degree(store, degree)
+    if degree is not None and any(
+        bm.bit_count() - jm.bit_count() != degree for jm, form in coeffs for bm, _, _, _ in form
+    ):
+        _check_degree(store, degree)
     return GradedOperator._normalized(dim, degree, q, d, False, store)
 
 
@@ -631,7 +682,7 @@ def derivation_bracket(pairs, squares=()) -> GradedOperator:
         images = images + on_coframe(p, p)
     # the coframe values keyed by the one-element masks J = {i}, as Koszul
     # coefficients: derivation_from_one_forms without a Scalar
-    return _reconstruct(dim, images.coords, images.q, images.d, degree)
+    return _reconstruct(dim, _prepare(images.coords), images.q, images.d, degree)
 
 
 def multiplication_bracket(p: GradedOperator, beta: Form, degree: int) -> GradedOperator:
@@ -684,7 +735,7 @@ def algebra_map_blocks(dim: int, images: list[Form], masks=None):
                 continue
             col: dict[int, list[int]] = {}
             for b, (a1, b1, c1, e1) in gen:
-                below = b - 1
+                below = sign_key(b)
                 db1, de1 = d * b1, d * e1
                 for r, (a2, b2, c2, e2) in rest.items():
                     if r & b:
@@ -739,7 +790,8 @@ class DerivationAction:
 
     def __init__(self, dim: int, images: list[Form]):
         self.dim = dim
-        self.beta, self.q, self.d = _integral(_coframe_coefficients(dim, images))
+        coeffs, self.q, self.d = _integral(_coframe_coefficients(dim, images))
+        self.beta = _prepare(coeffs)
         self.columns: dict[int, IntForm] = {}
 
     def apply(self, form: Form) -> Form:
@@ -763,4 +815,5 @@ def algebraic_order_at_most(p: GradedOperator, r: int) -> bool:
     """
     if r < 0:
         raise ValueError("order bound must be nonnegative")
-    return p == reconstruct(p.dim, koszul_coefficients(p, r), p.degree)
+    _, prepared = _koszul_integral(p, r)
+    return p == _reconstruct(p.dim, prepared, p.q, p.d, p.degree)

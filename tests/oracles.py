@@ -1,5 +1,10 @@
 """Independent reference routes the tests compare the production code with.
 
+* ``wedge_sign_pairwise``: the sign of u^m1 ^ u^m2 by counting, one index
+  of m1 at a time, the indices of m2 below it, against the one sign key
+  per mask (``exterior.sign_key``) that ``wedge_masks``, the Koszul sums
+  and ``algebra_map_blocks`` read.  The Scalar Koszul route and the Hodge
+  star below take their signs from it.
 * ``pairing_via_minors`` and ``inner_via_minors``: the Hermitian pairing
   induced on each exterior power, <u^I, u^J> = det of the g^{-1} minor on
   (I, J); works on coupled metrics, against the production pairing through
@@ -107,7 +112,6 @@ from nkhodge.exterior import (
     graded_lex_key,
     indices_from_mask,
     mask_label,
-    wedge_masks,
 )
 from nkhodge.hodge import degree_masks, hodge_laplacian, operator_degree_rows
 from nkhodge.linalg import (
@@ -130,6 +134,23 @@ from nkhodge.operators import (
     mult_operator,
 )
 from nkhodge.scalars import I, ONE, ZERO, Scalar, rational
+
+
+# -- wedge signs ----------------------------------------------------------------
+
+def wedge_sign_pairwise(m1: int, m2: int) -> tuple[int, int]:
+    """(sign, union) for u^m1 ^ u^m2; sign 0 when they overlap.  The sign is
+    the parity of #{(i, j) : i in m1, j in m2, j < i}, counted index by index."""
+    if m1 & m2:
+        return 0, 0
+    sign = 1
+    m = m1
+    while m:
+        low = m & -m
+        if (m2 & (low - 1)).bit_count() & 1:
+            sign = -sign
+        m ^= low
+    return sign, m1 | m2
 
 
 # -- pairings and adjoints -----------------------------------------------------
@@ -846,7 +867,7 @@ def star(gram: GramData, d: int, a: Form) -> Form:
             if p.is_zero():
                 continue
             comp = full ^ mi
-            sgn, _ = wedge_masks(mi, comp)
+            sgn, _ = wedge_sign_pairwise(mi, comp)
             v = p * s * root
             if sgn < 0:
                 v = -v
@@ -987,9 +1008,9 @@ def scalar_koszul_column(beta: dict[int, Form], mask: int) -> Column:
         if jm & mask != jm:
             continue
         rest = mask ^ jm
-        eps, _ = wedge_masks(jm, rest)  # u^mask = eps u^J ^ u^rest
+        eps, _ = wedge_sign_pairwise(jm, rest)  # u^mask = eps u^J ^ u^rest
         for bm, bv in form.coeffs.items():
-            sign, target = wedge_masks(bm, rest)
+            sign, target = wedge_sign_pairwise(bm, rest)
             if sign == 0:
                 continue
             v = bv if sign == eps else -bv

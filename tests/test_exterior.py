@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,10 +8,11 @@ from nkhodge.exterior import (
     GramData,
     graded_lex_key,
     indices_from_mask,
+    sign_key,
     wedge_masks,
 )
 from nkhodge.scalars import HALF, I, ONE, Scalar, rational
-from oracles import inner_via_minors, star, star_available, volume_form
+from oracles import inner_via_minors, star, star_available, volume_form, wedge_sign_pairwise
 
 DIM = 4
 
@@ -72,6 +75,27 @@ class TestMasks:
         assert s == -1
         s, _ = wedge_masks(0b001, 0b001)
         assert s == 0
+
+    def test_sign_key_matches_pairwise_count_up_to_dim_8(self):
+        # every pair of masks over at most 8 indices: wedge_masks agrees with
+        # the pairwise count, overlaps included, and on every disjoint pair
+        # u^m1 ^ u^m2 = (-1)^popcount(m2 & K(m1)) u^(m1|m2)
+        for m1 in range(1 << 8):
+            key = sign_key(m1)
+            for m2 in range(1 << 8):
+                want = wedge_sign_pairwise(m1, m2)
+                assert wedge_masks(m1, m2) == want
+                if not m1 & m2:
+                    assert (-1 if (m2 & key).bit_count() & 1 else 1) == want[0]
+
+    def test_sign_key_of_wide_masks(self):
+        # masks past 16 indices take the doubling loop of sign_key
+        rng = random.Random(19)
+        for width in (17, 33, 70):
+            for _ in range(50):
+                m1, m2 = rng.getrandbits(width), rng.getrandbits(width)
+                m2 &= ~m1
+                assert wedge_masks(m1, m2) == wedge_sign_pairwise(m1, m2)
 
     def test_graded_lex_order(self):
         masks = sorted(range(8), key=graded_lex_key)

@@ -8,7 +8,9 @@ float residual, and the normalization of the store itself.  The Koszul sums
 (``reconstruct``, ``derivation_from_one_forms``, ``koszul_coefficients`` and
 ``DerivationAction``) are compared in the same way with the Scalar Koszul
 route of ``oracles``, degree errors included, and every block of
-``algebra_map_blocks`` with the Scalar expansion ``oracles.wedge_image``.
+``algebra_map_blocks`` with the Scalar expansion ``oracles.wedge_image``;
+a spy checks that the coefficient forms are prepared for the Koszul sum
+once per reconstruction, per ``DerivationAction`` and per new coefficient.
 The brackets built from coframe values (``derivation_bracket``,
 ``multiplication_bracket``) are compared with the composed graded
 commutator, on random derivations and on the split of d of every built-in.
@@ -22,8 +24,9 @@ from pathlib import Path
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from nkhodge import operators as operators_module
 from nkhodge.bidegree import DifferentialSplit, named_operator
 from nkhodge.checks import CHECKS, _Acc, _mubar_mu
 from nkhodge.exterior import Form, GramData
@@ -33,6 +36,7 @@ from nkhodge.operators import (
     GradedOperator,
     adjoint,
     algebra_map_blocks,
+    algebraic_order_at_most,
     derivation_bracket,
     derivation_from_one_forms,
     graded_commutator,
@@ -149,6 +153,17 @@ class TestAgainstScalarStore:
         assert_same(-p, -rp)
         assert (p + q) - q == p
         assert (p - p).is_zero()
+
+    @given(operators(), operators(), st.one_of(st.integers(2, 12), st.integers(2, 2**70)))
+    @EXAMPLES
+    def test_sub_is_the_sum_with_the_negation(self, p, q, k):
+        # each operand over Q, Q(i) or Q(sqrt 3)(i), on unequal denominators:
+        # the signed merge of p - q gives the store of p + (-q), q, d, real
+        # flag and column and row orders included
+        q = q.scale(Scalar(1, 0, 0, 0, k))
+        assume(p.q != q.q)
+        assert_literal(p - q, p + (-q))
+        assert_literal(q - p, q + (-p))
 
     @given(operators(), st.sampled_from([1, 3]).flatmap(scalars))
     @EXAMPLES
@@ -298,6 +313,60 @@ class TestKoszulAgainstScalarRoute:
         action, reference = DerivationAction(DIM, images), ScalarDerivationAction(DIM, images)
         for f in inputs + inputs:
             assert_same_forms(action.apply(f), reference.apply(f))
+
+
+class TestKoszulPreparedOnce:
+    """The coefficient forms are prepared for ``_koszul_column`` once: per
+    reconstruction, per ``DerivationAction`` however many forms it applies,
+    and per new coefficient in ``koszul_coefficients`` and the order test."""
+
+    IMAGES = [
+        Form(DIM, {0b011: Scalar(1, 0, 2, 0, 3), 0b110: Scalar(-2, 0, 0, 0)}),
+        Form.zero(DIM),
+        Form.basis(DIM, 0b101),
+    ]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = operators_module._prepare
+
+        def spy(coeffs):
+            seen.append(list(coeffs))
+            return original(coeffs)
+
+        monkeypatch.setattr(operators_module, "_prepare", spy)
+        return seen
+
+    def test_once_per_reconstruct(self, calls):
+        derivation_from_one_forms(DIM, self.IMAGES)
+        mult_operator(Form.basis(DIM, 0b011))
+        reconstruct(DIM, {0b001: Form.basis(DIM, 0b110), 0b011: Form.basis(DIM, 0b100)}, None)
+        assert calls == [[0b001, 0b100], [0], [0b001, 0b011]]
+        p = derivation_from_one_forms(DIM, [Form.basis(DIM, 1 << i) for i in range(DIM)], 0)
+        calls.clear()
+        derivation_bracket([(p, derivation_from_one_forms(DIM, self.IMAGES))])
+        assert len(calls) == 2
+
+    def test_once_per_derivation_action(self, calls):
+        action = DerivationAction(DIM, self.IMAGES)
+        for mask in MASKS:
+            action.apply(Form.basis(DIM, mask))
+            action.apply(Form.basis(DIM, mask, Scalar(2, 0, 1, 0)))
+        assert calls == [[0b001, 0b100]]
+
+    def test_once_per_new_coefficient(self, calls):
+        # an operator with an entry in every place: a coefficient on most masks
+        rng = random.Random(19)
+        p = GradedOperator(
+            DIM, {c: {r: Scalar(rng.randint(-3, 3), 0, rng.randint(-3, 3), 0) for r in MASKS} for c in MASKS}
+        )
+        beta = koszul_coefficients(p, DIM)
+        assert len(beta) > DIM
+        assert calls == [[jm] for jm in beta]
+        calls.clear()
+        assert algebraic_order_at_most(p, DIM)
+        assert calls == [[jm] for jm in beta]
 
 
 class TestAlgebraMap:
