@@ -63,7 +63,13 @@ type.  J_PQ asks that F J E be diagonal with i^(p-q) on the columns of type
 (p,q), as J E = E D block by block, with no F.  VANISH_COR reads type
 preservation off the rows of the columns of each type (p,q), and takes the
 rank of those columns, which is that of the images diff(m) in real
-coordinates since F is invertible.
+coordinates since F is invertible.  Where conj P = s P literally, s = +-1
+(diff and Delta_del - Delta_delbar are imaginary, L and [[mubar,mu]]
+real), ``_in_frame`` composes one column of each conjugate pair only, the
+canonical masks (type (p,q) with p < q, or p = q and m <= swap m), and
+writes column swap m, row swap r as s (-1)^(p(m)q(m) + p(r)q(r)) times the
+conjugate of column m, row r (``PQBasis.swapped``); any other operator,
+such as Delta_L_mu_omega, has every column composed.
 A DIM6_EIGEN witness names an eta-monomial.  DC_FRAME's frame sum
 sum_j L_{J u^j} nabla_j is one Koszul reconstruction from its coframe
 values.
@@ -212,10 +218,48 @@ def check_sl2(model, acc: _Acc):
     acc.op("[H,Lambda] + 2Lambda", br(h, lam) + lam.scale(rational(2)))
 
 
+def _conjugation_sign(op: GradedOperator) -> int | None:
+    """s = 1 when conj op = op literally (real), s = -1 when conj op = -op
+    (no entry has a rational or sqrt(d) real part), None otherwise."""
+    if op.real:
+        return 1
+    if not any(t[0] or t[1] for col in op.coords.values() for t in col.values()):
+        return -1
+    return None
+
+
 def _in_frame(model, op: GradedOperator) -> dict[int, dict[int, Scalar]]:
     """The columns of F op E, the matrix of op in the eta-monomial basis,
-    keyed by eta-monomial; the blocks are built one degree at a time."""
-    return {m: col for block in pq_basis(model).frame_blocks(op) for m, col in block.scalar_columns()}
+    keyed by eta-monomial; the blocks are built one degree at a time.
+
+    When conj op = s op with s = +-1, conj E(m) = (-1)^(pq) E(swap m) gives
+    column swap m, row swap r = s (-1)^(p(m)q(m) + p(r)q(r)) conj(column m,
+    row r), so only the canonical columns are composed: type (p,q) with
+    p < q, or p = q and m <= swap m, a set closed under dropping the lowest
+    bit.  Their partners are written by this rule."""
+    pqb = pq_basis(model)
+    sign = _conjugation_sign(op)
+    if sign is None:
+        return {m: col for block in pqb.frame_blocks(op) for m, col in block.scalar_columns()}
+
+    def parity(m: int) -> int:
+        p, q = pqb.bidegree_of_mask(m)
+        return p * q & 1
+
+    canonical = []
+    for m in range(1 << model.dim):
+        p, q = pqb.bidegree_of_mask(m)
+        if p < q or (p == q and m <= pqb.swapped(m)):
+            canonical.append(m)
+    columns = {m: col for block in pqb.frame_blocks(op, canonical) for m, col in block.scalar_columns()}
+    for m, col in list(columns.items()):
+        partner = pqb.swapped(m)
+        if partner != m:
+            flip = (sign < 0) ^ parity(m)
+            columns[partner] = {
+                pqb.swapped(r): -v.conjugate() if flip ^ parity(r) else v.conjugate() for r, v in col.items()
+            }
+    return columns
 
 
 def check_j_pq(model, acc: _Acc):

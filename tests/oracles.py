@@ -91,6 +91,9 @@
 * ``off_type_failures``: type preservation of the degree-0 difference
   Laplacian as ``off_type`` on its image of every eta-monomial, against
   VANISH_COR's matrix of it in the eta-monomial basis.
+* ``frame_columns_by_composition``: F P E with every column composed,
+  against the production route that composes one column of each conjugate
+  pair of a real or imaginary P and writes the other by conjugation.
 * ``frame_sum_by_composition``: DC_FRAME's sum_j L_{J u^j} nabla_j composed
   term by term from ``mult_operator`` and the operators ``nabla_operator``,
   against the one Koszul reconstruction of the production route.
@@ -1078,6 +1081,13 @@ def off_type_failures(model, diff: GradedOperator) -> list[str]:
             if not all(off_type(model, img, p, q).is_zero() for img in images):
                 failed.append(f"difference Laplacian preserves ({p},{q})")
     return failed
+
+
+def frame_columns_by_composition(model, op: GradedOperator) -> dict[int, dict[int, Scalar]]:
+    """The columns of F op E keyed by eta-monomial, every column composed:
+    F_{k+deg} op E_k on the full blocks of E, with no conjugate pair read
+    off its partner."""
+    return {m: col for block in pq_basis(model).frame_blocks(op) for m, col in block.scalar_columns()}
 
 
 # -- DC_FRAME's frame sum -----------------------------------------------------

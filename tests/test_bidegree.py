@@ -184,6 +184,19 @@ class TestPQBasis:
             top = masks[-1]
             assert pqb.coordinates([Form.basis(model.dim, top, I)]) == [f_k.column_form(top).scale(I).coeffs]
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_conjugate_monomial_is_the_swapped_monomial(self, name):
+        # conj E(m) = (-1)^(pq) E(swapped m) on every column of E: the rule
+        # by which the frame of a real or imaginary operator is mirrored
+        model = builtin_model(name).orthogonalized()
+        pqb = pq_basis(model)
+        for e_k in algebra_map_blocks(model.dim, pqb.generators):
+            for m in e_k.coords:
+                p, q = pqb.bidegree_of_mask(m)
+                assert pqb.bidegree_of_mask(pqb.swapped(m)) == (q, p)
+                want = e_k.column_form(pqb.swapped(m)).scale(rational((-1) ** (p * q)))
+                assert e_k.column_form(m).conjugate() == want
+
     def test_roundtrip(self, s3xs3):
         for mask in range(64):
             f = Form.basis(6, mask)

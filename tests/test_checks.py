@@ -14,7 +14,7 @@ from nkhodge.checks import (
     run_check,
     run_suite,
 )
-from nkhodge.bidegree import DifferentialSplit, named_operator, pq_basis
+from nkhodge.bidegree import DifferentialSplit, PQBasis, counting_operator, named_operator, pq_basis
 from nkhodge.exterior import Form
 from nkhodge.hodge import harmonic_pq, harmonic_space, operator_degree_rows
 from nkhodge.linalg import sparse_kernel
@@ -27,9 +27,10 @@ from nkhodge.models import (
     nk_report,
 )
 from nkhodge.operators import GradedOperator, algebra_map_blocks, derivation_from_one_forms, reconstruct
-from nkhodge.scalars import Scalar, rational
+from nkhodge.scalars import I, Scalar, rational
 from oracles import (
     barred_requirements,
+    frame_columns_by_composition,
     frame_sum_by_composition,
     laplacian_of_del_minus_delbar,
     off_type_failures,
@@ -343,6 +344,49 @@ def _difference_laplacian(model):
     return named_operator(model, "lap:L_mu_omega") - named_operator(model, "lap:L_mubar_omega")
 
 
+def _type_breaking_extra(model):
+    """L_{u^1} iota_{e_2} (u^2 -> u^1, degree 0), real; J pairs u^1 with u^4
+    and u^2 with u^5 on s3xs3-nk, so it breaks type."""
+    return reconstruct(model.dim, {0b10: Form.basis(model.dim, 0b1)}, 0)
+
+
+def _mutate_ops(monkeypatch, added):
+    """``checks._ops`` with added[name] added to each operator ``name`` it returns."""
+    original = nkhodge.checks._ops
+
+    def mutated(m, *names):
+        return [op + added[name] if name in added else op for name, op in zip(names, original(m, *names))]
+
+    monkeypatch.setattr(nkhodge.checks, "_ops", mutated)
+
+
+def _spy_frame_masks(monkeypatch):
+    """The ``masks`` argument of every ``PQBasis.frame_blocks`` call, in order."""
+    seen = []
+    original = PQBasis.frame_blocks
+
+    def spy(self, op, masks=None):
+        seen.append(masks)
+        return original(self, op, masks)
+
+    monkeypatch.setattr(PQBasis, "frame_blocks", spy)
+    return seen
+
+
+def _canonical_masks(pqb):
+    """One mask of each conjugate pair: type (p,q) with p < q, or p = q and
+    m <= the mask with its halves exchanged (written out here, not
+    ``PQBasis.swapped``)."""
+    n = pqb.n
+    low = (1 << n) - 1
+    out = []
+    for m in range(1 << pqb.dim):
+        p, q = (m & low).bit_count(), (m >> n).bit_count()
+        if p < q or (p == q and m <= (m >> n) | ((m & low) << n)):
+            out.append(m)
+    return out
+
+
 class TestVanishCor:
     """VANISH_COR reads type preservation off the rows of the difference
     Laplacian's matrix in the eta-monomial basis; the oracle runs
@@ -376,6 +420,66 @@ class TestVanishCor:
         assert self._type_failures(target) == want
         res = run_check(model, "VANISH_COR")
         assert res.status == "fail" and res.witness == want[0]
+
+    def test_imaginary_type_breaking_mutation_fails_through_the_mirrored_half(self, monkeypatch):
+        # i L_{u^1} iota_{e_2} added to Delta_{L_mu omega} and its conjugate to
+        # Delta_{L_mubar omega}: the difference gains 2i L_{u^1} iota_{e_2}, so
+        # it stays imaginary and breaks type, and the check composes only one
+        # column of each conjugate pair
+        model = _fresh("s3xs3-nk")
+        target = model.orthogonalized()
+        extra = _type_breaking_extra(target).scale(I)
+        want = off_type_failures(target, _difference_laplacian(target) + extra.scale(rational(2)))
+        assert len(want) == 14  # every type but (0,0) and (3,3)
+        _mutate_ops(monkeypatch, {"lap:L_mu_omega": extra, "lap:L_mubar_omega": extra.conjugated()})
+        seen = _spy_frame_masks(monkeypatch)
+        assert self._type_failures(target) == want
+        assert seen == [_canonical_masks(pq_basis(target))]
+        res = run_check(model, "VANISH_COR")
+        assert res.status == "fail" and res.witness == want[0]
+
+
+# the operators whose eta-frame matrices DIM6_EIGEN and VANISH_COR read, and
+# s with conj P = s P literally on s3xs3-nk (None: neither real nor imaginary)
+_FRAME_OPERATORS = {
+    "Delta_L_mu_omega": (lambda m: named_operator(m, "lap:L_mu_omega"), None),
+    "diff": (_difference_laplacian, -1),
+    "Delta_del - Delta_delbar": (lambda m: named_operator(m, "lap:del") - named_operator(m, "lap:delbar"), -1),
+    "L": (lambda m: named_operator(m, "L"), 1),
+    "[[mubar,mu]]": (lambda m: nkhodge.checks._mubar_mu(m), 1),
+}
+
+
+class TestInFrame:
+    """``_in_frame`` composes one column of each conjugate pair of a real or
+    imaginary operator and writes the other by conjugation; the oracle
+    composes every column."""
+
+    @pytest.mark.parametrize(
+        "name, label",
+        [(n, label) for n in BUILTIN_NAMES for label in _FRAME_OPERATORS if n != "su2-four" or label == "diff"],
+    )
+    def test_matches_every_column_composed(self, name, label):
+        model = builtin_model(name).orthogonalized()
+        op = _FRAME_OPERATORS[label][0](model)
+        assert nkhodge.checks._in_frame(model, op) == frame_columns_by_composition(model, op)
+
+    def test_conjugation_sign_covers_each_route(self):
+        # on s3xs3-nk the operators above take the real, the imaginary and
+        # the full route, and each is nonzero
+        model = builtin_model("s3xs3-nk").orthogonalized()
+        for build, sign in _FRAME_OPERATORS.values():
+            op = build(model)
+            assert not op.is_zero()
+            assert nkhodge.checks._conjugation_sign(op) == sign
+
+    def test_sqrt_d_real_part_takes_the_full_route(self):
+        # diff + sqrt(3) H has no rational real part but a sqrt(d) one, so
+        # conj P is neither P nor -P
+        model = builtin_model("s3xs3-nk").orthogonalized()
+        op = _difference_laplacian(model) + counting_operator(model).scale(Scalar.sqrt_ext(3))
+        assert nkhodge.checks._conjugation_sign(op) is None
+        assert nkhodge.checks._in_frame(model, op) == frame_columns_by_composition(model, op)
 
 
 class TestDcFrame:
@@ -430,6 +534,23 @@ class TestCostGuards:
         assert added
         for value in added:
             assert not (isinstance(value, GradedOperator) and any(value == op for op in frames))
+
+    def test_vanish_cor_composes_one_column_of_each_conjugate_pair(self, monkeypatch):
+        # the difference Laplacian is imaginary: E holds the 36 canonical
+        # columns only; the real mutation breaks the symmetry, and then all
+        # 64 columns are composed
+        model = _fresh("s3xs3-nk")
+        pqb = pq_basis(model.orthogonalized())
+        assert [pqb.swapped(m) for m in range(64)] == [(m >> 3) | ((m & 7) << 3) for m in range(64)]
+        canonical = _canonical_masks(pqb)
+        assert len(canonical) == 36
+        seen = _spy_frame_masks(monkeypatch)
+        assert run_check(model, "VANISH_COR").status == "pass"
+        assert seen == [canonical]
+        seen.clear()
+        _mutate_ops(monkeypatch, {"lap:L_mu_omega": _type_breaking_extra(model.orthogonalized())})
+        assert run_check(model, "VANISH_COR").status == "fail"
+        assert seen == [None]
 
     def test_d2_split_and_br67_compose_nothing(self, monkeypatch):
         # every bracket of both checks is a derivation or L_{P mu omega},
