@@ -21,15 +21,10 @@ through one of two primitives, and neither keeps a block of E or F:
   operator P in the eta-monomial basis, one degree k at a time.  A degree-0
   P preserves every Lambda^{p,q} exactly when each column of type (p,q) has
   rows of type (p,q) only (VANISH_COR), and DIM6_EIGEN compares each of
-  its operators with its scalar on every type.  Given masks, E holds only
-  the columns they need and F stays full.  Conjugation swaps the halves of
-  a mask (``PQBasis.swapped``): conj E(m) = (-1)^(pq) E(swap m) for m of
-  type (p,q), so when conj P = s P, s = +-1, column swap m, row swap r of
-  F P E is s (-1)^(p(m)q(m) + p(r)q(r)) times the conjugate of column m,
-  row r.  The canonical masks, type (p,q) with p < q or p = q and
-  m <= swap m (36 of 64 at dim 6, 2,080 of 4,096 at dim 12), hold one of
-  each pair and are closed under dropping the lowest bit, so their E
-  columns need no others; ``checks._in_frame`` composes only those.
+  its operators with its scalar on every type.  E is an algebra map, so
+  F P E has the order of P in the eta-coframe, and ``checks._in_frame``
+  takes the blocks of degree <= r of a P of order <= r only; the blocks are
+  lazy, so no block of E or F past them is built.
   J_PQ asks that J be diagonal in the frame, without F: J E = E D, D the
   diagonal of i^(p-q) on the columns of type (p,q), E block by block.
 
@@ -75,6 +70,7 @@ from .operators import (
     derivation_from_one_forms,
     laplacian,
     mult_operator,
+    reconstruct,
 )
 from .scalars import I, ZERO, Scalar, rational
 
@@ -136,22 +132,13 @@ class PQBasis:
         the form with these coordinates has type (p,q)."""
         return {m: v for m, v in coords.items() if self.bidegree_of_mask(m) != (p, q)}
 
-    def swapped(self, pqmask: int) -> int:
-        """The mask with its low and high halves exchanged: conj E(m) =
-        (-1)^(pq) E(swapped m) for m of type (p,q), since conj eta^a is
-        generator n + a and the p low factors pass the q high ones."""
-        n = self.n
-        return (pqmask >> n) | ((pqmask & ((1 << n) - 1)) << n)
-
-    def frame_blocks(self, op: GradedOperator, masks=None):
+    def frame_blocks(self, op: GradedOperator):
         """F_{k+deg} op E_k for k = 0, 1, ..., where deg = op.degree >= 0: the
         matrix of op in the eta-monomial basis, one degree at a time and kept
-        nowhere.  Given ``masks``, E_k holds only the columns those masks
-        need (``algebra_map_blocks``), so the blocks have those columns and
-        the chains below them; F stays full, its rows cover every mask."""
+        nowhere.  Each block is built when it is read."""
         f_blocks = islice(algebra_map_blocks(self.dim, self.dual), op.degree, None)
         # F first, so that no E block is built past the last F block
-        for f_k, e_k in zip(f_blocks, algebra_map_blocks(self.dim, self.generators, masks)):
+        for f_k, e_k in zip(f_blocks, algebra_map_blocks(self.dim, self.generators)):
             yield f_k.compose(op.compose(e_k))
 
 
@@ -255,8 +242,12 @@ def d_c(model) -> GradedOperator:
 
 
 def counting_operator(model) -> GradedOperator:
-    n = model.dim // 2
-    return GradedOperator.diagonal(model.dim, lambda m: rational(m.bit_count() - n))
+    """H = |m| - n on u^m, the Koszul sum with beta_{empty} = -n and
+    beta_{i} = u^i, so of order 1."""
+    dim = model.dim
+    beta = {1 << i: Form.basis(dim, 1 << i) for i in range(dim)}
+    beta[0] = Form.basis(dim, 0, rational(-(dim // 2)))
+    return reconstruct(dim, beta, 0)
 
 
 def lefschetz_triple(model) -> tuple[GradedOperator, GradedOperator, GradedOperator]:

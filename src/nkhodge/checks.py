@@ -31,25 +31,29 @@ J^{-1} d J derivation that ``d_c`` builds (``twisted_differential``).
 A barred requirement that is the conjugate of an unbarred one, such as
 [delbar*, L] - i del of [del*, L] + i delbar, goes through ``_Acc.pair``:
 the unbarred operator is recorded, then right after it its entry-wise
-conjugate, so the barred half is never composed a second time.  Likewise
+conjugate, so the barred half is never built a second time.  Likewise
 a self-conjugate sum X + conj X, such as [[mubar,mu]] = mu mubar + conj(mu
 mubar) or Delta_(del-delbar) = Delta_del + Delta_delbar - X - conj X with
 X = [[delbar*,del]] (bilinearity of [[P*,P]]), is built by
-``_with_conjugate`` from its unbarred half X.  That X is composed once
+``_with_conjugate`` from its unbarred half X.  That X is built once
 per model, under a memo key of its own, and LAP_COM and DELTA_SUM share it.
 
-A bracket of two components of d, or of one and L_mu_omega or
-L_mubar_omega, is never composed: the components are derivations, so
-``derivation_bracket`` builds a sum of such brackets (and an odd square
-P P = (1/2)[[P, P]]) as one derivation from its coframe values, and
-[[L_beta, P]] = [[P, L_beta]] = L_{P beta} for odd P and beta of degree 3
-(``multiplication_bracket``).  D2_SPLIT and BR67 compose nothing; AUX_COM,
-PROP_LAP, L_DELTA and DIM6_EIGEN take [[delbar,mu]], [[mubar,mu]],
-[[mu, L_mubar_omega]] and del^2 this way.
+Every operator the catalogue names carries an order bound
+(``operators``): 1 for the components of d, 0 for L and L_mu_omega, and
+for an adjoint its operand's bound plus its degree.  So each bracket and
+Laplacian goes through ``bracket_sum`` (``br`` is its one-term case): the
+products on the columns of degree <= r = r_P + r_Q - 1 only, summed, and
+one Koszul reconstruction; a sum of brackets and odd squares
+P P = (1/2)[[P, P]], such as D2_SPLIT's [[delbar,mu]] + del^2, is one
+reconstruction.  For a component P, [[L_beta, P]] = [[P, L_beta]] =
+L_{P beta} with beta of degree 3 (``multiplication_bracket``), so BR67
+composes nothing.
 
 The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
 operator of order <= r equals the reconstruction from its columns on
-forms of degree <= r; ORDER_DET checks that d is a derivation through the
+forms of degree <= r.  They never read a bound, and ORDER_BRACKET composes
+[[d*, L]] in full, since building it by order would assume what it tests.
+ORDER_DET checks that d is a derivation through the
 graded Leibniz rule over ``Form.wedge`` on every basis form, independently
 of the reconstruction that builds d.  HODGE_ABCD
 takes one kernel per degree, of the PSD sum of the component Laplacians.
@@ -63,13 +67,10 @@ type.  J_PQ asks that F J E be diagonal with i^(p-q) on the columns of type
 (p,q), as J E = E D block by block, with no F.  VANISH_COR reads type
 preservation off the rows of the columns of each type (p,q), and takes the
 rank of those columns, which is that of the images diff(m) in real
-coordinates since F is invertible.  Where conj P = s P literally, s = +-1
-(diff and Delta_del - Delta_delbar are imaginary, L and [[mubar,mu]]
-real), ``_in_frame`` composes one column of each conjugate pair only, the
-canonical masks (type (p,q) with p < q, or p = q and m <= swap m), and
-writes column swap m, row swap r as s (-1)^(p(m)q(m) + p(r)q(r)) times the
-conjugate of column m, row r (``PQBasis.swapped``); any other operator,
-such as Delta_L_mu_omega, has every column composed.
+coordinates since F is invertible.  E is an algebra map, so F P E has
+the order of P in the eta-coframe, and every operator the two checks read
+is bounded by 2: ``_in_frame`` composes the blocks of degree <= r only and
+rebuilds the frame by one reconstruction.
 A DIM6_EIGEN witness names an eta-monomial.  DC_FRAME's frame sum
 sum_j L_{J u^j} nabla_j is one Koszul reconstruction from its coframe
 values.
@@ -79,6 +80,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from .bidegree import (
     d_c,
@@ -98,8 +100,9 @@ from .operators import (
     adjoint,
     algebra_map_blocks,
     algebraic_order_at_most,
-    derivation_bracket,
+    bracket_sum,
     derivation_from_one_forms,
+    from_low_columns,
     graded_commutator as br,
     mult_operator,
     multiplication_bracket,
@@ -191,9 +194,9 @@ def _delbar_star_del(model) -> GradedOperator:
 
 
 def _mubar_mu(model) -> GradedOperator:
-    """[[mubar, mu]] = mu mubar + mubar mu, one derivation."""
+    """[[mubar, mu]] = mu mubar + mubar mu."""
     mu, _, _, mb = _parts(model)
-    return derivation_bracket([(mb, mu)])
+    return br(mb, mu)
 
 
 def _su3(model):
@@ -205,10 +208,10 @@ def _su3(model):
 
 def check_d2_split(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
-    acc.pair("mu^2", "mubar^2", derivation_bracket([], squares=[mu]))
-    acc.pair("[[del,mu]]", "[[delbar,mubar]]", derivation_bracket([(de, mu)]))
-    acc.pair("[[delbar,mu]] + del^2", "[[del,mubar]] + delbar^2", derivation_bracket([(db, mu)], squares=[de]))
-    acc.op("[[del,delbar]] + [[mu,mubar]]", derivation_bracket([(de, db), (mu, mb)]))
+    acc.pair("mu^2", "mubar^2", bracket_sum([], squares=[mu]))
+    acc.pair("[[del,mu]]", "[[delbar,mubar]]", br(de, mu))
+    acc.pair("[[delbar,mu]] + del^2", "[[del,mubar]] + delbar^2", bracket_sum([(db, mu)], squares=[de]))
+    acc.op("[[del,delbar]] + [[mu,mubar]]", bracket_sum([(de, db), (mu, mb)]))
 
 
 def check_sl2(model, acc: _Acc):
@@ -218,48 +221,20 @@ def check_sl2(model, acc: _Acc):
     acc.op("[H,Lambda] + 2Lambda", br(h, lam) + lam.scale(rational(2)))
 
 
-def _conjugation_sign(op: GradedOperator) -> int | None:
-    """s = 1 when conj op = op literally (real), s = -1 when conj op = -op
-    (no entry has a rational or sqrt(d) real part), None otherwise."""
-    if op.real:
-        return 1
-    if not any(t[0] or t[1] for col in op.coords.values() for t in col.values()):
-        return -1
-    return None
-
-
 def _in_frame(model, op: GradedOperator) -> dict[int, dict[int, Scalar]]:
     """The columns of F op E, the matrix of op in the eta-monomial basis,
     keyed by eta-monomial; the blocks are built one degree at a time.
 
-    When conj op = s op with s = +-1, conj E(m) = (-1)^(pq) E(swap m) gives
-    column swap m, row swap r = s (-1)^(p(m)q(m) + p(r)q(r)) conj(column m,
-    row r), so only the canonical columns are composed: type (p,q) with
-    p < q, or p = q and m <= swap m, a set closed under dropping the lowest
-    bit.  Their partners are written by this rule."""
-    pqb = pq_basis(model)
-    sign = _conjugation_sign(op)
-    if sign is None:
-        return {m: col for block in pqb.frame_blocks(op) for m, col in block.scalar_columns()}
-
-    def parity(m: int) -> int:
-        p, q = pqb.bidegree_of_mask(m)
-        return p * q & 1
-
-    canonical = []
-    for m in range(1 << model.dim):
-        p, q = pqb.bidegree_of_mask(m)
-        if p < q or (p == q and m <= pqb.swapped(m)):
-            canonical.append(m)
-    columns = {m: col for block in pqb.frame_blocks(op, canonical) for m, col in block.scalar_columns()}
-    for m, col in list(columns.items()):
-        partner = pqb.swapped(m)
-        if partner != m:
-            flip = (sign < 0) ^ parity(m)
-            columns[partner] = {
-                pqb.swapped(r): -v.conjugate() if flip ^ parity(r) else v.conjugate() for r, v in col.items()
-            }
-    return columns
+    E is an algebra map, so F op E has the order of op in the eta-coframe:
+    with a bound r, only the blocks of degree <= r are composed, and their
+    sum is rebuilt by one Koszul reconstruction.  An operator without a
+    bound has every block composed."""
+    blocks = pq_basis(model).frame_blocks(op)
+    r = op.order_bound
+    if r is not None:
+        low = GradedOperator.zero(model.dim, op.degree)
+        blocks = [from_low_columns(sum(islice(blocks, r + 1), low), r)]
+    return {m: col for block in blocks for m, col in block.scalar_columns()}
 
 
 def check_j_pq(model, acc: _Acc):
@@ -495,7 +470,7 @@ def check_aux_com(model, acc: _Acc):
     acc.pair(
         "[[delbar,mu]] + (i/3)[[del*, L_mu_omega]]",
         "[[del,mubar]] - (i/3)[[delbar*, L_mubar_omega]]",
-        derivation_bracket([(db, mu)]) + br(des, lm).scale(third_i),
+        br(db, mu) + br(des, lm).scale(third_i),
     )
 
 
@@ -605,7 +580,7 @@ def check_theta_bracket(model, acc: _Acc):
 
 def check_l_delta(model, acc: _Acc):
     de, mus, l_op, lm = _ops(model, "del", "adj:mu", "L", "L_mu_omega")
-    unbarred = br(mus, lm) - derivation_bracket([], squares=[de]).scale(Scalar(0, 0, 2, 0))
+    unbarred = br(mus, lm) - bracket_sum([], squares=[de]).scale(Scalar(0, 0, 2, 0))
     acc.op(
         "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2",
         br(l_op, hodge_laplacian(model)) + _with_conjugate(unbarred),
@@ -732,8 +707,10 @@ def check_order_dstar(model, acc: _Acc):
 
 
 def check_order_bracket(model, acc: _Acc):
+    # composed in full, not by order: the check tests the order of the
+    # bracket, so it must not assume it
     dstar, l_op = _ops(model, "adj:d", "L")
-    acc.require("order([d*,L]) <= 1", algebraic_order_at_most(br(dstar, l_op), 1))
+    acc.require("order([d*,L]) <= 1", algebraic_order_at_most(dstar.compose(l_op) - l_op.compose(dstar), 1))
 
 
 def check_order_det(model, acc: _Acc):

@@ -5,8 +5,8 @@ index ``i`` is present); the canonical form of a multi-index is the mask
 itself, and wedge signs come from transposition parity, read off one sign
 key per mask: u^m ^ u^r = (-1)^popcount(r & K(m)) u^(m|r) for disjoint m
 and r, with K(m) (``sign_key``) the xor over x in m of the bits below x.
-``wedge_masks``, ``Form.wedge`` and, in ``operators``, the Koszul sums and
-the algebra maps all read this one rule.
+``Form.wedge`` and, in ``operators``, the Koszul sums and the algebra maps
+all read this one rule.
 Forms are sparse maps mask -> Scalar with zero coefficients never stored.
 
 ``GramData`` holds the metric on 1-forms and everything derived from it:
@@ -59,13 +59,6 @@ def sign_key(mask: int) -> int:
         x ^= x >> s
         s <<= 1
     return x >> 1
-
-
-def wedge_masks(m1: int, m2: int) -> tuple[int, int]:
-    """(sign, union) for u^m1 ^ u^m2; sign 0 when they overlap."""
-    if m1 & m2:
-        return 0, 0
-    return (-1 if (m2 & sign_key(m1)).bit_count() & 1 else 1), m1 | m2
 
 
 def graded_lex_key(mask: int) -> tuple[int, tuple[int, ...]]:

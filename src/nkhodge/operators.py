@@ -28,13 +28,11 @@ re-appended if it comes back), so the column and row orders that
 ``linalg.transpose`` hands to elimination do not depend on the store.
 
 ``Scalar`` appears only at the boundaries.  The constructor takes sparse
-columns of Scalars (``diagonal`` and ``identity`` go through it) and, as
-``reconstruct`` does with its coefficient forms, converts them once over one
-common denominator (``scalars.common``).
+columns of Scalars and, as ``reconstruct`` does with its coefficient forms,
+converts them once over one common denominator (``scalars.common``).
 ``apply`` (and ``DerivationAction.apply``) accumulates a form's image in
 integers and builds one Scalar per output entry, as do ``column_form`` and
-``scalar_columns``; ``koszul_coefficients`` reads the coordinates and
-builds one Scalar per coefficient entry; ``first_witness`` and
+``scalar_columns``; ``first_witness`` and
 ``max_abs_approx`` read each entry as its normalized Scalar, so residuals
 and witnesses are those of the Scalar arithmetic to the last bit.
 ``cols`` converts the whole operator once and keeps the result; no
@@ -55,19 +53,20 @@ are built and memoized.
 Every operator is uniquely P = sum_J L_{beta_J} iota_J, with iota_J the
 contraction u^J ^ u^R -> u^R, and its algebraic order is max |J| over the
 nonzero beta_J (Koszul, *Crochet de Schouten-Nijenhuis et cohomologie*,
-1985).  ``koszul_coefficients`` reads the beta_J with |J| <= r off the
+1985).  ``_koszul_integral`` reads the beta_J with |J| <= r off the
 columns of degree <= r and ``reconstruct`` sums them back up, so an
-operator of order <= r is the reconstruction of its low-degree columns.
-That is the order test (``algebraic_order_at_most``: P equals its
-reconstruction) and the only route from coframe values to a derivation
-(``derivation_from_one_forms``).  ``DerivationAction`` applies the same
+operator of order <= r is the reconstruction of its low-degree columns
+(``from_low_columns``).  That is the order test (``algebraic_order_at_most``:
+P equals its reconstruction), the only route from coframe values to a
+derivation (``derivation_from_one_forms``), and the route of every bracket
+of bounded order.  ``DerivationAction`` applies the same
 Koszul sum to forms with each column built on first use.  All of them sum
 columns through one primitive, ``_koszul_column``, on integer coordinates.
 Its signs come from the sign keys of ``exterior.sign_key``: with rest =
 mask - J, the term of u^b in beta_J enters column ``mask`` with the sign
 (-1)^popcount(rest & (K(b) ^ K(J))).  Each coefficient form is prepared
 once (``_prepare``: once per reconstruction, once per ``DerivationAction``,
-once per new coefficient in ``koszul_coefficients``) into J and its
+once per new coefficient in ``_koszul_integral``) into J and its
 entries (b, K(b) ^ K(J), coordinates, negated coordinates), so a term
 costs one ``bit_count`` and no call.
 ``algebra_map_blocks`` is the degree-0 algebra map u^i -> images[i] of
@@ -76,18 +75,27 @@ integer coordinates: column m is images[i] ^ (column m - i of the block
 before), with no Scalar and no ``Form.wedge``.  ``algebra_map_apply``
 applies it to forms through the columns their supports need.
 
-A derivation is fixed by its values on the coframe, and the graded
-commutator of two derivations P and Q is again one, of degree |P| + |Q|,
-with the values P(Q u^i) - (-1)^{|P||Q|} Q(P u^i); for a multiplication
-operator, [[P, L_beta]] = L_{P beta}.  ``derivation_bracket`` and
-``multiplication_bracket`` build brackets by these two rules, a sum of
-brackets in one reconstruction.  The values are the columns on the u^i of
-P Q and Q P, so the product kernel runs on dim columns, not on 2^dim.  The
-rules hold only when every operand passed as a derivation is one: the
-components of d are (``bidegree.differential_split`` reconstructs them
-from their coframe values), adjoints, Lambda and Laplacians are not, and
-their brackets go through ``graded_commutator``.  Each result is the full
-matrix, so it equals the composed commutator literally.
+An operator may carry ``order_bound``, an r with ord P <= r that a theorem
+gives; no route computes it from the matrix, since that is the order test,
+and equality ignores it.  A reconstruction is bounded by max |J| over its
+coefficient forms: every derivation, d and its components among them, by
+1 and every L_beta by 0.  ``identity`` and ``zero`` are bounded by 0; the
+adjoint of P by r + |P|, floored at 0, since in an orthogonal coframe
+(L_{u^b} iota_J)* is a weighted L_{u^J} iota_b with |b| = |J| + |P|; a
+product by the sum of the bounds, a sum or difference by their max.
+``scale``, ``conjugated``, negation and ``with_degree`` keep the bound.
+Every other operator (the constructor's, ``scale_columns``,
+``algebra_map_blocks``, a product on some columns) has none.
+
+The order filtration is multiplicative and its graded algebra is
+graded-commutative, so ord [[P, Q]] <= ord P + ord Q - 1.  ``bracket_sum``
+builds a sum of brackets of bounded operators, and odd squares
+P P = (1/2)[[P, P]], from the products on the columns of degree <= r only
+and one reconstruction; ``graded_commutator`` and ``laplacian`` are its
+one-term cases, and operators without a bound are composed in full.  For
+a derivation P and a multiplication operator, [[P, L_beta]] = L_{P beta}
+(``multiplication_bracket``).  Each result is the full matrix, so with a
+true bound it equals the composed commutator literally.
 """
 
 from __future__ import annotations
@@ -95,7 +103,7 @@ from __future__ import annotations
 import math
 
 from .exterior import Form, GramData, graded_lex_key, mask_label, sign_key
-from .scalars import ONE, Scalar, common, join, product
+from .scalars import Scalar, common, join, product
 
 Column = dict[int, Scalar]
 Coords = tuple[int, int, int, int]  # (a, b, c, e): (a + b sqrt d + i(c + e sqrt d)) / q
@@ -150,9 +158,10 @@ def _accumulate(dim: int, q: int, d: int, terms) -> Form:
 
 
 class GradedOperator:
-    """Sparse exact matrix with a declared degree, over one denominator."""
+    """Sparse exact matrix with a declared degree, over one denominator, and
+    the order bound a theorem gives it (``order_bound``, None without one)."""
 
-    __slots__ = ("dim", "degree", "q", "d", "real", "coords", "_cols")
+    __slots__ = ("dim", "degree", "q", "d", "real", "coords", "order_bound", "_cols")
 
     def __init__(
         self,
@@ -178,19 +187,20 @@ class GradedOperator:
         if check:
             _check_degree(store, degree)
 
-    def _set(self, dim, degree, q, d, real, coords) -> GradedOperator:
+    def _set(self, dim, degree, q, d, real, coords, order_bound=None) -> GradedOperator:
         self.dim = dim
         self.degree = degree
         self.q = q
         self.d = d
         self.real = real
         self.coords = coords
+        self.order_bound = order_bound
         self._cols = None
         return self
 
     @classmethod
     def _normalized(
-        cls, dim: int, degree: int | None, q: int, d: int, real: bool, coords: Store
+        cls, dim: int, degree: int | None, q: int, d: int, real: bool, coords: Store, order_bound: int | None = None
     ) -> GradedOperator:
         """The operator of a store with no zero entry and no empty column:
         q and the coordinates divided by their gcd, d folded to 1 without a
@@ -206,26 +216,24 @@ class GradedOperator:
             d = 1
         if not real:
             real = not any(t[2] or t[3] for t in distinct)
-        return object.__new__(cls)._set(dim, degree, q, d, real, coords)
+        return object.__new__(cls)._set(dim, degree, q, d, real, coords, order_bound)
 
     # -- basic structure ---------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int, degree: int | None = 0) -> GradedOperator:
-        return cls(dim, {}, degree)
+        return object.__new__(cls)._set(dim, degree, 1, 1, True, {}, 0)
 
     @classmethod
     def identity(cls, dim: int) -> GradedOperator:
-        return cls(dim, {m: {m: ONE} for m in range(1 << dim)}, 0, check=False)
-
-    @classmethod
-    def diagonal(cls, dim: int, weight) -> GradedOperator:
-        """Degree-0 operator m -> weight(m) * m for a mask -> Scalar function."""
-        return cls(dim, {m: {m: weight(m)} for m in range(1 << dim)}, 0, check=False)
+        unit = (1, 0, 0, 0)
+        return object.__new__(cls)._set(dim, 0, 1, 1, True, {m: {m: unit} for m in range(1 << dim)}, 0)
 
     def with_degree(self, degree: int | None) -> GradedOperator:
         """The same matrix declared of another degree (the store is shared)."""
-        return object.__new__(GradedOperator)._set(self.dim, degree, self.q, self.d, self.real, self.coords)
+        return object.__new__(GradedOperator)._set(
+            self.dim, degree, self.q, self.d, self.real, self.coords, self.order_bound
+        )
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -313,22 +321,28 @@ class GradedOperator:
                     emptied = emptied or not acc
         if emptied:
             cols = {c: col for c, col in cols.items() if col}
-        return GradedOperator._normalized(self.dim, deg, q, d, self.real and other.real, cols)
+        bound = None
+        if self.order_bound is not None and other.order_bound is not None:
+            bound = max(self.order_bound, other.order_bound)
+        return GradedOperator._normalized(self.dim, deg, q, d, self.real and other.real, cols, bound)
 
     def __sub__(self, other: GradedOperator) -> GradedOperator:
         return self.__add__(other, -1)
 
     def __neg__(self) -> GradedOperator:
         cols = _map_entries(self.coords, lambda t: (-t[0], -t[1], -t[2], -t[3]))
-        return object.__new__(GradedOperator)._set(self.dim, self.degree, self.q, self.d, self.real, cols)
+        return object.__new__(GradedOperator)._set(
+            self.dim, self.degree, self.q, self.d, self.real, cols, self.order_bound
+        )
 
     def scale(self, s: Scalar) -> GradedOperator:
         if s.is_zero():
-            return GradedOperator(self.dim, {}, self.degree, check=False)
+            return GradedOperator.zero(self.dim, self.degree)
         d = join(self.d, s.d)
         u = (s.a, s.b, s.c, s.e, 1)
         cols = _map_entries(self.coords, lambda t: product((*t, 1), u, d)[:4])
-        return GradedOperator._normalized(self.dim, self.degree, self.q * s.q, d, self.real and s.is_real(), cols)
+        real = self.real and s.is_real()
+        return GradedOperator._normalized(self.dim, self.degree, self.q * s.q, d, real, cols, self.order_bound)
 
     def scale_columns(self, weight) -> GradedOperator:
         """P D for D the diagonal m -> weight(m) * m of a mask -> Scalar
@@ -344,10 +358,14 @@ class GradedOperator:
         return GradedOperator._normalized(self.dim, self.degree, self.q * den, d, False, cols)
 
     def compose(self, other: GradedOperator) -> GradedOperator:
-        """self after other (matrix product self . other)."""
-        return self._times_columns(other, other.coords)
+        """self after other (matrix product self . other), of order at most
+        the sum of the two bounds."""
+        bound = None
+        if self.order_bound is not None and other.order_bound is not None:
+            bound = self.order_bound + other.order_bound
+        return self._times_columns(other, other.coords, bound)
 
-    def _times_columns(self, other: GradedOperator, columns: Store) -> GradedOperator:
+    def _times_columns(self, other: GradedOperator, columns: Store, order_bound: int | None = None) -> GradedOperator:
         """self . other on ``columns`` only, a part of other's store: the
         product kernel, which ``compose`` runs on every column."""
         deg = None
@@ -415,14 +433,14 @@ class GradedOperator:
                                 del acc[r]
             if acc:
                 cols[c] = {r: share(t, t) for r, t in zip(acc, map(tuple, acc.values()))}
-        return GradedOperator._normalized(self.dim, deg, self.q * other.q, d, real, cols)
+        return GradedOperator._normalized(self.dim, deg, self.q * other.q, d, real, cols, order_bound)
 
     def conjugated(self) -> GradedOperator:
         """conj . P . conj; entry-wise conjugation since the basis is real."""
         if self.real:
             return self
         cols = _map_entries(self.coords, lambda t: (t[0], t[1], -t[2], -t[3]))
-        return object.__new__(GradedOperator)._set(self.dim, self.degree, self.q, self.d, False, cols)
+        return object.__new__(GradedOperator)._set(self.dim, self.degree, self.q, self.d, False, cols, self.order_bound)
 
     # -- comparison & diagnostics ---------------------------------------------
 
@@ -493,22 +511,58 @@ def adjoint(p: GradedOperator, gram: GramData) -> GradedOperator:
                 kx, ky = xc * xr + d * yc * yr, xc * yr + yc * xr
                 t = (a * kx + d * b * ky, a * ky + b * kx, -(x * kx + d * e * ky), -(x * ky + e * kx))
             cols.setdefault(r, {})[c] = share(t, t)
-    deg = -p.degree if p.degree is not None else None
-    return GradedOperator._normalized(p.dim, deg, p.q * qw * qi, d, p.real, cols)
+    deg = bound = None
+    if p.degree is not None:
+        deg = -p.degree
+        if p.order_bound is not None:
+            # (L_{u^b} iota_J)* is a weighted L_{u^J} iota_b, |b| = |J| + |P|
+            bound = max(p.order_bound + p.degree, 0)
+    return GradedOperator._normalized(p.dim, deg, p.q * qw * qi, d, p.real, cols, bound)
 
 
 # ---------------------------------------------------------------------------
 # graded commutators and Laplacians
 
+def bracket_sum(pairs, squares=()) -> GradedOperator:
+    """The sum of [[P, Q]] = P Q - (-1)^{|P||Q|} Q P over the ``pairs`` (P, Q),
+    plus P P = (1/2)[[P, P]] over the odd P in ``squares``.  Every term must
+    have the same degree |P| + |Q|, which the result declares.
+
+    When every operand carries an order bound, the sum has order at most
+    r = max(r_P + r_Q - 1, 0) over its terms: each product is taken on the
+    columns of degree <= r only, and the sum of those columns is rebuilt by
+    one Koszul reconstruction (``from_low_columns``).  Otherwise every
+    column is composed."""
+    terms = [*pairs, *((p, p) for p in squares)]
+    if any(p.degree is None or q.degree is None for p, q in terms):
+        raise ValueError("graded commutator needs declared degrees")
+    if any(p.degree % 2 == 0 for p in squares):
+        raise ValueError("the square of an even operator is not half a bracket")
+    degrees = {p.degree + q.degree for p, q in terms}
+    if len(degrees) != 1:
+        raise ValueError(f"a sum of brackets needs terms of one degree, got {sorted(degrees)}")
+    r = None
+    if all(p.order_bound is not None and q.order_bound is not None for p, q in terms):
+        r = max(max(p.order_bound + q.order_bound - 1 for p, q in terms), 0)
+
+    def times(p, q):
+        if r is None:
+            return p.compose(q)
+        return p._times_columns(q, {m: col for m, col in q.coords.items() if m.bit_count() <= r})
+
+    products = []
+    for p, q in pairs:
+        products += [(times(p, q), 1), (times(q, p), 1 if p.degree * q.degree % 2 else -1)]
+    products += [(times(p, p), 1) for p in squares]
+    total = products[0][0]
+    for x, sign in products[1:]:
+        total = total + x if sign > 0 else total - x
+    return total if r is None else from_low_columns(total, r)
+
+
 def graded_commutator(p: GradedOperator, q: GradedOperator) -> GradedOperator:
     """[[P, Q]] = P Q - (-1)^{|P||Q|} Q P; degrees must be declared."""
-    if p.degree is None or q.degree is None:
-        raise ValueError("graded commutator needs declared degrees")
-    pq = p.compose(q)
-    qp = q.compose(p)
-    if (p.degree * q.degree) % 2:
-        return pq + qp
-    return pq - qp
+    return bracket_sum([(p, q)])
 
 
 def laplacian(p: GradedOperator, p_star: GradedOperator) -> GradedOperator:
@@ -574,21 +628,13 @@ def _koszul_column(beta: Prepared, mask: int) -> IntForm:
     return col
 
 
-def koszul_coefficients(p: GradedOperator, r: int) -> dict[int, Form]:
-    """beta_J for |J| <= r, read off the columns of P on masks of degree <= r.
-
-    In order of increasing degree, beta_M = P(u^M) - sum eps beta_J ^ u^{M-J}
-    over the proper subsets J of M, where u^M = eps u^J ^ u^{M-J}.  The sums
-    run on P's coordinates, over P's denominator.  Zero coefficients are
-    omitted.
-    """
-    beta, _ = _koszul_integral(p, r)
-    return {jm: Form(p.dim, {m: p._entry(t) for m, t in b.items()}) for jm, b in beta.items()}
-
-
 def _koszul_integral(p: GradedOperator, r: int) -> tuple[dict[int, IntForm], Prepared]:
-    """``koszul_coefficients`` as coordinates over P's denominator, each
-    coefficient also prepared for ``_koszul_column`` once, as it is found."""
+    """beta_J for |J| <= r, read off the columns of P on masks of degree <= r,
+    as coordinates over P's denominator: in order of increasing degree,
+    beta_M = P(u^M) - sum eps beta_J ^ u^{M-J} over the proper subsets J of
+    M, where u^M = eps u^J ^ u^{M-J}.  Zero coefficients are omitted, and
+    each coefficient is also prepared for ``_koszul_column`` once, as it is
+    found."""
     beta: dict[int, IntForm] = {}
     prepared: Prepared = []
     masks = sorted((m for m in range(1 << p.dim) if m.bit_count() <= r), key=int.bit_count)
@@ -635,7 +681,16 @@ def _reconstruct(dim: int, coeffs: Prepared, q: int, d: int, degree: int | None)
         bm.bit_count() - jm.bit_count() != degree for jm, form in coeffs for bm, _, _, _ in form
     ):
         _check_degree(store, degree)
-    return GradedOperator._normalized(dim, degree, q, d, False, store)
+    bound = max((jm.bit_count() for jm, _ in coeffs), default=0)
+    return GradedOperator._normalized(dim, degree, q, d, False, store, bound)
+
+
+def from_low_columns(p: GradedOperator, r: int) -> GradedOperator:
+    """The operator of order <= r whose columns of degree <= r are those of
+    P, the reconstruction of their Koszul coefficients: P itself exactly
+    when P has order <= r.  Only those columns of P are read."""
+    _, prepared = _koszul_integral(p, r)
+    return _reconstruct(p.dim, prepared, p.q, p.d, p.degree)
 
 
 def _coframe_coefficients(dim: int, images: list[Form]) -> dict[int, Form]:
@@ -651,38 +706,6 @@ def derivation_from_one_forms(dim: int, images: list[Form], degree: int = 1) -> 
     odd (degree 1) or even (degree 0) derivation by itself.
     """
     return reconstruct(dim, _coframe_coefficients(dim, images), degree)
-
-
-def derivation_bracket(pairs, squares=()) -> GradedOperator:
-    """The sum of [[P, Q]] over the ``pairs`` (P, Q) of derivations, plus P P
-    = (1/2)[[P, P]] over the odd derivations P in ``squares``, as one
-    derivation: the one with coframe values P(Q u^i) - (-1)^{|P||Q|} Q(P u^i)
-    (P(P u^i) for a square), summed and reconstructed once.  Every term must
-    have the same degree |P| + |Q|, which the result declares."""
-    terms = [*pairs, *((p, p) for p in squares)]
-    if any(p.degree is None or q.degree is None for p, q in terms):
-        raise ValueError("derivation bracket needs declared degrees")
-    if any(p.degree % 2 == 0 for p in squares):
-        raise ValueError("the square of an even derivation is not a derivation")
-    degrees = {p.degree + q.degree for p, q in terms}
-    if len(degrees) != 1:
-        raise ValueError(f"derivation bracket needs terms of one degree, got {sorted(degrees)}")
-    dim, degree = terms[0][0].dim, degrees.pop()
-    coframe = [1 << i for i in range(dim)]
-
-    def on_coframe(p: GradedOperator, q: GradedOperator) -> GradedOperator:
-        """P Q on the u^i only: column u^i is P(Q u^i)."""
-        return p._times_columns(q, {m: q.coords[m] for m in coframe if m in q.coords})
-
-    images = GradedOperator.zero(dim, degree)
-    for p, q in pairs:
-        qp = on_coframe(q, p)
-        images = images + on_coframe(p, q) + (qp if p.degree * q.degree % 2 else -qp)
-    for p in squares:
-        images = images + on_coframe(p, p)
-    # the coframe values keyed by the one-element masks J = {i}, as Koszul
-    # coefficients: derivation_from_one_forms without a Scalar
-    return _reconstruct(dim, _prepare(images.coords), images.q, images.d, degree)
 
 
 def multiplication_bracket(p: GradedOperator, beta: Form, degree: int) -> GradedOperator:
@@ -815,5 +838,4 @@ def algebraic_order_at_most(p: GradedOperator, r: int) -> bool:
     """
     if r < 0:
         raise ValueError("order bound must be nonnegative")
-    _, prepared = _koszul_integral(p, r)
-    return p == _reconstruct(p.dim, prepared, p.q, p.d, p.degree)
+    return p == from_low_columns(p, r)

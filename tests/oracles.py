@@ -2,9 +2,9 @@
 
 * ``wedge_sign_pairwise``: the sign of u^m1 ^ u^m2 by counting, one index
   of m1 at a time, the indices of m2 below it, against the one sign key
-  per mask (``exterior.sign_key``) that ``wedge_masks``, the Koszul sums
-  and ``algebra_map_blocks`` read.  The Scalar Koszul route and the Hodge
-  star below take their signs from it.
+  per mask (``exterior.sign_key``) that ``Form.wedge``, the Koszul sums
+  and ``algebra_map_blocks`` read, here through ``wedge_masks``.  The
+  Scalar Koszul route and the Hodge star below take their signs from it.
 * ``pairing_via_minors`` and ``inner_via_minors``: the Hermitian pairing
   induced on each exterior power, <u^I, u^J> = det of the g^{-1} minor on
   (I, J); works on coupled metrics, against the production pairing through
@@ -46,11 +46,17 @@
   NK_COR, LAP_COM, AUX_COM, BR67 and TORSION_OP composed directly from
   delbar, mubar, ``adjoint`` and ``mult_operator``, against the conjugates
   the checks record through ``_Acc.pair``.
+* ``commutator_by_composition``: [[P, Q]] = P Q - (-1)^{|P||Q|} Q P with
+  every column of both products composed, against ``bracket_sum``,
+  ``graded_commutator`` and ``laplacian``, which build a bracket of
+  bounded operators from its columns of degree <= r and one
+  reconstruction.  Every bracket and Laplacian of the oracles below is
+  composed this way.
 * ``composed_requirements``: the requirements of D2_SPLIT, BR67, AUX_COM,
   PROP_LAP and L_DELTA that contain a bracket of two components of d or of
   a component and L_mu_omega, each such bracket composed as P Q -
   (-1)^{|P||Q|} Q P from full matrices, against the checks, which build them
-  from coframe values (``derivation_bracket``, ``multiplication_bracket``).
+  by order (``bracket_sum``) or as L_{P beta} (``multiplication_bracket``).
 * ``laplacian_of_del_minus_delbar``: Delta_(del-delbar) as [[P*, P]] of
   P = del - delbar with ``adjoint_via_minors``, against DELTA_SUM's
   expansion Delta_del + Delta_delbar - X - conj X, X = [[delbar*, del]].
@@ -91,9 +97,17 @@
 * ``off_type_failures``: type preservation of the degree-0 difference
   Laplacian as ``off_type`` on its image of every eta-monomial, against
   VANISH_COR's matrix of it in the eta-monomial basis.
+* ``diagonal_operator``: the diagonal m -> weight(m) m through the Scalar
+  constructor, against ``scale_columns`` and the counting operator H, a
+  Koszul sum.
 * ``frame_columns_by_composition``: F P E with every column composed,
-  against the production route that composes one column of each conjugate
-  pair of a real or imaginary P and writes the other by conjugation.
+  against the production route that composes the blocks of degree <= r of
+  a P of order <= r and rebuilds the rest by one reconstruction.
+  ``swapped`` exchanges the halves of an eta-monomial mask: conj E(m) =
+  (-1)^(pq) E(swapped m) for m of type (p,q).
+* ``koszul_coefficients``: the beta_J with |J| <= r of the production
+  Koszul integral (``operators._koszul_integral``) as Scalar forms, against
+  ``scalar_koszul_coefficients``.
 * ``frame_sum_by_composition``: DC_FRAME's sum_j L_{J u^j} nabla_j composed
   term by term from ``mult_operator`` and the operators ``nabla_operator``,
   against the one Koszul reconstruction of the production route.
@@ -115,6 +129,7 @@ from nkhodge.exterior import (
     graded_lex_key,
     indices_from_mask,
     mask_label,
+    sign_key,
 )
 from nkhodge.hodge import degree_masks, hodge_laplacian, operator_degree_rows
 from nkhodge.linalg import (
@@ -130,10 +145,9 @@ from nkhodge.models import ValidationIssue
 from nkhodge.operators import (
     Column,
     GradedOperator,
+    _koszul_integral,
     adjoint,
     derivation_from_one_forms,
-    graded_commutator as br,
-    laplacian,
     mult_operator,
 )
 from nkhodge.scalars import I, ONE, ZERO, Scalar, rational
@@ -154,6 +168,31 @@ def wedge_sign_pairwise(m1: int, m2: int) -> tuple[int, int]:
             sign = -sign
         m ^= low
     return sign, m1 | m2
+
+
+def diagonal_operator(dim: int, weight) -> GradedOperator:
+    """Degree-0 operator m -> weight(m) * m for a mask -> Scalar function,
+    through the Scalar constructor."""
+    return GradedOperator(dim, {m: {m: weight(m)} for m in range(1 << dim)}, 0, check=False)
+
+
+def wedge_masks(m1: int, m2: int) -> tuple[int, int]:
+    """(sign, union) for u^m1 ^ u^m2 from the sign key of m1; sign 0 when
+    they overlap."""
+    if m1 & m2:
+        return 0, 0
+    return (-1 if (m2 & sign_key(m1)).bit_count() & 1 else 1), m1 | m2
+
+
+# -- brackets -------------------------------------------------------------------
+
+def commutator_by_composition(p, q):
+    """[[P, Q]] = P Q - (-1)^{|P||Q|} Q P, both products composed in full."""
+    pq, qp = p.compose(q), q.compose(p)
+    return pq + qp if p.degree * q.degree % 2 else pq - qp
+
+
+br = commutator_by_composition  # every bracket of the oracles below
 
 
 # -- pairings and adjoints -----------------------------------------------------
@@ -509,7 +548,7 @@ def stacked_kernel_nullities(model) -> list[tuple[int, int]]:
     parts = list(differential_split(comp).components().values())
     adjs = [adjoint(p, gram) for p in parts]
     eight = parts + adjs
-    laps = [laplacian(p, ps) for p, ps in zip(parts, adjs)]
+    laps = [br(ps, p) for p, ps in zip(parts, adjs)]
 
     def nullity(ops: list[GradedOperator], k: int) -> int:
         rows: list[SparseRow] = []
@@ -617,7 +656,7 @@ def composed_requirements(model) -> dict[str, GradedOperator]:
     lam = adjoint(l_op, gram)
     lm = mult_operator(mu.apply(model.omega())).with_degree(3)
     lmb = lm.conjugated()
-    d_lm = laplacian(lm, adjoint(lm, gram))
+    d_lm = br(adjoint(lm, gram), lm)
     d_lmb = d_lm.conjugated()
     third_i = I * rational(1, 3)
     mb_mu = mu.compose(mb) + mb.compose(mu)
@@ -651,7 +690,7 @@ def composed_requirements(model) -> dict[str, GradedOperator]:
         ),
         # L_DELTA
         "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2": (
-            br(l_op, hodge_laplacian(model))
+            br(l_op, br(adjoint(model.d(), gram), model.d()))
             + (mus_lm - de2.scale(Scalar(0, 0, 2, 0)))
             + (mus_lm - de2.scale(Scalar(0, 0, 2, 0))).conjugated()
         ),
@@ -662,7 +701,7 @@ def laplacian_of_del_minus_delbar(model) -> GradedOperator:
     """[[P*, P]] for P = del - delbar, with the minor-sandwich adjoint."""
     split = differential_split(model)
     p = split.del_ - split.delbar
-    return laplacian(p, adjoint_via_minors(p, model.gram()))
+    return br(adjoint_via_minors(p, model.gram()), p)
 
 
 # -- eta-monomial coordinates ----------------------------------------------------
@@ -896,10 +935,12 @@ class ScalarOperator:
 
     The reference for ``GradedOperator``: the same operations, each entry
     its own Scalar, every sum and product accumulated through
-    ``linalg.add_scaled``.
+    ``linalg.add_scaled``.  It carries no order bound, so its graded
+    commutator is always composed.
     """
 
     __slots__ = ("dim", "cols", "degree")
+    order_bound = None
 
     def __init__(self, dim: int, cols: dict[int, Column], degree: int | None = None):
         clean: dict[int, Column] = {}
@@ -1039,6 +1080,13 @@ def scalar_derivation(dim: int, images: list[Form], degree: int = 1) -> GradedOp
     return scalar_reconstruct(dim, _scalar_coframe_coefficients(images), degree)
 
 
+def koszul_coefficients(p: GradedOperator, r: int) -> dict[int, Form]:
+    """beta_J for |J| <= r as the production Koszul integral reads them off
+    P's columns of degree <= r, one Scalar per coefficient entry."""
+    beta, _ = _koszul_integral(p, r)
+    return {jm: Form(p.dim, {m: p._entry(t) for m, t in b.items()}) for jm, b in beta.items()}
+
+
 def scalar_koszul_coefficients(p: GradedOperator, r: int) -> dict[int, Form]:
     """beta_M = P(u^M) - sum eps beta_J ^ u^{M-J} in order of increasing |M| <= r."""
     beta: dict[int, Form] = {}
@@ -1085,9 +1133,16 @@ def off_type_failures(model, diff: GradedOperator) -> list[str]:
 
 def frame_columns_by_composition(model, op: GradedOperator) -> dict[int, dict[int, Scalar]]:
     """The columns of F op E keyed by eta-monomial, every column composed:
-    F_{k+deg} op E_k on the full blocks of E, with no conjugate pair read
-    off its partner."""
+    F_{k+deg} op E_k on every block of E, whatever the order bound of op."""
     return {m: col for block in pq_basis(model).frame_blocks(op) for m, col in block.scalar_columns()}
+
+
+def swapped(pqb, pqmask: int) -> int:
+    """The eta-monomial mask with its low and high halves exchanged: conj
+    E(m) = (-1)^(pq) E(swapped m) for m of type (p,q), since conj eta^a is
+    generator n + a and the p low factors pass the q high ones."""
+    n = pqb.n
+    return (pqmask >> n) | ((pqmask & ((1 << n) - 1)) << n)
 
 
 # -- DC_FRAME's frame sum -----------------------------------------------------

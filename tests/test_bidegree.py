@@ -29,8 +29,10 @@ from nkhodge.operators import GradedOperator, algebra_map_blocks, graded_commuta
 from nkhodge.scalars import I, ONE, Scalar, rational
 from oracles import (
     adjoint_via_minors,
+    commutator_by_composition,
     decompose_by_d_j,
     decompose_via_monomials,
+    diagonal_operator,
     form_to_pq,
     harmonic_pq_via_monomials,
     j_apply,
@@ -39,6 +41,7 @@ from oracles import (
     pq_coords_to_form,
     spans_equal,
     split_by_four_derivations,
+    swapped,
     wedge_image,
 )
 
@@ -186,15 +189,15 @@ class TestPQBasis:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_conjugate_monomial_is_the_swapped_monomial(self, name):
-        # conj E(m) = (-1)^(pq) E(swapped m) on every column of E: the rule
-        # by which the frame of a real or imaginary operator is mirrored
+        # conj E(m) = (-1)^(pq) E(swapped m) on every column of E: conjugation
+        # exchanges the halves of an eta-monomial
         model = builtin_model(name).orthogonalized()
         pqb = pq_basis(model)
         for e_k in algebra_map_blocks(model.dim, pqb.generators):
             for m in e_k.coords:
                 p, q = pqb.bidegree_of_mask(m)
-                assert pqb.bidegree_of_mask(pqb.swapped(m)) == (q, p)
-                want = e_k.column_form(pqb.swapped(m)).scale(rational((-1) ** (p * q)))
+                assert pqb.bidegree_of_mask(swapped(pqb, m)) == (q, p)
+                want = e_k.column_form(swapped(pqb, m)).scale(rational((-1) ** (p * q)))
                 assert e_k.column_form(m).conjugate() == want
 
     def test_roundtrip(self, s3xs3):
@@ -438,6 +441,18 @@ class TestLefschetz:
         assert h.apply(Form.basis(6, 0b000111)).is_zero()  # degree 3 = n
         assert h.apply(Form.basis(6, 0b111111)) == Form.basis(6, 0b111111, rational(3))
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_counting_operator_is_the_diagonal(self, name):
+        # H as the Koszul sum -n + sum_i L_{u^i} iota_i, of order 1, is
+        # literally the diagonal |m| - n, column and row orders included
+        model = builtin_model(name).orthogonalized()
+        h = counting_operator(model)
+        n = model.dim // 2
+        want = diagonal_operator(model.dim, lambda m: rational(m.bit_count() - n))
+        assert (h.q, h.d, h.real, h.degree) == (want.q, want.d, want.real, want.degree)
+        assert list(h.coords.items()) == list(want.coords.items())
+        assert (h.order_bound, want.order_bound) == (1, None)
+
     def test_sl2_relations(self, s3xs3_ortho, torus6, kodaira):
         for m in (s3xs3_ortho, torus6, kodaira):
             l_op, lam, h = lefschetz_triple(m)
@@ -471,7 +486,7 @@ class TestNamedOperator:
         p = named_operator(model, base)
         p_star = adjoint_via_minors(p, model.gram())
         assert named_operator(model, "adj:" + base) == p_star
-        assert named_operator(model, "lap:" + base) == graded_commutator(p_star, p)
+        assert named_operator(model, "lap:" + base) == commutator_by_composition(p_star, p)
 
     def test_unknown_name(self, torus6):
         for name in ("lambda", "adj:adj:d", "lap:", "star:d", "del-delbar", "lap:del-delbar"):

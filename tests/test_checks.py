@@ -14,7 +14,7 @@ from nkhodge.checks import (
     run_check,
     run_suite,
 )
-from nkhodge.bidegree import DifferentialSplit, PQBasis, counting_operator, named_operator, pq_basis
+from nkhodge.bidegree import DifferentialSplit, named_operator, pq_basis
 from nkhodge.exterior import Form
 from nkhodge.hodge import harmonic_pq, harmonic_space, operator_degree_rows
 from nkhodge.linalg import sparse_kernel
@@ -30,6 +30,7 @@ from nkhodge.operators import GradedOperator, algebra_map_blocks, derivation_fro
 from nkhodge.scalars import I, Scalar, rational
 from oracles import (
     barred_requirements,
+    commutator_by_composition,
     frame_columns_by_composition,
     frame_sum_by_composition,
     laplacian_of_del_minus_delbar,
@@ -287,22 +288,22 @@ class TestSelfConjugateSums:
 
     @pytest.mark.parametrize("order", [("LAP_COM", "DELTA_SUM"), ("DELTA_SUM", "LAP_COM")])
     def test_lap_com_and_delta_sum_share_x(self, order, monkeypatch):
-        # X = [[delbar*, del]] = delbar* del + del delbar*: two products per
-        # model, whichever of its two readers runs first
-        original = GradedOperator.compose
+        # X = [[delbar*, del]]: one bracket per model, whichever of its two
+        # readers runs first
+        original = nkhodge.checks.br
         operands = []
 
         def recording(p, q):
             operands.append((p, q))
             return original(p, q)
 
-        monkeypatch.setattr(GradedOperator, "compose", recording)
+        monkeypatch.setattr(nkhodge.checks, "br", recording)
         model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
         for cid in order:
             assert run_check(model, cid).status == "pass"
         comp = model.orthogonalized()
-        x_factors = {id(named_operator(comp, "adj:delbar")), id(named_operator(comp, "del"))}
-        assert sum({id(p), id(q)} == x_factors for p, q in operands) == 2
+        x_factors = (named_operator(comp, "adj:delbar"), named_operator(comp, "del"))
+        assert sum(p is x_factors[0] and q is x_factors[1] for p, q in operands) == 1
 
     @pytest.mark.parametrize("name", ["s3xs3-nk", "kodaira-thurston"])
     def test_delta_sum_matches_minor_laplacian(self, name):
@@ -360,31 +361,21 @@ def _mutate_ops(monkeypatch, added):
     monkeypatch.setattr(nkhodge.checks, "_ops", mutated)
 
 
-def _spy_frame_masks(monkeypatch):
-    """The ``masks`` argument of every ``PQBasis.frame_blocks`` call, in order."""
+def _spy_e_blocks(monkeypatch, pqb):
+    """The degree of every block of E that ``PQBasis.frame_blocks`` builds,
+    in order (the type route's ``algebra_map_apply`` passes masks, the
+    frame does not)."""
     seen = []
-    original = PQBasis.frame_blocks
+    original = nkhodge.bidegree.algebra_map_blocks
 
-    def spy(self, op, masks=None):
-        seen.append(masks)
-        return original(self, op, masks)
+    def spy(dim, images, masks=None):
+        for k, block in enumerate(original(dim, images, masks)):
+            if masks is None and images is pqb.generators:
+                seen.append(k)
+            yield block
 
-    monkeypatch.setattr(PQBasis, "frame_blocks", spy)
+    monkeypatch.setattr(nkhodge.bidegree, "algebra_map_blocks", spy)
     return seen
-
-
-def _canonical_masks(pqb):
-    """One mask of each conjugate pair: type (p,q) with p < q, or p = q and
-    m <= the mask with its halves exchanged (written out here, not
-    ``PQBasis.swapped``)."""
-    n = pqb.n
-    low = (1 << n) - 1
-    out = []
-    for m in range(1 << pqb.dim):
-        p, q = (m & low).bit_count(), (m >> n).bit_count()
-        if p < q or (p == q and m <= (m >> n) | ((m & low) << n)):
-            out.append(m)
-    return out
 
 
 class TestVanishCor:
@@ -421,38 +412,35 @@ class TestVanishCor:
         res = run_check(model, "VANISH_COR")
         assert res.status == "fail" and res.witness == want[0]
 
-    def test_imaginary_type_breaking_mutation_fails_through_the_mirrored_half(self, monkeypatch):
+    def test_imaginary_type_breaking_mutation_fails_with_the_oracle_labels(self, monkeypatch):
         # i L_{u^1} iota_{e_2} added to Delta_{L_mu omega} and its conjugate to
-        # Delta_{L_mubar omega}: the difference gains 2i L_{u^1} iota_{e_2}, so
-        # it stays imaginary and breaks type, and the check composes only one
-        # column of each conjugate pair
+        # Delta_{L_mubar omega}: the difference gains 2i L_{u^1} iota_{e_2}, of
+        # order 1, so it stays imaginary and of order <= 2 and breaks type
         model = _fresh("s3xs3-nk")
         target = model.orthogonalized()
         extra = _type_breaking_extra(target).scale(I)
         want = off_type_failures(target, _difference_laplacian(target) + extra.scale(rational(2)))
         assert len(want) == 14  # every type but (0,0) and (3,3)
         _mutate_ops(monkeypatch, {"lap:L_mu_omega": extra, "lap:L_mubar_omega": extra.conjugated()})
-        seen = _spy_frame_masks(monkeypatch)
         assert self._type_failures(target) == want
-        assert seen == [_canonical_masks(pq_basis(target))]
         res = run_check(model, "VANISH_COR")
         assert res.status == "fail" and res.witness == want[0]
 
 
 # the operators whose eta-frame matrices DIM6_EIGEN and VANISH_COR read, and
-# s with conj P = s P literally on s3xs3-nk (None: neither real nor imaginary)
+# the order bound each carries
 _FRAME_OPERATORS = {
-    "Delta_L_mu_omega": (lambda m: named_operator(m, "lap:L_mu_omega"), None),
-    "diff": (_difference_laplacian, -1),
-    "Delta_del - Delta_delbar": (lambda m: named_operator(m, "lap:del") - named_operator(m, "lap:delbar"), -1),
-    "L": (lambda m: named_operator(m, "L"), 1),
+    "Delta_L_mu_omega": (lambda m: named_operator(m, "lap:L_mu_omega"), 2),
+    "diff": (_difference_laplacian, 2),
+    "Delta_del - Delta_delbar": (lambda m: named_operator(m, "lap:del") - named_operator(m, "lap:delbar"), 2),
+    "L": (lambda m: named_operator(m, "L"), 0),
     "[[mubar,mu]]": (lambda m: nkhodge.checks._mubar_mu(m), 1),
 }
 
 
 class TestInFrame:
-    """``_in_frame`` composes one column of each conjugate pair of a real or
-    imaginary operator and writes the other by conjugation; the oracle
+    """``_in_frame`` composes the blocks of degree <= r of an operator of
+    order <= r and rebuilds the frame by one reconstruction; the oracle
     composes every column."""
 
     @pytest.mark.parametrize(
@@ -464,22 +452,35 @@ class TestInFrame:
         op = _FRAME_OPERATORS[label][0](model)
         assert nkhodge.checks._in_frame(model, op) == frame_columns_by_composition(model, op)
 
-    def test_conjugation_sign_covers_each_route(self):
-        # on s3xs3-nk the operators above take the real, the imaginary and
-        # the full route, and each is nonzero
+    def test_every_frame_operator_carries_its_bound(self):
+        # on s3xs3-nk each operator above is nonzero and bounded, so each
+        # takes the order route
         model = builtin_model("s3xs3-nk").orthogonalized()
-        for build, sign in _FRAME_OPERATORS.values():
+        for build, bound in _FRAME_OPERATORS.values():
             op = build(model)
             assert not op.is_zero()
-            assert nkhodge.checks._conjugation_sign(op) == sign
+            assert op.order_bound == bound
 
-    def test_sqrt_d_real_part_takes_the_full_route(self):
-        # diff + sqrt(3) H has no rational real part but a sqrt(d) one, so
-        # conj P is neither P nor -P
+    def test_an_operator_without_a_bound_has_every_column_composed(self, monkeypatch):
+        # diff rebuilt through the constructor carries no bound: all 64
+        # columns of E are composed with it
         model = builtin_model("s3xs3-nk").orthogonalized()
-        op = _difference_laplacian(model) + counting_operator(model).scale(Scalar.sqrt_ext(3))
-        assert nkhodge.checks._conjugation_sign(op) is None
-        assert nkhodge.checks._in_frame(model, op) == frame_columns_by_composition(model, op)
+        diff = _difference_laplacian(model)
+        op = GradedOperator(model.dim, diff.cols, diff.degree)
+        assert op.order_bound is None
+        original = GradedOperator.compose
+        columns = []
+
+        def recording(p, q):
+            if p is op:
+                columns.extend(q.coords)
+            return original(p, q)
+
+        monkeypatch.setattr(GradedOperator, "compose", recording)
+        got = nkhodge.checks._in_frame(model, op)
+        assert sorted(columns) == list(range(64))
+        monkeypatch.undo()
+        assert got == frame_columns_by_composition(model, diff)
 
 
 class TestDcFrame:
@@ -487,6 +488,49 @@ class TestDcFrame:
     def test_koszul_frame_sum_matches_composition(self, name):
         model = builtin_model(name).orthogonalized()
         assert nkhodge.checks._frame_sum(model) == frame_sum_by_composition(model)
+
+
+def _composed(pairs, squares):
+    """A sum of brackets and odd squares with every product composed."""
+    terms = [commutator_by_composition(p, q) for p, q in pairs] + [p.compose(p) for p in squares]
+    return sum(terms[1:], terms[0])
+
+
+class TestBracketsByOrder:
+    """Every bracket, Laplacian and sum of brackets the catalogue builds by
+    order is literally its composition."""
+
+    @pytest.mark.parametrize("name", ["torus6", "kodaira-thurston", "s3xs3-nk"])
+    def test_every_catalogue_bracket_matches_its_composition(self, name, monkeypatch):
+        original = nkhodge.operators.bracket_sum
+        built = []
+
+        def recording(pairs, squares=()):
+            out = original(pairs, squares)
+            built.append((list(pairs), list(squares), out))
+            return out
+
+        # graded_commutator and laplacian look bracket_sum up in operators
+        monkeypatch.setattr(nkhodge.operators, "bracket_sum", recording)
+        monkeypatch.setattr(nkhodge.checks, "bracket_sum", recording)
+        expected = KODAIRA_EXPECTED_FAILURES if name == "kodaira-thurston" else ()
+        assert run_suite(_fresh(name), expected_failures=expected).verdict
+        assert len(built) > 30
+        for pairs, squares, got in built:
+            assert None not in [op.order_bound for pair in pairs for op in pair] + [p.order_bound for p in squares]
+            want = _composed(pairs, squares)
+            assert got == want and got.degree == want.degree
+
+    def test_su2_four_brackets_match_their_compositions(self):
+        model = builtin_model("su2-four").orthogonalized()
+        d, dstar, l_op, lm, lms = (
+            named_operator(model, n) for n in ("d", "adj:d", "L", "L_mu_omega", "adj:L_mu_omega")
+        )
+        assert named_operator(model, "lap:d") == commutator_by_composition(dstar, d)
+        assert nkhodge.checks.br(dstar, l_op) == commutator_by_composition(dstar, l_op)
+        d_lm = commutator_by_composition(lms, lm)
+        assert named_operator(model, "lap:L_mu_omega") == d_lm
+        assert _difference_laplacian(model) == d_lm - d_lm.conjugated()
 
 
 class TestCostGuards:
@@ -535,22 +579,36 @@ class TestCostGuards:
         for value in added:
             assert not (isinstance(value, GradedOperator) and any(value == op for op in frames))
 
-    def test_vanish_cor_composes_one_column_of_each_conjugate_pair(self, monkeypatch):
-        # the difference Laplacian is imaginary: E holds the 36 canonical
-        # columns only; the real mutation breaks the symmetry, and then all
-        # 64 columns are composed
+    def test_vanish_cor_builds_the_e_blocks_of_degree_at_most_two(self, monkeypatch):
+        # the difference Laplacian has order <= 2: E is built up to degree 2
+        # and no further, also when a mutation of order 1 breaks type
         model = _fresh("s3xs3-nk")
-        pqb = pq_basis(model.orthogonalized())
-        assert [pqb.swapped(m) for m in range(64)] == [(m >> 3) | ((m & 7) << 3) for m in range(64)]
-        canonical = _canonical_masks(pqb)
-        assert len(canonical) == 36
-        seen = _spy_frame_masks(monkeypatch)
+        seen = _spy_e_blocks(monkeypatch, pq_basis(model.orthogonalized()))
         assert run_check(model, "VANISH_COR").status == "pass"
-        assert seen == [canonical]
+        assert seen == [0, 1, 2]
         seen.clear()
         _mutate_ops(monkeypatch, {"lap:L_mu_omega": _type_breaking_extra(model.orthogonalized())})
         assert run_check(model, "VANISH_COR").status == "fail"
-        assert seen == [None]
+        assert seen == [0, 1, 2]
+
+    def test_su2_four_catalogue_composes_little(self, monkeypatch):
+        # every bracket and frame of bounded order goes by order: what is
+        # left is validation's d d, J_PQ's J E_k, the frame blocks of degree
+        # <= 2 and ORDER_BRACKET's [[d*, L]], which is composed in full
+        original = GradedOperator.compose
+        calls = []
+
+        def recording(p, q):
+            calls.append((p, q))
+            return original(p, q)
+
+        monkeypatch.setattr(GradedOperator, "compose", recording)
+        model = _fresh("su2-four")
+        assert run_suite(model).verdict
+        assert len(calls) <= 30
+        target = model.orthogonalized()
+        dstar, l_op = named_operator(target, "adj:d"), named_operator(target, "L")
+        assert sum((p is dstar and q is l_op) or (p is l_op and q is dstar) for p, q in calls) == 2
 
     def test_d2_split_and_br67_compose_nothing(self, monkeypatch):
         # every bracket of both checks is a derivation or L_{P mu omega},

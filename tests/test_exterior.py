@@ -9,10 +9,9 @@ from nkhodge.exterior import (
     graded_lex_key,
     indices_from_mask,
     sign_key,
-    wedge_masks,
 )
 from nkhodge.scalars import HALF, I, ONE, Scalar, rational
-from oracles import inner_via_minors, star, star_available, volume_form, wedge_sign_pairwise
+from oracles import inner_via_minors, star, star_available, volume_form, wedge_masks, wedge_sign_pairwise
 
 DIM = 4
 

@@ -5,15 +5,17 @@ on random operators in dimension three over Q(sqrt 3)(i) and Q(i), with
 d = 1 and d = 3 operators mixed and coefficients above 2**64: the entries,
 the column and row orders that elimination sees, nnz, the witness and the
 float residual, and the normalization of the store itself.  The Koszul sums
-(``reconstruct``, ``derivation_from_one_forms``, ``koszul_coefficients`` and
-``DerivationAction``) are compared in the same way with the Scalar Koszul
-route of ``oracles``, degree errors included, and every block of
+(``reconstruct``, ``derivation_from_one_forms``, the Koszul coefficients
+and ``DerivationAction``) are compared in the same way with the Scalar
+Koszul route of ``oracles``, degree errors included, and every block of
 ``algebra_map_blocks`` with the Scalar expansion ``oracles.wedge_image``;
 a spy checks that the coefficient forms are prepared for the Koszul sum
 once per reconstruction, per ``DerivationAction`` and per new coefficient.
-The brackets built from coframe values (``derivation_bracket``,
-``multiplication_bracket``) are compared with the composed graded
-commutator, on random derivations and on the split of d of every built-in.
+The brackets by order (``bracket_sum``, ``graded_commutator``,
+``laplacian``) and ``multiplication_bracket`` are compared with the
+composed graded commutator ``oracles.commutator_by_composition``, on
+random derivations, multiplication operators and their adjoints, and on
+the split of d of every built-in; a false order bound shows.
 """
 
 import math
@@ -37,10 +39,10 @@ from nkhodge.operators import (
     adjoint,
     algebra_map_blocks,
     algebraic_order_at_most,
-    derivation_bracket,
+    bracket_sum,
     derivation_from_one_forms,
     graded_commutator,
-    koszul_coefficients,
+    laplacian,
     mult_operator,
     multiplication_bracket,
     reconstruct,
@@ -49,7 +51,10 @@ from nkhodge.scalars import ZERO, Scalar
 from oracles import (
     ScalarDerivationAction,
     ScalarOperator,
+    commutator_by_composition,
     composed_requirements,
+    diagonal_operator,
+    koszul_coefficients,
     scalar_adjoint,
     scalar_derivation,
     scalar_koszul_coefficients,
@@ -343,10 +348,14 @@ class TestKoszulPreparedOnce:
         mult_operator(Form.basis(DIM, 0b011))
         reconstruct(DIM, {0b001: Form.basis(DIM, 0b110), 0b011: Form.basis(DIM, 0b100)}, None)
         assert calls == [[0b001, 0b100], [0], [0b001, 0b011]]
-        p = derivation_from_one_forms(DIM, [Form.basis(DIM, 1 << i) for i in range(DIM)], 0)
+        # [[N, Q]] = Q for N the degree-0 derivation with u^i -> u^i and Q of
+        # degree 1: one preparation per coefficient that the bracket by order
+        # finds, none for its reconstruction
+        n = derivation_from_one_forms(DIM, [Form.basis(DIM, 1 << i) for i in range(DIM)], 0)
+        q = derivation_from_one_forms(DIM, self.IMAGES)
         calls.clear()
-        derivation_bracket([(p, derivation_from_one_forms(DIM, self.IMAGES))])
-        assert len(calls) == 2
+        assert graded_commutator(n, q) == q
+        assert calls == [[0b001], [0b100]]
 
     def test_once_per_derivation_action(self, calls):
         action = DerivationAction(DIM, self.IMAGES)
@@ -417,22 +426,22 @@ class TestDerivationBrackets:
     @given(derivations(), derivations(), derivations(), derivations())
     @EXAMPLES
     def test_brackets_are_graded_commutators(self, p, q, r, s):
-        assert_same_matrix(derivation_bracket([(p, q)]), graded_commutator(p, q))
-        # a sum of brackets is one derivation
+        assert_same_matrix(graded_commutator(p, q), commutator_by_composition(p, q))
+        # a sum of brackets is one reconstruction
         if p.degree + q.degree != r.degree + s.degree:
             with pytest.raises(ValueError, match="one degree"):
-                derivation_bracket([(p, q), (r, s)])
+                bracket_sum([(p, q), (r, s)])
             return
-        want = graded_commutator(p, q) + graded_commutator(r, s)
-        assert_same_matrix(derivation_bracket([(p, q), (r, s)]), want)
+        want = commutator_by_composition(p, q) + commutator_by_composition(r, s)
+        assert_same_matrix(bracket_sum([(p, q), (r, s)]), want)
 
     @given(derivations(degrees=(1,)), derivations(degrees=(1,)), derivations(degrees=(0, 2)))
     @EXAMPLES
     def test_an_odd_square_is_half_a_bracket(self, p, q, even):
-        assert_same_matrix(derivation_bracket([], squares=[p]), p.compose(p))
-        assert_same_matrix(derivation_bracket([(p, q)], squares=[q]), graded_commutator(p, q) + q.compose(q))
-        with pytest.raises(ValueError, match="even derivation"):
-            derivation_bracket([], squares=[even])
+        assert_same_matrix(bracket_sum([], squares=[p]), p.compose(p))
+        assert_same_matrix(bracket_sum([(p, q)], squares=[q]), commutator_by_composition(p, q) + q.compose(q))
+        with pytest.raises(ValueError, match="even operator"):
+            bracket_sum([], squares=[even])
 
     @given(derivations(), homogeneous_forms())
     @EXAMPLES
@@ -440,7 +449,7 @@ class TestDerivationBrackets:
         beta, k = beta_k
         l_beta = mult_operator(beta).with_degree(k)
         got = multiplication_bracket(p, beta, k)
-        assert_same_matrix(got, graded_commutator(p, l_beta))
+        assert_same_matrix(got, commutator_by_composition(p, l_beta))
         assert_same_matrix(got, mult_operator(p.apply(beta)).with_degree(p.degree + k))
 
     @given(operators(), st.dictionaries(st.sampled_from(MASKS), st.sampled_from([1, 3]).flatmap(scalars)))
@@ -449,27 +458,27 @@ class TestDerivationBrackets:
         def weight(m):
             return weights.get(m, ZERO)
 
-        assert_same_matrix(p.scale_columns(weight), p.compose(GradedOperator.diagonal(DIM, weight)))
+        assert_same_matrix(p.scale_columns(weight), p.compose(diagonal_operator(DIM, weight)))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_split_brackets_match_their_compositions(self, name):
-        # every bracket the catalogue builds from coframe values, on the
-        # split of d itself: many are nonzero although the sums vanish
+        # every bracket of two components the catalogue builds, on the split
+        # of d itself: many are nonzero although the sums vanish
         model = builtin_model(name).orthogonalized()
         mu, de, db, mb = (named_operator(model, n) for n in ("mu", "del", "delbar", "mubar"))
         lm = named_operator(model, "L_mu_omega")
         for p, q in ((de, mu), (db, mu), (de, db), (mu, mb)):
-            assert_same_matrix(derivation_bracket([(p, q)]), graded_commutator(p, q))
+            assert_same_matrix(graded_commutator(p, q), commutator_by_composition(p, q))
         for p in (mu, de):
-            assert_same_matrix(derivation_bracket([], squares=[p]), p.compose(p))
+            assert_same_matrix(bracket_sum([], squares=[p]), p.compose(p))
         assert_same_matrix(_mubar_mu(model), mu.compose(mb) + mb.compose(mu))
         mu_omega = mu.apply(model.omega())
         for p in (mu, de, db, mb):
             # BR67's [[L_mu_omega, P]] = [[P, L_mu_omega]], P odd
-            assert_same_matrix(multiplication_bracket(p, mu_omega, 3), graded_commutator(lm, p))
+            assert_same_matrix(multiplication_bracket(p, mu_omega, 3), commutator_by_composition(lm, p))
         assert_same_matrix(
             multiplication_bracket(mu, mu_omega.conjugate(), 3),
-            graded_commutator(mu, named_operator(model, "L_mubar_omega")),
+            commutator_by_composition(mu, named_operator(model, "L_mubar_omega")),
         )
 
     def test_check_requirements_match_their_compositions(self):
@@ -502,6 +511,75 @@ class TestDerivationBrackets:
         for label, op in want.items():
             assert not op.is_zero(), label
             assert_same_matrix(recorded[label], op)
+
+
+@st.composite
+def bounded_operators(draw):
+    """A derivation or a multiplication operator L_beta, or the adjoint of
+    one over a random diagonal metric, each with the order bound that its
+    builder proves: 1 for a derivation, 0 for L_beta, r + |P| for the
+    adjoint of P."""
+    if draw(st.booleans()):
+        op = draw(derivations())
+    else:
+        beta, k = draw(homogeneous_forms())
+        op = mult_operator(beta).with_degree(k)
+    if draw(st.booleans()):
+        op = adjoint(op, draw(diagonal_metrics()))
+    return op
+
+
+class TestBracketsByOrder:
+    """A bracket of bounded operators, built from its columns of degree <= r
+    and one reconstruction, is literally the composed commutator; with a
+    false bound it is not, and the order test never reads a bound."""
+
+    @given(bounded_operators(), bounded_operators(), bounded_operators())
+    @EXAMPLES
+    def test_random_brackets_match_the_composed_oracle(self, p, q, r):
+        assert None not in (p.order_bound, q.order_bound, r.order_bound)
+        assert_same_matrix(graded_commutator(p, q), commutator_by_composition(p, q))
+        assert_same_matrix(graded_commutator(p, graded_commutator(q, r)), commutator_by_composition(
+            p, commutator_by_composition(q, r)
+        ))
+
+    @given(bounded_operators(), diagonal_metrics())
+    @EXAMPLES
+    def test_random_laplacians_match_the_composed_oracle(self, p, gram):
+        p_star = adjoint(p, gram)
+        assert_same_matrix(laplacian(p, p_star), commutator_by_composition(p_star, p))
+
+    def test_a_false_bound_shows(self):
+        # d* has order 2; declared of order 1, [[d*, d]] by order is rebuilt
+        # from its columns of degree <= 1 and misses Delta_d
+        model = builtin_model("s3xs3-nk").orthogonalized()
+        d, dstar = named_operator(model, "d"), named_operator(model, "adj:d")
+        assert (d.order_bound, dstar.order_bound) == (1, 2)
+        want = commutator_by_composition(dstar, d)
+        assert laplacian(d, dstar) == want
+        false = dstar.with_degree(dstar.degree)
+        false.order_bound = 1
+        got = laplacian(d, false)
+        assert got.order_bound == 1 and got != want
+
+    def test_the_order_test_reads_no_bound(self):
+        model = builtin_model("s3xs3-nk").orthogonalized()
+        dstar = named_operator(model, "adj:d")
+        for declared in (None, 0, 1, 2, 5):
+            op = dstar.with_degree(dstar.degree)
+            op.order_bound = declared
+            assert [algebraic_order_at_most(op, r) for r in range(4)] == [False, False, True, True]
+
+    def test_an_operator_without_a_bound_is_composed(self, monkeypatch):
+        model = builtin_model("s3xs3-nk").orthogonalized()
+        d, dstar = named_operator(model, "d"), named_operator(model, "adj:d")
+        unbounded = GradedOperator(model.dim, dstar.cols, dstar.degree)
+        assert unbounded.order_bound is None
+        calls = []
+        original = GradedOperator.compose
+        monkeypatch.setattr(GradedOperator, "compose", lambda p, q: calls.append(1) or original(p, q))
+        assert laplacian(d, unbounded) == laplacian(d, dstar)
+        assert len(calls) == 2
 
 
 class TestExtensions:

@@ -13,13 +13,20 @@ from nkhodge.operators import (
     algebraic_order_at_most,
     derivation_from_one_forms,
     graded_commutator,
-    koszul_coefficients,
     laplacian,
     mult_operator,
     reconstruct,
 )
 from nkhodge.scalars import ONE, ZERO, Scalar, rational
-from oracles import adjoint_via_ldl, adjoint_via_minors, inner_via_minors, nabla_operator, star_operator
+from oracles import (
+    adjoint_via_ldl,
+    adjoint_via_minors,
+    commutator_by_composition,
+    inner_via_minors,
+    koszul_coefficients,
+    nabla_operator,
+    star_operator,
+)
 
 
 def restrict_degree(p, k):
@@ -31,6 +38,7 @@ def restrict_degree(p, k):
 # -- oracles for the Koszul order test ---------------------------------------
 # Both follow the recursive definition: level 0 is the multiplication
 # operators, level r needs [[P, L_beta]] in level r-1 for every form beta.
+# Their brackets are composed: a bracket by order would assume the order.
 
 def _is_multiplication(p):
     cand = p.apply(Form.basis(p.dim, 0))
@@ -44,7 +52,7 @@ def coframe_order_at_most(p, r):
     if r == 0:
         return _is_multiplication(p)
     return all(
-        coframe_order_at_most(graded_commutator(p, mult_operator(Form.basis(p.dim, 1 << i))), r - 1)
+        coframe_order_at_most(commutator_by_composition(p, mult_operator(Form.basis(p.dim, 1 << i))), r - 1)
         for i in range(p.dim)
     )
 
@@ -61,7 +69,9 @@ def full_order_at_most(p, r):
         return True
     if r == 0:
         return False
-    return all(full_order_at_most(graded_commutator(p, l_beta), r - 1) for l_beta in basis_multiplications(p.dim))
+    return all(
+        full_order_at_most(commutator_by_composition(p, l_beta), r - 1) for l_beta in basis_multiplications(p.dim)
+    )
 
 
 def order_test_operators(model):
@@ -76,8 +86,8 @@ def order_test_operators(model):
         "L": l_op,
         "Lambda": lam,
         "H": h,
-        "[d*,L]": graded_commutator(dstar, l_op),
-        "[d*,d]": graded_commutator(dstar, d),
+        "[d*,L]": commutator_by_composition(dstar, l_op),
+        "[d*,d]": commutator_by_composition(dstar, d),
         "mu": split.mu,
         "mu*": adjoint(split.mu, gram),
         "d d*": d.compose(dstar),
@@ -270,7 +280,7 @@ class TestAdjoint:
         gram = s3xs3_ortho.gram()
         ops = catalogue_ops(s3xs3_ortho)
         for a, b in itertools.combinations(ops.values(), 2):
-            lhs = adjoint(graded_commutator(a, b), gram)
+            lhs = adjoint(commutator_by_composition(a, b), gram)
             rhs = graded_commutator(adjoint(b, gram), adjoint(a, gram))
             assert lhs == rhs
 
@@ -437,4 +447,4 @@ class TestAlgebraicOrder:
         gram = s3xs3_ortho.gram()
         dstar = adjoint(s3xs3_ortho.d(), gram)
         l_op = lefschetz_triple(s3xs3_ortho)[0]
-        assert algebraic_order_at_most(graded_commutator(dstar, l_op), 1)
+        assert algebraic_order_at_most(commutator_by_composition(dstar, l_op), 1)
