@@ -14,17 +14,21 @@ through one of two primitives, and neither keeps a block of E or F:
 * ``PQBasis.coordinates`` applies F to forms, through the columns of F
   that their supports need (``operators.algebra_map_apply``).
   ``PQBasis.outside`` keeps the coordinates off one type, the type test of
-  ``harmonic_pq`` and of HODGE_ABCD (d).  ``decompose_form`` groups them by
-  type and maps each group back through the columns of E it needs: the
-  split of d, LEM_NK, SU3_STRUCT and ``su3_extract``.
-* ``PQBasis.frame_blocks`` yields F_{k+deg} P E_k, the matrix of an
-  operator P in the eta-monomial basis, one degree k at a time.  A degree-0
-  P preserves every Lambda^{p,q} exactly when each column of type (p,q) has
-  rows of type (p,q) only (VANISH_COR), and DIM6_EIGEN compares each of
-  its operators with its scalar on every type.  E is an algebra map, so
-  F P E has the order of P in the eta-coframe, and ``checks._in_frame``
-  takes the blocks of degree <= r of a P of order <= r only; the blocks are
-  lazy, so no block of E or F past them is built.
+  HODGE_ABCD (d).  ``decompose_form`` groups them by type and maps each
+  group back through the columns of E it needs: the split of d, LEM_NK,
+  SU3_STRUCT and ``su3_extract``.
+* ``PQBasis.frame`` is F P E, the matrix of an operator P in the
+  eta-monomial basis, from the blocks F_{k+deg} P E_k that
+  ``PQBasis.frame_blocks`` yields one degree k at a time.  A degree-0 P
+  preserves every Lambda^{p,q} exactly when each column of type (p,q) has
+  rows of type (p,q) only (VANISH_COR, HODGE_ABCD's S), its kernel on
+  Lambda^{p,q} is that of its columns of type (p,q) (``harmonic_pq``),
+  and DIM6_EIGEN compares each of its operators with its scalar on every
+  type.  E is an algebra map, so F P E has the order of P in the
+  eta-coframe: given a bound r, ``frame`` composes the blocks of degree
+  <= r only, which read P's columns of degree <= r only, and rebuilds the
+  rest by one reconstruction; the blocks are lazy, so no block of E or F
+  past them is built.
   J_PQ asks that J be diagonal in the frame, without F: J E = E D, D the
   diagonal of i^(p-q) on the columns of type (p,q), E block by block.
 
@@ -52,7 +56,8 @@ can hold another operator's answer.  The barred half is obtained by
 conjugation: L_mubar_omega is conj L_mu_omega (omega is real), and the
 adjoint and Laplacian of delbar, mubar and L_mubar_omega are the
 conjugates of those of del, mu and L_mu_omega, so only unbarred operators
-reach ``adjoint``.  ``lefschetz_triple`` is (L, adj:L, H).
+reach ``adjoint``.  ``lefschetz_triple`` is (L, adj:L, H), each built once
+per model.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from .operators import (
     algebra_map_apply,
     algebra_map_blocks,
     derivation_from_one_forms,
+    from_low_columns,
     laplacian,
     mult_operator,
     reconstruct,
@@ -140,6 +146,21 @@ class PQBasis:
         # F first, so that no E block is built past the last F block
         for f_k, e_k in zip(f_blocks, algebra_map_blocks(self.dim, self.generators)):
             yield f_k.compose(op.compose(e_k))
+
+    def frame(self, op: GradedOperator, r: int | None = None) -> GradedOperator:
+        """F op E, the matrix of op in the eta-monomial basis.
+
+        E is an algebra map, so F op E has the order of op in the eta-coframe.
+        With r given, only the blocks of degree <= r are composed (E up to
+        degree r, F up to r + deg), which read only the columns of op of
+        degree <= r, and their sum is rebuilt by one Koszul reconstruction:
+        F op E literally when op has order <= r.  Without r every block is
+        composed."""
+        blocks = self.frame_blocks(op)
+        zero = GradedOperator.zero(self.dim, op.degree)
+        if r is None:
+            return sum(blocks, zero)
+        return from_low_columns(sum(islice(blocks, r + 1), zero), r)
 
 
 def pq_basis(model) -> PQBasis:
@@ -243,11 +264,15 @@ def d_c(model) -> GradedOperator:
 
 def counting_operator(model) -> GradedOperator:
     """H = |m| - n on u^m, the Koszul sum with beta_{empty} = -n and
-    beta_{i} = u^i, so of order 1."""
-    dim = model.dim
-    beta = {1 << i: Form.basis(dim, 1 << i) for i in range(dim)}
-    beta[0] = Form.basis(dim, 0, rational(-(dim // 2)))
-    return reconstruct(dim, beta, 0)
+    beta_{i} = u^i, so of order 1; built once per model."""
+
+    def build():
+        dim = model.dim
+        beta = {1 << i: Form.basis(dim, 1 << i) for i in range(dim)}
+        beta[0] = Form.basis(dim, 0, rational(-(dim // 2)))
+        return reconstruct(dim, beta, 0)
+
+    return model._memo("H", build)
 
 
 def lefschetz_triple(model) -> tuple[GradedOperator, GradedOperator, GradedOperator]:

@@ -4,15 +4,29 @@ Harmonic spaces are exact kernels of the Hodge Laplacian [[d*, d]], computed
 by sparse fraction-free elimination on the rows that ``linalg.transpose``
 makes of its columns (a dense oracle in the tests recomputes them
 independently).  Betti numbers are deliberately computed metric-free,
-from ranks of d alone, so that the sum rule b^k = sum_{p+q=k} h^{p,q}
-compares two genuinely different computations: harmonic dimensions against
-homology of the complex.
+from ranks of d alone.
 
-The harmonic (p,q)-forms are the combinations of the degree-(p+q)
-harmonic basis with no eta-coordinate outside type (p,q)
-(``PQBasis.outside``): one small kernel with a column per harmonic form.
-Their dimensions add up to dim H^k exactly when the harmonic space is
-spanned by forms of pure type, so the sum rule tests that as well.
+The harmonic (p,q)-forms come from S = Delta_mu + Delta_del + Delta_delbar
++ Delta_mubar, the operator of HODGE_ABCD's lemma, one type at a time.
+``harmonic_pq`` is ker S on Lambda^{p,q}: the kernel of the columns of
+type (p,q) of F S E, the matrix of S in the eta-monomial basis
+(``PQBasis.frame``), with every row kept, so it assumes nothing about S
+preserving type.  The kernel vectors are mapped back through the columns
+of E they need.  For a form x of pure type (p,q), the four components of
+d x, and of d* x, have four different types, so Delta_d x = 0 exactly
+when every component and adjoint kills x, which is S x = 0 (the
+Hermitian product is positive definite): ker S on Lambda^{p,q} is the
+Delta_d-harmonic (p,q)-forms on every model, and on a nearly Kahler
+model ker S is the whole harmonic space (HODGE_ABCD).  The sum rule
+b^k = sum_{p+q=k} h^{p,q} then compares two computations that share only
+d: nullities of S against ranks of d.
+
+S is built in the eta-frame only.  Delta_delbar and Delta_mubar are the
+conjugates of Delta_del and Delta_mu, and S has order <= 2, so its columns
+of degree <= 2 are low + conj(low), with low the products of
+[[mu*, mu]] + [[del*, del]] on those columns (``bracket_columns``), and
+the frame is composed on E's columns of degree <= 2 and rebuilt by one
+reconstruction; no Laplacian of S is built in the u-coframe.
 
 Everything is computed in the orthogonalized presentation of the model
 (the numbers are coframe-invariant); the basis forms that ``harmonic_space``
@@ -27,7 +41,7 @@ from dataclasses import dataclass
 from .bidegree import named_operator, pq_basis
 from .exterior import Form, graded_lex_key
 from .linalg import SparseRow, sparse_kernel, sparse_rank, transpose
-from .operators import GradedOperator
+from .operators import GradedOperator, algebra_map_apply, bracket_columns
 
 
 @dataclass
@@ -77,23 +91,37 @@ def harmonic_space(model, k: int) -> list[Form]:
     return [model.to_native(f) for f in comp._memo(f"harmonic:{k}", build)]
 
 
+def s_low_columns(model) -> tuple[GradedOperator, int]:
+    """(S on its columns of degree <= r, r) for S = Delta_mu + Delta_del +
+    Delta_delbar + Delta_mubar: low + conj(low), with low the low columns of
+    [[mu*, mu]] + [[del*, del]], since the barred Laplacians are the
+    conjugates of the unbarred ones."""
+    low, r = bracket_columns([tuple(named_operator(model, n) for n in (f"adj:{c}", c)) for c in ("mu", "del")])
+    return low + low.conjugated(), r
+
+
+def s_frame(model) -> GradedOperator:
+    """F S E, S in the eta-monomial basis of the orthogonalized presentation,
+    built from S's columns of degree <= 2 and memoized."""
+    comp = model.orthogonalized()
+    return comp._memo("frame:S", lambda: pq_basis(comp).frame(*s_low_columns(comp)))
+
+
 def harmonic_pq(model, p: int, q: int) -> list[Form]:
-    """Exact basis of the Delta_d-harmonic (p,q)-forms: the combinations of
-    ``harmonic_space(p + q)`` with no eta-coordinate outside type (p,q)."""
+    """Exact basis of ker S on Lambda^{p,q}, the Delta_d-harmonic
+    (p,q)-forms: the kernel of the columns of type (p,q) of ``s_frame``,
+    every row kept, mapped back through E."""
     n = model.dim // 2
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"bidegree ({p},{q}) out of range")
     comp = model.orthogonalized()
 
     def build():
-        basis = harmonic_space(comp, p + q)
-        pqb = pq_basis(comp)  # the eta-coordinates of the basis serve every type of its degree
-        coords = comp._memo(f"harmonic_eta:{p + q}", lambda: pqb.coordinates(basis))
-        rows = transpose((i, pqb.outside(c, p, q)) for i, c in enumerate(coords))
-        return [
-            sum((basis[i].scale(c) for i, c in vec.items()), Form.zero(comp.dim))
-            for vec in sparse_kernel(rows, len(basis))
-        ]
+        pqb, frame = pq_basis(comp), s_frame(comp)
+        masks = pqb.monomial_masks(p, q)
+        rows = transpose((j, frame.column_form(m).coeffs) for j, m in enumerate(masks))
+        kernel = [Form(comp.dim, {masks[j]: v for j, v in vec.items()}) for vec in sparse_kernel(rows, len(masks))]
+        return algebra_map_apply(pqb.generators, kernel)
 
     return [model.to_native(f) for f in comp._memo(f"harmonic_pq:{p},{q}", build)]
 

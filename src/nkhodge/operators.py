@@ -91,8 +91,11 @@ The order filtration is multiplicative and its graded algebra is
 graded-commutative, so ord [[P, Q]] <= ord P + ord Q - 1.  ``bracket_sum``
 builds a sum of brackets of bounded operators, and odd squares
 P P = (1/2)[[P, P]], from the products on the columns of degree <= r only
-and one reconstruction; ``graded_commutator`` and ``laplacian`` are its
-one-term cases, and operators without a bound are composed in full.  For
+(``bracket_columns``) and one reconstruction; ``graded_commutator`` and
+``laplacian`` are its one-term cases, and operators without a bound are
+composed in full.  A reader that needs the bracket only through its low
+columns, such as an eta-frame of bounded order, takes ``bracket_columns``
+and reconstructs nothing in the u-coframe.  For
 a derivation P and a multiplication operator, [[P, L_beta]] = L_{P beta}
 (``multiplication_bracket``).  Each result is the full matrix, so with a
 true bound it equals the composed commutator literally.
@@ -523,16 +526,10 @@ def adjoint(p: GradedOperator, gram: GramData) -> GradedOperator:
 # ---------------------------------------------------------------------------
 # graded commutators and Laplacians
 
-def bracket_sum(pairs, squares=()) -> GradedOperator:
-    """The sum of [[P, Q]] = P Q - (-1)^{|P||Q|} Q P over the ``pairs`` (P, Q),
-    plus P P = (1/2)[[P, P]] over the odd P in ``squares``.  Every term must
-    have the same degree |P| + |Q|, which the result declares.
-
-    When every operand carries an order bound, the sum has order at most
-    r = max(r_P + r_Q - 1, 0) over its terms: each product is taken on the
-    columns of degree <= r only, and the sum of those columns is rebuilt by
-    one Koszul reconstruction (``from_low_columns``).  Otherwise every
-    column is composed."""
+def _bracket_order(pairs, squares) -> int | None:
+    """The order bound r = max(r_P + r_Q - 1, 0) of a sum of brackets and odd
+    squares, None when an operand has no bound; ValueError unless every
+    term has a declared degree and all have the same one."""
     terms = [*pairs, *((p, p) for p in squares)]
     if any(p.degree is None or q.degree is None for p, q in terms):
         raise ValueError("graded commutator needs declared degrees")
@@ -541,9 +538,14 @@ def bracket_sum(pairs, squares=()) -> GradedOperator:
     degrees = {p.degree + q.degree for p, q in terms}
     if len(degrees) != 1:
         raise ValueError(f"a sum of brackets needs terms of one degree, got {sorted(degrees)}")
-    r = None
-    if all(p.order_bound is not None and q.order_bound is not None for p, q in terms):
-        r = max(max(p.order_bound + q.order_bound - 1 for p, q in terms), 0)
+    if any(p.order_bound is None or q.order_bound is None for p, q in terms):
+        return None
+    return max(max(p.order_bound + q.order_bound - 1 for p, q in terms), 0)
+
+
+def _bracket_products(pairs, squares, r: int | None) -> GradedOperator:
+    """The signed sum of the products of ``bracket_sum``, on the columns of
+    degree <= r only, or on every column when r is None."""
 
     def times(p, q):
         if r is None:
@@ -557,6 +559,35 @@ def bracket_sum(pairs, squares=()) -> GradedOperator:
     total = products[0][0]
     for x, sign in products[1:]:
         total = total + x if sign > 0 else total - x
+    return total
+
+
+def bracket_columns(pairs, squares=()) -> tuple[GradedOperator, int]:
+    """(low, r): the signed products of ``bracket_sum`` on the columns of
+    degree <= r only, summed, with r = max(r_P + r_Q - 1, 0) over the
+    terms; ValueError unless every operand carries an order bound.
+
+    ``from_low_columns(low, r)`` is the bracket sum.  Like any product on
+    some columns, ``low`` has no order bound, so no reader can take it for
+    the full matrix.  A reader that needs the sum only through those
+    columns, such as an eta-frame of order <= r, reconstructs nothing."""
+    r = _bracket_order(pairs, squares)
+    if r is None:
+        raise ValueError("the low columns of a bracket need operands with order bounds")
+    return _bracket_products(pairs, squares, r), r
+
+
+def bracket_sum(pairs, squares=()) -> GradedOperator:
+    """The sum of [[P, Q]] = P Q - (-1)^{|P||Q|} Q P over the ``pairs`` (P, Q),
+    plus P P = (1/2)[[P, P]] over the odd P in ``squares``.  Every term must
+    have the same degree |P| + |Q|, which the result declares.
+
+    When every operand carries an order bound, the sum has order at most
+    r: it is ``from_low_columns`` of ``bracket_columns``, one Koszul
+    reconstruction of the products on the columns of degree <= r.
+    Otherwise every column is composed."""
+    r = _bracket_order(pairs, squares)
+    total = _bracket_products(pairs, squares, r)
     return total if r is None else from_low_columns(total, r)
 
 

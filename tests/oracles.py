@@ -81,7 +81,11 @@
   store.
 * ``harmonic_pq_via_monomials``: the harmonic (p,q)-forms as the kernel of
   Delta_d on the eta-monomials of type (p,q), against the production
-  filter of ``harmonic_space(p + q)`` by type.
+  kernel of S on the columns of type (p,q) of its eta-frame.
+* ``harmonic_pq_by_laplacian``: the harmonic (p,q)-forms as the
+  combinations of the Delta_d-kernel ``harmonic_space(p + q)`` with no
+  eta-coordinate outside type (p,q) (``PQBasis.outside``), against the
+  same production kernel of S; it shares no operator with it but d.
 * ``ScalarOperator`` and ``scalar_adjoint``: the operator store as sparse
   columns of ``Scalar`` (every entry normalized on its own, sums and
   products through ``linalg.add_scaled``), against the production store of
@@ -131,7 +135,7 @@ from nkhodge.exterior import (
     mask_label,
     sign_key,
 )
-from nkhodge.hodge import degree_masks, hodge_laplacian, operator_degree_rows
+from nkhodge.hodge import degree_masks, harmonic_space, hodge_laplacian, operator_degree_rows
 from nkhodge.linalg import (
     SparseRow,
     add_scaled,
@@ -762,6 +766,21 @@ def harmonic_pq_via_monomials(model, p: int, q: int) -> list[Form]:
     return [
         model.to_native(pq_coords_to_form(comp, {masks[j]: v for j, v in vec.items()}))
         for vec in sparse_kernel(rows, len(masks))
+    ]
+
+
+def harmonic_pq_by_laplacian(model, p: int, q: int) -> list[Form]:
+    """The combinations of ``harmonic_space(p + q)`` with no eta-coordinate
+    outside type (p,q): one small kernel with a column per harmonic form,
+    in the model's coframe."""
+    comp = model.orthogonalized()
+    basis = harmonic_space(comp, p + q)
+    pqb = pq_basis(comp)  # the eta-coordinates of the basis serve every type of its degree
+    coords = comp._memo(f"oracle:harmonic_eta:{p + q}", lambda: pqb.coordinates(basis))
+    rows = transpose((i, pqb.outside(c, p, q)) for i, c in enumerate(coords))
+    return [
+        model.to_native(sum((basis[i].scale(c) for i, c in vec.items()), Form.zero(comp.dim)))
+        for vec in sparse_kernel(rows, len(basis))
     ]
 
 

@@ -453,6 +453,14 @@ class TestLefschetz:
         assert list(h.coords.items()) == list(want.coords.items())
         assert (h.order_bound, want.order_bound) == (1, None)
 
+    def test_h_is_built_once_per_model(self):
+        # like L and Lambda, H is memoized: every lefschetz_triple call of a
+        # catalogue run shares one reconstruction
+        model = model_from_json(model_to_json(builtin_model("s3xs3-nk"))).orthogonalized()
+        first, second = lefschetz_triple(model), lefschetz_triple(model)
+        assert all(a is b for a, b in zip(first, second))
+        assert first[2] is counting_operator(model)
+
     def test_sl2_relations(self, s3xs3_ortho, torus6, kodaira):
         for m in (s3xs3_ortho, torus6, kodaira):
             l_op, lam, h = lefschetz_triple(m)

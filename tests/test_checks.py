@@ -5,6 +5,7 @@ import pytest
 
 import nkhodge.bidegree
 import nkhodge.checks
+import nkhodge.hodge
 import nkhodge.operators
 from nkhodge.checks import (
     CHECKS,
@@ -16,7 +17,7 @@ from nkhodge.checks import (
 )
 from nkhodge.bidegree import DifferentialSplit, named_operator, pq_basis
 from nkhodge.exterior import Form
-from nkhodge.hodge import harmonic_pq, harmonic_space, operator_degree_rows
+from nkhodge.hodge import harmonic_pq, harmonic_space, hodge_numbers, operator_degree_rows, s_frame
 from nkhodge.linalg import sparse_kernel
 from nkhodge.models import (
     BUILTIN_NAMES,
@@ -26,7 +27,13 @@ from nkhodge.models import (
     model_to_json,
     nk_report,
 )
-from nkhodge.operators import GradedOperator, algebra_map_blocks, derivation_from_one_forms, reconstruct
+from nkhodge.operators import (
+    GradedOperator,
+    algebra_map_blocks,
+    bracket_columns,
+    derivation_from_one_forms,
+    reconstruct,
+)
 from nkhodge.scalars import I, Scalar, rational
 from oracles import (
     barred_requirements,
@@ -201,6 +208,56 @@ class TestHodgeAbcdKernel:
                 short.append(k)
         assert short == ([1, 3] if name == "kodaira-thurston" else [])
 
+    def test_type_breaking_s_fails_with_the_preservation_label(self, monkeypatch):
+        # L_{u^1} iota_{e_2} added to S breaks type; the containment tests
+        # read harmonic_space and the component Laplacians, so the first
+        # failure is the new requirement
+        model = _fresh("s3xs3-nk")
+        extra = _type_breaking_extra(model.orthogonalized())
+        original = nkhodge.hodge.s_low_columns
+
+        def mutated(m):
+            low, r = original(m)
+            return low + extra, r
+
+        monkeypatch.setattr(nkhodge.hodge, "s_low_columns", mutated)
+        acc = _RecordingAcc()
+        CHECKS["HODGE_ABCD"].fn(model.orthogonalized(), acc)
+        assert acc.failed[0] == "S preserves (0,1)"
+        res = run_check(model, "HODGE_ABCD")
+        assert (res.status, res.witness) == ("fail", "S preserves (0,1)")
+
+    @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
+    def test_dropping_delta_mubar_is_hidden_by_an_identity(self, name, monkeypatch):
+        # S without Delta_mubar gives the same HODGE_ABCD result and the same
+        # Hodge table on every model tried.  The identity that hides it:
+        # Delta_mubar = Delta_mu + (Delta_del - Delta_delbar)/2 (PROP_LAP) on
+        # a nearly Kahler model, so the three terms left, each positive
+        # semidefinite, vanish only where Delta_mubar does; mu = 0 on
+        # kodaira-thurston
+        text = model_to_json(builtin_model(name))
+        want, true_model = run_check(model_from_json(text), "HODGE_ABCD"), model_from_json(text)
+        nearly_kahler = nk_report(true_model).nearly_kahler
+        table = hodge_numbers(true_model).h if nearly_kahler else None
+        true_frame = s_frame(true_model)
+
+        def without_delta_mubar(m):
+            return bracket_columns([tuple(named_operator(m, n) for n in (f"adj:{c}", c)) for c in ("mu", "del", "delbar")])
+
+        monkeypatch.setattr(nkhodge.hodge, "s_low_columns", without_delta_mubar)
+        model = model_from_json(text)
+        got = run_check(model, "HODGE_ABCD")
+        assert (got.status, got.exact_zero, got.witness) == (want.status, want.exact_zero, want.witness)
+        if nearly_kahler:
+            assert hodge_numbers(model).h == table
+        comp = model.orthogonalized()
+        assert (s_frame(comp) == true_frame) == (name != "s3xs3-nk")
+        d_mu, d_del, d_db, d_mb = (named_operator(comp, "lap:" + c) for c in ("mu", "del", "delbar", "mubar"))
+        if name == "kodaira-thurston":
+            assert d_mu.is_zero() and d_mb.is_zero()
+        else:
+            assert d_mb == d_mu + (d_del - d_db).scale(rational(1, 2))
+
 
 class _RecordingAcc(_Acc):
     """An _Acc that keeps every operator requirement by label, the barred
@@ -351,14 +408,16 @@ def _type_breaking_extra(model):
     return reconstruct(model.dim, {0b10: Form.basis(model.dim, 0b1)}, 0)
 
 
-def _mutate_ops(monkeypatch, added):
-    """``checks._ops`` with added[name] added to each operator ``name`` it returns."""
-    original = nkhodge.checks._ops
+def _mutate_low_columns(monkeypatch, extra):
+    """``checks.bracket_columns`` with ``extra`` added to the low columns it
+    returns."""
+    original = nkhodge.checks.bracket_columns
 
-    def mutated(m, *names):
-        return [op + added[name] if name in added else op for name, op in zip(names, original(m, *names))]
+    def mutated(pairs, squares=()):
+        low, r = original(pairs, squares)
+        return low + extra, r
 
-    monkeypatch.setattr(nkhodge.checks, "_ops", mutated)
+    monkeypatch.setattr(nkhodge.checks, "bracket_columns", mutated)
 
 
 def _spy_e_blocks(monkeypatch, pqb):
@@ -395,33 +454,36 @@ class TestVanishCor:
         assert self._type_failures(model) == off_type_failures(model, _difference_laplacian(model))
 
     def test_type_breaking_mutation_fails_with_the_oracle_labels(self, monkeypatch):
-        # L_{u^1} iota_{e_2} (u^2 -> u^1, degree 0) added to the difference
-        # Laplacian; J pairs u^1 with u^4 and u^2 with u^5, so it breaks type
+        # L_{u^1} iota_{e_2} (u^2 -> u^1, degree 0) added to the low columns
+        # of the difference Laplacian that the check reads; J pairs u^1 with
+        # u^4 and u^2 with u^5, so it breaks type
         model = _fresh("s3xs3-nk")
         target = model.orthogonalized()
         extra = reconstruct(target.dim, {0b10: Form.basis(target.dim, 0b1)}, 0)
         want = off_type_failures(target, _difference_laplacian(target) + extra)
         assert len(want) == 14  # every type but (0,0) and (3,3)
-        original = nkhodge.checks._ops
+        original = nkhodge.checks._difference_low_columns
 
-        def mutated(m, *names):
-            return [op + extra if name == "lap:L_mu_omega" else op for name, op in zip(names, original(m, *names))]
+        def mutated(m):
+            low, r = original(m)
+            return low + extra, r
 
-        monkeypatch.setattr(nkhodge.checks, "_ops", mutated)
+        monkeypatch.setattr(nkhodge.checks, "_difference_low_columns", mutated)
         assert self._type_failures(target) == want
         res = run_check(model, "VANISH_COR")
         assert res.status == "fail" and res.witness == want[0]
 
     def test_imaginary_type_breaking_mutation_fails_with_the_oracle_labels(self, monkeypatch):
-        # i L_{u^1} iota_{e_2} added to Delta_{L_mu omega} and its conjugate to
-        # Delta_{L_mubar omega}: the difference gains 2i L_{u^1} iota_{e_2}, of
-        # order 1, so it stays imaginary and of order <= 2 and breaks type
+        # i L_{u^1} iota_{e_2} added to the low columns of [[L_mu_omega*,
+        # L_mu_omega]], so its conjugate to those of Delta_{L_mubar omega}:
+        # the difference gains 2i L_{u^1} iota_{e_2}, of order 1, so it stays
+        # imaginary and of order <= 2 and breaks type
         model = _fresh("s3xs3-nk")
         target = model.orthogonalized()
         extra = _type_breaking_extra(target).scale(I)
         want = off_type_failures(target, _difference_laplacian(target) + extra.scale(rational(2)))
         assert len(want) == 14  # every type but (0,0) and (3,3)
-        _mutate_ops(monkeypatch, {"lap:L_mu_omega": extra, "lap:L_mubar_omega": extra.conjugated()})
+        _mutate_low_columns(monkeypatch, extra)
         assert self._type_failures(target) == want
         res = run_check(model, "VANISH_COR")
         assert res.status == "fail" and res.witness == want[0]
@@ -438,9 +500,15 @@ _FRAME_OPERATORS = {
 }
 
 
+def _in_frame(model, op):
+    """The columns of F op E as DIM6_EIGEN reads them: ``PQBasis.frame``
+    with the operator's own bound."""
+    return dict(pq_basis(model).frame(op, op.order_bound).scalar_columns())
+
+
 class TestInFrame:
-    """``_in_frame`` composes the blocks of degree <= r of an operator of
-    order <= r and rebuilds the frame by one reconstruction; the oracle
+    """``PQBasis.frame`` composes the blocks of degree <= r of an operator
+    of order <= r and rebuilds the frame by one reconstruction; the oracle
     composes every column."""
 
     @pytest.mark.parametrize(
@@ -450,7 +518,7 @@ class TestInFrame:
     def test_matches_every_column_composed(self, name, label):
         model = builtin_model(name).orthogonalized()
         op = _FRAME_OPERATORS[label][0](model)
-        assert nkhodge.checks._in_frame(model, op) == frame_columns_by_composition(model, op)
+        assert _in_frame(model, op) == frame_columns_by_composition(model, op)
 
     def test_every_frame_operator_carries_its_bound(self):
         # on s3xs3-nk each operator above is nonzero and bounded, so each
@@ -477,7 +545,7 @@ class TestInFrame:
             return original(p, q)
 
         monkeypatch.setattr(GradedOperator, "compose", recording)
-        got = nkhodge.checks._in_frame(model, op)
+        got = _in_frame(model, op)
         assert sorted(columns) == list(range(64))
         monkeypatch.undo()
         assert got == frame_columns_by_composition(model, diff)
@@ -580,14 +648,16 @@ class TestCostGuards:
             assert not (isinstance(value, GradedOperator) and any(value == op for op in frames))
 
     def test_vanish_cor_builds_the_e_blocks_of_degree_at_most_two(self, monkeypatch):
-        # the difference Laplacian has order <= 2: E is built up to degree 2
-        # and no further, also when a mutation of order 1 breaks type
+        # the difference Laplacian and S have order <= 2: E is built up to
+        # degree 2 and no further, for the difference's frame and then for
+        # the S frame that harmonic_pq reads and keeps, also when a mutation
+        # of order 1 breaks type
         model = _fresh("s3xs3-nk")
         seen = _spy_e_blocks(monkeypatch, pq_basis(model.orthogonalized()))
         assert run_check(model, "VANISH_COR").status == "pass"
-        assert seen == [0, 1, 2]
+        assert seen == [0, 1, 2, 0, 1, 2]
         seen.clear()
-        _mutate_ops(monkeypatch, {"lap:L_mu_omega": _type_breaking_extra(model.orthogonalized())})
+        _mutate_low_columns(monkeypatch, _type_breaking_extra(model.orthogonalized()).scale(I))
         assert run_check(model, "VANISH_COR").status == "fail"
         assert seen == [0, 1, 2]
 
@@ -697,10 +767,11 @@ class TestTypeRouteMutations:
         assert res.witness == "(Delta_del - Delta_delbar) - (l2/4)(3-p-q)(p-q) on (0,1): e4 = 4/9"
 
     def test_harmonic_pq_with_p_and_q_swapped_in_the_type_test(self, monkeypatch):
-        # the (p,q) entries of the table of harmonic forms become the (q,p) ones
+        # the type-(q,p) columns of the S frame taken for type (p,q): the
+        # (p,q) entries of the table of harmonic forms become the (q,p) ones
         want = {pq: harmonic_pq(_fresh("s3xs3-nk"), *pq) for pq in ((0, 0), (1, 2), (2, 1), (3, 3))}
-        original = nkhodge.bidegree.PQBasis.outside
-        monkeypatch.setattr(nkhodge.bidegree.PQBasis, "outside", lambda self, c, p, q: original(self, c, q, p))
+        original = nkhodge.bidegree.PQBasis.monomial_masks
+        monkeypatch.setattr(nkhodge.bidegree.PQBasis, "monomial_masks", lambda self, p, q: original(self, q, p))
         model = _fresh("s3xs3-nk")
         got = {pq: harmonic_pq(model, *pq) for pq in want}
         assert [len(got[pq]) for pq in want] == [1, 1, 1, 1]

@@ -1,17 +1,29 @@
+import json
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from nkhodge.bidegree import decompose_form
+from nkhodge.bidegree import decompose_form, named_operator
+from nkhodge.checks import run_check
 from nkhodge.hodge import (
     betti_numbers,
     harmonic_pq,
     harmonic_space,
     hodge_laplacian,
     hodge_numbers,
+    s_frame,
 )
-from nkhodge.models import builtin_model
-from oracles import harmonic_space_dense_oracle, spans_equal
+from nkhodge.models import builtin_model, model_from_json, model_to_json
+from oracles import (
+    commutator_by_composition,
+    frame_columns_by_composition,
+    harmonic_pq_by_laplacian,
+    harmonic_space_dense_oracle,
+    spans_equal,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _as_rows(forms):
@@ -92,3 +104,48 @@ class TestHodgeNumbers:
             for q in range(4):
                 assert rep.h[p][q] == rep.h[q][p]
                 assert rep.h[p][q] == rep.h[n - p][n - q]
+
+
+class TestHarmonicPqByS:
+    """``harmonic_pq`` is the kernel of S on the columns of type (p,q) of its
+    eta-frame, which is built from S's columns of degree <= 2."""
+
+    @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "su2-four"])
+    def test_spans_match_the_laplacian_split(self, name):
+        model = builtin_model(name)
+        n = model.dim // 2
+        for p in range(n + 1):
+            for q in range(n + 1):
+                got = harmonic_pq(model, p, q)
+                want = harmonic_pq_by_laplacian(model, p, q)
+                assert len(got) == len(want), (p, q)
+                assert spans_equal(_as_rows(got), _as_rows(want)), (p, q)
+
+    @pytest.mark.parametrize("golden", sorted(path.name for path in GOLDEN.glob("hodge-*.json")))
+    def test_per_type_tables_match_the_goldens(self, golden):
+        doc = json.loads((GOLDEN / golden).read_text(encoding="utf-8"))["hodge"]
+        model = builtin_model(golden.removeprefix("hodge-").removesuffix(".json"))
+        n = model.dim // 2
+        assert [[len(harmonic_pq(model, p, q)) for q in range(n + 1)] for p in range(n + 1)] == doc["h"]
+        assert betti_numbers(model) == doc["betti"]
+
+    @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
+    def test_s_frame_matches_every_column_composed(self, name):
+        model = builtin_model(name).orthogonalized()
+        laps = [
+            commutator_by_composition(named_operator(model, "adj:" + c), named_operator(model, c))
+            for c in ("mu", "del", "delbar", "mubar")
+        ]
+        s_op = laps[0] + laps[1] + laps[2] + laps[3]
+        assert dict(s_frame(model).scalar_columns()) == frame_columns_by_composition(model, s_op)
+
+    def test_hodge_numbers_and_vanish_cor_build_no_full_laplacian(self):
+        # S and VANISH_COR's difference enter through their columns of degree
+        # <= 2 only, and the Betti numbers through d
+        model = model_from_json(model_to_json(builtin_model("su2-four")))
+        assert hodge_numbers(model).sum_rule_holds()
+        assert run_check(model, "VANISH_COR").status == "pass"
+        comp = model.orthogonalized()
+        for cache in (model._cache, comp._cache):
+            assert not {"adj:d", "lap:d", "lap:L_mu_omega", "lap:L_mubar_omega"} & set(cache)
+        assert "frame:S" in comp._cache

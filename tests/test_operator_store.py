@@ -12,7 +12,8 @@ Koszul route of ``oracles``, degree errors included, and every block of
 a spy checks that the coefficient forms are prepared for the Koszul sum
 once per reconstruction, per ``DerivationAction`` and per new coefficient.
 The brackets by order (``bracket_sum``, ``graded_commutator``,
-``laplacian``) and ``multiplication_bracket`` are compared with the
+``laplacian``, and ``bracket_columns``, their low columns) and
+``multiplication_bracket`` are compared with the
 composed graded commutator ``oracles.commutator_by_composition``, on
 random derivations, multiplication operators and their adjoints, and on
 the split of d of every built-in; a false order bound shows.
@@ -39,8 +40,10 @@ from nkhodge.operators import (
     adjoint,
     algebra_map_blocks,
     algebraic_order_at_most,
+    bracket_columns,
     bracket_sum,
     derivation_from_one_forms,
+    from_low_columns,
     graded_commutator,
     laplacian,
     mult_operator,
@@ -569,6 +572,20 @@ class TestBracketsByOrder:
             op = dstar.with_degree(dstar.degree)
             op.order_bound = declared
             assert [algebraic_order_at_most(op, r) for r in range(4)] == [False, False, True, True]
+
+    def test_bracket_columns_are_the_low_columns_of_the_sum(self):
+        # on the split of s3xs3-nk: the low columns of Delta_mu + Delta_del,
+        # with no bound, and their reconstruction is the sum itself
+        model = builtin_model("s3xs3-nk").orthogonalized()
+        pairs = [tuple(named_operator(model, n) for n in (f"adj:{c}", c)) for c in ("mu", "del")]
+        low, r = bracket_columns(pairs)
+        full = bracket_sum(pairs)
+        assert (r, low.order_bound, full.order_bound) == (2, None, 2)
+        assert dict(low.scalar_columns()) == {m: col for m, col in full.scalar_columns() if m.bit_count() <= r}
+        assert_same_matrix(from_low_columns(low, r), full)
+        unbounded = GradedOperator(model.dim, pairs[0][0].cols, pairs[0][0].degree)
+        with pytest.raises(ValueError, match="order bounds"):
+            bracket_columns([(unbounded, pairs[0][1])])
 
     def test_an_operator_without_a_bound_is_composed(self, monkeypatch):
         model = builtin_model("s3xs3-nk").orthogonalized()
