@@ -72,13 +72,14 @@ from .operators import (
     adjoint,
     algebra_map_apply,
     algebra_map_blocks,
+    combination,
     derivation_from_one_forms,
     from_low_columns,
     laplacian,
     mult_operator,
     reconstruct,
 )
-from .scalars import I, ZERO, Scalar, rational
+from .scalars import I, ONE, ZERO, Scalar, rational
 
 
 class PQBasis:
@@ -157,10 +158,9 @@ class PQBasis:
         F op E literally when op has order <= r.  Without r every block is
         composed."""
         blocks = self.frame_blocks(op)
-        zero = GradedOperator.zero(self.dim, op.degree)
         if r is None:
-            return sum(blocks, zero)
-        return from_low_columns(sum(islice(blocks, r + 1), zero), r)
+            return combination([(ONE, block) for block in blocks])
+        return from_low_columns(combination([(ONE, block) for block in islice(blocks, r + 1)]), r)
 
 
 def pq_basis(model) -> PQBasis:
@@ -184,7 +184,7 @@ def j_operator(model) -> GradedOperator:
     of the J u^i, its degree blocks summed into one operator."""
 
     def build():
-        return sum(algebra_map_blocks(model.dim, model.j_one_form_rows()), GradedOperator.zero(model.dim))
+        return combination([(ONE, block) for block in algebra_map_blocks(model.dim, model.j_one_form_rows())])
 
     return model._memo("j_operator", build)
 
@@ -203,10 +203,8 @@ class DifferentialSplit:
         return {"mu": self.mu, "del": self.del_, "delbar": self.delbar, "mubar": self.mubar}
 
     def total(self) -> GradedOperator:
-        """mu + del + delbar + mubar as s + conj s, s = mu + del: the barred
-        components are the conjugates of the unbarred ones."""
-        s = self.mu + self.del_
-        return s + s.conjugated()
+        """mu + del + delbar + mubar, one combination."""
+        return combination([(ONE, p) for p in (self.mu, self.del_, self.delbar, self.mubar)])
 
 
 def differential_split(model) -> DifferentialSplit:
@@ -254,7 +252,7 @@ def d_c(model) -> GradedOperator:
     def build():
         twisted = twisted_differential(model)
         split = differential_split(model)
-        alt = (split.mu - split.del_ + split.delbar - split.mubar).scale(I)
+        alt = combination([(I, split.mu), (-I, split.del_), (I, split.delbar), (-I, split.mubar)])
         if twisted != alt:
             raise AssertionError("J^{-1} d J disagrees with i(mu - del + delbar - mubar)")
         return twisted

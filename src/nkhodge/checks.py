@@ -34,9 +34,11 @@ the unbarred operator is recorded, then right after it its entry-wise
 conjugate, so the barred half is never built a second time.  Likewise
 a self-conjugate sum X + conj X, such as [[mubar,mu]] = mu mubar + conj(mu
 mubar) or Delta_(del-delbar) = Delta_del + Delta_delbar - X - conj X with
-X = [[delbar*,del]] (bilinearity of [[P*,P]]), is built by
-``_with_conjugate`` from its unbarred half X.  That X is built once
+X = [[delbar*,del]] (bilinearity of [[P*,P]]), is built from its
+unbarred half X and conj X.  That X is built once
 per model, under a memo key of its own, and LAP_COM and DELTA_SUM share it.
+Every requirement sum_i c_i P_i is one ``combination``: one merge of the
+operands, each scaled as it is read, and one normalization.
 
 Every operator the catalogue names carries an order bound
 (``operators``): 1 for the components of d, 0 for L and L_mu_omega, and
@@ -106,12 +108,14 @@ from .hodge import betti_numbers, harmonic_pq, harmonic_space, hodge_laplacian, 
 from .linalg import inverse, sparse_kernel, sparse_rank, transpose
 from .models import LieAlgebraModel, nabla_omega_symmetrization, nk_report, su3_extract
 from .operators import (
+    MINUS_ONE,
     GradedOperator,
     adjoint,
     algebra_map_blocks,
     algebraic_order_at_most,
     bracket_columns,
     bracket_sum,
+    combination,
     derivation_from_one_forms,
     graded_commutator as br,
     mult_operator,
@@ -177,11 +181,6 @@ class _Acc:
         self.residual = max(self.residual, residual)
 
 
-def _with_conjugate(op: GradedOperator) -> GradedOperator:
-    """op + conj op: a self-conjugate sum from its unbarred half."""
-    return op + op.conjugated()
-
-
 # ---------------------------------------------------------------------------
 # shared derived operators (memoized per model)
 
@@ -226,9 +225,9 @@ def check_d2_split(model, acc: _Acc):
 
 def check_sl2(model, acc: _Acc):
     l_op, lam, h = lefschetz_triple(model)
-    acc.op("[L,Lambda] - H", br(l_op, lam) - h)
-    acc.op("[H,L] - 2L", br(h, l_op) - l_op.scale(rational(2)))
-    acc.op("[H,Lambda] + 2Lambda", br(h, lam) + lam.scale(rational(2)))
+    acc.op("[L,Lambda] - H", combination([(ONE, br(l_op, lam)), (MINUS_ONE, h)]))
+    acc.op("[H,L] - 2L", combination([(ONE, br(h, l_op)), (rational(-2), l_op)]))
+    acc.op("[H,Lambda] + 2Lambda", combination([(ONE, br(h, lam)), (rational(2), lam)]))
 
 
 def check_j_pq(model, acc: _Acc):
@@ -295,13 +294,14 @@ def check_mu_oneforms(model, acc: _Acc):
 
 def check_nij_mu(model, acc: _Acc):
     mu, _, _, mb = _parts(model)
-    acc.op("N + 4(mu+mubar)", model.nijenhuis_op() + (mu + mb).scale(rational(4)))
+    four = rational(4)
+    acc.op("N + 4(mu+mubar)", combination([(ONE, model.nijenhuis_op()), (four, mu), (four, mb)]))
 
 
 def check_dc_def(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
-    alt = (mu - de + db - mb).scale(I)
-    acc.op("J^-1 d J - i(mu - del + delbar - mubar)", twisted_differential(model) - alt)
+    terms = [(ONE, twisted_differential(model)), (-I, mu), (I, de), (-I, db), (I, mb)]
+    acc.op("J^-1 d J - i(mu - del + delbar - mubar)", combination(terms))
 
 
 def check_nk_def(model, acc: _Acc):
@@ -374,7 +374,7 @@ def check_br67(model, acc: _Acc):
     acc.pair("[[L_mu_omega, mu]]", "[[L_mubar_omega, mubar]]", lm_mu)
     acc.pair("[[L_mu_omega, del]]", "[[L_mubar_omega, delbar]]", lm_de)
     acc.pair("[[L_mu_omega, delbar]]", "[[L_mubar_omega, del]]", lm_db)
-    acc.op("[[L_mu_omega, mubar]] + [[L_mubar_omega, mu]]", _with_conjugate(lm_mb))
+    acc.op("[[L_mu_omega, mubar]] + [[L_mubar_omega, mu]]", lm_mb + lm_mb.conjugated())
 
 
 def check_su3_struct(model, acc: _Acc):
@@ -407,24 +407,19 @@ def _frame_sum(model) -> GradedOperator:
 
 def check_dc_frame(model, acc: _Acc):
     mu, _, _, mb = _parts(model)
-    acc.op(
-        "d^c + sum(J u^j ^ nabla_j) - 2i(mu-mubar)",
-        d_c(model) + _frame_sum(model) - (mu - mb).scale(Scalar(0, 0, 2, 0)),
-    )
+    two_i = Scalar(0, 0, 2, 0)
+    terms = [(ONE, d_c(model)), (ONE, _frame_sum(model)), (-two_i, mu), (two_i, mb)]
+    acc.op("d^c + sum(J u^j ^ nabla_j) - 2i(mu-mubar)", combination(terms))
 
 
 def check_nk_main(model, acc: _Acc):
     mu, de, db, mb = _parts(model)
     dstar, l_op = _ops(model, "adj:d", "L")
     lhs = br(dstar, l_op)
-    acc.op(
-        "[d*,L] + d^c - 3i(mu-mubar)",
-        lhs + d_c(model) - (mu - mb).scale(Scalar(0, 0, 3, 0)),
-    )
-    acc.op(
-        "[d*,L] - i(2mu + del - delbar - 2mubar)",
-        lhs - (mu.scale(rational(2)) + de - db - mb.scale(rational(2))).scale(I),
-    )
+    three_i, two_i = Scalar(0, 0, 3, 0), Scalar(0, 0, 2, 0)
+    acc.op("[d*,L] + d^c - 3i(mu-mubar)", combination([(ONE, lhs), (ONE, d_c(model)), (-three_i, mu), (three_i, mb)]))
+    terms = [(ONE, lhs), (-two_i, mu), (-I, de), (I, db), (two_i, mb)]
+    acc.op("[d*,L] - i(2mu + del - delbar - 2mubar)", combination(terms))
 
 
 def check_nk_cor(model, acc: _Acc):
@@ -432,10 +427,10 @@ def check_nk_cor(model, acc: _Acc):
     mus, des, dbs, mbs = _adjoints(model)
     l_op, lam, _ = lefschetz_triple(model)
     two_i = Scalar(0, 0, 2, 0)
-    acc.pair("[del*,L] + i delbar", "[delbar*,L] - i del", br(des, l_op) + db.scale(I))
-    acc.pair("[del,Lambda] + i delbar*", "[delbar,Lambda] - i del*", br(de, lam) + dbs.scale(I))
-    acc.pair("[mu*,L] + 2i mubar", "[mubar*,L] - 2i mu", br(mus, l_op) + mb.scale(two_i))
-    acc.pair("[mu,Lambda] + 2i mubar*", "[mubar,Lambda] - 2i mu*", br(mu, lam) + mbs.scale(two_i))
+    acc.pair("[del*,L] + i delbar", "[delbar*,L] - i del", combination([(ONE, br(des, l_op)), (I, db)]))
+    acc.pair("[del,Lambda] + i delbar*", "[delbar,Lambda] - i del*", combination([(ONE, br(de, lam)), (I, dbs)]))
+    acc.pair("[mu*,L] + 2i mubar", "[mubar*,L] - 2i mu", combination([(ONE, br(mus, l_op)), (two_i, mb)]))
+    acc.pair("[mu,Lambda] + 2i mubar*", "[mubar,Lambda] - 2i mu*", combination([(ONE, br(mu, lam)), (two_i, mbs)]))
 
 
 def check_torsion_op(model, acc: _Acc):
@@ -445,12 +440,12 @@ def check_torsion_op(model, acc: _Acc):
     l_dom = mult_operator(d_om) if not d_om.is_zero() else GradedOperator.zero(model.dim, 3)
     mus, lm, lms = _ops(model, "adj:mu", "L_mu_omega", "adj:L_mu_omega")
     three = rational(3)
-    acc.op("[Lambda, L_d_omega] + 3(mu+mubar)", br(lam, l_dom) + (mu + mb).scale(three))
+    acc.op("[Lambda, L_d_omega] + 3(mu+mubar)", combination([(ONE, br(lam, l_dom)), (three, mu), (three, mb)]))
     acc.pair(
-        "[Lambda, L_mu_omega] + 3mu", "[Lambda, L_mubar_omega] + 3mubar", br(lam, lm) + mu.scale(three)
+        "[Lambda, L_mu_omega] + 3mu", "[Lambda, L_mubar_omega] + 3mubar", combination([(ONE, br(lam, lm)), (three, mu)])
     )
     acc.pair(
-        "[L_mu_omega*, L] + 3mu*", "[L_mubar_omega*, L] + 3mubar*", br(lms, l_op) + mus.scale(three)
+        "[L_mu_omega*, L] + 3mu*", "[L_mubar_omega*, L] + 3mubar*", combination([(ONE, br(lms, l_op)), (three, mus)])
     )
 
 
@@ -464,7 +459,7 @@ def check_aux_com(model, acc: _Acc):
     acc.pair(
         "[[delbar,mu]] + (i/3)[[del*, L_mu_omega]]",
         "[[del,mubar]] - (i/3)[[delbar*, L_mubar_omega]]",
-        br(db, mu) + br(des, lm).scale(third_i),
+        combination([(ONE, br(db, mu)), (third_i, br(des, lm))]),
     )
 
 
@@ -491,28 +486,29 @@ def check_prop_lap(model, acc: _Acc):
     diff_l = d_lm - d_lmb
     acc.op(
         "[[mubar,mu]] + (i/3)[[mu*,L_mu_omega]] - (i/3)[[mubar*,L_mubar_omega]]",
-        mb_mu + mus_lm.scale(third_i) - mbs_lmb.scale(third_i),
+        combination([(ONE, mb_mu), (third_i, mus_lm), (-third_i, mbs_lmb)]),
     )
     acc.op(
         "[[Lambda,[[mu,L_mubar_omega]]]] - i[[mu*,L_mu_omega]] - i[[mubar*,L_mubar_omega]]",
-        lam_mu_lmb - (mus_lm + mbs_lmb).scale(I),
+        combination([(ONE, lam_mu_lmb), (-I, mus_lm), (-I, mbs_lmb)]),
     )
     acc.op(
         "[[mubar,mu]] - (i/9)[Delta_Lmu - Delta_Lmubar, L]",
-        mb_mu - br(diff_l, l_op).scale(I * rational(1, 9)),
+        combination([(ONE, mb_mu), (I * rational(-1, 9), br(diff_l, l_op))]),
     )
     acc.op(
         "[[Lambda,[[mu,L_mubar_omega]]]] + (i/3)[Delta_Lmu + Delta_Lmubar, L]",
-        lam_mu_lmb + br(d_lm + d_lmb, l_op).scale(third_i),
+        combination([(ONE, lam_mu_lmb), (third_i, br(d_lm + d_lmb, l_op))]),
     )
     d_mu, d_del, d_db, d_mb = _ops(model, "lap:mu", "lap:del", "lap:delbar", "lap:mubar")
+    two = rational(2)
     acc.op(
         "(Delta_del - Delta_delbar) + 2(Delta_mu - Delta_mubar)",
-        (d_del - d_db) + (d_mu - d_mb).scale(rational(2)),
+        combination([(ONE, d_del), (-ONE, d_db), (two, d_mu), (-two, d_mb)]),
     )
     acc.op(
         "(Delta_del - Delta_delbar) + (2/9)(Delta_Lmu - Delta_Lmubar)",
-        (d_del - d_db) + diff_l.scale(rational(2, 9)),
+        combination([(ONE, d_del), (-ONE, d_db), (rational(2, 9), diff_l)]),
     )
 
 
@@ -552,39 +548,37 @@ def check_theta_bracket(model, acc: _Acc):
     eta = pqb.eta
     lm, lms = _ops(model, "L_mu_omega", "adj:L_mu_omega")
 
-    def unitary_weighted_sum(forms: list[Form]) -> GradedOperator:
+    def unitary_weighted_terms(forms: list[Form], sign: Scalar) -> list[tuple[Scalar, GradedOperator]]:
+        """The terms of sign * sum_{a,b} h^{ba} L_a L_b^*."""
         h = [[gram.inner(x, y) for y in forms] for x in forms]
         hinv = inverse(h)
-        acc_op = GradedOperator.zero(dim, 0)
         ops = [mult_operator(f) for f in forms]
         adjs = [adjoint(op, gram) for op in ops]
-        for a in range(len(forms)):
-            for b in range(len(forms)):
-                if not hinv[b][a].is_zero():
-                    acc_op = acc_op + ops[a].compose(adjs[b]).scale(hinv[b][a])
-        return acc_op
+        n = len(forms)
+        return [(sign * hinv[b][a], ops[a].compose(adjs[b])) for a in range(n) for b in range(n) if hinv[b][a]]
 
-    s1 = unitary_weighted_sum(eta)
     pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
-    s2 = unitary_weighted_sum([eta[a].wedge(eta[b]) for a, b in pairs])
-    lhs = br(lms, lm)
-    rhs = (GradedOperator.identity(dim) - s1 + s2).scale(lam2 * rational(9, 4))
-    acc.op("[[L_theta*, L_theta]] - (9l2/4)(Id - S1 + S2)", lhs - rhs)
+    c = lam2 * rational(9, 4)
+    s1 = unitary_weighted_terms(eta, c)
+    s2 = unitary_weighted_terms([eta[a].wedge(eta[b]) for a, b in pairs], -c)
+    terms = [(ONE, br(lms, lm)), (-c, GradedOperator.identity(dim)), *s1, *s2]
+    acc.op("[[L_theta*, L_theta]] - (9l2/4)(Id - S1 + S2)", combination(terms))
 
 
 def check_l_delta(model, acc: _Acc):
     de, mus, l_op, lm = _ops(model, "del", "adj:mu", "L", "L_mu_omega")
-    unbarred = br(mus, lm) - bracket_sum([], squares=[de]).scale(Scalar(0, 0, 2, 0))
+    unbarred = combination([(ONE, br(mus, lm)), (Scalar(0, 0, -2, 0), bracket_sum([], squares=[de]))])
     acc.op(
         "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2",
-        br(l_op, hodge_laplacian(model)) + _with_conjugate(unbarred),
+        combination([(ONE, br(l_op, hodge_laplacian(model))), (ONE, unbarred), (ONE, unbarred.conjugated())]),
     )
 
 
 def check_delta_sum(model, acc: _Acc):
     lap_d, d_del, d_db, d_mu, d_mb = _ops(model, "lap:d", "lap:del", "lap:delbar", "lap:mu", "lap:mubar")
-    d_mix = d_del + d_db - _with_conjugate(_delbar_star_del(model))
-    acc.op("Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar", lap_d - d_mix - d_mu - d_mb)
+    x = _delbar_star_del(model)  # Delta_(del-delbar) = Delta_del + Delta_delbar - X - conj X
+    terms = [(ONE, lap_d), (-ONE, d_del), (-ONE, d_db), (ONE, x), (ONE, x.conjugated()), (-ONE, d_mu), (-ONE, d_mb)]
+    acc.op("Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar", combination(terms))
 
 
 def check_hodge_abcd(model, acc: _Acc):

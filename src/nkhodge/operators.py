@@ -17,15 +17,15 @@ The store of an operator is therefore unique, and operator equality is
 literal equality of the stores, which stays exact.  Equal entries share
 one tuple (an operator has a few dozen distinct entries), which keeps the
 store smaller than a Scalar per entry, and the normalizing scans run over
-the distinct entries only.  Sums rescale both
-stores to the lcm of the two denominators, and a difference is the same
-merge with the sign folded into the rescaling of the right operand, so no
-negated copy is built; products multiply the
-denominators and the coordinates; ``scale`` and ``conjugated`` act on the
-coordinates.  Each operation walks and inserts keys as accumulating through
-``linalg.add_scaled`` does (a key whose sum cancels is removed, and
-re-appended if it comes back), so the column and row orders that
-``linalg.transpose`` hands to elimination do not depend on the store.
+the distinct entries only.  A linear combination sum c_i P_i is one
+merge over the lcm of the q_i q(c_i) (``combination``; sums, differences,
+negation and ``scale`` are its one- and two-term cases), with no scaled or
+negated copy; products multiply the denominators and the coordinates;
+``conjugated`` acts on the coordinates.  Each operation walks and inserts
+keys as accumulating through ``linalg.add_scaled`` does (a key whose sum
+cancels is removed, and re-appended if it comes back), so the column and
+row orders that ``linalg.transpose`` hands to elimination do not depend
+on the store.
 
 ``Scalar`` appears only at the boundaries.  The constructor takes sparse
 columns of Scalars and, as ``reconstruct`` does with its coefficient forms,
@@ -60,15 +60,15 @@ operator of order <= r is the reconstruction of its low-degree columns
 P equals its reconstruction), the only route from coframe values to a
 derivation (``derivation_from_one_forms``), and the route of every bracket
 of bounded order.  ``DerivationAction`` applies the same
-Koszul sum to forms with each column built on first use.  All of them sum
-columns through one primitive, ``_koszul_column``, on integer coordinates.
-Its signs come from the sign keys of ``exterior.sign_key``: with rest =
-mask - J, the term of u^b in beta_J enters column ``mask`` with the sign
-(-1)^popcount(rest & (K(b) ^ K(J))).  Each coefficient form is prepared
-once (``_prepare``: once per reconstruction, once per ``DerivationAction``,
-once per new coefficient in ``_koszul_integral``) into J and its
-entries (b, K(b) ^ K(J), coordinates, negated coordinates), so a term
-costs one ``bit_count`` and no call.
+Koszul sum to forms with each column built on first use.  With rest =
+mask - J, the term of u^b in beta_J enters column ``mask`` at b | rest with
+the sign (-1)^popcount(rest & (K(b) ^ K(J))) (``exterior.sign_key``): a
+reconstruction scatters it into every such column, and ``_koszul_column``
+sums one column where single ones are asked for.  Each coefficient form
+is prepared once (``_prepare``: once per reconstruction, once per
+``DerivationAction``, once per new coefficient in ``_koszul_integral``)
+into J and its entries (b, K(b) ^ K(J), coordinates, negated
+coordinates), so a term costs one ``bit_count`` and no call.
 ``algebra_map_blocks`` is the degree-0 algebra map u^i -> images[i] of
 1-forms (a change of coframe), built one degree block at a time on the
 integer coordinates: column m is images[i] ^ (column m - i of the block
@@ -82,7 +82,7 @@ coefficient forms: every derivation, d and its components among them, by
 1 and every L_beta by 0.  ``identity`` and ``zero`` are bounded by 0; the
 adjoint of P by r + |P|, floored at 0, since in an orthogonal coframe
 (L_{u^b} iota_J)* is a weighted L_{u^J} iota_b with |b| = |J| + |P|; a
-product by the sum of the bounds, a sum or difference by their max.
+product by the sum of the bounds, a linear combination by their max.
 ``scale``, ``conjugated``, negation and ``with_degree`` keep the bound.
 Every other operator (the constructor's, ``scale_columns``,
 ``algebra_map_blocks``, a product on some columns) has none.
@@ -106,8 +106,9 @@ from __future__ import annotations
 import math
 
 from .exterior import Form, GramData, graded_lex_key, mask_label, sign_key
-from .scalars import Scalar, common, join, product
+from .scalars import ONE, Scalar, common, join, product
 
+MINUS_ONE = Scalar(-1, 0, 0, 0)
 Column = dict[int, Scalar]
 Coords = tuple[int, int, int, int]  # (a, b, c, e): (a + b sqrt d + i(c + e sqrt d)) / q
 Store = dict[int, dict[int, Coords]]  # column mask -> row mask -> coordinates
@@ -280,72 +281,17 @@ class GradedOperator:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: GradedOperator, sign: int = 1) -> GradedOperator:
-        """The sum over the lcm of the two denominators; with ``sign`` -1 the
-        difference.  Other's entries are rescaled and signed inside the
-        merge, one image per distinct entry, with no intermediate store."""
-        deg = self.degree if self.degree == other.degree else None
-        d = join(self.d, other.d)
-        q = math.lcm(self.q, other.q)
-        f1, f2 = q // self.q, sign * (q // other.q)
-        if f1 == 1:
-            cols = {c: dict(col) for c, col in self.coords.items()}
-        else:
-            cols = _map_entries(self.coords, lambda t: (t[0] * f1, t[1] * f1, t[2] * f1, t[3] * f1))
-        image: dict[Coords, Coords] = {}
-        get, put = image.get, image.setdefault
-
-        def scaled(u: Coords) -> Coords:
-            return (u[0] * f2, u[1] * f2, u[2] * f2, u[3] * f2)
-
-        sums: dict[Coords, Coords] = {}
-        share = sums.setdefault
-        emptied = False
-        for c, col in other.coords.items():
-            acc = cols.get(c)
-            if acc is None:
-                if f2 == 1:
-                    cols[c] = col  # stores are never changed once built
-                else:
-                    cols[c] = {r: get(u) or put(u, scaled(u)) for r, u in col.items()}
-                continue
-            for r, u in col.items():
-                if f2 != 1:
-                    u = get(u) or put(u, scaled(u))
-                t = acc.get(r)
-                if t is None:
-                    acc[r] = u
-                    continue
-                s = (t[0] + u[0], t[1] + u[1], t[2] + u[2], t[3] + u[3])  # ``scalars.add``, one q
-                if s[0] or s[1] or s[2] or s[3]:
-                    acc[r] = share(s, s)
-                else:
-                    del acc[r]
-                    emptied = emptied or not acc
-        if emptied:
-            cols = {c: col for c, col in cols.items() if col}
-        bound = None
-        if self.order_bound is not None and other.order_bound is not None:
-            bound = max(self.order_bound, other.order_bound)
-        return GradedOperator._normalized(self.dim, deg, q, d, self.real and other.real, cols, bound)
+    def __add__(self, other: GradedOperator) -> GradedOperator:
+        return combination([(ONE, self), (ONE, other)])
 
     def __sub__(self, other: GradedOperator) -> GradedOperator:
-        return self.__add__(other, -1)
+        return combination([(ONE, self), (MINUS_ONE, other)])
 
     def __neg__(self) -> GradedOperator:
-        cols = _map_entries(self.coords, lambda t: (-t[0], -t[1], -t[2], -t[3]))
-        return object.__new__(GradedOperator)._set(
-            self.dim, self.degree, self.q, self.d, self.real, cols, self.order_bound
-        )
+        return combination([(MINUS_ONE, self)])
 
     def scale(self, s: Scalar) -> GradedOperator:
-        if s.is_zero():
-            return GradedOperator.zero(self.dim, self.degree)
-        d = join(self.d, s.d)
-        u = (s.a, s.b, s.c, s.e, 1)
-        cols = _map_entries(self.coords, lambda t: product((*t, 1), u, d)[:4])
-        real = self.real and s.is_real()
-        return GradedOperator._normalized(self.dim, self.degree, self.q * s.q, d, real, cols, self.order_bound)
+        return combination([(s, self)])
 
     def scale_columns(self, weight) -> GradedOperator:
         """P D for D the diagonal m -> weight(m) * m of a mask -> Scalar
@@ -477,6 +423,60 @@ class GradedOperator:
         return f"GradedOperator(dim={self.dim}, degree={self.degree}, nnz={self.nnz()})"
 
 
+def combination(terms) -> GradedOperator:
+    """sum c_i P_i over the (Scalar c_i, operator P_i) of ``terms``, at least
+    one: each operand's distinct entries scaled by c_i once, merged in order
+    as a chain of binary sums is, so literally the chain's store, normalized
+    once.  The degree is the common one, else None; the order bound the max,
+    None when a term has none (c_i = 0 makes a term zero, bounded by 0)."""
+    live = [(c, p) for c, p in terms if p.coords and not c.is_zero()]
+    q = d = 1
+    for c, p in live:
+        q, d = math.lcm(q, p.q * c.q), join(join(d, p.d), c.d)
+    cols: Store = {}
+    owned: set[int] = set()  # columns built here; the others are an operand's, never changed
+    sums: dict[Coords, Coords] = {}
+    share = sums.setdefault
+    for c, p in live:
+        f = q // (p.q * c.q)
+        u = (c.a * f, c.b * f, c.c * f, c.e * f, 1)
+        scaled = None if u == (1, 0, 0, 0, 1) else (lambda t, u=u: product((*t, 1), u, d)[:4])
+        image: dict[Coords, Coords] = {}
+        get, put = image.get, image.setdefault
+        for m, col in p.coords.items():
+            acc = cols.get(m)
+            if acc is None:
+                if scaled is None:
+                    cols[m] = col
+                else:
+                    cols[m] = {r: get(t) or put(t, scaled(t)) for r, t in col.items()}
+                    owned.add(m)
+                continue
+            if m not in owned:
+                acc = cols[m] = dict(acc)
+                owned.add(m)
+            for r, t in col.items():
+                if scaled is not None:
+                    t = get(t) or put(t, scaled(t))
+                x = acc.get(r)
+                if x is None:
+                    acc[r] = t
+                    continue
+                s = (x[0] + t[0], x[1] + t[1], x[2] + t[2], x[3] + t[3])  # ``scalars.add``, one q
+                if s[0] or s[1] or s[2] or s[3]:
+                    acc[r] = share(s, s)
+                else:
+                    del acc[r]
+            if not acc:  # no later column of this term reads it
+                del cols[m]
+                owned.discard(m)
+    degrees = {p.degree for _, p in terms}
+    bounds = [0 if c.is_zero() else p.order_bound for c, p in terms]
+    deg, bound = degrees.pop() if len(degrees) == 1 else None, None if None in bounds else max(bounds)
+    real = all(p.real and c.is_real() for c, p in live)
+    return GradedOperator._normalized(terms[0][1].dim, deg, q, d, real, cols, bound)
+
+
 # ---------------------------------------------------------------------------
 # multiplication operators
 
@@ -552,14 +552,11 @@ def _bracket_products(pairs, squares, r: int | None) -> GradedOperator:
             return p.compose(q)
         return p._times_columns(q, {m: col for m, col in q.coords.items() if m.bit_count() <= r})
 
-    products = []
+    terms = []
     for p, q in pairs:
-        products += [(times(p, q), 1), (times(q, p), 1 if p.degree * q.degree % 2 else -1)]
-    products += [(times(p, p), 1) for p in squares]
-    total = products[0][0]
-    for x, sign in products[1:]:
-        total = total + x if sign > 0 else total - x
-    return total
+        terms += [(ONE, times(p, q)), (ONE if p.degree * q.degree % 2 else MINUS_ONE, times(q, p))]
+    terms += [(ONE, times(p, p)) for p in squares]
+    return combination(terms)
 
 
 def bracket_columns(pairs, squares=()) -> tuple[GradedOperator, int]:
@@ -619,7 +616,7 @@ def _integral(beta: dict[int, Form]) -> tuple[dict[int, IntForm], int, int]:
 
 
 def _prepare(coeffs: dict[int, IntForm]) -> Prepared:
-    """The coefficient forms as ``_koszul_column`` reads them, in the order
+    """The coefficient forms as the Koszul sums read them, in the order
     of ``coeffs`` and of each form: every entry carries K(b) ^ K(J) and its
     negated coordinates, so that a term's sign takes one ``bit_count``."""
     prepared: Prepared = []
@@ -664,7 +661,7 @@ def _koszul_integral(p: GradedOperator, r: int) -> tuple[dict[int, IntForm], Pre
     as coordinates over P's denominator: in order of increasing degree,
     beta_M = P(u^M) - sum eps beta_J ^ u^{M-J} over the proper subsets J of
     M, where u^M = eps u^J ^ u^{M-J}.  Zero coefficients are omitted, and
-    each coefficient is also prepared for ``_koszul_column`` once, as it is
+    each coefficient is also prepared for the Koszul sums once, as it is
     found."""
     beta: dict[int, IntForm] = {}
     prepared: Prepared = []
@@ -698,16 +695,45 @@ def reconstruct(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOp
 
 
 def _reconstruct(dim: int, coeffs: Prepared, q: int, d: int, degree: int | None) -> GradedOperator:
-    """``reconstruct`` of prepared coefficient forms, coordinates over q.
-    Every entry of the sum has the degree |b| - |J| of a coefficient entry,
-    so the store needs the degree check only where one of those is off."""
+    """``reconstruct`` of prepared coefficient forms, coordinates over q: each
+    entry u^b of beta_J, in prepared order, is scattered into every column
+    J | rest, rest disjoint from J | b, and each column gets its terms in
+    the order of its ``_koszul_column`` scan.  The columns are summed one
+    block of equal high bits at a time, so that only one block's partial
+    sums are held.  Every entry has the degree |b| - |J| of a coefficient
+    entry, so the store needs the degree check only where one is off."""
     shared: dict[Coords, Coords] = {}
     share = shared.setdefault
+    coeffs = [(jm, [(bm, key, share(u, u), share(neg, neg)) for bm, key, u, neg in form]) for jm, form in coeffs]
+    low = (1 << (dim - dim // 2)) - 1
     store: Store = {}
-    for m in range(1 << dim):
-        col = _koszul_column(coeffs, m)
-        if col:
-            store[m] = {r: share(t, t) for r, t in col.items()}
+    for high in range(0, 1 << dim, low + 1):
+        block: Store = {m: {} for m in range(high, high + low + 1)}
+        for jm, form in coeffs:
+            if jm & ~low & ~high:
+                continue
+            above = high & ~jm  # the high bits of rest
+            for bm, key, u, neg in form:
+                if above & bm:
+                    continue
+                free = below = low & ~(jm | bm)
+                while True:
+                    rest = above | below
+                    col, target = block[jm | rest], bm | rest
+                    t = neg if (rest & key).bit_count() & 1 else u
+                    x = col.get(target)
+                    if x is None:
+                        col[target] = t
+                    else:
+                        v = (x[0] + t[0], x[1] + t[1], x[2] + t[2], x[3] + t[3])  # ``scalars.add``, one q
+                        if v[0] or v[1] or v[2] or v[3]:
+                            col[target] = share(v, v)
+                        else:
+                            del col[target]
+                    if not below:
+                        break
+                    below = (below - 1) & free
+        store.update((m, col) for m, col in block.items() if col)
     if degree is not None and any(
         bm.bit_count() - jm.bit_count() != degree for jm, form in coeffs for bm, _, _, _ in form
     ):

@@ -376,19 +376,22 @@ class TestSelfConjugateSums:
 
 class TestOrderDet:
     def test_detects_a_sign_flip_in_the_reconstruction_of_d(self, monkeypatch):
-        # a sign flipped on the columns of degree >= 3 of every Koszul
-        # reconstruction, so of d itself: rebuilding d from its coframe
-        # values repeats the flip, the Leibniz rule does not.  A column is
-        # a dict of integer coordinates over the coefficients' denominator.
-        original = nkhodge.operators._koszul_column
+        # a sign flipped on the columns of degree >= 3 that every Koszul
+        # reconstruction scatters, so on those of d itself: rebuilding d
+        # from its coframe values repeats the flip, the Leibniz rule does
+        # not.  A column is a dict of integer coordinates over the
+        # operator's denominator.
+        original = nkhodge.operators._reconstruct
 
-        def flipped(beta, mask):
-            col = original(beta, mask)
-            if mask.bit_count() < 3:
-                return col
-            return {r: (-a, -b, -c, -e) for r, (a, b, c, e) in col.items()}
+        def flipped(dim, coeffs, q, d, degree):
+            op = original(dim, coeffs, q, d, degree)
+            store = {
+                m: col if m.bit_count() < 3 else {r: (-a, -b, -c, -e) for r, (a, b, c, e) in col.items()}
+                for m, col in op.coords.items()
+            }
+            return GradedOperator._normalized(dim, degree, op.q, op.d, op.real, store, op.order_bound)
 
-        monkeypatch.setattr(nkhodge.operators, "_koszul_column", flipped)
+        monkeypatch.setattr(nkhodge.operators, "_reconstruct", flipped)
         model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
         assert run_check(model, "ORDER_DET").status == "fail"
 
@@ -708,6 +711,37 @@ class TestCostGuards:
         for cache in (model._cache, model.orthogonalized()._cache):
             assert "j_operator" not in cache
         assert "jdj" in model.orthogonalized()._cache
+
+    def test_nk_main_and_sl2_combine_each_requirement_in_one_pass(self, monkeypatch):
+        # on su2-four every requirement sum c_i P_i is one combination, and
+        # no binary sum, difference, negation or scale runs on an operator
+        # of (nearly) all 4,096 columns, in the checks or the builds they
+        # set off
+        model = _fresh("su2-four")
+        full = 1 << model.dim
+        combined, binary = [], []
+        original = nkhodge.checks.combination
+
+        def counting(terms):
+            combined.append(len(terms))
+            return original(terms)
+
+        def spy(name, method):
+            def wrapped(p, *args):
+                if any(isinstance(x, GradedOperator) and 2 * len(x.coords) > full for x in (p, *args)):
+                    binary.append(name)
+                return method(p, *args)
+
+            return wrapped
+
+        monkeypatch.setattr(nkhodge.checks, "combination", counting)
+        for name in ("__add__", "__sub__", "__neg__", "scale"):
+            monkeypatch.setattr(GradedOperator, name, spy(name, getattr(GradedOperator, name)))
+        assert run_check(model, "NK_MAIN").status == "pass"
+        assert combined == [4, 5]
+        assert run_check(model, "SL2").status == "pass"
+        assert combined == [4, 5, 2, 2, 2]
+        assert binary == []
 
     def test_catalogue_keeps_no_eta_monomial_form_or_frame_block(self):
         # every reading of type goes through the eta-frame's two primitives,

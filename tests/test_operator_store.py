@@ -11,6 +11,8 @@ Koszul route of ``oracles``, degree errors included, and every block of
 ``algebra_map_blocks`` with the Scalar expansion ``oracles.wedge_image``;
 a spy checks that the coefficient forms are prepared for the Koszul sum
 once per reconstruction, per ``DerivationAction`` and per new coefficient.
+``combination`` is compared with the ScalarOperator chain of its terms and
+with the chain of binary sums, whose store it must be literally.
 The brackets by order (``bracket_sum``, ``graded_commutator``,
 ``laplacian``, and ``bracket_columns``, their low columns) and
 ``multiplication_bracket`` are compared with the
@@ -35,6 +37,7 @@ from nkhodge.checks import CHECKS, _Acc, _mubar_mu
 from nkhodge.exterior import Form, GramData
 from nkhodge.models import BUILTIN_NAMES, builtin_model, model_from_json, model_to_json
 from nkhodge.operators import (
+    MINUS_ONE,
     DerivationAction,
     GradedOperator,
     adjoint,
@@ -42,6 +45,7 @@ from nkhodge.operators import (
     algebraic_order_at_most,
     bracket_columns,
     bracket_sum,
+    combination,
     derivation_from_one_forms,
     from_low_columns,
     graded_commutator,
@@ -50,7 +54,7 @@ from nkhodge.operators import (
     multiplication_bracket,
     reconstruct,
 )
-from nkhodge.scalars import ZERO, Scalar
+from nkhodge.scalars import ONE, ZERO, Scalar
 from oracles import (
     ScalarDerivationAction,
     ScalarOperator,
@@ -207,7 +211,7 @@ class TestAgainstScalarStore:
     @EXAMPLES
     def test_graded_commutator(self, pair):
         p, q = pair
-        assert_same(graded_commutator(p, q), graded_commutator(ScalarOperator.of(p), ScalarOperator.of(q)))
+        assert_same(graded_commutator(p, q), commutator_by_composition(ScalarOperator.of(p), ScalarOperator.of(q)))
 
     @given(operators(), forms())
     @EXAMPLES
@@ -223,6 +227,69 @@ class TestAgainstScalarStore:
     def test_equality(self, p, q):
         assert (p == q) == (ScalarOperator.of(p) == ScalarOperator.of(q))
         assert p.with_degree(5) == p
+
+
+@st.composite
+def combination_terms(draw):
+    """1-5 (coefficient, operator) terms: operators over Q, Q(i), Q(sqrt 3)
+    or Q(sqrt 3)(i), each over a denominator of its own, and coefficients
+    that include 0 and -1."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        p = draw(operators(draw(st.sampled_from([None, 0, 1]))))
+        p = p.scale(Scalar(1, 0, 0, 0, draw(st.integers(1, 12))))
+        c = draw(st.one_of(st.just(ZERO), st.just(MINUS_ONE), st.sampled_from([1, 3]).flatmap(scalars)))
+        terms.append((c, p))
+    return terms
+
+
+class TestCombination:
+    @given(combination_terms())
+    @EXAMPLES
+    def test_one_merge_is_the_chain(self, terms):
+        got = combination(terms)
+        ref = ScalarOperator.of(terms[0][1]).scale(terms[0][0])
+        chain = terms[0][1].scale(terms[0][0])
+        for c, p in terms[1:]:
+            ref = ref + ScalarOperator.of(p).scale(c)
+            chain = chain + p.scale(c)
+        assert_same(got, ref)
+        assert_literal(got, chain)
+
+    def test_a_column_emptied_and_re_added_comes_back_whole(self):
+        one, two, five, seven = (Scalar(k, 0, 0, 0) for k in (1, 2, 5, 7))
+        p1 = GradedOperator(DIM, {0b010: {0b001: one, 0b100: two}, 0b001: {0b001: one}})
+        p2 = GradedOperator(DIM, {0b010: {0b001: -one, 0b100: -two}})
+        p3 = GradedOperator(DIM, {0b010: {0b100: five, 0b001: seven}})
+        p4 = GradedOperator(DIM, {0b010: {0b001: one}})
+        before = {c: dict(col) for c, col in p3.coords.items()}
+        got = combination([(ONE, p1), (ONE, p2), (ONE, p3), (ONE, p4)])
+        # term 2 empties column e2 and term 3 brings it back, at the end
+        assert list(got.coords) == [0b001, 0b010]
+        assert list(got.coords[0b010].items()) == [(0b100, (5, 0, 0, 0)), (0b001, (8, 0, 0, 0))]
+        assert_literal(got, p1 + p2 + p3 + p4)
+        # term 4 changed a column that term 3 lent, not term 3's store
+        assert p3.coords == before
+        # a column that one term empties and refills stays where it was
+        p5 = GradedOperator(DIM, {0b010: {0b001: -one, 0b100: -two, 0b010: five}})
+        got = combination([(ONE, p1), (ONE, p5)])
+        assert list(got.coords) == [0b010, 0b001]
+        assert got.coords[0b010] == {0b010: (5, 0, 0, 0)}
+        assert_literal(got, p1 + p5)
+
+    def test_degree_and_order_bound(self):
+        d1 = derivation_from_one_forms(DIM, [Form.basis(DIM, 0b110)] * DIM)
+        l0 = mult_operator(Form.basis(DIM, 0b001))
+        unbounded = GradedOperator(DIM, {0b001: {0b011: ONE}}, 1)
+        assert (d1.degree, d1.order_bound, l0.degree, l0.order_bound) == (1, 1, 1, 0)
+        both = combination([(ONE, d1), (MINUS_ONE, l0)])
+        assert (both.degree, both.order_bound) == (1, 1)
+        assert combination([(ONE, d1), (ONE, unbounded)]).order_bound is None
+        # a zero coefficient makes its term the zero operator, bounded by 0
+        assert combination([(ONE, l0), (ZERO, unbounded)]).order_bound == 0
+        assert combination([(ZERO, d1)]) == GradedOperator.zero(DIM)
+        assert combination([(ONE, l0), (ONE, l0.with_degree(None))]).degree is None
+        assert combination([(ONE, l0), (ZERO, l0.with_degree(2))]).degree is None
 
 
 @st.composite
