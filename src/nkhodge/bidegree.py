@@ -46,6 +46,10 @@ four separate derivations on every built-in.  d^c = J^{-1} d J is likewise
 a derivation built from its coframe values (``twisted_differential``),
 shared by ``d_c`` and the DC_DEF check; it applies J to the 2-forms
 d(J u^i) through the columns of the algebra map they need, not the full J.
+The split's invariant d = mu + del + delbar + mubar and ``d_c``'s
+d^c = i(mu - del + delbar - mubar) compare derivations, so each is decided
+on the columns of degree <= 1 (``operators.low_columns``): by Koszul's
+rule two operators of order <= 1 agree exactly when those columns do.
 
 ``named_operator`` builds every derived operator the catalogue names: d,
 the four components, L = L_omega, L_mu_omega and
@@ -76,6 +80,7 @@ from .operators import (
     derivation_from_one_forms,
     from_low_columns,
     laplacian,
+    low_columns,
     mult_operator,
     reconstruct,
 )
@@ -202,14 +207,22 @@ class DifferentialSplit:
     def components(self) -> dict[str, GradedOperator]:
         return {"mu": self.mu, "del": self.del_, "delbar": self.delbar, "mubar": self.mubar}
 
-    def total(self) -> GradedOperator:
-        """mu + del + delbar + mubar, one combination."""
-        return combination([(ONE, p) for p in (self.mu, self.del_, self.delbar, self.mubar)])
+    def coframe_sum(self, coeffs) -> GradedOperator:
+        """sum c_i P_i over the components in order, on their columns of
+        degree <= 1 only: every component is a derivation, so any such sum
+        has order <= 1 and equals an operator of order <= 1 exactly when
+        these columns do (Koszul)."""
+        return combination([(c, low_columns(p, 1)) for c, p in zip(coeffs, self.components().values())])
 
 
 def differential_split(model) -> DifferentialSplit:
     """The four components of d: mu and del are the derivations with their
-    coframe values, delbar and mubar their complex conjugates."""
+    coframe values, delbar and mubar their complex conjugates.
+
+    d = mu + del + delbar + mubar is asserted on the columns of degree <= 1
+    only: both sides are derivations, of order <= 1, and two operators of
+    order <= 1 agree exactly when those columns agree (Koszul), so no
+    sum of the full matrices is built."""
 
     def build():
         d = model.d()
@@ -223,7 +236,7 @@ def differential_split(model) -> DifferentialSplit:
         mu = derivation_from_one_forms(model.dim, mu_im)
         del_ = derivation_from_one_forms(model.dim, del_im)
         split = DifferentialSplit(mu, del_, del_.conjugated(), mu.conjugated())
-        if split.total() != d:
+        if split.coframe_sum((ONE,) * 4) != low_columns(d, 1):
             raise AssertionError("bidegree split does not reassemble d")
         return split
 
@@ -247,13 +260,14 @@ def twisted_differential(model) -> GradedOperator:
 
 
 def d_c(model) -> GradedOperator:
-    """J^{-1} d J, cross-checked against i(mu - del + delbar - mubar)."""
+    """J^{-1} d J, cross-checked against i(mu - del + delbar - mubar) on the
+    columns of degree <= 1: both are derivations, of order <= 1, so they
+    agree exactly when those columns agree (Koszul)."""
 
     def build():
         twisted = twisted_differential(model)
-        split = differential_split(model)
-        alt = combination([(I, split.mu), (-I, split.del_), (I, split.delbar), (-I, split.mubar)])
-        if twisted != alt:
+        alt = differential_split(model).coframe_sum((I, -I, I, -I))
+        if low_columns(twisted, 1) != alt:
             raise AssertionError("J^{-1} d J disagrees with i(mu - del + delbar - mubar)")
         return twisted
 

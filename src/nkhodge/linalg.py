@@ -19,7 +19,11 @@ Matrices come in and go out as lists of sparse rows (dict col -> Scalar),
 but the elimination itself runs on the normalized entries (a, b, c, e, q)
 of the field kernel in ``scalars``.  The field's d is joined once per call,
 every input entry is read once, and only the pivot rows and kernel vectors
-a caller gets back are built as ``Scalar``; ``sparse_rank`` builds none.  A
+a caller gets back are built as ``Scalar``; ``sparse_rank`` builds none.
+``pivot_columns`` is the entry point for rows that are integer coordinates
+already (``GradedOperator.pivot_columns`` reads them off an operator's
+store): it takes entry rows and gives back the pivot columns, with no
+Scalar in or out.  A
 step's updated entry (pval v - rv pv) / prev_piv is summed over one
 denominator from the unreduced products (pval / prev_piv) v and
 (-rv / prev_piv) pv, and reduced once.  Division is exact in the field and
@@ -129,8 +133,21 @@ def _row_min(row: EntryRow) -> tuple[int, int]:
 
 def _echelon(rows: list[SparseRow]) -> tuple[list[tuple[EntryRow, int]], int]:
     """``sparse_echelon``'s pivots as entry rows, and the d of their field."""
-    active: list[EntryRow | None]
     active, d = _entry_rows(rows)
+    return _eliminate(active, d), d
+
+
+def pivot_columns(rows: list[EntryRow], d: int) -> list[int]:
+    """The pivot columns, in elimination order, of entry rows of the field
+    with this d (the rank is their number): ``sparse_echelon`` on the rows
+    scaled to their primitive integral representatives, so on rows read off
+    an operator's integer store it picks the pivots of the Scalar rows."""
+    return [pc for _, pc in _eliminate([_clear_row(row) for row in rows if row], d)]
+
+
+def _eliminate(active: list[EntryRow | None], d: int) -> list[tuple[EntryRow, int]]:
+    """The elimination on a list of primitive integral entry rows that it
+    owns (a row is set to None as it retires; the rows are not mutated)."""
     mins = [_row_min(r) for r in active]  # cached per row, recomputed when rebuilt
     cxs = [cx for cx, _ in mins]  # _RETIRED once the row is a pivot row or zero
     cols = [c for _, c in mins]
@@ -183,7 +200,7 @@ def _echelon(rows: list[SparseRow]) -> tuple[list[tuple[EntryRow, int]], int]:
                 active[i], cxs[i] = None, _RETIRED
         pivots.append((prow, pc))
         inv = scalars.inverse(pval, d)
-    return pivots, d
+    return pivots
 
 
 def sparse_echelon(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:

@@ -35,6 +35,8 @@ integers and builds one Scalar per output entry, as do ``column_form`` and
 ``scalar_columns``; ``first_witness`` and
 ``max_abs_approx`` read each entry as its normalized Scalar, so residuals
 and witnesses are those of the Scalar arithmetic to the last bit.
+``pivot_columns`` hands a block of columns to elimination as integer entry
+rows (``linalg.pivot_columns``) and builds no Scalar at all.
 ``cols`` converts the whole operator once and keeps the result; no
 production route reads it.
 
@@ -105,8 +107,10 @@ from __future__ import annotations
 
 import math
 
+from . import linalg
 from .exterior import Form, GramData, graded_lex_key, mask_label, sign_key
-from .scalars import ONE, Scalar, common, join, product
+from .linalg import EntryRow
+from .scalars import ONE, Entry, Scalar, common, join, product
 
 MINUS_ONE = Scalar(-1, 0, 0, 0)
 Column = dict[int, Scalar]
@@ -278,6 +282,21 @@ class GradedOperator:
     def column_form(self, mask: int) -> Form:
         col = self.coords.get(mask, {})
         return Form(self.dim, {r: self._entry(t) for r, t in col.items()})
+
+    def pivot_columns(self, masks, skip_rows=()) -> list[int]:
+        """The pivot columns, in elimination order, of the block of the
+        columns ``masks`` with the rows in ``skip_rows`` left out; the rank
+        of the block is their number.  Its rows are read straight off the
+        integer store, in order of first appearance over ``masks`` as
+        ``linalg.transpose`` makes them, and q is dropped: no pivot changes
+        under scaling.  No Scalar is built."""
+        entry: dict[Coords, Entry] = {}
+        rows: dict[int, EntryRow] = {}
+        for c in masks:
+            for r, t in self.coords.get(c, {}).items():
+                if r not in skip_rows:
+                    rows.setdefault(r, {})[c] = entry.get(t) or entry.setdefault(t, (*t, 1))
+        return linalg.pivot_columns(list(rows.values()), self.d)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -748,6 +767,14 @@ def from_low_columns(p: GradedOperator, r: int) -> GradedOperator:
     when P has order <= r.  Only those columns of P are read."""
     _, prepared = _koszul_integral(p, r)
     return _reconstruct(p.dim, prepared, p.q, p.d, p.degree)
+
+
+def low_columns(p: GradedOperator, r: int) -> GradedOperator:
+    """P on its columns of degree <= r only, with no order bound.  Two
+    operators of order <= r are equal exactly when these are, since each
+    is the reconstruction of them (``from_low_columns``)."""
+    cols = {m: col for m, col in p.coords.items() if m.bit_count() <= r}
+    return GradedOperator._normalized(p.dim, p.degree, p.q, p.d, False, cols)
 
 
 def _coframe_coefficients(dim: int, images: list[Form]) -> dict[int, Form]:

@@ -86,6 +86,11 @@
   combinations of the Delta_d-kernel ``harmonic_space(p + q)`` with no
   eta-coordinate outside type (p,q) (``PQBasis.outside``), against the
   same production kernel of S; it shares no operator with it but d.
+* ``betti_by_full_ranks``: b_k = C(n, k) - r_k - r_{k-1} with every degree
+  block of d turned into Scalar rows (``operator_degree_rows``) and ranked
+  in full with ``sparse_rank``, against the production ranks by clearing,
+  which read d's integer store and leave out the rows at the pivot columns
+  of the degree above.
 * ``ScalarOperator`` and ``scalar_adjoint``: the operator store as sparse
   columns of ``Scalar`` (every entry normalized on its own, sums and
   products through ``linalg.add_scaled``), against the production store of
@@ -782,6 +787,15 @@ def harmonic_pq_by_laplacian(model, p: int, q: int) -> list[Form]:
         model.to_native(sum((basis[i].scale(c) for i, c in vec.items()), Form.zero(comp.dim)))
         for vec in sparse_kernel(rows, len(basis))
     ]
+
+
+def betti_by_full_ranks(model) -> list[int]:
+    """The Betti numbers from the rank of every degree block of d, each
+    block as Scalar rows with every row kept."""
+    comp = model.orthogonalized()
+    d, dim = comp.d(), comp.dim
+    ranks = [sparse_rank(operator_degree_rows(d, k, dim)[0]) for k in range(dim + 1)]
+    return [math.comb(dim, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(dim + 1)]
 
 
 # -- type through D_J ------------------------------------------------------------

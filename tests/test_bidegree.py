@@ -25,7 +25,13 @@ from nkhodge.exterior import Form
 from nkhodge.hodge import harmonic_pq, harmonic_space, hodge_numbers
 from nkhodge.linalg import sparse_rank
 from nkhodge.models import BUILTIN_NAMES, builtin_model, model_from_json, model_to_json, nk_report
-from nkhodge.operators import GradedOperator, algebra_map_blocks, graded_commutator
+from nkhodge.operators import (
+    GradedOperator,
+    algebra_map_blocks,
+    combination,
+    derivation_from_one_forms,
+    graded_commutator,
+)
 from nkhodge.scalars import I, ONE, Scalar, rational
 from oracles import (
     adjoint_via_minors,
@@ -375,7 +381,7 @@ class TestSplit:
 
     def test_total_and_conjugation(self, s3xs3):
         split = differential_split(s3xs3)
-        assert split.total() == s3xs3.d()
+        assert split.mu + split.del_ + split.delbar + split.mubar == s3xs3.d()
         assert split.mubar == split.mu.conjugated()
         assert split.delbar == split.del_.conjugated()
 
@@ -420,6 +426,29 @@ class TestDC:
     def test_derivation_route_matches_matrix_route(self, s3xs3, torus6, kodaira):
         for m in (s3xs3, torus6, kodaira):
             assert twisted_differential(m) == j_inverse_d_j_matrix(m)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_coframe_invariants_hold_on_every_column(self, name):
+        # the split and d_c assert their sums on the columns of degree <= 1;
+        # on every built-in the sums of the full matrices agree too
+        model = builtin_model(name).orthogonalized()
+        split = differential_split(model)
+        parts = list(split.components().values())
+        assert combination([(ONE, p) for p in parts]) == model.d()
+        assert combination(list(zip((I, -I, I, -I), parts))) == d_c(model)
+
+    @pytest.mark.parametrize("name", ["s3xs3-nk", "kodaira-thurston"])
+    def test_one_changed_coframe_value_of_the_twisted_differential_raises(self, name, monkeypatch):
+        import nkhodge.bidegree
+
+        model = model_from_json(model_to_json(builtin_model(name)))
+        true = twisted_differential(model)
+        images = [true.column_form(1 << i) for i in range(model.dim)]
+        images[2] = images[2] + Form.basis(model.dim, 0b1001)
+        changed = derivation_from_one_forms(model.dim, images)
+        monkeypatch.setattr(nkhodge.bidegree, "twisted_differential", lambda m: changed)
+        with pytest.raises(AssertionError, match="J\\^\\{-1\\} d J disagrees"):
+            d_c(model)
 
     def test_dc_differs_from_adjoint_bracket_by_torsion(self, s3xs3_ortho):
         # [d*, L] + d^c = 3i(mu - mubar) != 0 in the strict case

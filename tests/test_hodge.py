@@ -1,9 +1,12 @@
+import functools
 import json
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nkhodge.linalg as linalg
 from nkhodge.bidegree import decompose_form, named_operator
 from nkhodge.checks import run_check
 from nkhodge.hodge import (
@@ -12,16 +15,31 @@ from nkhodge.hodge import (
     harmonic_space,
     hodge_laplacian,
     hodge_numbers,
+    operator_degree_rows,
     s_frame,
 )
-from nkhodge.models import builtin_model, model_from_json, model_to_json
+from nkhodge.models import (
+    BUILTIN_NAMES,
+    LieAlgebraModel,
+    _identity_metric,
+    _standard_j,
+    builtin_model,
+    model_from_json,
+    model_to_json,
+    product_model,
+    validate_model,
+)
+from nkhodge.operators import GradedOperator
+from nkhodge.scalars import Scalar
 from oracles import (
+    betti_by_full_ranks,
     commutator_by_composition,
     frame_columns_by_composition,
     harmonic_pq_by_laplacian,
     harmonic_space_dense_oracle,
     spans_equal,
 )
+from variants import relabelled
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +83,49 @@ class TestOracleAgreement:
                 assert spans_equal(_as_rows(sparse), _as_rows(dense))
 
 
+def _su2_four_relabelled():
+    perm = [7, 11, 3, 10, 8, 4, 9, 1, 0, 6, 2, 5]
+    signs = [1, 1, 1, -1, -1, 1, 1, 1, -1, 1, 1, 1]
+    return relabelled(builtin_model("su2-four"), perm, signs)
+
+
+def _product(first, second):
+    return product_model(builtin_model(first), builtin_model(second))
+
+
+BETTI_MODELS = {
+    **{name: functools.partial(builtin_model, name) for name in BUILTIN_NAMES},
+    "kodaira-thurston^2": functools.partial(_product, "kodaira-thurston", "kodaira-thurston"),
+    "kodaira-thurston x s3xs3-nk": functools.partial(_product, "kodaira-thurston", "s3xs3-nk"),
+    "su2-four relabelled": _su2_four_relabelled,
+}
+
+
+@st.composite
+def two_step_nilpotent(draw):
+    """A 2-step nilpotent algebra of dimension 4, 6 or 8 with the standard
+    metric and J: the brackets of the first dim - m frame vectors are
+    integer combinations of the last m, which are central, so Jacobi and
+    d d = 0 hold by construction."""
+    dim = draw(st.sampled_from([4, 6, 8]))
+    m = draw(st.integers(1, dim // 2))
+    low = dim - m
+    coeff = st.integers(-2, 2)
+    structure = {}
+    for i in range(low):
+        for j in range(i + 1, low):
+            vals = {k: Scalar(c, 0, 0, 0) for k in range(low, dim) if (c := draw(coeff))}
+            if vals:
+                structure[(i, j)] = vals
+    return LieAlgebraModel("nil", dim, 1, structure, _identity_metric(dim), _standard_j(dim))
+
+
+def _fresh_su2_four():
+    model = model_from_json(model_to_json(builtin_model("su2-four")))
+    model.orthogonalized().d()
+    return model
+
+
 class TestBetti:
     def test_torus(self, torus6):
         assert betti_numbers(torus6) == [comb(6, k) for k in range(7)]
@@ -75,6 +136,55 @@ class TestBetti:
     def test_kodaira(self, kodaira):
         # first Betti number 3 distinguishes the nilmanifold from a torus
         assert betti_numbers(kodaira) == [1, 3, 4, 3, 1]
+
+    @pytest.mark.parametrize("name", sorted(BETTI_MODELS))
+    def test_clearing_matches_full_ranks(self, name):
+        model = BETTI_MODELS[name]()
+        assert validate_model(model).ok
+        assert betti_numbers(model) == betti_by_full_ranks(model)
+
+    @given(two_step_nilpotent())
+    @settings(max_examples=40, deadline=None)
+    def test_clearing_matches_full_ranks_on_two_step_nilpotent_algebras(self, model):
+        assert validate_model(model).ok
+        betti = betti_numbers(model)
+        assert betti == betti_by_full_ranks(model)
+        assert betti[0] == betti[-1] == 1 and betti == betti[::-1]
+
+    def test_clearing_leaves_su2_four_degree_six_459_rows_and_builds_no_scalar(self, monkeypatch, scalars_built):
+        model = _fresh_su2_four()
+        comp = model.orthogonalized()
+        assert len(operator_degree_rows(comp.d(), 6, 12)[0]) == 774  # every row, ranked in full
+        calls = []
+        eliminate = linalg.pivot_columns
+
+        def spy(rows, d):
+            pivots = eliminate(rows, d)
+            calls.append((len(rows), len(pivots)))
+            return pivots
+
+        monkeypatch.setattr(linalg, "pivot_columns", spy)
+        scalars_built[0] = 0
+        assert betti_numbers(model) == [1, 0, 0, 4, 0, 0, 6, 0, 0, 4, 0, 0, 1]
+        assert scalars_built[0] == 0
+        # one elimination per degree, from degree 12 down
+        assert len(calls) == 13
+        assert calls[12 - 6] == (459, 459)  # 792 - rank d_7 rows, all independent since b_7 = 0
+
+    def test_clearing_one_extra_row_changes_su2_four_and_the_oracle_sees_it(self, monkeypatch):
+        model = _fresh_su2_four()
+        pivot_columns = GradedOperator.pivot_columns
+
+        def one_more(self, masks, skip_rows=()):
+            if masks and masks[0].bit_count() == 6:
+                extra = min(r for c in masks for r in self.coords.get(c, {}) if r not in skip_rows)
+                skip_rows = {*skip_rows, extra}
+            return pivot_columns(self, masks, skip_rows)
+
+        monkeypatch.setattr(GradedOperator, "pivot_columns", one_more)
+        mutated = betti_numbers(model)
+        assert mutated != betti_by_full_ranks(model)
+        assert mutated[6:8] == [7, 1]  # rank d_6 one short
 
 
 class TestHodgeNumbers:
