@@ -17,18 +17,17 @@ through one of two primitives, and neither keeps a block of E or F:
   HODGE_ABCD (d).  ``decompose_form`` groups them by type and maps each
   group back through the columns of E it needs: the split of d, LEM_NK,
   SU3_STRUCT and ``su3_extract``.
-* ``PQBasis.frame`` is F P E, the matrix of an operator P in the
-  eta-monomial basis, from the blocks F_{k+deg} P E_k that
-  ``PQBasis.frame_blocks`` yields one degree k at a time.  A degree-0 P
-  preserves every Lambda^{p,q} exactly when each column of type (p,q) has
-  rows of type (p,q) only (VANISH_COR, HODGE_ABCD's S), its kernel on
-  Lambda^{p,q} is that of its columns of type (p,q) (``harmonic_pq``),
-  and DIM6_EIGEN compares each of its operators with its scalar on every
-  type.  E is an algebra map, so F P E has the order of P in the
-  eta-coframe: given a bound r, ``frame`` composes the blocks of degree
-  <= r only, which read P's columns of degree <= r only, and rebuilds the
-  rest by one reconstruction; the blocks are lazy, so no block of E or F
-  past them is built.
+* ``PQBasis.frame`` is F P E, the matrix of an operator P of order <= r
+  in the eta-monomial basis.  A degree-0 P preserves every Lambda^{p,q}
+  exactly when each column of type (p,q) has rows of type (p,q) only
+  (VANISH_COR, HODGE_ABCD's S), its kernel on Lambda^{p,q} is that of its
+  columns of type (p,q) (``harmonic_pq``), and DIM6_EIGEN compares each
+  of its operators with its scalar on every type.  E is an algebra map,
+  so F P E has the order of P in the eta-coframe: ``frame`` composes the
+  blocks F_{k+deg} P E_k of degree k <= r only, which read P's columns of
+  degree <= r only, and rebuilds the rest by one reconstruction; the
+  blocks are built as they are read, so no block of E or F past them is
+  built.  Every operator a frame is taken of has a bound (r is required).
   J_PQ asks that J be diagonal in the frame, without F: J E = E D, D the
   diagonal of i^(p-q) on the columns of type (p,q), E block by block.
 
@@ -144,28 +143,19 @@ class PQBasis:
         the form with these coordinates has type (p,q)."""
         return {m: v for m, v in coords.items() if self.bidegree_of_mask(m) != (p, q)}
 
-    def frame_blocks(self, op: GradedOperator):
-        """F_{k+deg} op E_k for k = 0, 1, ..., where deg = op.degree >= 0: the
-        matrix of op in the eta-monomial basis, one degree at a time and kept
-        nowhere.  Each block is built when it is read."""
+    def frame(self, op: GradedOperator, r: int) -> GradedOperator:
+        """F op E, the matrix of op in the eta-monomial basis, for op of
+        order <= r.
+
+        E is an algebra map, so F op E has the order of op in the eta-coframe:
+        it is built from the blocks F_{k+deg} op E_k of degree k <= r only
+        (E up to degree r, F up to r + deg), which read only the columns of
+        op of degree <= r, and rebuilt by one Koszul reconstruction.  The
+        blocks of E and F are built as they are read, F first, so no block
+        past them is built."""
         f_blocks = islice(algebra_map_blocks(self.dim, self.dual), op.degree, None)
-        # F first, so that no E block is built past the last F block
-        for f_k, e_k in zip(f_blocks, algebra_map_blocks(self.dim, self.generators)):
-            yield f_k.compose(op.compose(e_k))
-
-    def frame(self, op: GradedOperator, r: int | None = None) -> GradedOperator:
-        """F op E, the matrix of op in the eta-monomial basis.
-
-        E is an algebra map, so F op E has the order of op in the eta-coframe.
-        With r given, only the blocks of degree <= r are composed (E up to
-        degree r, F up to r + deg), which read only the columns of op of
-        degree <= r, and their sum is rebuilt by one Koszul reconstruction:
-        F op E literally when op has order <= r.  Without r every block is
-        composed."""
-        blocks = self.frame_blocks(op)
-        if r is None:
-            return combination([(ONE, block) for block in blocks])
-        return from_low_columns(combination([(ONE, block) for block in islice(blocks, r + 1)]), r)
+        pairs = islice(zip(f_blocks, algebra_map_blocks(self.dim, self.generators)), r + 1)
+        return from_low_columns(combination([(ONE, f_k.compose(op.compose(e_k))) for f_k, e_k in pairs]), r)
 
 
 def pq_basis(model) -> PQBasis:

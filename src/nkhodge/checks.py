@@ -47,9 +47,9 @@ Laplacian goes through ``bracket_sum`` (``br`` is its one-term case): the
 products on the columns of degree <= r = r_P + r_Q - 1 only, summed, and
 one Koszul reconstruction; a sum of brackets and odd squares
 P P = (1/2)[[P, P]], such as D2_SPLIT's [[delbar,mu]] + del^2, is one
-reconstruction.  For a component P, [[L_beta, P]] = [[P, L_beta]] =
-L_{P beta} with beta of degree 3 (``multiplication_bracket``), so BR67
-composes nothing.
+reconstruction.  A bracket of a component with L_mu_omega or
+L_mubar_omega, as in BR67 and PROP_LAP, has r = 0: it is read off the
+products on the constant column alone.
 
 The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
 operator of order <= r equals the reconstruction from its columns on
@@ -120,7 +120,6 @@ from .operators import (
     derivation_from_one_forms,
     graded_commutator as br,
     mult_operator,
-    multiplication_bracket,
 )
 from .scalars import I, ONE, ZERO, Scalar, rational
 
@@ -368,10 +367,8 @@ def check_lem_nk(model, acc: _Acc):
 
 
 def check_br67(model, acc: _Acc):
-    mu, de, db, mb = _parts(model)
-    mu_omega = mu.apply(model.omega())
-    # [[L_mu_omega, P]] = -(-1)^{3|P|} [[P, L_mu_omega]] = L_{P mu omega}: P is odd
-    lm_mu, lm_de, lm_db, lm_mb = (multiplication_bracket(p, mu_omega, 3) for p in (mu, de, db, mb))
+    lm = named_operator(model, "L_mu_omega")
+    lm_mu, lm_de, lm_db, lm_mb = (br(lm, p) for p in _parts(model))
     acc.pair("[[L_mu_omega, mu]]", "[[L_mubar_omega, mubar]]", lm_mu)
     acc.pair("[[L_mu_omega, del]]", "[[L_mubar_omega, delbar]]", lm_de)
     acc.pair("[[L_mu_omega, delbar]]", "[[L_mubar_omega, del]]", lm_db)
@@ -476,14 +473,13 @@ def check_lap_com(model, acc: _Acc):
 
 
 def check_prop_lap(model, acc: _Acc):
-    mu = named_operator(model, "mu")
     l_op, lam, _ = lefschetz_triple(model)
-    mus, lm, d_lm, d_lmb = _ops(model, "adj:mu", "L_mu_omega", "lap:L_mu_omega", "lap:L_mubar_omega")
+    mu, mus, lm, lmb = _ops(model, "mu", "adj:mu", "L_mu_omega", "L_mubar_omega")
+    d_lm, d_lmb = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega")
     third_i = I * rational(1, 3)
     mb_mu, mus_lm = _mubar_mu(model), br(mus, lm)
     mbs_lmb = mus_lm.conjugated()
-    # [[mu, L_mubar_omega]] = L_{mu(mubar omega)}, mubar omega = conj(mu omega)
-    lam_mu_lmb = br(lam, multiplication_bracket(mu, mu.apply(model.omega()).conjugate(), 3))
+    lam_mu_lmb = br(lam, br(mu, lmb))
     diff_l = d_lm - d_lmb
     acc.op(
         "[[mubar,mu]] + (i/3)[[mu*,L_mu_omega]] - (i/3)[[mubar*,L_mubar_omega]]",

@@ -91,16 +91,16 @@ Every other operator (the constructor's, ``scale_columns``,
 
 The order filtration is multiplicative and its graded algebra is
 graded-commutative, so ord [[P, Q]] <= ord P + ord Q - 1.  ``bracket_sum``
-builds a sum of brackets of bounded operators, and odd squares
-P P = (1/2)[[P, P]], from the products on the columns of degree <= r only
-(``bracket_columns``) and one reconstruction; ``graded_commutator`` and
-``laplacian`` are its one-term cases, and operators without a bound are
-composed in full.  A reader that needs the bracket only through its low
-columns, such as an eta-frame of bounded order, takes ``bracket_columns``
-and reconstructs nothing in the u-coframe.  For
-a derivation P and a multiplication operator, [[P, L_beta]] = L_{P beta}
-(``multiplication_bracket``).  Each result is the full matrix, so with a
-true bound it equals the composed commutator literally.
+builds a sum of brackets, and odd squares P P = (1/2)[[P, P]], from the
+products on the columns of degree <= r only (``bracket_columns``) and one
+reconstruction; ``graded_commutator`` and ``laplacian`` are its one-term
+cases.  That is the only route to a bracket, so every operand must carry
+an order bound, and one without raises ValueError; [[P, L_beta]] for a
+derivation P is its r = 0 case.  A reader that needs the bracket only
+through its low columns, such as an eta-frame of bounded order, takes
+``bracket_columns`` and reconstructs nothing in the u-coframe.  Each
+result is the full matrix, so with a true bound it equals the composed
+commutator literally.
 """
 
 from __future__ import annotations
@@ -545,10 +545,16 @@ def adjoint(p: GradedOperator, gram: GramData) -> GradedOperator:
 # ---------------------------------------------------------------------------
 # graded commutators and Laplacians
 
-def _bracket_order(pairs, squares) -> int | None:
-    """The order bound r = max(r_P + r_Q - 1, 0) of a sum of brackets and odd
-    squares, None when an operand has no bound; ValueError unless every
-    term has a declared degree and all have the same one."""
+def bracket_columns(pairs, squares=()) -> tuple[GradedOperator, int]:
+    """(low, r): the signed products of ``bracket_sum`` on the columns of
+    degree <= r only, summed, with r = max(r_P + r_Q - 1, 0) over the
+    terms.  ValueError unless every term has a declared degree, all the
+    same, every square is odd and every operand carries an order bound.
+
+    ``from_low_columns(low, r)`` is the bracket sum.  Like any product on
+    some columns, ``low`` has no order bound, so no reader can take it for
+    the full matrix.  A reader that needs the sum only through those
+    columns, such as an eta-frame of order <= r, reconstructs nothing."""
     terms = [*pairs, *((p, p) for p in squares)]
     if any(p.degree is None or q.degree is None for p, q in terms):
         raise ValueError("graded commutator needs declared degrees")
@@ -558,57 +564,32 @@ def _bracket_order(pairs, squares) -> int | None:
     if len(degrees) != 1:
         raise ValueError(f"a sum of brackets needs terms of one degree, got {sorted(degrees)}")
     if any(p.order_bound is None or q.order_bound is None for p, q in terms):
-        return None
-    return max(max(p.order_bound + q.order_bound - 1 for p, q in terms), 0)
-
-
-def _bracket_products(pairs, squares, r: int | None) -> GradedOperator:
-    """The signed sum of the products of ``bracket_sum``, on the columns of
-    degree <= r only, or on every column when r is None."""
+        raise ValueError("a bracket by order needs operands with order bounds")
+    r = max(max(p.order_bound + q.order_bound - 1 for p, q in terms), 0)
 
     def times(p, q):
-        if r is None:
-            return p.compose(q)
         return p._times_columns(q, {m: col for m, col in q.coords.items() if m.bit_count() <= r})
 
-    terms = []
+    products = []
     for p, q in pairs:
-        terms += [(ONE, times(p, q)), (ONE if p.degree * q.degree % 2 else MINUS_ONE, times(q, p))]
-    terms += [(ONE, times(p, p)) for p in squares]
-    return combination(terms)
-
-
-def bracket_columns(pairs, squares=()) -> tuple[GradedOperator, int]:
-    """(low, r): the signed products of ``bracket_sum`` on the columns of
-    degree <= r only, summed, with r = max(r_P + r_Q - 1, 0) over the
-    terms; ValueError unless every operand carries an order bound.
-
-    ``from_low_columns(low, r)`` is the bracket sum.  Like any product on
-    some columns, ``low`` has no order bound, so no reader can take it for
-    the full matrix.  A reader that needs the sum only through those
-    columns, such as an eta-frame of order <= r, reconstructs nothing."""
-    r = _bracket_order(pairs, squares)
-    if r is None:
-        raise ValueError("the low columns of a bracket need operands with order bounds")
-    return _bracket_products(pairs, squares, r), r
+        products += [(ONE, times(p, q)), (ONE if p.degree * q.degree % 2 else MINUS_ONE, times(q, p))]
+    products += [(ONE, times(p, p)) for p in squares]
+    return combination(products), r
 
 
 def bracket_sum(pairs, squares=()) -> GradedOperator:
     """The sum of [[P, Q]] = P Q - (-1)^{|P||Q|} Q P over the ``pairs`` (P, Q),
-    plus P P = (1/2)[[P, P]] over the odd P in ``squares``.  Every term must
-    have the same degree |P| + |Q|, which the result declares.
-
-    When every operand carries an order bound, the sum has order at most
-    r: it is ``from_low_columns`` of ``bracket_columns``, one Koszul
-    reconstruction of the products on the columns of degree <= r.
-    Otherwise every column is composed."""
-    r = _bracket_order(pairs, squares)
-    total = _bracket_products(pairs, squares, r)
-    return total if r is None else from_low_columns(total, r)
+    plus P P = (1/2)[[P, P]] over the odd P in ``squares``, of operators
+    with order bounds.  Every term must have the same degree |P| + |Q|,
+    which the result declares.  The sum has order at most r: it is
+    ``from_low_columns`` of ``bracket_columns``, one Koszul reconstruction
+    of the products on the columns of degree <= r."""
+    return from_low_columns(*bracket_columns(pairs, squares))
 
 
 def graded_commutator(p: GradedOperator, q: GradedOperator) -> GradedOperator:
-    """[[P, Q]] = P Q - (-1)^{|P||Q|} Q P; degrees must be declared."""
+    """[[P, Q]] = P Q - (-1)^{|P||Q|} Q P; degrees and order bounds must be
+    declared."""
     return bracket_sum([(p, q)])
 
 
@@ -790,12 +771,6 @@ def derivation_from_one_forms(dim: int, images: list[Form], degree: int = 1) -> 
     odd (degree 1) or even (degree 0) derivation by itself.
     """
     return reconstruct(dim, _coframe_coefficients(dim, images), degree)
-
-
-def multiplication_bracket(p: GradedOperator, beta: Form, degree: int) -> GradedOperator:
-    """[[P, L_beta]] = L_{P beta} for a derivation P and a form beta of degree
-    ``degree``, declared of degree |P| + ``degree`` also where P beta = 0."""
-    return mult_operator(p.apply(beta)).with_degree(p.degree + degree)
 
 
 def algebra_map_blocks(dim: int, images: list[Form], masks=None):

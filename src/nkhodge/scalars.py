@@ -182,13 +182,6 @@ class Scalar:
         put(out, "d", d if b or e else 1)
         return out
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def sqrt_ext(cls, d: int, num: int = 1, den: int = 1) -> Scalar:
-        """num/den times sqrt(d)."""
-        return cls(0, num, 0, 0, den, d)
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:

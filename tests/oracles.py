@@ -56,7 +56,7 @@
   PROP_LAP and L_DELTA that contain a bracket of two components of d or of
   a component and L_mu_omega, each such bracket composed as P Q -
   (-1)^{|P||Q|} Q P from full matrices, against the checks, which build them
-  by order (``bracket_sum``) or as L_{P beta} (``multiplication_bracket``).
+  by order (``bracket_sum``).
 * ``laplacian_of_del_minus_delbar``: Delta_(del-delbar) as [[P*, P]] of
   P = del - delbar with ``adjoint_via_minors``, against DELTA_SUM's
   expansion Delta_del + Delta_delbar - X - conj X, X = [[delbar*, del]].
@@ -109,9 +109,10 @@
 * ``diagonal_operator``: the diagonal m -> weight(m) m through the Scalar
   constructor, against ``scale_columns`` and the counting operator H, a
   Koszul sum.
-* ``frame_columns_by_composition``: F P E with every column composed,
-  against the production route that composes the blocks of degree <= r of
-  a P of order <= r and rebuilds the rest by one reconstruction.
+* ``frame_columns_by_composition``: F P E with every column composed, block
+  by block from ``algebra_map_blocks``, against the production
+  ``PQBasis.frame``, which composes the blocks of degree <= r of a P of
+  order <= r and rebuilds the rest by one reconstruction.
   ``swapped`` exchanges the halves of an eta-monomial mask: conj E(m) =
   (-1)^(pq) E(swapped m) for m of type (p,q).
 * ``koszul_coefficients``: the beta_J with |J| <= r of the production
@@ -123,7 +124,7 @@
 * The Hodge star (``star``, ``star_operator``, ``volume_form``) with
   a ^ star(b) = <a, conj(b)> vol, available when det(g) is a square in the
   field Q(sqrt d)(i) the caller names (``sqrt_in_field``); d* = -*d* in even
-  dimension.
+  dimension.  ``sqrt_ext`` builds num/den sqrt(d) for the tests.
 """
 
 from __future__ import annotations
@@ -156,6 +157,7 @@ from nkhodge.operators import (
     GradedOperator,
     _koszul_integral,
     adjoint,
+    algebra_map_blocks,
     derivation_from_one_forms,
     mult_operator,
 )
@@ -841,6 +843,11 @@ def j_apply(model, form: Form) -> Form:
 
 # -- Hodge star ------------------------------------------------------------------
 
+def sqrt_ext(d: int, num: int = 1, den: int = 1) -> Scalar:
+    """num/den times sqrt(d), a constructor the tests share."""
+    return Scalar(0, num, 0, 0, den, d)
+
+
 def sqrt_in_field(s: Scalar, d: int) -> Scalar | None:
     """Exact square root of a nonnegative real scalar inside Q(sqrt d), or None."""
     if not s.is_real():
@@ -1166,8 +1173,13 @@ def off_type_failures(model, diff: GradedOperator) -> list[str]:
 
 def frame_columns_by_composition(model, op: GradedOperator) -> dict[int, dict[int, Scalar]]:
     """The columns of F op E keyed by eta-monomial, every column composed:
-    F_{k+deg} op E_k on every block of E, whatever the order bound of op."""
-    return {m: col for block in pq_basis(model).frame_blocks(op) for m, col in block.scalar_columns()}
+    F_{k+deg} op E_k on every block of E, whatever the order bound of op,
+    with the blocks of E and F taken from ``algebra_map_blocks`` here."""
+    pqb = pq_basis(model)
+    f_blocks = list(algebra_map_blocks(pqb.dim, pqb.dual))[op.degree:]
+    e_blocks = algebra_map_blocks(pqb.dim, pqb.generators)
+    products = (f_k.compose(op.compose(e_k)) for f_k, e_k in zip(f_blocks, e_blocks))
+    return {m: col for block in products for m, col in block.scalar_columns()}
 
 
 def swapped(pqb, pqmask: int) -> int:

@@ -180,7 +180,8 @@ class TestPQBasis:
         table = {}
         e_blocks = list(algebra_map_blocks(model.dim, pqb.generators))
         f_blocks = list(algebra_map_blocks(model.dim, pqb.dual))
-        frames = list(pqb.frame_blocks(GradedOperator.identity(model.dim)))
+        one = GradedOperator.identity(model.dim)
+        frames = [f_k.compose(one.compose(e_k)) for f_k, e_k in zip(f_blocks, e_blocks)]
         assert len(e_blocks) == len(frames) == model.dim + 1
         for k, (e_k, f_k, frame) in enumerate(zip(e_blocks, f_blocks, frames)):
             masks = [m for m in range(1 << model.dim) if m.bit_count() == k]

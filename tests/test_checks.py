@@ -424,7 +424,7 @@ def _mutate_low_columns(monkeypatch, extra):
 
 
 def _spy_e_blocks(monkeypatch, pqb):
-    """The degree of every block of E that ``PQBasis.frame_blocks`` builds,
+    """The degree of every block of E that ``PQBasis.frame`` builds,
     in order (the type route's ``algebra_map_apply`` passes masks, the
     frame does not)."""
     seen = []
@@ -532,13 +532,17 @@ class TestInFrame:
             assert not op.is_zero()
             assert op.order_bound == bound
 
-    def test_an_operator_without_a_bound_has_every_column_composed(self, monkeypatch):
-        # diff rebuilt through the constructor carries no bound: all 64
-        # columns of E are composed with it
+    def test_the_frame_needs_an_order_bound(self, monkeypatch):
+        # r is required; given r = 2 for diff rebuilt through the
+        # constructor, which carries no bound, only the 22 columns of E of
+        # degree <= 2 are composed with it, and the frame is still whole
         model = builtin_model("s3xs3-nk").orthogonalized()
+        pqb = pq_basis(model)
         diff = _difference_laplacian(model)
         op = GradedOperator(model.dim, diff.cols, diff.degree)
         assert op.order_bound is None
+        with pytest.raises(TypeError):
+            pqb.frame(op)
         original = GradedOperator.compose
         columns = []
 
@@ -548,8 +552,8 @@ class TestInFrame:
             return original(p, q)
 
         monkeypatch.setattr(GradedOperator, "compose", recording)
-        got = _in_frame(model, op)
-        assert sorted(columns) == list(range(64))
+        got = dict(pqb.frame(op, 2).scalar_columns())
+        assert sorted(columns) == [m for m in range(64) if m.bit_count() <= 2]
         monkeypatch.undo()
         assert got == frame_columns_by_composition(model, diff)
 

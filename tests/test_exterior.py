@@ -11,7 +11,7 @@ from nkhodge.exterior import (
     sign_key,
 )
 from nkhodge.scalars import HALF, I, ONE, Scalar, rational
-from oracles import inner_via_minors, star, star_available, volume_form, wedge_masks, wedge_sign_pairwise
+from oracles import inner_via_minors, sqrt_ext, star, star_available, volume_form, wedge_masks, wedge_sign_pairwise
 
 DIM = 4
 
@@ -176,7 +176,7 @@ class TestInnerProduct:
     def test_unit_complex_coframe(self):
         # (1/sqrt 2)(e1 + i e2) has unit norm for the identity metric (d = 2)
         gram = identity_gram(2)
-        inv_sqrt2 = Scalar.sqrt_ext(2, 1, 2)
+        inv_sqrt2 = sqrt_ext(2, 1, 2)
         theta = (Form.basis(2, 0b01) + Form.basis(2, 0b10).scale(I)).scale(inv_sqrt2)
         assert gram.inner(theta, theta) == ONE
 

@@ -7,7 +7,7 @@ from nkhodge.hodge import hodge_laplacian, operator_degree_rows
 from nkhodge.linalg import add_scaled, inverse, solve, sparse_echelon, sparse_kernel, sparse_rank, transpose
 from nkhodge.models import builtin_model
 from nkhodge.scalars import ONE, ZERO, Scalar
-from oracles import dense_kernel, dense_to_sparse, sparse_echelon_scan, spans_equal
+from oracles import dense_kernel, dense_to_sparse, sparse_echelon_scan, spans_equal, sqrt_ext
 
 entry = st.integers(min_value=-5, max_value=5)
 
@@ -407,7 +407,7 @@ def test_pivot_columns_of_a_store_match_the_scalar_echelon(name):
 
 
 def test_different_square_roots_raise():
-    r3, r5 = Scalar.sqrt_ext(3), Scalar.sqrt_ext(5)
+    r3, r5 = sqrt_ext(3), sqrt_ext(5)
     rows = [{0: r3, 1: ONE}, {2: r5}]
     for run in (sparse_echelon, sparse_rank, lambda r: sparse_kernel(r, 3)):
         with pytest.raises(ValueError, match="incompatible extensions"):

@@ -14,11 +14,11 @@ once per reconstruction, per ``DerivationAction`` and per new coefficient.
 ``combination`` is compared with the ScalarOperator chain of its terms and
 with the chain of binary sums, whose store it must be literally.
 The brackets by order (``bracket_sum``, ``graded_commutator``,
-``laplacian``, and ``bracket_columns``, their low columns) and
-``multiplication_bracket`` are compared with the
-composed graded commutator ``oracles.commutator_by_composition``, on
-random derivations, multiplication operators and their adjoints, and on
-the split of d of every built-in; a false order bound shows.
+``laplacian``, and ``bracket_columns``, their low columns) are compared
+with the composed graded commutator ``oracles.commutator_by_composition``,
+on random derivations, multiplication operators and their adjoints, and on
+the split of d of every built-in, where [[P, L_beta]] is also L_{P beta};
+a false order bound shows, and an operand without a bound is refused.
 """
 
 import math
@@ -51,7 +51,6 @@ from nkhodge.operators import (
     graded_commutator,
     laplacian,
     mult_operator,
-    multiplication_bracket,
     reconstruct,
 )
 from nkhodge.scalars import ONE, ZERO, Scalar
@@ -147,6 +146,13 @@ def assert_same(op: GradedOperator, ref: ScalarOperator):
     assert op == GradedOperator(ref.dim, ref.cols, ref.degree)
 
 
+def with_order_bound(p: GradedOperator, r: int) -> GradedOperator:
+    """P declared of order <= r (a copy; the store is shared)."""
+    out = p.with_degree(p.degree)
+    out.order_bound = r
+    return out
+
+
 EXAMPLES = settings(max_examples=150, deadline=None)
 
 
@@ -211,7 +217,15 @@ class TestAgainstScalarStore:
     @EXAMPLES
     def test_graded_commutator(self, pair):
         p, q = pair
-        assert_same(graded_commutator(p, q), commutator_by_composition(ScalarOperator.of(p), ScalarOperator.of(q)))
+        want = commutator_by_composition(ScalarOperator.of(p), ScalarOperator.of(q))
+        assert_same(commutator_by_composition(p, q), want)
+        # every operator on the forms of dimension DIM has order <= DIM, so
+        # with that bound the bracket by order is the same matrix, rebuilt
+        # by one reconstruction in its own key order
+        got = graded_commutator(*(with_order_bound(x, DIM) for x in pair))
+        assert got == GradedOperator(DIM, want.cols, want.degree) and got.degree == want.degree
+        assert got.first_witness() == want.first_witness()
+        assert got.max_abs_approx() == want.max_abs_approx()
 
     @given(operators(), forms())
     @EXAMPLES
@@ -518,7 +532,7 @@ class TestDerivationBrackets:
     def test_bracket_with_a_multiplication_operator(self, p, beta_k):
         beta, k = beta_k
         l_beta = mult_operator(beta).with_degree(k)
-        got = multiplication_bracket(p, beta, k)
+        got = graded_commutator(p, l_beta)
         assert_same_matrix(got, commutator_by_composition(p, l_beta))
         assert_same_matrix(got, mult_operator(p.apply(beta)).with_degree(p.degree + k))
 
@@ -544,12 +558,15 @@ class TestDerivationBrackets:
         assert_same_matrix(_mubar_mu(model), mu.compose(mb) + mb.compose(mu))
         mu_omega = mu.apply(model.omega())
         for p in (mu, de, db, mb):
-            # BR67's [[L_mu_omega, P]] = [[P, L_mu_omega]], P odd
-            assert_same_matrix(multiplication_bracket(p, mu_omega, 3), commutator_by_composition(lm, p))
-        assert_same_matrix(
-            multiplication_bracket(mu, mu_omega.conjugate(), 3),
-            commutator_by_composition(mu, named_operator(model, "L_mubar_omega")),
-        )
+            # BR67's [[L_mu_omega, P]] = [[P, L_mu_omega]] = L_{P mu omega}, P odd
+            got = graded_commutator(p, lm)
+            assert_same_matrix(got, commutator_by_composition(lm, p))
+            assert_same_matrix(got, mult_operator(p.apply(mu_omega)).with_degree(4))
+        # PROP_LAP's [[mu, L_mubar_omega]] = L_{mu(mubar omega)}, mubar omega = conj(mu omega)
+        lmb = named_operator(model, "L_mubar_omega")
+        got = graded_commutator(mu, lmb)
+        assert_same_matrix(got, commutator_by_composition(mu, lmb))
+        assert_same_matrix(got, mult_operator(mu.apply(mu_omega.conjugate())).with_degree(4))
 
     def test_check_requirements_match_their_compositions(self):
         # random mu and del over Q(i), as in the barred-pair test: no identity
@@ -627,17 +644,14 @@ class TestBracketsByOrder:
         assert (d.order_bound, dstar.order_bound) == (1, 2)
         want = commutator_by_composition(dstar, d)
         assert laplacian(d, dstar) == want
-        false = dstar.with_degree(dstar.degree)
-        false.order_bound = 1
-        got = laplacian(d, false)
+        got = laplacian(d, with_order_bound(dstar, 1))
         assert got.order_bound == 1 and got != want
 
     def test_the_order_test_reads_no_bound(self):
         model = builtin_model("s3xs3-nk").orthogonalized()
         dstar = named_operator(model, "adj:d")
         for declared in (None, 0, 1, 2, 5):
-            op = dstar.with_degree(dstar.degree)
-            op.order_bound = declared
+            op = with_order_bound(dstar, declared)
             assert [algebraic_order_at_most(op, r) for r in range(4)] == [False, False, True, True]
 
     def test_bracket_columns_are_the_low_columns_of_the_sum(self):
@@ -654,16 +668,25 @@ class TestBracketsByOrder:
         with pytest.raises(ValueError, match="order bounds"):
             bracket_columns([(unbounded, pairs[0][1])])
 
-    def test_an_operator_without_a_bound_is_composed(self, monkeypatch):
+    def test_an_operator_without_a_bound_is_refused(self, monkeypatch):
+        # the bracket by order is the only route: an operand without a bound
+        # raises before anything is multiplied
         model = builtin_model("s3xs3-nk").orthogonalized()
         d, dstar = named_operator(model, "d"), named_operator(model, "adj:d")
         unbounded = GradedOperator(model.dim, dstar.cols, dstar.degree)
         assert unbounded.order_bound is None
         calls = []
-        original = GradedOperator.compose
-        monkeypatch.setattr(GradedOperator, "compose", lambda p, q: calls.append(1) or original(p, q))
-        assert laplacian(d, unbounded) == laplacian(d, dstar)
-        assert len(calls) == 2
+        original = GradedOperator._times_columns
+        monkeypatch.setattr(GradedOperator, "_times_columns", lambda p, *args: calls.append(1) or original(p, *args))
+        for build in (
+            lambda: laplacian(d, unbounded),
+            lambda: graded_commutator(unbounded, d),
+            lambda: bracket_sum([(dstar, d), (unbounded, d)]),
+            lambda: bracket_sum([], squares=[unbounded]),
+        ):
+            with pytest.raises(ValueError, match="order bounds"):
+                build()
+        assert calls == []
 
 
 class TestExtensions:

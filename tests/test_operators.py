@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nkhodge.bidegree import differential_split, lefschetz_triple
+from nkhodge.bidegree import differential_split, lefschetz_triple, named_operator
 from nkhodge.exterior import Form
 from nkhodge.models import builtin_model
 from nkhodge.operators import (
@@ -129,15 +129,13 @@ def forms6(draw, max_terms=3):
 def catalogue_ops(model):
     split = differential_split(model)
     l_op, lam, _ = lefschetz_triple(model)
-    lm = mult_operator(split.mu.apply(model.omega()))
-    lm = GradedOperator(model.dim, lm.cols, 3, check=False)
     return {
         "d": model.d(),
         "mu": split.mu,
         "del": split.del_,
         "L": l_op,
         "Lambda": lam,
-        "L_mu_omega": lm,
+        "L_mu_omega": named_operator(model, "L_mu_omega"),
     }
 
 
