@@ -28,28 +28,39 @@ which builds each once per model.  The split of d comes from
 values, delbar and mubar their conjugates), and DC_DEF tests the same
 J^{-1} d J derivation that ``d_c`` builds (``twisted_differential``).
 
-A barred requirement that is the conjugate of an unbarred one, such as
-[delbar*, L] - i del of [del*, L] + i delbar, goes through ``_Acc.pair``:
-the unbarred operator is recorded, then right after it its entry-wise
-conjugate, so the barred half is never built a second time.  Likewise
-a self-conjugate sum X + conj X, such as [[mubar,mu]] = mu mubar + conj(mu
-mubar) or Delta_(del-delbar) = Delta_del + Delta_delbar - X - conj X with
-X = [[delbar*,del]] (bilinearity of [[P*,P]]), is built from its
-unbarred half X and conj X.  That X is built once
-per model, under a memo key of its own, and LAP_COM and DELTA_SUM share it.
-Every requirement sum_i c_i P_i is one ``combination``: one merge of the
-operands, each scaled as it is read, and one normalization.
-
 Every operator the catalogue names carries an order bound
 (``operators``): 1 for the components of d, 0 for L and L_mu_omega, and
-for an adjoint its operand's bound plus its degree.  So each bracket and
-Laplacian goes through ``bracket_sum`` (``br`` is its one-term case): the
-products on the columns of degree <= r = r_P + r_Q - 1 only, summed, and
-one Koszul reconstruction; a sum of brackets and odd squares
-P P = (1/2)[[P, P]], such as D2_SPLIT's [[delbar,mu]] + del^2, is one
-reconstruction.  A bracket of a component with L_mu_omega or
-L_mubar_omega, as in BR67 and PROP_LAP, has r = 0: it is read off the
-products on the constant column alone.
+for an adjoint its operand's bound plus its degree; a bracket [[P, Q]]
+has r_P + r_Q - 1, floored at 0.  Every operator requirement is a sum
+c_i T_i = 0 of such terms, each T_i an operator or a ``Bracket`` (a sum
+of brackets and odd squares P P = (1/2)[[P, P]], such as D2_SPLIT's
+[[delbar,mu]] + del^2, held by its operands), and it is decided by
+Koszul's rule: with R the largest bound among the T_i, the sum has order
+<= R, so it is zero exactly when its columns of degree <= R are
+(``requirement_columns``).  A plain term is read through ``low_columns``,
+a Bracket computes its own products on those columns only
+(``bracket_columns`` at R), and the sum is one ``combination`` of them;
+no bracket is rebuilt.  Only a failing requirement is rebuilt, by one
+reconstruction (``from_low_columns``), for its witness and residual, and
+the store is unique, so they are those of the sum built in full.  All 60
+requirements of the catalogue have R <= 2, so at dim 12 they read at
+most 79 of the 4,096 columns.  A bracket of a component with L_mu_omega
+or L_mubar_omega, as in BR67, has r = 0.  Brackets that another reader
+needs in full stay operators built by ``bracket_sum`` (``br`` is its
+one-term case, reconstructed from the products on its own columns of
+degree <= r): the named Laplacians, the nested operands of PROP_LAP and
+L_DELTA, and X below.
+
+A barred requirement that is the conjugate of an unbarred one, such as
+[delbar*, L] - i del of [del*, L] + i delbar, goes through ``_Acc.pair``:
+the unbarred sum's low columns are decided, then right after them their
+entry-wise conjugate, so the barred half is never built a second time.
+Likewise a self-conjugate sum X + conj X, such as [[L_mu_omega, mubar]] +
+[[L_mubar_omega, mu]] or Delta_(del-delbar) = Delta_del + Delta_delbar - X -
+conj X with X = [[delbar*,del]] (bilinearity of [[P*,P]]), is read from
+its unbarred half X and conj X (``Bracket.conjugated`` conjugates the
+columns it has computed).  That X is built once per model, under a memo
+key of its own, and LAP_COM and DELTA_SUM share it.
 
 The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
 operator of order <= r equals the reconstruction from its columns on
@@ -90,6 +101,7 @@ values.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 
@@ -115,10 +127,12 @@ from .operators import (
     algebra_map_blocks,
     algebraic_order_at_most,
     bracket_columns,
-    bracket_sum,
+    bracket_order,
     combination,
     derivation_from_one_forms,
+    from_low_columns,
     graded_commutator as br,
+    low_columns,
     mult_operator,
 )
 from .scalars import I, ONE, ZERO, Scalar, rational
@@ -143,6 +157,50 @@ class SuiteReport:
     total_ms: float
 
 
+class Bracket:
+    """The sum of [[P, Q]] over ``pairs`` plus P P = (1/2)[[P, P]] over the
+    odd ``squares``, as a term of a requirement: held by its operands and
+    never built.  ``order_bound`` is its ``bracket_order`` r, and
+    ``low_columns(R)``, for any R >= r, the signed products on the columns
+    of degree <= R (``bracket_columns`` at R), computed once per R.
+    ``conjugated`` is the bracket sum of the conjugate operands, read as
+    the same columns conjugated."""
+
+    __slots__ = ("pairs", "squares", "order_bound", "conjugate", "_lows")
+
+    def __init__(self, pairs, squares=()):
+        self.pairs, self.squares = list(pairs), list(squares)
+        self.order_bound = bracket_order(self.pairs, self.squares)
+        self.conjugate = False
+        self._lows: dict[int, GradedOperator] = {}
+
+    def low_columns(self, r: int) -> GradedOperator:
+        low = self._lows.get(r)
+        if low is None:
+            low = self._lows[r] = bracket_columns(self.pairs, self.squares, r)[0]
+        return low.conjugated() if self.conjugate else low
+
+    def conjugated(self) -> Bracket:
+        out = copy.copy(self)  # shares the computed columns
+        out.conjugate = not self.conjugate
+        return out
+
+
+def requirement_columns(terms) -> tuple[GradedOperator, int]:
+    """(low, R) for a requirement sum c_i T_i over the (Scalar c_i, T_i) of
+    ``terms``, each T_i an operator or a ``Bracket`` with an order bound:
+    R is the largest bound, and low the sum on its columns of degree <= R,
+    one ``combination`` of ``low_columns(T_i, R)``, a Bracket computing its
+    own products there.  Every T_i has order <= R, so the sum does too, and
+    by Koszul's rule it is ``from_low_columns(low, R)``: it is zero exactly
+    when low is."""
+    if any(t.order_bound is None for _, t in terms):
+        raise ValueError("a requirement by order needs terms with order bounds")
+    r = max(t.order_bound for _, t in terms)
+    lows = [(c, t.low_columns(r) if isinstance(t, Bracket) else low_columns(t, r)) for c, t in terms]
+    return combination(lows), r
+
+
 class _Acc:
     """Collects labelled exact-zero requirements for one check."""
 
@@ -151,15 +209,24 @@ class _Acc:
         self.residual = 0.0
         self.witness: str | None = None
 
-    def op(self, label: str, op: GradedOperator):
-        if not op.is_zero():
-            self._fail(label + ": " + (op.first_witness() or ""), op.max_abs_approx())
+    def op(self, label: str, terms):
+        """Require sum c_i T_i = 0 (``requirement_columns``)."""
+        self._require_zero(label, *requirement_columns(terms))
 
-    def pair(self, label: str, conj_label: str, op: GradedOperator):
-        """``op`` under ``label``, then its conjugate, the barred partner
-        requirement, under ``conj_label``."""
-        self.op(label, op)
-        self.op(conj_label, op.conjugated())
+    def pair(self, label: str, conj_label: str, terms):
+        """The requirement ``terms`` under ``label``, then its conjugate, the
+        barred partner requirement, under ``conj_label``."""
+        low, r = requirement_columns(terms)
+        self._require_zero(label, low, r)
+        self._require_zero(conj_label, low.conjugated(), r)
+
+    def _require_zero(self, label: str, low: GradedOperator, r: int):
+        """Only a failing requirement is rebuilt, for its witness and
+        residual: the store is unique, so they are those of the sum built in
+        full."""
+        if not low.is_zero():
+            op = from_low_columns(low, r)
+            self._fail(label + ": " + (op.first_witness() or ""), op.max_abs_approx())
 
     def form(self, label: str, f: Form):
         if not f.is_zero():
@@ -216,18 +283,24 @@ def _su3(model):
 # the catalogue
 
 def check_d2_split(model, acc: _Acc):
+    """The relations that d^2 = 0 forces among mu, del, delbar and mubar.
+    Each is a sum of brackets and squares of derivations, of order <= 1, so
+    by Koszul's rule it is decided on its columns of degree <= 1."""
     mu, de, db, mb = _parts(model)
-    acc.pair("mu^2", "mubar^2", bracket_sum([], squares=[mu]))
-    acc.pair("[[del,mu]]", "[[delbar,mubar]]", br(de, mu))
-    acc.pair("[[delbar,mu]] + del^2", "[[del,mubar]] + delbar^2", bracket_sum([(db, mu)], squares=[de]))
-    acc.op("[[del,delbar]] + [[mu,mubar]]", bracket_sum([(de, db), (mu, mb)]))
+    acc.pair("mu^2", "mubar^2", [(ONE, Bracket([], squares=[mu]))])
+    acc.pair("[[del,mu]]", "[[delbar,mubar]]", [(ONE, Bracket([(de, mu)]))])
+    acc.pair("[[delbar,mu]] + del^2", "[[del,mubar]] + delbar^2", [(ONE, Bracket([(db, mu)], squares=[de]))])
+    acc.op("[[del,delbar]] + [[mu,mubar]]", [(ONE, Bracket([(de, db), (mu, mb)]))])
 
 
 def check_sl2(model, acc: _Acc):
+    """The sl2 relations of L, Lambda and H, decided by Koszul's rule on the
+    columns of degree <= R, R the largest bound of each relation's terms:
+    1, 0 and 2 (Lambda has order <= 2, H <= 1, L 0)."""
     l_op, lam, h = lefschetz_triple(model)
-    acc.op("[L,Lambda] - H", combination([(ONE, br(l_op, lam)), (MINUS_ONE, h)]))
-    acc.op("[H,L] - 2L", combination([(ONE, br(h, l_op)), (rational(-2), l_op)]))
-    acc.op("[H,Lambda] + 2Lambda", combination([(ONE, br(h, lam)), (rational(2), lam)]))
+    acc.op("[L,Lambda] - H", [(ONE, Bracket([(l_op, lam)])), (MINUS_ONE, h)])
+    acc.op("[H,L] - 2L", [(ONE, Bracket([(h, l_op)])), (rational(-2), l_op)])
+    acc.op("[H,Lambda] + 2Lambda", [(ONE, Bracket([(h, lam)])), (rational(2), lam)])
 
 
 def check_j_pq(model, acc: _Acc):
@@ -293,15 +366,19 @@ def check_mu_oneforms(model, acc: _Acc):
 
 
 def check_nij_mu(model, acc: _Acc):
+    """N = -4(mu + mubar): three derivations, so by Koszul's rule decided on
+    the columns of degree <= 1."""
     mu, _, _, mb = _parts(model)
     four = rational(4)
-    acc.op("N + 4(mu+mubar)", combination([(ONE, model.nijenhuis_op()), (four, mu), (four, mb)]))
+    acc.op("N + 4(mu+mubar)", [(ONE, model.nijenhuis_op()), (four, mu), (four, mb)])
 
 
 def check_dc_def(model, acc: _Acc):
+    """J^-1 d J = i(mu - del + delbar - mubar): derivations, so by Koszul's
+    rule decided on the columns of degree <= 1."""
     mu, de, db, mb = _parts(model)
     terms = [(ONE, twisted_differential(model)), (-I, mu), (I, de), (-I, db), (I, mb)]
-    acc.op("J^-1 d J - i(mu - del + delbar - mubar)", combination(terms))
+    acc.op("J^-1 d J - i(mu - del + delbar - mubar)", terms)
 
 
 def check_nk_def(model, acc: _Acc):
@@ -367,12 +444,16 @@ def check_lem_nk(model, acc: _Acc):
 
 
 def check_br67(model, acc: _Acc):
+    """The six vanishing brackets of L_mu_omega and L_mubar_omega with the
+    components of d (barred partners by conjugation) and the mixed
+    relation: a bracket of L_beta and a derivation has order 0, so by
+    Koszul's rule each is decided on the constant column."""
     lm = named_operator(model, "L_mu_omega")
-    lm_mu, lm_de, lm_db, lm_mb = (br(lm, p) for p in _parts(model))
-    acc.pair("[[L_mu_omega, mu]]", "[[L_mubar_omega, mubar]]", lm_mu)
-    acc.pair("[[L_mu_omega, del]]", "[[L_mubar_omega, delbar]]", lm_de)
-    acc.pair("[[L_mu_omega, delbar]]", "[[L_mubar_omega, del]]", lm_db)
-    acc.op("[[L_mu_omega, mubar]] + [[L_mubar_omega, mu]]", lm_mb + lm_mb.conjugated())
+    lm_mu, lm_de, lm_db, lm_mb = (Bracket([(lm, p)]) for p in _parts(model))
+    acc.pair("[[L_mu_omega, mu]]", "[[L_mubar_omega, mubar]]", [(ONE, lm_mu)])
+    acc.pair("[[L_mu_omega, del]]", "[[L_mubar_omega, delbar]]", [(ONE, lm_de)])
+    acc.pair("[[L_mu_omega, delbar]]", "[[L_mubar_omega, del]]", [(ONE, lm_db)])
+    acc.op("[[L_mu_omega, mubar]] + [[L_mubar_omega, mu]]", [(ONE, lm_mb), (ONE, lm_mb.conjugated())])
 
 
 def check_su3_struct(model, acc: _Acc):
@@ -404,108 +485,136 @@ def _frame_sum(model) -> GradedOperator:
 
 
 def check_dc_frame(model, acc: _Acc):
+    """d^c = -sum_j L_{J u^j} nabla_j + 2i(mu - mubar): derivations, so by
+    Koszul's rule decided on the columns of degree <= 1."""
     mu, _, _, mb = _parts(model)
     two_i = Scalar(0, 0, 2, 0)
     terms = [(ONE, d_c(model)), (ONE, _frame_sum(model)), (-two_i, mu), (two_i, mb)]
-    acc.op("d^c + sum(J u^j ^ nabla_j) - 2i(mu-mubar)", combination(terms))
+    acc.op("d^c + sum(J u^j ^ nabla_j) - 2i(mu-mubar)", terms)
 
 
 def check_nk_main(model, acc: _Acc):
+    """[d*, L] = -d^c + 3i(mu - mubar) = i(2mu + del - delbar - 2mubar):
+    [d*, L] has order <= 2 + 0 - 1 and the rest are derivations, so by
+    Koszul's rule each is decided on the columns of degree <= 1."""
     mu, de, db, mb = _parts(model)
     dstar, l_op = _ops(model, "adj:d", "L")
-    lhs = br(dstar, l_op)
+    lhs = Bracket([(dstar, l_op)])
     three_i, two_i = Scalar(0, 0, 3, 0), Scalar(0, 0, 2, 0)
-    acc.op("[d*,L] + d^c - 3i(mu-mubar)", combination([(ONE, lhs), (ONE, d_c(model)), (-three_i, mu), (three_i, mb)]))
-    terms = [(ONE, lhs), (-two_i, mu), (-I, de), (I, db), (two_i, mb)]
-    acc.op("[d*,L] - i(2mu + del - delbar - 2mubar)", combination(terms))
+    acc.op("[d*,L] + d^c - 3i(mu-mubar)", [(ONE, lhs), (ONE, d_c(model)), (-three_i, mu), (three_i, mb)])
+    acc.op("[d*,L] - i(2mu + del - delbar - 2mubar)", [(ONE, lhs), (-two_i, mu), (-I, de), (I, db), (two_i, mb)])
 
 
 def check_nk_cor(model, acc: _Acc):
+    """The commutators of the components and their adjoints with L and
+    Lambda, barred partners by conjugation; by Koszul's rule each is
+    decided on the columns of degree <= R, R = 1 with L and 2 with
+    Lambda (of order <= 2)."""
     mu, de, db, mb = _parts(model)
     mus, des, dbs, mbs = _adjoints(model)
     l_op, lam, _ = lefschetz_triple(model)
     two_i = Scalar(0, 0, 2, 0)
-    acc.pair("[del*,L] + i delbar", "[delbar*,L] - i del", combination([(ONE, br(des, l_op)), (I, db)]))
-    acc.pair("[del,Lambda] + i delbar*", "[delbar,Lambda] - i del*", combination([(ONE, br(de, lam)), (I, dbs)]))
-    acc.pair("[mu*,L] + 2i mubar", "[mubar*,L] - 2i mu", combination([(ONE, br(mus, l_op)), (two_i, mb)]))
-    acc.pair("[mu,Lambda] + 2i mubar*", "[mubar,Lambda] - 2i mu*", combination([(ONE, br(mu, lam)), (two_i, mbs)]))
+    acc.pair("[del*,L] + i delbar", "[delbar*,L] - i del", [(ONE, Bracket([(des, l_op)])), (I, db)])
+    acc.pair("[del,Lambda] + i delbar*", "[delbar,Lambda] - i del*", [(ONE, Bracket([(de, lam)])), (I, dbs)])
+    acc.pair("[mu*,L] + 2i mubar", "[mubar*,L] - 2i mu", [(ONE, Bracket([(mus, l_op)])), (two_i, mb)])
+    acc.pair("[mu,Lambda] + 2i mubar*", "[mubar,Lambda] - 2i mu*", [(ONE, Bracket([(mu, lam)])), (two_i, mbs)])
 
 
 def check_torsion_op(model, acc: _Acc):
+    """[Lambda, L_{d omega}] = -3(mu + mubar) and its component forms
+    [Lambda, L_mu_omega] = -3mu and [L_mu_omega*, L] = -3mu*, barred
+    partners by conjugation; by Koszul's rule each is decided on the
+    columns of degree <= R, the largest bound of its terms (2 with mu* or
+    L_mu_omega*, else 1)."""
     mu, _, _, mb = _parts(model)
     l_op, lam, _ = lefschetz_triple(model)
     d_om = model.d().apply(model.omega())
     l_dom = mult_operator(d_om) if not d_om.is_zero() else GradedOperator.zero(model.dim, 3)
     mus, lm, lms = _ops(model, "adj:mu", "L_mu_omega", "adj:L_mu_omega")
     three = rational(3)
-    acc.op("[Lambda, L_d_omega] + 3(mu+mubar)", combination([(ONE, br(lam, l_dom)), (three, mu), (three, mb)]))
-    acc.pair(
-        "[Lambda, L_mu_omega] + 3mu", "[Lambda, L_mubar_omega] + 3mubar", combination([(ONE, br(lam, lm)), (three, mu)])
-    )
-    acc.pair(
-        "[L_mu_omega*, L] + 3mu*", "[L_mubar_omega*, L] + 3mubar*", combination([(ONE, br(lms, l_op)), (three, mus)])
-    )
+    acc.op("[Lambda, L_d_omega] + 3(mu+mubar)", [(ONE, Bracket([(lam, l_dom)])), (three, mu), (three, mb)])
+    acc.pair("[Lambda, L_mu_omega] + 3mu", "[Lambda, L_mubar_omega] + 3mubar", [(ONE, Bracket([(lam, lm)])), (three, mu)])
+    acc.pair("[L_mu_omega*, L] + 3mu*", "[L_mubar_omega*, L] + 3mubar*", [(ONE, Bracket([(lms, l_op)])), (three, mus)])
 
 
 def check_aux_com(model, acc: _Acc):
+    """Brackets of L_mu_omega with adjoints of components, and [[delbar,
+    mu]], barred partners by conjugation: each of order <= 1, so by
+    Koszul's rule decided on the columns of degree <= 1."""
     mu, _, db, _ = _parts(model)
     _, des, dbs, mbs = _adjoints(model)
     lm = named_operator(model, "L_mu_omega")
     third_i = I * rational(1, 3)
-    acc.pair("[[mubar*, L_mu_omega]]", "[[mu*, L_mubar_omega]]", br(mbs, lm))
-    acc.pair("[[delbar*, L_mu_omega]]", "[[del*, L_mubar_omega]]", br(dbs, lm))
+    acc.pair("[[mubar*, L_mu_omega]]", "[[mu*, L_mubar_omega]]", [(ONE, Bracket([(mbs, lm)]))])
+    acc.pair("[[delbar*, L_mu_omega]]", "[[del*, L_mubar_omega]]", [(ONE, Bracket([(dbs, lm)]))])
     acc.pair(
         "[[delbar,mu]] + (i/3)[[del*, L_mu_omega]]",
         "[[del,mubar]] - (i/3)[[delbar*, L_mubar_omega]]",
-        combination([(ONE, br(db, mu)), (third_i, br(des, lm))]),
+        [(ONE, Bracket([(db, mu)])), (third_i, Bracket([(des, lm)]))],
     )
 
 
 def check_lap_com(model, acc: _Acc):
+    """Brackets of the components with the adjoints, barred partners by
+    conjugation: each of order <= 2, so by Koszul's rule decided on the
+    columns of degree <= 2."""
     mu, de, db, mb = _parts(model)
     mus, des, dbs, mbs = _adjoints(model)
-    acc.pair("[[delbar*,mu]]", "[[del*,mubar]]", br(dbs, mu))
-    acc.pair("[[mu*,delbar]]", "[[mubar*,del]]", br(mus, db))
-    acc.pair("[[mu*,mubar]]", "[[mubar*,mu]]", br(mus, mb))
+    acc.pair("[[delbar*,mu]]", "[[del*,mubar]]", [(ONE, Bracket([(dbs, mu)]))])
+    acc.pair("[[mu*,delbar]]", "[[mubar*,del]]", [(ONE, Bracket([(mus, db)]))])
+    acc.pair("[[mu*,mubar]]", "[[mubar*,mu]]", [(ONE, Bracket([(mus, mb)]))])
     dbs_de = _delbar_star_del(model)
-    acc.pair("[[delbar*,del]] + [[del*,mu]]", "[[del*,delbar]] + [[delbar*,mubar]]", dbs_de + br(des, mu))
-    acc.pair("[[delbar*,del]] + [[mubar*,delbar]]", "[[del*,delbar]] + [[mu*,del]]", dbs_de + br(mbs, db))
+    acc.pair(
+        "[[delbar*,del]] + [[del*,mu]]", "[[del*,delbar]] + [[delbar*,mubar]]", [(ONE, dbs_de), (ONE, Bracket([(des, mu)]))]
+    )
+    acc.pair(
+        "[[delbar*,del]] + [[mubar*,delbar]]", "[[del*,delbar]] + [[mu*,del]]", [(ONE, dbs_de), (ONE, Bracket([(mbs, db)]))]
+    )
 
 
 def check_prop_lap(model, acc: _Acc):
+    """The relations among [[mubar, mu]], the brackets of L_mu_omega and the
+    Laplacians, decided by Koszul's rule on the columns of degree <= R, the
+    largest bound of each relation's terms: 1 where every term is a
+    bracket, 2 where the Laplacians themselves are terms.
+    [Delta_Lmu -+ Delta_Lmubar, L] is [Delta_Lmu, L] -+ its conjugate, L
+    being real."""
     l_op, lam, _ = lefschetz_triple(model)
-    mu, mus, lm, lmb = _ops(model, "mu", "adj:mu", "L_mu_omega", "L_mubar_omega")
+    mu, mb, mus, lm, lmb = _ops(model, "mu", "mubar", "adj:mu", "L_mu_omega", "L_mubar_omega")
     d_lm, d_lmb = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega")
     third_i = I * rational(1, 3)
-    mb_mu, mus_lm = _mubar_mu(model), br(mus, lm)
+    mb_mu, mus_lm = Bracket([(mb, mu)]), Bracket([(mus, lm)])
     mbs_lmb = mus_lm.conjugated()
-    lam_mu_lmb = br(lam, br(mu, lmb))
-    diff_l = d_lm - d_lmb
+    lam_mu_lmb = Bracket([(lam, br(mu, lmb))])
+    # [Delta_Lmu, L]; L is real, so its conjugate is [Delta_Lmubar, L]
+    lap_l = Bracket([(d_lm, l_op)])
     acc.op(
         "[[mubar,mu]] + (i/3)[[mu*,L_mu_omega]] - (i/3)[[mubar*,L_mubar_omega]]",
-        combination([(ONE, mb_mu), (third_i, mus_lm), (-third_i, mbs_lmb)]),
+        [(ONE, mb_mu), (third_i, mus_lm), (-third_i, mbs_lmb)],
     )
     acc.op(
         "[[Lambda,[[mu,L_mubar_omega]]]] - i[[mu*,L_mu_omega]] - i[[mubar*,L_mubar_omega]]",
-        combination([(ONE, lam_mu_lmb), (-I, mus_lm), (-I, mbs_lmb)]),
+        [(ONE, lam_mu_lmb), (-I, mus_lm), (-I, mbs_lmb)],
     )
+    ninth_i = I * rational(1, 9)
     acc.op(
         "[[mubar,mu]] - (i/9)[Delta_Lmu - Delta_Lmubar, L]",
-        combination([(ONE, mb_mu), (I * rational(-1, 9), br(diff_l, l_op))]),
+        [(ONE, mb_mu), (-ninth_i, lap_l), (ninth_i, lap_l.conjugated())],
     )
     acc.op(
         "[[Lambda,[[mu,L_mubar_omega]]]] + (i/3)[Delta_Lmu + Delta_Lmubar, L]",
-        combination([(ONE, lam_mu_lmb), (third_i, br(d_lm + d_lmb, l_op))]),
+        [(ONE, lam_mu_lmb), (third_i, lap_l), (third_i, lap_l.conjugated())],
     )
     d_mu, d_del, d_db, d_mb = _ops(model, "lap:mu", "lap:del", "lap:delbar", "lap:mubar")
     two = rational(2)
     acc.op(
         "(Delta_del - Delta_delbar) + 2(Delta_mu - Delta_mubar)",
-        combination([(ONE, d_del), (-ONE, d_db), (two, d_mu), (-two, d_mb)]),
+        [(ONE, d_del), (-ONE, d_db), (two, d_mu), (-two, d_mb)],
     )
+    two_ninths = rational(2, 9)
     acc.op(
         "(Delta_del - Delta_delbar) + (2/9)(Delta_Lmu - Delta_Lmubar)",
-        combination([(ONE, d_del), (-ONE, d_db), (rational(2, 9), diff_l)]),
+        [(ONE, d_del), (-ONE, d_db), (two_ninths, d_lm), (-two_ninths, d_lmb)],
     )
 
 
@@ -537,6 +646,10 @@ def check_dim6_eigen(model, acc: _Acc):
 
 
 def check_theta_bracket(model, acc: _Acc):
+    """[[L_theta*, L_theta]] = (9 lambda^2/4)(Id - S1 + S2), theta = mu omega,
+    with S1 and S2 the unitary sums of L_a L_b* over the eta 1-forms and
+    their wedge pairs: every term has order <= 2, so by Koszul's rule it
+    is decided on the columns of degree <= 2."""
     su3 = _su3(model)
     lam2 = su3.lambda_sq
     gram = model.gram()
@@ -558,24 +671,31 @@ def check_theta_bracket(model, acc: _Acc):
     c = lam2 * rational(9, 4)
     s1 = unitary_weighted_terms(eta, c)
     s2 = unitary_weighted_terms([eta[a].wedge(eta[b]) for a, b in pairs], -c)
-    terms = [(ONE, br(lms, lm)), (-c, GradedOperator.identity(dim)), *s1, *s2]
-    acc.op("[[L_theta*, L_theta]] - (9l2/4)(Id - S1 + S2)", combination(terms))
+    terms = [(ONE, Bracket([(lms, lm)])), (-c, GradedOperator.identity(dim)), *s1, *s2]
+    acc.op("[[L_theta*, L_theta]] - (9l2/4)(Id - S1 + S2)", terms)
 
 
 def check_l_delta(model, acc: _Acc):
+    """[L, Delta_d] against del^2, delbar^2 and the brackets of L_mu_omega:
+    every bracket has order <= 1, so by Koszul's rule the sum is decided
+    on the columns of degree <= 1; the barred half is the conjugate of the
+    unbarred one."""
     de, mus, l_op, lm = _ops(model, "del", "adj:mu", "L", "L_mu_omega")
-    unbarred = combination([(ONE, br(mus, lm)), (Scalar(0, 0, -2, 0), bracket_sum([], squares=[de]))])
+    unbarred = [(ONE, Bracket([(mus, lm)])), (Scalar(0, 0, -2, 0), Bracket([], squares=[de]))]
+    barred = [(c.conjugate(), b.conjugated()) for c, b in unbarred]
     acc.op(
         "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2",
-        combination([(ONE, br(l_op, hodge_laplacian(model))), (ONE, unbarred), (ONE, unbarred.conjugated())]),
+        [(ONE, Bracket([(l_op, hodge_laplacian(model))])), *unbarred, *barred],
     )
 
 
 def check_delta_sum(model, acc: _Acc):
+    """Delta_d = Delta_(del-delbar) + Delta_mu + Delta_mubar: Laplacians of
+    order <= 2, so by Koszul's rule decided on the columns of degree <= 2."""
     lap_d, d_del, d_db, d_mu, d_mb = _ops(model, "lap:d", "lap:del", "lap:delbar", "lap:mu", "lap:mubar")
     x = _delbar_star_del(model)  # Delta_(del-delbar) = Delta_del + Delta_delbar - X - conj X
     terms = [(ONE, lap_d), (-ONE, d_del), (-ONE, d_db), (ONE, x), (ONE, x.conjugated()), (-ONE, d_mu), (-ONE, d_mb)]
-    acc.op("Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar", combination(terms))
+    acc.op("Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar", terms)
 
 
 def check_hodge_abcd(model, acc: _Acc):
@@ -730,8 +850,10 @@ def check_order_det(model, acc: _Acc):
 
 
 def check_diff_lapl_kahler(model, acc: _Acc):
+    """Delta_del = Delta_delbar where mu = 0, decided by Koszul's rule on the
+    columns of degree <= the Laplacians' order (<= 2)."""
     d_del, d_db = _ops(model, "lap:del", "lap:delbar")
-    acc.op("Delta_del - Delta_delbar (mu = 0 degeneration)", d_del - d_db)
+    acc.op("Delta_del - Delta_delbar (mu = 0 degeneration)", [(ONE, d_del), (MINUS_ONE, d_db)])
 
 
 @dataclass(frozen=True)

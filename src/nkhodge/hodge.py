@@ -39,7 +39,8 @@ reconstruction; no Laplacian of S is built in the u-coframe.
 Everything is computed in the orthogonalized presentation of the model
 (the numbers are coframe-invariant); the basis forms that ``harmonic_space``
 and ``harmonic_pq`` return are mapped back to the model's own coframe, and
-``hodge_numbers`` reports only their dimensions.
+``hodge_numbers`` reports only their dimensions, which it counts in the
+orthogonalized presentation, mapping no form back.
 """
 
 from __future__ import annotations
@@ -87,6 +88,12 @@ def operator_degree_rows(op: GradedOperator, k: int, dim: int) -> tuple[list[Spa
     return transpose((index[c], col) for c, col in op.scalar_columns(k)), masks
 
 
+def _native(model, comp, forms: list[Form]) -> list[Form]:
+    """Forms of the orthogonalized presentation ``comp`` in the coframe of
+    ``model``: a new list of the same forms when the two are one model."""
+    return list(forms) if comp is model else [model.to_native(f) for f in forms]
+
+
 def harmonic_space(model, k: int) -> list[Form]:
     """Exact basis of the Delta_d-kernel in degree k (sparse elimination)."""
     comp = model.orthogonalized()
@@ -97,7 +104,7 @@ def harmonic_space(model, k: int) -> list[Form]:
         vectors = sparse_kernel(rows, len(masks))
         return [Form(comp.dim, {masks[i]: v for i, v in vec.items()}) for vec in vectors]
 
-    return [model.to_native(f) for f in comp._memo(f"harmonic:{k}", build)]
+    return _native(model, comp, comp._memo(f"harmonic:{k}", build))
 
 
 def s_low_columns(model) -> tuple[GradedOperator, int]:
@@ -132,7 +139,7 @@ def harmonic_pq(model, p: int, q: int) -> list[Form]:
         kernel = [Form(comp.dim, {masks[j]: v for j, v in vec.items()}) for vec in sparse_kernel(rows, len(masks))]
         return algebra_map_apply(pqb.generators, kernel)
 
-    return [model.to_native(f) for f in comp._memo(f"harmonic_pq:{p},{q}", build)]
+    return _native(model, comp, comp._memo(f"harmonic_pq:{p},{q}", build))
 
 
 def betti_numbers(model) -> list[int]:
@@ -176,7 +183,9 @@ def hodge_numbers(model) -> HodgeReport:
             f"not nearly Kahler: residual witness {report.witness}"
         )
     n = model.dim // 2
-    h = [[len(harmonic_pq(model, p, q)) for q in range(n + 1)] for p in range(n + 1)]
+    # dimensions are coframe-invariant: counted in the orthogonalized presentation
+    comp = model.orthogonalized()
+    h = [[len(harmonic_pq(comp, p, q)) for q in range(n + 1)] for p in range(n + 1)]
     out = HodgeReport(h, betti_numbers(model))
     if not out.sum_rule_holds():
         raise AssertionError("harmonic (p,q) dimensions do not sum to Betti numbers")

@@ -6,7 +6,7 @@ operator sum, product and application; ``transpose`` turns sparse columns
 into the sparse rows that elimination takes.
 
 Every exact elimination in src is the one sparse fraction-free
-(Bareiss-style) elimination ``sparse_echelon``, followed where needed by the
+(Bareiss-style) elimination ``_echelon``, followed where needed by the
 back-substitution that ``sparse_kernel`` and ``solve`` share.  The pivot is
 the least bit-complexity entry, ties broken by the first active row, then
 the lowest column; each active row caches its own least (complexity,
@@ -18,7 +18,7 @@ in ``exterior.GramData``, which also tests positive-definiteness.
 Matrices come in and go out as lists of sparse rows (dict col -> Scalar),
 but the elimination itself runs on the normalized entries (a, b, c, e, q)
 of the field kernel in ``scalars``.  The field's d is joined once per call,
-every input entry is read once, and only the pivot rows and kernel vectors
+every input entry is read once, and only the kernel vectors and solutions
 a caller gets back are built as ``Scalar``; ``sparse_rank`` builds none.
 ``pivot_columns`` is the entry point for rows that are integer coordinates
 already (``GradedOperator.pivot_columns`` reads them off an operator's
@@ -34,8 +34,9 @@ literally those that ``Scalar`` arithmetic gives.
 ``solve(columns, target)`` gives the coordinates of a vector in independent
 columns (``None`` outside their span), and ``inverse`` solves for each
 column of the identity.  The test suite compares the kernels and solutions
-with an independent dense Gauss-Jordan elimination, and ``sparse_echelon``
-with a full-scan elimination in ``Scalar`` arithmetic, row for row.
+with an independent dense Gauss-Jordan elimination, and the pivot rows of
+``_echelon`` with a full-scan elimination in ``Scalar`` arithmetic, row for
+row.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def transpose(pairs) -> list[SparseRow]:
     """Sparse rows of the columns given as (column index, sparse column) pairs.
 
     Rows come out in order of first appearance while walking the pairs in
-    their given order (the order steers ``sparse_echelon``'s pivot choice).
+    their given order (the order steers ``_echelon``'s pivot choice).
     """
     rows: dict[int, SparseRow] = {}
     for c, col in pairs:
@@ -132,14 +133,28 @@ def _row_min(row: EntryRow) -> tuple[int, int]:
 
 
 def _echelon(rows: list[SparseRow]) -> tuple[list[tuple[EntryRow, int]], int]:
-    """``sparse_echelon``'s pivots as entry rows, and the d of their field."""
+    """Forward fraction-free elimination of sparse Scalar rows: the pivots,
+    (entry row, pivot column) in elimination order, and the d of their
+    field.  Every nonzero row ends up as a pivot row or as zero, and the
+    input rows are not mutated.
+
+    The pivot is the least-complexity entry of the active rows, ties broken
+    by the first row in order, then the lowest column.  Each active row
+    keeps its own least (complexity, column), and only the rows a step
+    rebuilds (those with an entry in the pivot column, found through a
+    column -> rows index) recompute it, so a step costs one pass over the
+    cached minima instead of a scan of every entry.  The update is
+    row <- (pval row - rv prow) / prev_piv with the division hoisted:
+    pval / prev_piv once per step, -rv / prev_piv once per row.  Arithmetic
+    in the field is exact and every entry is normalized, so the rows are
+    literally those of the undivided formula."""
     active, d = _entry_rows(rows)
     return _eliminate(active, d), d
 
 
 def pivot_columns(rows: list[EntryRow], d: int) -> list[int]:
     """The pivot columns, in elimination order, of entry rows of the field
-    with this d (the rank is their number): ``sparse_echelon`` on the rows
+    with this d (the rank is their number): ``_echelon`` on the rows
     scaled to their primitive integral representatives, so on rows read off
     an operator's integer store it picks the pivots of the Scalar rows."""
     return [pc for _, pc in _eliminate([_clear_row(row) for row in rows if row], d)]
@@ -201,27 +216,6 @@ def _eliminate(active: list[EntryRow | None], d: int) -> list[tuple[EntryRow, in
         pivots.append((prow, pc))
         inv = scalars.inverse(pval, d)
     return pivots
-
-
-def sparse_echelon(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
-    """Forward fraction-free elimination.
-
-    Returns the pivots, (row, pivot_col) in elimination order; every nonzero
-    row ends up as a pivot row or as zero.  Input rows are not mutated.
-
-    The pivot is the least-complexity entry of the active rows, ties broken
-    by the first row in order, then the lowest column.  Each active row
-    keeps its own least (complexity, column), and only the rows a step
-    rebuilds (those with an entry in the pivot column, found through a
-    column -> rows index) recompute it, so a step costs one pass over the
-    cached minima instead of a scan of every entry.  The update is
-    row <- (pval row - rv prow) / prev_piv with the division hoisted:
-    pval / prev_piv once per step, -rv / prev_piv once per row.  Arithmetic
-    in the field is exact and every entry is normalized, so the rows are
-    literally those of the undivided formula.
-    """
-    pivots, d = _echelon(rows)
-    return [(_scalar_row(prow, d), pc) for prow, pc in pivots]
 
 
 def sparse_rank(rows: list[SparseRow]) -> int:

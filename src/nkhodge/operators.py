@@ -95,12 +95,15 @@ builds a sum of brackets, and odd squares P P = (1/2)[[P, P]], from the
 products on the columns of degree <= r only (``bracket_columns``) and one
 reconstruction; ``graded_commutator`` and ``laplacian`` are its one-term
 cases.  That is the only route to a bracket, so every operand must carry
-an order bound, and one without raises ValueError; [[P, L_beta]] for a
-derivation P is its r = 0 case.  A reader that needs the bracket only
-through its low columns, such as an eta-frame of bounded order, takes
-``bracket_columns`` and reconstructs nothing in the u-coframe.  Each
-result is the full matrix, so with a true bound it equals the composed
-commutator literally.
+an order bound (``bracket_order`` reads r off them), and one without
+raises ValueError; [[P, L_beta]] for a derivation P is its r = 0 case.
+Each ``bracket_sum`` is the full matrix, so with a true bound it equals the
+composed commutator literally.  A reader that needs the bracket only
+through its low columns takes ``bracket_columns`` and reconstructs
+nothing: an eta-frame of bounded order at r, and a requirement of the
+catalogue at the largest bound R >= r among its terms, since two
+operators of order <= R are equal exactly when their columns of degree
+<= R are (``low_columns``).
 """
 
 from __future__ import annotations
@@ -545,16 +548,11 @@ def adjoint(p: GradedOperator, gram: GramData) -> GradedOperator:
 # ---------------------------------------------------------------------------
 # graded commutators and Laplacians
 
-def bracket_columns(pairs, squares=()) -> tuple[GradedOperator, int]:
-    """(low, r): the signed products of ``bracket_sum`` on the columns of
-    degree <= r only, summed, with r = max(r_P + r_Q - 1, 0) over the
-    terms.  ValueError unless every term has a declared degree, all the
-    same, every square is odd and every operand carries an order bound.
-
-    ``from_low_columns(low, r)`` is the bracket sum.  Like any product on
-    some columns, ``low`` has no order bound, so no reader can take it for
-    the full matrix.  A reader that needs the sum only through those
-    columns, such as an eta-frame of order <= r, reconstructs nothing."""
+def bracket_order(pairs, squares=()) -> int:
+    """The order bound r = max(r_P + r_Q - 1, 0) over the terms of
+    ``bracket_sum``.  ValueError unless every term has a declared degree,
+    all the same, every square is odd and every operand carries an order
+    bound."""
     terms = [*pairs, *((p, p) for p in squares)]
     if any(p.degree is None or q.degree is None for p, q in terms):
         raise ValueError("graded commutator needs declared degrees")
@@ -565,7 +563,25 @@ def bracket_columns(pairs, squares=()) -> tuple[GradedOperator, int]:
         raise ValueError(f"a sum of brackets needs terms of one degree, got {sorted(degrees)}")
     if any(p.order_bound is None or q.order_bound is None for p, q in terms):
         raise ValueError("a bracket by order needs operands with order bounds")
-    r = max(max(p.order_bound + q.order_bound - 1 for p, q in terms), 0)
+    return max(max(p.order_bound + q.order_bound - 1 for p, q in terms), 0)
+
+
+def bracket_columns(pairs, squares=(), r: int | None = None) -> tuple[GradedOperator, int]:
+    """(low, r): the signed products of ``bracket_sum`` on the columns of
+    degree <= r only, summed, with r the sum's ``bracket_order`` unless a
+    larger r is asked for (a smaller one raises ValueError, as the terms
+    do where ``bracket_order`` does).
+
+    ``from_low_columns(low, r)`` is the bracket sum.  Like any product on
+    some columns, ``low`` has no order bound, so no reader can take it for
+    the full matrix.  A reader that needs the sum only through those
+    columns, such as an eta-frame of order <= r or a requirement of the
+    catalogue with a term of a larger bound, reconstructs nothing."""
+    own = bracket_order(pairs, squares)
+    if r is None:
+        r = own
+    elif r < own:
+        raise ValueError(f"a bracket sum of order <= {own} is not read on the columns of degree <= {r}")
 
     def times(p, q):
         return p._times_columns(q, {m: col for m, col in q.coords.items() if m.bit_count() <= r})

@@ -28,9 +28,10 @@
   fraction-free production route; ``spans_equal`` compares the results.
 * ``sparse_echelon_scan``: the fraction-free elimination in ``Scalar``
   arithmetic that rescans every active entry for the pivot at each step and
-  divides each entry by the previous pivot; the production
-  ``sparse_echelon``, with integer-tuple entries, cached per-row minima, a
-  column index and a hoisted division, must return literally the same rows.
+  divides each entry by the previous pivot; the production elimination
+  ``linalg._echelon``, with integer-tuple entries, cached per-row minima, a
+  column index and a hoisted division, read back as Scalar rows by
+  ``sparse_echelon``, must return literally the same rows.
 * ``jacobi_issues_dense``: the Jacobi identity on every basis triple as
   the dense sum over every index through ``cval``, against the production
   sum over the nonzero structure constants in ``validate_model``.
@@ -57,6 +58,12 @@
   a component and L_mu_omega, each such bracket composed as P Q -
   (-1)^{|P||Q|} Q P from full matrices, against the checks, which build them
   by order (``bracket_sum``).
+* ``FullRouteAcc`` and ``full_requirement``: every requirement sum
+  c_i T_i of the catalogue built on full matrices (each bracket term by
+  ``bracket_sum``, the sum by one ``combination``) and decided by
+  ``is_zero``, with its witness and residual read off the full sum, against
+  the production ``_Acc``, which decides it on its columns of degree <= R
+  (Koszul) and rebuilds only a failing sum.
 * ``laplacian_of_del_minus_delbar``: Delta_(del-delbar) as [[P*, P]] of
   P = del - delbar with ``adjoint_via_minors``, against DELTA_SUM's
   expansion Delta_del + Delta_delbar - X - conj X, X = [[delbar*, del]].
@@ -133,6 +140,7 @@ import math
 from fractions import Fraction
 
 from nkhodge.bidegree import DifferentialSplit, differential_split, pq_basis
+from nkhodge.checks import Bracket, _Acc
 from nkhodge.exterior import (
     Form,
     GramData,
@@ -144,6 +152,8 @@ from nkhodge.exterior import (
 from nkhodge.hodge import degree_masks, harmonic_space, hodge_laplacian, operator_degree_rows
 from nkhodge.linalg import (
     SparseRow,
+    _echelon,
+    _scalar_row,
     add_scaled,
     inverse,
     solve,
@@ -158,6 +168,8 @@ from nkhodge.operators import (
     _koszul_integral,
     adjoint,
     algebra_map_blocks,
+    bracket_sum,
+    combination,
     derivation_from_one_forms,
     mult_operator,
 )
@@ -500,6 +512,13 @@ def _clear_row(row: SparseRow) -> SparseRow:
     return out
 
 
+def sparse_echelon(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
+    """The pivots of the production elimination ``linalg._echelon``, (row,
+    pivot column) in elimination order, with each pivot row as Scalars."""
+    pivots, d = _echelon(rows)
+    return [(_scalar_row(prow, d), pc) for prow, pc in pivots]
+
+
 def sparse_echelon_scan(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
     """Fraction-free elimination in ``Scalar`` arithmetic with a full pivot
     scan at every step.
@@ -706,6 +725,38 @@ def composed_requirements(model) -> dict[str, GradedOperator]:
             + (mus_lm - de2.scale(Scalar(0, 0, 2, 0))).conjugated()
         ),
     }
+
+
+class FullRouteAcc(_Acc):
+    """The catalogue's requirements decided on full matrices: each sum
+    c_i T_i is ``full_requirement``, zero exactly when ``is_zero``, with
+    its witness and residual read off it, and a barred partner is its
+    conjugate.  Against the production ``_Acc``, which decides a sum on its
+    columns of degree <= R and rebuilds only a failing one."""
+
+    def op(self, label, terms):
+        self._full(label, full_requirement(terms))
+
+    def pair(self, label, conj_label, terms):
+        op = full_requirement(terms)
+        self._full(label, op)
+        self._full(conj_label, op.conjugated())
+
+    def _full(self, label, op):
+        if not op.is_zero():
+            self._fail(label + ": " + (op.first_witness() or ""), op.max_abs_approx())
+
+
+def full_requirement(terms) -> GradedOperator:
+    """sum c_i T_i as one ``combination`` of full operators, each ``Bracket``
+    term built by ``bracket_sum`` (and conjugated when it is the conjugate)."""
+    ops = []
+    for c, t in terms:
+        if isinstance(t, Bracket):
+            full = bracket_sum(t.pairs, t.squares)
+            t = full.conjugated() if t.conjugate else full
+        ops.append((c, t))
+    return combination(ops)
 
 
 def laplacian_of_del_minus_delbar(model) -> GradedOperator:

@@ -12,16 +12,25 @@ from nkhodge.checks import (
     UNIVERSAL_CHECKS,
     CheckResult,
     _Acc,
+    _skip_reason,
     run_check,
     run_suite,
 )
-from nkhodge.bidegree import DifferentialSplit, named_operator, pq_basis
+from nkhodge.bidegree import (
+    DifferentialSplit,
+    d_c,
+    differential_split,
+    lefschetz_triple,
+    named_operator,
+    pq_basis,
+)
 from nkhodge.exterior import Form
 from nkhodge.hodge import harmonic_pq, harmonic_space, hodge_numbers, operator_degree_rows, s_frame
 from nkhodge.linalg import sparse_kernel
 from nkhodge.models import (
     BUILTIN_NAMES,
     KODAIRA_EXPECTED_FAILURES,
+    LieAlgebraModel,
     builtin_model,
     model_from_json,
     model_to_json,
@@ -32,10 +41,13 @@ from nkhodge.operators import (
     algebra_map_blocks,
     bracket_columns,
     derivation_from_one_forms,
+    from_low_columns,
+    low_columns,
     reconstruct,
 )
 from nkhodge.scalars import I, Scalar, rational
 from oracles import (
+    FullRouteAcc,
     barred_requirements,
     commutator_by_composition,
     frame_columns_by_composition,
@@ -260,8 +272,9 @@ class TestHodgeAbcdKernel:
 
 
 class _RecordingAcc(_Acc):
-    """An _Acc that keeps every operator requirement by label, the barred
-    labels recorded through ``pair`` and the labels of failed ``require``s."""
+    """An _Acc that keeps every operator requirement by label, rebuilt in
+    full from the columns the check decides it on, the barred labels
+    recorded through ``pair`` and the labels of failed ``require``s."""
 
     def __init__(self):
         super().__init__()
@@ -274,14 +287,14 @@ class _RecordingAcc(_Acc):
             self.failed.append(label)
         super().require(label, ok, residual)
 
-    def op(self, label, op):
+    def _require_zero(self, label, low, r):
         assert label not in self.ops, label
-        self.ops[label] = op
-        super().op(label, op)
+        self.ops[label] = from_low_columns(low, r)
+        super()._require_zero(label, low, r)
 
-    def pair(self, label, conj_label, op):
+    def pair(self, label, conj_label, terms):
         self.paired.append(conj_label)
-        super().pair(label, conj_label, op)
+        super().pair(label, conj_label, terms)
 
 
 class TestBarredPairs:
@@ -577,24 +590,32 @@ class TestBracketsByOrder:
 
     @pytest.mark.parametrize("name", ["torus6", "kodaira-thurston", "s3xs3-nk"])
     def test_every_catalogue_bracket_matches_its_composition(self, name, monkeypatch):
-        original = nkhodge.operators.bracket_sum
+        # every bracket goes through bracket_columns: a built one (bracket_sum,
+        # graded_commutator, laplacian) at its own r, a requirement's term at
+        # the requirement's R, and a frame's operand; the columns it computes
+        # are those of the composition, which is their reconstruction
+        original = nkhodge.operators.bracket_columns
         built = []
 
-        def recording(pairs, squares=()):
-            out = original(pairs, squares)
-            built.append((list(pairs), list(squares), out))
-            return out
+        def recording(pairs, squares=(), r=None):
+            low, got_r = original(pairs, squares, r)
+            built.append((list(pairs), list(squares), r, low, got_r))
+            return low, got_r
 
-        # graded_commutator and laplacian look bracket_sum up in operators
-        monkeypatch.setattr(nkhodge.operators, "bracket_sum", recording)
-        monkeypatch.setattr(nkhodge.checks, "bracket_sum", recording)
+        # bracket_sum looks bracket_columns up in operators, a Bracket in checks
+        monkeypatch.setattr(nkhodge.operators, "bracket_columns", recording)
+        monkeypatch.setattr(nkhodge.checks, "bracket_columns", recording)
         expected = KODAIRA_EXPECTED_FAILURES if name == "kodaira-thurston" else ()
         assert run_suite(_fresh(name), expected_failures=expected).verdict
         assert len(built) > 30
-        for pairs, squares, got in built:
+        assert any(r is not None for _, _, r, _, _ in built)
+        for pairs, squares, r, low, got_r in built:
             assert None not in [op.order_bound for pair in pairs for op in pair] + [p.order_bound for p in squares]
+            own = nkhodge.operators.bracket_order(pairs, squares)
+            assert got_r == (own if r is None else r) >= own
             want = _composed(pairs, squares)
-            assert got == want and got.degree == want.degree
+            assert low == low_columns(want, got_r) and low.degree == want.degree
+            assert from_low_columns(low, got_r) == want
 
     def test_su2_four_brackets_match_their_compositions(self):
         model = builtin_model("su2-four").orthogonalized()
@@ -608,7 +629,178 @@ class TestBracketsByOrder:
         assert _difference_laplacian(model) == d_lm - d_lm.conjugated()
 
 
+# the checks whose requirements are operator sums, recorded through _Acc.op
+# and _Acc.pair; every other check records forms, scalars and booleans only
+_REQUIREMENT_CHECKS = (
+    "AUX_COM", "BR67", "D2_SPLIT", "DC_DEF", "DC_FRAME", "DELTA_SUM", "DIFF_LAPL_KAHLER", "L_DELTA",
+    "LAP_COM", "NIJ_MU", "NK_COR", "NK_MAIN", "PROP_LAP", "SL2", "THETA_BRACKET", "TORSION_OP",
+)
+
+
+def _outcome(model, cid, acc):
+    """(exact zero, witness, residual) of one check on an orthogonalized
+    model, recorded by ``acc``."""
+    CHECKS[cid].fn(model, acc)
+    return acc.zero, acc.witness, acc.residual
+
+
+def _both_routes(model):
+    """Each applicable requirement check's outcome by order (``_Acc``) and on
+    full matrices (``FullRouteAcc``), by check id."""
+    ids = [cid for cid in _REQUIREMENT_CHECKS if _skip_reason(model, CHECKS[cid]) is None]
+    return {cid: _outcome(model, cid, _Acc()) for cid in ids}, {cid: _outcome(model, cid, FullRouteAcc()) for cid in ids}
+
+
+class TestRequirementsByOrder:
+    """Every requirement sum c_i T_i is decided on its columns of degree <= R,
+    R the largest order bound of its terms (Koszul), and rebuilt only when
+    it fails; the full-matrix route of ``FullRouteAcc`` is the oracle."""
+
+    def test_the_requirement_checks_are_those_that_record_operators(self):
+        # on s3xs3-nk every check but the Kahler one applies: 60 requirements
+        class Counting(_Acc):
+            def _require_zero(self, label, low, r):
+                counts[cid] = counts.get(cid, 0) + 1
+                super()._require_zero(label, low, r)
+
+        model = builtin_model("s3xs3-nk").orthogonalized()
+        counts = {}
+        for cid in sorted(CHECKS):
+            if _skip_reason(model, CHECKS[cid]) is None:
+                CHECKS[cid].fn(model, Counting())
+        assert sorted(counts) == sorted(set(_REQUIREMENT_CHECKS) - {"DIFF_LAPL_KAHLER"})
+        assert sum(counts.values()) == 60
+        # R is read off the terms, so a term without a bound is refused
+        lap = named_operator(model, "lap:mu")
+        unbounded = GradedOperator(model.dim, lap.cols, lap.degree)
+        with pytest.raises(ValueError, match="order bounds"):
+            _Acc().op("unbounded", [(rational(1), lap), (rational(-1), unbounded)])
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_matches_the_full_matrix_route(self, name):
+        # status, exact_zero, witness and residual; kodaira-thurston fails
+        # eight of these checks, with the golden witnesses
+        new, full = _both_routes(builtin_model(name).orthogonalized())
+        assert new == full
+        failing = sorted(cid for cid, (zero, _, _) in new.items() if not zero)
+        if name == "kodaira-thurston":
+            assert failing == ["DC_FRAME", "DELTA_SUM", "LAP_COM", "L_DELTA", "NK_COR", "NK_MAIN", "PROP_LAP", "TORSION_OP"]
+            assert new["NK_MAIN"][1] == "[d*,L] + d^c - 3i(mu-mubar): column 1, row e4: 1"
+        else:
+            assert failing == []
+
+    def test_a_sign_flipped_in_mu_fails_alike_on_both_routes(self):
+        # mu(u^1) negated, mubar its conjugate, every operator built from
+        # them after: each requirement check but SL2 fails, on both routes
+        # with the same first witness and residual.  d^c, the nearly Kahler
+        # report and the SU(3) data are built first, from the true split.
+        model = _fresh("s3xs3-nk").orthogonalized()
+        d_c(model), nk_report(model), nkhodge.checks._su3(model)
+        split = differential_split(model)
+        images = [split.mu.column_form(1 << i) for i in range(model.dim)]
+        assert not images[0].is_zero()
+        images[0] = images[0].scale(rational(-1))
+        mu = derivation_from_one_forms(model.dim, images)
+        model._cache["split"] = DifferentialSplit(mu, split.del_, split.delbar, mu.conjugated())
+        new, full = _both_routes(model)
+        assert new == full
+        assert [cid for cid, (zero, _, _) in new.items() if zero] == ["SL2"]
+        assert new["D2_SPLIT"][1] == "[[del,mu]]: column e2, row e2^e3^e6: -1/12-1/36*w*I"
+        assert new["NK_MAIN"][1] == "[d*,L] + d^c - 3i(mu-mubar): column e1, row e2^e6: 1*w"
+
+    def test_adjoints_declared_one_order_too_low(self, monkeypatch):
+        # the matrices stay right, so a requirement whose brackets take the
+        # adjoints as operands passes by order (on full matrices SL2, NK_MAIN
+        # and five more would fail, their brackets rebuilt from too few
+        # columns); what fails is what is built by order from the bound:
+        # Delta_d, caught by L_DELTA and HODGE_ABCD, Delta_{L_mu omega}, by
+        # PROP_LAP, and the eta-frame of Delta_del - Delta_delbar, by DIM6_EIGEN
+        original = nkhodge.operators.adjoint
+
+        def one_too_low(p, gram):
+            out = original(p, gram)
+            if out.order_bound:
+                out.order_bound -= 1
+            return out
+
+        monkeypatch.setattr(nkhodge.bidegree, "adjoint", one_too_low)
+        monkeypatch.setattr(nkhodge.checks, "adjoint", one_too_low)
+        failed = {r.check_id: r.witness for r in run_suite(_fresh("s3xs3-nk")).results if r.status == "fail"}
+        assert sorted(failed) == ["DIM6_EIGEN", "HODGE_ABCD", "L_DELTA", "PROP_LAP"]
+        assert failed["L_DELTA"] == (
+            "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2: "
+            "column 1, row e1^e4: -8/9*w"
+        )
+        assert failed["PROP_LAP"] == "[[mubar,mu]] - (i/9)[Delta_Lmu - Delta_Lmubar, L]: column e1, row e2^e4^e5: 1/6"
+
+    @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
+    def test_only_a_failing_requirement_is_rebuilt(self, name, monkeypatch):
+        rebuilt, failed = [], []
+        original = nkhodge.checks.from_low_columns
+        fail = _Acc._fail
+
+        def recording(low, r):
+            rebuilt.append(r)
+            return original(low, r)
+
+        def failing(self, witness, residual):
+            if ": column " in witness:
+                failed.append(witness)
+            fail(self, witness, residual)
+
+        monkeypatch.setattr(nkhodge.checks, "from_low_columns", recording)
+        monkeypatch.setattr(_Acc, "_fail", failing)
+        expected = KODAIRA_EXPECTED_FAILURES if name == "kodaira-thurston" else ()
+        assert run_suite(_fresh(name), expected_failures=expected).verdict
+        assert len(rebuilt) == len(failed)
+        assert (len(failed) > 0) == (name == "kodaira-thurston")
+
+
 class TestCostGuards:
+    def test_su2_four_sl2_d2_split_and_nk_main_rebuild_nothing(self, monkeypatch):
+        # once the shared builds exist (the split, adj:d, L, Lambda, H, d^c),
+        # the three checks decide every requirement on its low columns: no
+        # Koszul reconstruction, no rebuilt sum
+        model = _fresh("su2-four")
+        target = model.orthogonalized()
+        lefschetz_triple(target), named_operator(target, "adj:d"), d_c(target)
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapped
+
+        for module, name in (
+            (nkhodge.operators, "from_low_columns"),
+            (nkhodge.checks, "from_low_columns"),
+            (nkhodge.operators, "_reconstruct"),
+        ):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        for cid in ("SL2", "D2_SPLIT", "NK_MAIN"):
+            assert run_check(model, cid).status == "pass"
+        assert calls == []
+
+    def test_hodge_numbers_maps_no_form_back(self, monkeypatch):
+        # the table counts the kernels in the orthogonalized presentation; its
+        # entries are the numbers of harmonic forms mapped back
+        model = _fresh("s3xs3-nk")
+        assert model.orthogonalized() is not model
+        original = LieAlgebraModel.to_native
+        calls = []
+
+        def counting(self, form):
+            calls.append(form)
+            return original(self, form)
+
+        monkeypatch.setattr(LieAlgebraModel, "to_native", counting)
+        table = hodge_numbers(model).h
+        assert calls == []
+        assert table == [[len(harmonic_pq(model, p, q)) for q in range(4)] for p in range(4)]
+        assert len(calls) == sum(map(sum, table)) == 4
+
     def test_nk_residual_builds_no_nabla_operator(self):
         # nabla omega is one lazy derivation action applied to omega; no
         # route builds the 2^dim-column operators nabla_i

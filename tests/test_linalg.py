@@ -4,10 +4,10 @@ import pytest
 
 import nkhodge.linalg as linalg
 from nkhodge.hodge import hodge_laplacian, operator_degree_rows
-from nkhodge.linalg import add_scaled, inverse, solve, sparse_echelon, sparse_kernel, sparse_rank, transpose
+from nkhodge.linalg import add_scaled, inverse, solve, sparse_kernel, sparse_rank, transpose
 from nkhodge.models import builtin_model
 from nkhodge.scalars import ONE, ZERO, Scalar
-from oracles import dense_kernel, dense_to_sparse, sparse_echelon_scan, spans_equal, sqrt_ext
+from oracles import dense_kernel, dense_to_sparse, sparse_echelon, sparse_echelon_scan, spans_equal, sqrt_ext
 
 entry = st.integers(min_value=-5, max_value=5)
 

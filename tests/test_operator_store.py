@@ -50,6 +50,7 @@ from nkhodge.operators import (
     from_low_columns,
     graded_commutator,
     laplacian,
+    low_columns,
     mult_operator,
     reconstruct,
 )
@@ -587,9 +588,9 @@ class TestDerivationBrackets:
         recorded = {}
 
         class Recording(_Acc):
-            def op(self, label, op):
-                recorded[label] = op
-                super().op(label, op)
+            def _require_zero(self, label, low, r):
+                recorded[label] = from_low_columns(low, r)
+                super()._require_zero(label, low, r)
 
         for cid in ("D2_SPLIT", "BR67", "AUX_COM", "PROP_LAP", "L_DELTA"):
             CHECKS[cid].fn(model, Recording())
@@ -664,6 +665,13 @@ class TestBracketsByOrder:
         assert (r, low.order_bound, full.order_bound) == (2, None, 2)
         assert dict(low.scalar_columns()) == {m: col for m, col in full.scalar_columns() if m.bit_count() <= r}
         assert_same_matrix(from_low_columns(low, r), full)
+        # asked for a larger R, the products on the columns of degree <= R;
+        # a smaller one would not determine the sum
+        high, got_r = bracket_columns(pairs, r=3)
+        assert got_r == 3 and high == low_columns(full, 3)
+        assert_same_matrix(from_low_columns(high, 3), full)
+        with pytest.raises(ValueError, match="not read on the columns of degree <= 1"):
+            bracket_columns(pairs, r=1)
         unbounded = GradedOperator(model.dim, pairs[0][0].cols, pairs[0][0].degree)
         with pytest.raises(ValueError, match="order bounds"):
             bracket_columns([(unbounded, pairs[0][1])])
