@@ -207,12 +207,13 @@ class DifferentialSplit:
 
 def differential_split(model) -> DifferentialSplit:
     """The four components of d: mu and del are the derivations with their
-    coframe values, delbar and mubar their complex conjugates.
+    coframe values, held by their Koszul coefficients, and delbar and mubar
+    their complex conjugates, conjugated on the store (which builds those
+    of mu and del).
 
     d = mu + del + delbar + mubar is asserted on the columns of degree <= 1
     only: both sides are derivations, of order <= 1, and two operators of
-    order <= 1 agree exactly when those columns agree (Koszul), so no
-    sum of the full matrices is built."""
+    order <= 1 agree exactly when those columns agree (Koszul)."""
 
     def build():
         d = model.d()
@@ -250,9 +251,10 @@ def twisted_differential(model) -> GradedOperator:
 
 
 def d_c(model) -> GradedOperator:
-    """J^{-1} d J, cross-checked against i(mu - del + delbar - mubar) on the
-    columns of degree <= 1: both are derivations, of order <= 1, so they
-    agree exactly when those columns agree (Koszul)."""
+    """J^{-1} d J, held by its Koszul coefficients and cross-checked against
+    i(mu - del + delbar - mubar) on the columns of degree <= 1: both are
+    derivations, of order <= 1, so they agree exactly when those columns
+    agree (Koszul)."""
 
     def build():
         twisted = twisted_differential(model)
@@ -266,7 +268,8 @@ def d_c(model) -> GradedOperator:
 
 def counting_operator(model) -> GradedOperator:
     """H = |m| - n on u^m, the Koszul sum with beta_{empty} = -n and
-    beta_{i} = u^i, so of order 1; built once per model."""
+    beta_{i} = u^i, so of order 1, held by these coefficients (SL2 reads
+    its columns of degree <= 2 only); built once per model."""
 
     def build():
         dim = model.dim

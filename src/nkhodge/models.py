@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .exterior import Form, GramData
 from .linalg import add_scaled, inverse
-from .operators import DerivationAction, GradedOperator, algebra_map_apply, derivation_from_one_forms
+from .operators import GradedOperator, algebra_map_apply, bracket_sum, derivation_from_one_forms
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, rational, squarefree
 
 Structure = dict[tuple[int, int], dict[int, Scalar]]
@@ -231,9 +231,9 @@ class LieAlgebraModel:
             for k in range(self.dim)
         ]
 
-    def nabla_action(self, i: int) -> DerivationAction:
-        """nabla_i acting on forms, a column built when a form first meets it."""
-        return self._memo(f"nabla_action{i}", lambda: DerivationAction(self.dim, self.nabla_images(i)))
+    def nabla_action(self, i: int) -> GradedOperator:
+        """nabla_i, the derivation with the coframe values nabla_i u^k."""
+        return self._memo(f"nabla_action{i}", lambda: derivation_from_one_forms(self.dim, self.nabla_images(i), 0))
 
     def omega(self) -> Form:
         def build():
@@ -371,6 +371,11 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 # validation
 
 def validate_model(model: LieAlgebraModel) -> ValidationReport:
+    """Every invariant of the model, exactly: real, Jacobi and unimodular
+    structure constants, J^2 = -1 compatible with a positive-definite
+    metric, and then d^2 = 0 as a matrix identity.  d d = (1/2)[[d, d]] is
+    a derivation, so by Koszul's rule it is decided on its columns of
+    degree <= 1 (``operators.bracket_sum``), witness included."""
     report = ValidationReport(model.name)
     n = model.dim
     g = model.metric
@@ -420,12 +425,12 @@ def validate_model(model: LieAlgebraModel) -> ValidationReport:
     except ValueError as exc:
         report.issues.append(ValidationIssue("metric_positive_definite", (str(exc),)))
 
-    # d^2 = 0 as an exact matrix identity (equivalent to Jacobi)
+    # d^2 = 0 (equivalent to Jacobi), by order
     if not report.issues:
         d = model.d()
-        if not d.compose(d).is_zero():
-            witness = d.compose(d).first_witness()
-            report.issues.append(ValidationIssue("d_squared", (witness,)))
+        dd = bracket_sum([], squares=[d])
+        if not dd.is_zero():
+            report.issues.append(ValidationIssue("d_squared", (dd.first_witness(),)))
     return report
 
 

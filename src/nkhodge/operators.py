@@ -30,11 +30,11 @@ on the store.
 ``Scalar`` appears only at the boundaries.  The constructor takes sparse
 columns of Scalars and, as ``reconstruct`` does with its coefficient forms,
 converts them once over one common denominator (``scalars.common``).
-``apply`` (and ``DerivationAction.apply``) accumulates a form's image in
-integers and builds one Scalar per output entry, as do ``column_form`` and
-``scalar_columns``; ``first_witness`` and
-``max_abs_approx`` read each entry as its normalized Scalar, so residuals
-and witnesses are those of the Scalar arithmetic to the last bit.
+``apply`` accumulates a form's image in integers and builds one Scalar
+per output entry, as do ``column_form`` and ``scalar_columns``;
+``first_witness`` and ``max_abs_approx`` read each entry as its
+normalized Scalar, so residuals and witnesses are those of the Scalar
+arithmetic to the last bit.
 ``pivot_columns`` hands a block of columns to elimination as integer entry
 rows (``linalg.pivot_columns``) and builds no Scalar at all.
 ``cols`` converts the whole operator once and keeps the result; no
@@ -60,17 +60,28 @@ columns of degree <= r and ``reconstruct`` sums them back up, so an
 operator of order <= r is the reconstruction of its low-degree columns
 (``from_low_columns``).  That is the order test (``algebraic_order_at_most``:
 P equals its reconstruction), the only route from coframe values to a
-derivation (``derivation_from_one_forms``), and the route of every bracket
-of bounded order.  ``DerivationAction`` applies the same
-Koszul sum to forms with each column built on first use.  With rest =
-mask - J, the term of u^b in beta_J enters column ``mask`` at b | rest with
-the sign (-1)^popcount(rest & (K(b) ^ K(J))) (``exterior.sign_key``): a
-reconstruction scatters it into every such column, and ``_koszul_column``
-sums one column where single ones are asked for.  Each coefficient form
-is prepared once (``_prepare``: once per reconstruction, once per
-``DerivationAction``, once per new coefficient in ``_koszul_integral``)
-into J and its entries (b, K(b) ^ K(J), coordinates, negated
-coordinates), so a term costs one ``bit_count`` and no call.
+derivation (``derivation_from_one_forms``, d among them), and the route of
+every bracket of bounded order.  With rest = mask - J, the term of u^b in
+beta_J enters column ``mask`` at b | rest with the sign
+(-1)^popcount(rest & (K(b) ^ K(J))) (``exterior.sign_key``).  Each
+coefficient form is prepared once (``_prepare``: once per reconstruction,
+once per new coefficient in ``_koszul_integral``) into J and its entries
+(b, K(b) ^ K(J), coordinates, negated coordinates), so a term costs one
+``bit_count`` and no call.
+
+A reconstruction is held by its prepared coefficients (``_koszul_sum``):
+``coords`` scatters each coefficient entry into every column it enters
+(``_reconstruct``) on the first read that walks the store, and keeps it.
+A reader of some columns sums only those (``_koszul_column``), kept per
+mask: ``apply``, ``low_columns``, the Koszul integral, and both factors
+of a bracket's products on its low columns.  ``compose`` may read every
+row of its left factor, so it builds that factor's store first.
+``is_zero`` asks for a coefficient (the sum is unique) and ``with_degree``
+shares the coefficients; ``conjugated`` walks the store.  Each store
+entry is a signed sum of coefficient entries and each coefficient one of
+store entries (the integral), so both span the same lattice coordinate
+by coordinate: q, d and ``real`` are normalized on the coefficients, and
+the store needs no scan.
 ``algebra_map_blocks`` is the degree-0 algebra map u^i -> images[i] of
 1-forms (a change of coframe), built one degree block at a time on the
 integer coordinates: column m is images[i] ^ (column m - i of the block
@@ -108,6 +119,7 @@ operators of order <= R are equal exactly when their columns of degree
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import linalg
@@ -127,6 +139,19 @@ def _map_entries(coords: Store, fn) -> Store:
     image: dict[Coords, Coords] = {}
     get, put = image.get, image.setdefault
     return {c: {r: get(t) or put(t, fn(t)) for r, t in col.items()} for c, col in coords.items()}
+
+
+def _normal(q: int, d: int, real: bool, distinct: set[Coords]):
+    """(div, q, d, real) for entries over q with these distinct values:
+    div divides an entry by g, the gcd of q and every coordinate (None for
+    g = 1), q is divided by g, d is folded to 1 without a sqrt(d) part and
+    ``real`` made exact (``real=True`` is taken as known)."""
+    g = math.gcd(q, *(x for t in distinct for x in t))
+    if d != 1 and not any(t[1] or t[3] for t in distinct):
+        d = 1
+    real = real or not any(t[2] or t[3] for t in distinct)
+    div = None if g == 1 else (lambda t: (t[0] // g, t[1] // g, t[2] // g, t[3] // g))
+    return div, q // g, d, real
 
 
 def _check_degree(coords: Store, degree: int | None) -> None:
@@ -172,7 +197,7 @@ class GradedOperator:
     """Sparse exact matrix with a declared degree, over one denominator, and
     the order bound a theorem gives it (``order_bound``, None without one)."""
 
-    __slots__ = ("dim", "degree", "q", "d", "real", "coords", "order_bound", "_cols")
+    __slots__ = ("dim", "degree", "q", "d", "real", "order_bound", "_coords", "_symbol", "_columns", "_cols")
 
     def __init__(
         self,
@@ -198,35 +223,51 @@ class GradedOperator:
         if check:
             _check_degree(store, degree)
 
-    def _set(self, dim, degree, q, d, real, coords, order_bound=None) -> GradedOperator:
+    def _set(self, dim, degree, q, d, real, coords, order_bound=None, symbol=None) -> GradedOperator:
         self.dim = dim
         self.degree = degree
         self.q = q
         self.d = d
         self.real = real
-        self.coords = coords
         self.order_bound = order_bound
+        self._coords = coords  # None while held by the prepared Koszul coefficients ``symbol``
+        self._symbol = symbol
+        self._columns = {} if coords is None else None  # columns summed singly, by mask
         self._cols = None
         return self
+
+    @property
+    def coords(self) -> Store:
+        """The store; held by Koszul coefficients, built on first read."""
+        if self._coords is None:
+            self._coords = _reconstruct(self.dim, self._symbol)
+            self._columns = None
+        return self._coords
+
+    def _lookup(self):
+        """mask -> column (empty or None when zero) with no store built: held
+        by Koszul coefficients, each column summed on first read and kept."""
+        if self._coords is not None:
+            return self._coords.get
+        columns, symbol = self._columns, self._symbol
+        return lambda m: columns[m] if m in columns else columns.setdefault(m, _koszul_column(symbol, m))
+
+    def _low_store(self, r: int) -> Store:
+        """The nonzero columns of degree <= r in store order (``_lookup``)."""
+        if self._coords is not None:
+            return {m: col for m, col in self._coords.items() if m.bit_count() <= r}
+        column = self._lookup()
+        return {m: col for m in _low_masks(self.dim, r) if (col := column(m))}
 
     @classmethod
     def _normalized(
         cls, dim: int, degree: int | None, q: int, d: int, real: bool, coords: Store, order_bound: int | None = None
     ) -> GradedOperator:
-        """The operator of a store with no zero entry and no empty column:
-        q and the coordinates divided by their gcd, d folded to 1 without a
-        sqrt(d) part, ``real`` made exact (``real=True`` is taken as known).
-        The scans run over the distinct entries only."""
-        distinct = {t for col in coords.values() for t in col.values()}
-        g = math.gcd(q, *(x for t in distinct for x in t))
-        if g != 1:
-            q //= g
-            coords = _map_entries(coords, lambda t: (t[0] // g, t[1] // g, t[2] // g, t[3] // g))
-            distinct = {(a // g, b // g, x // g, e // g) for a, b, x, e in distinct}
-        if d != 1 and not any(t[1] or t[3] for t in distinct):
-            d = 1
-        if not real:
-            real = not any(t[2] or t[3] for t in distinct)
+        """The operator of a store with no zero entry and no empty column,
+        normalized (``_normal``) with a scan over the distinct entries."""
+        div, q, d, real = _normal(q, d, real, {t for col in coords.values() for t in col.values()})
+        if div:
+            coords = _map_entries(coords, div)
         return object.__new__(cls)._set(dim, degree, q, d, real, coords, order_bound)
 
     # -- basic structure ---------------------------------------------------
@@ -241,13 +282,15 @@ class GradedOperator:
         return object.__new__(cls)._set(dim, 0, 1, 1, True, {m: {m: unit} for m in range(1 << dim)}, 0)
 
     def with_degree(self, degree: int | None) -> GradedOperator:
-        """The same matrix declared of another degree (the store is shared)."""
+        """The same matrix declared of another degree (the store, or the
+        Koszul coefficients, are shared)."""
         return object.__new__(GradedOperator)._set(
-            self.dim, degree, self.q, self.d, self.real, self.coords, self.order_bound
+            self.dim, degree, self.q, self.d, self.real, self._coords, self.order_bound, self._symbol
         )
 
     def is_zero(self) -> bool:
-        return not self.coords
+        """Whether P = 0: held by Koszul coefficients, whether it has none."""
+        return not (self._symbol if self._coords is None else self._coords)
 
     def nnz(self) -> int:
         return sum(len(col) for col in self.coords.values())
@@ -279,7 +322,9 @@ class GradedOperator:
         return self._cols
 
     def apply(self, form: Form) -> Form:
-        terms = [(col, s) for m, s in form.coeffs.items() if (col := self.coords.get(m)) is not None]
+        """P form, from the columns the form's support needs (``_lookup``)."""
+        column = self._lookup()
+        terms = [(col, s) for m, s in form.coeffs.items() if (col := column(m))]
         return _accumulate(self.dim, self.q, self.d, terms)
 
     def column_form(self, mask: int) -> Form:
@@ -334,25 +379,27 @@ class GradedOperator:
         bound = None
         if self.order_bound is not None and other.order_bound is not None:
             bound = self.order_bound + other.order_bound
+        self.coords  # every row may be read: one block scatter, not one sum per column
         return self._times_columns(other, other.coords, bound)
 
     def _times_columns(self, other: GradedOperator, columns: Store, order_bound: int | None = None) -> GradedOperator:
         """self . other on ``columns`` only, a part of other's store: the
-        product kernel, which ``compose`` runs on every column."""
+        product kernel, which ``compose`` runs on every column.  Only the
+        columns of self that rows of ``columns`` name are read (``_lookup``)."""
         deg = None
         if self.degree is not None and other.degree is not None:
             deg = self.degree + other.degree
         d = join(self.d, other.d)
         real = self.real and other.real
-        my = self.coords
+        column = self._lookup()
         products: dict[Coords, Coords] = {}
         share = products.setdefault
         cols: Store = {}
         for c, col in columns.items():
             acc: dict[int, list[int]] = {}
             for mid, (a2, b2, c2, e2) in col.items():
-                right = my.get(mid)
-                if right is None:
+                right = column(mid)
+                if not right:
                     continue
                 # ``scalars.product`` for rational, real and complex entries
                 if real and d == 1:
@@ -430,7 +477,7 @@ class GradedOperator:
 
     def first_witness(self) -> str | None:
         """Label of the graded-lex-first nonzero entry (for residual reports)."""
-        if not self.coords:
+        if self.is_zero():
             return None
         c = min(self.coords, key=graded_lex_key)
         r = min(self.coords[c], key=graded_lex_key)
@@ -451,7 +498,7 @@ def combination(terms) -> GradedOperator:
     as a chain of binary sums is, so literally the chain's store, normalized
     once.  The degree is the common one, else None; the order bound the max,
     None when a term has none (c_i = 0 makes a term zero, bounded by 0)."""
-    live = [(c, p) for c, p in terms if p.coords and not c.is_zero()]
+    live = [(c, p) for c, p in terms if not (p.is_zero() or c.is_zero())]
     q = d = 1
     for c, p in live:
         q, d = math.lcm(q, p.q * c.q), join(join(d, p.d), c.d)
@@ -584,7 +631,7 @@ def bracket_columns(pairs, squares=(), r: int | None = None) -> tuple[GradedOper
         raise ValueError(f"a bracket sum of order <= {own} is not read on the columns of degree <= {r}")
 
     def times(p, q):
-        return p._times_columns(q, {m: col for m, col in q.coords.items() if m.bit_count() <= r})
+        return p._times_columns(q, q._low_store(r))
 
     products = []
     for p, q in pairs:
@@ -681,9 +728,9 @@ def _koszul_integral(p: GradedOperator, r: int) -> tuple[dict[int, IntForm], Pre
     found."""
     beta: dict[int, IntForm] = {}
     prepared: Prepared = []
-    masks = sorted((m for m in range(1 << p.dim) if m.bit_count() <= r), key=int.bit_count)
-    for mask in masks:
-        b = dict(p.coords.get(mask, {}))
+    column = p._lookup()
+    for mask in sorted(_low_masks(p.dim, r), key=int.bit_count):
+        b = dict(column(mask) or {})
         for row, u in _koszul_column(prepared, mask).items():
             t = b.get(row)
             if t is None:
@@ -701,23 +748,36 @@ def _koszul_integral(p: GradedOperator, r: int) -> tuple[dict[int, IntForm], Pre
 
 
 def reconstruct(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOperator:
-    """sum_J L_{beta_J} iota_J for coefficient forms keyed by the mask J.
-
-    Every column is a Koszul sum of coordinates over the common denominator
-    of the beta_J, with one tuple per distinct entry; an entry off a
-    declared degree raises ValueError as the constructor does."""
+    """sum_J L_{beta_J} iota_J for coefficient forms keyed by the mask J,
+    held by them (``_koszul_sum``); an entry off a declared degree raises
+    ValueError as the constructor does."""
     coeffs, q, d = _integral(beta)
-    return _reconstruct(dim, _prepare(coeffs), q, d, degree)
+    return _koszul_sum(dim, _prepare(coeffs), q, d, degree)
 
 
-def _reconstruct(dim: int, coeffs: Prepared, q: int, d: int, degree: int | None) -> GradedOperator:
-    """``reconstruct`` of prepared coefficient forms, coordinates over q: each
-    entry u^b of beta_J, in prepared order, is scattered into every column
-    J | rest, rest disjoint from J | b, and each column gets its terms in
-    the order of its ``_koszul_column`` scan.  The columns are summed one
-    block of equal high bits at a time, so that only one block's partial
-    sums are held.  Every entry has the degree |b| - |J| of a coefficient
-    entry, so the store needs the degree check only where one is off."""
+def _koszul_sum(dim: int, coeffs: Prepared, q: int, d: int, degree: int | None) -> GradedOperator:
+    """The operator held by prepared coefficient forms over q, normalized on
+    them (the lattice argument above).  A coefficient entry u^b of beta_J
+    has degree |b| - |J|; with one off the declared degree the store is
+    built, and its first entry off the degree raises ValueError."""
+    div, q, d, real = _normal(q, d, False, {u for _, form in coeffs for _, _, u, _ in form})
+    if div:
+        coeffs = [(jm, [(bm, key, div(u), div(neg)) for bm, key, u, neg in form]) for jm, form in coeffs]
+    if degree is not None and any(
+        bm.bit_count() - jm.bit_count() != degree for jm, form in coeffs for bm, _, _, _ in form
+    ):
+        _check_degree(_reconstruct(dim, coeffs), degree)
+    bound = max((jm.bit_count() for jm, _ in coeffs), default=0)
+    return object.__new__(GradedOperator)._set(dim, degree, q, d, real, None, bound, coeffs)
+
+
+def _reconstruct(dim: int, coeffs: Prepared) -> Store:
+    """The store of prepared coefficient forms: each entry u^b of beta_J,
+    in prepared order, is scattered into every column J | rest, rest
+    disjoint from J | b, and each column gets its terms in the order of its
+    ``_koszul_column`` scan, so its key order is that scan's.  The columns
+    are summed one block of equal high bits at a time, so that only one
+    block's partial sums are held, and come in increasing mask order."""
     shared: dict[Coords, Coords] = {}
     share = shared.setdefault
     coeffs = [(jm, [(bm, key, share(u, u), share(neg, neg)) for bm, key, u, neg in form]) for jm, form in coeffs]
@@ -750,28 +810,29 @@ def _reconstruct(dim: int, coeffs: Prepared, q: int, d: int, degree: int | None)
                         break
                     below = (below - 1) & free
         store.update((m, col) for m, col in block.items() if col)
-    if degree is not None and any(
-        bm.bit_count() - jm.bit_count() != degree for jm, form in coeffs for bm, _, _, _ in form
-    ):
-        _check_degree(store, degree)
-    bound = max((jm.bit_count() for jm, _ in coeffs), default=0)
-    return GradedOperator._normalized(dim, degree, q, d, False, store, bound)
+    return store
 
 
 def from_low_columns(p: GradedOperator, r: int) -> GradedOperator:
     """The operator of order <= r whose columns of degree <= r are those of
-    P, the reconstruction of their Koszul coefficients: P itself exactly
-    when P has order <= r.  Only those columns of P are read."""
+    P, held by their Koszul coefficients: P itself exactly when P has order
+    <= r.  Only those columns of P are read."""
     _, prepared = _koszul_integral(p, r)
-    return _reconstruct(p.dim, prepared, p.q, p.d, p.degree)
+    return _koszul_sum(p.dim, prepared, p.q, p.d, p.degree)
+
+
+@functools.cache
+def _low_masks(dim: int, r: int) -> tuple[int, ...]:
+    """The masks of degree <= r, increasing."""
+    return tuple(m for m in range(1 << dim) if m.bit_count() <= r)
 
 
 def low_columns(p: GradedOperator, r: int) -> GradedOperator:
     """P on its columns of degree <= r only, with no order bound.  Two
     operators of order <= r are equal exactly when these are, since each
-    is the reconstruction of them (``from_low_columns``)."""
-    cols = {m: col for m, col in p.coords.items() if m.bit_count() <= r}
-    return GradedOperator._normalized(p.dim, p.degree, p.q, p.d, False, cols)
+    is the reconstruction of them (``from_low_columns``).  An operator
+    held by its Koszul coefficients sums these columns only."""
+    return GradedOperator._normalized(p.dim, p.degree, p.q, p.d, False, p._low_store(r))
 
 
 def _coframe_coefficients(dim: int, images: list[Form]) -> dict[int, Form]:
@@ -780,7 +841,7 @@ def _coframe_coefficients(dim: int, images: list[Form]) -> dict[int, Form]:
     return {1 << i: f for i, f in enumerate(images) if not f.is_zero()}
 
 
-def derivation_from_one_forms(dim: int, images: list[Form], degree: int = 1) -> GradedOperator:
+def derivation_from_one_forms(dim: int, images: list[Form], degree: int | None = 1) -> GradedOperator:
     """Unique derivation with the given coframe images, zero on 1.
 
     It is sum_i L_{images[i]} iota_i; the Koszul sum carries the sign of an
@@ -872,35 +933,6 @@ def algebra_map_apply(images: list[Form], forms: list[Form]) -> list[Form]:
         if k in degrees:
             out = [acc + block.apply(f) for acc, f in zip(out, forms)]
     return out
-
-
-class DerivationAction:
-    """The derivation with the given coframe images, acting on forms.
-
-    It applies the columns of ``derivation_from_one_forms(dim, images)``,
-    each a Koszul sum of coordinates built on first use and kept per mask,
-    so a derivation that only ever meets forms of a few degrees never
-    builds the other columns.  ``apply`` accumulates in integers as
-    ``GradedOperator.apply`` does.
-    """
-
-    __slots__ = ("dim", "beta", "q", "d", "columns")
-
-    def __init__(self, dim: int, images: list[Form]):
-        self.dim = dim
-        coeffs, self.q, self.d = _integral(_coframe_coefficients(dim, images))
-        self.beta = _prepare(coeffs)
-        self.columns: dict[int, IntForm] = {}
-
-    def apply(self, form: Form) -> Form:
-        terms = []
-        for m, s in form.coeffs.items():
-            col = self.columns.get(m)
-            if col is None:
-                col = self.columns[m] = _koszul_column(self.beta, m)
-            if col:
-                terms.append((col, s))
-        return _accumulate(self.dim, self.q, self.d, terms)
 
 
 def algebraic_order_at_most(p: GradedOperator, r: int) -> bool:

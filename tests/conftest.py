@@ -1,6 +1,11 @@
+from dataclasses import dataclass
+
 import pytest
 
-from nkhodge.models import builtin_model
+from nkhodge import operators
+from nkhodge.checks import run_suite
+from nkhodge.models import LieAlgebraModel, builtin_model, model_from_json, model_to_json
+from nkhodge.operators import GradedOperator
 from nkhodge.scalars import Scalar
 
 
@@ -48,3 +53,36 @@ def scalars_built(monkeypatch):
     monkeypatch.setattr(Scalar, "__init__", counting_init)
     monkeypatch.setattr(Scalar, "_normalized", classmethod(counting_normalized))
     return built
+
+
+@dataclass
+class CatalogueRun:
+    """``run_suite`` on a fresh built-in model: its verdict, every product it
+    composed (``GradedOperator.compose``) and the arguments of every Koszul
+    sum it held (``operators._koszul_sum``), its shared builds included."""
+
+    model: LieAlgebraModel
+    verdict: bool
+    composed: list
+    koszul_sums: list
+
+
+@pytest.fixture(scope="session")
+def catalogue_run():
+    """name -> the ``CatalogueRun`` of that built-in, run once per session
+    for the tests that read it."""
+    runs: dict[str, CatalogueRun] = {}
+
+    def run(name: str) -> CatalogueRun:
+        if name not in runs:
+            model = model_from_json(model_to_json(builtin_model(name)))
+            composed, sums = [], []
+            compose, koszul_sum = GradedOperator.compose, operators._koszul_sum
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(GradedOperator, "compose", lambda p, q: composed.append((p, q)) or compose(p, q))
+                mp.setattr(operators, "_koszul_sum", lambda *args: sums.append(args) or koszul_sum(*args))
+                verdict = run_suite(model).verdict
+            runs[name] = CatalogueRun(model, verdict, composed, sums)
+        return runs[name]
+
+    return run

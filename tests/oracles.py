@@ -125,6 +125,16 @@
 * ``koszul_coefficients``: the beta_J with |J| <= r of the production
   Koszul integral (``operators._koszul_integral``) as Scalar forms, against
   ``scalar_koszul_coefficients``.
+* ``koszul_sum_at_once``, ``reconstruct_at_once`` and
+  ``from_low_columns_at_once``: a Koszul sum with its store scattered at
+  once from the prepared coefficients (``operators._reconstruct``), checked
+  for degree and normalized on the store (``GradedOperator._normalized``),
+  against the production operator held by its coefficients, normalized on
+  them, with columns summed singly where some are read and the store built
+  on the first read that walks it.
+* ``d_squared_by_composition``: d d with every column of d composed,
+  against ``validate_model``, which takes d d = (1/2)[[d, d]] by order from
+  its columns of degree <= 1.
 * ``frame_sum_by_composition``: DC_FRAME's sum_j L_{J u^j} nabla_j composed
   term by term from ``mult_operator`` and the operators ``nabla_operator``,
   against the one Koszul reconstruction of the production route.
@@ -165,7 +175,11 @@ from nkhodge.models import ValidationIssue
 from nkhodge.operators import (
     Column,
     GradedOperator,
+    _check_degree,
+    _integral,
     _koszul_integral,
+    _prepare,
+    _reconstruct,
     adjoint,
     algebra_map_blocks,
     bracket_sum,
@@ -1189,6 +1203,26 @@ def scalar_koszul_coefficients(p: GradedOperator, r: int) -> dict[int, Form]:
     return beta
 
 
+def koszul_sum_at_once(dim: int, coeffs, q: int, d: int, degree: int | None) -> GradedOperator:
+    """The operator of prepared coefficient forms over q with its store
+    built at once: scattered by ``operators._reconstruct``, checked for
+    degree and normalized on the store."""
+    store = _reconstruct(dim, coeffs)
+    _check_degree(store, degree)
+    bound = max((jm.bit_count() for jm, _ in coeffs), default=0)
+    return GradedOperator._normalized(dim, degree, q, d, False, store, bound)
+
+
+def reconstruct_at_once(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOperator:
+    coeffs, q, d = _integral(beta)
+    return koszul_sum_at_once(dim, _prepare(coeffs), q, d, degree)
+
+
+def from_low_columns_at_once(p: GradedOperator, r: int) -> GradedOperator:
+    _, prepared = _koszul_integral(p, r)
+    return koszul_sum_at_once(p.dim, prepared, p.q, p.d, p.degree)
+
+
 class ScalarDerivationAction:
     """The derivation with the given coframe images, column by column in Scalars."""
 
@@ -1256,3 +1290,11 @@ def frame_sum_by_composition(model) -> GradedOperator:
     for j in range(n):
         total = total + mult_operator(j_apply(model, Form.basis(n, 1 << j))).compose(nabla_operator(model, j))
     return total
+
+
+# -- validation -------------------------------------------------------------------
+
+def d_squared_by_composition(model) -> GradedOperator:
+    """d d, every column of d composed."""
+    d = model.d()
+    return d.compose(d)

@@ -18,11 +18,13 @@ from nkhodge.checks import (
 )
 from nkhodge.bidegree import (
     DifferentialSplit,
+    counting_operator,
     d_c,
     differential_split,
     lefschetz_triple,
     named_operator,
     pq_basis,
+    twisted_differential,
 )
 from nkhodge.exterior import Form
 from nkhodge.hodge import harmonic_pq, harmonic_space, hodge_numbers, operator_degree_rows, s_frame
@@ -389,24 +391,25 @@ class TestSelfConjugateSums:
 
 class TestOrderDet:
     def test_detects_a_sign_flip_in_the_reconstruction_of_d(self, monkeypatch):
-        # a sign flipped on the columns of degree >= 3 that every Koszul
-        # reconstruction scatters, so on those of d itself: rebuilding d
-        # from its coframe values repeats the flip, the Leibniz rule does
-        # not.  A column is a dict of integer coordinates over the
-        # operator's denominator.
+        # a sign flipped on the columns of degree >= 3 of every store that a
+        # Koszul sum builds from its coefficients, so on those of d itself,
+        # which ORDER_DET reads in full: rebuilding d from its coframe values
+        # repeats the flip, the Leibniz rule does not.  A column is a dict of
+        # integer coordinates over the operator's denominator.
         original = nkhodge.operators._reconstruct
 
-        def flipped(dim, coeffs, q, d, degree):
-            op = original(dim, coeffs, q, d, degree)
-            store = {
+        def flipped(dim, coeffs):
+            return {
                 m: col if m.bit_count() < 3 else {r: (-a, -b, -c, -e) for r, (a, b, c, e) in col.items()}
-                for m, col in op.coords.items()
+                for m, col in original(dim, coeffs).items()
             }
-            return GradedOperator._normalized(dim, degree, op.q, op.d, op.real, store, op.order_bound)
 
         monkeypatch.setattr(nkhodge.operators, "_reconstruct", flipped)
         model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
+        d = model.orthogonalized().d()
         assert run_check(model, "ORDER_DET").status == "fail"
+        unflipped = original(d.dim, d._symbol)
+        assert all((d.coords[m] == col) == (m.bit_count() < 3) for m, col in unflipped.items())
 
 
 def _fresh(name):
@@ -860,21 +863,25 @@ class TestCostGuards:
         assert run_check(model, "VANISH_COR").status == "fail"
         assert seen == [0, 1, 2]
 
-    def test_su2_four_catalogue_composes_little(self, monkeypatch):
-        # every bracket and frame of bounded order goes by order: what is
-        # left is validation's d d, J_PQ's J E_k, the frame blocks of degree
-        # <= 2 and ORDER_BRACKET's [[d*, L]], which is composed in full
-        original = GradedOperator.compose
-        calls = []
-
-        def recording(p, q):
-            calls.append((p, q))
-            return original(p, q)
-
-        monkeypatch.setattr(GradedOperator, "compose", recording)
+    def test_su2_four_operators_build_no_operand_store(self):
+        # SL2, D2_SPLIT, NK_MAIN and ORDER_DSTAR on a fresh su2-four, shared
+        # builds included, read H and J^{-1} d J only through some of their
+        # columns, each summed from the Koszul coefficients: neither store is
+        # built
         model = _fresh("su2-four")
-        assert run_suite(model).verdict
-        assert len(calls) <= 30
+        assert run_suite(model, ["SL2", "D2_SPLIT", "NK_MAIN", "ORDER_DSTAR"]).verdict
+        target = model.orthogonalized()
+        assert (counting_operator(target)._coords, twisted_differential(target)._coords) == (None, None)
+
+    def test_su2_four_catalogue_composes_little(self, catalogue_run):
+        # every bracket and frame of bounded order goes by order, and
+        # validation takes d d by order too: what is left is J_PQ's J E_k,
+        # the frame blocks of degree <= 2 and ORDER_BRACKET's [[d*, L]],
+        # which is composed in full
+        run = catalogue_run("su2-four")
+        model, calls = run.model, run.composed
+        assert run.verdict
+        assert len(calls) <= 27
         target = model.orthogonalized()
         dstar, l_op = named_operator(target, "adj:d"), named_operator(target, "L")
         assert sum((p is dstar and q is l_op) or (p is l_op and q is dstar) for p, q in calls) == 2
@@ -883,7 +890,8 @@ class TestCostGuards:
         # every bracket of both checks is a derivation or L_{P mu omega},
         # built from coframe values: no product of matrices, the shared builds
         # on a fresh model included (the split, L_mu_omega); validating the
-        # model and its orthogonalized coframe composes d d, so that runs first
+        # model and its orthogonalized coframe takes d d by order and
+        # composes nothing either, but runs first all the same
         original = GradedOperator.compose
         calls = []
 

@@ -7,6 +7,7 @@ from nkhodge.exterior import Form
 from nkhodge.models import (
     BUILTIN_NAMES,
     LieAlgebraModel,
+    ValidationIssue,
     builtin_model,
     model_from_json,
     model_hash,
@@ -16,8 +17,9 @@ from nkhodge.models import (
     su3_extract,
     validate_model,
 )
+from nkhodge.operators import bracket_sum, derivation_from_one_forms
 from nkhodge.scalars import MINUS_ONE, ONE, ZERO, rational
-from oracles import inner_via_minors, jacobi_issues_dense, nabla_operator
+from oracles import d_squared_by_composition, inner_via_minors, jacobi_issues_dense, nabla_operator
 from variants import perturbed_structure, scaled_metric
 
 
@@ -79,6 +81,32 @@ class TestValidation:
             d = bad.d()
             assert d.compose(d).is_zero()
             assert not nearly_kahler_residual(bad).nearly_kahler
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_d_squared_by_order_matches_the_composition(self, name):
+        # d d = (1/2)[[d, d]] is a derivation, so validation takes it from
+        # its columns of degree <= 1 (Koszul); in both presentations it is
+        # the composed d d, and zero
+        model = builtin_model(name)
+        for presentation in (model, model.orthogonalized()):
+            d = presentation.d()
+            assert bracket_sum([], squares=[d]) == d_squared_by_composition(presentation)
+            assert validate_model(presentation).ok
+
+    @pytest.mark.parametrize("name", ["s3xs3-nk", "su2-four"])
+    def test_a_flipped_coframe_value_fails_alike_on_both_routes(self, name):
+        # d with the sign of one coframe value flipped is still a
+        # derivation, and in the orthogonalized coframe of either model no
+        # longer squares to zero: validation fails with the witness of the
+        # composed d d
+        comp = model_from_json(model_to_json(builtin_model(name))).orthogonalized()
+        d = comp.d()
+        images = [d.apply(Form.basis(comp.dim, 1 << i)) for i in range(comp.dim)]
+        for i in (0, comp.dim - 1):
+            comp._cache["d"] = derivation_from_one_forms(comp.dim, images[:i] + [-images[i]] + images[i + 1 :])
+            want = d_squared_by_composition(comp)
+            assert not want.is_zero()
+            assert validate_model(comp).issues == [ValidationIssue("d_squared", (want.first_witness(),))]
 
 
 class TestDifferential:

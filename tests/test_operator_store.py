@@ -6,11 +6,15 @@ d = 1 and d = 3 operators mixed and coefficients above 2**64: the entries,
 the column and row orders that elimination sees, nnz, the witness and the
 float residual, and the normalization of the store itself.  The Koszul sums
 (``reconstruct``, ``derivation_from_one_forms``, the Koszul coefficients
-and ``DerivationAction``) are compared in the same way with the Scalar
-Koszul route of ``oracles``, degree errors included, and every block of
-``algebra_map_blocks`` with the Scalar expansion ``oracles.wedge_image``;
+and a derivation applied to forms) are compared in the same way with the
+Scalar Koszul route of ``oracles``, degree errors included, and every block
+of ``algebra_map_blocks`` with the Scalar expansion ``oracles.wedge_image``;
 a spy checks that the coefficient forms are prepared for the Koszul sum
-once per reconstruction, per ``DerivationAction`` and per new coefficient.
+once per reconstruction, however many forms it applies, and per new
+coefficient.  An operator held by its Koszul coefficients reads, through
+every reader, literally as the same operator with its store built at once
+(``oracles.koszul_sum_at_once``), on random coefficients and on every
+reconstruction the catalogue makes.
 ``combination`` is compared with the ScalarOperator chain of its terms and
 with the chain of binary sums, whose store it must be literally.
 The brackets by order (``bracket_sum``, ``graded_commutator``,
@@ -38,7 +42,6 @@ from nkhodge.exterior import Form, GramData
 from nkhodge.models import BUILTIN_NAMES, builtin_model, model_from_json, model_to_json
 from nkhodge.operators import (
     MINUS_ONE,
-    DerivationAction,
     GradedOperator,
     adjoint,
     algebra_map_blocks,
@@ -61,7 +64,10 @@ from oracles import (
     commutator_by_composition,
     composed_requirements,
     diagonal_operator,
+    from_low_columns_at_once,
     koszul_coefficients,
+    koszul_sum_at_once,
+    reconstruct_at_once,
     scalar_adjoint,
     scalar_derivation,
     scalar_koszul_coefficients,
@@ -73,8 +79,16 @@ DIM = 3
 MASKS = range(1 << DIM)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-coordinates = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**80), 2**80))
-denominators = st.one_of(st.integers(1, 12), st.integers(1, 2**70))
+
+@st.composite
+def one_of(draw, *options):
+    """``st.one_of`` over fixed strategies, without the filtered strategy
+    that it builds on every draw."""
+    return draw(options[draw(st.integers(0, len(options) - 1))])
+
+
+coordinates = one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**80), 2**80))
+denominators = one_of(st.integers(1, 12), st.integers(1, 2**70))
 
 
 @st.composite
@@ -307,18 +321,20 @@ class TestCombination:
         assert combination([(ONE, l0), (ZERO, l0.with_degree(2))]).degree is None
 
 
+POOLS = {d: st.lists(scalars(d), min_size=1, max_size=2) for d in (1, 3)}  # one or two scalars
+
+
 @st.composite
 def coefficient_forms(draw, masks=MASKS, max_terms=4):
     """A form on the given masks, possibly zero and not homogeneous, with
     entries drawn from a pool of two scalars of Q(sqrt 3)(i) or Q(i) (mixed
     denominators, large coefficients) and their negatives, so that the
     Koszul sums cancel."""
-    pool = draw(st.lists(scalars(draw(st.sampled_from([1, 3]))), min_size=1, max_size=2))
-    coeffs = {}
-    for _ in range(draw(st.integers(0, max_terms))):
-        v = draw(st.sampled_from(pool))
-        coeffs[draw(st.sampled_from(masks))] = v if draw(st.booleans()) else -v
-    return Form(DIM, coeffs)
+    pool = draw(POOLS[draw(st.sampled_from([1, 3]))])
+    terms = [(m, s) for m in masks for v in pool for s in (v, -v)]
+    # one draw a term, from strategies built once (a new one is costly to draw from)
+    index = st.integers(0, len(terms) - 1)
+    return Form(DIM, dict(terms[draw(index)] for _ in range(draw(st.integers(0, max_terms)))))
 
 
 @st.composite
@@ -399,16 +415,18 @@ class TestKoszulAgainstScalarRoute:
     @given(st.lists(coefficient_forms(), min_size=DIM, max_size=DIM), st.lists(forms(), min_size=1, max_size=3))
     @EXAMPLES
     def test_derivation_action(self, images, inputs):
-        # the same action object twice over, so cached columns are reused
-        action, reference = DerivationAction(DIM, images), ScalarDerivationAction(DIM, images)
+        # the same derivation twice over, so the columns it summed are reused;
+        # images of any degree, so the derivation declares none
+        action, reference = derivation_from_one_forms(DIM, images, None), ScalarDerivationAction(DIM, images)
         for f in inputs + inputs:
             assert_same_forms(action.apply(f), reference.apply(f))
 
 
 class TestKoszulPreparedOnce:
     """The coefficient forms are prepared for ``_koszul_column`` once: per
-    reconstruction, per ``DerivationAction`` however many forms it applies,
-    and per new coefficient in ``koszul_coefficients`` and the order test."""
+    reconstruction, per derivation held by its coefficients however many
+    forms it applies, and per new coefficient in ``koszul_coefficients`` and
+    the order test."""
 
     IMAGES = [
         Form(DIM, {0b011: Scalar(1, 0, 2, 0, 3), 0b110: Scalar(-2, 0, 0, 0)}),
@@ -443,7 +461,7 @@ class TestKoszulPreparedOnce:
         assert calls == [[0b001], [0b100]]
 
     def test_once_per_derivation_action(self, calls):
-        action = DerivationAction(DIM, self.IMAGES)
+        action = derivation_from_one_forms(DIM, self.IMAGES)
         for mask in MASKS:
             action.apply(Form.basis(DIM, mask))
             action.apply(Form.basis(DIM, mask, Scalar(2, 0, 1, 0)))
@@ -461,6 +479,136 @@ class TestKoszulPreparedOnce:
         calls.clear()
         assert algebraic_order_at_most(p, DIM)
         assert calls == [[jm] for jm in beta]
+
+
+def _pure_part(v: Scalar, case: str) -> Scalar:
+    """v made pure sqrt 3 ("sqrt") or pure imaginary ("imaginary"), nonzero."""
+    n = v.a + v.b + v.c + v.e or 1
+    if case == "sqrt":
+        return Scalar(0, n, 0, 0, v.q, 3)
+    return Scalar(0, 0, n, v.b + v.e, v.q, v.d)
+
+
+@st.composite
+def held_data(draw):
+    """(beta, degree) as ``koszul_data`` draws them, then on a draw every
+    coefficient made pure sqrt 3 or pure imaginary, every form made zero,
+    or one entry off a declared degree added where no entry is."""
+    beta, degree = draw(koszul_data())
+    case = draw(st.sampled_from(["as drawn", "sqrt", "imaginary", "zero", "off"]))
+    if case in ("sqrt", "imaginary"):
+        beta = {jm: Form(DIM, {m: _pure_part(v, case) for m, v in f.coeffs.items()}) for jm, f in beta.items()}
+    elif case == "zero":
+        beta = {jm: f - f for jm, f in beta.items()}
+    elif case == "off":
+        degree = 0 if degree is None else degree
+        jm = draw(st.sampled_from(MASKS))
+        taken = beta.get(jm, Form.zero(DIM)).coeffs
+        bm = draw(st.sampled_from([m for m in MASKS if m.bit_count() != jm.bit_count() + degree and m not in taken]))
+        beta[jm] = beta.get(jm, Form.zero(DIM)) + Form.basis(DIM, bm, draw(scalars()) or ONE)
+    return beta, degree
+
+
+@st.composite
+def low_and_high(draw):
+    """(P, r): P = k L + H / k for a drawn operator with L its columns of
+    degree <= r made integral and H its columns above, so that the
+    coefficients P has on its low columns share the factor k with P's
+    denominator."""
+    r, k = draw(st.integers(0, DIM - 1)), draw(st.integers(1, 12))
+    cols = draw(operators(field=(3, False))).cols
+    low = {
+        m: {row: Scalar(v.a, v.b, v.c, v.e, 1, v.d) for row, v in col.items()}
+        for m, col in cols.items()
+        if m.bit_count() <= r
+    }
+    high = {m: col for m, col in cols.items() if m.bit_count() > r}
+    p = GradedOperator(DIM, low).scale(Scalar(k, 0, 0, 0)) + GradedOperator(DIM, high).scale(Scalar(1, 0, 0, 0, k))
+    return p, r
+
+
+def assert_held_like(held: GradedOperator, ref: GradedOperator, right: GradedOperator, form: Form, ranks, masks):
+    """Every reader of an operator held by its Koszul coefficients against
+    ``ref``, the same operator with its store built at once, literally and
+    key orders included: (q, d, real), the bound, ``is_zero``, the single
+    columns on ``masks``, the low columns and their reconstruction for each
+    r in ``ranks``, the product with ``right`` as the left factor and
+    ``apply`` to ``form``.  None of them builds the store.  ``compose``
+    then builds it, and the store is ref's, and so is its conjugate."""
+    assert held._coords is None
+    assert (held.dim, held.degree, held.q, held.d, held.real, held.order_bound) == (
+        ref.dim, ref.degree, ref.q, ref.d, ref.real, ref.order_bound
+    )
+    assert held.is_zero() == ref.is_zero()
+    column = held._lookup()
+    for m in masks:
+        got, want = column(m) or {}, ref.coords.get(m, {})
+        assert got == want and list(got) == list(want)
+    for r in ranks:
+        assert_literal(low_columns(held, r), low_columns(ref, r))
+        # both held by the coefficients read off those columns, which fix the store
+        a, b = from_low_columns(held, r), from_low_columns(ref, r)
+        fields = ("degree", "q", "d", "real", "order_bound", "_symbol")
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+    # the product kernel reads the left factor's columns singly; ``compose``
+    # builds its store first, for it may read every row
+    assert_literal(held._times_columns(right, right.coords), ref.compose(right))
+    assert_same_forms(held.apply(form), ref.apply(form))
+    assert held._coords is None
+    assert_literal(held.compose(right), ref.compose(right))
+    assert_literal(held, ref)
+    assert_literal(held.conjugated(), ref.conjugated())
+
+
+class TestHeldByCoefficients:
+    """A Koszul sum is held by its prepared coefficients, normalized on them;
+    each reader that takes some columns sums those only, and the store is
+    built on the first read that walks it.  Every reader gives literally
+    what the store built at once gives (``oracles.koszul_sum_at_once``)."""
+
+    @given(held_data(), operators(), forms())
+    @EXAMPLES
+    def test_reconstruct_reads_as_the_store_built_at_once(self, data, right, form):
+        beta, degree = data
+        held, ref = same_outcome(
+            lambda: reconstruct(DIM, beta, degree), lambda: reconstruct_at_once(DIM, beta, degree)
+        )
+        if ref is not None:
+            assert_held_like(held, ref, right, form, range(DIM + 1), MASKS)
+            # the Koszul sum is unique: it is zero exactly without coefficients
+            assert held.is_zero() == all(f.is_zero() for f in beta.values())
+
+    @given(low_and_high(), operators(), forms())
+    @EXAMPLES
+    def test_from_low_columns_reads_as_the_store_built_at_once(self, data, right, form):
+        p, r = data
+        held = from_low_columns(p, r)
+        assert_held_like(held, from_low_columns_at_once(p, r), right, form, range(DIM + 1), MASKS)
+
+    def test_a_common_factor_of_the_coefficients_divides_out(self):
+        # 3/9 on the constant column and 1/9 above it: the coefficient over
+        # q = 9 is 3, so the reconstruction is 1/3 on every column
+        p = GradedOperator(DIM, {0b000: {0b000: Scalar(1, 0, 0, 0, 3)}, 0b011: {0b011: Scalar(1, 0, 0, 0, 9)}}, 0)
+        held = from_low_columns(p, 0)
+        assert (p.q, held.q) == (9, 3)
+        assert_held_like(held, from_low_columns_at_once(p, 0), p, Form.basis(DIM, 0b101), range(DIM + 1), MASKS)
+        assert held == GradedOperator.identity(DIM).scale(Scalar(1, 0, 0, 0, 3))
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_every_reconstruction_of_the_catalogue(self, name, catalogue_run):
+        # the whole catalogue on a fresh model, shared builds included: each
+        # Koszul sum it holds, held anew from the same coefficients, reads
+        # as the store built at once, on the low columns that the
+        # requirements read (on su2-four the single columns of degree <= 3)
+        run = catalogue_run(name)
+        made = run.koszul_sums
+        target = run.model.orthogonalized()
+        masks = [m for m in range(1 << target.dim) if target.dim == 6 or m.bit_count() <= 3]
+        right, form = low_columns(target.d(), 1), target.omega()
+        assert len(made) > 20 and {args[0] for args in made} == {target.dim}
+        for args in made:
+            held = operators_module._koszul_sum(*args)
+            assert_held_like(held, koszul_sum_at_once(*args), right, form, range(3), masks)
 
 
 class TestAlgebraMap:
@@ -491,7 +639,7 @@ def derivations(draw, degrees=(0, 1, 2)):
     values over Q(sqrt 3)(i) or Q(i), zero ones included."""
     degree = draw(st.sampled_from(degrees))
     masks = [m for m in MASKS if m.bit_count() == degree + 1]
-    return derivation_from_one_forms(DIM, draw(st.lists(coefficient_forms(masks), min_size=DIM, max_size=DIM)), degree)
+    return derivation_from_one_forms(DIM, [draw(coefficient_forms(masks)) for _ in range(DIM)], degree)
 
 
 @st.composite
