@@ -28,11 +28,13 @@ through one of two primitives, and neither keeps a block of E or F:
   degree <= r only, and rebuilds the rest by one reconstruction; the
   blocks are built as they are read, so no block of E or F past them is
   built.  Every operator a frame is taken of has a bound (r is required).
-  J_PQ asks that J be diagonal in the frame, without F: J E = E D, D the
-  diagonal of i^(p-q) on the columns of type (p,q), E block by block.
+
+J_PQ reads type through neither primitive: J, E and the diagonal of
+i^(p-q) are algebra maps, so J is diagonal in the frame exactly when
+J eta^a = i eta^a and J conj(eta^a) = -i conj(eta^a).
 
 ``j_operator`` is J, the algebra map of the J u^i, built on the integer
-store by ``operators.algebra_map_blocks``; J_PQ and LEM_NK read it.
+store by ``operators.algebra_map_blocks``; only LEM_NK reads it.
 
 ``differential_split`` produces the four components with bidegrees
 (2,-1), (1,0), (0,1), (-1,2).  d is real and J is real, so delbar and mubar
@@ -46,9 +48,8 @@ a derivation built from its coframe values (``twisted_differential``),
 shared by ``d_c`` and the DC_DEF check; it applies J to the 2-forms
 d(J u^i) through the columns of the algebra map they need, not the full J.
 The split's invariant d = mu + del + delbar + mubar and ``d_c``'s
-d^c = i(mu - del + delbar - mubar) compare derivations, so each is decided
-on the columns of degree <= 1 (``operators.low_columns``): by Koszul's
-rule two operators of order <= 1 agree exactly when those columns do.
+d^c = i(mu - del + delbar - mubar) are sums of derivations, each decided
+as a term list by the rule of low columns (``operators.requirement_columns``).
 
 ``named_operator`` builds every derived operator the catalogue names: d,
 the four components, L = L_omega, L_mu_omega and
@@ -71,6 +72,7 @@ from itertools import islice
 from .exterior import Form
 from .linalg import inverse, solve
 from .operators import (
+    MINUS_ONE,
     GradedOperator,
     adjoint,
     algebra_map_apply,
@@ -79,9 +81,9 @@ from .operators import (
     derivation_from_one_forms,
     from_low_columns,
     laplacian,
-    low_columns,
     mult_operator,
     reconstruct,
+    requirement_columns,
 )
 from .scalars import I, ONE, ZERO, Scalar, rational
 
@@ -176,7 +178,8 @@ def decompose_form(model, form: Form) -> dict[tuple[int, int], Form]:
 
 def j_operator(model) -> GradedOperator:
     """J, (J alpha)(X_1, ..., X_k) = alpha(J X_1, ..., J X_k): the algebra map
-    of the J u^i, its degree blocks summed into one operator."""
+    of the J u^i, its degree blocks summed into one operator; read by
+    LEM_NK only."""
 
     def build():
         return combination([(ONE, block) for block in algebra_map_blocks(model.dim, model.j_one_form_rows())])
@@ -197,23 +200,13 @@ class DifferentialSplit:
     def components(self) -> dict[str, GradedOperator]:
         return {"mu": self.mu, "del": self.del_, "delbar": self.delbar, "mubar": self.mubar}
 
-    def coframe_sum(self, coeffs) -> GradedOperator:
-        """sum c_i P_i over the components in order, on their columns of
-        degree <= 1 only: every component is a derivation, so any such sum
-        has order <= 1 and equals an operator of order <= 1 exactly when
-        these columns do (Koszul)."""
-        return combination([(c, low_columns(p, 1)) for c, p in zip(coeffs, self.components().values())])
-
 
 def differential_split(model) -> DifferentialSplit:
     """The four components of d: mu and del are the derivations with their
     coframe values, held by their Koszul coefficients, and delbar and mubar
     their complex conjugates, conjugated on the store (which builds those
-    of mu and del).
-
-    d = mu + del + delbar + mubar is asserted on the columns of degree <= 1
-    only: both sides are derivations, of order <= 1, and two operators of
-    order <= 1 agree exactly when those columns agree (Koszul)."""
+    of mu and del).  d = mu + del + delbar + mubar is asserted as a term
+    list of derivations (``operators.requirement_columns``)."""
 
     def build():
         d = model.d()
@@ -227,7 +220,8 @@ def differential_split(model) -> DifferentialSplit:
         mu = derivation_from_one_forms(model.dim, mu_im)
         del_ = derivation_from_one_forms(model.dim, del_im)
         split = DifferentialSplit(mu, del_, del_.conjugated(), mu.conjugated())
-        if split.coframe_sum((ONE,) * 4) != low_columns(d, 1):
+        terms = [(ONE, p) for p in split.components().values()]
+        if not requirement_columns([*terms, (MINUS_ONE, d)])[0].is_zero():
             raise AssertionError("bidegree split does not reassemble d")
         return split
 
@@ -252,14 +246,14 @@ def twisted_differential(model) -> GradedOperator:
 
 def d_c(model) -> GradedOperator:
     """J^{-1} d J, held by its Koszul coefficients and cross-checked against
-    i(mu - del + delbar - mubar) on the columns of degree <= 1: both are
-    derivations, of order <= 1, so they agree exactly when those columns
-    agree (Koszul)."""
+    i(mu - del + delbar - mubar) as a term list of derivations
+    (``operators.requirement_columns``)."""
 
     def build():
         twisted = twisted_differential(model)
-        alt = differential_split(model).coframe_sum((I, -I, I, -I))
-        if low_columns(twisted, 1) != alt:
+        parts = differential_split(model).components().values()
+        terms = [(ONE, twisted), *zip((-I, I, -I, I), parts)]
+        if not requirement_columns(terms)[0].is_zero():
             raise AssertionError("J^{-1} d J disagrees with i(mu - del + delbar - mubar)")
         return twisted
 

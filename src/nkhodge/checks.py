@@ -32,15 +32,10 @@ Every operator the catalogue names carries an order bound
 (``operators``): 1 for the components of d, 0 for L and L_mu_omega, and
 for an adjoint its operand's bound plus its degree; a bracket [[P, Q]]
 has r_P + r_Q - 1, floored at 0.  Every operator requirement is a sum
-c_i T_i = 0 of such terms, each T_i an operator or a ``Bracket`` (a sum
-of brackets and odd squares P P = (1/2)[[P, P]], such as D2_SPLIT's
-[[delbar,mu]] + del^2, held by its operands), and it is decided by
-Koszul's rule: with R the largest bound among the T_i, the sum has order
-<= R, so it is zero exactly when its columns of degree <= R are
-(``requirement_columns``).  A plain term is read through ``low_columns``,
-a Bracket computes its own products on those columns only
-(``bracket_columns`` at R), and the sum is one ``combination`` of them;
-no bracket is rebuilt.  Only a failing requirement is rebuilt, by one
+c_i T_i = 0 of such terms, each T_i an operator or a ``Bracket`` (such
+as D2_SPLIT's [[delbar,mu]] + del^2), decided as a term list by the rule
+of low columns that ``operators`` states (``requirement_columns``); no
+bracket is rebuilt.  Only a failing requirement is rebuilt, by one
 reconstruction (``from_low_columns``), for its witness and residual, and
 the store is unique, so they are those of the sum built in full.  All 60
 requirements of the catalogue have R <= 2, so at dim 12 they read at
@@ -78,17 +73,18 @@ eta-monomial basis, F P E (``PQBasis.frame``).  E is an algebra map, so
 F P E has the order of P in the eta-coframe, and every operator they read
 is bounded by 2: the frame composes the blocks of degree <= r only, which
 read P's columns of degree <= r only, and rebuilds the rest by one
-reconstruction.  DIM6_EIGEN passes each operator's bound and asks that it
-be its scalar, or that scalar times F L E, on the columns of each type.
-J_PQ asks that F J E be diagonal with i^(p-q) on the columns of type
-(p,q), as J E = E D block by block, with no F.  VANISH_COR reads type
-preservation off the rows of the columns of each type (p,q), and takes
-the rank of those columns straight off the frame's integer store
-(``GradedOperator.pivot_columns``), which is that of the images diff(m)
-since F is invertible.  Its difference Laplacian
-Delta_{L_mu omega} - Delta_{L_mubar omega} enters only through its columns
-of degree <= 2, low - conj(low) with low those of
-[[L_mu_omega*, L_mu_omega]] (``bracket_columns``), so neither Laplacian is
+reconstruction.  Each frame is taken of a term list's low columns
+(``requirement_columns``), so no operator sum it reads is built.
+DIM6_EIGEN asks that each of its operators be its scalar, or that scalar
+times F L E, on the columns of each type.  J_PQ asks that J be i^(p-q)
+on the eta-monomials of type (p,q); J, E and that diagonal are algebra
+maps, so it reads J on the 2n generators only, where it is J^2 = -1.
+VANISH_COR reads type preservation off the rows of the columns of each
+type (p,q), and takes the rank of those columns straight off the frame's
+integer store (``GradedOperator.pivot_columns``), which is that of the
+images diff(m) since F is invertible.  Its difference Laplacian
+Delta_{L_mu omega} - Delta_{L_mubar omega} is the term list X - conj X,
+X = [[L_mu_omega*, L_mu_omega]], so neither Laplacian is
 built.  HODGE_ABCD reads the frame of S = Delta_mu + Delta_del +
 Delta_delbar + Delta_mubar (``hodge.s_frame``, built the same way): S
 must preserve every type, and then the per-type kernels of S that
@@ -101,7 +97,6 @@ values.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 
@@ -122,18 +117,16 @@ from .linalg import inverse, sparse_kernel
 from .models import LieAlgebraModel, nabla_omega_symmetrization, nk_report, su3_extract
 from .operators import (
     MINUS_ONE,
+    Bracket,
     GradedOperator,
     adjoint,
-    algebra_map_blocks,
+    algebra_map_apply,
     algebraic_order_at_most,
-    bracket_columns,
-    bracket_order,
-    combination,
     derivation_from_one_forms,
     from_low_columns,
     graded_commutator as br,
-    low_columns,
     mult_operator,
+    requirement_columns,
 )
 from .scalars import I, ONE, ZERO, Scalar, rational
 
@@ -155,50 +148,6 @@ class SuiteReport:
     results: list[CheckResult]
     verdict: bool
     total_ms: float
-
-
-class Bracket:
-    """The sum of [[P, Q]] over ``pairs`` plus P P = (1/2)[[P, P]] over the
-    odd ``squares``, as a term of a requirement: held by its operands and
-    never built.  ``order_bound`` is its ``bracket_order`` r, and
-    ``low_columns(R)``, for any R >= r, the signed products on the columns
-    of degree <= R (``bracket_columns`` at R), computed once per R.
-    ``conjugated`` is the bracket sum of the conjugate operands, read as
-    the same columns conjugated."""
-
-    __slots__ = ("pairs", "squares", "order_bound", "conjugate", "_lows")
-
-    def __init__(self, pairs, squares=()):
-        self.pairs, self.squares = list(pairs), list(squares)
-        self.order_bound = bracket_order(self.pairs, self.squares)
-        self.conjugate = False
-        self._lows: dict[int, GradedOperator] = {}
-
-    def low_columns(self, r: int) -> GradedOperator:
-        low = self._lows.get(r)
-        if low is None:
-            low = self._lows[r] = bracket_columns(self.pairs, self.squares, r)[0]
-        return low.conjugated() if self.conjugate else low
-
-    def conjugated(self) -> Bracket:
-        out = copy.copy(self)  # shares the computed columns
-        out.conjugate = not self.conjugate
-        return out
-
-
-def requirement_columns(terms) -> tuple[GradedOperator, int]:
-    """(low, R) for a requirement sum c_i T_i over the (Scalar c_i, T_i) of
-    ``terms``, each T_i an operator or a ``Bracket`` with an order bound:
-    R is the largest bound, and low the sum on its columns of degree <= R,
-    one ``combination`` of ``low_columns(T_i, R)``, a Bracket computing its
-    own products there.  Every T_i has order <= R, so the sum does too, and
-    by Koszul's rule it is ``from_low_columns(low, R)``: it is zero exactly
-    when low is."""
-    if any(t.order_bound is None for _, t in terms):
-        raise ValueError("a requirement by order needs terms with order bounds")
-    r = max(t.order_bound for _, t in terms)
-    lows = [(c, t.low_columns(r) if isinstance(t, Bracket) else low_columns(t, r)) for c, t in terms]
-    return combination(lows), r
 
 
 class _Acc:
@@ -269,12 +218,6 @@ def _delbar_star_del(model) -> GradedOperator:
     return model._memo("[[adj:delbar,del]]", lambda: br(*_ops(model, "adj:delbar", "del")))
 
 
-def _mubar_mu(model) -> GradedOperator:
-    """[[mubar, mu]] = mu mubar + mubar mu."""
-    mu, _, _, mb = _parts(model)
-    return br(mb, mu)
-
-
 def _su3(model):
     return model._memo("su3", lambda: su3_extract(model))
 
@@ -304,21 +247,19 @@ def check_sl2(model, acc: _Acc):
 
 
 def check_j_pq(model, acc: _Acc):
-    """J E_k = E_k D_k on each degree k, D_k the diagonal of i^(p-q) on the
-    eta-monomials of type (p,q); E is invertible, so this is F J E = D.  The
-    first type in (p, q) order with a column off is the witness."""
+    """J = i^(p-q) on the eta-monomials of type (p,q), that is J E = E D
+    with D the diagonal of i^(p-q).  J, E and D are algebra maps, so this
+    holds exactly when it holds on the generators: J eta^a = i eta^a and
+    J conj(eta^a) = -i conj(eta^a).  J is applied to them through the
+    columns of the algebra map of the J u^i that they need.  The least
+    type with a generator off, (0,1) before (1,0), is the witness."""
     pqb = pq_basis(model)
-    j = j_operator(model)
-    eigenvalues = [I**k for k in range(4)]
-
-    def eigenvalue(m: int) -> Scalar:
-        p, q = pqb.bidegree_of_mask(m)
-        return eigenvalues[(p - q) % 4]
-
-    off = set()
-    for e_k in algebra_map_blocks(model.dim, pqb.generators):
-        wrong = j.compose(e_k) - e_k.scale_columns(eigenvalue)
-        off.update(pqb.bidegree_of_mask(m) for m in wrong.coords)
+    images = algebra_map_apply(model.j_one_form_rows(), pqb.generators)
+    off = {
+        pqb.bidegree_of_mask(1 << a)
+        for a, (g, jg) in enumerate(zip(pqb.generators, images))
+        if jg != g.scale(I if a < pqb.n else -I)
+    }
     if off:
         p, q = min(off)
         acc.require(f"J != i^(p-q) on ({p},{q})", False)
@@ -629,12 +570,21 @@ _DIM6_EIGENVALUES = (
 
 
 def check_dim6_eigen(model, acc: _Acc):
+    """Each operator of ``_DIM6_EIGENVALUES`` is its scalar on every
+    Lambda^{p,q}, read in the eta-frame.  Each frame, and that of L, is
+    taken of a term list's low columns (``requirement_columns``), so none
+    of the sums is built."""
     lam2 = _su3(model).lambda_sq
     pqb = pq_basis(model)
-    d_lm, d_lmb, d_del, d_db, l_op = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega", "lap:del", "lap:delbar", "L")
-    ops = (d_lm, d_del - d_db, d_lm - d_lmb, _mubar_mu(model))
-    frames = [pqb.frame(op, op.order_bound) for op in ops]
-    l_frame = pqb.frame(l_op, l_op.order_bound)
+    d_lm, d_del, d_db, mu, mb, l_op = _ops(model, "lap:L_mu_omega", "lap:del", "lap:delbar", "mu", "mubar", "L")
+    lows = (
+        requirement_columns([(ONE, d_lm)]),
+        requirement_columns([(ONE, d_del), (MINUS_ONE, d_db)]),
+        _difference_low_columns(model),
+        requirement_columns([(ONE, Bracket([(mb, mu)]))]),
+        requirement_columns([(ONE, l_op)]),
+    )
+    *frames, l_frame = (pqb.frame(*low) for low in lows)
     for p in range(4):
         for q in range(4):
             for m in pqb.monomial_masks(p, q):
@@ -764,10 +714,10 @@ def check_hodge_abcd(model, acc: _Acc):
 
 def _difference_low_columns(model) -> tuple[GradedOperator, int]:
     """(Delta_{L_mu omega} - Delta_{L_mubar omega} on its columns of degree
-    <= r, r): the low columns of [[L_mu_omega*, L_mu_omega]] minus their
-    conjugate, with no Laplacian built."""
-    low, r = bracket_columns([tuple(_ops(model, "adj:L_mu_omega", "L_mu_omega"))])
-    return low - low.conjugated(), r
+    <= r, r): [[L_mu_omega*, L_mu_omega]] minus its conjugate as a term
+    list (``requirement_columns``), with no Laplacian built."""
+    x = Bracket([tuple(_ops(model, "adj:L_mu_omega", "L_mu_omega"))])
+    return requirement_columns([(ONE, x), (MINUS_ONE, x.conjugated())])
 
 
 def check_vanish_cor(model, acc: _Acc):

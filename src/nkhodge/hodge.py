@@ -30,11 +30,13 @@ b^k = sum_{p+q=k} h^{p,q} then compares two computations that share only
 d: nullities of S against ranks of d.
 
 S is built in the eta-frame only.  Delta_delbar and Delta_mubar are the
-conjugates of Delta_del and Delta_mu, and S has order <= 2, so its columns
-of degree <= 2 are low + conj(low), with low the products of
-[[mu*, mu]] + [[del*, del]] on those columns (``bracket_columns``), and
+conjugates of Delta_del and Delta_mu, so S is the term list X + conj X
+with X = [[mu*, mu]] + [[del*, del]], of order <= 2, read on its columns
+of degree <= 2 by the rule of low columns (``operators.requirement_columns``);
 the frame is composed on E's columns of degree <= 2 and rebuilt by one
-reconstruction; no Laplacian of S is built in the u-coframe.
+reconstruction, and no Laplacian of S is built in the u-coframe.  Both
+kernels read their blocks through one Scalar-row adapter
+(``operator_rows``).
 
 Everything is computed in the orthogonalized presentation of the model
 (the numbers are coframe-invariant); the basis forms that ``harmonic_space``
@@ -51,7 +53,8 @@ from math import comb
 from .bidegree import named_operator, pq_basis
 from .exterior import Form, graded_lex_key
 from .linalg import SparseRow, sparse_kernel, transpose
-from .operators import GradedOperator, algebra_map_apply, bracket_columns
+from .operators import Bracket, GradedOperator, algebra_map_apply, requirement_columns
+from .scalars import ONE
 
 
 @dataclass
@@ -81,11 +84,19 @@ def degree_masks(dim: int, k: int) -> list[int]:
     return sorted((m for m in range(1 << dim) if m.bit_count() == k), key=graded_lex_key)
 
 
+def operator_rows(op: GradedOperator, masks: list[int]) -> list[SparseRow]:
+    """Row-sparse matrix of the block of op's columns at ``masks``, column j
+    at masks[j]: read in store order (``scalar_columns``), one Scalar per
+    distinct entry."""
+    index = {m: j for j, m in enumerate(masks)}
+    return transpose((index[c], col) for c, col in op.scalar_columns(index))
+
+
 def operator_degree_rows(op: GradedOperator, k: int, dim: int) -> tuple[list[SparseRow], list[int]]:
-    """Row-sparse matrix of the degree-k block (columns indexed by mask order)."""
+    """``operator_rows`` of the degree-k block, its columns in graded-lex
+    mask order, and those masks."""
     masks = degree_masks(dim, k)
-    index = {m: i for i, m in enumerate(masks)}
-    return transpose((index[c], col) for c, col in op.scalar_columns(k)), masks
+    return operator_rows(op, masks), masks
 
 
 def _native(model, comp, forms: list[Form]) -> list[Form]:
@@ -109,11 +120,11 @@ def harmonic_space(model, k: int) -> list[Form]:
 
 def s_low_columns(model) -> tuple[GradedOperator, int]:
     """(S on its columns of degree <= r, r) for S = Delta_mu + Delta_del +
-    Delta_delbar + Delta_mubar: low + conj(low), with low the low columns of
-    [[mu*, mu]] + [[del*, del]], since the barred Laplacians are the
-    conjugates of the unbarred ones."""
-    low, r = bracket_columns([tuple(named_operator(model, n) for n in (f"adj:{c}", c)) for c in ("mu", "del")])
-    return low + low.conjugated(), r
+    Delta_delbar + Delta_mubar: the term list X + conj X with X =
+    [[mu*, mu]] + [[del*, del]] (``requirement_columns``), since the barred
+    Laplacians are the conjugates of the unbarred ones."""
+    x = Bracket([tuple(named_operator(model, n) for n in (f"adj:{c}", c)) for c in ("mu", "del")])
+    return requirement_columns([(ONE, x), (ONE, x.conjugated())])
 
 
 def s_frame(model) -> GradedOperator:
@@ -135,7 +146,7 @@ def harmonic_pq(model, p: int, q: int) -> list[Form]:
     def build():
         pqb, frame = pq_basis(comp), s_frame(comp)
         masks = pqb.monomial_masks(p, q)
-        rows = transpose((j, frame.column_form(m).coeffs) for j, m in enumerate(masks))
+        rows = operator_rows(frame, masks)
         kernel = [Form(comp.dim, {masks[j]: v for j, v in vec.items()}) for vec in sparse_kernel(rows, len(masks))]
         return algebra_map_apply(pqb.generators, kernel)
 

@@ -97,8 +97,8 @@ adjoint of P by r + |P|, floored at 0, since in an orthogonal coframe
 (L_{u^b} iota_J)* is a weighted L_{u^J} iota_b with |b| = |J| + |P|; a
 product by the sum of the bounds, a linear combination by their max.
 ``scale``, ``conjugated``, negation and ``with_degree`` keep the bound.
-Every other operator (the constructor's, ``scale_columns``,
-``algebra_map_blocks``, a product on some columns) has none.
+Every other operator (the constructor's, ``algebra_map_blocks``, a
+product on some columns) has none.
 
 The order filtration is multiplicative and its graded algebra is
 graded-commutative, so ord [[P, Q]] <= ord P + ord Q - 1.  ``bracket_sum``
@@ -109,16 +109,25 @@ cases.  That is the only route to a bracket, so every operand must carry
 an order bound (``bracket_order`` reads r off them), and one without
 raises ValueError; [[P, L_beta]] for a derivation P is its r = 0 case.
 Each ``bracket_sum`` is the full matrix, so with a true bound it equals the
-composed commutator literally.  A reader that needs the bracket only
-through its low columns takes ``bracket_columns`` and reconstructs
-nothing: an eta-frame of bounded order at r, and a requirement of the
-catalogue at the largest bound R >= r among its terms, since two
-operators of order <= R are equal exactly when their columns of degree
-<= R are (``low_columns``).
+composed commutator literally.
+
+The rule of low columns: two operators of order <= R are equal exactly
+when their columns of degree <= R are, since each is the reconstruction
+of them (``low_columns``).  Every sum c_i T_i of bounded terms, each T_i
+an operator or a ``Bracket`` (a sum of brackets and odd squares held by
+its operands, never built), is decided by it as a term list
+(``requirement_columns``): R is the largest bound among the T_i, a plain
+term is read through ``low_columns``, a Bracket computes its own products
+on those columns only (``bracket_columns`` at R), and the sum is one
+``combination`` of them, which ``from_low_columns`` rebuilds in full
+where a reader needs it.  The catalogue's requirements, the invariants
+of the split of d and of d^c, and the low columns that an eta-frame is
+taken of all go this way, so none of these sums is built in full.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 
@@ -298,14 +307,14 @@ class GradedOperator:
     def _entry(self, t: Coords) -> Scalar:
         return Scalar(t[0], t[1], t[2], t[3], self.q, self.d)
 
-    def scalar_columns(self, degree: int | None = None):
-        """(mask, column of Scalars) in store order, only the columns on
-        forms of ``degree`` when it is given.  One Scalar per distinct
+    def scalar_columns(self, masks=None):
+        """(mask, column of Scalars) in store order, only the columns at
+        ``masks`` (a container) when it is given.  One Scalar per distinct
         entry, shared by the columns; nothing is kept."""
         image: dict[Coords, Scalar] = {}
         entry = self._entry
         for c, col in self.coords.items():
-            if degree is None or c.bit_count() == degree:
+            if masks is None or c in masks:
                 out = {}
                 for r, t in col.items():
                     v = image.get(t)
@@ -359,19 +368,6 @@ class GradedOperator:
 
     def scale(self, s: Scalar) -> GradedOperator:
         return combination([(s, self)])
-
-    def scale_columns(self, weight) -> GradedOperator:
-        """P D for D the diagonal m -> weight(m) * m of a mask -> Scalar
-        function: each column times its scalar, with no product of matrices."""
-        masks = list(self.coords)
-        den, wd, scaled = common([weight(c) for c in masks])
-        d = join(self.d, wd)
-        cols: Store = {}
-        for c, w in zip(masks, scaled):
-            if any(w):
-                u = (*w, 1)
-                cols[c] = {r: product((*t, 1), u, d)[:4] for r, t in self.coords[c].items()}
-        return GradedOperator._normalized(self.dim, self.degree, self.q * den, d, False, cols)
 
     def compose(self, other: GradedOperator) -> GradedOperator:
         """self after other (matrix product self . other), of order at most
@@ -659,6 +655,50 @@ def graded_commutator(p: GradedOperator, q: GradedOperator) -> GradedOperator:
 def laplacian(p: GradedOperator, p_star: GradedOperator) -> GradedOperator:
     """P-Laplacian [[P*, P]] from P and its adjoint P*."""
     return graded_commutator(p_star, p)
+
+
+class Bracket:
+    """The sum of [[P, Q]] over ``pairs`` plus P P = (1/2)[[P, P]] over the
+    odd ``squares``, as a term of a requirement: held by its operands and
+    never built.  ``order_bound`` is its ``bracket_order`` r, and
+    ``low_columns(R)``, for any R >= r, the signed products on the columns
+    of degree <= R (``bracket_columns`` at R), computed once per R.
+    ``conjugated`` is the bracket sum of the conjugate operands, read as
+    the same columns conjugated."""
+
+    __slots__ = ("pairs", "squares", "order_bound", "conjugate", "_lows")
+
+    def __init__(self, pairs, squares=()):
+        self.pairs, self.squares = list(pairs), list(squares)
+        self.order_bound = bracket_order(self.pairs, self.squares)
+        self.conjugate = False
+        self._lows: dict[int, GradedOperator] = {}
+
+    def low_columns(self, r: int) -> GradedOperator:
+        low = self._lows.get(r)
+        if low is None:
+            low = self._lows[r] = bracket_columns(self.pairs, self.squares, r)[0]
+        return low.conjugated() if self.conjugate else low
+
+    def conjugated(self) -> Bracket:
+        out = copy.copy(self)  # shares the computed columns
+        out.conjugate = not self.conjugate
+        return out
+
+
+def requirement_columns(terms) -> tuple[GradedOperator, int]:
+    """(low, R) for a sum c_i T_i over the (Scalar c_i, T_i) of ``terms``,
+    each T_i an operator or a ``Bracket`` with an order bound: R is the
+    largest bound, and low the sum on its columns of degree <= R, one
+    ``combination`` of ``low_columns(T_i, R)``, a Bracket computing its own
+    products there.  Every T_i has order <= R, so the sum does too, and it
+    is ``from_low_columns(low, R)``: it is zero exactly when low is, and
+    equals an operator of order <= R exactly when their low columns agree."""
+    if any(t.order_bound is None for _, t in terms):
+        raise ValueError("a requirement by order needs terms with order bounds")
+    r = max(t.order_bound for _, t in terms)
+    lows = [(c, t.low_columns(r) if isinstance(t, Bracket) else low_columns(t, r)) for c, t in terms]
+    return combination(lows), r
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,11 @@
   Laplacian as ``off_type`` on its image of every eta-monomial, against
   VANISH_COR's matrix of it in the eta-monomial basis.
 * ``diagonal_operator``: the diagonal m -> weight(m) m through the Scalar
-  constructor, against ``scale_columns`` and the counting operator H, a
-  Koszul sum.
+  constructor, against the counting operator H, a Koszul sum.
+* ``j_pq_every_degree``: J_PQ as J E_k - E_k D_k on every block E_k of the
+  eta-frame, D the ``diagonal_operator`` of i^(p-q), composed from the
+  full ``j_operator``, against the production check, which applies J to
+  the 2n generators only.
 * ``frame_columns_by_composition``: F P E with every column composed, block
   by block from ``algebra_map_blocks``, against the production
   ``PQBasis.frame``, which composes the blocks of degree <= r of a P of
@@ -149,8 +152,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from nkhodge.bidegree import DifferentialSplit, differential_split, pq_basis
-from nkhodge.checks import Bracket, _Acc
+from nkhodge.bidegree import DifferentialSplit, differential_split, j_operator, pq_basis
+from nkhodge.checks import _Acc
 from nkhodge.exterior import (
     Form,
     GramData,
@@ -173,6 +176,7 @@ from nkhodge.linalg import (
 )
 from nkhodge.models import ValidationIssue
 from nkhodge.operators import (
+    Bracket,
     Column,
     GradedOperator,
     _check_degree,
@@ -211,6 +215,29 @@ def diagonal_operator(dim: int, weight) -> GradedOperator:
     """Degree-0 operator m -> weight(m) * m for a mask -> Scalar function,
     through the Scalar constructor."""
     return GradedOperator(dim, {m: {m: weight(m)} for m in range(1 << dim)}, 0, check=False)
+
+
+def j_pq_every_degree(model, i: Scalar) -> str | None:
+    """J_PQ's witness, J != i^(p-q) on the least type (p,q) with a column of
+    J E_k - E_k D_k off over every degree k, D the diagonal of i^(p-q) for
+    the given unit i; None when no column is off."""
+    pqb = pq_basis(model)
+    j = j_operator(model)
+    powers = [i**k for k in range(4)]
+
+    def eigenvalue(m: int) -> Scalar:
+        p, q = pqb.bidegree_of_mask(m)
+        return powers[(p - q) % 4]
+
+    diagonal = diagonal_operator(model.dim, eigenvalue)
+    off = set()
+    for e_k in algebra_map_blocks(model.dim, pqb.generators):
+        wrong = j.compose(e_k) - e_k.compose(diagonal)
+        off.update(pqb.bidegree_of_mask(m) for m in wrong.coords)
+    if not off:
+        return None
+    p, q = min(off)
+    return f"J != i^(p-q) on ({p},{q})"
 
 
 def wedge_masks(m1: int, m2: int) -> tuple[int, int]:

@@ -44,6 +44,7 @@ from nkhodge.operators import (
     bracket_columns,
     derivation_from_one_forms,
     from_low_columns,
+    graded_commutator,
     low_columns,
     reconstruct,
 )
@@ -54,6 +55,7 @@ from oracles import (
     commutator_by_composition,
     frame_columns_by_composition,
     frame_sum_by_composition,
+    j_pq_every_degree,
     laplacian_of_del_minus_delbar,
     off_type_failures,
     stacked_kernel_nullities,
@@ -344,11 +346,12 @@ class TestSelfConjugateSums:
 
         monkeypatch.setattr(GradedOperator, "compose", recording)
         text = model_to_json(builtin_model(name))
-        found, seen = [], 0
+        found, seen, calls = [], 0, 0
         for cid in sorted(CHECKS):
             model = model_from_json(text)
             operands.clear()
             run_check(model, cid)
+            calls += len(operands)
             # zero operators of one degree are all equal (every d component on torus6)
             pairs = [(p, q) for p, q in operands if not (p.is_zero() or q.is_zero())]
             seen += len(pairs)
@@ -356,7 +359,10 @@ class TestSelfConjugateSums:
                 conj = (p.conjugated(), q.conjugated())
                 if conj != (p, q):
                     found += [(cid, x, y) for y in range(x + 1, len(pairs)) if pairs[y] == conj]
-        assert seen and found == []
+        # the recording is live on every model; on torus6, where d vanishes and
+        # J_PQ composes nothing, no check composes a nonzero pair at all
+        assert calls > 0 and found == []
+        assert (seen == 0) == (name == "torus6")
 
     @pytest.mark.parametrize("order", [("LAP_COM", "DELTA_SUM"), ("DELTA_SUM", "LAP_COM")])
     def test_lap_com_and_delta_sum_share_x(self, order, monkeypatch):
@@ -428,15 +434,18 @@ def _type_breaking_extra(model):
 
 
 def _mutate_low_columns(monkeypatch, extra):
-    """``checks.bracket_columns`` with ``extra`` added to the low columns it
-    returns."""
-    original = nkhodge.checks.bracket_columns
+    """``operators.bracket_columns`` with ``extra`` added to the low columns
+    it returns, for every bracket built after.  For an imaginary ``extra``
+    of degree 0, as below, VANISH_COR's difference [[L_mu_omega*,
+    L_mu_omega]] - conj gains 2 extra, and S = X + conj X, the operator of
+    ``harmonic_pq``, does not change."""
+    original = nkhodge.operators.bracket_columns
 
-    def mutated(pairs, squares=()):
-        low, r = original(pairs, squares)
-        return low + extra, r
+    def mutated(pairs, squares=(), r=None):
+        low, got_r = original(pairs, squares, r)
+        return low + extra, got_r
 
-    monkeypatch.setattr(nkhodge.checks, "bracket_columns", mutated)
+    monkeypatch.setattr(nkhodge.operators, "bracket_columns", mutated)
 
 
 def _spy_e_blocks(monkeypatch, pqb):
@@ -515,7 +524,7 @@ _FRAME_OPERATORS = {
     "diff": (_difference_laplacian, 2),
     "Delta_del - Delta_delbar": (lambda m: named_operator(m, "lap:del") - named_operator(m, "lap:delbar"), 2),
     "L": (lambda m: named_operator(m, "L"), 0),
-    "[[mubar,mu]]": (lambda m: nkhodge.checks._mubar_mu(m), 1),
+    "[[mubar,mu]]": (lambda m: graded_commutator(*(named_operator(m, n) for n in ("mubar", "mu"))), 1),
 }
 
 
@@ -605,9 +614,8 @@ class TestBracketsByOrder:
             built.append((list(pairs), list(squares), r, low, got_r))
             return low, got_r
 
-        # bracket_sum looks bracket_columns up in operators, a Bracket in checks
+        # bracket_sum and a Bracket both look bracket_columns up in operators
         monkeypatch.setattr(nkhodge.operators, "bracket_columns", recording)
-        monkeypatch.setattr(nkhodge.checks, "bracket_columns", recording)
         expected = KODAIRA_EXPECTED_FAILURES if name == "kodaira-thurston" else ()
         assert run_suite(_fresh(name), expected_failures=expected).verdict
         assert len(built) > 30
@@ -874,14 +882,14 @@ class TestCostGuards:
         assert (counting_operator(target)._coords, twisted_differential(target)._coords) == (None, None)
 
     def test_su2_four_catalogue_composes_little(self, catalogue_run):
-        # every bracket and frame of bounded order goes by order, and
-        # validation takes d d by order too: what is left is J_PQ's J E_k,
-        # the frame blocks of degree <= 2 and ORDER_BRACKET's [[d*, L]],
-        # which is composed in full
+        # every bracket and frame of bounded order goes by order, validation
+        # takes d d by order too, and J_PQ reads J on the generators only:
+        # what is left is the frame blocks of degree <= 2 and ORDER_BRACKET's
+        # [[d*, L]], which is composed in full
         run = catalogue_run("su2-four")
         model, calls = run.model, run.composed
         assert run.verdict
-        assert len(calls) <= 27
+        assert len(calls) <= 14
         target = model.orthogonalized()
         dstar, l_op = named_operator(target, "adj:d"), named_operator(target, "L")
         assert sum((p is dstar and q is l_op) or (p is l_op and q is dstar) for p, q in calls) == 2
@@ -906,6 +914,14 @@ class TestCostGuards:
             assert run_check(model, cid).status == "pass"
         assert calls == []
 
+    def test_j_pq_builds_no_j_operator(self):
+        # J_PQ applies J to the 2n generators only, through the columns of
+        # the algebra map they need: no J, no memo of it, and no product
+        model = _fresh("su2-four")
+        assert run_suite(model, ["J_PQ"]).verdict
+        for cache in (model._cache, model.orthogonalized()._cache):
+            assert "j_operator" not in cache
+
     def test_nk_main_and_dc_def_build_no_j_operator(self):
         # J^{-1} d J takes J only on the twelve 2-forms d(J u^i), through the
         # columns of the algebra map they need
@@ -923,12 +939,20 @@ class TestCostGuards:
         # set off
         model = _fresh("su2-four")
         full = 1 << model.dim
-        combined, binary = [], []
-        original = nkhodge.checks.combination
+        combined, binary, made = [], [], []
+        original, requirement = nkhodge.operators.combination, nkhodge.checks.requirement_columns
+
+        def recording(terms):
+            out = original(terms)
+            made.append((len(terms), out))
+            return out
 
         def counting(terms):
-            combined.append(len(terms))
-            return original(terms)
+            # the outermost combination, the one whose result is the
+            # requirement's low columns; a Bracket's own products come before
+            low, r = requirement(terms)
+            combined.extend(n for n, out in made if out is low)
+            return low, r
 
         def spy(name, method):
             def wrapped(p, *args):
@@ -938,7 +962,8 @@ class TestCostGuards:
 
             return wrapped
 
-        monkeypatch.setattr(nkhodge.checks, "combination", counting)
+        monkeypatch.setattr(nkhodge.operators, "combination", recording)
+        monkeypatch.setattr(nkhodge.checks, "requirement_columns", counting)
         for name in ("__add__", "__sub__", "__neg__", "scale"):
             monkeypatch.setattr(GradedOperator, name, spy(name, getattr(GradedOperator, name)))
         assert run_check(model, "NK_MAIN").status == "pass"
@@ -988,10 +1013,37 @@ class TestTypeRouteMutations:
     mutation of the route, by monkeypatch, fails with a pinned label."""
 
     def test_j_pq_fails_with_the_eigenvalue_i_to_the_q_minus_p(self, monkeypatch):
-        # I -> -i turns the expected i^(p-q) into i^(q-p)
-        monkeypatch.setattr(nkhodge.checks, "I", Scalar(0, 0, -1, 0))
-        res = run_check(_fresh("s3xs3-nk"), "J_PQ")
+        # I -> -i turns the expected i^(p-q) into i^(q-p); composed in every
+        # degree with the same eigenvalues, the oracle names the same type
+        minus_i = Scalar(0, 0, -1, 0)
+        monkeypatch.setattr(nkhodge.checks, "I", minus_i)
+        model = _fresh("s3xs3-nk")
+        res = run_check(model, "J_PQ")
         assert (res.status, res.witness) == ("fail", "J != i^(p-q) on (0,1)")
+        assert j_pq_every_degree(model.orthogonalized(), minus_i) == res.witness
+
+    @pytest.mark.parametrize("generator, witness", [(0, "(1,0)"), (3, "(0,1)")])
+    def test_j_pq_fails_with_one_generator_image_off_by_a_sign(self, generator, witness, monkeypatch):
+        # the J image of eta^1 (generator 0) or of conj(eta^1) (generator 3)
+        # negated: J_PQ fails on the type of that generator alone
+        original = nkhodge.checks.algebra_map_apply
+
+        def one_sign_off(images, forms):
+            out = original(images, forms)
+            out[generator] = out[generator].scale(rational(-1))
+            return out
+
+        monkeypatch.setattr(nkhodge.checks, "algebra_map_apply", one_sign_off)
+        res = run_check(_fresh("s3xs3-nk"), "J_PQ")
+        assert (res.status, res.witness) == ("fail", f"J != i^(p-q) on {witness}")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_j_pq_matches_the_every_degree_oracle(self, name):
+        # on the generators against J E_k - E_k D_k composed in every degree
+        model = _fresh(name)
+        res = run_check(model, "J_PQ")
+        want = j_pq_every_degree(model.orthogonalized(), I)
+        assert (res.status, res.witness) == ("pass" if want is None else "fail", want)
 
     def test_dim6_eigen_fails_with_one_lambda_squared_coefficient_off(self, monkeypatch):
         # (l2/2) in place of (l2/4) in the Delta_del - Delta_delbar formula:

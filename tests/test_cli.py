@@ -133,6 +133,24 @@ class TestInternalInvariant:
         assert code == 4
         assert err.startswith("internal invariant broken: bidegree split does not reassemble d")
 
+    def test_broken_twisted_differential_exits_4(self, capsys, tmp_path, monkeypatch):
+        # J^{-1} d J negated: d_c's cross-check against the split, a term
+        # list of derivations, raises, and the CLI reports it
+        import nkhodge.bidegree
+        from nkhodge.bidegree import d_c
+        from nkhodge.models import builtin_model, model_from_json, model_to_json
+
+        path = tmp_path / "s.json"
+        assert run_cli(capsys, "models", "show", "s3xs3-nk", "--emit", str(path))[0] == 0
+        original = nkhodge.bidegree.twisted_differential
+        monkeypatch.setattr(nkhodge.bidegree, "twisted_differential", lambda model: -original(model))
+        model = model_from_json(model_to_json(builtin_model("s3xs3-nk"))).orthogonalized()
+        with pytest.raises(AssertionError, match=r"J\^\{-1\} d J disagrees with i\(mu - del \+ delbar - mubar\)"):
+            d_c(model)
+        code, out, err = run_cli(capsys, "suite", str(path), "--checks", "NK_MAIN")
+        assert code == 4
+        assert err.startswith("internal invariant broken: J^{-1} d J disagrees with i(mu - del + delbar - mubar)")
+
 
 class TestSuite:
     def test_torus_two_checks(self, capsys):

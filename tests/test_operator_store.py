@@ -37,7 +37,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nkhodge import operators as operators_module
 from nkhodge.bidegree import DifferentialSplit, named_operator
-from nkhodge.checks import CHECKS, _Acc, _mubar_mu
+from nkhodge.checks import CHECKS, _Acc
 from nkhodge.exterior import Form, GramData
 from nkhodge.models import BUILTIN_NAMES, builtin_model, model_from_json, model_to_json
 from nkhodge.operators import (
@@ -63,7 +63,6 @@ from oracles import (
     ScalarOperator,
     commutator_by_composition,
     composed_requirements,
-    diagonal_operator,
     from_low_columns_at_once,
     koszul_coefficients,
     koszul_sum_at_once,
@@ -685,14 +684,6 @@ class TestDerivationBrackets:
         assert_same_matrix(got, commutator_by_composition(p, l_beta))
         assert_same_matrix(got, mult_operator(p.apply(beta)).with_degree(p.degree + k))
 
-    @given(operators(), st.dictionaries(st.sampled_from(MASKS), st.sampled_from([1, 3]).flatmap(scalars)))
-    @EXAMPLES
-    def test_scale_columns_is_the_product_with_a_diagonal(self, p, weights):
-        def weight(m):
-            return weights.get(m, ZERO)
-
-        assert_same_matrix(p.scale_columns(weight), p.compose(diagonal_operator(DIM, weight)))
-
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_split_brackets_match_their_compositions(self, name):
         # every bracket of two components the catalogue builds, on the split
@@ -704,7 +695,7 @@ class TestDerivationBrackets:
             assert_same_matrix(graded_commutator(p, q), commutator_by_composition(p, q))
         for p in (mu, de):
             assert_same_matrix(bracket_sum([], squares=[p]), p.compose(p))
-        assert_same_matrix(_mubar_mu(model), mu.compose(mb) + mb.compose(mu))
+        assert_same_matrix(graded_commutator(mb, mu), mu.compose(mb) + mb.compose(mu))
         mu_omega = mu.apply(model.omega())
         for p in (mu, de, db, mb):
             # BR67's [[L_mu_omega, P]] = [[P, L_mu_omega]] = L_{P mu omega}, P odd
