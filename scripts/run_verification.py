@@ -41,7 +41,7 @@ def main() -> int:
         print(f"  validation: {'ok' if report.ok else 'FAILED'}")
         overall_ok &= report.ok
 
-        t0 = time.time()
+        t0 = time.perf_counter()
         suite = run_suite(model)
         n_pass = sum(1 for r in suite.results if r.status == "pass")
         n_fail = sum(1 for r in suite.results if r.status == "fail")
@@ -49,7 +49,7 @@ def main() -> int:
         print(
             f"  suite: {n_pass} pass, {n_fail} fail"
             f" ({'all expected' if suite.verdict else 'UNEXPECTED'}), {n_skip} skip"
-            f"  [{time.time() - t0:.1f}s]"
+            f"  [{time.perf_counter() - t0:.1f}s]"
         )
         for r in suite.results:
             if r.status == "fail":
@@ -58,9 +58,9 @@ def main() -> int:
         overall_ok &= suite.verdict
 
         if model.expected.get("nearly_kahler"):
-            t0 = time.time()
+            t0 = time.perf_counter()
             hodge = hodge_numbers(model)
-            print(f"  hodge table (h^(p,q)) [{time.time() - t0:.1f}s]:")
+            print(f"  hodge table (h^(p,q)) [{time.perf_counter() - t0:.1f}s]:")
             for row in hodge.h:
                 print("    " + " ".join(f"{v:3d}" for v in row))
             print(f"  betti: {hodge.betti}")

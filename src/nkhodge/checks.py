@@ -61,9 +61,11 @@ The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
 operator of order <= r equals the reconstruction from its columns on
 forms of degree <= r.  They never read a bound, and ORDER_BRACKET composes
 [[d*, L]] in full, since building it by order would assume what it tests.
-ORDER_DET checks that d is a derivation through the
-graded Leibniz rule over ``Form.wedge`` on every basis form, independently
-of the reconstruction that builds d.
+ORDER_DET checks that d is a derivation through the graded Leibniz rule
+on every basis form, independently of the reconstruction that builds d:
+each column of d's store is compared with the signed relabelling of the
+two columns the rule names (``exterior.sign_key``), and the Form
+difference is built only where they differ, for the witness.
 
 Type is read in the eta-frame only (``bidegree.PQBasis``).
 ``decompose_form`` gives the pieces (LEM_NK, SU3_STRUCT), and HODGE_ABCD
@@ -81,11 +83,11 @@ on the eta-monomials of type (p,q); J, E and that diagonal are algebra
 maps, so it reads J on the 2n generators only, where it is J^2 = -1.
 VANISH_COR reads type preservation off the rows of the columns of each
 type (p,q), and takes the rank of those columns straight off the frame's
-integer store (``GradedOperator.pivot_columns``), which is that of the
-images diff(m) since F is invertible.  Its difference Laplacian
-Delta_{L_mu omega} - Delta_{L_mubar omega} is the term list X - conj X,
-X = [[L_mu_omega*, L_mu_omega]], so neither Laplacian is
-built.  HODGE_ABCD reads the frame of S = Delta_mu + Delta_del +
+integer store (``GradedOperator.entry_rows``, ``linalg.pivot_columns``),
+which is that of the images diff(m) since F is invertible.  Its
+difference Laplacian Delta_{L_mu omega} - Delta_{L_mubar omega} is the
+term list X - conj X, X = [[L_mu_omega*, L_mu_omega]], so neither
+Laplacian is built.  HODGE_ABCD reads the frame of S = Delta_mu + Delta_del +
 Delta_delbar + Delta_mubar (``hodge.s_frame``, built the same way): S
 must preserve every type, and then the per-type kernels of S that
 ``harmonic_pq`` takes add up, degree by degree, to dim ker Delta_d ((a),
@@ -109,11 +111,11 @@ from .bidegree import (
     pq_basis,
     twisted_differential,
 )
-from .exterior import Form, mask_label
+from .exterior import Form, mask_label, sign_key
 from .hodge import betti_numbers, harmonic_pq, harmonic_space, hodge_laplacian, s_frame
 # sparse_kernel is not called here: perfbench/tests reads checks.sparse_kernel
 # as one of the aliases its tracer rebinds
-from .linalg import inverse, sparse_kernel
+from .linalg import inverse, pivot_columns, sparse_kernel
 from .models import LieAlgebraModel, nabla_omega_symmetrization, nk_report, su3_extract
 from .operators import (
     MINUS_ONE,
@@ -726,7 +728,7 @@ def check_vanish_cor(model, acc: _Acc):
     columns of degree <= 2 of diff only.  It preserves (p,q) when every row
     of each column of type (p,q) has type (p,q), and its rank there is that
     of the images diff(m), F being invertible, taken on the frame's
-    integer store (``GradedOperator.pivot_columns``)."""
+    integer store (``GradedOperator.entry_rows``)."""
     pqb = pq_basis(model)
     frame = pqb.frame(*_difference_low_columns(model))
     n = pqb.n
@@ -737,7 +739,7 @@ def check_vanish_cor(model, acc: _Acc):
                 f"difference Laplacian preserves ({p},{q})",
                 all(pqb.bidegree_of_mask(r) == (p, q) for m in masks for r in frame.coords.get(m, ())),
             )
-            if len(frame.pivot_columns(masks)) == len(masks):
+            if len(pivot_columns(*frame.entry_rows(masks))) == len(masks):
                 acc.require(
                     f"invertible difference on ({p},{q}) forces h = 0",
                     len(harmonic_pq(model, p, q)) == 0,
@@ -787,16 +789,33 @@ def check_order_bracket(model, acc: _Acc):
 
 def check_order_det(model, acc: _Acc):
     """d(1) = 0 and the graded Leibniz rule on every basis form:
-    d(u^m) = d(u^low) ^ u^rest - u^low ^ d(u^rest), low the lowest index of m."""
+    d(u^m) = d(u^low) ^ u^rest - u^low ^ d(u^rest), low the lowest index of m.
+
+    Both sides are compared on d's integer coordinates: row r of column low
+    enters at r | rest with the sign of u^r ^ u^rest, row r of column rest
+    at low | r with minus that of u^low ^ u^r.  Only a mask where they
+    differ builds them as Forms, for the witness and residual."""
     d = model.d()
     dim = model.dim
     acc.form("d(1)", d.column_form(0))
+    coords = d.coords
     for m in range(1, 1 << dim):
         low, rest = m & -m, m & (m - 1)
-        leibniz = d.column_form(low).wedge(Form.basis(dim, rest)) - Form.basis(dim, low).wedge(
-            d.column_form(rest)
-        )
-        acc.form(f"d({mask_label(m)}) - graded Leibniz expansion", d.column_form(m) - leibniz)
+        # (target, coordinates, parity of the sign) of each side's rows
+        first, second = coords.get(low, {}), coords.get(rest, {})
+        terms = [(r | rest, t, (rest & sign_key(r)).bit_count()) for r, t in first.items() if not r & rest]
+        terms += [(low | r, t, (r & sign_key(low)).bit_count() + 1) for r, t in second.items() if not r & low]
+        leibniz: dict[int, tuple[int, ...]] = {}
+        for target, t, odd in terms:
+            if odd & 1:
+                t = (-t[0], -t[1], -t[2], -t[3])
+            x = leibniz.get(target)
+            leibniz[target] = t if x is None else (x[0] + t[0], x[1] + t[1], x[2] + t[2], x[3] + t[3])
+        if {r: t for r, t in leibniz.items() if any(t)} != coords.get(m, {}):
+            expansion = d.column_form(low).wedge(Form.basis(dim, rest)) - Form.basis(dim, low).wedge(
+                d.column_form(rest)
+            )
+            acc.form(f"d({mask_label(m)}) - graded Leibniz expansion", d.column_form(m) - expansion)
 
 
 def check_diff_lapl_kahler(model, acc: _Acc):

@@ -1,18 +1,18 @@
 """Harmonic spaces, Betti numbers, and Hodge tables.
 
-Harmonic spaces are exact kernels of the Hodge Laplacian [[d*, d]], computed
-by sparse fraction-free elimination on the rows that ``linalg.transpose``
-makes of its columns (a dense oracle in the tests recomputes them
-independently).  Betti numbers are deliberately computed metric-free,
-from ranks of d alone, read straight off d's integer store
-(``GradedOperator.pivot_columns``) and taken by clearing, from the top
-degree down: the rows of d on degree k at the pivot columns Q of d on
-degree k + 1 are combinations of the other rows, because the pivot rows
-are invertible on Q and kill the image of d, so the rank of d on degree k
-is that of its rows outside Q.  The lemma assumes d d = 0 and nothing
-else (Chen and Kerber, *Persistent homology computation with a twist*,
-EuroCG 2011, use it for boundary matrices); the test suite compares the
-result with every block ranked in full.
+Every kernel and rank here is one exact elimination on a block of an
+operator's columns, read straight off its integer store
+(``GradedOperator.entry_rows``, no Scalar built).  Harmonic spaces are
+exact kernels of the Hodge Laplacian [[d*, d]] (a dense oracle in the
+tests recomputes them independently).  Betti numbers are deliberately
+computed metric-free, from ranks of d alone (``linalg.pivot_columns``),
+taken by clearing, from the top degree down: the rows of d on degree k at
+the pivot columns Q of d on degree k + 1 are combinations of the other
+rows, because the pivot rows are invertible on Q and kill the image of d,
+so the rank of d on degree k is that of its rows outside Q.  The lemma
+assumes d d = 0 and nothing else (Chen and Kerber, *Persistent homology
+computation with a twist*, EuroCG 2011, use it for boundary matrices);
+the test suite compares the result with every block ranked in full.
 
 The harmonic (p,q)-forms come from S = Delta_mu + Delta_del + Delta_delbar
 + Delta_mubar, the operator of HODGE_ABCD's lemma, one type at a time.
@@ -35,8 +35,7 @@ with X = [[mu*, mu]] + [[del*, del]], of order <= 2, read on its columns
 of degree <= 2 by the rule of low columns (``operators.requirement_columns``);
 the frame is composed on E's columns of degree <= 2 and rebuilt by one
 reconstruction, and no Laplacian of S is built in the u-coframe.  Both
-kernels read their blocks through one Scalar-row adapter
-(``operator_rows``).
+kernels are taken by one helper (``_block_kernel``).
 
 Everything is computed in the orthogonalized presentation of the model
 (the numbers are coframe-invariant); the basis forms that ``harmonic_space``
@@ -52,7 +51,7 @@ from math import comb
 
 from .bidegree import named_operator, pq_basis
 from .exterior import Form, graded_lex_key
-from .linalg import SparseRow, sparse_kernel, transpose
+from .linalg import pivot_columns, sparse_kernel
 from .operators import Bracket, GradedOperator, algebra_map_apply, requirement_columns
 from .scalars import ONE
 
@@ -84,19 +83,11 @@ def degree_masks(dim: int, k: int) -> list[int]:
     return sorted((m for m in range(1 << dim) if m.bit_count() == k), key=graded_lex_key)
 
 
-def operator_rows(op: GradedOperator, masks: list[int]) -> list[SparseRow]:
-    """Row-sparse matrix of the block of op's columns at ``masks``, column j
-    at masks[j]: read in store order (``scalar_columns``), one Scalar per
-    distinct entry."""
-    index = {m: j for j, m in enumerate(masks)}
-    return transpose((index[c], col) for c, col in op.scalar_columns(index))
-
-
-def operator_degree_rows(op: GradedOperator, k: int, dim: int) -> tuple[list[SparseRow], list[int]]:
-    """``operator_rows`` of the degree-k block, its columns in graded-lex
-    mask order, and those masks."""
-    masks = degree_masks(dim, k)
-    return operator_rows(op, masks), masks
+def _block_kernel(op: GradedOperator, masks: list[int]) -> list[Form]:
+    """A basis of the kernel of the block of op's columns at ``masks``
+    (every row kept), each vector a form with coordinate j at masks[j]."""
+    rows, d = op.entry_rows(masks)
+    return [Form(op.dim, {masks[j]: v for j, v in vec.items()}) for vec in sparse_kernel(rows, d, len(masks))]
 
 
 def _native(model, comp, forms: list[Form]) -> list[Form]:
@@ -110,10 +101,7 @@ def harmonic_space(model, k: int) -> list[Form]:
     comp = model.orthogonalized()
 
     def build():
-        lap = hodge_laplacian(comp)
-        rows, masks = operator_degree_rows(lap, k, comp.dim)
-        vectors = sparse_kernel(rows, len(masks))
-        return [Form(comp.dim, {masks[i]: v for i, v in vec.items()}) for vec in vectors]
+        return _block_kernel(hodge_laplacian(comp), degree_masks(comp.dim, k))
 
     return _native(model, comp, comp._memo(f"harmonic:{k}", build))
 
@@ -144,11 +132,8 @@ def harmonic_pq(model, p: int, q: int) -> list[Form]:
     comp = model.orthogonalized()
 
     def build():
-        pqb, frame = pq_basis(comp), s_frame(comp)
-        masks = pqb.monomial_masks(p, q)
-        rows = operator_rows(frame, masks)
-        kernel = [Form(comp.dim, {masks[j]: v for j, v in vec.items()}) for vec in sparse_kernel(rows, len(masks))]
-        return algebra_map_apply(pqb.generators, kernel)
+        pqb = pq_basis(comp)
+        return algebra_map_apply(pqb.generators, _block_kernel(s_frame(comp), pqb.monomial_masks(p, q)))
 
     return _native(model, comp, comp._memo(f"harmonic_pq:{p},{q}", build))
 
@@ -177,9 +162,10 @@ def betti_numbers(model) -> list[int]:
         ranks = [0] * (dim + 1)
         cleared: set[int] = set()
         for k in range(dim, -1, -1):
-            pivots = d.pivot_columns(by_degree[k], cleared)
+            masks = by_degree[k]
+            pivots = pivot_columns(*d.entry_rows(masks, cleared))
             ranks[k] = len(pivots)
-            cleared = set(pivots)
+            cleared = {masks[j] for j in pivots}
         return [comb(dim, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(dim + 1)]
 
     return comp._memo("betti", build)

@@ -3,10 +3,10 @@
 Sparse vectors are dicts index -> Scalar with no zero stored.  ``add_scaled``
 (acc += s vec, dropping what cancels) carries every sum of forms and every
 operator sum, product and application; ``transpose`` turns sparse columns
-into the sparse rows that elimination takes.
+into sparse rows.
 
 Every exact elimination in src is the one sparse fraction-free
-(Bareiss-style) elimination ``_echelon``, followed where needed by the
+(Bareiss-style) elimination ``_eliminate``, followed where needed by the
 back-substitution that ``sparse_kernel`` and ``solve`` share.  The pivot is
 the least bit-complexity entry, ties broken by the first active row, then
 the lowest column; each active row caches its own least (complexity,
@@ -15,15 +15,17 @@ index finds the rows a step rebuilds, so a step neither rescans every
 entry nor walks every row.  The one other factorization is the LDL^T of the metric
 in ``exterior.GramData``, which also tests positive-definiteness.
 
-Matrices come in and go out as lists of sparse rows (dict col -> Scalar),
-but the elimination itself runs on the normalized entries (a, b, c, e, q)
-of the field kernel in ``scalars``.  The field's d is joined once per call,
-every input entry is read once, and only the kernel vectors and solutions
-a caller gets back are built as ``Scalar``; ``sparse_rank`` builds none.
-``pivot_columns`` is the entry point for rows that are integer coordinates
-already (``GradedOperator.pivot_columns`` reads them off an operator's
-store): it takes entry rows and gives back the pivot columns, with no
-Scalar in or out.  A
+The elimination runs on entry rows: dicts col -> the normalized entry
+(a, b, c, e, q) of the field kernel in ``scalars``, of one field with a d
+the caller names, each row scaled to its primitive integral representative
+first.  ``pivot_columns(rows, d)`` gives the pivot columns and
+``sparse_kernel(rows, d, ncols)`` a kernel basis; an operator hands them
+a block of its columns read straight off its integer store
+(``GradedOperator.entry_rows``), so no Scalar goes in, and only the kernel
+vectors come back as ``Scalar``.  The small Scalar matrices of ``solve``,
+``inverse`` and ``sparse_rank`` come in through one adapter
+(``_entry_rows``), which joins the field's d once and reads every entry
+once; ``sparse_rank`` builds no Scalar.  A
 step's updated entry (pval v - rv pv) / prev_piv is summed over one
 denominator from the unreduced products (pval / prev_piv) v and
 (-rv / prev_piv) pv, and reduced once.  Division is exact in the field and
@@ -35,8 +37,8 @@ literally those that ``Scalar`` arithmetic gives.
 columns (``None`` outside their span), and ``inverse`` solves for each
 column of the identity.  The test suite compares the kernels and solutions
 with an independent dense Gauss-Jordan elimination, and the pivot rows of
-``_echelon`` with a full-scan elimination in ``Scalar`` arithmetic, row for
-row.
+``_eliminate`` with a full-scan elimination in ``Scalar`` arithmetic, row
+for row.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def transpose(pairs) -> list[SparseRow]:
     """Sparse rows of the columns given as (column index, sparse column) pairs.
 
     Rows come out in order of first appearance while walking the pairs in
-    their given order (the order steers ``_echelon``'s pivot choice).
+    their given order (the order steers the elimination's pivot choice).
     """
     rows: dict[int, SparseRow] = {}
     for c, col in pairs:
@@ -90,19 +92,17 @@ def transpose(pairs) -> list[SparseRow]:
 
 
 def _entry_rows(rows: list[SparseRow]) -> tuple[list[EntryRow], int]:
-    """The nonempty rows as primitive integral entry rows (``_clear_row``),
-    and the d of the field they share."""
+    """Scalar rows as entry rows, and the d of the field they share: the
+    one adapter for small Scalar matrices (``solve``, ``sparse_rank``)."""
     d = 1
     out = []
     for row in rows:
-        if not row:
-            continue
         entries = {}
         for col, s in row.items():
             if s.d != d and s.d != 1:
                 d = join(d, s.d)
             entries[col] = (s.a, s.b, s.c, s.e, s.q)
-        out.append(_clear_row(entries))
+        out.append(entries)
     return out, d
 
 
@@ -132,11 +132,12 @@ def _row_min(row: EntryRow) -> tuple[int, int]:
 # -- elimination -------------------------------------------------------------------
 
 
-def _echelon(rows: list[SparseRow]) -> tuple[list[tuple[EntryRow, int]], int]:
-    """Forward fraction-free elimination of sparse Scalar rows: the pivots,
-    (entry row, pivot column) in elimination order, and the d of their
-    field.  Every nonzero row ends up as a pivot row or as zero, and the
-    input rows are not mutated.
+def _eliminate(rows: list[EntryRow], d: int) -> list[tuple[EntryRow, int]]:
+    """Forward fraction-free elimination of entry rows of the field with
+    this d: the pivots, (entry row, pivot column) in elimination order.
+    Each nonempty row is scaled to its primitive integral representative
+    first (``_clear_row``, which changes no kernel and no pivot), and every
+    one ends up as a pivot row or as zero; the input rows are not mutated.
 
     The pivot is the least-complexity entry of the active rows, ties broken
     by the first row in order, then the lowest column.  Each active row
@@ -148,21 +149,8 @@ def _echelon(rows: list[SparseRow]) -> tuple[list[tuple[EntryRow, int]], int]:
     pval / prev_piv once per step, -rv / prev_piv once per row.  Arithmetic
     in the field is exact and every entry is normalized, so the rows are
     literally those of the undivided formula."""
-    active, d = _entry_rows(rows)
-    return _eliminate(active, d), d
-
-
-def pivot_columns(rows: list[EntryRow], d: int) -> list[int]:
-    """The pivot columns, in elimination order, of entry rows of the field
-    with this d (the rank is their number): ``_echelon`` on the rows
-    scaled to their primitive integral representatives, so on rows read off
-    an operator's integer store it picks the pivots of the Scalar rows."""
-    return [pc for _, pc in _eliminate([_clear_row(row) for row in rows if row], d)]
-
-
-def _eliminate(active: list[EntryRow | None], d: int) -> list[tuple[EntryRow, int]]:
-    """The elimination on a list of primitive integral entry rows that it
-    owns (a row is set to None as it retires; the rows are not mutated)."""
+    # a row is set to None as it retires
+    active: list[EntryRow | None] = [_clear_row(row) for row in rows if row]
     mins = [_row_min(r) for r in active]  # cached per row, recomputed when rebuilt
     cxs = [cx for cx, _ in mins]  # _RETIRED once the row is a pivot row or zero
     cols = [c for _, c in mins]
@@ -218,8 +206,15 @@ def _eliminate(active: list[EntryRow | None], d: int) -> list[tuple[EntryRow, in
     return pivots
 
 
+def pivot_columns(rows: list[EntryRow], d: int) -> list[int]:
+    """The pivot columns, in elimination order, of entry rows of the field
+    with this d; the rank is their number."""
+    return [pc for _, pc in _eliminate(rows, d)]
+
+
 def sparse_rank(rows: list[SparseRow]) -> int:
-    return len(_echelon(rows)[0])
+    """The rank of Scalar rows (``_entry_rows``); no Scalar is built."""
+    return len(_eliminate(*_entry_rows(rows)))
 
 
 def _back_substitute(pivots: list[tuple[EntryRow, int]], x: EntryRow, d: int) -> EntryRow:
@@ -239,9 +234,10 @@ def _back_substitute(pivots: list[tuple[EntryRow, int]], x: EntryRow, d: int) ->
     return x
 
 
-def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
-    """Basis of { x : M x = 0 }, one sparse vector per free column."""
-    pivots, d = _echelon(rows)
+def sparse_kernel(rows: list[EntryRow], d: int, ncols: int) -> list[SparseRow]:
+    """Basis of { x : M x = 0 } for the entry rows of M, of the field with
+    this d: one sparse vector of Scalars per free column."""
+    pivots = _eliminate(rows, d)
     pivot_cols = {pc for _, pc in pivots}
     return [
         _scalar_row(_back_substitute(pivots, {f: _ONE}, d), d) for f in range(ncols) if f not in pivot_cols
@@ -258,7 +254,8 @@ def solve(columns: list[SparseRow], target: SparseRow) -> SparseRow | None:
     is nonzero.
     """
     n = len(columns)
-    pivots, d = _echelon(transpose(enumerate([*columns, {r: -v for r, v in target.items()}])))
+    rows, d = _entry_rows(transpose(enumerate([*columns, {r: -v for r, v in target.items()}])))
+    pivots = _eliminate(rows, d)
     pivot_cols = {pc for _, pc in pivots}
     free = [c for c in range(n + 1) if c not in pivot_cols]
     if not free:

@@ -23,22 +23,21 @@ negation and ``scale`` are its one- and two-term cases), with no scaled or
 negated copy; products multiply the denominators and the coordinates;
 ``conjugated`` acts on the coordinates.  Each operation walks and inserts
 keys as accumulating through ``linalg.add_scaled`` does (a key whose sum
-cancels is removed, and re-appended if it comes back), so the column and
-row orders that ``linalg.transpose`` hands to elimination do not depend
-on the store.
+cancels is removed, and re-appended if it comes back), so the key orders
+of a store are those of the Scalar arithmetic.
 
 ``Scalar`` appears only at the boundaries.  The constructor takes sparse
 columns of Scalars and, as ``reconstruct`` does with its coefficient forms,
 converts them once over one common denominator (``scalars.common``).
 ``apply`` accumulates a form's image in integers and builds one Scalar
-per output entry, as do ``column_form`` and ``scalar_columns``;
-``first_witness`` and ``max_abs_approx`` read each entry as its
-normalized Scalar, so residuals and witnesses are those of the Scalar
-arithmetic to the last bit.
-``pivot_columns`` hands a block of columns to elimination as integer entry
-rows (``linalg.pivot_columns``) and builds no Scalar at all.
-``cols`` converts the whole operator once and keeps the result; no
-production route reads it.
+per output entry, as does ``column_form``; ``first_witness`` and
+``max_abs_approx`` read each entry as its normalized Scalar, so residuals
+and witnesses are those of the Scalar arithmetic to the last bit.
+``entry_rows`` is the one reader that hands a block of columns to exact
+elimination (``linalg.pivot_columns``, ``linalg.sparse_kernel``): integer
+entry rows read straight off the store, with no Scalar built.  ``cols``
+converts the whole operator once and keeps the result; no production
+route reads it.
 
 The metric adjoint P* is the operator with <P a, b> = <a, P* b>.  Every
 computation runs in an orthogonal coframe (``LieAlgebraModel.orthogonalized``),
@@ -131,7 +130,6 @@ import copy
 import functools
 import math
 
-from . import linalg
 from .exterior import Form, GramData, graded_lex_key, mask_label, sign_key
 from .linalg import EntryRow
 from .scalars import ONE, Entry, Scalar, common, join, product
@@ -307,27 +305,14 @@ class GradedOperator:
     def _entry(self, t: Coords) -> Scalar:
         return Scalar(t[0], t[1], t[2], t[3], self.q, self.d)
 
-    def scalar_columns(self, masks=None):
-        """(mask, column of Scalars) in store order, only the columns at
-        ``masks`` (a container) when it is given.  One Scalar per distinct
-        entry, shared by the columns; nothing is kept."""
-        image: dict[Coords, Scalar] = {}
-        entry = self._entry
-        for c, col in self.coords.items():
-            if masks is None or c in masks:
-                out = {}
-                for r, t in col.items():
-                    v = image.get(t)
-                    if v is None:
-                        v = image[t] = entry(t)
-                    out[r] = v
-                yield c, out
-
     @property
     def cols(self) -> dict[int, Column]:
-        """Every column as Scalars; converted on first read and kept."""
+        """Every column as Scalars, one per distinct entry; converted on
+        first read and kept."""
         if self._cols is None:
-            self._cols = dict(self.scalar_columns())
+            image: dict[Coords, Scalar] = {}
+            get, put, entry = image.get, image.setdefault, self._entry
+            self._cols = {c: {r: get(t) or put(t, entry(t)) for r, t in col.items()} for c, col in self.coords.items()}
         return self._cols
 
     def apply(self, form: Form) -> Form:
@@ -340,20 +325,26 @@ class GradedOperator:
         col = self.coords.get(mask, {})
         return Form(self.dim, {r: self._entry(t) for r, t in col.items()})
 
-    def pivot_columns(self, masks, skip_rows=()) -> list[int]:
-        """The pivot columns, in elimination order, of the block of the
-        columns ``masks`` with the rows in ``skip_rows`` left out; the rank
-        of the block is their number.  Its rows are read straight off the
-        integer store, in order of first appearance over ``masks`` as
-        ``linalg.transpose`` makes them, and q is dropped: no pivot changes
-        under scaling.  No Scalar is built."""
+    def entry_rows(self, masks, skip_rows=()) -> tuple[list[EntryRow], int]:
+        """(rows, d): the block of the columns at ``masks``, column j at
+        masks[j], as entry rows for ``linalg.pivot_columns`` and
+        ``linalg.sparse_kernel``, with the rows in ``skip_rows`` left out.
+        The rows come in order of first appearance over the block's columns
+        taken in increasing mask order, the store order of every Koszul
+        reconstruction.  They are read straight off the integer store and q
+        is dropped, since no pivot or kernel changes under scaling; each
+        distinct coordinate tuple t becomes one shared entry (*t, 1).  Only
+        the columns at ``masks`` are read, and no Scalar is built."""
+        index = {m: j for j, m in enumerate(masks)}
+        column = self.coords.get
         entry: dict[Coords, Entry] = {}
         rows: dict[int, EntryRow] = {}
-        for c in masks:
-            for r, t in self.coords.get(c, {}).items():
+        for c in sorted(index):
+            j = index[c]
+            for r, t in column(c, {}).items():
                 if r not in skip_rows:
-                    rows.setdefault(r, {})[c] = entry.get(t) or entry.setdefault(t, (*t, 1))
-        return linalg.pivot_columns(list(rows.values()), self.d)
+                    rows.setdefault(r, {})[j] = entry.get(t) or entry.setdefault(t, (*t, 1))
+        return list(rows.values()), self.d
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -29,9 +29,26 @@
 * ``sparse_echelon_scan``: the fraction-free elimination in ``Scalar``
   arithmetic that rescans every active entry for the pivot at each step and
   divides each entry by the previous pivot; the production elimination
-  ``linalg._echelon``, with integer-tuple entries, cached per-row minima, a
-  column index and a hoisted division, read back as Scalar rows by
+  ``linalg._eliminate``, with integer-tuple entries, cached per-row minima, a
+  column index and a hoisted division, entered from Scalar rows through
+  ``linalg._entry_rows`` and read back as Scalar rows by
   ``sparse_echelon``, must return literally the same rows.
+* ``scalar_columns``, ``operator_rows``, ``operator_degree_rows``,
+  ``scalar_kernel`` and ``scalar_pivot_columns``: the Scalar-row route
+  from an operator block into elimination, its columns converted to
+  Scalars in store order and turned into rows by ``linalg.transpose``,
+  then converted back into entry rows by ``linalg._entry_rows``; with it
+  ``harmonic_space_by_scalar_rows`` and ``harmonic_pq_by_scalar_rows``,
+  against the production kernels and ranks, which read entry rows
+  straight off the integer store (``GradedOperator.entry_rows``) and must
+  give literally the same bases and pivots (the Betti numbers against
+  ``betti_by_full_ranks``).
+* ``order_det_by_forms``: ORDER_DET's graded Leibniz rule as Form
+  differences on every basis form, against the production check, which
+  compares integer columns and builds the Forms only where they differ;
+  the witness and residual must be literally the same.
+* ``kunneth``: the Kunneth convolution of two Betti vectors or two Hodge
+  tables, against the Betti numbers and Hodge tables of product models.
 * ``jacobi_issues_dense``: the Jacobi identity on every basis triple as
   the dense sum over every index through ``cval``, against the production
   sum over the nonzero structure constants in ``validate_model``.
@@ -162,10 +179,11 @@ from nkhodge.exterior import (
     mask_label,
     sign_key,
 )
-from nkhodge.hodge import degree_masks, harmonic_space, hodge_laplacian, operator_degree_rows
+from nkhodge.hodge import degree_masks, harmonic_space, hodge_laplacian, s_frame
 from nkhodge.linalg import (
     SparseRow,
-    _echelon,
+    _eliminate,
+    _entry_rows,
     _scalar_row,
     add_scaled,
     inverse,
@@ -185,6 +203,7 @@ from nkhodge.operators import (
     _prepare,
     _reconstruct,
     adjoint,
+    algebra_map_apply,
     algebra_map_blocks,
     bracket_sum,
     combination,
@@ -554,10 +573,11 @@ def _clear_row(row: SparseRow) -> SparseRow:
 
 
 def sparse_echelon(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
-    """The pivots of the production elimination ``linalg._echelon``, (row,
-    pivot column) in elimination order, with each pivot row as Scalars."""
-    pivots, d = _echelon(rows)
-    return [(_scalar_row(prow, d), pc) for prow, pc in pivots]
+    """The pivots of the production elimination ``linalg._eliminate`` on
+    Scalar rows (``linalg._entry_rows``), (row, pivot column) in
+    elimination order, with each pivot row as Scalars."""
+    active, d = _entry_rows(rows)
+    return [(_scalar_row(prow, d), pc) for prow, pc in _eliminate(active, d)]
 
 
 def sparse_echelon_scan(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
@@ -611,6 +631,77 @@ def sparse_echelon_scan(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
     return pivots
 
 
+# -- the Scalar-row route into elimination -------------------------------------------
+
+def scalar_columns(op: GradedOperator, masks=None):
+    """(mask, column of Scalars) in op's store order, only the columns at
+    ``masks`` (a container) when it is given.  One Scalar per distinct
+    entry, shared by the columns; nothing is kept."""
+    image: dict[tuple[int, int, int, int], Scalar] = {}
+    for c, col in op.coords.items():
+        if masks is None or c in masks:
+            out = {}
+            for r, t in col.items():
+                v = image.get(t)
+                if v is None:
+                    v = image[t] = Scalar(t[0], t[1], t[2], t[3], op.q, op.d)
+                out[r] = v
+            yield c, out
+
+
+def operator_rows(op: GradedOperator, masks: list[int]) -> list[SparseRow]:
+    """Row-sparse Scalar matrix of the block of op's columns at ``masks``,
+    column j at masks[j]: read in store order (``scalar_columns``) and
+    turned into rows by ``linalg.transpose``."""
+    index = {m: j for j, m in enumerate(masks)}
+    return transpose((index[c], col) for c, col in scalar_columns(op, index))
+
+
+def operator_degree_rows(op: GradedOperator, k: int, dim: int) -> tuple[list[SparseRow], list[int]]:
+    """``operator_rows`` of the degree-k block, its columns in graded-lex
+    mask order, and those masks."""
+    masks = degree_masks(dim, k)
+    return operator_rows(op, masks), masks
+
+
+def scalar_kernel(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
+    """A kernel basis of Scalar rows: the production elimination entered
+    through the Scalar adapter ``linalg._entry_rows``."""
+    return sparse_kernel(*_entry_rows(rows), ncols)
+
+
+def scalar_pivot_columns(op: GradedOperator, masks: list[int], skip_rows=()) -> list[int]:
+    """The pivot columns, as masks, of the block of op's columns at
+    ``masks`` with the rows in ``skip_rows`` left out: the columns as
+    Scalars, taken in the order of ``masks`` and keyed by mask, eliminated
+    as Scalar rows (``sparse_echelon``)."""
+    columns = dict(scalar_columns(op, set(masks)))
+    kept = ((c, {r: v for r, v in columns[c].items() if r not in skip_rows}) for c in masks if c in columns)
+    return [pc for _, pc in sparse_echelon(transpose(kept))]
+
+
+def harmonic_space_by_scalar_rows(model, k: int) -> list[Form]:
+    """The Delta_d-kernel in degree k through Scalar rows, in the model's
+    coframe."""
+    comp = model.orthogonalized()
+    rows, masks = operator_degree_rows(hodge_laplacian(comp), k, comp.dim)
+    return [
+        model.to_native(Form(comp.dim, {masks[i]: v for i, v in vec.items()}))
+        for vec in scalar_kernel(rows, len(masks))
+    ]
+
+
+def harmonic_pq_by_scalar_rows(model, p: int, q: int) -> list[Form]:
+    """ker S on the columns of type (p,q) of ``s_frame`` through Scalar
+    rows, mapped back through E, in the model's coframe."""
+    comp = model.orthogonalized()
+    pqb = pq_basis(comp)
+    masks = pqb.monomial_masks(p, q)
+    rows = operator_rows(s_frame(comp), masks)
+    kernel = [Form(comp.dim, {masks[j]: v for j, v in vec.items()}) for vec in scalar_kernel(rows, len(masks))]
+    return [model.to_native(f) for f in algebra_map_apply(pqb.generators, kernel)]
+
+
 def stacked_kernel_nullities(model) -> list[tuple[int, int]]:
     """Per degree, the nullities of the stacked eight components and adjoints
     and of the stacked four component Laplacians, in the orthogonalized coframe."""
@@ -625,7 +716,7 @@ def stacked_kernel_nullities(model) -> list[tuple[int, int]]:
         rows: list[SparseRow] = []
         for op in ops:
             rows.extend(operator_degree_rows(op, k, comp.dim)[0])
-        return len(sparse_kernel(rows, math.comb(comp.dim, k)))
+        return len(scalar_kernel(rows, math.comb(comp.dim, k)))
 
     return [(nullity(eight, k), nullity(laps, k)) for k in range(comp.dim + 1)]
 
@@ -864,7 +955,7 @@ def harmonic_pq_via_monomials(model, p: int, q: int) -> list[Form]:
     rows = transpose((j, lap.apply(monomial_form(comp, m)).coeffs) for j, m in enumerate(masks))
     return [
         model.to_native(pq_coords_to_form(comp, {masks[j]: v for j, v in vec.items()}))
-        for vec in sparse_kernel(rows, len(masks))
+        for vec in scalar_kernel(rows, len(masks))
     ]
 
 
@@ -879,7 +970,7 @@ def harmonic_pq_by_laplacian(model, p: int, q: int) -> list[Form]:
     rows = transpose((i, pqb.outside(c, p, q)) for i, c in enumerate(coords))
     return [
         model.to_native(sum((basis[i].scale(c) for i, c in vec.items()), Form.zero(comp.dim)))
-        for vec in sparse_kernel(rows, len(basis))
+        for vec in scalar_kernel(rows, len(basis))
     ]
 
 
@@ -1291,7 +1382,7 @@ def frame_columns_by_composition(model, op: GradedOperator) -> dict[int, dict[in
     f_blocks = list(algebra_map_blocks(pqb.dim, pqb.dual))[op.degree:]
     e_blocks = algebra_map_blocks(pqb.dim, pqb.generators)
     products = (f_k.compose(op.compose(e_k)) for f_k, e_k in zip(f_blocks, e_blocks))
-    return {m: col for block in products for m, col in block.scalar_columns()}
+    return {m: col for block in products for m, col in block.cols.items()}
 
 
 def swapped(pqb, pqmask: int) -> int:
@@ -1325,3 +1416,39 @@ def d_squared_by_composition(model) -> GradedOperator:
     """d d, every column of d composed."""
     d = model.d()
     return d.compose(d)
+
+
+# -- ORDER_DET's Leibniz rule -------------------------------------------------------
+
+def order_det_by_forms(model, acc: _Acc) -> None:
+    """ORDER_DET with both sides of d(u^m) = d(u^low) ^ u^rest - u^low ^
+    d(u^rest) built as Forms through ``Form.wedge`` on every basis form."""
+    d = model.d()
+    dim = model.dim
+    acc.form("d(1)", d.column_form(0))
+    for m in range(1, 1 << dim):
+        low, rest = m & -m, m & (m - 1)
+        leibniz = d.column_form(low).wedge(Form.basis(dim, rest)) - Form.basis(dim, low).wedge(
+            d.column_form(rest)
+        )
+        acc.form(f"d({mask_label(m)}) - graded Leibniz expansion", d.column_form(m) - leibniz)
+
+
+# -- Kunneth ----------------------------------------------------------------------
+
+def kunneth(table_x: list, table_y: list) -> list:
+    """The Kunneth convolution of two Betti vectors, b_k = sum b_i b'_(k-i),
+    or of two Hodge tables, h^(p,q) = sum h^(a,b) h'^(p-a,q-b)."""
+    if table_x and isinstance(table_x[0], list):
+        out = [[0] * (len(table_x[0]) + len(table_y[0]) - 1) for _ in range(len(table_x) + len(table_y) - 1)]
+        for a, row_x in enumerate(table_x):
+            for b, hx in enumerate(row_x):
+                for c, row_y in enumerate(table_y):
+                    for e, hy in enumerate(row_y):
+                        out[a + c][b + e] += hx * hy
+        return out
+    out = [0] * (len(table_x) + len(table_y) - 1)
+    for i, bx in enumerate(table_x):
+        for j, by in enumerate(table_y):
+            out[i + j] += bx * by
+    return out

@@ -27,7 +27,7 @@ from nkhodge.bidegree import (
     twisted_differential,
 )
 from nkhodge.exterior import Form
-from nkhodge.hodge import harmonic_pq, harmonic_space, hodge_numbers, operator_degree_rows, s_frame
+from nkhodge.hodge import degree_masks, harmonic_pq, harmonic_space, hodge_numbers, s_frame
 from nkhodge.linalg import sparse_kernel
 from nkhodge.models import (
     BUILTIN_NAMES,
@@ -58,6 +58,7 @@ from oracles import (
     j_pq_every_degree,
     laplacian_of_del_minus_delbar,
     off_type_failures,
+    order_det_by_forms,
     stacked_kernel_nullities,
 )
 from variants import scaled_metric
@@ -217,8 +218,8 @@ class TestHodgeAbcdKernel:
         s_op = laps[0] + laps[1] + laps[2] + laps[3]
         short = []
         for k, stacked in enumerate(stacked_kernel_nullities(model)):
-            rows, masks = operator_degree_rows(s_op, k, comp.dim)
-            nullity = len(sparse_kernel(rows, len(masks)))
+            masks = degree_masks(comp.dim, k)
+            nullity = len(sparse_kernel(*s_op.entry_rows(masks), len(masks)))
             assert (nullity, nullity) == stacked, k
             if nullity != len(harmonic_space(model, k)):
                 short.append(k)
@@ -396,12 +397,14 @@ class TestSelfConjugateSums:
 
 
 class TestOrderDet:
-    def test_detects_a_sign_flip_in_the_reconstruction_of_d(self, monkeypatch):
-        # a sign flipped on the columns of degree >= 3 of every store that a
-        # Koszul sum builds from its coefficients, so on those of d itself,
-        # which ORDER_DET reads in full: rebuilding d from its coframe values
-        # repeats the flip, the Leibniz rule does not.  A column is a dict of
-        # integer coordinates over the operator's denominator.
+    @staticmethod
+    def _flip_signs(monkeypatch):
+        """A sign flipped on the columns of degree >= 3 of every store that a
+        Koszul sum builds from its coefficients, so on those of d itself,
+        which ORDER_DET reads in full: rebuilding d from its coframe values
+        repeats the flip, the Leibniz rule does not.  A column is a dict of
+        integer coordinates over the operator's denominator.  Returns the
+        unflipped ``_reconstruct``."""
         original = nkhodge.operators._reconstruct
 
         def flipped(dim, coeffs):
@@ -411,11 +414,41 @@ class TestOrderDet:
             }
 
         monkeypatch.setattr(nkhodge.operators, "_reconstruct", flipped)
+        return original
+
+    def test_detects_a_sign_flip_in_the_reconstruction_of_d(self, monkeypatch):
+        original = self._flip_signs(monkeypatch)
         model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
         d = model.orthogonalized().d()
         assert run_check(model, "ORDER_DET").status == "fail"
         unflipped = original(d.dim, d._symbol)
         assert all((d.coords[m] == col) == (m.bit_count() < 3) for m, col in unflipped.items())
+
+    def test_witness_and_residual_are_those_of_the_form_route(self, monkeypatch):
+        # the check compares d's integer columns and builds the Form
+        # difference only where they differ, so a failure reads as the
+        # route that builds it on every basis form
+        self._flip_signs(monkeypatch)
+        model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
+        got = run_check(model, "ORDER_DET")
+        want = _Acc()
+        order_det_by_forms(model.orthogonalized(), want)
+        assert got.status == "fail"
+        assert (got.witness, got.residual_approx) == (want.witness, want.residual)
+
+    @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
+    def test_a_passing_model_builds_no_form(self, monkeypatch, name):
+        # the Form difference is built only where the integer columns differ,
+        # and on a built-in they never do; the Form route agrees
+        wedges = []
+        wedge = Form.wedge
+        monkeypatch.setattr(Form, "wedge", lambda a, b: wedges.append(1) or wedge(a, b))
+        assert run_check(builtin_model(name), "ORDER_DET").status == "pass"
+        assert wedges == []
+        monkeypatch.undo()
+        acc = _Acc()
+        order_det_by_forms(builtin_model(name).orthogonalized(), acc)
+        assert acc.zero
 
 
 def _fresh(name):
@@ -531,7 +564,7 @@ _FRAME_OPERATORS = {
 def _in_frame(model, op):
     """The columns of F op E as DIM6_EIGEN reads them: ``PQBasis.frame``
     with the operator's own bound."""
-    return dict(pq_basis(model).frame(op, op.order_bound).scalar_columns())
+    return pq_basis(model).frame(op, op.order_bound).cols
 
 
 class TestInFrame:
@@ -577,7 +610,7 @@ class TestInFrame:
             return original(p, q)
 
         monkeypatch.setattr(GradedOperator, "compose", recording)
-        got = dict(pqb.frame(op, 2).scalar_columns())
+        got = pqb.frame(op, 2).cols
         assert sorted(columns) == [m for m in range(64) if m.bit_count() <= 2]
         monkeypatch.undo()
         assert got == frame_columns_by_composition(model, diff)

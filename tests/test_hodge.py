@@ -6,16 +6,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nkhodge.hodge as hodge
 import nkhodge.linalg as linalg
-from nkhodge.bidegree import decompose_form, named_operator
-from nkhodge.checks import run_check
+from nkhodge.bidegree import decompose_form, named_operator, pq_basis
+from nkhodge.checks import _difference_low_columns, run_check
 from nkhodge.hodge import (
     betti_numbers,
+    degree_masks,
     harmonic_pq,
     harmonic_space,
     hodge_laplacian,
     hodge_numbers,
-    operator_degree_rows,
     s_frame,
 )
 from nkhodge.models import (
@@ -36,7 +37,12 @@ from oracles import (
     commutator_by_composition,
     frame_columns_by_composition,
     harmonic_pq_by_laplacian,
+    harmonic_pq_by_scalar_rows,
+    harmonic_space_by_scalar_rows,
     harmonic_space_dense_oracle,
+    kunneth,
+    scalar_columns,
+    scalar_pivot_columns,
     spans_equal,
 )
 from variants import relabelled
@@ -154,16 +160,16 @@ class TestBetti:
     def test_clearing_leaves_su2_four_degree_six_459_rows_and_builds_no_scalar(self, monkeypatch, scalars_built):
         model = _fresh_su2_four()
         comp = model.orthogonalized()
-        assert len(operator_degree_rows(comp.d(), 6, 12)[0]) == 774  # every row, ranked in full
+        assert len(comp.d().entry_rows(degree_masks(12, 6))[0]) == 774  # every row, ranked in full
         calls = []
-        eliminate = linalg.pivot_columns
+        eliminate = hodge.pivot_columns
 
         def spy(rows, d):
             pivots = eliminate(rows, d)
             calls.append((len(rows), len(pivots)))
             return pivots
 
-        monkeypatch.setattr(linalg, "pivot_columns", spy)
+        monkeypatch.setattr(hodge, "pivot_columns", spy)
         scalars_built[0] = 0
         assert betti_numbers(model) == [1, 0, 0, 4, 0, 0, 6, 0, 0, 4, 0, 0, 1]
         assert scalars_built[0] == 0
@@ -173,15 +179,15 @@ class TestBetti:
 
     def test_clearing_one_extra_row_changes_su2_four_and_the_oracle_sees_it(self, monkeypatch):
         model = _fresh_su2_four()
-        pivot_columns = GradedOperator.pivot_columns
+        entry_rows = GradedOperator.entry_rows
 
         def one_more(self, masks, skip_rows=()):
             if masks and masks[0].bit_count() == 6:
                 extra = min(r for c in masks for r in self.coords.get(c, {}) if r not in skip_rows)
                 skip_rows = {*skip_rows, extra}
-            return pivot_columns(self, masks, skip_rows)
+            return entry_rows(self, masks, skip_rows)
 
-        monkeypatch.setattr(GradedOperator, "pivot_columns", one_more)
+        monkeypatch.setattr(GradedOperator, "entry_rows", one_more)
         mutated = betti_numbers(model)
         assert mutated != betti_by_full_ranks(model)
         assert mutated[6:8] == [7, 1]  # rank d_6 one short
@@ -247,7 +253,7 @@ class TestHarmonicPqByS:
             for c in ("mu", "del", "delbar", "mubar")
         ]
         s_op = laps[0] + laps[1] + laps[2] + laps[3]
-        assert dict(s_frame(model).scalar_columns()) == frame_columns_by_composition(model, s_op)
+        assert dict(scalar_columns(s_frame(model))) == frame_columns_by_composition(model, s_op)
 
     def test_hodge_numbers_and_vanish_cor_build_no_full_laplacian(self):
         # S and VANISH_COR's difference enter through their columns of degree
@@ -259,3 +265,103 @@ class TestHarmonicPqByS:
         for cache in (model._cache, comp._cache):
             assert not {"adj:d", "lap:d", "lap:L_mu_omega", "lap:L_mubar_omega"} & set(cache)
         assert "frame:S" in comp._cache
+
+
+# the four built-ins and the dim-8 and dim-10 products of TestMixedDimensionProducts
+ORACLE_MODELS = {name: build for name, build in BETTI_MODELS.items() if name != "su2-four relabelled"}
+
+
+def _literal(forms):
+    return [list(f.coeffs.items()) for f in forms]
+
+
+class TestScalarRowOracle:
+    """Every kernel and rank reads its block as entry rows straight off the
+    integer store (``GradedOperator.entry_rows``); the Scalar-row route it
+    replaced gives literally the same bases, Betti numbers and pivots."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_kernels_and_ranks_match_the_scalar_row_route(self, name):
+        model = ORACLE_MODELS[name]()
+        comp = model.orthogonalized()
+        for k in range(model.dim + 1):
+            assert _literal(harmonic_space(model, k)) == _literal(harmonic_space_by_scalar_rows(model, k)), k
+        n = model.dim // 2
+        for p in range(n + 1):
+            for q in range(n + 1):
+                assert _literal(harmonic_pq(model, p, q)) == _literal(harmonic_pq_by_scalar_rows(model, p, q)), (p, q)
+        assert betti_numbers(model) == betti_by_full_ranks(model)
+        # VANISH_COR's per-type ranks, pivot for pivot
+        pqb = pq_basis(comp)
+        frame = pqb.frame(*_difference_low_columns(comp))
+        for p in range(n + 1):
+            for q in range(n + 1):
+                masks = pqb.monomial_masks(p, q)
+                pivots = [masks[j] for j in linalg.pivot_columns(*frame.entry_rows(masks))]
+                assert pivots == scalar_pivot_columns(frame, masks), (p, q)
+
+
+class _TouchedStore(dict):
+    """A store that records the columns read through ``get`` and refuses a
+    walk over every column."""
+
+    def __init__(self, store, touched):
+        super().__init__(store)
+        self.touched = touched
+
+    def get(self, key, default=None):
+        self.touched.append(key)
+        return super().get(key, default)
+
+    def items(self):
+        raise AssertionError("a block read walks the whole store")
+
+    __iter__ = keys = values = items
+
+
+def test_su2_four_elimination_builds_no_scalar_row_and_reads_only_its_blocks(monkeypatch):
+    model = _fresh_su2_four()
+    comp = model.orthogonalized()
+    pq_basis(comp)  # the eta-frame's small Scalar inverse is built before the guard
+    reads = []
+    entry_rows = GradedOperator.entry_rows
+
+    def guarded(self, masks, skip_rows=()):
+        store, touched = self.coords, []
+        self._coords = _TouchedStore(store, touched)
+        try:
+            out = entry_rows(self, masks, skip_rows)
+        finally:
+            self._coords = store
+        assert touched == sorted(masks)
+        reads.append(len(masks))
+        return out
+
+    def refused(rows):
+        raise AssertionError("Scalar rows built for elimination")
+
+    monkeypatch.setattr(GradedOperator, "entry_rows", guarded)
+    monkeypatch.setattr(linalg, "_entry_rows", refused)
+    assert hodge_numbers(model).sum_rule_holds()
+    assert run_check(model, "HODGE_ABCD").status == "pass"
+    assert run_check(model, "VANISH_COR").status == "pass"
+    # 13 Betti ranks, 49 kernels of S, 13 of Delta_d, 49 VANISH_COR ranks
+    assert len(reads) == 13 + 49 + 13 + 49
+
+
+class TestKunneth:
+    """Betti numbers and Hodge tables of products are the convolutions of
+    their factors' (su2-four is s3xs3-nk x s3xs3-nk as a Lie algebra)."""
+
+    def test_su2_four_is_the_square_of_s3xs3(self, s3xs3, su2four):
+        h, betti = hodge_numbers(s3xs3).h, betti_numbers(s3xs3)
+        assert hodge_numbers(su2four).h == kunneth(h, h)
+        assert betti_numbers(su2four) == kunneth(betti, betti)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("kodaira-thurston", "kodaira-thurston"), ("kodaira-thurston", "s3xs3-nk"), ("s3xs3-nk", "s3xs3-nk")],
+    )
+    def test_betti_numbers_of_products(self, first, second):
+        x, y = builtin_model(first), builtin_model(second)
+        assert betti_numbers(_product(first, second)) == kunneth(betti_numbers(x), betti_numbers(y))

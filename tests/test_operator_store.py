@@ -57,6 +57,7 @@ from nkhodge.operators import (
     mult_operator,
     reconstruct,
 )
+from nkhodge.linalg import transpose
 from nkhodge.scalars import ONE, ZERO, Scalar
 from oracles import (
     ScalarDerivationAction,
@@ -144,7 +145,7 @@ def assert_same(op: GradedOperator, ref: ScalarOperator):
     assert isinstance(op, GradedOperator)
     assert op.degree == ref.degree
     assert op.cols == ref.cols
-    # the column and row orders that linalg.transpose hands to elimination
+    # the column and row orders of the store are those of the Scalar store
     assert list(op.coords) == list(ref.cols)
     assert all(list(op.coords[c]) == list(col) for c, col in ref.cols.items())
     assert op.nnz() == ref.nnz()
@@ -249,6 +250,24 @@ class TestAgainstScalarStore:
         assert list(got.coeffs) == list(want.coeffs)
         for mask in MASKS:
             assert p.column_form(mask) == ScalarOperator.of(p).column_form(mask)
+
+    @given(operators(), st.data())
+    @EXAMPLES
+    def test_entry_rows_are_the_scalar_rows_over_q(self, p, data):
+        # any masks in any order, rows left out: the block's rows in order
+        # of first appearance over its columns in increasing mask order,
+        # column j at masks[j], each entry the store's coordinates over 1
+        masks = data.draw(st.lists(st.sampled_from(MASKS), unique=True))
+        skip = set(data.draw(st.lists(st.sampled_from(MASKS))))
+        rows, d = p.entry_rows(masks, skip)
+        index = {m: j for j, m in enumerate(masks)}
+        cols = ((index[c], {r: v for r, v in p.column_form(c).coeffs.items() if r not in skip}) for c in sorted(masks))
+        got = [[(j, Scalar(a, b, c, e, p.q, d)) for j, (a, b, c, e, one) in row.items() if one == 1] for row in rows]
+        assert d == p.d
+        assert got == [list(row.items()) for row in transpose(cols)]
+        # one shared tuple per distinct entry
+        entries = [t for row in rows for t in row.values()]
+        assert len({id(t) for t in entries}) == len(set(entries))
 
     @given(operators(), operators())
     @EXAMPLES
@@ -802,7 +821,7 @@ class TestBracketsByOrder:
         low, r = bracket_columns(pairs)
         full = bracket_sum(pairs)
         assert (r, low.order_bound, full.order_bound) == (2, None, 2)
-        assert dict(low.scalar_columns()) == {m: col for m, col in full.scalar_columns() if m.bit_count() <= r}
+        assert low.cols == {m: col for m, col in full.cols.items() if m.bit_count() <= r}
         assert_same_matrix(from_low_columns(low, r), full)
         # asked for a larger R, the products on the columns of degree <= R;
         # a smaller one would not determine the sum
