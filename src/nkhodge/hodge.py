@@ -11,8 +11,14 @@ the pivot columns Q of d on degree k + 1 are combinations of the other
 rows, because the pivot rows are invertible on Q and kill the image of d,
 so the rank of d on degree k is that of its rows outside Q.  The lemma
 assumes d d = 0 and nothing else (Chen and Kerber, *Persistent homology
-computation with a twist*, EuroCG 2011, use it for boundary matrices);
-the test suite compares the result with every block ranked in full.
+computation with a twist*, EuroCG 2011, use it for boundary matrices).
+Only degrees n down to n/2 are ranked: by Poincare duality for unimodular
+Lie algebra cohomology (Chevalley and Eilenberg, *Trans. AMS* 1948) the
+wedge pairing into Lambda^n makes d on degree k the signed transpose of d
+on degree n - 1 - k, so their ranks agree.  Its one hypothesis is d = 0 on
+Lambda^{n-1} (unimodularity), and that rank is among those taken, so a
+model without it raises AssertionError; the test suite compares the
+result with every block ranked in full.
 
 The harmonic (p,q)-forms come from S = Delta_mu + Delta_del + Delta_delbar
 + Delta_mubar, the operator of HODGE_ABCD's lemma, one type at a time.
@@ -142,16 +148,26 @@ def betti_numbers(model) -> list[int]:
     """Homology dimensions of (invariant forms, d), b_k = C(n, k) - r_k -
     r_{k-1} with r_k the rank of d on degree k; no metric involved.
 
-    The ranks are taken from the top degree down, each on the rows that
-    the pivots of the degree above leave (clearing).  With Q the pivot
-    columns of d on degree k + 1, every (k+1)-form x = d y has x_Q fixed by
-    the rest of x, since the pivot rows kill it (d d = 0) and are
-    invertible on Q; so the rows Q of d on degree k are combinations of
-    the others, and its rank is that of the others.  d d = 0 is the only
-    assumption, the one that b_k = C(n, k) - r_k - r_{k-1} makes too, and
-    ``validate_model`` certifies it as a matrix identity.  Each block
-    hands C(n, k+1) - r_{k+1} rows to the elimination, all but b_{k+1} of
-    them independent."""
+    The ranks of the top half, degrees n down to n/2, are taken from the
+    top degree down, each on the rows that the pivots of the degree above
+    leave (clearing).  With Q the pivot columns of d on degree k + 1,
+    every (k+1)-form x = d y has x_Q fixed by the rest of x, since the
+    pivot rows kill it (d d = 0) and are invertible on Q; so the rows Q of
+    d on degree k are combinations of the others, and its rank is that of
+    the others.  d d = 0 is the only assumption of the clearing, the one
+    that b_k = C(n, k) - r_k - r_{k-1} makes too, and ``validate_model``
+    certifies it as a matrix identity.  Each block hands C(n, k+1) -
+    r_{k+1} rows to the elimination, all but b_{k+1} of them independent.
+
+    The ranks of the lower half are read off by Poincare duality for
+    unimodular Lie algebra cohomology (Chevalley and Eilenberg, Trans.
+    AMS 1948): when d vanishes on Lambda^{n-1}, d(a ^ b) = 0 for every
+    a of degree k and b of degree n - 1 - k, so the wedge pairing
+    Lambda^{k+1} x Lambda^{n-1-k} -> Lambda^n, which is perfect, makes
+    d_k the signed transpose of d_{n-1-k}, and r_k = r_{n-1-k}.  That
+    hypothesis is unimodularity (``validate_model`` checks it), and
+    r_{n-1} is ranked with the top half anyway: a nonzero r_{n-1} raises
+    AssertionError instead of a wrong vector."""
     comp = model.orthogonalized()
 
     def build():
@@ -161,11 +177,18 @@ def betti_numbers(model) -> list[int]:
             by_degree[c.bit_count()].append(c)
         ranks = [0] * (dim + 1)
         cleared: set[int] = set()
-        for k in range(dim, -1, -1):
+        for k in range(dim, dim // 2 - 1, -1):
             masks = by_degree[k]
             pivots = pivot_columns(*d.entry_rows(masks, cleared))
             ranks[k] = len(pivots)
             cleared = {masks[j] for j in pivots}
+        if ranks[dim - 1]:
+            raise AssertionError(
+                f"d has rank {ranks[dim - 1]} on degree {dim - 1}: the model is not unimodular, "
+                "so the ranks of d do not satisfy Poincare duality"
+            )
+        for k in range(dim // 2):
+            ranks[k] = ranks[dim - 1 - k]
         return [comb(dim, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(dim + 1)]
 
     return comp._memo("betti", build)

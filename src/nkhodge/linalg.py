@@ -9,11 +9,14 @@ Every exact elimination in src is the one sparse fraction-free
 (Bareiss-style) elimination ``_eliminate``, followed where needed by the
 back-substitution that ``sparse_kernel`` and ``solve`` share.  The pivot is
 the least bit-complexity entry, ties broken by the first active row, then
-the lowest column; each active row caches its own least (complexity,
-column), recomputed only when a step rebuilds the row, and a column -> rows
-index finds the rows a step rebuilds, so a step neither rescans every
-entry nor walks every row.  The one other factorization is the LDL^T of the metric
-in ``exterior.GramData``, which also tests positive-definiteness.
+the lowest column.  Each active row's least (complexity, column) is
+recomputed only when a step rebuilds the row, and sits in a heap keyed by
+(complexity, row index, column), whose top is that rule's pivot (a key a
+rebuilt or retired row has left behind is dropped when popped); a
+column -> rows index finds the rows a step rebuilds, so a step neither
+rescans every entry nor walks every row.  The one other factorization is
+the LDL^T of the metric in ``exterior.GramData``, which also tests
+positive-definiteness.
 
 The elimination runs on entry rows: dicts col -> the normalized entry
 (a, b, c, e, q) of the field kernel in ``scalars``, of one field with a d
@@ -43,7 +46,7 @@ for row.
 
 from __future__ import annotations
 
-import sys
+import heapq
 from math import gcd, lcm
 
 from . import scalars
@@ -53,7 +56,6 @@ SparseRow = dict[int, Scalar]
 EntryRow = dict[int, Entry]
 
 _ONE = (1, 0, 0, 0, 1)
-_RETIRED = sys.maxsize  # above any complexity
 
 
 def add_scaled(acc: SparseRow, vec: SparseRow, s: Scalar | None = None) -> SparseRow:
@@ -140,20 +142,24 @@ def _eliminate(rows: list[EntryRow], d: int) -> list[tuple[EntryRow, int]]:
     one ends up as a pivot row or as zero; the input rows are not mutated.
 
     The pivot is the least-complexity entry of the active rows, ties broken
-    by the first row in order, then the lowest column.  Each active row
-    keeps its own least (complexity, column), and only the rows a step
-    rebuilds (those with an entry in the pivot column, found through a
-    column -> rows index) recompute it, so a step costs one pass over the
-    cached minima instead of a scan of every entry.  The update is
-    row <- (pval row - rv prow) / prev_piv with the division hoisted:
-    pval / prev_piv once per step, -rv / prev_piv once per row.  Arithmetic
-    in the field is exact and every entry is normalized, so the rows are
-    literally those of the undivided formula."""
+    by the first row in order, then the lowest column.  Each active row's
+    least (complexity, column) sits in a heap keyed by (complexity, row
+    index, column), which pops exactly that rule's pivot; only the rows a
+    step rebuilds (those with an entry in the pivot column, found through
+    a column -> rows index) push a new key, and a popped key that no longer
+    matches its row (retired or rebuilt since) is dropped, so a step costs
+    O(log rows) per rebuilt row instead of a pass over every row.  The
+    update is row <- (pval row - rv prow) / prev_piv with the division
+    hoisted: pval / prev_piv once per step, -rv / prev_piv once per row.
+    Arithmetic in the field is exact and every entry is normalized, so the
+    rows are literally those of the undivided formula."""
     # a row is set to None as it retires
     active: list[EntryRow | None] = [_clear_row(row) for row in rows if row]
-    mins = [_row_min(r) for r in active]  # cached per row, recomputed when rebuilt
-    cxs = [cx for cx, _ in mins]  # _RETIRED once the row is a pivot row or zero
-    cols = [c for _, c in mins]
+    # the current (complexity, column) of each active row; the heap may also
+    # hold keys of earlier versions of a row, dropped when popped
+    mins = [_row_min(r) for r in active]
+    heap = [(cx, i, col) for i, (cx, col) in enumerate(mins)]  # sorted by row, so a heap
+    heapq.heapify(heap)
     # column -> every row that has held an entry there; a row that has since
     # lost it (cancelled, retired or already rebuilt) is skipped when read
     holders: dict[int, list[int]] = {}
@@ -162,19 +168,18 @@ def _eliminate(rows: list[EntryRow], d: int) -> list[tuple[EntryRow, int]]:
             holders.setdefault(col, []).append(i)
     pivots: list[tuple[EntryRow, int]] = []
     inv = _ONE  # 1 / the previous pivot
-    for _ in range(len(active)):
-        cx = min(cxs)
-        if cx == _RETIRED:
-            break
-        ri = cxs.index(cx)  # the first row with the least complexity
-        prow, pc = active[ri], cols[ri]
-        active[ri], cxs[ri] = None, _RETIRED
+    while heap:
+        cx, ri, pc = heapq.heappop(heap)
+        prow = active[ri]
+        if prow is None or mins[ri] != (cx, pc):
+            continue
+        active[ri] = None
         pval = prow[pc]
         # each updated entry is (pval v - rv pv) inv; the numerators pval inv
         # and -rv inv carry the step's division
         scale = product(pval, inv, d)
         others = [(col, pv) for col, pv in prow.items() if col != pc]
-        # rows without the pivot column keep their cached minimum
+        # rows without the pivot column keep their key
         for i in holders.pop(pc):
             row = active[i]
             if row is None or pc not in row:
@@ -198,9 +203,10 @@ def _eliminate(rows: list[EntryRow], d: int) -> list[tuple[EntryRow, int]]:
                     holders[col].append(i)
             if out:
                 active[i] = out
-                cxs[i], cols[i] = _row_min(out)
+                mins[i] = key = _row_min(out)
+                heapq.heappush(heap, (key[0], i, key[1]))
             else:
-                active[i], cxs[i] = None, _RETIRED
+                active[i] = None
         pivots.append((prow, pc))
         inv = scalars.inverse(pval, d)
     return pivots

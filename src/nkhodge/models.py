@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 from .exterior import Form, GramData
-from .linalg import add_scaled, inverse
+from .linalg import SparseRow, add_scaled, inverse
 from .operators import GradedOperator, algebra_map_apply, bracket_sum, derivation_from_one_forms
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, rational, squarefree
 
@@ -79,51 +79,75 @@ class SU3Data:
     omega: Form
 
 
+def _nonzero_rows(matrix) -> list[dict[int, Scalar]]:
+    """Each row of a matrix as a sparse row, zeros left out."""
+    return [{c: v for c, v in enumerate(row) if not v.is_zero()} for row in matrix]
+
+
 class ConnectionTable:
-    """Levi-Civita coefficients on the invariant frame, exactly verified."""
+    """Levi-Civita coefficients gamma[i][j][k] = Gamma^k_{ij} on the
+    invariant frame, exactly verified.
+
+    By the Koszul formula, 2 g(nabla_{e_i} e_j, e_k) = P(i,j,k) - P(j,k,i)
+    + P(k,i,j) with P(a,b,c) = g([e_a, e_b], e_c), and Gamma^k_{ij} is
+    g^{kl} times it, halved.  Only nonzero terms are summed: P from the
+    nonzero structure constants and the nonzero entries of g, each nonzero
+    P(a,b,c) added to the six right-hand sides it enters, and those raised
+    by the nonzero entries of g^{-1}, so on a diagonal metric the cost
+    follows the structure constants, not n^4.  The verification is
+    exhaustive: every (i, j, k) in turn is tested for metric compatibility,
+    Gamma_{ijk} + Gamma_{ikj} = 0 with Gamma_{ijk} = Gamma^l_{ij} g_{lk},
+    and then for torsion, Gamma^k_{ij} - Gamma^k_{ji} = c^k_{ij}; the
+    first failing triple raises, and only zero terms are left out of the
+    sums (the tests compare every table with the dense formula)."""
 
     def __init__(self, model: LieAlgebraModel):
         n = model.dim
-        g = model.metric
-        ginv = model.gram().g_inv
-
-        def pair_bracket(i: int, j: int, k: int) -> Scalar:
-            acc = ZERO
-            for l, v in model.bracket_basis(i, j):
-                acc = acc + v * g[l][k]
-            return acc
-
+        g_rows = _nonzero_rows(model.metric)
+        ginv_cols = _nonzero_rows(zip(*model.gram().g_inv))
+        rhs: dict[tuple[int, int], SparseRow] = {}
+        for (a, b), vals in model.structure.items():
+            lowered: SparseRow = {}
+            for l, c in vals.items():
+                add_scaled(lowered, g_rows[l], c)
+            for c, v in lowered.items():
+                # P(a,b,c) = v = -P(b,a,c), in each of the three Koszul terms
+                w = -v
+                for i, j, k, s in ((a, b, c, v), (b, a, c, w), (c, a, b, w), (c, b, a, v), (b, c, a, v), (a, c, b, w)):
+                    add_scaled(rhs.setdefault((i, j), {}), {k: s})
+        half = rational(1, 2)
         gamma = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                rhs = [
-                    pair_bracket(i, j, k) - pair_bracket(j, k, i) + pair_bracket(k, i, j)
-                    for k in range(n)
-                ]
-                for k in range(n):
-                    acc = ZERO
-                    for l in range(n):
-                        if not rhs[l].is_zero():
-                            acc = acc + ginv[k][l] * rhs[l]
-                    gamma[i][j][k] = acc / rational(2)
+        for (i, j), row in rhs.items():
+            raised: SparseRow = {}
+            for l, v in row.items():
+                add_scaled(raised, ginv_cols[l], v)
+            for k, v in raised.items():
+                gamma[i][j][k] = v * half
         self.gamma = gamma
         self.dim = n
         self._verify(model)
 
     def _verify(self, model: LieAlgebraModel) -> None:
         n = self.dim
-        g = model.metric
+        g_rows = _nonzero_rows(model.metric)
+        rows = [_nonzero_rows(block) for block in self.gamma]
+        # lowered[i][j][k] = Gamma_{ijk}
+        lowered = [[{} for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(n):
+                for l, v in rows[i][j].items():
+                    add_scaled(lowered[i][j], g_rows[l], v)
+        for i in range(n):
+            for j in range(n):
+                low = lowered[i][j]
+                # Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij}, zeros dropped
+                torsion = add_scaled(dict(rows[i][j]), rows[j][i], MINUS_ONE)
+                add_scaled(torsion, dict(model.bracket_basis(i, j)), MINUS_ONE)
                 for k in range(n):
-                    compat = ZERO
-                    for l in range(n):
-                        compat = compat + self.gamma[i][j][l] * g[l][k]
-                        compat = compat + self.gamma[i][k][l] * g[j][l]
+                    compat = low.get(k, ZERO) + lowered[i][k].get(j, ZERO)
                     if not compat.is_zero():
                         raise ValueError(f"connection not metric ({i + 1},{j + 1},{k + 1})")
-                    tors = self.gamma[i][j][k] - self.gamma[j][i][k] - model.cval(i, j, k)
-                    if not tors.is_zero():
+                    if k in torsion:
                         raise ValueError(f"connection has torsion ({i + 1},{j + 1},{k + 1})")
 
 

@@ -29,10 +29,15 @@
 * ``sparse_echelon_scan``: the fraction-free elimination in ``Scalar``
   arithmetic that rescans every active entry for the pivot at each step and
   divides each entry by the previous pivot; the production elimination
-  ``linalg._eliminate``, with integer-tuple entries, cached per-row minima, a
-  column index and a hoisted division, entered from Scalar rows through
-  ``linalg._entry_rows`` and read back as Scalar rows by
-  ``sparse_echelon``, must return literally the same rows.
+  ``linalg._eliminate``, with integer-tuple entries, a heap of per-row
+  least (complexity, row, column) keys, a column index and a hoisted
+  division, entered from Scalar rows through ``linalg._entry_rows`` and
+  read back as Scalar rows by ``sparse_echelon``, must return literally
+  the same rows.
+* ``eliminate_by_scan``: the same integer elimination on entry rows with
+  each pivot found by a pass over every row's cached least (complexity,
+  column), ``min`` then ``index``, against the production heap, which must
+  pick the same pivots and give literally the same pivot rows.
 * ``scalar_columns``, ``operator_rows``, ``operator_degree_rows``,
   ``scalar_kernel`` and ``scalar_pivot_columns``: the Scalar-row route
   from an operator block into elimination, its columns converted to
@@ -52,6 +57,11 @@
 * ``jacobi_issues_dense``: the Jacobi identity on every basis triple as
   the dense sum over every index through ``cval``, against the production
   sum over the nonzero structure constants in ``validate_model``.
+* ``connection_by_koszul_formula`` and ``verify_connection_densely``: the
+  Levi-Civita table by the Koszul formula with every sum over every index,
+  and its metric and torsion tests as dense sums, against
+  ``models.ConnectionTable``, which sums the nonzero terms only; the tables
+  and the first failing triple's message must be literally the same.
 * ``stacked_kernel_nullities``: the kernel intersections of HODGE_ABCD
   (a) and (b) as stacked eliminations of the eight components and adjoints
   and of the four component Laplacians, against the production kernel of
@@ -110,11 +120,13 @@
   combinations of the Delta_d-kernel ``harmonic_space(p + q)`` with no
   eta-coordinate outside type (p,q) (``PQBasis.outside``), against the
   same production kernel of S; it shares no operator with it but d.
-* ``betti_by_full_ranks``: b_k = C(n, k) - r_k - r_{k-1} with every degree
-  block of d turned into Scalar rows (``operator_degree_rows``) and ranked
-  in full with ``sparse_rank``, against the production ranks by clearing,
-  which read d's integer store and leave out the rows at the pivot columns
-  of the degree above.
+* ``ranks_of_d_in_full`` and ``betti_by_full_ranks``: b_k = C(n, k) - r_k
+  - r_{k-1} with every degree block of d turned into Scalar rows
+  (``operator_degree_rows``) and ranked in full with ``sparse_rank``,
+  against the production ranks, taken by clearing on the top half of the
+  degrees (reading d's integer store and leaving out the rows at the pivot
+  columns of the degree above) and by Poincare duality, r_k = r_{n-1-k},
+  on the rest.
 * ``ScalarOperator`` and ``scalar_adjoint``: the operator store as sparse
   columns of ``Scalar`` (every entry normalized on its own, sums and
   products through ``linalg.add_scaled``), against the production store of
@@ -167,6 +179,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from nkhodge.bidegree import DifferentialSplit, differential_split, j_operator, pq_basis
@@ -181,9 +194,11 @@ from nkhodge.exterior import (
 )
 from nkhodge.hodge import degree_masks, harmonic_space, hodge_laplacian, s_frame
 from nkhodge.linalg import (
+    EntryRow,
     SparseRow,
     _eliminate,
     _entry_rows,
+    _row_min,
     _scalar_row,
     add_scaled,
     inverse,
@@ -192,6 +207,7 @@ from nkhodge.linalg import (
     sparse_rank,
     transpose,
 )
+from nkhodge.linalg import _clear_row as _clear_entry_row
 from nkhodge.models import ValidationIssue
 from nkhodge.operators import (
     Bracket,
@@ -210,7 +226,8 @@ from nkhodge.operators import (
     derivation_from_one_forms,
     mult_operator,
 )
-from nkhodge.scalars import I, ONE, ZERO, Scalar, rational
+from nkhodge.scalars import I, ONE, ZERO, Scalar, add, product, rational, reduce
+from nkhodge.scalars import inverse as field_inverse
 
 
 # -- wedge signs ----------------------------------------------------------------
@@ -631,6 +648,62 @@ def sparse_echelon_scan(rows: list[SparseRow]) -> list[tuple[SparseRow, int]]:
     return pivots
 
 
+
+def eliminate_by_scan(rows: list[EntryRow], d: int) -> list[tuple[EntryRow, int]]:
+    """``linalg._eliminate`` with the pivot found by a pass over every
+    active row's cached least (complexity, column): ``min`` of the
+    complexities, then ``index`` for the first row that has it."""
+    retired = sys.maxsize  # above any complexity
+    active: list[EntryRow | None] = [_clear_entry_row(row) for row in rows if row]
+    mins = [_row_min(r) for r in active]
+    cxs = [cx for cx, _ in mins]
+    cols = [c for _, c in mins]
+    holders: dict[int, list[int]] = {}
+    for i, row in enumerate(active):
+        for col in row:
+            holders.setdefault(col, []).append(i)
+    pivots: list[tuple[EntryRow, int]] = []
+    inv = (1, 0, 0, 0, 1)
+    for _ in range(len(active)):
+        cx = min(cxs)
+        if cx == retired:
+            break
+        ri = cxs.index(cx)
+        prow, pc = active[ri], cols[ri]
+        active[ri], cxs[ri] = None, retired
+        pval = prow[pc]
+        scale = product(pval, inv, d)
+        others = [(col, pv) for col, pv in prow.items() if col != pc]
+        for i in holders.pop(pc):
+            row = active[i]
+            if row is None or pc not in row:
+                continue
+            a, b, c, e, q = row[pc]
+            neg = product((-a, -b, -c, -e, q), inv, d)
+            out: EntryRow = {}
+            for col, v in row.items():
+                if col == pc:
+                    continue
+                t = product(scale, v, d)
+                pv = prow.get(col)
+                if pv is not None:
+                    t = add(t, product(neg, pv, d))
+                    if not (t[0] or t[1] or t[2] or t[3]):
+                        continue
+                out[col] = reduce(*t)
+            for col, pv in others:
+                if col not in row:
+                    out[col] = reduce(*product(neg, pv, d))
+                    holders[col].append(i)
+            if out:
+                active[i] = out
+                cxs[i], cols[i] = _row_min(out)
+            else:
+                active[i], cxs[i] = None, retired
+        pivots.append((prow, pc))
+        inv = field_inverse(pval, d)
+    return pivots
+
 # -- the Scalar-row route into elimination -------------------------------------------
 
 def scalar_columns(op: GradedOperator, masks=None):
@@ -741,6 +814,51 @@ def jacobi_issues_dense(model) -> list[ValidationIssue]:
                         issues.append(ValidationIssue("jacobi", (i + 1, j + 1, k + 1, l + 1)))
     return issues
 
+
+
+def connection_by_koszul_formula(model) -> list[list[list[Scalar]]]:
+    """Gamma^k_{ij} = (1/2) g^{kl} (P(i,j,l) - P(j,l,i) + P(l,i,j)), with
+    P(a,b,c) = g([e_a, e_b], e_c), every sum taken over every index."""
+    n = model.dim
+    g = model.metric
+    ginv = model.gram().g_inv
+
+    def pair_bracket(i: int, j: int, k: int) -> Scalar:
+        acc = ZERO
+        for l, v in model.bracket_basis(i, j):
+            acc = acc + v * g[l][k]
+        return acc
+
+    gamma = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rhs = [pair_bracket(i, j, k) - pair_bracket(j, k, i) + pair_bracket(k, i, j) for k in range(n)]
+            for k in range(n):
+                acc = ZERO
+                for l in range(n):
+                    if not rhs[l].is_zero():
+                        acc = acc + ginv[k][l] * rhs[l]
+                gamma[i][j][k] = acc / rational(2)
+    return gamma
+
+
+def verify_connection_densely(model, gamma) -> None:
+    """Metric compatibility and then torsion at every (i, j, k) in turn,
+    each as the dense sum over every index; the first failure raises."""
+    n = model.dim
+    g = model.metric
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                compat = ZERO
+                for l in range(n):
+                    compat = compat + gamma[i][j][l] * g[l][k]
+                    compat = compat + gamma[i][k][l] * g[j][l]
+                if not compat.is_zero():
+                    raise ValueError(f"connection not metric ({i + 1},{j + 1},{k + 1})")
+                tors = gamma[i][j][k] - gamma[j][i][k] - model.cval(i, j, k)
+                if not tors.is_zero():
+                    raise ValueError(f"connection has torsion ({i + 1},{j + 1},{k + 1})")
 
 # -- the split of d and its barred half ----------------------------------------
 
@@ -974,12 +1092,18 @@ def harmonic_pq_by_laplacian(model, p: int, q: int) -> list[Form]:
     ]
 
 
-def betti_by_full_ranks(model) -> list[int]:
-    """The Betti numbers from the rank of every degree block of d, each
-    block as Scalar rows with every row kept."""
+def ranks_of_d_in_full(model) -> list[int]:
+    """The rank of d on every degree, each block as Scalar rows with every
+    row kept."""
     comp = model.orthogonalized()
     d, dim = comp.d(), comp.dim
-    ranks = [sparse_rank(operator_degree_rows(d, k, dim)[0]) for k in range(dim + 1)]
+    return [sparse_rank(operator_degree_rows(d, k, dim)[0]) for k in range(dim + 1)]
+
+
+def betti_by_full_ranks(model) -> list[int]:
+    """The Betti numbers from ``ranks_of_d_in_full``."""
+    ranks = ranks_of_d_in_full(model)
+    dim = len(ranks) - 1
     return [math.comb(dim, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(dim + 1)]
 
 

@@ -41,6 +41,7 @@ from oracles import (
     harmonic_space_by_scalar_rows,
     harmonic_space_dense_oracle,
     kunneth,
+    ranks_of_d_in_full,
     scalar_columns,
     scalar_pivot_columns,
     spans_equal,
@@ -156,6 +157,23 @@ class TestBetti:
         betti = betti_numbers(model)
         assert betti == betti_by_full_ranks(model)
         assert betti[0] == betti[-1] == 1 and betti == betti[::-1]
+        ranks = ranks_of_d_in_full(model)
+        assert ranks == [ranks[model.dim - 1 - k] for k in range(model.dim)] + [0]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_full_ranks_satisfy_poincare_duality(self, name):
+        ranks = ranks_of_d_in_full(builtin_model(name))
+        n = len(ranks) - 1
+        assert ranks[n] == ranks[n - 1] == 0
+        assert all(ranks[k] == ranks[n - 1 - k] for k in range(n))
+
+    def test_a_non_unimodular_model_raises_instead_of_a_wrong_vector(self):
+        # aff(1): [e1, e2] = e2, so du^2 = -u^1 ^ u^2 and d has rank 1 on degree 1
+        aff = LieAlgebraModel("aff1", 2, 1, {(0, 1): {1: Scalar(1, 0, 0, 0)}}, _identity_metric(2), _standard_j(2))
+        assert [issue.check for issue in validate_model(aff).issues] == ["unimodular"]
+        assert betti_by_full_ranks(aff) == [1, 1, 0]
+        with pytest.raises(AssertionError, match="rank 1 on degree 1: the model is not unimodular"):
+            betti_numbers(aff)
 
     def test_clearing_leaves_su2_four_degree_six_459_rows_and_builds_no_scalar(self, monkeypatch, scalars_built):
         model = _fresh_su2_four()
@@ -173,8 +191,9 @@ class TestBetti:
         scalars_built[0] = 0
         assert betti_numbers(model) == [1, 0, 0, 4, 0, 0, 6, 0, 0, 4, 0, 0, 1]
         assert scalars_built[0] == 0
-        # one elimination per degree, from degree 12 down
-        assert len(calls) == 13
+        # one elimination per degree, from degree 12 down to 6; degrees 5 to 0
+        # by Poincare duality
+        assert len(calls) == 7
         assert calls[12 - 6] == (459, 459)  # 792 - rank d_7 rows, all independent since b_7 = 0
 
     def test_clearing_one_extra_row_changes_su2_four_and_the_oracle_sees_it(self, monkeypatch):
@@ -190,7 +209,7 @@ class TestBetti:
         monkeypatch.setattr(GradedOperator, "entry_rows", one_more)
         mutated = betti_numbers(model)
         assert mutated != betti_by_full_ranks(model)
-        assert mutated[6:8] == [7, 1]  # rank d_6 one short
+        assert mutated[5:8] == [1, 8, 1]  # rank d_6, and by duality rank d_5, one short
 
 
 class TestHodgeNumbers:
@@ -345,8 +364,8 @@ def test_su2_four_elimination_builds_no_scalar_row_and_reads_only_its_blocks(mon
     assert hodge_numbers(model).sum_rule_holds()
     assert run_check(model, "HODGE_ABCD").status == "pass"
     assert run_check(model, "VANISH_COR").status == "pass"
-    # 13 Betti ranks, 49 kernels of S, 13 of Delta_d, 49 VANISH_COR ranks
-    assert len(reads) == 13 + 49 + 13 + 49
+    # 7 Betti ranks (degrees 12 to 6), 49 kernels of S, 13 of Delta_d, 49 VANISH_COR ranks
+    assert len(reads) == 7 + 49 + 13 + 49
 
 
 class TestKunneth:

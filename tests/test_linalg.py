@@ -3,13 +3,15 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 import nkhodge.linalg as linalg
-from nkhodge.hodge import hodge_laplacian
+from nkhodge.checks import run_check
+from nkhodge.hodge import hodge_laplacian, hodge_numbers
 from nkhodge.linalg import add_scaled, inverse, solve, sparse_kernel, sparse_rank, transpose
-from nkhodge.models import builtin_model
+from nkhodge.models import builtin_model, model_from_json, model_to_json
 from nkhodge.scalars import ONE, ZERO, Scalar
 from oracles import (
     dense_kernel,
     dense_to_sparse,
+    eliminate_by_scan,
     operator_degree_rows,
     scalar_kernel,
     sparse_echelon,
@@ -249,7 +251,7 @@ def test_transpose_twice_gives_back_the_matrix(mat):
 
 
 # -- pivot search --------------------------------------------------------------
-# the cached per-row minima must pick every pivot the full scan picks, and the
+# the heap of per-row minima must pick every pivot the full scan picks, and the
 # hoisted division must give the same normalized scalars, key order included
 
 
@@ -302,6 +304,45 @@ def test_echelon_scores_each_entry_once_on_a_diagonal(monkeypatch):
     # a full rescan would score n + (n - 1) + ... + 1 = n(n + 1)/2 entries;
     # each entry is scored as its normalized (a, b, c, e, q) tuple
     assert scored == [(i + 1, 1, 0, 0, 1) for i in range(n)]
+
+
+@st.composite
+def tie_heavy_entry_rows(draw):
+    """Entry rows over Q(sqrt 3)(i) from at most three values, so many
+    entries share a complexity, with empty rows put in among them."""
+    pool = draw(st.lists(scalars_q3i.filter(lambda x: not x.is_zero()), min_size=1, max_size=3))
+    ncols = draw(st.integers(1, 10))
+    value = st.sampled_from(pool).map(lambda x: -x) | st.sampled_from(pool)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), value, max_size=ncols), max_size=16))
+    for _ in range(draw(st.integers(1, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), {})
+    return linalg._entry_rows(rows)
+
+
+@given(tie_heavy_entry_rows())
+@settings(max_examples=120, deadline=None)
+def test_heap_picks_the_pivots_of_the_scan(case):
+    rows, d = case
+    assert literal(linalg._eliminate(rows, d)) == literal(eliminate_by_scan(rows, d))
+
+
+def test_heap_picks_the_pivots_of_the_scan_on_a_su2_four_hodge_round(monkeypatch):
+    # every block that the Hodge table and VANISH_COR eliminate on su2-four
+    model = model_from_json(model_to_json(builtin_model("su2-four")))
+    blocks = []
+    eliminate = linalg._eliminate
+
+    def recording(rows, d):
+        pivots = eliminate(rows, d)
+        blocks.append((rows, d, pivots))
+        return pivots
+
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    assert hodge_numbers(model).sum_rule_holds()
+    assert run_check(model, "VANISH_COR").status == "pass"
+    assert len(blocks) >= 7 + 49 + 49  # Betti ranks, kernels of S, VANISH_COR ranks
+    for rows, d, pivots in blocks:
+        assert literal(pivots) == literal(eliminate_by_scan(rows, d))
 
 
 # -- integer-tuple elimination against the Scalar oracles --------------------------

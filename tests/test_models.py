@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nkhodge.exterior import Form
 from nkhodge.models import (
     BUILTIN_NAMES,
+    ConnectionTable,
     LieAlgebraModel,
     ValidationIssue,
     builtin_model,
@@ -19,7 +21,14 @@ from nkhodge.models import (
 )
 from nkhodge.operators import bracket_sum, derivation_from_one_forms
 from nkhodge.scalars import MINUS_ONE, ONE, ZERO, rational
-from oracles import d_squared_by_composition, inner_via_minors, jacobi_issues_dense, nabla_operator
+from oracles import (
+    connection_by_koszul_formula,
+    d_squared_by_composition,
+    inner_via_minors,
+    jacobi_issues_dense,
+    nabla_operator,
+    verify_connection_densely,
+)
 from variants import perturbed_structure, scaled_metric
 
 
@@ -195,6 +204,76 @@ class TestConnection:
                     pair_mask = (1 << j) | (1 << k)
                     val = nab.coeffs.get(pair_mask, ZERO)
                     assert d_om.coeffs.get(mask, ZERO) == rational(3) * val
+
+
+CONNECTION_MODELS = {
+    **{name: lambda name=name: builtin_model(name) for name in BUILTIN_NAMES},
+    **{
+        f"{a} x {b}": lambda a=a, b=b: product_model(builtin_model(a), builtin_model(b))
+        for a, b in (("torus6", "s3xs3-nk"), ("kodaira-thurston", "s3xs3-nk"), ("s3xs3-nk", "kodaira-thurston"))
+    },
+}
+
+
+def _literal_table(gamma):
+    return [[[(v.a, v.b, v.c, v.e, v.q, v.d) for v in row] for row in block] for block in gamma]
+
+
+def _first_failure(verify) -> str | None:
+    try:
+        verify()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestConnectionOracle:
+    """``ConnectionTable`` sums the nonzero terms of the Koszul formula and
+    of its metric and torsion tests only; the dense sums over every index
+    give literally the same table and the same first failing triple."""
+
+    @pytest.mark.parametrize("name", sorted(CONNECTION_MODELS))
+    def test_table_is_the_dense_koszul_formula_in_both_presentations(self, name):
+        model = CONNECTION_MODELS[name]()
+        for presentation in (model, model.orthogonalized()):
+            want = connection_by_koszul_formula(presentation)
+            assert _literal_table(ConnectionTable(presentation).gamma) == _literal_table(want)
+
+    @pytest.mark.parametrize("name", ["s3xs3-nk", "su2-four"])
+    def test_one_entry_changed_fails_at_the_dense_routes_triple(self, name):
+        model = builtin_model(name)
+        table = model.connection()
+        n = model.dim
+        triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+        nonzero = [(i, j, k) for i, j, k in triples if not table.gamma[i][j][k].is_zero()]
+        # every nonzero entry negated on dim 6, a spread of them on dim 12,
+        # and a few zero entries made nonzero
+        picked = nonzero if n == 6 else nonzero[:: len(nonzero) // 12]
+        zeros = [(0, 0, 0), (n - 1, 0, n // 2), (1, n - 1, n - 1)]
+        seen = set()
+        for i, j, k in picked + zeros:
+            old = table.gamma[i][j][k]
+            mutated = copy.copy(table)
+            mutated.gamma = [[row[:] for row in block] for block in table.gamma]
+            mutated.gamma[i][j][k] = -old if not old.is_zero() else ONE
+            got = _first_failure(lambda: mutated._verify(model))
+            assert got is not None
+            assert got == _first_failure(lambda: verify_connection_densely(model, mutated.gamma)), (i, j, k)
+            seen.add(got.split(" (")[0])
+        assert seen == {"connection not metric", "connection has torsion"}
+
+    @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk"])
+    def test_a_perturbed_structure_constant_is_torsion(self, name):
+        # the table of the model, verified against the model with one
+        # structure constant shifted, not validated: on torus6 every Gamma
+        # term of the torsion test is zero, so only c^k_ij can raise it
+        model = builtin_model(name)
+        table = model.connection()
+        for i, j, k in ((0, 1, 2), (0, 1, 4), (2, 5, 0), (3, 4, 5)):
+            bad = perturbed_structure(model, i, j, k, rational(1, 2))
+            want = f"connection has torsion ({i + 1},{j + 1},{k + 1})"
+            assert _first_failure(lambda: verify_connection_densely(bad, table.gamma)) == want
+            assert _first_failure(lambda: table._verify(bad)) == want
 
 
 class TestNearlyKahler:
