@@ -56,12 +56,18 @@ the four components, L = L_omega, L_mu_omega and
 L_mubar_omega, and for each of them ``adj:<name>`` (the metric adjoint) and
 ``lap:<name>`` (the Laplacian from that adjoint).  Each name has one
 builder and is its own memo key, so an adjoint is built once and no key
-can hold another operator's answer.  The barred half is obtained by
+can hold another operator's answer.  An adjoint is built by order
+(``operators.adjoint_by_order``): from its operand's columns of degree
+<= the operand's bound, held by its Koszul coefficients, so a reader of
+its low columns, such as every bracket, sums those columns only.  The
+barred half is obtained by
 conjugation: L_mubar_omega is conj L_mu_omega (omega is real), and the
 adjoint and Laplacian of delbar, mubar and L_mubar_omega are the
 conjugates of those of del, mu and L_mu_omega, so only unbarred operators
 reach ``adjoint``.  ``lefschetz_triple`` is (L, adj:L, H), each built once
-per model.
+per model.  An order test must not read an adjoint rebuilt from the bound
+it tests, so its operand is the full weighted transpose (``full_adjoint``),
+built anew on every call and memoized nowhere.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ from .operators import (
     MINUS_ONE,
     GradedOperator,
     adjoint,
+    adjoint_by_order,
     algebra_map_apply,
     algebra_map_blocks,
     combination,
@@ -303,10 +310,19 @@ _BASE_OPERATORS = {
 _CONJUGATES = {"delbar": "del", "mubar": "mu", "L_mubar_omega": "L_mu_omega"}
 
 
+def full_adjoint(model, base: str) -> GradedOperator:
+    """The adjoint of the operator ``base`` as the full weighted transpose of
+    its store, built anew on every call: the operand of an order test
+    (ORDER_DSTAR, ORDER_LB, ORDER_BRACKET, ``nkhodge order``), which must
+    not read an adjoint reconstructed from the bound it tests."""
+    return adjoint(named_operator(model, base), model.gram())
+
+
 def named_operator(model, name: str) -> GradedOperator:
     """The operator ``name``: a key of ``_BASE_OPERATORS``, ``adj:<key>`` (its
-    metric adjoint) or ``lap:<key>`` ([[P*, P]] from the memoized adjoint),
-    built once and memoized under ``name``.
+    metric adjoint, built by order from the operator's low columns,
+    ``operators.adjoint_by_order``) or ``lap:<key>`` ([[P*, P]] from the
+    memoized adjoint), built once and memoized under ``name``.
 
     The adjoint and Laplacian of a barred name are the conjugates of those
     of its unbarred partner: the norm weights are real, so
@@ -320,7 +336,7 @@ def named_operator(model, name: str) -> GradedOperator:
         if kind and base in _CONJUGATES:
             return named_operator(model, f"{kind}:{_CONJUGATES[base]}").conjugated()
         if kind == "adj":
-            return adjoint(named_operator(model, base), model.gram())
+            return adjoint_by_order(named_operator(model, base), model.gram())
         if kind == "lap":
             return laplacian(named_operator(model, base), named_operator(model, "adj:" + base))
         return _BASE_OPERATORS[base](model)

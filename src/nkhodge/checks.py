@@ -59,8 +59,11 @@ key of its own, and LAP_COM and DELTA_SUM share it.
 
 The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
 operator of order <= r equals the reconstruction from its columns on
-forms of degree <= r.  They never read a bound, and ORDER_BRACKET composes
-[[d*, L]] in full, since building it by order would assume what it tests.
+forms of degree <= r.  They never read a bound: d* and Lambda are the
+full weighted transposes (``bidegree.full_adjoint``), not the memoized
+adjoints, which are rebuilt by order from their operands' bounds and so
+pass the test by construction, and ORDER_BRACKET composes [[d*, L]] in
+full, since building it by order would assume what it tests.
 ORDER_DET checks that d is a derivation through the graded Leibniz rule
 on every basis form, independently of the reconstruction that builds d:
 each column of d's store is compared with the signed relabelling of the
@@ -84,7 +87,9 @@ maps, so it reads J on the 2n generators only, where it is J^2 = -1.
 VANISH_COR reads type preservation off the rows of the columns of each
 type (p,q), and takes the rank of those columns straight off the frame's
 integer store (``GradedOperator.entry_rows``, ``linalg.pivot_columns``),
-which is that of the images diff(m) since F is invertible.  Its
+which is that of the images diff(m) since F is invertible; where that
+rank is full, h^{p,q} must vanish, a count by rank of the S frame
+(``hodge.h_pq``), as NK6_VANISH's are.  Its
 difference Laplacian Delta_{L_mu omega} - Delta_{L_mubar omega} is the
 term list X - conj X, X = [[L_mu_omega*, L_mu_omega]], so neither
 Laplacian is built.  HODGE_ABCD reads the frame of S = Delta_mu + Delta_del +
@@ -105,6 +110,7 @@ from dataclasses import dataclass
 from .bidegree import (
     d_c,
     decompose_form,
+    full_adjoint,
     j_operator,
     lefschetz_triple,
     named_operator,
@@ -112,7 +118,7 @@ from .bidegree import (
     twisted_differential,
 )
 from .exterior import Form, mask_label, sign_key
-from .hodge import betti_numbers, harmonic_pq, harmonic_space, hodge_laplacian, s_frame
+from .hodge import betti_numbers, h_pq, harmonic_pq, harmonic_space, hodge_laplacian, s_frame
 # sparse_kernel is not called here: perfbench/tests reads checks.sparse_kernel
 # as one of the aliases its tracer rebinds
 from .linalg import inverse, pivot_columns, sparse_kernel
@@ -742,7 +748,7 @@ def check_vanish_cor(model, acc: _Acc):
             if len(pivot_columns(*frame.entry_rows(masks))) == len(masks):
                 acc.require(
                     f"invertible difference on ({p},{q}) forces h = 0",
-                    len(harmonic_pq(model, p, q)) == 0,
+                    h_pq(model, p, q) == 0,
                 )
 
 
@@ -760,30 +766,35 @@ def check_nk6_vanish(model, acc: _Acc):
     n = model.dim // 2
     for p in range(n + 1):
         for q in range(n + 1):
-            h = len(harmonic_pq(model, p, q))
+            h = h_pq(model, p, q)
             if p == q or p + q == 3:
                 continue
             acc.require(f"h^({p},{q}) = 0", h == 0)
-    acc.require("h^(3,0) = 0", len(harmonic_pq(model, 3, 0)) == 0)
-    acc.require("h^(0,3) = 0", len(harmonic_pq(model, 0, 3)) == 0)
+    acc.require("h^(3,0) = 0", h_pq(model, 3, 0) == 0)
+    acc.require("h^(0,3) = 0", h_pq(model, 0, 3) == 0)
 
 
 def check_order_lb(model, acc: _Acc):
+    """Lambda_{u^1} and Lambda = L*, each the full transpose: the memoized
+    Lambda is rebuilt from L's bound and would pass by construction."""
     gram = model.gram()
     lam1 = adjoint(mult_operator(Form.basis(model.dim, 1)), gram)
     acc.require("order(Lambda_u1) <= 1", algebraic_order_at_most(lam1, 1))
-    lam = lefschetz_triple(model)[1]
+    lam = full_adjoint(model, "L")
     acc.require("order(Lambda_omega) <= 2", algebraic_order_at_most(lam, 2))
 
 
 def check_order_dstar(model, acc: _Acc):
-    acc.require("order(d*) <= 2", algebraic_order_at_most(named_operator(model, "adj:d"), 2))
+    """d* as the full transpose of d (``full_adjoint``): the memoized d* is
+    rebuilt from d's bound and would pass by construction."""
+    acc.require("order(d*) <= 2", algebraic_order_at_most(full_adjoint(model, "d"), 2))
 
 
 def check_order_bracket(model, acc: _Acc):
-    # composed in full, not by order: the check tests the order of the
-    # bracket, so it must not assume it
-    dstar, l_op = _ops(model, "adj:d", "L")
+    # d* the full transpose and the bracket composed in full, neither by
+    # order: the check tests the order of the bracket, so it must not
+    # assume it
+    dstar, l_op = full_adjoint(model, "d"), named_operator(model, "L")
     acc.require("order([d*,L]) <= 1", algebraic_order_at_most(dstar.compose(l_op) - l_op.compose(dstar), 1))
 
 

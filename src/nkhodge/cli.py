@@ -36,7 +36,7 @@ from .models import (
     validate_model,
 )
 from .operators import algebraic_order_at_most
-from .bidegree import named_operator
+from .bidegree import full_adjoint, named_operator
 
 USAGE_ERROR = 2
 APPLICABILITY_ERROR = 3
@@ -210,7 +210,9 @@ def cmd_order(args) -> int:
         return USAGE_ERROR
     # the algebraic order does not depend on the coframe
     comp = model.orthogonalized()
-    op = named_operator(comp, ORDER_OPERATORS[args.op])
+    # an adjoint is read as the full transpose, never rebuilt by order
+    kind, _, base = ORDER_OPERATORS[args.op].rpartition(":")
+    op = full_adjoint(comp, base) if kind else named_operator(comp, base)
     results = {}
     first = None
     for r in range(args.max + 1):

@@ -13,9 +13,11 @@ Forms are sparse maps mask -> Scalar with zero coefficients never stored.
 the inverse metric (which is the pairing of coframe elements, computed by
 ``linalg.inverse``, behind ``sharp``), the exact LDL^T factorization that
 orthogonalizes a coupled coframe, and, for a diagonal metric, the norm
-weights w(m) = 1/<u^m, u^m>.  The weights carry both the Hermitian pairing
-``inner`` and every adjoint (a weighted conjugate transpose); both refuse a
-coupled metric, which is orthogonalized first.  The LDL^T runs when the
+weights w(m) = 1/<u^m, u^m>, each mask's computed on its first request
+and kept.  The weights carry both the Hermitian pairing ``inner`` and
+every adjoint (a weighted conjugate transpose, which reads the weights of
+the masks its operand touches only); both refuse a coupled metric, which
+is orthogonalized first.  The LDL^T runs when the
 data is built and doubles as the positive-definiteness test: by
 Sylvester's criterion every pivot is positive exactly when every leading
 minor is.
@@ -24,7 +26,7 @@ minor is.
 from __future__ import annotations
 
 from .linalg import add_scaled, inverse
-from .scalars import ONE, ZERO, Scalar, common
+from .scalars import ONE, ZERO, Scalar, common, join
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +216,10 @@ class GramData:
         self._ginv_rows = [
             {j: v for j, v in enumerate(row) if not v.is_zero()} for row in self.g_inv
         ]
-        self._weights: tuple[list[Scalar], list[Scalar]] | None = None
-        self._integral_weights = None
+        diagonal = all(g[i][j].is_zero() for i in range(self.dim) for j in range(self.dim) if i != j)
+        # w(m) and 1/w(m) by mask, each computed on first request (None: coupled)
+        self._w: dict[int, Scalar] | None = {0: ONE} if diagonal else None
+        self._inv: dict[int, Scalar] = {}
 
     # -- pairings ---------------------------------------------------------
 
@@ -223,16 +227,16 @@ class GramData:
         """Hermitian pairing, linear in the first slot: sum_m a_m conj(b_m) / w(m).
 
         The coframe monomials are pairwise orthogonal with <u^m, u^m> = 1/w(m)
-        (``mask_weights``), so a coupled metric raises ValueError.
+        (``weight``), so a coupled metric raises ValueError.
         """
         if a.dim != self.dim or b.dim != self.dim:
             raise ValueError("dimension mismatch with metric")
-        _, inverses = self.mask_weights()
+        self._diagonal()
         acc = ZERO
         for m, sa in a.coeffs.items():
             sb = b.coeffs.get(m)
             if sb is not None:
-                acc = acc + sa * sb.conjugate() * inverses[m]
+                acc = acc + sa * sb.conjugate() * self.inverse_weight(m)
         return acc
 
     def sharp(self, one_form: Form) -> list[Scalar]:
@@ -274,32 +278,39 @@ class GramData:
             self._ldl = (m, dvals)
         return self._ldl
 
-    def mask_weights(self) -> tuple[list[Scalar], list[Scalar]]:
-        """(w, 1/w) by mask, w(m) = prod_{i in m} g_ii = 1/<u^m, u^m>.
+    def _diagonal(self) -> dict[int, Scalar]:
+        """The memo of the weights; a coupled metric raises ValueError."""
+        if self._w is None:
+            raise ValueError("norm weights need a diagonal metric; orthogonalize the model first")
+        return self._w
 
-        Diagonal metrics only; computed once.  A coupled metric raises
-        ValueError: orthogonalize the model first
-        (``LieAlgebraModel.orthogonalized``).
-        """
-        if self._weights is None:
-            n = self.dim
-            if any(not self.g[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
-                raise ValueError("norm weights need a diagonal metric; orthogonalize the model first")
-            weights = [ONE] * (1 << n)
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                i = low.bit_length() - 1
-                weights[mask] = weights[mask ^ low] * self.g[i][i]
-            self._weights = (weights, [w.inverse() for w in weights])
-        return self._weights
+    def weight(self, mask: int) -> Scalar:
+        """w(mask) = prod_{i in mask} g_ii = 1/<u^mask, u^mask>, by the product
+        recurrence w(m) = w(m - i) g_ii over the lowest index i of m, each
+        mask computed once.  Diagonal metrics only: a coupled one raises
+        ValueError (orthogonalize the model first,
+        ``LieAlgebraModel.orthogonalized``)."""
+        weights = self._diagonal()
+        w = weights.get(mask)
+        if w is None:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            w = weights[mask] = self.weight(mask ^ low) * self.g[i][i]
+        return w
 
-    def integral_weights(self) -> tuple[int, int, list[tuple[int, int, int, int]], int, list[tuple[int, int, int, int]]]:
-        """The norm weights as integer data, over one denominator each:
-        (d, qw, w, qi, inv) with w(m) = (x + y sqrt d) / qw for (x, y, 0, 0) = w[m]
-        and 1/w(m) = (x + y sqrt d) / qi for (x, y, 0, 0) = inv[m].  Computed once."""
-        if self._integral_weights is None:
-            weights, inverses = self.mask_weights()
-            qw, d, w = common(weights)
-            qi, _, inv = common(inverses)
-            self._integral_weights = (d, qw, w, qi, inv)
-        return self._integral_weights
+    def inverse_weight(self, mask: int) -> Scalar:
+        """1/w(mask) (``Scalar.inverse`` of ``weight``), computed once per mask."""
+        v = self._inv.get(mask)
+        if v is None:
+            v = self._inv[mask] = self.weight(mask).inverse()
+        return v
+
+    def integral_weights(self, columns, rows) -> tuple[int, int, dict, int, dict]:
+        """The weights of the given masks only, as integer data over one
+        denominator each: (d, qw, w, qi, inv) with w(m) = (x + y sqrt d) / qw
+        for (x, y, 0, 0) = w[m], m in ``columns``, and 1/w(m) = (x + y sqrt d)
+        / qi for (x, y, 0, 0) = inv[m], m in ``rows``."""
+        columns, rows = list(columns), list(rows)
+        qw, dw, w = common([self.weight(m) for m in columns])
+        qi, di, inv = common([self.inverse_weight(m) for m in rows])
+        return join(dw, di), qw, dict(zip(columns, w)), qi, dict(zip(rows, inv))

@@ -39,15 +39,24 @@ S is built in the eta-frame only.  Delta_delbar and Delta_mubar are the
 conjugates of Delta_del and Delta_mu, so S is the term list X + conj X
 with X = [[mu*, mu]] + [[del*, del]], of order <= 2, read on its columns
 of degree <= 2 by the rule of low columns (``operators.requirement_columns``);
-the frame is composed on E's columns of degree <= 2 and rebuilt by one
+those read mu* and del* on their columns of degree <= 3 only, which the
+adjoints by order sum from the columns of degree <= 1 of mu and del
+(``operators.adjoint_by_order``), so no full adjoint is built.  The frame
+is composed on E's columns of degree <= 2 and rebuilt by one
 reconstruction, and no Laplacian of S is built in the u-coframe.  Both
 kernels are taken by one helper (``_block_kernel``).
+
+A Hodge number needs no kernel vector: ``h_pq`` is the number of columns
+of type (p,q) of the frame minus the rank of that block
+(``linalg.pivot_columns``), or the length of a ``harmonic_pq`` basis that
+is memoized already.  ``hodge_numbers``, VANISH_COR and NK6_VANISH read
+it; ``harmonic_pq`` takes the kernel for the callers that need the forms.
 
 Everything is computed in the orthogonalized presentation of the model
 (the numbers are coframe-invariant); the basis forms that ``harmonic_space``
 and ``harmonic_pq`` return are mapped back to the model's own coframe, and
-``hodge_numbers`` reports only their dimensions, which it counts in the
-orthogonalized presentation, mapping no form back.
+``hodge_numbers`` reports only dimensions, which it counts in the
+orthogonalized presentation, with no form built.
 """
 
 from __future__ import annotations
@@ -144,6 +153,27 @@ def harmonic_pq(model, p: int, q: int) -> list[Form]:
     return _native(model, comp, comp._memo(f"harmonic_pq:{p},{q}", build))
 
 
+def h_pq(model, p: int, q: int) -> int:
+    """h^{p,q} = dim ker S on Lambda^{p,q}: the number of columns of type
+    (p,q) of ``s_frame`` minus the rank of that block
+    (``linalg.pivot_columns``), with no kernel vector and no map through E;
+    the length of the ``harmonic_pq`` basis when that is memoized already.
+    Memoized."""
+    n = model.dim // 2
+    if not (0 <= p <= n and 0 <= q <= n):
+        raise ValueError(f"bidegree ({p},{q}) out of range")
+    comp = model.orthogonalized()
+
+    def build():
+        basis = comp._cache.get(f"harmonic_pq:{p},{q}")
+        if basis is not None:
+            return len(basis)
+        masks = pq_basis(comp).monomial_masks(p, q)
+        return len(masks) - len(pivot_columns(*s_frame(comp).entry_rows(masks)))
+
+    return comp._memo(f"h:{p},{q}", build)
+
+
 def betti_numbers(model) -> list[int]:
     """Homology dimensions of (invariant forms, d), b_k = C(n, k) - r_k -
     r_{k-1} with r_k the rank of d on degree k; no metric involved.
@@ -205,7 +235,7 @@ def hodge_numbers(model) -> HodgeReport:
     n = model.dim // 2
     # dimensions are coframe-invariant: counted in the orthogonalized presentation
     comp = model.orthogonalized()
-    h = [[len(harmonic_pq(comp, p, q)) for q in range(n + 1)] for p in range(n + 1)]
+    h = [[h_pq(comp, p, q) for q in range(n + 1)] for p in range(n + 1)]
     out = HodgeReport(h, betti_numbers(model))
     if not out.sum_rule_holds():
         raise AssertionError("harmonic (p,q) dimensions do not sum to Betti numbers")

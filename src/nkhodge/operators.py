@@ -43,13 +43,18 @@ The metric adjoint P* is the operator with <P a, b> = <a, P* b>.  Every
 computation runs in an orthogonal coframe (``LieAlgebraModel.orthogonalized``),
 where the basis forms are pairwise orthogonal with <u^m, u^m> = 1/w(m), so
 the adjoint is the weighted conjugate transpose
-P*[c][r] = conj(P[r][c]) w(c) / w(r), with the weights as integer data
+P*[c][r] = conj(P[r][c]) w(c) / w(r) (``adjoint``), with the weights of
+the masks that P's store touches as integer data
 (``GramData.integral_weights``).  A coupled metric is refused; the test
 suite checks the result against the literal minor-determinant sandwich
-G^{-1} P^dagger G on coupled metrics and against -*d* for d.  The
-Laplacian ``laplacian(p, p_star)`` = [[P*, P]] takes the adjoint as an
-argument and never builds one; ``bidegree.named_operator`` is where both
-are built and memoized.
+G^{-1} P^dagger G on coupled metrics and against -*d* for d.  Column c
+of P* is row c of P, so for P of order <= r the columns of P* of degree
+<= r + |P| read only P's columns of degree <= r, and P*, of order
+<= r + |P| (below), is their reconstruction (``adjoint_by_order``): by
+the uniqueness of the Koszul coefficients, the same store as the full
+transpose.  The Laplacian ``laplacian(p, p_star)`` = [[P*, P]] takes the
+adjoint as an argument and never builds one; ``bidegree.named_operator``
+is where both are built, the adjoint by order, and memoized.
 
 Every operator is uniquely P = sum_J L_{beta_J} iota_J, with iota_J the
 contraction u^J ^ u^R -> u^R, and its algebraic order is max |J| over the
@@ -551,14 +556,18 @@ def mult_operator(beta: Form) -> GradedOperator:
 # adjoints
 
 def adjoint(p: GradedOperator, gram: GramData) -> GradedOperator:
-    """Metric adjoint over a diagonal metric; a coupled one raises ValueError."""
-    wd, qw, w, qi, inv = gram.integral_weights()
+    """Metric adjoint over a diagonal metric, the weighted conjugate
+    transpose of P's store, reading the weights of the masks that the store
+    touches only: w on its columns, 1/w on their rows.  A coupled metric
+    raises ValueError."""
+    store = p.coords
+    wd, qw, w, qi, inv = gram.integral_weights(store, set().union(*store.values()))
     d = join(p.d, wd)
     rational = wd == 1
     entries: dict[Coords, Coords] = {}
     share = entries.setdefault
     cols: Store = {}
-    for c, col in p.coords.items():
+    for c, col in store.items():
         xc, yc, _, _ = w[c]
         for r, (a, b, x, e) in col.items():
             xr, yr, _, _ = inv[r]
@@ -577,6 +586,21 @@ def adjoint(p: GradedOperator, gram: GramData) -> GradedOperator:
             # (L_{u^b} iota_J)* is a weighted L_{u^J} iota_b, |b| = |J| + |P|
             bound = max(p.order_bound + p.degree, 0)
     return GradedOperator._normalized(p.dim, deg, p.q * qw * qi, d, p.real, cols, bound)
+
+
+def adjoint_by_order(p: GradedOperator, gram: GramData) -> GradedOperator:
+    """P* for P of order <= r, its ``order_bound``, from P's columns of
+    degree <= r only.  Column c of P* is row c of P, whose entries lie in
+    P's columns of degree |c| - |P|, so P*'s columns of degree <= r + |P|
+    are the ``adjoint`` of P's columns of degree <= r.  P* has order
+    <= r + |P|, so it is their reconstruction (``from_low_columns``), held
+    by its Koszul coefficients, and the store is unique, so it is literally
+    the full transpose, with the same bound."""
+    r = p.order_bound
+    bound = max(r + p.degree, 0)
+    out = from_low_columns(adjoint(low_columns(p, r), gram), bound)
+    out.order_bound = bound
+    return out
 
 
 # ---------------------------------------------------------------------------

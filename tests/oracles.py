@@ -131,7 +131,9 @@
   columns of ``Scalar`` (every entry normalized on its own, sums and
   products through ``linalg.add_scaled``), against the production store of
   one denominator times integer coordinates; ``ScalarOperator.of`` reads a
-  production operator entry by entry.
+  production operator entry by entry.  ``scalar_adjoint`` is also the
+  reference of the adjoints by order (``operators.adjoint_by_order``,
+  every ``adj:`` memo).
 * ``scalar_koszul_column``, ``scalar_reconstruct``, ``scalar_derivation``,
   ``scalar_koszul_coefficients`` and ``ScalarDerivationAction``: the Koszul
   sum sum_J L_{beta_J} iota_J column by column in ``Scalar`` arithmetic
@@ -1382,11 +1384,10 @@ class ScalarOperator:
 
 def scalar_adjoint(p: ScalarOperator, gram: GramData) -> ScalarOperator:
     """The weighted conjugate transpose conj(P[r][c]) w(c) / w(r), entry by entry."""
-    weights, inverses = gram.mask_weights()
     cols: dict[int, Column] = {}
     for c, col in p.cols.items():
         for r, v in col.items():
-            cols.setdefault(r, {})[c] = v.conjugate() * weights[c] * inverses[r]
+            cols.setdefault(r, {})[c] = v.conjugate() * gram.weight(c) * gram.inverse_weight(r)
     return ScalarOperator(p.dim, cols, -p.degree if p.degree is not None else None)
 
 

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nkhodge.bidegree
 import nkhodge.operators
 from nkhodge.bidegree import (
     _BASE_OPERATORS,
@@ -22,11 +23,13 @@ from nkhodge.bidegree import (
 )
 from nkhodge.checks import CHECKS, run_suite
 from nkhodge.exterior import Form
-from nkhodge.hodge import harmonic_pq, harmonic_space, hodge_numbers
+from nkhodge.hodge import h_pq, harmonic_pq, harmonic_space, hodge_numbers
 from nkhodge.linalg import sparse_rank
 from nkhodge.models import BUILTIN_NAMES, builtin_model, model_from_json, model_to_json, nk_report
 from nkhodge.operators import (
     GradedOperator,
+    adjoint,
+    adjoint_by_order,
     algebra_map_blocks,
     combination,
     derivation_from_one_forms,
@@ -34,6 +37,7 @@ from nkhodge.operators import (
 )
 from nkhodge.scalars import I, ONE, Scalar, rational
 from oracles import (
+    ScalarOperator,
     adjoint_via_minors,
     commutator_by_composition,
     decompose_by_d_j,
@@ -45,6 +49,8 @@ from oracles import (
     monomial_form,
     off_type,
     pq_coords_to_form,
+    scalar_adjoint,
+    scalar_columns,
     spans_equal,
     split_by_four_derivations,
     swapped,
@@ -308,12 +314,14 @@ class TestTypeByDerivation:
     @pytest.mark.parametrize("name", [*SMALL_MODELS, "su2-four"])
     def test_harmonic_pq_spans_match_monomial_kernel(self, name):
         model = builtin_model(name)
+        fresh = model_from_json(model_to_json(model))  # counted by ranks, no basis memoized
         n = model.dim // 2
         for p in range(n + 1):
             for q in range(n + 1):
+                count = h_pq(fresh, p, q)
                 got = harmonic_pq(model, p, q)
                 want = harmonic_pq_via_monomials(model, p, q)
-                assert len(got) == len(want), (p, q)
+                assert len(got) == len(want) == count, (p, q)
                 assert spans_equal([dict(f.coeffs) for f in got], [dict(f.coeffs) for f in want])
 
     def test_harmonic_pq_out_of_range(self, s3xs3):
@@ -532,32 +540,80 @@ class TestNamedOperator:
                 named_operator(torus6, name)
 
     @pytest.mark.parametrize(
-        "name, calls", [("torus6", 6), ("s3xs3-nk", 12), ("kodaira-thurston", 6)]
+        "name, calls", [("torus6", 9), ("s3xs3-nk", 15), ("kodaira-thurston", 9)]
     )
     def test_catalogue_builds_each_adjoint_once(self, name, calls, monkeypatch):
         # every module alias of adjoint records what it receives; the
         # catalogue and the Hodge table then run on a model with empty caches.
-        # The adjoints of delbar, mubar and L_mubar_omega are conjugates, so
-        # no barred operator is received
+        # A memoized adjoint is built by order, so adjoint receives its
+        # operand's low columns, once; the order tests read full transposes
+        # (``full_adjoint``), built anew on each call: d for ORDER_BRACKET and
+        # ORDER_DSTAR, L for ORDER_LB.  The adjoints of delbar, mubar and
+        # L_mubar_omega are conjugates, so no barred operator is received
         original = nkhodge.operators.adjoint
-        received = []
+        received, full = [], []
+        full_adjoint = nkhodge.bidegree.full_adjoint
 
         def recording(p, gram):
             received.append(p)
             return original(p, gram)
 
+        def recording_full(model, base):
+            full.append((base, len(received)))
+            return full_adjoint(model, base)
+
         for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("nkhodge") and getattr(module, "adjoint", None) is original:
-                monkeypatch.setattr(module, "adjoint", recording)
+            if module_name.startswith("nkhodge"):
+                if getattr(module, "adjoint", None) is original:
+                    monkeypatch.setattr(module, "adjoint", recording)
+                if getattr(module, "full_adjoint", None) is full_adjoint:
+                    monkeypatch.setattr(module, "full_adjoint", recording_full)
         model = model_from_json(model_to_json(builtin_model(name)))
         run_suite(model, selection=sorted(CHECKS))
         if nk_report(model).nearly_kahler:
             hodge_numbers(model)
         assert len(received) == calls
+        comp = model.orthogonalized()
+        assert [base for base, _ in full] == ["d", "d", "L"]
+        transposed = [received[i] for _, i in full]
+        assert [p is named_operator(comp, base) for p, (base, _) in zip(transposed, full)] == [True] * 3
+        rest = [p for i, p in enumerate(received) if i not in {j for _, j in full}]
         # zero operators of one degree are all equal (every d component on torus6)
-        nonzero = [p for p in received if not p.is_zero()]
+        nonzero = [p for p in rest if not p.is_zero()]
         for a, b in itertools.combinations(nonzero, 2):
             assert not (a == b and a.degree == b.degree)
-        comp = model.orthogonalized()
         barred = [named_operator(comp, b) for b in ("delbar", "mubar", "L_mubar_omega")]
         assert not any(p == b for p in nonzero for b in barred if not b.is_zero())
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_adjoints_by_order_are_the_full_transposes(self, name):
+        # adj:<name> is rebuilt from its operand's low columns, and the store
+        # is unique: it equals the full weighted transpose, with the same
+        # degree and bound, and the Scalar transpose entry by entry, for the
+        # names that reach ``adjoint`` (the barred ones are conjugates); on
+        # su2-four the Scalar one for d only, to keep the test short (the
+        # full transpose itself is compared with it in test_operator_store)
+        model = builtin_model(name).orthogonalized()
+        gram = model.gram()
+        for base in sorted(_BASE_OPERATORS):
+            p, got = named_operator(model, base), named_operator(model, "adj:" + base)
+            want = adjoint(p, gram)
+            assert got == want and (got.degree, got.order_bound) == (want.degree, want.order_bound), base
+            if base in (("d",) if model.dim > 6 else ("d", "mu", "del", "L", "L_mu_omega")):
+                ref = scalar_adjoint(ScalarOperator(p.dim, dict(scalar_columns(p)), p.degree), gram)
+                assert got == GradedOperator(ref.dim, ref.cols, ref.degree), base
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_an_operand_bound_one_too_low_changes_the_adjoint(self, name):
+        # read from too few columns, every nonzero adjoint misses its top
+        # Koszul coefficients: the guard that the bound is what the adjoint
+        # by order rests on
+        model = builtin_model(name).orthogonalized()
+        gram = model.gram()
+        for base in sorted(_BASE_OPERATORS):
+            p = named_operator(model, base)
+            if p.is_zero():
+                continue
+            lowered = p.with_degree(p.degree)
+            lowered.order_bound = p.order_bound - 1
+            assert adjoint_by_order(lowered, gram) != named_operator(model, "adj:" + base), base

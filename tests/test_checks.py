@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -451,6 +452,43 @@ class TestOrderDet:
         assert acc.zero
 
 
+class TestOrderChecksReadTheFullTranspose:
+    """An adjoint by order passes the Koszul order test by construction, so
+    ORDER_DSTAR and ``nkhodge order --op dstar`` read d* as the full
+    weighted transpose (``full_adjoint``)."""
+
+    @staticmethod
+    def _one_wrong_degree_three_entry(monkeypatch):
+        """Each adjoint of degree -1 built in ``bidegree`` with a column of
+        degree 3 gets one entry of that column off by one: the full transpose
+        of d does, while the adjoint by order transposes d's columns of
+        degree <= 1 only and reads no such column."""
+        original = nkhodge.bidegree.adjoint
+
+        def mutated(p, gram):
+            out = original(p, gram)
+            column = next((m for m in sorted(out.coords) if m.bit_count() == 3), None)
+            if out.degree != -1 or column is None:
+                return out
+            row = min(out.coords[column])
+            return out + GradedOperator(out.dim, {column: {row: Scalar(1, 0, 0, 0)}}, -1)
+
+        monkeypatch.setattr(nkhodge.bidegree, "adjoint", mutated)
+
+    def test_order_dstar_and_the_cli_fail(self, monkeypatch, capsys):
+        from nkhodge.cli import main
+
+        self._one_wrong_degree_three_entry(monkeypatch)
+        model = _fresh("s3xs3-nk")
+        result = run_check(model, "ORDER_DSTAR")
+        assert (result.status, result.witness) == ("fail", "order(d*) <= 2")
+        # the catalogue's d* by order is the true one
+        assert run_check(model, "NK_MAIN").status == "pass"
+        assert main(["order", "builtin:s3xs3-nk", "--op", "dstar", "--max", "2", "--report", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["order_at_most"] == {"0": False, "1": False, "2": False}
+
+
 def _fresh(name):
     """A built-in model with no memo, not the shared cached instance."""
     return model_from_json(model_to_json(builtin_model(name)))
@@ -753,29 +791,38 @@ class TestRequirementsByOrder:
         assert new["NK_MAIN"][1] == "[d*,L] + d^c - 3i(mu-mubar): column e1, row e2^e6: 1*w"
 
     def test_adjoints_declared_one_order_too_low(self, monkeypatch):
-        # the matrices stay right, so a requirement whose brackets take the
-        # adjoints as operands passes by order (on full matrices SL2, NK_MAIN
-        # and five more would fail, their brackets rebuilt from too few
-        # columns); what fails is what is built by order from the bound:
-        # Delta_d, caught by L_DELTA and HODGE_ABCD, Delta_{L_mu omega}, by
-        # PROP_LAP, and the eta-frame of Delta_del - Delta_delbar, by DIM6_EIGEN
-        original = nkhodge.operators.adjoint
+        # every memoized adjoint is rebuilt from its operand's columns of
+        # degree <= the operand's bound (``adjoint_by_order``); with that
+        # bound declared one too low, the adjoints of d and of its four
+        # components miss their top Koszul coefficients (those of L and
+        # L_mu_omega, bounded by 0, are kept), and so does everything built
+        # from them: ten checks fail, each at its first broken requirement.
+        # The ORDER_* checks read the full transposes and pass
+        original = nkhodge.bidegree.adjoint_by_order
 
         def one_too_low(p, gram):
-            out = original(p, gram)
-            if out.order_bound:
-                out.order_bound -= 1
-            return out
+            if p.order_bound:
+                p = p.with_degree(p.degree)
+                p.order_bound -= 1
+            return original(p, gram)
 
-        monkeypatch.setattr(nkhodge.bidegree, "adjoint", one_too_low)
-        monkeypatch.setattr(nkhodge.checks, "adjoint", one_too_low)
+        monkeypatch.setattr(nkhodge.bidegree, "adjoint_by_order", one_too_low)
         failed = {r.check_id: r.witness for r in run_suite(_fresh("s3xs3-nk")).results if r.status == "fail"}
-        assert sorted(failed) == ["DIM6_EIGEN", "HODGE_ABCD", "L_DELTA", "PROP_LAP"]
+        assert sorted(failed) == [
+            "AUX_COM", "DIM6_EIGEN", "HODGE_ABCD", "L_DELTA", "NK6_VANISH",
+            "NK_COR", "NK_MAIN", "PROP_LAP", "TORSION_OP", "VANISH_COR",
+        ]
+        assert failed["NK_MAIN"] == "[d*,L] + d^c - 3i(mu-mubar): column e1, row e2^e3: 2/3*w"
         assert failed["L_DELTA"] == (
             "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2: "
-            "column 1, row e1^e4: -8/9*w"
+            "column e1, row e1^e2^e5: -1/9*w"
         )
-        assert failed["PROP_LAP"] == "[[mubar,mu]] - (i/9)[Delta_Lmu - Delta_Lmubar, L]: column e1, row e2^e4^e5: 1/6"
+        assert failed["PROP_LAP"] == (
+            "[[mubar,mu]] + (i/3)[[mu*,L_mu_omega]] - (i/3)[[mubar*,L_mubar_omega]]: column e1, row e2^e4^e5: 1/6"
+        )
+        assert failed["TORSION_OP"] == "[L_mu_omega*, L] + 3mu*: column e1^e2, row e3: 1/2"
+        assert failed["HODGE_ABCD"] == "(a) harmonic 1-form escapes kernel of component 0"
+        assert failed["VANISH_COR"] == "invertible difference on (0,1) forces h = 0"
 
     @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
     def test_only_a_failing_requirement_is_rebuilt(self, name, monkeypatch):
@@ -918,14 +965,17 @@ class TestCostGuards:
         # every bracket and frame of bounded order goes by order, validation
         # takes d d by order too, and J_PQ reads J on the generators only:
         # what is left is the frame blocks of degree <= 2 and ORDER_BRACKET's
-        # [[d*, L]], which is composed in full
+        # [[d*, L]], which is composed in full, with d* the full transpose
+        # (``full_adjoint``), not the memoized adjoint by order
         run = catalogue_run("su2-four")
         model, calls = run.model, run.composed
         assert run.verdict
         assert len(calls) <= 14
         target = model.orthogonalized()
         dstar, l_op = named_operator(target, "adj:d"), named_operator(target, "L")
-        assert sum((p is dstar and q is l_op) or (p is l_op and q is dstar) for p, q in calls) == 2
+        factors = [q if p is l_op else p for p, q in calls if (p is l_op) != (q is l_op)]
+        assert len(factors) == 2 and factors[0] is factors[1]
+        assert factors[0] is not dstar and factors[0] == dstar
 
     def test_d2_split_and_br67_compose_nothing(self, monkeypatch):
         # every bracket of both checks is a derivation or L_{P mu omega},

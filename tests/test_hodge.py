@@ -1,5 +1,6 @@
 import functools
 import json
+import sys
 from math import comb
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from nkhodge.checks import _difference_low_columns, run_check
 from nkhodge.hodge import (
     betti_numbers,
     degree_masks,
+    h_pq,
     harmonic_pq,
     harmonic_space,
     hodge_laplacian,
@@ -27,6 +29,7 @@ from nkhodge.models import (
     builtin_model,
     model_from_json,
     model_to_json,
+    nk_report,
     product_model,
     validate_model,
 )
@@ -38,6 +41,7 @@ from oracles import (
     frame_columns_by_composition,
     harmonic_pq_by_laplacian,
     harmonic_pq_by_scalar_rows,
+    harmonic_pq_via_monomials,
     harmonic_space_by_scalar_rows,
     harmonic_space_dense_oracle,
     kunneth,
@@ -294,6 +298,64 @@ def _literal(forms):
     return [list(f.coeffs.items()) for f in forms]
 
 
+class TestCountsByRank:
+    """h^{p,q} is the number of columns of type (p,q) of the S frame minus
+    the rank of that block (``h_pq``): no kernel vector is built."""
+
+    # su2-four's counts are compared with its kernels and monomial kernels
+    # in test_bidegree (``test_harmonic_pq_spans_match_monomial_kernel``)
+    @pytest.mark.parametrize("name", sorted(set(ORACLE_MODELS) - {"su2-four"}))
+    def test_counts_are_the_kernel_dimensions(self, name):
+        model = model_from_json(model_to_json(ORACLE_MODELS[name]()))
+        comp = model.orthogonalized()
+        n = model.dim // 2
+        types = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+        counts = [h_pq(model, p, q) for p, q in types]
+        assert not [key for key in comp._cache if key.startswith("harmonic_pq:")]  # counted by ranks
+        assert counts == [len(harmonic_pq(model, p, q)) for p, q in types]
+        assert counts == [len(harmonic_pq_via_monomials(model, p, q)) for p, q in types]
+
+    def test_a_memoized_basis_is_counted_by_its_length(self, monkeypatch):
+        model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
+        lengths = [len(harmonic_pq(model, p, q)) for p in range(4) for q in range(4)]
+
+        def refused(rows, d):
+            raise AssertionError("a memoized basis is ranked again")
+
+        monkeypatch.setattr(hodge, "pivot_columns", refused)
+        assert [h_pq(model, p, q) for p in range(4) for q in range(4)] == lengths
+
+    def test_out_of_range(self, s3xs3):
+        for p, q in ((4, 0), (0, -1), (3, 4)):
+            with pytest.raises(ValueError):
+                h_pq(s3xs3, p, q)
+
+    def test_hodge_numbers_and_vanish_cor_take_no_kernel_and_no_full_adjoint(self, monkeypatch):
+        # on a fresh su2-four: h^{p,q} by ranks, so no kernel vector and no
+        # map back through E; the adjoints by order, so no store of mu*,
+        # del* or L_mu_omega*, and norm weights of masks of degree <= 3 only,
+        # those of the low columns and their rows (53 of the 4,096).  The
+        # split of d, which the nearly Kahler report needs, maps d eta
+        # through F and E before the guard
+        model = _fresh_su2_four()
+        comp = model.orthogonalized()
+        assert nk_report(model).nearly_kahler
+
+        def refused(*args):
+            raise AssertionError("called on the counting route")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("nkhodge"):
+                for name in ("sparse_kernel", "algebra_map_apply"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, refused)
+        assert hodge_numbers(model).sum_rule_holds()
+        assert run_check(model, "VANISH_COR").status == "pass"
+        assert [comp._cache[name]._coords for name in ("adj:mu", "adj:del", "adj:L_mu_omega")] == [None] * 3
+        gram = comp.gram()
+        assert gram._inv and max(m.bit_count() for m in (*gram._w, *gram._inv)) == 3
+
+
 class TestScalarRowOracle:
     """Every kernel and rank reads its block as entry rows straight off the
     integer store (``GradedOperator.entry_rows``); the Scalar-row route it
@@ -364,8 +426,9 @@ def test_su2_four_elimination_builds_no_scalar_row_and_reads_only_its_blocks(mon
     assert hodge_numbers(model).sum_rule_holds()
     assert run_check(model, "HODGE_ABCD").status == "pass"
     assert run_check(model, "VANISH_COR").status == "pass"
-    # 7 Betti ranks (degrees 12 to 6), 49 kernels of S, 13 of Delta_d, 49 VANISH_COR ranks
-    assert len(reads) == 7 + 49 + 13 + 49
+    # 7 Betti ranks (degrees 12 to 6), 49 ranks of S (``h_pq``), 49 kernels
+    # of S and 13 of Delta_d (HODGE_ABCD), 49 VANISH_COR ranks
+    assert len(reads) == 7 + 49 + 49 + 13 + 49
 
 
 class TestKunneth:

@@ -23,6 +23,9 @@ with the composed graded commutator ``oracles.commutator_by_composition``,
 on random derivations, multiplication operators and their adjoints, and on
 the split of d of every built-in, where [[P, L_beta]] is also L_{P beta};
 a false order bound shows, and an operand without a bound is refused.
+The adjoint by order (``adjoint_by_order``) is compared with the full
+transpose and the Scalar one on the same bounded operators, and with a
+bound one too low it differs.
 """
 
 import math
@@ -44,6 +47,7 @@ from nkhodge.operators import (
     MINUS_ONE,
     GradedOperator,
     adjoint,
+    adjoint_by_order,
     algebra_map_blocks,
     algebraic_order_at_most,
     bracket_columns,
@@ -794,6 +798,20 @@ class TestBracketsByOrder:
     def test_random_laplacians_match_the_composed_oracle(self, p, gram):
         p_star = adjoint(p, gram)
         assert_same_matrix(laplacian(p, p_star), commutator_by_composition(p_star, p))
+
+    @given(bounded_operators(), diagonal_metrics())
+    @settings(max_examples=60, deadline=None)
+    def test_adjoints_by_order_are_the_full_transposes(self, p, gram):
+        # P* rebuilt from P's columns of degree <= r is the full transpose and
+        # the Scalar one, with the bound r + |P|; declared one order too low,
+        # for P of order exactly r, it is not
+        got, want = adjoint_by_order(p, gram), adjoint(p, gram)
+        assert_same_matrix(got, want)
+        assert got.order_bound == want.order_bound
+        ref = scalar_adjoint(ScalarOperator.of(p), gram)
+        assert got == GradedOperator(DIM, ref.cols, ref.degree)
+        if p.order_bound and not algebraic_order_at_most(p, p.order_bound - 1):
+            assert adjoint_by_order(with_order_bound(p, p.order_bound - 1), gram) != want
 
     def test_a_false_bound_shows(self):
         # d* has order 2; declared of order 1, [[d*, d]] by order is rebuilt
