@@ -20,14 +20,15 @@ through one of two primitives, and neither keeps a block of E or F:
 * ``PQBasis.frame`` is F P E, the matrix of an operator P of order <= r
   in the eta-monomial basis.  A degree-0 P preserves every Lambda^{p,q}
   exactly when each column of type (p,q) has rows of type (p,q) only
-  (VANISH_COR, HODGE_ABCD's S), its kernel on Lambda^{p,q} is that of its
-  columns of type (p,q) (``harmonic_pq``), and DIM6_EIGEN compares each
-  of its operators with its scalar on every type.  E is an algebra map,
-  so F P E has the order of P in the eta-coframe: ``frame`` composes the
-  blocks F_{k+deg} P E_k of degree k <= r only, which read P's columns of
-  degree <= r only, and rebuilds the rest by one reconstruction; the
-  blocks are built as they are read, so no block of E or F past them is
-  built.  Every operator a frame is taken of has a bound (r is required).
+  (``PQBasis.preserves_type``: VANISH_COR, HODGE_ABCD's S), its kernel on
+  Lambda^{p,q} is that of its columns of type (p,q) (``harmonic_pq``), and
+  DIM6_EIGEN compares each of its operators with its scalar on every type.
+  E is an algebra map, so F P E has the order of P in the eta-coframe:
+  ``frame`` composes the blocks F_{k+deg} P E_k of degree k <= r only,
+  which read P's columns of degree <= r only, and rebuilds the rest by one
+  reconstruction; the blocks are built as they are read, so no block of E
+  or F past them is built.  Every operator a frame is taken of has a
+  bound (r is required).
 
 J_PQ reads type through neither primitive: J, E and the diagonal of
 i^(p-q) are algebra maps, so J is diagonal in the frame exactly when
@@ -151,6 +152,13 @@ class PQBasis:
         """The type test: the coordinates off type (p,q), none exactly when
         the form with these coordinates has type (p,q)."""
         return {m: v for m, v in coords.items() if self.bidegree_of_mask(m) != (p, q)}
+
+    def preserves_type(self, frame: GradedOperator, p: int, q: int) -> bool:
+        """The type test of a degree-0 operator in the eta-monomial basis
+        (a ``frame``) on Lambda^{p,q}: every column of type (p,q) has rows
+        of type (p,q) only."""
+        rows = (r for m in self.monomial_masks(p, q) for r in frame.coords.get(m, ()))
+        return all(self.bidegree_of_mask(r) == (p, q) for r in rows)
 
     def frame(self, op: GradedOperator, r: int) -> GradedOperator:
         """F op E, the matrix of op in the eta-monomial basis, for op of

@@ -30,10 +30,13 @@ of E they need.  For a form x of pure type (p,q), the four components of
 d x, and of d* x, have four different types, so Delta_d x = 0 exactly
 when every component and adjoint kills x, which is S x = 0 (the
 Hermitian product is positive definite): ker S on Lambda^{p,q} is the
-Delta_d-harmonic (p,q)-forms on every model, and on a nearly Kahler
-model ker S is the whole harmonic space (HODGE_ABCD).  The sum rule
-b^k = sum_{p+q=k} h^{p,q} then compares two computations that share only
-d: nullities of S against ranks of d.
+Delta_d-harmonic (p,q)-forms on every model.  ker S is the whole
+harmonic space of degree k exactly when its dimension is b_k, since
+dim ker Delta_d = b_k (the finite-dimensional Hodge theorem): the sum
+rule b^k = sum_{p+q=k} h^{p,q}, which compares two computations that
+share only d, nullities of S against ranks of d.  HODGE_ABCD decides
+its (a), (b) and (c) on that count, and takes ``harmonic_space`` only
+in a degree where it fails.
 
 S is built in the eta-frame only.  Delta_delbar and Delta_mubar are the
 conjugates of Delta_del and Delta_mu, so S is the term list X + conj X

@@ -66,6 +66,12 @@
   (a) and (b) as stacked eliminations of the eight components and adjoints
   and of the four component Laplacians, against the production kernel of
   their PSD sum.
+* ``hodge_abcd_by_harmonic_space``: HODGE_ABCD that lists the Delta_d
+  kernel of every degree (``harmonic_space``), tests it against every
+  kernel and compares its dimension with the per-type nullities of S,
+  against the check, which compares those nullities with the Betti
+  numbers and takes a Delta_d kernel only in a degree where they differ;
+  status, witness and residual must be the same.
 * ``split_by_four_derivations``: each component of d as its own
   derivation, from the D_J pieces (``decompose_by_d_j``) of d eta and
   d conj(eta), against the production split, which builds mu and del from
@@ -185,7 +191,7 @@ import sys
 from fractions import Fraction
 
 from nkhodge.bidegree import DifferentialSplit, differential_split, j_operator, pq_basis
-from nkhodge.checks import _Acc
+from nkhodge.checks import _Acc, _adjoints, _ops, _parts
 from nkhodge.exterior import (
     Form,
     GramData,
@@ -194,7 +200,7 @@ from nkhodge.exterior import (
     mask_label,
     sign_key,
 )
-from nkhodge.hodge import degree_masks, harmonic_space, hodge_laplacian, s_frame
+from nkhodge.hodge import betti_numbers, degree_masks, harmonic_pq, harmonic_space, hodge_laplacian, s_frame
 from nkhodge.linalg import (
     EntryRow,
     SparseRow,
@@ -794,6 +800,73 @@ def stacked_kernel_nullities(model) -> list[tuple[int, int]]:
         return len(scalar_kernel(rows, math.comb(comp.dim, k)))
 
     return [(nullity(eight, k), nullity(laps, k)) for k in range(comp.dim + 1)]
+
+
+def hodge_abcd_by_harmonic_space(model, acc: _Acc):
+    """HODGE_ABCD as it was checked with the Delta_d kernel of every degree
+    (``harmonic_space``) listed and counted.
+
+    (a) harmonic = intersection of the kernels of the components and their
+    adjoints, (b) = that of the four component Laplacians, (c) the Hodge
+    numbers add up to the Betti numbers, (d) conjugation symmetry.
+
+    Lemma: the Hermitian product is positive definite, so
+    ker sum_i P_i* P_i = intersection of the ker P_i.  Over the eight
+    operators of (a) the sum is S = Delta_mu + Delta_del + Delta_delbar +
+    Delta_mubar, and each Delta_P = P*P + PP*, so nullity(S) per degree
+    closes (a) and (b).  First every harmonic form must lie in every
+    kernel.  Then S must preserve every Lambda^{p,q}: no column of type
+    (p,q) of F S E (``hodge.s_frame``) has a row of another type.  With
+    that, nullity(S) in degree k is the sum of the nullities of S on the
+    Lambda^{p,q} with p + q = k, the h^{p,q} of ``harmonic_pq``, and (a),
+    (b) compare it with dim ker Delta_d.  (c) compares the same sum with
+    b_k from the ranks of d, which need no metric: the paper's statement
+    that Hodge numbers relate to Betti numbers as on a Kahler manifold,
+    from two computations that share only d.
+
+    Dropping Delta_mubar from S changes none of this on a nearly Kahler
+    model: PROP_LAP gives Delta_mubar = Delta_mu + (Delta_del -
+    Delta_delbar)/2, so every x with (Delta_mu + Delta_del + Delta_delbar)
+    x = 0, each term positive semidefinite, has Delta_mubar x = 0 too.  On
+    kodaira-thurston mu = 0.
+    """
+    mu, de, db, mb = _parts(model)
+    eight = [mu, de, db, mb, *_adjoints(model)]
+    laps = _ops(model, "lap:mu", "lap:del", "lap:delbar", "lap:mubar")
+    n = model.dim // 2
+    types = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    pq_bases = {pq: harmonic_pq(model, *pq) for pq in types}
+    harmonic = [harmonic_space(model, k) for k in range(model.dim + 1)]
+    # (a), (b): containment of the harmonic space in every kernel
+    for k, basis in enumerate(harmonic):
+        for v in basis:
+            for idx, op in enumerate(eight):
+                if not op.apply(v).is_zero():
+                    acc.require(f"(a) harmonic {k}-form escapes kernel of component {idx}", False)
+            for idx, op in enumerate(laps):
+                if not op.apply(v).is_zero():
+                    acc.require(f"(b) harmonic {k}-form escapes a component Laplacian kernel", False)
+    pqb, frame = pq_basis(model), s_frame(model)
+    for p, q in types:
+        rows = (r for m in pqb.monomial_masks(p, q) for r in frame.coords.get(m, {}))
+        acc.require(f"S preserves ({p},{q})", all(pqb.bidegree_of_mask(r) == (p, q) for r in rows))
+    # (a), (b): nullity(S) = dim harmonic closes both directions; (c) the Betti numbers
+    betti = betti_numbers(model)
+    for k, basis in enumerate(harmonic):
+        nullity = sum(len(pq_bases[(p, k - p)]) for p in range(max(0, k - n), min(n, k) + 1))
+        acc.require(f"(a) dim intersection of 8 kernels = dim harmonic, degree {k}", nullity == len(basis))
+        acc.require(f"(b) dim intersection of 4 Laplacian kernels = dim harmonic, degree {k}", nullity == len(basis))
+        acc.require(f"(c) sum of h^(p,q) = b_k, degree {k}", nullity == betti[k])
+    # (d) conjugation maps harmonic (p,q) onto (q,p)
+    lap = hodge_laplacian(model)
+    for (p, q), basis in pq_bases.items():
+        acc.require(f"(d) h^({p},{q}) = h^({q},{p})", len(basis) == len(pq_bases[(q, p)]))
+        conjugates = [v.conjugate() for v in basis]
+        for w, coords in zip(conjugates, pqb.coordinates(conjugates)):
+            if not lap.apply(w).is_zero():
+                acc.require(f"(d) conjugate of harmonic ({p},{q})-form not harmonic", False)
+            if pqb.outside(coords, q, p):
+                acc.require(f"(d) conjugate of ({p},{q})-form not of type ({q},{p})", False)
 
 
 # -- model validation ------------------------------------------------------------

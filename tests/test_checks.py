@@ -27,8 +27,8 @@ from nkhodge.bidegree import (
     pq_basis,
     twisted_differential,
 )
-from nkhodge.exterior import Form
-from nkhodge.hodge import degree_masks, harmonic_pq, harmonic_space, hodge_numbers, s_frame
+from nkhodge.exterior import Form, GramData
+from nkhodge.hodge import betti_numbers, degree_masks, harmonic_pq, harmonic_space, hodge_numbers, s_frame
 from nkhodge.linalg import sparse_kernel
 from nkhodge.models import (
     BUILTIN_NAMES,
@@ -38,9 +38,11 @@ from nkhodge.models import (
     model_from_json,
     model_to_json,
     nk_report,
+    product_model,
 )
 from nkhodge.operators import (
     GradedOperator,
+    algebra_map_apply,
     algebra_map_blocks,
     bracket_columns,
     derivation_from_one_forms,
@@ -56,6 +58,7 @@ from oracles import (
     commutator_by_composition,
     frame_columns_by_composition,
     frame_sum_by_composition,
+    hodge_abcd_by_harmonic_space,
     j_pq_every_degree,
     laplacian_of_del_minus_delbar,
     off_type_failures,
@@ -207,43 +210,94 @@ class TestMixedDimensionProducts:
         assert nk.status == "fail" and nk.witness is not None
 
 
+# the three six-dimensional built-ins and the dim-8 and dim-10 products of
+# TestMixedDimensionProducts, each built fresh
+_HODGE_ABCD_ORACLE_MODELS = {
+    **{name: (lambda name=name: _fresh(name)) for name in ("torus6", "s3xs3-nk", "kodaira-thurston")},
+    "kodaira-thurston^2": lambda: product_model(builtin_model("kodaira-thurston"), builtin_model("kodaira-thurston")),
+    "kodaira-thurston x s3xs3-nk": lambda: product_model(builtin_model("kodaira-thurston"), builtin_model("s3xs3-nk")),
+}
+
+
 class TestHodgeAbcdKernel:
     @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
     def test_psd_sum_kernel_equals_stacked_kernels(self, name):
         # ker (Delta_mu + Delta_del + Delta_delbar + Delta_mubar) is the
         # intersection of the eight component kernels and of the four
-        # Laplacian kernels, also where it is smaller than the harmonic space
+        # Laplacian kernels, also where it is smaller than the harmonic
+        # space, whose dimension is b_k in every degree (the Hodge theorem
+        # that HODGE_ABCD reads its counts by)
         model = builtin_model(name)
         comp = model.orthogonalized()
         laps = [named_operator(comp, "lap:" + c) for c in ("mu", "del", "delbar", "mubar")]
         s_op = laps[0] + laps[1] + laps[2] + laps[3]
+        betti = betti_numbers(model)
         short = []
         for k, stacked in enumerate(stacked_kernel_nullities(model)):
             masks = degree_masks(comp.dim, k)
             nullity = len(sparse_kernel(*s_op.entry_rows(masks), len(masks)))
             assert (nullity, nullity) == stacked, k
-            if nullity != len(harmonic_space(model, k)):
+            assert len(harmonic_space(model, k)) == betti[k], k
+            if nullity != betti[k]:
                 short.append(k)
         assert short == ([1, 3] if name == "kodaira-thurston" else [])
 
+    @pytest.mark.parametrize("name", sorted(_HODGE_ABCD_ORACLE_MODELS))
+    def test_agrees_with_the_harmonic_space_oracle(self, name):
+        model = _HODGE_ABCD_ORACLE_MODELS[name]()
+        got, want = _hodge_abcd_both_routes(model)
+        assert got == want
+        if name == "kodaira-thurston":
+            assert got[2] == "(a) harmonic 1-form escapes kernel of component 1"
+
+    @pytest.mark.parametrize(
+        "mutation, witness",
+        [
+            ("type-breaking S", "S preserves (0,1)"),
+            ("adjoints one order too low", "(a) harmonic 1-form escapes kernel of component 0"),
+        ],
+    )
+    def test_agrees_with_the_harmonic_space_oracle_under_a_mutation(self, mutation, witness, monkeypatch):
+        # under the second, nullity(S) = [1, 6, 15, ...] against b = [1, 0,
+        # 0, 2, ...], so degree 1 still takes the Delta_d kernel
+        model = _fresh("s3xs3-nk")
+        if mutation == "type-breaking S":
+            _break_the_type_of_s(monkeypatch)
+        else:
+            _declare_adjoint_operands_one_order_too_low(monkeypatch)
+        got, want = _hodge_abcd_both_routes(model)
+        assert got == want
+        assert got[:3] == ("fail", False, witness)
+
     def test_type_breaking_s_fails_with_the_preservation_label(self, monkeypatch):
         # L_{u^1} iota_{e_2} added to S breaks type; the containment tests
-        # read harmonic_space and the component Laplacians, so the first
-        # failure is the new requirement
+        # that run before it read harmonic_space and the component
+        # Laplacians, so the first failure is the new requirement
         model = _fresh("s3xs3-nk")
-        extra = _type_breaking_extra(model.orthogonalized())
-        original = nkhodge.hodge.s_low_columns
-
-        def mutated(m):
-            low, r = original(m)
-            return low + extra, r
-
-        monkeypatch.setattr(nkhodge.hodge, "s_low_columns", mutated)
+        _break_the_type_of_s(monkeypatch)
         acc = _RecordingAcc()
         CHECKS["HODGE_ABCD"].fn(model.orthogonalized(), acc)
         assert acc.failed[0] == "S preserves (0,1)"
         res = run_check(model, "HODGE_ABCD")
         assert (res.status, res.witness) == ("fail", "S preserves (0,1)")
+
+    def test_a_basis_form_off_ker_s_fails_the_containment_after_c(self, monkeypatch):
+        # the h^{2,1} = 1 basis form of s3xs3-nk swapped for an eta-monomial
+        # of type (2,1): every count still agrees, so the first failure is
+        # the lemma's containment, tested on the basis forms after (c)
+        model = _fresh("s3xs3-nk")
+        target = model.orthogonalized()
+        pqb = pq_basis(target)
+        monomial = algebra_map_apply(pqb.generators, [Form.basis(target.dim, pqb.monomial_masks(2, 1)[0])])
+        original = nkhodge.checks.harmonic_pq
+        monkeypatch.setattr(
+            nkhodge.checks, "harmonic_pq", lambda m, p, q: monomial if (p, q) == (2, 1) else original(m, p, q)
+        )
+        acc = _RecordingAcc()
+        CHECKS["HODGE_ABCD"].fn(target, acc)
+        assert acc.failed[0] == "(a) ker S on (2,1) escapes kernel of component 1"
+        assert "(b) ker S on (2,1) escapes a component Laplacian kernel" in acc.failed
+        assert acc.failed[-1] == "(d) conjugate of harmonic (2,1)-form not harmonic"
 
     @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
     def test_dropping_delta_mubar_is_hidden_by_an_identity(self, name, monkeypatch):
@@ -502,6 +556,41 @@ def _type_breaking_extra(model):
     """L_{u^1} iota_{e_2} (u^2 -> u^1, degree 0), real; J pairs u^1 with u^4
     and u^2 with u^5 on s3xs3-nk, so it breaks type."""
     return reconstruct(model.dim, {0b10: Form.basis(model.dim, 0b1)}, 0)
+
+
+def _break_the_type_of_s(monkeypatch):
+    """S plus ``_type_breaking_extra`` in ``s_low_columns``, on any model."""
+    original = nkhodge.hodge.s_low_columns
+
+    def mutated(m):
+        low, r = original(m)
+        return low + _type_breaking_extra(m), r
+
+    monkeypatch.setattr(nkhodge.hodge, "s_low_columns", mutated)
+
+
+def _declare_adjoint_operands_one_order_too_low(monkeypatch):
+    """Every adjoint by order rebuilt from its operand with the order bound
+    declared one too low (a bound of 0 is kept)."""
+    original = nkhodge.bidegree.adjoint_by_order
+
+    def one_too_low(p, gram):
+        if p.order_bound:
+            p = p.with_degree(p.degree)
+            p.order_bound -= 1
+        return original(p, gram)
+
+    monkeypatch.setattr(nkhodge.bidegree, "adjoint_by_order", one_too_low)
+
+
+def _hodge_abcd_both_routes(model):
+    """(status, exact_zero, witness, residual) of HODGE_ABCD and of the
+    oracle that lists the Delta_d kernel of every degree, on one model."""
+    res = run_check(model, "HODGE_ABCD")
+    acc = _Acc()
+    hodge_abcd_by_harmonic_space(model.orthogonalized(), acc)
+    want = ("pass" if acc.zero else "fail", acc.zero, acc.witness, acc.residual)
+    return (res.status, res.exact_zero, res.witness, res.residual_approx), want
 
 
 def _mutate_low_columns(monkeypatch, extra):
@@ -798,15 +887,7 @@ class TestRequirementsByOrder:
         # L_mu_omega, bounded by 0, are kept), and so does everything built
         # from them: ten checks fail, each at its first broken requirement.
         # The ORDER_* checks read the full transposes and pass
-        original = nkhodge.bidegree.adjoint_by_order
-
-        def one_too_low(p, gram):
-            if p.order_bound:
-                p = p.with_degree(p.degree)
-                p.order_bound -= 1
-            return original(p, gram)
-
-        monkeypatch.setattr(nkhodge.bidegree, "adjoint_by_order", one_too_low)
+        _declare_adjoint_operands_one_order_too_low(monkeypatch)
         failed = {r.check_id: r.witness for r in run_suite(_fresh("s3xs3-nk")).results if r.status == "fail"}
         assert sorted(failed) == [
             "AUX_COM", "DIM6_EIGEN", "HODGE_ABCD", "L_DELTA", "NK6_VANISH",
@@ -823,6 +904,37 @@ class TestRequirementsByOrder:
         assert failed["TORSION_OP"] == "[L_mu_omega*, L] + 3mu*: column e1^e2, row e3: 1/2"
         assert failed["HODGE_ABCD"] == "(a) harmonic 1-form escapes kernel of component 0"
         assert failed["VANISH_COR"] == "invertible difference on (0,1) forces h = 0"
+
+    def test_a_wrong_norm_weight_in_d_star(self, monkeypatch):
+        # adj:d alone rebuilt over a metric whose norm weight w(u^1) is
+        # doubled, every other operator true: HODGE_ABCD reads d* in (d)
+        # only, since it takes no Delta_d kernel where its counts agree, and
+        # still fails there; so do the three checks that read d* or Delta_d
+        # on their low columns.  ORDER_DSTAR reads the full transpose
+        model = _fresh("s3xs3-nk")
+        target = model.orthogonalized()
+        d = target.d()
+        original = nkhodge.bidegree.adjoint_by_order
+
+        def wrong_weight(p, gram):
+            if p is d:
+                gram = GramData(gram.g)
+                for m in range(1 << gram.dim):
+                    gram.weight(m)
+                gram._w[1] = gram._w[1] * rational(2)
+            return original(p, gram)
+
+        monkeypatch.setattr(nkhodge.bidegree, "adjoint_by_order", wrong_weight)
+        failed = {r.check_id: r.witness for r in run_suite(model).results if r.status == "fail"}
+        assert failed == {
+            "DELTA_SUM": "Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar: column e1, row e1: 16/9",
+            "HODGE_ABCD": "(d) conjugate of harmonic (1,2)-form not harmonic",
+            "L_DELTA": (
+                "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2: "
+                "column 1, row e1^e4: -2/3*w"
+            ),
+            "NK_MAIN": "[d*,L] + d^c - 3i(mu-mubar): column e2, row e1^e3: 1/3*w",
+        }
 
     @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
     def test_only_a_failing_requirement_is_rebuilt(self, name, monkeypatch):
@@ -976,6 +1088,17 @@ class TestCostGuards:
         factors = [q if p is l_op else p for p, q in calls if (p is l_op) != (q is l_op)]
         assert len(factors) == 2 and factors[0] is factors[1]
         assert factors[0] is not dstar and factors[0] == dstar
+
+    def test_su2_four_hodge_abcd_takes_no_delta_d_kernel(self, catalogue_run):
+        # nullity(S) = b_k in every degree, so after the whole catalogue on a
+        # fresh su2-four no Delta_d kernel was taken (``harmonic_space``
+        # memoizes every degree it is called for) and no store of Delta_d
+        # was built: DELTA_SUM and L_DELTA read its low columns only
+        run = catalogue_run("su2-four")
+        target = run.model.orthogonalized()
+        assert run.verdict
+        assert named_operator(target, "lap:d")._coords is None
+        assert not [key for m in (run.model, target) for key in m._cache if key.startswith("harmonic:")]
 
     def test_d2_split_and_br67_compose_nothing(self, monkeypatch):
         # every bracket of both checks is a derivation or L_{P mu omega},
