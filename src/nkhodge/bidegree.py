@@ -57,15 +57,15 @@ the four components, L = L_omega, L_mu_omega and
 L_mubar_omega, and for each of them ``adj:<name>`` (the metric adjoint) and
 ``lap:<name>`` (the Laplacian from that adjoint).  Each name has one
 builder and is its own memo key, so an adjoint is built once and no key
-can hold another operator's answer.  An adjoint is built by order
-(``operators.adjoint_by_order``): from its operand's columns of degree
-<= the operand's bound, held by its Koszul coefficients, so a reader of
-its low columns, such as every bracket, sums those columns only.  The
-barred half is obtained by
-conjugation: L_mubar_omega is conj L_mu_omega (omega is real), and the
-adjoint and Laplacian of delbar, mubar and L_mubar_omega are the
-conjugates of those of del, mu and L_mu_omega, so only unbarred operators
-reach ``adjoint``.  ``lefschetz_triple`` is (L, adj:L, H), each built once
+can hold another operator's answer, a barred one's included:
+L_mubar_omega is L_{mubar omega}, built as L_mu_omega is, and the adjoint
+and Laplacian of delbar, mubar and L_mubar_omega are built from those
+operators, as their unbarred partners' are from theirs.  An adjoint is
+built by order (``operators.adjoint_by_order``): from its operand's
+columns of degree <= the operand's bound, held by its Koszul
+coefficients, so a reader of its low columns, such as every bracket, sums
+those columns only, and no adjoint or Laplacian needs a full store.
+``lefschetz_triple`` is (L, adj:L, H), each built once
 per model.  An order test must not read an adjoint rebuilt from the bound
 it tests, so its operand is the full weighted transpose (``full_adjoint``),
 built anew on every call and memoized nowhere.
@@ -296,9 +296,10 @@ def lefschetz_triple(model) -> tuple[GradedOperator, GradedOperator, GradedOpera
 # ---------------------------------------------------------------------------
 # derived operators by name
 
-def _l_part_omega(model) -> GradedOperator:
-    """L_{mu omega}, declared of degree 3 also where mu omega = 0."""
-    return mult_operator(named_operator(model, "mu").apply(model.omega())).with_degree(3)
+def _l_part_omega(model, part: str) -> GradedOperator:
+    """L_{P omega} for the component ``part`` (mu or mubar), declared of
+    degree 3 also where P omega = 0."""
+    return mult_operator(named_operator(model, part).apply(model.omega())).with_degree(3)
 
 
 # builders look up their helpers when they run, so a rebound module attribute
@@ -310,12 +311,9 @@ _BASE_OPERATORS = {
     "delbar": lambda m: differential_split(m).delbar,
     "mubar": lambda m: differential_split(m).mubar,
     "L": lambda m: mult_operator(m.omega()),
-    "L_mu_omega": _l_part_omega,
-    "L_mubar_omega": lambda m: named_operator(m, "L_mu_omega").conjugated(),
+    "L_mu_omega": lambda m: _l_part_omega(m, "mu"),
+    "L_mubar_omega": lambda m: _l_part_omega(m, "mubar"),
 }
-
-# each barred name and the unbarred name it is the complex conjugate of
-_CONJUGATES = {"delbar": "del", "mubar": "mu", "L_mubar_omega": "L_mu_omega"}
 
 
 def full_adjoint(model, base: str) -> GradedOperator:
@@ -330,19 +328,14 @@ def named_operator(model, name: str) -> GradedOperator:
     """The operator ``name``: a key of ``_BASE_OPERATORS``, ``adj:<key>`` (its
     metric adjoint, built by order from the operator's low columns,
     ``operators.adjoint_by_order``) or ``lap:<key>`` ([[P*, P]] from the
-    memoized adjoint), built once and memoized under ``name``.
-
-    The adjoint and Laplacian of a barred name are the conjugates of those
-    of its unbarred partner: the norm weights are real, so
-    conj(P*) = (conj P)*.
-    """
+    memoized adjoint), built once and memoized under ``name``.  Each kind
+    has one builder, which reads its own operand only, barred or not, so
+    no memo holds another operator's answer."""
     kind, _, base = name.rpartition(":")
     if base not in _BASE_OPERATORS or kind not in ("", "adj", "lap"):
         raise KeyError(f"unknown operator name {name!r}")
 
     def build():
-        if kind and base in _CONJUGATES:
-            return named_operator(model, f"{kind}:{_CONJUGATES[base]}").conjugated()
         if kind == "adj":
             return adjoint_by_order(named_operator(model, base), model.gram())
         if kind == "lap":

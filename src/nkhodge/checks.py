@@ -23,7 +23,8 @@ witnesses name that presentation's coframe.
 Each operator has one route in every dimension.  The components of d,
 L, L_mu_omega and L_mubar_omega, their adjoints (``adj:mu``)
 and their Laplacians (``lap:mu``) come by name from ``named_operator``,
-which builds each once per model.  The split of d comes from
+which builds each once per model from its own operand, the barred ones
+included.  The split of d comes from
 ``differential_split`` (mu and del are the derivations with their coframe
 values, delbar and mubar their conjugates), and DC_DEF tests the same
 J^{-1} d J derivation that ``d_c`` builds (``twisted_differential``).
@@ -43,8 +44,8 @@ most 79 of the 4,096 columns.  A bracket of a component with L_mu_omega
 or L_mubar_omega, as in BR67, has r = 0.  Brackets that another reader
 needs in full stay operators built by ``bracket_sum`` (``br`` is its
 one-term case, reconstructed from the products on its own columns of
-degree <= r): the named Laplacians, the nested operands of PROP_LAP and
-L_DELTA, and X below.
+degree <= r): the named Laplacians and the nested operands of PROP_LAP
+and L_DELTA.
 
 A barred requirement that is the conjugate of an unbarred one, such as
 [delbar*, L] - i del of [del*, L] + i delbar, goes through ``_Acc.pair``:
@@ -54,8 +55,9 @@ Likewise a self-conjugate sum X + conj X, such as [[L_mu_omega, mubar]] +
 [[L_mubar_omega, mu]] or Delta_(del-delbar) = Delta_del + Delta_delbar - X -
 conj X with X = [[delbar*,del]] (bilinearity of [[P*,P]]), is read from
 its unbarred half X and conj X (``Bracket.conjugated`` conjugates the
-columns it has computed).  That X is built once per model, under a memo
-key of its own, and LAP_COM and DELTA_SUM share it.
+columns it has computed).  That X is a ``Bracket`` kept under a memo key
+of its own, and LAP_COM and DELTA_SUM, which both read it at R = 2,
+share its products there, so neither X nor conj X is ever built.
 
 The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
 operator of order <= r equals the reconstruction from its columns on
@@ -224,10 +226,11 @@ def _adjoints(model):
     return _ops(model, "adj:mu", "adj:del", "adj:delbar", "adj:mubar")
 
 
-def _delbar_star_del(model) -> GradedOperator:
-    """X = [[delbar*, del]], shared by LAP_COM and DELTA_SUM.  Its memo key is
-    not an operator name, so no ``named_operator`` build can hit it."""
-    return model._memo("[[adj:delbar,del]]", lambda: br(*_ops(model, "adj:delbar", "del")))
+def _delbar_star_del(model) -> Bracket:
+    """X = [[delbar*, del]] as a ``Bracket`` term, whose products LAP_COM and
+    DELTA_SUM share (both read it at R = 2).  Its memo key is not an
+    operator name, so no ``named_operator`` build can hit it."""
+    return model._memo("[[adj:delbar,del]]", lambda: Bracket([tuple(_ops(model, "adj:delbar", "del"))]))
 
 
 def _su3(model):

@@ -59,12 +59,15 @@ def scalars_built(monkeypatch):
 class CatalogueRun:
     """``run_suite`` on a fresh built-in model: its verdict, every product it
     composed (``GradedOperator.compose``) and the arguments of every Koszul
-    sum it held (``operators._koszul_sum``), its shared builds included."""
+    sum it held (``operators._koszul_sum``), its shared builds included, and
+    (key, whether it holds a built store) for each operator memoized on the
+    model or its orthogonalized presentation, read right after the run."""
 
     model: LieAlgebraModel
     verdict: bool
     composed: list
     koszul_sums: list
+    stored: list
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +85,14 @@ def catalogue_run():
                 mp.setattr(GradedOperator, "compose", lambda p, q: composed.append((p, q)) or compose(p, q))
                 mp.setattr(operators, "_koszul_sum", lambda *args: sums.append(args) or koszul_sum(*args))
                 verdict = run_suite(model).verdict
-            runs[name] = CatalogueRun(model, verdict, composed, sums)
+            presentations = {id(m): m for m in (model, model.orthogonalized())}.values()
+            stored = [
+                (k, v._coords is not None)
+                for m in presentations
+                for k, v in m._cache.items()
+                if isinstance(v, GradedOperator)
+            ]
+            runs[name] = CatalogueRun(model, verdict, composed, sums, stored)
         return runs[name]
 
     return run

@@ -34,6 +34,7 @@ from nkhodge.operators import (
     combination,
     derivation_from_one_forms,
     graded_commutator,
+    low_columns,
 )
 from nkhodge.scalars import I, ONE, Scalar, rational
 from oracles import (
@@ -540,16 +541,15 @@ class TestNamedOperator:
                 named_operator(torus6, name)
 
     @pytest.mark.parametrize(
-        "name, calls", [("torus6", 9), ("s3xs3-nk", 15), ("kodaira-thurston", 9)]
+        "name, calls", [("torus6", 12), ("s3xs3-nk", 18), ("kodaira-thurston", 12)]
     )
     def test_catalogue_builds_each_adjoint_once(self, name, calls, monkeypatch):
         # every module alias of adjoint records what it receives; the
         # catalogue and the Hodge table then run on a model with empty caches.
         # A memoized adjoint is built by order, so adjoint receives its
-        # operand's low columns, once; the order tests read full transposes
-        # (``full_adjoint``), built anew on each call: d for ORDER_BRACKET and
-        # ORDER_DSTAR, L for ORDER_LB.  The adjoints of delbar, mubar and
-        # L_mubar_omega are conjugates, so no barred operator is received
+        # operand's low columns, once, the barred operands' included; the
+        # order tests read full transposes (``full_adjoint``), built anew on
+        # each call: d for ORDER_BRACKET and ORDER_DSTAR, L for ORDER_LB
         original = nkhodge.operators.adjoint
         received, full = [], []
         full_adjoint = nkhodge.bidegree.full_adjoint
@@ -583,16 +583,32 @@ class TestNamedOperator:
         for a, b in itertools.combinations(nonzero, 2):
             assert not (a == b and a.degree == b.degree)
         barred = [named_operator(comp, b) for b in ("delbar", "mubar", "L_mubar_omega")]
-        assert not any(p == b for p in nonzero for b in barred if not b.is_zero())
+        for b in (b for b in barred if not b.is_zero()):
+            low = low_columns(b, b.order_bound)
+            assert sum(p == low and p.degree == b.degree for p in nonzero) == 1
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_barred_names_are_the_conjugates_of_their_partners(self, name):
+        # each barred adjoint and Laplacian, and L_mubar_omega, is built from
+        # its own operand; conjugating its unbarred partner is the oracle,
+        # since the norm weights and omega are real, so conj(P*) = (conj P)*
+        # and conj L_mu_omega = L_mubar_omega
+        model = builtin_model(name).orthogonalized()
+        partners = {"delbar": "del", "mubar": "mu", "L_mubar_omega": "L_mu_omega"}
+        pairs = [(f"{kind}:{b}", f"{kind}:{p}") for b, p in partners.items() for kind in ("adj", "lap")]
+        for barred, partner in [*pairs, ("L_mubar_omega", "L_mu_omega")]:
+            got, want = named_operator(model, barred), named_operator(model, partner).conjugated()
+            assert got == want, barred
+            assert (got.q, got.d, got.degree, got.order_bound) == (want.q, want.d, want.degree, want.order_bound)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_adjoints_by_order_are_the_full_transposes(self, name):
         # adj:<name> is rebuilt from its operand's low columns, and the store
         # is unique: it equals the full weighted transpose, with the same
-        # degree and bound, and the Scalar transpose entry by entry, for the
-        # names that reach ``adjoint`` (the barred ones are conjugates); on
-        # su2-four the Scalar one for d only, to keep the test short (the
-        # full transpose itself is compared with it in test_operator_store)
+        # degree and bound, and the Scalar transpose entry by entry for the
+        # unbarred names; on su2-four the Scalar one for d only, to keep the
+        # test short (the full transpose itself is compared with it in
+        # test_operator_store)
         model = builtin_model(name).orthogonalized()
         gram = model.gram()
         for base in sorted(_BASE_OPERATORS):

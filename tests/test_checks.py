@@ -41,6 +41,7 @@ from nkhodge.models import (
     product_model,
 )
 from nkhodge.operators import (
+    Bracket,
     GradedOperator,
     algebra_map_apply,
     algebra_map_blocks,
@@ -422,22 +423,23 @@ class TestSelfConjugateSums:
 
     @pytest.mark.parametrize("order", [("LAP_COM", "DELTA_SUM"), ("DELTA_SUM", "LAP_COM")])
     def test_lap_com_and_delta_sum_share_x(self, order, monkeypatch):
-        # X = [[delbar*, del]]: one bracket per model, whichever of its two
-        # readers runs first
-        original = nkhodge.checks.br
-        operands = []
+        # X = [[delbar*, del]]: its products are computed once per model,
+        # whichever of its two readers runs first, since both read it at R = 2
+        original = nkhodge.operators.bracket_columns
+        calls = []
 
-        def recording(p, q):
-            operands.append((p, q))
-            return original(p, q)
+        def recording(pairs, squares=(), r=None):
+            calls.append((list(pairs), r))
+            return original(pairs, squares, r)
 
-        monkeypatch.setattr(nkhodge.checks, "br", recording)
+        monkeypatch.setattr(nkhodge.operators, "bracket_columns", recording)
         model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
         for cid in order:
             assert run_check(model, cid).status == "pass"
         comp = model.orthogonalized()
         x_factors = (named_operator(comp, "adj:delbar"), named_operator(comp, "del"))
-        assert sum(p is x_factors[0] and q is x_factors[1] for p, q in operands) == 1
+        x_calls = [r for pairs, r in calls if len(pairs) == 1 and all(a is b for a, b in zip(pairs[0], x_factors))]
+        assert x_calls == [2]
 
     @pytest.mark.parametrize("name", ["s3xs3-nk", "kodaira-thurston"])
     def test_delta_sum_matches_minor_laplacian(self, name):
@@ -1100,6 +1102,22 @@ class TestCostGuards:
         assert named_operator(target, "lap:d")._coords is None
         assert not [key for m in (run.model, target) for key in m._cache if key.startswith("harmonic:")]
 
+    def test_su2_four_catalogue_builds_eight_stores(self, catalogue_run):
+        # after the whole catalogue on a fresh su2-four every adjoint and
+        # Laplacian, L_mu_omega and L_mubar_omega is still held by its Koszul
+        # coefficients, X is a Bracket term, and the only operators with a
+        # built store are those that some reader walks in full
+        run = catalogue_run("su2-four")
+        assert run.verdict
+        named = [
+            (k, built) for k, built in run.stored if k.startswith(("adj:", "lap:")) or k in ("L_mu_omega", "L_mubar_omega")
+        ]
+        assert {k for k, _ in named} >= {"adj:mubar", "lap:mubar", "L_mu_omega", "L_mubar_omega"}
+        assert [k for k, built in named if built] == []
+        assert isinstance(run.model.orthogonalized()._cache["[[adj:delbar,del]]"], Bracket)
+        built = sorted(k for k, b in run.stored if b)
+        assert built == sorted(["d", "L", "mu", "del", "delbar", "mubar", "frame:S", "j_operator"])
+
     def test_d2_split_and_br67_compose_nothing(self, monkeypatch):
         # every bracket of both checks is a derivation or L_{P mu omega},
         # built from coframe values: no product of matrices, the shared builds
@@ -1274,3 +1292,34 @@ class TestTypeRouteMutations:
         assert got[(0, 0)] == want[(0, 0)] and got[(3, 3)] == want[(3, 3)]
         assert got[(1, 2)] == want[(2, 1)] != want[(1, 2)]
         assert got[(2, 1)] == want[(1, 2)] != want[(2, 1)]
+
+
+class TestBarredOperandMutation:
+    """The barred adjoints and Laplacians are built from the barred
+    components, so a change to mubar alone reaches adj:mubar and lap:mubar:
+    DELTA_SUM fails, and HODGE_ABCD names adj:mubar as the kernel a
+    harmonic form escapes.  Were they the conjugates of mu's, both would
+    read mu's unchanged answers."""
+
+    def test_a_sign_in_mubar_alone_reaches_its_adjoint_and_laplacian(self):
+        # orthogonalized s3xs3-nk, with d^c, the nearly Kahler report and the
+        # SU(3) data built first (each reads the split); then mubar becomes the
+        # derivation with its first nonzero coframe value negated, mu untouched
+        model = _fresh("s3xs3-nk").orthogonalized()
+        for build in (d_c, nk_report, nkhodge.checks._su3):
+            build(model)
+        split = differential_split(model)
+        images = [split.mubar.apply(Form.basis(model.dim, 1 << i)) for i in range(model.dim)]
+        i = next(i for i, f in enumerate(images) if not f.is_zero())
+        images[i] = images[i].scale(rational(-1))
+        split.mubar = derivation_from_one_forms(model.dim, images)
+        failed = {r.check_id: r.witness for r in run_suite(model).results if r.status == "fail"}
+        assert sorted(failed) == [
+            "D2_SPLIT", "DC_DEF", "DC_FRAME", "DELTA_SUM", "DIM6_EIGEN", "HODGE_ABCD", "LAP_COM",
+            "LEM_NK", "MU_ONEFORMS", "NIJ_MU", "NK_COR", "NK_MAIN", "PROP_LAP", "TORSION_OP",
+        ]
+        assert failed["DELTA_SUM"] == (
+            "Delta_d - Delta_(del-delbar) - Delta_mu - Delta_mubar: column e1, row e4: 1/9*w*I"
+        )
+        # component 7 of (a) is adj:mubar
+        assert failed["HODGE_ABCD"] == "(a) ker S on (1,2) escapes kernel of component 7"
