@@ -42,9 +42,10 @@ store by ``operators.algebra_map_blocks``; only LEM_NK reads it.
 are the complex conjugates of del and mu.  Each component is a derivation:
 mu and del are reconstructed from the (0,2) and (2,0) + (1,1) pieces of
 d eta on the (1,0)-coframe (u^i = eta + conj eta), in every dimension, and
-delbar, mubar are their conjugates; the test suite checks the split against
-the literal projector-sandwich definition on the small models and against
-four separate derivations on every built-in.  d^c = J^{-1} d J is likewise
+delbar, mubar are their conjugates, taken on the Koszul coefficients of
+del and mu, so the split builds no store.  The test suite checks the split
+against the literal projector-sandwich definition on the small models and
+against four separate derivations on every built-in.  d^c = J^{-1} d J is likewise
 a derivation built from its coframe values (``twisted_differential``),
 shared by ``d_c`` and the DC_DEF check; it applies J to the 2-forms
 d(J u^i) through the columns of the algebra map they need, not the full J.
@@ -219,8 +220,8 @@ class DifferentialSplit:
 def differential_split(model) -> DifferentialSplit:
     """The four components of d: mu and del are the derivations with their
     coframe values, held by their Koszul coefficients, and delbar and mubar
-    their complex conjugates, conjugated on the store (which builds those
-    of mu and del).  d = mu + del + delbar + mubar is asserted as a term
+    their complex conjugates, held by the conjugate coefficients, so no
+    store is built.  d = mu + del + delbar + mubar is asserted as a term
     list of derivations (``operators.requirement_columns``)."""
 
     def build():

@@ -32,20 +32,19 @@ J^{-1} d J derivation that ``d_c`` builds (``twisted_differential``).
 Every operator the catalogue names carries an order bound
 (``operators``): 1 for the components of d, 0 for L and L_mu_omega, and
 for an adjoint its operand's bound plus its degree; a bracket [[P, Q]]
-has r_P + r_Q - 1, floored at 0.  Every operator requirement is a sum
-c_i T_i = 0 of such terms, each T_i an operator or a ``Bracket`` (such
-as D2_SPLIT's [[delbar,mu]] + del^2), decided as a term list by the rule
-of low columns that ``operators`` states (``requirement_columns``); no
-bracket is rebuilt.  Only a failing requirement is rebuilt, by one
-reconstruction (``from_low_columns``), for its witness and residual, and
-the store is unique, so they are those of the sum built in full.  All 60
+has r_P + r_Q - 1, floored at 0.  Every bracket is an operator held by
+the Koszul coefficients of its products on the columns of degree <= r
+(``bracket_sum``, ``br`` its one-term case), which it keeps.  Every
+operator requirement is a sum c_i T_i = 0 of such operators (such as
+D2_SPLIT's [[delbar,mu]] + del^2), decided as a term list by the rule of
+low columns that ``operators`` states (``requirement_columns``), so a
+bracket read at its own r sums nothing again.  Only a failing
+requirement is rebuilt, by one reconstruction (``from_low_columns``), for
+its witness and residual, and the store is unique, so they are those of
+the sum built in full.  All 60
 requirements of the catalogue have R <= 2, so at dim 12 they read at
 most 79 of the 4,096 columns.  A bracket of a component with L_mu_omega
-or L_mubar_omega, as in BR67, has r = 0.  Brackets that another reader
-needs in full stay operators built by ``bracket_sum`` (``br`` is its
-one-term case, reconstructed from the products on its own columns of
-degree <= r): the named Laplacians and the nested operands of PROP_LAP
-and L_DELTA.
+or L_mubar_omega, as in BR67, has r = 0.
 
 A barred requirement that is the conjugate of an unbarred one, such as
 [delbar*, L] - i del of [del*, L] + i delbar, goes through ``_Acc.pair``:
@@ -54,10 +53,10 @@ entry-wise conjugate, so the barred half is never built a second time.
 Likewise a self-conjugate sum X + conj X, such as [[L_mu_omega, mubar]] +
 [[L_mubar_omega, mu]] or Delta_(del-delbar) = Delta_del + Delta_delbar - X -
 conj X with X = [[delbar*,del]] (bilinearity of [[P*,P]]), is read from
-its unbarred half X and conj X (``Bracket.conjugated`` conjugates the
-columns it has computed).  That X is a ``Bracket`` kept under a memo key
-of its own, and LAP_COM and DELTA_SUM, which both read it at R = 2,
-share its products there, so neither X nor conj X is ever built.
+its unbarred half X and conj X, which ``conjugated`` builds on X's Koszul
+coefficients.  That X is kept under a memo key of its own, and LAP_COM
+and DELTA_SUM, which both read it at R = 2, share its products and its
+columns there, so neither X nor conj X is ever built in full.
 
 The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
 operator of order <= r equals the reconstruction from its columns on
@@ -131,11 +130,11 @@ from .linalg import inverse, pivot_columns, sparse_kernel
 from .models import LieAlgebraModel, nabla_omega_symmetrization, nk_report, su3_extract
 from .operators import (
     MINUS_ONE,
-    Bracket,
     GradedOperator,
     adjoint,
     algebra_map_apply,
     algebraic_order_at_most,
+    bracket_sum,
     derivation_from_one_forms,
     from_low_columns,
     graded_commutator as br,
@@ -226,11 +225,11 @@ def _adjoints(model):
     return _ops(model, "adj:mu", "adj:del", "adj:delbar", "adj:mubar")
 
 
-def _delbar_star_del(model) -> Bracket:
-    """X = [[delbar*, del]] as a ``Bracket`` term, whose products LAP_COM and
-    DELTA_SUM share (both read it at R = 2).  Its memo key is not an
-    operator name, so no ``named_operator`` build can hit it."""
-    return model._memo("[[adj:delbar,del]]", lambda: Bracket([tuple(_ops(model, "adj:delbar", "del"))]))
+def _delbar_star_del(model) -> GradedOperator:
+    """X = [[delbar*, del]], held by its Koszul coefficients, whose low
+    columns LAP_COM and DELTA_SUM share (both read it at R = 2).  Its memo
+    key is not an operator name, so no ``named_operator`` build can hit it."""
+    return model._memo("[[adj:delbar,del]]", lambda: br(*_ops(model, "adj:delbar", "del")))
 
 
 def _su3(model):
@@ -245,10 +244,10 @@ def check_d2_split(model, acc: _Acc):
     Each is a sum of brackets and squares of derivations, of order <= 1, so
     by Koszul's rule it is decided on its columns of degree <= 1."""
     mu, de, db, mb = _parts(model)
-    acc.pair("mu^2", "mubar^2", [(ONE, Bracket([], squares=[mu]))])
-    acc.pair("[[del,mu]]", "[[delbar,mubar]]", [(ONE, Bracket([(de, mu)]))])
-    acc.pair("[[delbar,mu]] + del^2", "[[del,mubar]] + delbar^2", [(ONE, Bracket([(db, mu)], squares=[de]))])
-    acc.op("[[del,delbar]] + [[mu,mubar]]", [(ONE, Bracket([(de, db), (mu, mb)]))])
+    acc.pair("mu^2", "mubar^2", [(ONE, bracket_sum([], squares=[mu]))])
+    acc.pair("[[del,mu]]", "[[delbar,mubar]]", [(ONE, br(de, mu))])
+    acc.pair("[[delbar,mu]] + del^2", "[[del,mubar]] + delbar^2", [(ONE, bracket_sum([(db, mu)], squares=[de]))])
+    acc.op("[[del,delbar]] + [[mu,mubar]]", [(ONE, bracket_sum([(de, db), (mu, mb)]))])
 
 
 def check_sl2(model, acc: _Acc):
@@ -256,9 +255,9 @@ def check_sl2(model, acc: _Acc):
     columns of degree <= R, R the largest bound of each relation's terms:
     1, 0 and 2 (Lambda has order <= 2, H <= 1, L 0)."""
     l_op, lam, h = lefschetz_triple(model)
-    acc.op("[L,Lambda] - H", [(ONE, Bracket([(l_op, lam)])), (MINUS_ONE, h)])
-    acc.op("[H,L] - 2L", [(ONE, Bracket([(h, l_op)])), (rational(-2), l_op)])
-    acc.op("[H,Lambda] + 2Lambda", [(ONE, Bracket([(h, lam)])), (rational(2), lam)])
+    acc.op("[L,Lambda] - H", [(ONE, br(l_op, lam)), (MINUS_ONE, h)])
+    acc.op("[H,L] - 2L", [(ONE, br(h, l_op)), (rational(-2), l_op)])
+    acc.op("[H,Lambda] + 2Lambda", [(ONE, br(h, lam)), (rational(2), lam)])
 
 
 def check_j_pq(model, acc: _Acc):
@@ -405,7 +404,7 @@ def check_br67(model, acc: _Acc):
     relation: a bracket of L_beta and a derivation has order 0, so by
     Koszul's rule each is decided on the constant column."""
     lm = named_operator(model, "L_mu_omega")
-    lm_mu, lm_de, lm_db, lm_mb = (Bracket([(lm, p)]) for p in _parts(model))
+    lm_mu, lm_de, lm_db, lm_mb = (br(lm, p) for p in _parts(model))
     acc.pair("[[L_mu_omega, mu]]", "[[L_mubar_omega, mubar]]", [(ONE, lm_mu)])
     acc.pair("[[L_mu_omega, del]]", "[[L_mubar_omega, delbar]]", [(ONE, lm_de)])
     acc.pair("[[L_mu_omega, delbar]]", "[[L_mubar_omega, del]]", [(ONE, lm_db)])
@@ -455,7 +454,7 @@ def check_nk_main(model, acc: _Acc):
     Koszul's rule each is decided on the columns of degree <= 1."""
     mu, de, db, mb = _parts(model)
     dstar, l_op = _ops(model, "adj:d", "L")
-    lhs = Bracket([(dstar, l_op)])
+    lhs = br(dstar, l_op)
     three_i, two_i = Scalar(0, 0, 3, 0), Scalar(0, 0, 2, 0)
     acc.op("[d*,L] + d^c - 3i(mu-mubar)", [(ONE, lhs), (ONE, d_c(model)), (-three_i, mu), (three_i, mb)])
     acc.op("[d*,L] - i(2mu + del - delbar - 2mubar)", [(ONE, lhs), (-two_i, mu), (-I, de), (I, db), (two_i, mb)])
@@ -470,10 +469,10 @@ def check_nk_cor(model, acc: _Acc):
     mus, des, dbs, mbs = _adjoints(model)
     l_op, lam, _ = lefschetz_triple(model)
     two_i = Scalar(0, 0, 2, 0)
-    acc.pair("[del*,L] + i delbar", "[delbar*,L] - i del", [(ONE, Bracket([(des, l_op)])), (I, db)])
-    acc.pair("[del,Lambda] + i delbar*", "[delbar,Lambda] - i del*", [(ONE, Bracket([(de, lam)])), (I, dbs)])
-    acc.pair("[mu*,L] + 2i mubar", "[mubar*,L] - 2i mu", [(ONE, Bracket([(mus, l_op)])), (two_i, mb)])
-    acc.pair("[mu,Lambda] + 2i mubar*", "[mubar,Lambda] - 2i mu*", [(ONE, Bracket([(mu, lam)])), (two_i, mbs)])
+    acc.pair("[del*,L] + i delbar", "[delbar*,L] - i del", [(ONE, br(des, l_op)), (I, db)])
+    acc.pair("[del,Lambda] + i delbar*", "[delbar,Lambda] - i del*", [(ONE, br(de, lam)), (I, dbs)])
+    acc.pair("[mu*,L] + 2i mubar", "[mubar*,L] - 2i mu", [(ONE, br(mus, l_op)), (two_i, mb)])
+    acc.pair("[mu,Lambda] + 2i mubar*", "[mubar,Lambda] - 2i mu*", [(ONE, br(mu, lam)), (two_i, mbs)])
 
 
 def check_torsion_op(model, acc: _Acc):
@@ -488,9 +487,9 @@ def check_torsion_op(model, acc: _Acc):
     l_dom = mult_operator(d_om) if not d_om.is_zero() else GradedOperator.zero(model.dim, 3)
     mus, lm, lms = _ops(model, "adj:mu", "L_mu_omega", "adj:L_mu_omega")
     three = rational(3)
-    acc.op("[Lambda, L_d_omega] + 3(mu+mubar)", [(ONE, Bracket([(lam, l_dom)])), (three, mu), (three, mb)])
-    acc.pair("[Lambda, L_mu_omega] + 3mu", "[Lambda, L_mubar_omega] + 3mubar", [(ONE, Bracket([(lam, lm)])), (three, mu)])
-    acc.pair("[L_mu_omega*, L] + 3mu*", "[L_mubar_omega*, L] + 3mubar*", [(ONE, Bracket([(lms, l_op)])), (three, mus)])
+    acc.op("[Lambda, L_d_omega] + 3(mu+mubar)", [(ONE, br(lam, l_dom)), (three, mu), (three, mb)])
+    acc.pair("[Lambda, L_mu_omega] + 3mu", "[Lambda, L_mubar_omega] + 3mubar", [(ONE, br(lam, lm)), (three, mu)])
+    acc.pair("[L_mu_omega*, L] + 3mu*", "[L_mubar_omega*, L] + 3mubar*", [(ONE, br(lms, l_op)), (three, mus)])
 
 
 def check_aux_com(model, acc: _Acc):
@@ -501,12 +500,12 @@ def check_aux_com(model, acc: _Acc):
     _, des, dbs, mbs = _adjoints(model)
     lm = named_operator(model, "L_mu_omega")
     third_i = I * rational(1, 3)
-    acc.pair("[[mubar*, L_mu_omega]]", "[[mu*, L_mubar_omega]]", [(ONE, Bracket([(mbs, lm)]))])
-    acc.pair("[[delbar*, L_mu_omega]]", "[[del*, L_mubar_omega]]", [(ONE, Bracket([(dbs, lm)]))])
+    acc.pair("[[mubar*, L_mu_omega]]", "[[mu*, L_mubar_omega]]", [(ONE, br(mbs, lm))])
+    acc.pair("[[delbar*, L_mu_omega]]", "[[del*, L_mubar_omega]]", [(ONE, br(dbs, lm))])
     acc.pair(
         "[[delbar,mu]] + (i/3)[[del*, L_mu_omega]]",
         "[[del,mubar]] - (i/3)[[delbar*, L_mubar_omega]]",
-        [(ONE, Bracket([(db, mu)])), (third_i, Bracket([(des, lm)]))],
+        [(ONE, br(db, mu)), (third_i, br(des, lm))],
     )
 
 
@@ -516,15 +515,15 @@ def check_lap_com(model, acc: _Acc):
     columns of degree <= 2."""
     mu, de, db, mb = _parts(model)
     mus, des, dbs, mbs = _adjoints(model)
-    acc.pair("[[delbar*,mu]]", "[[del*,mubar]]", [(ONE, Bracket([(dbs, mu)]))])
-    acc.pair("[[mu*,delbar]]", "[[mubar*,del]]", [(ONE, Bracket([(mus, db)]))])
-    acc.pair("[[mu*,mubar]]", "[[mubar*,mu]]", [(ONE, Bracket([(mus, mb)]))])
+    acc.pair("[[delbar*,mu]]", "[[del*,mubar]]", [(ONE, br(dbs, mu))])
+    acc.pair("[[mu*,delbar]]", "[[mubar*,del]]", [(ONE, br(mus, db))])
+    acc.pair("[[mu*,mubar]]", "[[mubar*,mu]]", [(ONE, br(mus, mb))])
     dbs_de = _delbar_star_del(model)
     acc.pair(
-        "[[delbar*,del]] + [[del*,mu]]", "[[del*,delbar]] + [[delbar*,mubar]]", [(ONE, dbs_de), (ONE, Bracket([(des, mu)]))]
+        "[[delbar*,del]] + [[del*,mu]]", "[[del*,delbar]] + [[delbar*,mubar]]", [(ONE, dbs_de), (ONE, br(des, mu))]
     )
     acc.pair(
-        "[[delbar*,del]] + [[mubar*,delbar]]", "[[del*,delbar]] + [[mu*,del]]", [(ONE, dbs_de), (ONE, Bracket([(mbs, db)]))]
+        "[[delbar*,del]] + [[mubar*,delbar]]", "[[del*,delbar]] + [[mu*,del]]", [(ONE, dbs_de), (ONE, br(mbs, db))]
     )
 
 
@@ -539,11 +538,11 @@ def check_prop_lap(model, acc: _Acc):
     mu, mb, mus, lm, lmb = _ops(model, "mu", "mubar", "adj:mu", "L_mu_omega", "L_mubar_omega")
     d_lm, d_lmb = _ops(model, "lap:L_mu_omega", "lap:L_mubar_omega")
     third_i = I * rational(1, 3)
-    mb_mu, mus_lm = Bracket([(mb, mu)]), Bracket([(mus, lm)])
+    mb_mu, mus_lm = br(mb, mu), br(mus, lm)
     mbs_lmb = mus_lm.conjugated()
-    lam_mu_lmb = Bracket([(lam, br(mu, lmb))])
+    lam_mu_lmb = br(lam, br(mu, lmb))
     # [Delta_Lmu, L]; L is real, so its conjugate is [Delta_Lmubar, L]
-    lap_l = Bracket([(d_lm, l_op)])
+    lap_l = br(d_lm, l_op)
     acc.op(
         "[[mubar,mu]] + (i/3)[[mu*,L_mu_omega]] - (i/3)[[mubar*,L_mubar_omega]]",
         [(ONE, mb_mu), (third_i, mus_lm), (-third_i, mbs_lmb)],
@@ -596,7 +595,7 @@ def check_dim6_eigen(model, acc: _Acc):
         requirement_columns([(ONE, d_lm)]),
         requirement_columns([(ONE, d_del), (MINUS_ONE, d_db)]),
         _difference_low_columns(model),
-        requirement_columns([(ONE, Bracket([(mb, mu)]))]),
+        requirement_columns([(ONE, br(mb, mu))]),
         requirement_columns([(ONE, l_op)]),
     )
     *frames, l_frame = (pqb.frame(*low) for low in lows)
@@ -636,7 +635,7 @@ def check_theta_bracket(model, acc: _Acc):
     c = lam2 * rational(9, 4)
     s1 = unitary_weighted_terms(eta, c)
     s2 = unitary_weighted_terms([eta[a].wedge(eta[b]) for a, b in pairs], -c)
-    terms = [(ONE, Bracket([(lms, lm)])), (-c, GradedOperator.identity(dim)), *s1, *s2]
+    terms = [(ONE, br(lms, lm)), (-c, GradedOperator.identity(dim)), *s1, *s2]
     acc.op("[[L_theta*, L_theta]] - (9l2/4)(Id - S1 + S2)", terms)
 
 
@@ -646,11 +645,11 @@ def check_l_delta(model, acc: _Acc):
     on the columns of degree <= 1; the barred half is the conjugate of the
     unbarred one."""
     de, mus, l_op, lm = _ops(model, "del", "adj:mu", "L", "L_mu_omega")
-    unbarred = [(ONE, Bracket([(mus, lm)])), (Scalar(0, 0, -2, 0), Bracket([], squares=[de]))]
+    unbarred = [(ONE, br(mus, lm)), (Scalar(0, 0, -2, 0), bracket_sum([], squares=[de]))]
     barred = [(c.conjugate(), b.conjugated()) for c, b in unbarred]
     acc.op(
         "[L,Delta_d] - 2i del^2 + ([[mu*,L_mu_omega]] + [[mubar*,L_mubar_omega]]) + 2i delbar^2",
-        [(ONE, Bracket([(l_op, hodge_laplacian(model))])), *unbarred, *barred],
+        [(ONE, br(l_op, hodge_laplacian(model))), *unbarred, *barred],
     )
 
 
@@ -756,7 +755,7 @@ def _difference_low_columns(model) -> tuple[GradedOperator, int]:
     """(Delta_{L_mu omega} - Delta_{L_mubar omega} on its columns of degree
     <= r, r): [[L_mu_omega*, L_mu_omega]] minus its conjugate as a term
     list (``requirement_columns``), with no Laplacian built."""
-    x = Bracket([tuple(_ops(model, "adj:L_mu_omega", "L_mu_omega"))])
+    x = br(*_ops(model, "adj:L_mu_omega", "L_mu_omega"))
     return requirement_columns([(ONE, x), (MINUS_ONE, x.conjugated())])
 
 
@@ -795,10 +794,9 @@ def check_nk6_vanish(model, acc: _Acc):
     n = model.dim // 2
     for p in range(n + 1):
         for q in range(n + 1):
-            h = h_pq(model, p, q)
             if p == q or p + q == 3:
                 continue
-            acc.require(f"h^({p},{q}) = 0", h == 0)
+            acc.require(f"h^({p},{q}) = 0", h_pq(model, p, q) == 0)
     acc.require("h^(3,0) = 0", h_pq(model, 3, 0) == 0)
     acc.require("h^(0,3) = 0", h_pq(model, 0, 3) == 0)
 

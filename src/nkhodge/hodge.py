@@ -40,11 +40,14 @@ in a degree where it fails.
 
 S is built in the eta-frame only.  Delta_delbar and Delta_mubar are the
 conjugates of Delta_del and Delta_mu, so S is the term list X + conj X
-with X = [[mu*, mu]] + [[del*, del]], of order <= 2, read on its columns
-of degree <= 2 by the rule of low columns (``operators.requirement_columns``);
-those read mu* and del* on their columns of degree <= 3 only, which the
-adjoints by order sum from the columns of degree <= 1 of mu and del
-(``operators.adjoint_by_order``), so no full adjoint is built.  The frame
+with X = [[mu*, mu]] + [[del*, del]], of order <= 2, held by its Koszul
+coefficients (``operators.bracket_sum``), conj X by their conjugates, and
+read on its columns of degree <= 2 by the rule of low columns
+(``operators.requirement_columns``): X keeps the columns its products
+gave, and conj X sums its own.  X's products read mu* and del* on their
+columns of degree <= 3 only, which the adjoints by order sum from the
+columns of degree <= 1 of mu and del (``operators.adjoint_by_order``), so
+no full adjoint is built.  The frame
 is composed on E's columns of degree <= 2 and rebuilt by one
 reconstruction, and no Laplacian of S is built in the u-coframe.  Both
 kernels are taken by one helper (``_block_kernel``).
@@ -70,7 +73,7 @@ from math import comb
 from .bidegree import named_operator, pq_basis
 from .exterior import Form, graded_lex_key
 from .linalg import pivot_columns, sparse_kernel
-from .operators import Bracket, GradedOperator, algebra_map_apply, requirement_columns
+from .operators import GradedOperator, algebra_map_apply, bracket_sum, requirement_columns
 from .scalars import ONE
 
 
@@ -127,9 +130,10 @@ def harmonic_space(model, k: int) -> list[Form]:
 def s_low_columns(model) -> tuple[GradedOperator, int]:
     """(S on its columns of degree <= r, r) for S = Delta_mu + Delta_del +
     Delta_delbar + Delta_mubar: the term list X + conj X with X =
-    [[mu*, mu]] + [[del*, del]] (``requirement_columns``), since the barred
-    Laplacians are the conjugates of the unbarred ones."""
-    x = Bracket([tuple(named_operator(model, n) for n in (f"adj:{c}", c)) for c in ("mu", "del")])
+    [[mu*, mu]] + [[del*, del]] held by its Koszul coefficients
+    (``requirement_columns``), since the barred Laplacians are the
+    conjugates of the unbarred ones."""
+    x = bracket_sum([tuple(named_operator(model, n) for n in (f"adj:{c}", c)) for c in ("mu", "del")])
     return requirement_columns([(ONE, x), (ONE, x.conjugated())])
 
 

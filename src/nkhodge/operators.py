@@ -81,11 +81,17 @@ mask: ``apply``, ``low_columns``, the Koszul integral, and both factors
 of a bracket's products on its low columns.  ``compose`` may read every
 row of its left factor, so it builds that factor's store first.
 ``is_zero`` asks for a coefficient (the sum is unique) and ``with_degree``
-shares the coefficients; ``conjugated`` walks the store.  Each store
+shares the coefficients.  ``conjugated`` conjugates the coefficients and
+builds no store: the coframe is real, so conj(L_beta iota_J) =
+L_{conj beta} iota_J, and each prepared entry (b, K, u, -u) becomes
+(b, K, conj u, -conj u), with q, d, degree and bound kept; a stored
+operator is conjugated entry by entry.  Each store
 entry is a signed sum of coefficient entries and each coefficient one of
 store entries (the integral), so both span the same lattice coordinate
 by coordinate: q, d and ``real`` are normalized on the coefficients, and
-the store needs no scan.
+the store needs no scan.  ``from_low_columns`` keeps the columns it
+integrated as the result's first summed columns, so a bracket read at
+its own r sums nothing again.
 ``algebra_map_blocks`` is the degree-0 algebra map u^i -> images[i] of
 1-forms (a change of coframe), built one degree block at a time on the
 integer coordinates: column m is images[i] ^ (column m - i of the block
@@ -117,21 +123,19 @@ composed commutator literally.
 
 The rule of low columns: two operators of order <= R are equal exactly
 when their columns of degree <= R are, since each is the reconstruction
-of them (``low_columns``).  Every sum c_i T_i of bounded terms, each T_i
-an operator or a ``Bracket`` (a sum of brackets and odd squares held by
-its operands, never built), is decided by it as a term list
-(``requirement_columns``): R is the largest bound among the T_i, a plain
-term is read through ``low_columns``, a Bracket computes its own products
-on those columns only (``bracket_columns`` at R), and the sum is one
-``combination`` of them, which ``from_low_columns`` rebuilds in full
-where a reader needs it.  The catalogue's requirements, the invariants
-of the split of d and of d^c, and the low columns that an eta-frame is
-taken of all go this way, so none of these sums is built in full.
+of them (``low_columns``).  Every sum c_i T_i of bounded operators, a
+bracket among them held by its Koszul coefficients (``bracket_sum``), is
+decided by it as a term list (``requirement_columns``): R is the largest
+bound among the T_i, each term is read through ``low_columns``, and the
+sum is one ``combination`` of them, which ``from_low_columns`` rebuilds
+in full where a reader needs it.  The catalogue's requirements, the
+invariants of the split of d and of d^c, and the low columns that an
+eta-frame is taken of all go this way, so none of these sums is built in
+full, and no bracket term's store is built either.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 
@@ -151,6 +155,10 @@ def _map_entries(coords: Store, fn) -> Store:
     image: dict[Coords, Coords] = {}
     get, put = image.get, image.setdefault
     return {c: {r: get(t) or put(t, fn(t)) for r, t in col.items()} for c, col in coords.items()}
+
+
+def _conj(t: Coords) -> Coords:
+    return (t[0], t[1], -t[2], -t[3])
 
 
 def _normal(q: int, d: int, real: bool, distinct: set[Coords]):
@@ -446,11 +454,19 @@ class GradedOperator:
         return GradedOperator._normalized(self.dim, deg, self.q * other.q, d, real, cols, order_bound)
 
     def conjugated(self) -> GradedOperator:
-        """conj . P . conj; entry-wise conjugation since the basis is real."""
+        """conj . P . conj, entry-wise since the basis is real: on the store,
+        or, held by Koszul coefficients, on the coefficients, since the
+        coframe is real and so conj(L_beta iota_J) = L_{conj beta} iota_J."""
         if self.real:
             return self
-        cols = _map_entries(self.coords, lambda t: (t[0], t[1], -t[2], -t[3]))
-        return object.__new__(GradedOperator)._set(self.dim, self.degree, self.q, self.d, False, cols, self.order_bound)
+        coords = symbol = None
+        if self._coords is not None:
+            coords = _map_entries(self._coords, _conj)
+        else:
+            symbol = [(jm, [(b, k, _conj(u), _conj(n)) for b, k, u, n in form]) for jm, form in self._symbol]
+        return object.__new__(GradedOperator)._set(
+            self.dim, self.degree, self.q, self.d, False, coords, self.order_bound, symbol
+        )
 
     # -- comparison & diagnostics ---------------------------------------------
 
@@ -624,22 +640,14 @@ def bracket_order(pairs, squares=()) -> int:
     return max(max(p.order_bound + q.order_bound - 1 for p, q in terms), 0)
 
 
-def bracket_columns(pairs, squares=(), r: int | None = None) -> tuple[GradedOperator, int]:
+def bracket_columns(pairs, squares=()) -> tuple[GradedOperator, int]:
     """(low, r): the signed products of ``bracket_sum`` on the columns of
-    degree <= r only, summed, with r the sum's ``bracket_order`` unless a
-    larger r is asked for (a smaller one raises ValueError, as the terms
-    do where ``bracket_order`` does).
+    degree <= r only, summed, with r the sum's ``bracket_order``.
 
     ``from_low_columns(low, r)`` is the bracket sum.  Like any product on
     some columns, ``low`` has no order bound, so no reader can take it for
-    the full matrix.  A reader that needs the sum only through those
-    columns, such as an eta-frame of order <= r or a requirement of the
-    catalogue with a term of a larger bound, reconstructs nothing."""
-    own = bracket_order(pairs, squares)
-    if r is None:
-        r = own
-    elif r < own:
-        raise ValueError(f"a bracket sum of order <= {own} is not read on the columns of degree <= {r}")
+    the full matrix."""
+    r = bracket_order(pairs, squares)
 
     def times(p, q):
         return p._times_columns(q, q._low_store(r))
@@ -656,8 +664,9 @@ def bracket_sum(pairs, squares=()) -> GradedOperator:
     plus P P = (1/2)[[P, P]] over the odd P in ``squares``, of operators
     with order bounds.  Every term must have the same degree |P| + |Q|,
     which the result declares.  The sum has order at most r: it is
-    ``from_low_columns`` of ``bracket_columns``, one Koszul reconstruction
-    of the products on the columns of degree <= r."""
+    ``from_low_columns`` of ``bracket_columns``, held by the Koszul
+    coefficients of the products on the columns of degree <= r, which it
+    keeps as its first summed columns."""
     return from_low_columns(*bracket_columns(pairs, squares))
 
 
@@ -672,47 +681,18 @@ def laplacian(p: GradedOperator, p_star: GradedOperator) -> GradedOperator:
     return graded_commutator(p_star, p)
 
 
-class Bracket:
-    """The sum of [[P, Q]] over ``pairs`` plus P P = (1/2)[[P, P]] over the
-    odd ``squares``, as a term of a requirement: held by its operands and
-    never built.  ``order_bound`` is its ``bracket_order`` r, and
-    ``low_columns(R)``, for any R >= r, the signed products on the columns
-    of degree <= R (``bracket_columns`` at R), computed once per R.
-    ``conjugated`` is the bracket sum of the conjugate operands, read as
-    the same columns conjugated."""
-
-    __slots__ = ("pairs", "squares", "order_bound", "conjugate", "_lows")
-
-    def __init__(self, pairs, squares=()):
-        self.pairs, self.squares = list(pairs), list(squares)
-        self.order_bound = bracket_order(self.pairs, self.squares)
-        self.conjugate = False
-        self._lows: dict[int, GradedOperator] = {}
-
-    def low_columns(self, r: int) -> GradedOperator:
-        low = self._lows.get(r)
-        if low is None:
-            low = self._lows[r] = bracket_columns(self.pairs, self.squares, r)[0]
-        return low.conjugated() if self.conjugate else low
-
-    def conjugated(self) -> Bracket:
-        out = copy.copy(self)  # shares the computed columns
-        out.conjugate = not self.conjugate
-        return out
-
-
 def requirement_columns(terms) -> tuple[GradedOperator, int]:
-    """(low, R) for a sum c_i T_i over the (Scalar c_i, T_i) of ``terms``,
-    each T_i an operator or a ``Bracket`` with an order bound: R is the
-    largest bound, and low the sum on its columns of degree <= R, one
-    ``combination`` of ``low_columns(T_i, R)``, a Bracket computing its own
-    products there.  Every T_i has order <= R, so the sum does too, and it
-    is ``from_low_columns(low, R)``: it is zero exactly when low is, and
-    equals an operator of order <= R exactly when their low columns agree."""
+    """(low, R) for a sum c_i T_i over the (Scalar c_i, operator T_i) of
+    ``terms``, each with an order bound: R is the largest bound, and low the
+    sum on its columns of degree <= R, one ``combination`` of the
+    ``low_columns(T_i, R)``.  Every T_i has order <= R, so the sum does too,
+    and it is ``from_low_columns(low, R)``: it is zero exactly when low is,
+    and equals an operator of order <= R exactly when their low columns
+    agree."""
     if any(t.order_bound is None for _, t in terms):
         raise ValueError("a requirement by order needs terms with order bounds")
     r = max(t.order_bound for _, t in terms)
-    lows = [(c, t.low_columns(r) if isinstance(t, Bracket) else low_columns(t, r)) for c, t in terms]
+    lows = [(c, low_columns(t, r)) for c, t in terms]
     return combination(lows), r
 
 
@@ -774,19 +754,24 @@ def _koszul_column(beta: Prepared, mask: int) -> IntForm:
     return col
 
 
-def _koszul_integral(p: GradedOperator, r: int) -> tuple[dict[int, IntForm], Prepared]:
+def _koszul_integral(p: GradedOperator, r: int) -> tuple[dict[int, IntForm], Prepared, Store]:
     """beta_J for |J| <= r, read off the columns of P on masks of degree <= r,
     as coordinates over P's denominator: in order of increasing degree,
     beta_M = P(u^M) - sum eps beta_J ^ u^{M-J} over the proper subsets J of
     M, where u^M = eps u^J ^ u^{M-J}.  Zero coefficients are omitted, and
     each coefficient is also prepared for the Koszul sums once, as it is
-    found."""
+    found.  The third value is those columns of P, each in the key order of
+    its ``_koszul_column`` scan over the coefficients: the terms of the
+    proper subsets first, then those of beta_M, which come last."""
     beta: dict[int, IntForm] = {}
     prepared: Prepared = []
+    columns: Store = {}
     column = p._lookup()
     for mask in sorted(_low_masks(p.dim, r), key=int.bit_count):
-        b = dict(column(mask) or {})
-        for row, u in _koszul_column(prepared, mask).items():
+        own = column(mask) or {}
+        lower = _koszul_column(prepared, mask)
+        b = dict(own)
+        for row, u in lower.items():
             t = b.get(row)
             if t is None:
                 b[row] = (-u[0], -u[1], -u[2], -u[3])
@@ -796,10 +781,12 @@ def _koszul_integral(p: GradedOperator, r: int) -> tuple[dict[int, IntForm], Pre
                 b[row] = v
             else:
                 del b[row]
+        columns[mask] = {row: own[row] for row in lower if row in own}
+        columns[mask].update(own)
         if b:
             beta[mask] = b
             prepared += _prepare({mask: b})
-    return beta, prepared
+    return beta, prepared, columns
 
 
 def reconstruct(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOperator:
@@ -871,9 +858,14 @@ def _reconstruct(dim: int, coeffs: Prepared) -> Store:
 def from_low_columns(p: GradedOperator, r: int) -> GradedOperator:
     """The operator of order <= r whose columns of degree <= r are those of
     P, held by their Koszul coefficients: P itself exactly when P has order
-    <= r.  Only those columns of P are read."""
-    _, prepared = _koszul_integral(p, r)
-    return _koszul_sum(p.dim, prepared, p.q, p.d, p.degree)
+    <= r.  Only those columns of P are read, and when normalizing leaves q
+    as it is they are the result's first summed columns, so a reader of
+    them sums nothing again."""
+    _, prepared, columns = _koszul_integral(p, r)
+    out = _koszul_sum(p.dim, prepared, p.q, p.d, p.degree)
+    if out.q == p.q:
+        out._columns = columns
+    return out
 
 
 @functools.cache

@@ -91,9 +91,9 @@
   a component and L_mu_omega, each such bracket composed as P Q -
   (-1)^{|P||Q|} Q P from full matrices, against the checks, which build them
   by order (``bracket_sum``).
-* ``FullRouteAcc`` and ``full_requirement``: every requirement sum
-  c_i T_i of the catalogue built on full matrices (each bracket term by
-  ``bracket_sum``, the sum by one ``combination``) and decided by
+* ``FullRouteAcc``: every requirement sum c_i T_i of the catalogue built
+  on full matrices (the sum of the terms' stores by one ``combination``,
+  each bracket term held by ``bracket_sum``) and decided by
   ``is_zero``, with its witness and residual read off the full sum, against
   the production ``_Acc``, which decides it on its columns of degree <= R
   (Koszul) and rebuilds only a failing sum.
@@ -218,7 +218,6 @@ from nkhodge.linalg import (
 from nkhodge.linalg import _clear_row as _clear_entry_row
 from nkhodge.models import ValidationIssue
 from nkhodge.operators import (
-    Bracket,
     Column,
     GradedOperator,
     _check_degree,
@@ -229,7 +228,6 @@ from nkhodge.operators import (
     adjoint,
     algebra_map_apply,
     algebra_map_blocks,
-    bracket_sum,
     combination,
     derivation_from_one_forms,
     mult_operator,
@@ -1054,34 +1052,23 @@ def composed_requirements(model) -> dict[str, GradedOperator]:
 
 class FullRouteAcc(_Acc):
     """The catalogue's requirements decided on full matrices: each sum
-    c_i T_i is ``full_requirement``, zero exactly when ``is_zero``, with
-    its witness and residual read off it, and a barred partner is its
-    conjugate.  Against the production ``_Acc``, which decides a sum on its
-    columns of degree <= R and rebuilds only a failing one."""
+    c_i T_i is one ``combination`` of its terms' full stores, zero exactly
+    when ``is_zero``, with its witness and residual read off it, and a
+    barred partner is its conjugate.  Against the production ``_Acc``,
+    which decides a sum on its columns of degree <= R and rebuilds only a
+    failing one."""
 
     def op(self, label, terms):
-        self._full(label, full_requirement(terms))
+        self._full(label, combination(terms))
 
     def pair(self, label, conj_label, terms):
-        op = full_requirement(terms)
+        op = combination(terms)
         self._full(label, op)
         self._full(conj_label, op.conjugated())
 
     def _full(self, label, op):
         if not op.is_zero():
             self._fail(label + ": " + (op.first_witness() or ""), op.max_abs_approx())
-
-
-def full_requirement(terms) -> GradedOperator:
-    """sum c_i T_i as one ``combination`` of full operators, each ``Bracket``
-    term built by ``bracket_sum`` (and conjugated when it is the conjugate)."""
-    ops = []
-    for c, t in terms:
-        if isinstance(t, Bracket):
-            full = bracket_sum(t.pairs, t.squares)
-            t = full.conjugated() if t.conjugate else full
-        ops.append((c, t))
-    return combination(ops)
 
 
 def laplacian_of_del_minus_delbar(model) -> GradedOperator:
@@ -1504,7 +1491,7 @@ def scalar_derivation(dim: int, images: list[Form], degree: int = 1) -> GradedOp
 def koszul_coefficients(p: GradedOperator, r: int) -> dict[int, Form]:
     """beta_J for |J| <= r as the production Koszul integral reads them off
     P's columns of degree <= r, one Scalar per coefficient entry."""
-    beta, _ = _koszul_integral(p, r)
+    beta, _, _ = _koszul_integral(p, r)
     return {jm: Form(p.dim, {m: p._entry(t) for m, t in b.items()}) for jm, b in beta.items()}
 
 
@@ -1535,7 +1522,7 @@ def reconstruct_at_once(dim: int, beta: dict[int, Form], degree: int | None) -> 
 
 
 def from_low_columns_at_once(p: GradedOperator, r: int) -> GradedOperator:
-    _, prepared = _koszul_integral(p, r)
+    _, prepared, _ = _koszul_integral(p, r)
     return koszul_sum_at_once(p.dim, prepared, p.q, p.d, p.degree)
 
 

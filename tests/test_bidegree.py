@@ -61,6 +61,19 @@ from oracles import (
 
 # -- oracles: the literal definitions that the derivation routes replace ------
 
+def _coefficients(p: GradedOperator) -> dict:
+    """(J, b) -> coordinates of the term u^b of beta_J, for an operator held
+    by its Koszul coefficients."""
+    return {(jm, bm): u for jm, form in p._symbol for bm, _, u, _ in form}
+
+
+def conjugate_by_store(p: GradedOperator) -> GradedOperator:
+    """conj P entry by entry over P's Scalar store (``ScalarOperator``), the
+    oracle of conjugation on the Koszul coefficients."""
+    ref = ScalarOperator.of(p).conjugated()
+    return GradedOperator(ref.dim, ref.cols, ref.degree)
+
+
 def pq_projector(model, p, q) -> GradedOperator:
     """Projector onto Lambda^{p,q} as a matrix over the real-index basis."""
     pq = pq_basis(model)
@@ -392,8 +405,8 @@ class TestSplit:
     def test_total_and_conjugation(self, s3xs3):
         split = differential_split(s3xs3)
         assert split.mu + split.del_ + split.delbar + split.mubar == s3xs3.d()
-        assert split.mubar == split.mu.conjugated()
-        assert split.delbar == split.del_.conjugated()
+        assert split.mubar == conjugate_by_store(split.mu)
+        assert split.delbar == conjugate_by_store(split.del_)
 
     def test_bidegree_images(self, s3xs3):
         split = differential_split(s3xs3)
@@ -590,16 +603,33 @@ class TestNamedOperator:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_barred_names_are_the_conjugates_of_their_partners(self, name):
         # each barred adjoint and Laplacian, and L_mubar_omega, is built from
-        # its own operand; conjugating its unbarred partner is the oracle,
-        # since the norm weights and omega are real, so conj(P*) = (conj P)*
-        # and conj L_mu_omega = L_mubar_omega
-        model = builtin_model(name).orthogonalized()
+        # its own operand; the entry-wise conjugate of its unbarred partner's
+        # Scalar store is the oracle, since the norm weights and omega are
+        # real, so conj(P*) = (conj P)* and conj L_mu_omega = L_mubar_omega.
+        # On su2-four that oracle is taken for L_mu_omega and its adjoint
+        # only, to keep the test short, and the walk over the integer store
+        # otherwise (``conjugated`` of a built store, itself checked against
+        # the Scalar one in test_operator_store).  On a fresh model every
+        # partner is held by its Koszul coefficients, and so is its
+        # conjugate, conjugated on them (as the split's delbar and mubar
+        # are): they are the barred name's coefficients, which are unique
+        model = model_from_json(model_to_json(builtin_model(name))).orthogonalized()
+        assert [named_operator(model, b)._coords for b in ("delbar", "mubar")] == [None, None]
         partners = {"delbar": "del", "mubar": "mu", "L_mubar_omega": "L_mu_omega"}
         pairs = [(f"{kind}:{b}", f"{kind}:{p}") for b, p in partners.items() for kind in ("adj", "lap")]
         for barred, partner in [*pairs, ("L_mubar_omega", "L_mu_omega")]:
-            got, want = named_operator(model, barred), named_operator(model, partner).conjugated()
+            p, got = named_operator(model, partner), named_operator(model, barred)
+            held = p.conjugated()
+            if not p.real:
+                assert held._coords is None and _coefficients(held) == _coefficients(got), partner
+            if model.dim > 6 and partner not in ("L_mu_omega", "adj:L_mu_omega"):
+                p.coords
+                want = p.conjugated()
+            else:
+                want = conjugate_by_store(p)
             assert got == want, barred
-            assert (got.q, got.d, got.degree, got.order_bound) == (want.q, want.d, want.degree, want.order_bound)
+            assert (got.q, got.d, got.degree, got.order_bound) == (held.q, held.d, held.degree, held.order_bound)
+            assert (want.q, want.d, want.degree) == (got.q, got.d, got.degree)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_adjoints_by_order_are_the_full_transposes(self, name):

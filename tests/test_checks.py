@@ -41,7 +41,6 @@ from nkhodge.models import (
     product_model,
 )
 from nkhodge.operators import (
-    Bracket,
     GradedOperator,
     algebra_map_apply,
     algebra_map_blocks,
@@ -423,14 +422,16 @@ class TestSelfConjugateSums:
 
     @pytest.mark.parametrize("order", [("LAP_COM", "DELTA_SUM"), ("DELTA_SUM", "LAP_COM")])
     def test_lap_com_and_delta_sum_share_x(self, order, monkeypatch):
-        # X = [[delbar*, del]]: its products are computed once per model,
-        # whichever of its two readers runs first, since both read it at R = 2
+        # X = [[delbar*, del]]: its products are computed once per model, at
+        # its own r = 2, whichever of its two readers runs first, and both
+        # read its low columns at R = 2
         original = nkhodge.operators.bracket_columns
         calls = []
 
-        def recording(pairs, squares=(), r=None):
+        def recording(pairs, squares=()):
+            low, r = original(pairs, squares)
             calls.append((list(pairs), r))
-            return original(pairs, squares, r)
+            return low, r
 
         monkeypatch.setattr(nkhodge.operators, "bracket_columns", recording)
         model = model_from_json(model_to_json(builtin_model("s3xs3-nk")))
@@ -603,9 +604,9 @@ def _mutate_low_columns(monkeypatch, extra):
     ``harmonic_pq``, does not change."""
     original = nkhodge.operators.bracket_columns
 
-    def mutated(pairs, squares=(), r=None):
-        low, got_r = original(pairs, squares, r)
-        return low + extra, got_r
+    def mutated(pairs, squares=()):
+        low, r = original(pairs, squares)
+        return low + extra, r
 
     monkeypatch.setattr(nkhodge.operators, "bracket_columns", mutated)
 
@@ -764,28 +765,26 @@ class TestBracketsByOrder:
 
     @pytest.mark.parametrize("name", ["torus6", "kodaira-thurston", "s3xs3-nk"])
     def test_every_catalogue_bracket_matches_its_composition(self, name, monkeypatch):
-        # every bracket goes through bracket_columns: a built one (bracket_sum,
-        # graded_commutator, laplacian) at its own r, a requirement's term at
-        # the requirement's R, and a frame's operand; the columns it computes
-        # are those of the composition, which is their reconstruction
+        # every bracket goes through bracket_columns at its own r, by
+        # bracket_sum (graded_commutator, laplacian): a requirement's term, a
+        # named Laplacian and a frame's operand; the columns it computes are
+        # those of the composition, which is their reconstruction
         original = nkhodge.operators.bracket_columns
         built = []
 
-        def recording(pairs, squares=(), r=None):
-            low, got_r = original(pairs, squares, r)
-            built.append((list(pairs), list(squares), r, low, got_r))
+        def recording(pairs, squares=()):
+            low, got_r = original(pairs, squares)
+            built.append((list(pairs), list(squares), low, got_r))
             return low, got_r
 
-        # bracket_sum and a Bracket both look bracket_columns up in operators
+        # bracket_sum looks bracket_columns up in operators
         monkeypatch.setattr(nkhodge.operators, "bracket_columns", recording)
         expected = KODAIRA_EXPECTED_FAILURES if name == "kodaira-thurston" else ()
         assert run_suite(_fresh(name), expected_failures=expected).verdict
         assert len(built) > 30
-        assert any(r is not None for _, _, r, _, _ in built)
-        for pairs, squares, r, low, got_r in built:
+        for pairs, squares, low, got_r in built:
             assert None not in [op.order_bound for pair in pairs for op in pair] + [p.order_bound for p in squares]
-            own = nkhodge.operators.bracket_order(pairs, squares)
-            assert got_r == (own if r is None else r) >= own
+            assert got_r == nkhodge.operators.bracket_order(pairs, squares)
             want = _composed(pairs, squares)
             assert low == low_columns(want, got_r) and low.degree == want.degree
             assert from_low_columns(low, got_r) == want
@@ -964,8 +963,10 @@ class TestRequirementsByOrder:
 class TestCostGuards:
     def test_su2_four_sl2_d2_split_and_nk_main_rebuild_nothing(self, monkeypatch):
         # once the shared builds exist (the split, adj:d, L, Lambda, H, d^c),
-        # the three checks decide every requirement on its low columns: no
-        # Koszul reconstruction, no rebuilt sum
+        # the three checks decide every requirement on its low columns: each
+        # of their 8 brackets is held by the Koszul integral of its products
+        # (``operators.from_low_columns``), whose low columns it keeps, and
+        # there is no store scatter and no rebuilt sum
         model = _fresh("su2-four")
         target = model.orthogonalized()
         lefschetz_triple(target), named_operator(target, "adj:d"), d_c(target)
@@ -983,10 +984,10 @@ class TestCostGuards:
             (nkhodge.checks, "from_low_columns"),
             (nkhodge.operators, "_reconstruct"),
         ):
-            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+            monkeypatch.setattr(module, name, spy(f"{module.__name__}.{name}", getattr(module, name)))
         for cid in ("SL2", "D2_SPLIT", "NK_MAIN"):
             assert run_check(model, cid).status == "pass"
-        assert calls == []
+        assert calls == ["nkhodge.operators.from_low_columns"] * 8
 
     def test_hodge_numbers_maps_no_form_back(self, monkeypatch):
         # the table counts the kernels in the orthogonalized presentation; its
@@ -1025,16 +1026,19 @@ class TestCostGuards:
             assert not [key for key in cache if re.fullmatch(r"nabla\d+", key)]
 
     def test_vanish_cor_memoizes_neither_d_j_nor_the_commutator(self, monkeypatch):
-        # the check works in the eta-frame: it builds no derivation and no
-        # commutator, and keeps no frame
+        # the check works in the eta-frame: it builds no derivation, holds one
+        # commutator, X = [[L_mu_omega*, L_mu_omega]], by its Koszul
+        # coefficients and never builds its store (X - conj X is read on its
+        # low columns), and keeps no frame
         model = _fresh("s3xs3-nk")
         target = model.orthogonalized()
         called = []
 
         def spy(name, fn):
             def wrapped(*args, **kwargs):
-                called.append(name)
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                called.append((name, args, out))
+                return out
 
             return wrapped
 
@@ -1042,7 +1046,10 @@ class TestCostGuards:
             monkeypatch.setattr(nkhodge.checks, name, spy(name, getattr(nkhodge.checks, name)))
         before = {id(cache): set(cache) for cache in (model._cache, target._cache)}
         assert run_check(model, "VANISH_COR").status == "pass"
-        assert called == []
+        [(name, args, x)] = called
+        operands = [named_operator(target, n) for n in ("adj:L_mu_omega", "L_mu_omega")]
+        assert name == "br" and [a is b for a, b in zip(args, operands)] == [True, True]
+        assert x._coords is None
         frames = _frame_blocks(pq_basis(target))
         added = [
             cache[key] for cache in (model._cache, target._cache) for key in set(cache) - before[id(cache)]
@@ -1102,11 +1109,13 @@ class TestCostGuards:
         assert named_operator(target, "lap:d")._coords is None
         assert not [key for m in (run.model, target) for key in m._cache if key.startswith("harmonic:")]
 
-    def test_su2_four_catalogue_builds_eight_stores(self, catalogue_run):
+    def test_su2_four_catalogue_builds_four_stores(self, catalogue_run):
         # after the whole catalogue on a fresh su2-four every adjoint and
-        # Laplacian, L_mu_omega and L_mubar_omega is still held by its Koszul
-        # coefficients, X is a Bracket term, and the only operators with a
-        # built store are those that some reader walks in full
+        # Laplacian, L_mu_omega and L_mubar_omega, the four components of d
+        # (delbar and mubar conjugated on the coefficients of del and mu) and
+        # X are still held by their Koszul coefficients, and the only
+        # operators with a built store are those that some reader walks in
+        # full
         run = catalogue_run("su2-four")
         assert run.verdict
         named = [
@@ -1114,9 +1123,9 @@ class TestCostGuards:
         ]
         assert {k for k, _ in named} >= {"adj:mubar", "lap:mubar", "L_mu_omega", "L_mubar_omega"}
         assert [k for k, built in named if built] == []
-        assert isinstance(run.model.orthogonalized()._cache["[[adj:delbar,del]]"], Bracket)
+        assert ("[[adj:delbar,del]]", False) in run.stored
         built = sorted(k for k, b in run.stored if b)
-        assert built == sorted(["d", "L", "mu", "del", "delbar", "mubar", "frame:S", "j_operator"])
+        assert built == sorted(["d", "L", "frame:S", "j_operator"])
 
     def test_d2_split_and_br67_compose_nothing(self, monkeypatch):
         # every bracket of both checks is a derivation or L_{P mu omega},
@@ -1173,7 +1182,8 @@ class TestCostGuards:
 
         def counting(terms):
             # the outermost combination, the one whose result is the
-            # requirement's low columns; a Bracket's own products come before
+            # requirement's low columns; the products of its bracket terms
+            # come before, when the terms are built
             low, r = requirement(terms)
             combined.extend(n for n, out in made if out is low)
             return low, r
@@ -1323,3 +1333,46 @@ class TestBarredOperandMutation:
         )
         # component 7 of (a) is adj:mubar
         assert failed["HODGE_ABCD"] == "(a) ker S on (1,2) escapes kernel of component 7"
+
+
+def _keep_negated_coordinates(monkeypatch):
+    """``GradedOperator.conjugated`` with each coefficient entry (b, key, u,
+    neg) of a held non-real operator made (b, key, conj u, neg): the negated
+    coordinates left unconjugated."""
+    original = GradedOperator.conjugated
+
+    def conjugated(p):
+        out = original(p)
+        if out is not p and p._coords is None:
+            out._symbol = [
+                (jm, [(bm, key, u, neg) for (bm, key, u, _), (_, _, _, neg) in zip(form, own)])
+                for (jm, form), (_, own) in zip(out._symbol, p._symbol)
+            ]
+        return out
+
+    monkeypatch.setattr(GradedOperator, "conjugated", conjugated)
+
+
+class TestHeldConjugationMutation:
+    """A held operator is conjugated on its Koszul coefficients: the split's
+    delbar and mubar, and conj X in S, DELTA_SUM, BR67 and VANISH_COR, among
+    others.  A fault there fails the catalogue on s3xs3-nk; on torus6 every
+    operator is real, so conjugation returns its operand and nothing fails."""
+
+    def test_negated_coordinates_left_unconjugated(self, monkeypatch):
+        # a term with an odd sign reads the negated coordinates, so delbar and
+        # mubar go wrong on the columns of degree >= 2.  The split's own
+        # invariant d = mu + del + delbar + mubar still passes: it is decided
+        # on the columns of degree <= 1, where a derivation's terms have
+        # rest = 0 and never take the negated coordinates
+        _keep_negated_coordinates(monkeypatch)
+        model = _fresh("s3xs3-nk")
+        split = differential_split(model.orthogonalized())
+        split.del_.coords  # conjugated on its store, which the mutation leaves alone
+        assert split.delbar != split.del_.conjugated()
+        failed = {r.check_id: r.witness for r in run_suite(model).results if r.status == "fail"}
+        assert sorted(failed) == [
+            "AUX_COM", "BR67", "D2_SPLIT", "DELTA_SUM", "DIM6_EIGEN", "HODGE_ABCD", "LAP_COM", "PROP_LAP", "VANISH_COR",
+        ]
+        assert failed["D2_SPLIT"] == "[[delbar,mu]] + del^2: column e1, row e1^e3^e6: 1/36*w*I"
+        assert run_suite(_fresh("torus6")).verdict

@@ -576,6 +576,15 @@ def assert_held_like(held: GradedOperator, ref: GradedOperator, right: GradedOpe
     # builds its store first, for it may read every row
     assert_literal(held._times_columns(right, right.coords), ref.compose(right))
     assert_same_forms(held.apply(form), ref.apply(form))
+    if not held.real:
+        # conjugated on the coefficients, with no store: its columns summed
+        # from them, and then its store, are literally the stored conjugate's
+        conj, want = held.conjugated(), ref.conjugated()
+        assert conj._coords is None and conj.order_bound == held.order_bound
+        column = conj._lookup()
+        for m in masks:
+            assert list((column(m) or {}).items()) == list(want.coords.get(m, {}).items())
+        assert_literal(conj, want)
     assert held._coords is None
     assert_literal(held.compose(right), ref.compose(right))
     assert_literal(held, ref)
@@ -831,23 +840,23 @@ class TestBracketsByOrder:
             op = with_order_bound(dstar, declared)
             assert [algebraic_order_at_most(op, r) for r in range(4)] == [False, False, True, True]
 
-    def test_bracket_columns_are_the_low_columns_of_the_sum(self):
+    def test_bracket_columns_are_the_low_columns_of_the_sum(self, monkeypatch):
         # on the split of s3xs3-nk: the low columns of Delta_mu + Delta_del,
-        # with no bound, and their reconstruction is the sum itself
+        # with no bound, and their reconstruction is the sum itself, which
+        # keeps them: read back, they sum no Koszul column
         model = builtin_model("s3xs3-nk").orthogonalized()
         pairs = [tuple(named_operator(model, n) for n in (f"adj:{c}", c)) for c in ("mu", "del")]
         low, r = bracket_columns(pairs)
         full = bracket_sum(pairs)
+        summed = []
+        column = operators_module._koszul_column
+        monkeypatch.setattr(operators_module, "_koszul_column", lambda *args: summed.append(args) or column(*args))
+        assert low_columns(full, r) == low
+        assert summed == []
+        monkeypatch.undo()
         assert (r, low.order_bound, full.order_bound) == (2, None, 2)
         assert low.cols == {m: col for m, col in full.cols.items() if m.bit_count() <= r}
         assert_same_matrix(from_low_columns(low, r), full)
-        # asked for a larger R, the products on the columns of degree <= R;
-        # a smaller one would not determine the sum
-        high, got_r = bracket_columns(pairs, r=3)
-        assert got_r == 3 and high == low_columns(full, 3)
-        assert_same_matrix(from_low_columns(high, 3), full)
-        with pytest.raises(ValueError, match="not read on the columns of degree <= 1"):
-            bracket_columns(pairs, r=1)
         unbounded = GradedOperator(model.dim, pairs[0][0].cols, pairs[0][0].degree)
         with pytest.raises(ValueError, match="order bounds"):
             bracket_columns([(unbounded, pairs[0][1])])
