@@ -20,8 +20,10 @@ through one of two primitives, and neither keeps a block of E or F:
 * ``PQBasis.frame`` is F P E, the matrix of an operator P of order <= r
   in the eta-monomial basis.  A degree-0 P preserves every Lambda^{p,q}
   exactly when each column of type (p,q) has rows of type (p,q) only
-  (``PQBasis.preserves_type``: VANISH_COR, HODGE_ABCD's S), its kernel on
-  Lambda^{p,q} is that of its columns of type (p,q) (``harmonic_pq``), and
+  (``PQBasis.preserves_type``: VANISH_COR, HODGE_ABCD's S; this holds on
+  every type at once when no Koszul coefficient of the frame moves type,
+  since L_{eta^b} iota_J moves it by t(b) - t(J)); its kernel on
+  Lambda^{p,q} is that of its columns of type (p,q) (``harmonic_pq``); and
   DIM6_EIGEN compares each of its operators with its scalar on every type.
   E is an algebra map, so F P E has the order of P in the eta-coframe:
   ``frame`` composes the blocks F_{k+deg} P E_k of degree k <= r only,
@@ -157,7 +159,17 @@ class PQBasis:
     def preserves_type(self, frame: GradedOperator, p: int, q: int) -> bool:
         """The type test of a degree-0 operator in the eta-monomial basis
         (a ``frame``) on Lambda^{p,q}: every column of type (p,q) has rows
-        of type (p,q) only."""
+        of type (p,q) only.
+
+        A term L_{eta^b} iota_J moves type by t(b) - t(J), and the Koszul
+        coefficients are unique (``operators``), so a frame held by
+        coefficients of which none moves type preserves every type, and no
+        column is read; otherwise the rows of the columns of type (p,q)
+        are scanned."""
+        if frame._symbol is not None and not any(
+            self.bidegree_of_mask(bm) != self.bidegree_of_mask(jm) for jm, form in frame._symbol for bm, *_ in form
+        ):
+            return True
         rows = (r for m in self.monomial_masks(p, q) for r in frame.coords.get(m, ()))
         return all(self.bidegree_of_mask(r) == (p, q) for r in rows)
 

@@ -85,12 +85,16 @@ DIM6_EIGEN asks that each of its operators be its scalar, or that scalar
 times F L E, on the columns of each type.  J_PQ asks that J be i^(p-q)
 on the eta-monomials of type (p,q); J, E and that diagonal are algebra
 maps, so it reads J on the 2n generators only, where it is J^2 = -1.
-VANISH_COR reads type preservation off the rows of the columns of each
-type (p,q), and takes the rank of those columns straight off the frame's
-integer store (``GradedOperator.entry_rows``, ``linalg.pivot_columns``),
-which is that of the images diff(m) since F is invertible; where that
-rank is full, h^{p,q} must vanish, a count by rank of the S frame
-(``hodge.h_pq``), as NK6_VANISH's are.  Its
+VANISH_COR reads type preservation off the frame's Koszul coefficients:
+a term L_{eta^b} iota_J moves type by t(b) - t(J), and the coefficients
+are unique, so with none that moves type every (p,q) is preserved, and
+only otherwise are the rows of the columns of each type scanned.  Where
+the rank of the columns of type (p,q) is full, h^{p,q} must vanish, and
+that holds trivially where h^{p,q} = 0, a count by rank of the S frame
+(``hodge.h_pq``), as NK6_VANISH's are; so the rank, that of the images
+diff(m) since F is invertible, is taken only on the types with h^{p,q}
+!= 0, on those columns of the frame alone (``GradedOperator.entry_rows``,
+``linalg.pivot_columns``), and the frame's store is never built.  Its
 difference Laplacian Delta_{L_mu omega} - Delta_{L_mubar omega} is the
 term list X - conj X, X = [[L_mu_omega*, L_mu_omega]], so neither
 Laplacian is built.  Both type tests are ``PQBasis.preserves_type``.
@@ -762,22 +766,26 @@ def _difference_low_columns(model) -> tuple[GradedOperator, int]:
 def check_vanish_cor(model, acc: _Acc):
     """The degree-0 difference Laplacian in the eta-monomial basis, F diff E
     with E the algebra map of the generators and F = E^{-1}, built from the
-    columns of degree <= 2 of diff only.  It preserves (p,q) when every row
-    of each column of type (p,q) has type (p,q), and its rank there is that
-    of the images diff(m), F being invertible, taken on the frame's
-    integer store (``GradedOperator.entry_rows``)."""
+    columns of degree <= 2 of diff only and held by its Koszul
+    coefficients.  It preserves (p,q) when every row of each column of
+    type (p,q) has type (p,q), which holds on every type at once when no
+    coefficient L_{eta^b} iota_J moves type, t(b) != t(J)
+    (``PQBasis.preserves_type``).  "Invertible on Lambda^{p,q} forces
+    h^{p,q} = 0" holds trivially where h^{p,q} = 0, so the memoized
+    ``h_pq`` is read first, and only a type with h^{p,q} != 0 has its rank
+    taken, that of the images diff(m), F being invertible, on the
+    columns of that type alone (``GradedOperator.entry_rows``), with no
+    store of the frame built."""
     pqb = pq_basis(model)
     frame = pqb.frame(*_difference_low_columns(model))
     n = pqb.n
     for p in range(n + 1):
         for q in range(n + 1):
             acc.require(f"difference Laplacian preserves ({p},{q})", pqb.preserves_type(frame, p, q))
-            masks = pqb.monomial_masks(p, q)
-            if len(pivot_columns(*frame.entry_rows(masks))) == len(masks):
-                acc.require(
-                    f"invertible difference on ({p},{q}) forces h = 0",
-                    h_pq(model, p, q) == 0,
-                )
+            if h_pq(model, p, q):
+                masks = pqb.monomial_masks(p, q)
+                invertible = len(pivot_columns(*frame.entry_rows(masks))) == len(masks)
+                acc.require(f"invertible difference on ({p},{q}) forces h = 0", not invertible)
 
 
 def check_nk6_vanish(model, acc: _Acc):

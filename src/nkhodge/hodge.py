@@ -139,9 +139,19 @@ def s_low_columns(model) -> tuple[GradedOperator, int]:
 
 def s_frame(model) -> GradedOperator:
     """F S E, S in the eta-monomial basis of the orthogonalized presentation,
-    built from S's columns of degree <= 2 and memoized."""
+    built from S's columns of degree <= 2 and memoized.  Every block of it
+    is read (``h_pq`` ranks all types, ``harmonic_pq`` takes their
+    kernels), so its store is built at once, by one scatter of the Koszul
+    coefficients, as ``compose`` builds its left factor's, rather than
+    summed column by column."""
     comp = model.orthogonalized()
-    return comp._memo("frame:S", lambda: pq_basis(comp).frame(*s_low_columns(comp)))
+
+    def build():
+        frame = pq_basis(comp).frame(*s_low_columns(comp))
+        frame.coords  # the store, scattered now
+        return frame
+
+    return comp._memo("frame:S", build)
 
 
 def harmonic_pq(model, p: int, q: int) -> list[Form]:

@@ -9,9 +9,10 @@ Every exact elimination in src is the one sparse fraction-free
 (Bareiss-style) elimination ``_eliminate``, followed where needed by the
 back-substitution that ``sparse_kernel`` and ``solve`` share.  The pivot is
 the least bit-complexity entry, ties broken by the first active row, then
-the lowest column.  Each active row's least (complexity, column) is
-recomputed only when a step rebuilds the row, and sits in a heap keyed by
-(complexity, row index, column), whose top is that rule's pivot (a key a
+the lowest column.  Each distinct entry is scored once per elimination,
+and each active row's least (complexity, column) is recomputed only when
+a step rebuilds the row, and sits in a heap keyed by (complexity, row
+index, column), whose top is that rule's pivot (a key a
 rebuilt or retired row has left behind is dropped when popped); a
 column -> rows index finds the rows a step rebuilds, so a step neither
 rescans every entry nor walks every row.  The one other factorization is
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 from math import gcd, lcm
+from operator import itemgetter
 
 from . import scalars
 from .scalars import ONE, ZERO, Entry, Scalar, add, complexity, join, product, reduce
@@ -56,6 +58,7 @@ SparseRow = dict[int, Scalar]
 EntryRow = dict[int, Entry]
 
 _ONE = (1, 0, 0, 0, 1)
+_denominator = itemgetter(4)
 
 
 def add_scaled(acc: SparseRow, vec: SparseRow, s: Scalar | None = None) -> SparseRow:
@@ -110,8 +113,8 @@ def _entry_rows(rows: list[SparseRow]) -> tuple[list[EntryRow], int]:
 
 def _clear_row(row: EntryRow) -> EntryRow:
     """Scale a row to a primitive integral representative (kernel unchanged)."""
-    m = lcm(*(t[4] for t in row.values()))
-    if m != 1:
+    if max(map(_denominator, row.values())) > 1:  # ``entry_rows`` gives q = 1 throughout
+        m = lcm(*map(_denominator, row.values()))
         row = {col: (a * (m // q), b * (m // q), c * (m // q), e * (m // q), 1) for col, (a, b, c, e, q) in row.items()}
     content = 0
     for a, b, c, e, _ in row.values():
@@ -126,9 +129,19 @@ def _scalar_row(row: EntryRow, d: int) -> SparseRow:
     return {col: Scalar._normalized(*t, d) for col, t in row.items()}
 
 
-def _row_min(row: EntryRow) -> tuple[int, int]:
-    """(complexity, column) of the row's least-complexity entry, lowest column first."""
-    return min(zip(map(complexity, row.values()), row))
+class _Scores(dict):
+    """Entry -> its ``complexity``, each distinct entry scored on first read."""
+
+    def __missing__(self, t: Entry) -> int:
+        cx = self[t] = complexity(t)
+        return cx
+
+
+def _row_min(row: EntryRow, scores: _Scores | None = None) -> tuple[int, int]:
+    """(complexity, column) of the row's least-complexity entry, lowest
+    column first; read from ``scores`` when given."""
+    score = complexity if scores is None else scores.__getitem__
+    return min(zip(map(score, row.values()), row))
 
 
 # -- elimination -------------------------------------------------------------------
@@ -148,16 +161,21 @@ def _eliminate(rows: list[EntryRow], d: int) -> list[tuple[EntryRow, int]]:
     step rebuilds (those with an entry in the pivot column, found through
     a column -> rows index) push a new key, and a popped key that no longer
     matches its row (retired or rebuilt since) is dropped, so a step costs
-    O(log rows) per rebuilt row instead of a pass over every row.  The
-    update is row <- (pval row - rv prow) / prev_piv with the division
-    hoisted: pval / prev_piv once per step, -rv / prev_piv once per row.
-    Arithmetic in the field is exact and every entry is normalized, so the
-    rows are literally those of the undivided formula."""
+    O(log rows) per rebuilt row instead of a pass over every row.  Each
+    distinct entry's complexity is computed once per elimination
+    (``_Scores``).  The update is row <- (pval row - rv prow) / prev_piv
+    with the division hoisted: pval / prev_piv once per step, -rv /
+    prev_piv once per row, and neither, nor the inverse of prev_piv, for
+    a pivot whose column no other active row holds.  Arithmetic in the
+    field is exact and every entry is normalized, so the rows are
+    literally those of the undivided formula."""
     # a row is set to None as it retires
     active: list[EntryRow | None] = [_clear_row(row) for row in rows if row]
+    # each distinct entry is scored once per elimination
+    scores = _Scores()
     # the current (complexity, column) of each active row; the heap may also
     # hold keys of earlier versions of a row, dropped when popped
-    mins = [_row_min(r) for r in active]
+    mins = [_row_min(r, scores) for r in active]
     heap = [(cx, i, col) for i, (cx, col) in enumerate(mins)]  # sorted by row, so a heap
     heapq.heapify(heap)
     # column -> every row that has held an entry there; a row that has since
@@ -167,7 +185,7 @@ def _eliminate(rows: list[EntryRow], d: int) -> list[tuple[EntryRow, int]]:
         for col in row:
             holders.setdefault(col, []).append(i)
     pivots: list[tuple[EntryRow, int]] = []
-    inv = _ONE  # 1 / the previous pivot
+    prev = None  # the previous pivot, inverted when a step first divides by it
     while heap:
         cx, ri, pc = heapq.heappop(heap)
         prow = active[ri]
@@ -175,15 +193,18 @@ def _eliminate(rows: list[EntryRow], d: int) -> list[tuple[EntryRow, int]]:
             continue
         active[ri] = None
         pval = prow[pc]
-        # each updated entry is (pval v - rv pv) inv; the numerators pval inv
-        # and -rv inv carry the step's division
-        scale = product(pval, inv, d)
-        others = [(col, pv) for col, pv in prow.items() if col != pc]
+        scale = None  # the pivot's numerator, built for the first row the step rebuilds
         # rows without the pivot column keep their key
         for i in holders.pop(pc):
             row = active[i]
             if row is None or pc not in row:
                 continue
+            if scale is None:
+                inv = _ONE if prev is None else scalars.inverse(prev, d)
+                # each updated entry is (pval v - rv pv) inv; the numerators
+                # pval inv and -rv inv carry the step's division
+                scale = product(pval, inv, d)
+                others = [(col, pv) for col, pv in prow.items() if col != pc]
             a, b, c, e, q = row[pc]
             neg = product((-a, -b, -c, -e, q), inv, d)
             out: EntryRow = {}
@@ -203,12 +224,12 @@ def _eliminate(rows: list[EntryRow], d: int) -> list[tuple[EntryRow, int]]:
                     holders[col].append(i)
             if out:
                 active[i] = out
-                mins[i] = key = _row_min(out)
+                mins[i] = key = _row_min(out, scores)
                 heapq.heappush(heap, (key[0], i, key[1]))
             else:
                 active[i] = None
         pivots.append((prow, pc))
-        inv = scalars.inverse(pval, d)
+        prev = pval
     return pivots
 
 

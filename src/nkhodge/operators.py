@@ -35,9 +35,9 @@ per output entry, as does ``column_form``; ``first_witness`` and
 and witnesses are those of the Scalar arithmetic to the last bit.
 ``entry_rows`` is the one reader that hands a block of columns to exact
 elimination (``linalg.pivot_columns``, ``linalg.sparse_kernel``): integer
-entry rows read straight off the store, with no Scalar built.  ``cols``
-converts the whole operator once and keeps the result; no production
-route reads it.
+entry rows read straight off the coordinates of those columns, with no
+Scalar built.  ``cols`` converts the whole operator once and keeps the
+result; no production route reads it.
 
 The metric adjoint P* is the operator with <P a, b> = <a, P* b>.  Every
 computation runs in an orthogonal coframe (``LieAlgebraModel.orthogonalized``),
@@ -77,9 +77,10 @@ A reconstruction is held by its prepared coefficients (``_koszul_sum``):
 ``coords`` scatters each coefficient entry into every column it enters
 (``_reconstruct``) on the first read that walks the store, and keeps it.
 A reader of some columns sums only those (``_koszul_column``), kept per
-mask: ``apply``, ``low_columns``, the Koszul integral, and both factors
-of a bracket's products on its low columns.  ``compose`` may read every
-row of its left factor, so it builds that factor's store first.
+mask (``_lookup``): ``apply``, ``low_columns``, ``entry_rows``, the Koszul
+integral, and both factors of a bracket's products on its low columns.
+``compose`` may read every row of its left factor, so it builds that
+factor's store first.
 ``is_zero`` asks for a coefficient (the sum is unique) and ``with_degree``
 shares the coefficients.  ``conjugated`` conjugates the coefficients and
 builds no store: the coframe is real, so conj(L_beta iota_J) =
@@ -266,7 +267,10 @@ class GradedOperator:
 
     def _lookup(self):
         """mask -> column (empty or None when zero) with no store built: held
-        by Koszul coefficients, each column summed on first read and kept."""
+        by Koszul coefficients, each column summed on first read and kept.
+        Every reader of some columns goes through it: ``apply``,
+        ``entry_rows``, ``_low_store``, the left factor of
+        ``_times_columns`` and the Koszul integral."""
         if self._coords is not None:
             return self._coords.get
         columns, symbol = self._columns, self._symbol
@@ -344,17 +348,19 @@ class GradedOperator:
         ``linalg.sparse_kernel``, with the rows in ``skip_rows`` left out.
         The rows come in order of first appearance over the block's columns
         taken in increasing mask order, the store order of every Koszul
-        reconstruction.  They are read straight off the integer store and q
-        is dropped, since no pivot or kernel changes under scaling; each
-        distinct coordinate tuple t becomes one shared entry (*t, 1).  Only
-        the columns at ``masks`` are read, and no Scalar is built."""
+        reconstruction.  They are read straight off the integer coordinates
+        and q is dropped, since no pivot or kernel changes under scaling;
+        each distinct coordinate tuple t becomes one shared entry (*t, 1).
+        Only the columns at ``masks`` are read (``_lookup``: held by Koszul
+        coefficients, only those are summed, in the key order of the
+        store), and no Scalar is built."""
         index = {m: j for j, m in enumerate(masks)}
-        column = self.coords.get
+        column = self._lookup()
         entry: dict[Coords, Entry] = {}
         rows: dict[int, EntryRow] = {}
         for c in sorted(index):
             j = index[c]
-            for r, t in column(c, {}).items():
+            for r, t in (column(c) or {}).items():
                 if r not in skip_rows:
                     rows.setdefault(r, {})[j] = entry.get(t) or entry.setdefault(t, (*t, 1))
         return list(rows.values()), self.d

@@ -150,6 +150,11 @@
 * ``off_type_failures``: type preservation of the degree-0 difference
   Laplacian as ``off_type`` on its image of every eta-monomial, against
   VANISH_COR's matrix of it in the eta-monomial basis.
+* ``vanish_cor_by_store``: VANISH_COR with its frame's store built, the
+  rows of every type scanned and every type's block ranked, against the
+  check, which reads type preservation off the frame's Koszul
+  coefficients and ranks only the blocks of the types with h^{p,q} != 0;
+  status, witness and residual must be the same.
 * ``diagonal_operator``: the diagonal m -> weight(m) m through the Scalar
   constructor, against the counting operator H, a Koszul sum.
 * ``j_pq_every_degree``: J_PQ as J E_k - E_k D_k on every block E_k of the
@@ -191,7 +196,7 @@ import sys
 from fractions import Fraction
 
 from nkhodge.bidegree import DifferentialSplit, differential_split, j_operator, pq_basis
-from nkhodge.checks import _Acc, _adjoints, _ops, _parts
+from nkhodge.checks import _Acc, _adjoints, _difference_low_columns, _ops, _parts
 from nkhodge.exterior import (
     Form,
     GramData,
@@ -200,7 +205,7 @@ from nkhodge.exterior import (
     mask_label,
     sign_key,
 )
-from nkhodge.hodge import betti_numbers, degree_masks, harmonic_pq, harmonic_space, hodge_laplacian, s_frame
+from nkhodge.hodge import betti_numbers, degree_masks, h_pq, harmonic_pq, harmonic_space, hodge_laplacian, s_frame
 from nkhodge.linalg import (
     EntryRow,
     SparseRow,
@@ -210,6 +215,7 @@ from nkhodge.linalg import (
     _scalar_row,
     add_scaled,
     inverse,
+    pivot_columns,
     solve,
     sparse_kernel,
     sparse_rank,
@@ -1557,6 +1563,24 @@ def off_type_failures(model, diff: GradedOperator) -> list[str]:
             if not all(off_type(model, img, p, q).is_zero() for img in images):
                 failed.append(f"difference Laplacian preserves ({p},{q})")
     return failed
+
+
+def vanish_cor_by_store(model, acc: _Acc) -> None:
+    """VANISH_COR with the frame's store built: the rows of the columns of
+    every type (p,q) scanned for type, every type's block ranked, and
+    h^{p,q} = 0 required wherever that block has full rank."""
+    pqb = pq_basis(model)
+    frame = pqb.frame(*_difference_low_columns(model))
+    store = frame.coords
+    for p in range(pqb.n + 1):
+        for q in range(pqb.n + 1):
+            masks = pqb.monomial_masks(p, q)
+            rows = (r for m in masks for r in store.get(m, ()))
+            acc.require(
+                f"difference Laplacian preserves ({p},{q})", all(pqb.bidegree_of_mask(r) == (p, q) for r in rows)
+            )
+            if len(pivot_columns(*frame.entry_rows(masks))) == len(masks):
+                acc.require(f"invertible difference on ({p},{q}) forces h = 0", h_pq(model, p, q) == 0)
 
 
 def frame_columns_by_composition(model, op: GradedOperator) -> dict[int, dict[int, Scalar]]:

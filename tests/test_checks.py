@@ -7,6 +7,7 @@ import pytest
 import nkhodge.bidegree
 import nkhodge.checks
 import nkhodge.hodge
+import nkhodge.linalg
 import nkhodge.operators
 from nkhodge.checks import (
     CHECKS,
@@ -27,7 +28,7 @@ from nkhodge.bidegree import (
     pq_basis,
     twisted_differential,
 )
-from nkhodge.exterior import Form, GramData
+from nkhodge.exterior import Form, GramData, sign_key
 from nkhodge.hodge import betti_numbers, degree_masks, harmonic_pq, harmonic_space, hodge_numbers, s_frame
 from nkhodge.linalg import sparse_kernel
 from nkhodge.models import (
@@ -52,6 +53,7 @@ from nkhodge.operators import (
     reconstruct,
 )
 from nkhodge.scalars import I, Scalar, rational
+import oracles
 from oracles import (
     FullRouteAcc,
     barred_requirements,
@@ -64,6 +66,7 @@ from oracles import (
     off_type_failures,
     order_det_by_forms,
     stacked_kernel_nullities,
+    vanish_cor_by_store,
 )
 from variants import scaled_metric
 
@@ -217,6 +220,10 @@ _HODGE_ABCD_ORACLE_MODELS = {
     "kodaira-thurston^2": lambda: product_model(builtin_model("kodaira-thurston"), builtin_model("kodaira-thurston")),
     "kodaira-thurston x s3xs3-nk": lambda: product_model(builtin_model("kodaira-thurston"), builtin_model("s3xs3-nk")),
 }
+
+
+# every built-in and the dim-8 and dim-10 products, each built fresh
+_VANISH_COR_ORACLE_MODELS = {**_HODGE_ABCD_ORACLE_MODELS, "su2-four": lambda: _fresh("su2-four")}
 
 
 class TestHodgeAbcdKernel:
@@ -678,6 +685,87 @@ class TestVanishCor:
         assert self._type_failures(target) == want
         res = run_check(model, "VANISH_COR")
         assert res.status == "fail" and res.witness == want[0]
+
+    @pytest.mark.parametrize("name", sorted(_VANISH_COR_ORACLE_MODELS))
+    def test_agrees_with_the_store_oracle(self, name):
+        got, want = _vanish_cor_both_routes(_VANISH_COR_ORACLE_MODELS[name]())
+        assert got == want
+
+    def test_a_coefficient_moved_off_type_fails_both_routes(self, monkeypatch):
+        # one Koszul coefficient entry u^b of the difference frame's beta_J
+        # moved to a mask of the same degree and another type: the frame
+        # stays of degree 0 and order <= 2 and no longer preserves type
+        model = _fresh("s3xs3-nk")
+        target = model.orthogonalized()
+        _count_every_h_pq(target)  # the S frame is built before the mutation
+        original = nkhodge.bidegree.PQBasis.frame
+
+        def mutated(pqb, op, r):
+            return _move_one_coefficient_off_type(original(pqb, op, r), pqb.n)
+
+        monkeypatch.setattr(nkhodge.bidegree.PQBasis, "frame", mutated)
+        got, want = _vanish_cor_both_routes(model)
+        assert got == want
+        assert got[0] == "fail" and got[2].startswith("difference Laplacian preserves (")
+
+    def test_a_nonzero_h_where_the_difference_is_invertible_fails_both_routes(self, monkeypatch):
+        model = _fresh("s3xs3-nk")
+        target = model.orthogonalized()
+        _count_every_h_pq(target)
+        pqb = pq_basis(target)
+        frame = pqb.frame(*nkhodge.checks._difference_low_columns(target))
+        types = [(p, q) for p in range(pqb.n + 1) for q in range(pqb.n + 1)]
+        invertible = [
+            pq for pq in types
+            if len(nkhodge.linalg.pivot_columns(*frame.entry_rows(pqb.monomial_masks(*pq)))) == len(pqb.monomial_masks(*pq))
+        ]
+        assert invertible and all(nkhodge.hodge.h_pq(target, *pq) == 0 for pq in invertible)
+        forced_at = invertible[0]
+        true_h_pq = nkhodge.hodge.h_pq
+
+        def forced(m, p, q):
+            return 1 if (p, q) == forced_at else true_h_pq(m, p, q)
+
+        for module in (nkhodge.checks, oracles):
+            monkeypatch.setattr(module, "h_pq", forced)
+        got, want = _vanish_cor_both_routes(model)
+        assert got == want
+        assert got[:3] == ("fail", False, "invertible difference on ({},{}) forces h = 0".format(*forced_at))
+
+
+def _count_every_h_pq(model):
+    n = model.dim // 2
+    for p in range(n + 1):
+        for q in range(n + 1):
+            nkhodge.hodge.h_pq(model, p, q)
+
+
+def _move_one_coefficient_off_type(frame, n):
+    """The frame held by its Koszul coefficients with the first entry u^b,
+    b nonempty, of a beta_J moved to b', one bit of b swapped for its
+    partner in the other half of the eta-monomial bits, where b' is no
+    entry of beta_J yet: same degree, another type."""
+    symbol = [(jm, list(form)) for jm, form in frame._symbol]
+    for jm, form in symbol:
+        taken = {bm for bm, *_ in form}
+        for k, (bm, _, u, neg) in enumerate(form):
+            for i in range(2 * n):
+                partner = i + n if i < n else i - n
+                moved = bm ^ (1 << i) ^ (1 << partner)
+                if bm >> i & 1 and not bm >> partner & 1 and moved not in taken:
+                    form[k] = (moved, sign_key(moved) ^ sign_key(jm), u, neg)
+                    return nkhodge.operators._koszul_sum(frame.dim, symbol, frame.q, frame.d, frame.degree)
+    raise AssertionError("no coefficient entry to move")
+
+
+def _vanish_cor_both_routes(model):
+    """(status, exact_zero, witness, residual) of VANISH_COR and of the
+    oracle that builds the frame's store and ranks every type's block."""
+    res = run_check(model, "VANISH_COR")
+    acc = _Acc()
+    vanish_cor_by_store(model.orthogonalized(), acc)
+    want = ("pass" if acc.zero else "fail", acc.zero, acc.witness, acc.residual)
+    return (res.status, res.exact_zero, res.witness, res.residual_approx), want
 
 
 # the operators whose eta-frame matrices DIM6_EIGEN and VANISH_COR read, and

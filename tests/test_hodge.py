@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import nkhodge.hodge as hodge
 import nkhodge.linalg as linalg
+import nkhodge.operators as operators
 from nkhodge.bidegree import decompose_form, named_operator, pq_basis
 from nkhodge.checks import _difference_low_columns, run_check
 from nkhodge.hodge import (
@@ -408,12 +409,22 @@ def test_su2_four_elimination_builds_no_scalar_row_and_reads_only_its_blocks(mon
     entry_rows = GradedOperator.entry_rows
 
     def guarded(self, masks, skip_rows=()):
-        store, touched = self.coords, []
-        self._coords = _TouchedStore(store, touched)
+        touched = []
+        if self._coords is None:
+            # held by Koszul coefficients: the columns summed or found summed
+            columns = self._columns
+            self._columns = _TouchedColumns(columns, touched)
+        else:
+            store = self._coords
+            self._coords = _TouchedStore(store, touched)
         try:
             out = entry_rows(self, masks, skip_rows)
         finally:
-            self._coords = store
+            if self._coords is None:
+                columns.update(self._columns)
+                self._columns = columns
+            else:
+                self._coords = store
         assert touched == sorted(masks)
         reads.append(len(masks))
         return out
@@ -428,8 +439,55 @@ def test_su2_four_elimination_builds_no_scalar_row_and_reads_only_its_blocks(mon
     assert run_check(model, "VANISH_COR").status == "pass"
     # 7 Betti ranks (degrees 12 to 6), 49 ranks of S (``h_pq``), 49 kernels
     # of S (HODGE_ABCD, which takes no Delta_d kernel where nullity(S) =
-    # b_k, here in every degree), 49 VANISH_COR ranks
-    assert len(reads) == 7 + 49 + 49 + 49
+    # b_k, here in every degree), and VANISH_COR's ranks on the 9 types
+    # with h^{p,q} != 0 only
+    assert len(reads) == 7 + 49 + 49 + 9
+    assert reads[-9:] == [len(pq_basis(comp).monomial_masks(p, q)) for p, q in _nonzero_types(hodge_numbers(model))]
+
+
+def test_su2_four_vanish_cor_after_the_hodge_table_builds_no_store(monkeypatch):
+    # the S frame and the h^{p,q} are memoized by the Hodge table; the
+    # difference frame is held by its Koszul coefficients, its type read off
+    # them, and its blocks summed column by column on the 9 types with
+    # h^{p,q} != 0, 1,212 of its 4,096 columns: no store is built
+    model = _fresh_su2_four()
+    assert hodge_numbers(model).sum_rule_holds()
+    built = []
+    reconstruct = operators._reconstruct
+
+    def counting(dim, coeffs):
+        built.append(dim)
+        return reconstruct(dim, coeffs)
+
+    monkeypatch.setattr(operators, "_reconstruct", counting)
+    read = []
+    entry_rows = GradedOperator.entry_rows
+
+    def recording(self, masks, skip_rows=()):
+        read.extend(masks)
+        return entry_rows(self, masks, skip_rows)
+
+    monkeypatch.setattr(GradedOperator, "entry_rows", recording)
+    assert run_check(model, "VANISH_COR").status == "pass"
+    assert built == []
+    assert len(read) == 1212
+
+
+def _nonzero_types(report):
+    return [(p, q) for p, row in enumerate(report.h) for q, h in enumerate(row) if h]
+
+
+class _TouchedColumns(dict):
+    """The summed columns of an operator held by Koszul coefficients, which
+    records every mask looked up."""
+
+    def __init__(self, columns, touched):
+        super().__init__(columns)
+        self.touched = touched
+
+    def __contains__(self, key):
+        self.touched.append(key)
+        return super().__contains__(key)
 
 
 class TestKunneth:

@@ -304,6 +304,18 @@ def test_echelon_scores_each_entry_once_on_a_diagonal(monkeypatch):
     # a full rescan would score n + (n - 1) + ... + 1 = n(n + 1)/2 entries;
     # each entry is scored as its normalized (a, b, c, e, q) tuple
     assert scored == [(i + 1, 1, 0, 0, 1) for i in range(n)]
+    # rows that repeat one entry, on the diagonal and where the steps
+    # rebuild rows: each distinct entry is scored once per elimination
+    one = Scalar(1, 1, 0, 0, 1, 3)
+    for rows in ([{i: one} for i in range(n)], [{0: one, i: one} for i in range(1, n)]):
+        scored.clear()
+        sparse_echelon(rows)
+        assert scored.count((1, 1, 0, 0, 1)) == 1
+        assert len(scored) == len(set(scored))
+    scored.clear()
+    sparse_echelon([{i: one} for i in range(n)])
+    sparse_echelon([{i: one} for i in range(n)])
+    assert scored == [(1, 1, 0, 0, 1)] * 2
 
 
 @st.composite
