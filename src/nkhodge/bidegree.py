@@ -27,10 +27,11 @@ through one of two primitives, and neither keeps a block of E or F:
   DIM6_EIGEN compares each of its operators with its scalar on every type.
   E is an algebra map, so F P E has the order of P in the eta-coframe:
   ``frame`` composes the blocks F_{k+deg} P E_k of degree k <= r only,
-  which read P's columns of degree <= r only, and rebuilds the rest by one
-  reconstruction; the blocks are built as they are read, so no block of E
-  or F past them is built.  Every operator a frame is taken of has a
-  bound (r is required).
+  which read P's columns of degree <= r only (summed from its Koszul
+  coefficients when P is held by them, with no store built), and rebuilds
+  the rest by one reconstruction; the blocks are built as they are read,
+  so no block of E or F past them is built.  r is P's order bound, which
+  every operator a frame is taken of carries.
 
 J_PQ reads type through neither primitive: J, E and the diagonal of
 i^(p-q) are algebra maps, so J is diagonal in the frame exactly when
@@ -52,8 +53,9 @@ a derivation built from its coframe values (``twisted_differential``),
 shared by ``d_c`` and the DC_DEF check; it applies J to the 2-forms
 d(J u^i) through the columns of the algebra map they need, not the full J.
 The split's invariant d = mu + del + delbar + mubar and ``d_c``'s
-d^c = i(mu - del + delbar - mubar) are sums of derivations, each decided
-as a term list by the rule of low columns (``operators.requirement_columns``).
+d^c = i(mu - del + delbar - mubar) are sums of derivations, each held by
+the summed Koszul coefficients of its terms (``operators.combination``)
+and zero exactly when none is left.
 
 ``named_operator`` builds every derived operator the catalogue names: d,
 the four components, L = L_omega, L_mu_omega and
@@ -94,7 +96,6 @@ from .operators import (
     laplacian,
     mult_operator,
     reconstruct,
-    requirement_columns,
 )
 from .scalars import I, ONE, ZERO, Scalar, rational
 
@@ -173,19 +174,21 @@ class PQBasis:
         rows = (r for m in self.monomial_masks(p, q) for r in frame.coords.get(m, ()))
         return all(self.bidegree_of_mask(r) == (p, q) for r in rows)
 
-    def frame(self, op: GradedOperator, r: int) -> GradedOperator:
+    def frame(self, op: GradedOperator) -> GradedOperator:
         """F op E, the matrix of op in the eta-monomial basis, for op of
-        order <= r.
+        order <= r, its ``order_bound``.
 
         E is an algebra map, so F op E has the order of op in the eta-coframe:
         it is built from the blocks F_{k+deg} op E_k of degree k <= r only
         (E up to degree r, F up to r + deg), which read only the columns of
-        op of degree <= r, and rebuilt by one Koszul reconstruction.  The
-        blocks of E and F are built as they are read, F first, so no block
-        past them is built."""
+        op of degree <= r (op held by Koszul coefficients sums those alone),
+        and rebuilt by one Koszul reconstruction.  The blocks of E and F are
+        built as they are read, F first, so no block past them is built."""
+        r = op.order_bound
         f_blocks = islice(algebra_map_blocks(self.dim, self.dual), op.degree, None)
         pairs = islice(zip(f_blocks, algebra_map_blocks(self.dim, self.generators)), r + 1)
-        return from_low_columns(combination([(ONE, f_k.compose(op.compose(e_k))) for f_k, e_k in pairs]), r)
+        blocks = [(ONE, f_k.compose(op._times_columns(e_k, e_k.coords))) for f_k, e_k in pairs]
+        return from_low_columns(combination(blocks), r)
 
 
 def pq_basis(model) -> PQBasis:
@@ -233,8 +236,9 @@ def differential_split(model) -> DifferentialSplit:
     """The four components of d: mu and del are the derivations with their
     coframe values, held by their Koszul coefficients, and delbar and mubar
     their complex conjugates, held by the conjugate coefficients, so no
-    store is built.  d = mu + del + delbar + mubar is asserted as a term
-    list of derivations (``operators.requirement_columns``)."""
+    store is built.  d = mu + del + delbar + mubar is asserted on the
+    summed Koszul coefficients of the five derivations
+    (``operators.combination``)."""
 
     def build():
         d = model.d()
@@ -249,7 +253,7 @@ def differential_split(model) -> DifferentialSplit:
         del_ = derivation_from_one_forms(model.dim, del_im)
         split = DifferentialSplit(mu, del_, del_.conjugated(), mu.conjugated())
         terms = [(ONE, p) for p in split.components().values()]
-        if not requirement_columns([*terms, (MINUS_ONE, d)])[0].is_zero():
+        if not combination([*terms, (MINUS_ONE, d)]).is_zero():
             raise AssertionError("bidegree split does not reassemble d")
         return split
 
@@ -274,14 +278,14 @@ def twisted_differential(model) -> GradedOperator:
 
 def d_c(model) -> GradedOperator:
     """J^{-1} d J, held by its Koszul coefficients and cross-checked against
-    i(mu - del + delbar - mubar) as a term list of derivations
-    (``operators.requirement_columns``)."""
+    i(mu - del + delbar - mubar) on the summed coefficients of the
+    derivations (``operators.combination``)."""
 
     def build():
         twisted = twisted_differential(model)
         parts = differential_split(model).components().values()
         terms = [(ONE, twisted), *zip((-I, I, -I, I), parts)]
-        if not requirement_columns(terms)[0].is_zero():
+        if not combination(terms).is_zero():
             raise AssertionError("J^{-1} d J disagrees with i(mu - del + delbar - mubar)")
         return twisted
 

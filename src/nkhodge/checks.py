@@ -34,29 +34,29 @@ Every operator the catalogue names carries an order bound
 for an adjoint its operand's bound plus its degree; a bracket [[P, Q]]
 has r_P + r_Q - 1, floored at 0.  Every bracket is an operator held by
 the Koszul coefficients of its products on the columns of degree <= r
-(``bracket_sum``, ``br`` its one-term case), which it keeps.  Every
-operator requirement is a sum c_i T_i = 0 of such operators (such as
-D2_SPLIT's [[delbar,mu]] + del^2), decided as a term list by the rule of
-low columns that ``operators`` states (``requirement_columns``), so a
-bracket read at its own r sums nothing again.  Only a failing
-requirement is rebuilt, by one reconstruction (``from_low_columns``), for
-its witness and residual, and the store is unique, so they are those of
-the sum built in full.  All 60
-requirements of the catalogue have R <= 2, so at dim 12 they read at
-most 79 of the 4,096 columns.  A bracket of a component with L_mu_omega
-or L_mubar_omega, as in BR67, has r = 0.
+(``bracket_sum``, ``br`` its one-term case); at dim 12, with r <= 2, that
+is at most 79 of the 4,096 columns.  A bracket of a component with
+L_mu_omega or L_mubar_omega, as in BR67, has r = 0.  Every operator
+requirement is a sum c_i T_i = 0 of such operators (such as D2_SPLIT's
+[[delbar,mu]] + del^2).  The Koszul coefficients are linear in the
+operator and unique, so the sum is held by the same combination of the
+terms' coefficients (``combination``, as ``operators`` states), and it
+is zero exactly when none is left.  Only a failing requirement builds
+its store, by one scatter of those coefficients, for its witness and
+residual.  THETA_BRACKET's sum has composed terms L_a L_b*, so it is
+merged on the stores.
 
 A barred requirement that is the conjugate of an unbarred one, such as
 [delbar*, L] - i del of [del*, L] + i delbar, goes through ``_Acc.pair``:
-the unbarred sum's low columns are decided, then right after them their
-entry-wise conjugate, so the barred half is never built a second time.
+the unbarred sum is decided, then right after it its conjugate, taken on
+its coefficients, so the barred half is never built a second time.
 Likewise a self-conjugate sum X + conj X, such as [[L_mu_omega, mubar]] +
 [[L_mubar_omega, mu]] or Delta_(del-delbar) = Delta_del + Delta_delbar - X -
 conj X with X = [[delbar*,del]] (bilinearity of [[P*,P]]), is read from
 its unbarred half X and conj X, which ``conjugated`` builds on X's Koszul
 coefficients.  That X is kept under a memo key of its own, and LAP_COM
-and DELTA_SUM, which both read it at R = 2, share its products and its
-columns there, so neither X nor conj X is ever built in full.
+and DELTA_SUM, which both read it, share its products, so neither X nor
+conj X is ever built in full.
 
 The ORDER_* checks use the Koszul test of ``algebraic_order_at_most``: an
 operator of order <= r equals the reconstruction from its columns on
@@ -77,10 +77,10 @@ Type is read in the eta-frame only (``bidegree.PQBasis``).
 its type.  DIM6_EIGEN, VANISH_COR and HODGE_ABCD read operators in the
 eta-monomial basis, F P E (``PQBasis.frame``).  E is an algebra map, so
 F P E has the order of P in the eta-coframe, and every operator they read
-is bounded by 2: the frame composes the blocks of degree <= r only, which
-read P's columns of degree <= r only, and rebuilds the rest by one
-reconstruction.  Each frame is taken of a term list's low columns
-(``requirement_columns``), so no operator sum it reads is built.
+is bounded by 2: the frame composes the blocks of degree <= r only, r the
+bound of P, which read P's columns of degree <= r only, and rebuilds the
+rest by one reconstruction.  Each operator sum a frame is taken of is held
+by its summed Koszul coefficients, so none is built.
 DIM6_EIGEN asks that each of its operators be its scalar, or that scalar
 times F L E, on the columns of each type.  J_PQ asks that J be i^(p-q)
 on the eta-monomials of type (p,q); J, E and that diagonal are algebra
@@ -95,9 +95,9 @@ that holds trivially where h^{p,q} = 0, a count by rank of the S frame
 diff(m) since F is invertible, is taken only on the types with h^{p,q}
 != 0, on those columns of the frame alone (``GradedOperator.entry_rows``,
 ``linalg.pivot_columns``), and the frame's store is never built.  Its
-difference Laplacian Delta_{L_mu omega} - Delta_{L_mubar omega} is the
-term list X - conj X, X = [[L_mu_omega*, L_mu_omega]], so neither
-Laplacian is built.  Both type tests are ``PQBasis.preserves_type``.
+difference Laplacian Delta_{L_mu omega} - Delta_{L_mubar omega} is
+X - conj X, X = [[L_mu_omega*, L_mu_omega]], on their coefficients, so
+neither Laplacian is built.  Both type tests are ``PQBasis.preserves_type``.
 HODGE_ABCD reads the frame of S = Delta_mu + Delta_del + Delta_delbar +
 Delta_mubar (``hodge.s_frame``, built the same way): S must preserve
 every type, and then the per-type kernels of S that ``harmonic_pq`` takes
@@ -139,11 +139,10 @@ from .operators import (
     algebra_map_apply,
     algebraic_order_at_most,
     bracket_sum,
+    combination,
     derivation_from_one_forms,
-    from_low_columns,
     graded_commutator as br,
     mult_operator,
-    requirement_columns,
 )
 from .scalars import I, ONE, ZERO, Scalar, rational
 
@@ -176,22 +175,19 @@ class _Acc:
         self.witness: str | None = None
 
     def op(self, label: str, terms):
-        """Require sum c_i T_i = 0 (``requirement_columns``)."""
-        self._require_zero(label, *requirement_columns(terms))
+        """Require sum c_i T_i = 0 (``combination``)."""
+        self._require_zero(label, combination(terms))
 
     def pair(self, label: str, conj_label: str, terms):
         """The requirement ``terms`` under ``label``, then its conjugate, the
         barred partner requirement, under ``conj_label``."""
-        low, r = requirement_columns(terms)
-        self._require_zero(label, low, r)
-        self._require_zero(conj_label, low.conjugated(), r)
+        op = combination(terms)
+        self._require_zero(label, op)
+        self._require_zero(conj_label, op.conjugated())
 
-    def _require_zero(self, label: str, low: GradedOperator, r: int):
-        """Only a failing requirement is rebuilt, for its witness and
-        residual: the store is unique, so they are those of the sum built in
-        full."""
-        if not low.is_zero():
-            op = from_low_columns(low, r)
+    def _require_zero(self, label: str, op: GradedOperator):
+        """A nonzero sum fails with its first entry and its largest one."""
+        if not op.is_zero():
             self._fail(label + ": " + (op.first_witness() or ""), op.max_abs_approx())
 
     def form(self, label: str, f: Form):
@@ -230,9 +226,9 @@ def _adjoints(model):
 
 
 def _delbar_star_del(model) -> GradedOperator:
-    """X = [[delbar*, del]], held by its Koszul coefficients, whose low
-    columns LAP_COM and DELTA_SUM share (both read it at R = 2).  Its memo
-    key is not an operator name, so no ``named_operator`` build can hit it."""
+    """X = [[delbar*, del]], held by its Koszul coefficients, which LAP_COM
+    and DELTA_SUM share.  Its memo key is not an operator name, so no
+    ``named_operator`` build can hit it."""
     return model._memo("[[adj:delbar,del]]", lambda: br(*_ops(model, "adj:delbar", "del")))
 
 
@@ -245,8 +241,7 @@ def _su3(model):
 
 def check_d2_split(model, acc: _Acc):
     """The relations that d^2 = 0 forces among mu, del, delbar and mubar.
-    Each is a sum of brackets and squares of derivations, of order <= 1, so
-    by Koszul's rule it is decided on its columns of degree <= 1."""
+    Each is a sum of brackets and squares of derivations, of order <= 1."""
     mu, de, db, mb = _parts(model)
     acc.pair("mu^2", "mubar^2", [(ONE, bracket_sum([], squares=[mu]))])
     acc.pair("[[del,mu]]", "[[delbar,mubar]]", [(ONE, br(de, mu))])
@@ -255,9 +250,8 @@ def check_d2_split(model, acc: _Acc):
 
 
 def check_sl2(model, acc: _Acc):
-    """The sl2 relations of L, Lambda and H, decided by Koszul's rule on the
-    columns of degree <= R, R the largest bound of each relation's terms:
-    1, 0 and 2 (Lambda has order <= 2, H <= 1, L 0)."""
+    """The sl2 relations of L, Lambda and H, each decided on the summed
+    Koszul coefficients of its terms (H is held by its own)."""
     l_op, lam, h = lefschetz_triple(model)
     acc.op("[L,Lambda] - H", [(ONE, br(l_op, lam)), (MINUS_ONE, h)])
     acc.op("[H,L] - 2L", [(ONE, br(h, l_op)), (rational(-2), l_op)])
@@ -284,8 +278,10 @@ def check_j_pq(model, acc: _Acc):
 
 
 def check_bracket_pq(model, acc: _Acc):
-    """The (0,1) components are the conjugates of the (1,0) ones: the frame,
-    J, N and the structure constants are real."""
+    """[X^{1,0}, Y^{1,0}]^{1,0} = N(X, Y)^{1,0}/8 for every pair of frame
+    vectors, component by component.  The (0,1) identity is its conjugate,
+    since the frame, J, N and the structure constants are real, so it holds
+    exactly when this one does, with the same residual."""
     n = model.dim
     basis = [[ONE if t == s else ZERO for t in range(n)] for s in range(n)]
     tensor = model.nijenhuis_tensor()
@@ -304,8 +300,6 @@ def check_bracket_pq(model, acc: _Acc):
             diffs = [(v + I * w) * half - (a + I * b) * eighth for v, w, a, b in zip(bracket, jb, nv, jn)]
             for k, r in enumerate(diffs):
                 acc.scalar(f"(1,0)-bracket component ({i + 1},{j + 1})_{k + 1}", r)
-            for k, r in enumerate(diffs):
-                acc.scalar(f"(0,1)-bracket component ({i + 1},{j + 1})_{k + 1}", r.conjugate())
 
 
 def check_mu_oneforms(model, acc: _Acc):
@@ -325,16 +319,14 @@ def check_mu_oneforms(model, acc: _Acc):
 
 
 def check_nij_mu(model, acc: _Acc):
-    """N = -4(mu + mubar): three derivations, so by Koszul's rule decided on
-    the columns of degree <= 1."""
+    """N = -4(mu + mubar): a sum of three derivations."""
     mu, _, _, mb = _parts(model)
     four = rational(4)
     acc.op("N + 4(mu+mubar)", [(ONE, model.nijenhuis_op()), (four, mu), (four, mb)])
 
 
 def check_dc_def(model, acc: _Acc):
-    """J^-1 d J = i(mu - del + delbar - mubar): derivations, so by Koszul's
-    rule decided on the columns of degree <= 1."""
+    """J^-1 d J = i(mu - del + delbar - mubar): a sum of derivations."""
     mu, de, db, mb = _parts(model)
     terms = [(ONE, twisted_differential(model)), (-I, mu), (I, de), (-I, db), (I, mb)]
     acc.op("J^-1 d J - i(mu - del + delbar - mubar)", terms)
@@ -405,8 +397,8 @@ def check_lem_nk(model, acc: _Acc):
 def check_br67(model, acc: _Acc):
     """The six vanishing brackets of L_mu_omega and L_mubar_omega with the
     components of d (barred partners by conjugation) and the mixed
-    relation: a bracket of L_beta and a derivation has order 0, so by
-    Koszul's rule each is decided on the constant column."""
+    relation: a bracket of L_beta and a derivation has order 0, so each is
+    built from the constant column of its products."""
     lm = named_operator(model, "L_mu_omega")
     lm_mu, lm_de, lm_db, lm_mb = (br(lm, p) for p in _parts(model))
     acc.pair("[[L_mu_omega, mu]]", "[[L_mubar_omega, mubar]]", [(ONE, lm_mu)])
@@ -444,8 +436,8 @@ def _frame_sum(model) -> GradedOperator:
 
 
 def check_dc_frame(model, acc: _Acc):
-    """d^c = -sum_j L_{J u^j} nabla_j + 2i(mu - mubar): derivations, so by
-    Koszul's rule decided on the columns of degree <= 1."""
+    """d^c = -sum_j L_{J u^j} nabla_j + 2i(mu - mubar): a sum of
+    derivations."""
     mu, _, _, mb = _parts(model)
     two_i = Scalar(0, 0, 2, 0)
     terms = [(ONE, d_c(model)), (ONE, _frame_sum(model)), (-two_i, mu), (two_i, mb)]
@@ -454,8 +446,7 @@ def check_dc_frame(model, acc: _Acc):
 
 def check_nk_main(model, acc: _Acc):
     """[d*, L] = -d^c + 3i(mu - mubar) = i(2mu + del - delbar - 2mubar):
-    [d*, L] has order <= 2 + 0 - 1 and the rest are derivations, so by
-    Koszul's rule each is decided on the columns of degree <= 1."""
+    [d*, L] has order <= 2 + 0 - 1 and the rest are derivations."""
     mu, de, db, mb = _parts(model)
     dstar, l_op = _ops(model, "adj:d", "L")
     lhs = br(dstar, l_op)
@@ -466,9 +457,7 @@ def check_nk_main(model, acc: _Acc):
 
 def check_nk_cor(model, acc: _Acc):
     """The commutators of the components and their adjoints with L and
-    Lambda, barred partners by conjugation; by Koszul's rule each is
-    decided on the columns of degree <= R, R = 1 with L and 2 with
-    Lambda (of order <= 2)."""
+    Lambda, barred partners by conjugation."""
     mu, de, db, mb = _parts(model)
     mus, des, dbs, mbs = _adjoints(model)
     l_op, lam, _ = lefschetz_triple(model)
@@ -482,9 +471,7 @@ def check_nk_cor(model, acc: _Acc):
 def check_torsion_op(model, acc: _Acc):
     """[Lambda, L_{d omega}] = -3(mu + mubar) and its component forms
     [Lambda, L_mu_omega] = -3mu and [L_mu_omega*, L] = -3mu*, barred
-    partners by conjugation; by Koszul's rule each is decided on the
-    columns of degree <= R, the largest bound of its terms (2 with mu* or
-    L_mu_omega*, else 1)."""
+    partners by conjugation."""
     mu, _, _, mb = _parts(model)
     l_op, lam, _ = lefschetz_triple(model)
     d_om = model.d().apply(model.omega())
@@ -498,8 +485,7 @@ def check_torsion_op(model, acc: _Acc):
 
 def check_aux_com(model, acc: _Acc):
     """Brackets of L_mu_omega with adjoints of components, and [[delbar,
-    mu]], barred partners by conjugation: each of order <= 1, so by
-    Koszul's rule decided on the columns of degree <= 1."""
+    mu]], barred partners by conjugation: each of order <= 1."""
     mu, _, db, _ = _parts(model)
     _, des, dbs, mbs = _adjoints(model)
     lm = named_operator(model, "L_mu_omega")
@@ -515,8 +501,7 @@ def check_aux_com(model, acc: _Acc):
 
 def check_lap_com(model, acc: _Acc):
     """Brackets of the components with the adjoints, barred partners by
-    conjugation: each of order <= 2, so by Koszul's rule decided on the
-    columns of degree <= 2."""
+    conjugation: each of order <= 2."""
     mu, de, db, mb = _parts(model)
     mus, des, dbs, mbs = _adjoints(model)
     acc.pair("[[delbar*,mu]]", "[[del*,mubar]]", [(ONE, br(dbs, mu))])
@@ -533,9 +518,7 @@ def check_lap_com(model, acc: _Acc):
 
 def check_prop_lap(model, acc: _Acc):
     """The relations among [[mubar, mu]], the brackets of L_mu_omega and the
-    Laplacians, decided by Koszul's rule on the columns of degree <= R, the
-    largest bound of each relation's terms: 1 where every term is a
-    bracket, 2 where the Laplacians themselves are terms.
+    Laplacians.
     [Delta_Lmu -+ Delta_Lmubar, L] is [Delta_Lmu, L] -+ its conjugate, L
     being real."""
     l_op, lam, _ = lefschetz_triple(model)
@@ -590,19 +573,19 @@ _DIM6_EIGENVALUES = (
 def check_dim6_eigen(model, acc: _Acc):
     """Each operator of ``_DIM6_EIGENVALUES`` is its scalar on every
     Lambda^{p,q}, read in the eta-frame.  Each frame, and that of L, is
-    taken of a term list's low columns (``requirement_columns``), so none
-    of the sums is built."""
+    taken of an operator held by Koszul coefficients, a sum by the summed
+    coefficients of its terms, so none of the sums is built."""
     lam2 = _su3(model).lambda_sq
     pqb = pq_basis(model)
     d_lm, d_del, d_db, mu, mb, l_op = _ops(model, "lap:L_mu_omega", "lap:del", "lap:delbar", "mu", "mubar", "L")
-    lows = (
-        requirement_columns([(ONE, d_lm)]),
-        requirement_columns([(ONE, d_del), (MINUS_ONE, d_db)]),
-        _difference_low_columns(model),
-        requirement_columns([(ONE, br(mb, mu))]),
-        requirement_columns([(ONE, l_op)]),
+    ops = (
+        d_lm,
+        combination([(ONE, d_del), (MINUS_ONE, d_db)]),
+        _difference_laplacian(model),
+        br(mb, mu),
+        l_op,
     )
-    *frames, l_frame = (pqb.frame(*low) for low in lows)
+    *frames, l_frame = (pqb.frame(op) for op in ops)
     for p in range(4):
         for q in range(4):
             for m in pqb.monomial_masks(p, q):
@@ -616,8 +599,8 @@ def check_dim6_eigen(model, acc: _Acc):
 def check_theta_bracket(model, acc: _Acc):
     """[[L_theta*, L_theta]] = (9 lambda^2/4)(Id - S1 + S2), theta = mu omega,
     with S1 and S2 the unitary sums of L_a L_b* over the eta 1-forms and
-    their wedge pairs: every term has order <= 2, so by Koszul's rule it
-    is decided on the columns of degree <= 2."""
+    their wedge pairs.  The products L_a L_b* are composed, so the sum is
+    merged on the stores, at dim 6 only."""
     su3 = _su3(model)
     lam2 = su3.lambda_sq
     gram = model.gram()
@@ -645,9 +628,8 @@ def check_theta_bracket(model, acc: _Acc):
 
 def check_l_delta(model, acc: _Acc):
     """[L, Delta_d] against del^2, delbar^2 and the brackets of L_mu_omega:
-    every bracket has order <= 1, so by Koszul's rule the sum is decided
-    on the columns of degree <= 1; the barred half is the conjugate of the
-    unbarred one."""
+    every bracket has order <= 1, and the barred half is the conjugate of
+    the unbarred one."""
     de, mus, l_op, lm = _ops(model, "del", "adj:mu", "L", "L_mu_omega")
     unbarred = [(ONE, br(mus, lm)), (Scalar(0, 0, -2, 0), bracket_sum([], squares=[de]))]
     barred = [(c.conjugate(), b.conjugated()) for c, b in unbarred]
@@ -658,8 +640,8 @@ def check_l_delta(model, acc: _Acc):
 
 
 def check_delta_sum(model, acc: _Acc):
-    """Delta_d = Delta_(del-delbar) + Delta_mu + Delta_mubar: Laplacians of
-    order <= 2, so by Koszul's rule decided on the columns of degree <= 2."""
+    """Delta_d = Delta_(del-delbar) + Delta_mu + Delta_mubar: a sum of
+    Laplacians of order <= 2."""
     lap_d, d_del, d_db, d_mu, d_mb = _ops(model, "lap:d", "lap:del", "lap:delbar", "lap:mu", "lap:mubar")
     x = _delbar_star_del(model)  # Delta_(del-delbar) = Delta_del + Delta_delbar - X - conj X
     terms = [(ONE, lap_d), (-ONE, d_del), (-ONE, d_db), (ONE, x), (ONE, x.conjugated()), (-ONE, d_mu), (-ONE, d_mb)]
@@ -755,12 +737,12 @@ def check_hodge_abcd(model, acc: _Acc):
                 acc.require(f"(d) conjugate of ({p},{q})-form not of type ({q},{p})", False)
 
 
-def _difference_low_columns(model) -> tuple[GradedOperator, int]:
-    """(Delta_{L_mu omega} - Delta_{L_mubar omega} on its columns of degree
-    <= r, r): [[L_mu_omega*, L_mu_omega]] minus its conjugate as a term
-    list (``requirement_columns``), with no Laplacian built."""
+def _difference_laplacian(model) -> GradedOperator:
+    """Delta_{L_mu omega} - Delta_{L_mubar omega} as X - conj X with X =
+    [[L_mu_omega*, L_mu_omega]], held by their Koszul coefficients
+    (``combination``), with no Laplacian built."""
     x = br(*_ops(model, "adj:L_mu_omega", "L_mu_omega"))
-    return requirement_columns([(ONE, x), (MINUS_ONE, x.conjugated())])
+    return combination([(ONE, x), (MINUS_ONE, x.conjugated())])
 
 
 def check_vanish_cor(model, acc: _Acc):
@@ -777,7 +759,7 @@ def check_vanish_cor(model, acc: _Acc):
     columns of that type alone (``GradedOperator.entry_rows``), with no
     store of the frame built."""
     pqb = pq_basis(model)
-    frame = pqb.frame(*_difference_low_columns(model))
+    frame = pqb.frame(_difference_laplacian(model))
     n = pqb.n
     for p in range(n + 1):
         for q in range(n + 1):
@@ -865,8 +847,7 @@ def check_order_det(model, acc: _Acc):
 
 
 def check_diff_lapl_kahler(model, acc: _Acc):
-    """Delta_del = Delta_delbar where mu = 0, decided by Koszul's rule on the
-    columns of degree <= the Laplacians' order (<= 2)."""
+    """Delta_del = Delta_delbar where mu = 0."""
     d_del, d_db = _ops(model, "lap:del", "lap:delbar")
     acc.op("Delta_del - Delta_delbar (mu = 0 degeneration)", [(ONE, d_del), (MINUS_ONE, d_db)])
 

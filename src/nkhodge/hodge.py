@@ -39,18 +39,17 @@ its (a), (b) and (c) on that count, and takes ``harmonic_space`` only
 in a degree where it fails.
 
 S is built in the eta-frame only.  Delta_delbar and Delta_mubar are the
-conjugates of Delta_del and Delta_mu, so S is the term list X + conj X
-with X = [[mu*, mu]] + [[del*, del]], of order <= 2, held by its Koszul
+conjugates of Delta_del and Delta_mu, so S is X + conj X with
+X = [[mu*, mu]] + [[del*, del]], of order <= 2, held by its Koszul
 coefficients (``operators.bracket_sum``), conj X by their conjugates, and
-read on its columns of degree <= 2 by the rule of low columns
-(``operators.requirement_columns``): X keeps the columns its products
-gave, and conj X sums its own.  X's products read mu* and del* on their
-columns of degree <= 3 only, which the adjoints by order sum from the
-columns of degree <= 1 of mu and del (``operators.adjoint_by_order``), so
-no full adjoint is built.  The frame
-is composed on E's columns of degree <= 2 and rebuilt by one
-reconstruction, and no Laplacian of S is built in the u-coframe.  Both
-kernels are taken by one helper (``_block_kernel``).
+S by their sum (``s_operator``, ``operators.combination``).  X's products
+read mu* and del* on their columns of degree <= 3 only, which the
+adjoints by order sum from the columns of degree <= 1 of mu and del
+(``operators.adjoint_by_order``), so no full adjoint is built.  The frame
+reads S's columns of degree <= 2 only, summed from the coefficients, is
+composed on E's columns of degree <= 2 and rebuilt by one reconstruction,
+and no Laplacian of S is built in the u-coframe.  Both kernels are taken
+by one helper (``_block_kernel``).
 
 A Hodge number needs no kernel vector: ``h_pq`` is the number of columns
 of type (p,q) of the frame minus the rank of that block
@@ -73,7 +72,7 @@ from math import comb
 from .bidegree import named_operator, pq_basis
 from .exterior import Form, graded_lex_key
 from .linalg import pivot_columns, sparse_kernel
-from .operators import GradedOperator, algebra_map_apply, bracket_sum, requirement_columns
+from .operators import GradedOperator, algebra_map_apply, bracket_sum, combination
 from .scalars import ONE
 
 
@@ -127,14 +126,13 @@ def harmonic_space(model, k: int) -> list[Form]:
     return _native(model, comp, comp._memo(f"harmonic:{k}", build))
 
 
-def s_low_columns(model) -> tuple[GradedOperator, int]:
-    """(S on its columns of degree <= r, r) for S = Delta_mu + Delta_del +
-    Delta_delbar + Delta_mubar: the term list X + conj X with X =
-    [[mu*, mu]] + [[del*, del]] held by its Koszul coefficients
-    (``requirement_columns``), since the barred Laplacians are the
-    conjugates of the unbarred ones."""
+def s_operator(model) -> GradedOperator:
+    """S = Delta_mu + Delta_del + Delta_delbar + Delta_mubar as X + conj X
+    with X = [[mu*, mu]] + [[del*, del]], since the barred Laplacians are
+    the conjugates of the unbarred ones: one sum held by the Koszul
+    coefficients of X and conj X (``operators.combination``)."""
     x = bracket_sum([tuple(named_operator(model, n) for n in (f"adj:{c}", c)) for c in ("mu", "del")])
-    return requirement_columns([(ONE, x), (ONE, x.conjugated())])
+    return combination([(ONE, x), (ONE, x.conjugated())])
 
 
 def s_frame(model) -> GradedOperator:
@@ -147,7 +145,7 @@ def s_frame(model) -> GradedOperator:
     comp = model.orthogonalized()
 
     def build():
-        frame = pq_basis(comp).frame(*s_low_columns(comp))
+        frame = pq_basis(comp).frame(s_operator(comp))
         frame.coords  # the store, scattered now
         return frame
 

@@ -24,7 +24,9 @@ negated copy; products multiply the denominators and the coordinates;
 ``conjugated`` acts on the coordinates.  Each operation walks and inserts
 keys as accumulating through ``linalg.add_scaled`` does (a key whose sum
 cancels is removed, and re-appended if it comes back), so the key orders
-of a store are those of the Scalar arithmetic.
+of a store are those of the Scalar arithmetic, except that an operator
+held by Koszul coefficients (below), a sum of held operators among them,
+has the key orders of the Koszul scan.
 
 ``Scalar`` appears only at the boundaries.  The constructor takes sparse
 columns of Scalars and, as ``reconstruct`` does with its coefficient forms,
@@ -78,7 +80,8 @@ A reconstruction is held by its prepared coefficients (``_koszul_sum``):
 (``_reconstruct``) on the first read that walks the store, and keeps it.
 A reader of some columns sums only those (``_koszul_column``), kept per
 mask (``_lookup``): ``apply``, ``low_columns``, ``entry_rows``, the Koszul
-integral, and both factors of a bracket's products on its low columns.
+integral, both factors of a bracket's products on its low columns, and an
+operator taken into the eta-frame (``bidegree.PQBasis.frame``).
 ``compose`` may read every row of its left factor, so it builds that
 factor's store first.
 ``is_zero`` asks for a coefficient (the sum is unique) and ``with_degree``
@@ -90,9 +93,7 @@ operator is conjugated entry by entry.  Each store
 entry is a signed sum of coefficient entries and each coefficient one of
 store entries (the integral), so both span the same lattice coordinate
 by coordinate: q, d and ``real`` are normalized on the coefficients, and
-the store needs no scan.  ``from_low_columns`` keeps the columns it
-integrated as the result's first summed columns, so a bracket read at
-its own r sums nothing again.
+the store needs no scan.
 ``algebra_map_blocks`` is the degree-0 algebra map u^i -> images[i] of
 1-forms (a change of coframe), built one degree block at a time on the
 integer coordinates: column m is images[i] ^ (column m - i of the block
@@ -122,17 +123,21 @@ raises ValueError; [[P, L_beta]] for a derivation P is its r = 0 case.
 Each ``bracket_sum`` is the full matrix, so with a true bound it equals the
 composed commutator literally.
 
-The rule of low columns: two operators of order <= R are equal exactly
-when their columns of degree <= R are, since each is the reconstruction
-of them (``low_columns``).  Every sum c_i T_i of bounded operators, a
-bracket among them held by its Koszul coefficients (``bracket_sum``), is
-decided by it as a term list (``requirement_columns``): R is the largest
-bound among the T_i, each term is read through ``low_columns``, and the
-sum is one ``combination`` of them, which ``from_low_columns`` rebuilds
-in full where a reader needs it.  The catalogue's requirements, the
-invariants of the split of d and of d^c, and the low columns that an
-eta-frame is taken of all go this way, so none of these sums is built in
-full, and no bracket term's store is built either.
+The Koszul coefficients are linear in the operator: P = sum_J L_{beta_J}
+iota_J and Q = sum_J L_{gamma_J} iota_J give c P + c' Q = sum_J
+L_{c beta_J + c' gamma_J} iota_J, and by uniqueness these are the
+coefficients of the sum.  So a linear combination of operators held by
+their coefficients is held by the same combination of the coefficients:
+``combination`` merges the coefficient forms {J: {b: coordinates}} with
+the loop that merges stores, and the sum is ``_koszul_sum`` of the merged
+forms, zero exactly when none is left, with the largest bound among the
+terms.  A sum with a stored term is merged on the stores.  Every
+requirement sum c_i T_i of the catalogue, the invariants of the split of
+d and of d^c, and the operators that an eta-frame is taken of go this way,
+so none of these sums builds a store unless a reader walks it (the
+witness of a failing requirement); THETA_BRACKET's sum, whose products
+L_a L_b* are composed, and ORDER_BRACKET's d* L - L d* are merged on their
+stores.
 """
 
 from __future__ import annotations
@@ -509,10 +514,14 @@ class GradedOperator:
 def combination(terms) -> GradedOperator:
     """sum c_i P_i over the (Scalar c_i, operator P_i) of ``terms``, at least
     one: each operand's distinct entries scaled by c_i once, merged in order
-    as a chain of binary sums is, so literally the chain's store, normalized
-    once.  The degree is the common one, else None; the order bound the max,
-    None when a term has none (c_i = 0 makes a term zero, bounded by 0)."""
+    as a chain of binary sums is, and normalized once.  When every nonzero
+    term is held by Koszul coefficients the merge runs on their coefficient
+    forms, and the sum is held by the merged ones (they are unique, so they
+    are the sum's); otherwise on the stores, literally the chain's store.
+    The degree is the common one, else None; the order bound the max, None
+    when a term has none (c_i = 0 makes a term zero, bounded by 0)."""
     live = [(c, p) for c, p in terms if not (p.is_zero() or c.is_zero())]
+    held = bool(live) and all(p._symbol is not None for _, p in live)
     q = d = 1
     for c, p in live:
         q, d = math.lcm(q, p.q * c.q), join(join(d, p.d), c.d)
@@ -526,7 +535,8 @@ def combination(terms) -> GradedOperator:
         scaled = None if u == (1, 0, 0, 0, 1) else (lambda t, u=u: product((*t, 1), u, d)[:4])
         image: dict[Coords, Coords] = {}
         get, put = image.get, image.setdefault
-        for m, col in p.coords.items():
+        store = {jm: {bm: t for bm, _, t, _ in form} for jm, form in p._symbol} if held else p.coords
+        for m, col in store.items():
             acc = cols.get(m)
             if acc is None:
                 if scaled is None:
@@ -556,6 +566,10 @@ def combination(terms) -> GradedOperator:
     degrees = {p.degree for _, p in terms}
     bounds = [0 if c.is_zero() else p.order_bound for c, p in terms]
     deg, bound = degrees.pop() if len(degrees) == 1 else None, None if None in bounds else max(bounds)
+    if held:
+        out = _koszul_sum(terms[0][1].dim, _prepare(cols), q, d, deg)
+        out.order_bound = bound
+        return out
     real = all(p.real and c.is_real() for c, p in live)
     return GradedOperator._normalized(terms[0][1].dim, deg, q, d, real, cols, bound)
 
@@ -671,8 +685,7 @@ def bracket_sum(pairs, squares=()) -> GradedOperator:
     with order bounds.  Every term must have the same degree |P| + |Q|,
     which the result declares.  The sum has order at most r: it is
     ``from_low_columns`` of ``bracket_columns``, held by the Koszul
-    coefficients of the products on the columns of degree <= r, which it
-    keeps as its first summed columns."""
+    coefficients of the products on the columns of degree <= r."""
     return from_low_columns(*bracket_columns(pairs, squares))
 
 
@@ -685,21 +698,6 @@ def graded_commutator(p: GradedOperator, q: GradedOperator) -> GradedOperator:
 def laplacian(p: GradedOperator, p_star: GradedOperator) -> GradedOperator:
     """P-Laplacian [[P*, P]] from P and its adjoint P*."""
     return graded_commutator(p_star, p)
-
-
-def requirement_columns(terms) -> tuple[GradedOperator, int]:
-    """(low, R) for a sum c_i T_i over the (Scalar c_i, operator T_i) of
-    ``terms``, each with an order bound: R is the largest bound, and low the
-    sum on its columns of degree <= R, one ``combination`` of the
-    ``low_columns(T_i, R)``.  Every T_i has order <= R, so the sum does too,
-    and it is ``from_low_columns(low, R)``: it is zero exactly when low is,
-    and equals an operator of order <= R exactly when their low columns
-    agree."""
-    if any(t.order_bound is None for _, t in terms):
-        raise ValueError("a requirement by order needs terms with order bounds")
-    r = max(t.order_bound for _, t in terms)
-    lows = [(c, low_columns(t, r)) for c, t in terms]
-    return combination(lows), r
 
 
 # ---------------------------------------------------------------------------
@@ -760,24 +758,19 @@ def _koszul_column(beta: Prepared, mask: int) -> IntForm:
     return col
 
 
-def _koszul_integral(p: GradedOperator, r: int) -> tuple[dict[int, IntForm], Prepared, Store]:
+def _koszul_integral(p: GradedOperator, r: int) -> tuple[dict[int, IntForm], Prepared]:
     """beta_J for |J| <= r, read off the columns of P on masks of degree <= r,
     as coordinates over P's denominator: in order of increasing degree,
     beta_M = P(u^M) - sum eps beta_J ^ u^{M-J} over the proper subsets J of
     M, where u^M = eps u^J ^ u^{M-J}.  Zero coefficients are omitted, and
     each coefficient is also prepared for the Koszul sums once, as it is
-    found.  The third value is those columns of P, each in the key order of
-    its ``_koszul_column`` scan over the coefficients: the terms of the
-    proper subsets first, then those of beta_M, which come last."""
+    found."""
     beta: dict[int, IntForm] = {}
     prepared: Prepared = []
-    columns: Store = {}
     column = p._lookup()
     for mask in sorted(_low_masks(p.dim, r), key=int.bit_count):
-        own = column(mask) or {}
-        lower = _koszul_column(prepared, mask)
-        b = dict(own)
-        for row, u in lower.items():
+        b = dict(column(mask) or {})
+        for row, u in _koszul_column(prepared, mask).items():
             t = b.get(row)
             if t is None:
                 b[row] = (-u[0], -u[1], -u[2], -u[3])
@@ -787,12 +780,10 @@ def _koszul_integral(p: GradedOperator, r: int) -> tuple[dict[int, IntForm], Pre
                 b[row] = v
             else:
                 del b[row]
-        columns[mask] = {row: own[row] for row in lower if row in own}
-        columns[mask].update(own)
         if b:
             beta[mask] = b
             prepared += _prepare({mask: b})
-    return beta, prepared, columns
+    return beta, prepared
 
 
 def reconstruct(dim: int, beta: dict[int, Form], degree: int | None) -> GradedOperator:
@@ -864,14 +855,8 @@ def _reconstruct(dim: int, coeffs: Prepared) -> Store:
 def from_low_columns(p: GradedOperator, r: int) -> GradedOperator:
     """The operator of order <= r whose columns of degree <= r are those of
     P, held by their Koszul coefficients: P itself exactly when P has order
-    <= r.  Only those columns of P are read, and when normalizing leaves q
-    as it is they are the result's first summed columns, so a reader of
-    them sums nothing again."""
-    _, prepared, columns = _koszul_integral(p, r)
-    out = _koszul_sum(p.dim, prepared, p.q, p.d, p.degree)
-    if out.q == p.q:
-        out._columns = columns
-    return out
+    <= r.  Only those columns of P are read."""
+    return _koszul_sum(p.dim, _koszul_integral(p, r)[1], p.q, p.d, p.degree)
 
 
 @functools.cache

@@ -78,8 +78,9 @@
   eta-frame pieces and conjugates them.
 * ``barred_requirements``: the twenty barred requirements of D2_SPLIT,
   NK_COR, LAP_COM, AUX_COM, BR67 and TORSION_OP composed directly from
-  delbar, mubar, ``adjoint`` and ``mult_operator``, against the conjugates
-  the checks record through ``_Acc.pair``.
+  stored copies of delbar and mubar (``stored``), ``adjoint`` and
+  ``mult_operator``, against the conjugates the checks record through
+  ``_Acc.pair``.
 * ``commutator_by_composition``: [[P, Q]] = P Q - (-1)^{|P||Q|} Q P with
   every column of both products composed, against ``bracket_sum``,
   ``graded_commutator`` and ``laplacian``, which build a bracket of
@@ -92,14 +93,19 @@
   (-1)^{|P||Q|} Q P from full matrices, against the checks, which build them
   by order (``bracket_sum``).
 * ``FullRouteAcc``: every requirement sum c_i T_i of the catalogue built
-  on full matrices (the sum of the terms' stores by one ``combination``,
-  each bracket term held by ``bracket_sum``) and decided by
-  ``is_zero``, with its witness and residual read off the full sum, against
-  the production ``_Acc``, which decides it on its columns of degree <= R
-  (Koszul) and rebuilds only a failing sum.
+  on full matrices (one ``combination`` of stored copies of its terms,
+  ``stored``, so a merge of their full stores) and decided by
+  ``is_zero``, with its witness and residual read off the full sum; and
+  ``LowColumnsAcc``: the rule of low columns, each sum decided on its
+  columns of degree <= R, R the largest bound of its terms
+  (``requirement_columns``), and a failing one rebuilt from them
+  (``from_low_columns``) for its witness and residual.  Both against the
+  production ``_Acc``, which decides a sum on the summed Koszul
+  coefficients of its terms.
 * ``laplacian_of_del_minus_delbar``: Delta_(del-delbar) as [[P*, P]] of
-  P = del - delbar with ``adjoint_via_minors``, against DELTA_SUM's
-  expansion Delta_del + Delta_delbar - X - conj X, X = [[delbar*, del]].
+  P = del - delbar, summed on stored copies, with ``adjoint_via_minors``,
+  against DELTA_SUM's expansion Delta_del + Delta_delbar - X - conj X,
+  X = [[delbar*, del]].
 * ``monomial_form``, ``form_to_pq``, ``pq_coords_to_form`` and
   ``decompose_via_monomials``: the eta-monomials of the chosen (1,0)/(0,1)
   generators of ``pq_basis`` expanded as Scalar forms (``wedge_image``),
@@ -196,7 +202,7 @@ import sys
 from fractions import Fraction
 
 from nkhodge.bidegree import DifferentialSplit, differential_split, j_operator, pq_basis
-from nkhodge.checks import _Acc, _adjoints, _difference_low_columns, _ops, _parts
+from nkhodge.checks import _Acc, _adjoints, _difference_laplacian, _ops, _parts
 from nkhodge.exterior import (
     Form,
     GramData,
@@ -236,6 +242,8 @@ from nkhodge.operators import (
     algebra_map_blocks,
     combination,
     derivation_from_one_forms,
+    from_low_columns,
+    low_columns,
     mult_operator,
 )
 from nkhodge.scalars import I, ONE, ZERO, Scalar, add, product, rational, reduce
@@ -966,7 +974,7 @@ def barred_requirements(model) -> dict[str, GradedOperator]:
     ``adjoint`` and ``mult_operator`` (not from ``named_operator``)."""
     split = differential_split(model)
     gram = model.gram()
-    mu, de, db, mb = split.mu, split.del_, split.delbar, split.mubar
+    mu, de, db, mb = (stored(p) for p in (split.mu, split.del_, split.delbar, split.mubar))
     mus, des, dbs, mbs = (adjoint(p, gram) for p in (mu, de, db, mb))
     l_op = mult_operator(model.omega())
     lam = adjoint(l_op, gram)
@@ -1056,31 +1064,73 @@ def composed_requirements(model) -> dict[str, GradedOperator]:
     }
 
 
+def stored(p: GradedOperator) -> GradedOperator:
+    """P with its store built and no Koszul coefficients: a sum of such
+    operators is merged on the stores, never on coefficients."""
+    return object.__new__(GradedOperator)._set(p.dim, p.degree, p.q, p.d, p.real, p.coords, p.order_bound)
+
+
 class FullRouteAcc(_Acc):
     """The catalogue's requirements decided on full matrices: each sum
-    c_i T_i is one ``combination`` of its terms' full stores, zero exactly
-    when ``is_zero``, with its witness and residual read off it, and a
-    barred partner is its conjugate.  Against the production ``_Acc``,
-    which decides a sum on its columns of degree <= R and rebuilds only a
-    failing one."""
+    c_i T_i is one ``combination`` of stored copies of its terms
+    (``stored``), so it merges their full stores, zero exactly when
+    ``is_zero``, with its witness and residual read off it, and a barred
+    partner is its conjugate.  Every sum it decides is kept in ``sums``.
+    Against the production ``_Acc``, which sums the terms' Koszul
+    coefficients."""
+
+    def __init__(self):
+        super().__init__()
+        self.sums = []
 
     def op(self, label, terms):
-        self._full(label, combination(terms))
+        super().op(label, [(c, stored(t)) for c, t in terms])
 
     def pair(self, label, conj_label, terms):
-        op = combination(terms)
-        self._full(label, op)
-        self._full(conj_label, op.conjugated())
+        super().pair(label, conj_label, [(c, stored(t)) for c, t in terms])
 
-    def _full(self, label, op):
-        if not op.is_zero():
-            self._fail(label + ": " + (op.first_witness() or ""), op.max_abs_approx())
+    def _require_zero(self, label, op):
+        self.sums.append(op)
+        super()._require_zero(label, op)
+
+
+def requirement_columns(terms) -> tuple[GradedOperator, int]:
+    """(low, R) for a sum c_i T_i over the (Scalar c_i, operator T_i) of
+    ``terms``, each with an order bound: R is the largest bound, and low the
+    sum on its columns of degree <= R, one ``combination`` of the
+    ``low_columns(T_i, R)``.  Every T_i has order <= R, so the sum does too,
+    and it is ``from_low_columns(low, R)``: it is zero exactly when low is."""
+    if any(t.order_bound is None for _, t in terms):
+        raise ValueError("a requirement by order needs terms with order bounds")
+    r = max(t.order_bound for _, t in terms)
+    return combination([(c, low_columns(t, r)) for c, t in terms]), r
+
+
+class LowColumnsAcc(_Acc):
+    """The catalogue's requirements decided by the rule of low columns: a
+    sum c_i T_i of operators of order <= R is zero exactly when its columns
+    of degree <= R are (``requirement_columns``), and a failing one is
+    rebuilt from them (``from_low_columns``) for its witness and residual;
+    a barred partner is the conjugate of those columns.  Against the
+    production ``_Acc``, which sums the terms' Koszul coefficients."""
+
+    def op(self, label, terms):
+        self._low(label, *requirement_columns(terms))
+
+    def pair(self, label, conj_label, terms):
+        low, r = requirement_columns(terms)
+        self._low(label, low, r)
+        self._low(conj_label, low.conjugated(), r)
+
+    def _low(self, label, low, r):
+        if not low.is_zero():
+            self._require_zero(label, from_low_columns(low, r))
 
 
 def laplacian_of_del_minus_delbar(model) -> GradedOperator:
     """[[P*, P]] for P = del - delbar, with the minor-sandwich adjoint."""
     split = differential_split(model)
-    p = split.del_ - split.delbar
+    p = stored(split.del_) - stored(split.delbar)
     return br(adjoint_via_minors(p, model.gram()), p)
 
 
@@ -1497,7 +1547,7 @@ def scalar_derivation(dim: int, images: list[Form], degree: int = 1) -> GradedOp
 def koszul_coefficients(p: GradedOperator, r: int) -> dict[int, Form]:
     """beta_J for |J| <= r as the production Koszul integral reads them off
     P's columns of degree <= r, one Scalar per coefficient entry."""
-    beta, _, _ = _koszul_integral(p, r)
+    beta, _ = _koszul_integral(p, r)
     return {jm: Form(p.dim, {m: p._entry(t) for m, t in b.items()}) for jm, b in beta.items()}
 
 
@@ -1528,7 +1578,7 @@ def reconstruct_at_once(dim: int, beta: dict[int, Form], degree: int | None) -> 
 
 
 def from_low_columns_at_once(p: GradedOperator, r: int) -> GradedOperator:
-    _, prepared, _ = _koszul_integral(p, r)
+    _, prepared = _koszul_integral(p, r)
     return koszul_sum_at_once(p.dim, prepared, p.q, p.d, p.degree)
 
 
@@ -1570,7 +1620,7 @@ def vanish_cor_by_store(model, acc: _Acc) -> None:
     every type (p,q) scanned for type, every type's block ranked, and
     h^{p,q} = 0 required wherever that block has full rank."""
     pqb = pq_basis(model)
-    frame = pqb.frame(*_difference_low_columns(model))
+    frame = pqb.frame(_difference_laplacian(model))
     store = frame.coords
     for p in range(pqb.n + 1):
         for q in range(pqb.n + 1):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -40,12 +41,14 @@ from nkhodge.models import (
     model_to_json,
     nk_report,
     product_model,
+    su3_extract,
 )
 from nkhodge.operators import (
     GradedOperator,
     algebra_map_apply,
     algebra_map_blocks,
     bracket_columns,
+    bracket_sum,
     derivation_from_one_forms,
     from_low_columns,
     graded_commutator,
@@ -56,6 +59,7 @@ from nkhodge.scalars import I, Scalar, rational
 import oracles
 from oracles import (
     FullRouteAcc,
+    LowColumnsAcc,
     barred_requirements,
     commutator_by_composition,
     frame_columns_by_composition,
@@ -321,9 +325,9 @@ class TestHodgeAbcdKernel:
         true_frame = s_frame(true_model)
 
         def without_delta_mubar(m):
-            return bracket_columns([tuple(named_operator(m, n) for n in (f"adj:{c}", c)) for c in ("mu", "del", "delbar")])
+            return bracket_sum([tuple(named_operator(m, n) for n in (f"adj:{c}", c)) for c in ("mu", "del", "delbar")])
 
-        monkeypatch.setattr(nkhodge.hodge, "s_low_columns", without_delta_mubar)
+        monkeypatch.setattr(nkhodge.hodge, "s_operator", without_delta_mubar)
         model = model_from_json(text)
         got = run_check(model, "HODGE_ABCD")
         assert (got.status, got.exact_zero, got.witness) == (want.status, want.exact_zero, want.witness)
@@ -339,9 +343,9 @@ class TestHodgeAbcdKernel:
 
 
 class _RecordingAcc(_Acc):
-    """An _Acc that keeps every operator requirement by label, rebuilt in
-    full from the columns the check decides it on, the barred labels
-    recorded through ``pair`` and the labels of failed ``require``s."""
+    """An _Acc that keeps every operator requirement by label, the barred
+    labels recorded through ``pair`` and the labels of failed
+    ``require``s."""
 
     def __init__(self):
         super().__init__()
@@ -354,10 +358,10 @@ class _RecordingAcc(_Acc):
             self.failed.append(label)
         super().require(label, ok, residual)
 
-    def _require_zero(self, label, low, r):
+    def _require_zero(self, label, op):
         assert label not in self.ops, label
-        self.ops[label] = from_low_columns(low, r)
-        super()._require_zero(label, low, r)
+        self.ops[label] = op
+        super()._require_zero(label, op)
 
     def pair(self, label, conj_label, terms):
         self.paired.append(conj_label)
@@ -431,7 +435,7 @@ class TestSelfConjugateSums:
     def test_lap_com_and_delta_sum_share_x(self, order, monkeypatch):
         # X = [[delbar*, del]]: its products are computed once per model, at
         # its own r = 2, whichever of its two readers runs first, and both
-        # read its low columns at R = 2
+        # read its Koszul coefficients
         original = nkhodge.operators.bracket_columns
         calls = []
 
@@ -552,6 +556,32 @@ class TestOrderChecksReadTheFullTranspose:
         doc = json.loads(capsys.readouterr().out)
         assert doc["order_at_most"] == {"0": False, "1": False, "2": False}
 
+    def test_order_bracket_fails(self, monkeypatch):
+        # [[d*, L]] composed from the full transpose carries the entry off, in
+        # a column of degree 3 + 2, where the reconstruction from the columns
+        # of degree <= 1 has none
+        self._one_wrong_degree_three_entry(monkeypatch)
+        result = run_check(_fresh("s3xs3-nk"), "ORDER_BRACKET")
+        assert (result.status, result.witness) == ("fail", "order([d*,L]) <= 1")
+
+    def test_order_lb_fails_with_one_entry_off_in_a_degree_three_column(self, monkeypatch):
+        # Lambda as the full transpose of L with one entry of its first column
+        # of degree 3 off by one: the reconstruction from its columns of
+        # degree <= 2 does not have it; Lambda_{u^1} is untouched
+        original = nkhodge.checks.full_adjoint
+
+        def mutated(model, base):
+            out = original(model, base)
+            if base != "L":
+                return out
+            column = next(m for m in sorted(out.coords) if m.bit_count() == 3)
+            entry = {column: {min(out.coords[column]): Scalar(1, 0, 0, 0)}}
+            return out + GradedOperator(out.dim, entry, out.degree)
+
+        monkeypatch.setattr(nkhodge.checks, "full_adjoint", mutated)
+        result = run_check(_fresh("s3xs3-nk"), "ORDER_LB")
+        assert (result.status, result.witness, result.residual_approx) == ("fail", "order(Lambda_omega) <= 2", 1.0)
+
 
 def _fresh(name):
     """A built-in model with no memo, not the shared cached instance."""
@@ -569,14 +599,13 @@ def _type_breaking_extra(model):
 
 
 def _break_the_type_of_s(monkeypatch):
-    """S plus ``_type_breaking_extra`` in ``s_low_columns``, on any model."""
-    original = nkhodge.hodge.s_low_columns
+    """S plus ``_type_breaking_extra`` in ``s_operator``, on any model."""
+    original = nkhodge.hodge.s_operator
 
     def mutated(m):
-        low, r = original(m)
-        return low + _type_breaking_extra(m), r
+        return original(m) + _type_breaking_extra(m)
 
-    monkeypatch.setattr(nkhodge.hodge, "s_low_columns", mutated)
+    monkeypatch.setattr(nkhodge.hodge, "s_operator", mutated)
 
 
 def _declare_adjoint_operands_one_order_too_low(monkeypatch):
@@ -652,21 +681,20 @@ class TestVanishCor:
         assert self._type_failures(model) == off_type_failures(model, _difference_laplacian(model))
 
     def test_type_breaking_mutation_fails_with_the_oracle_labels(self, monkeypatch):
-        # L_{u^1} iota_{e_2} (u^2 -> u^1, degree 0) added to the low columns
-        # of the difference Laplacian that the check reads; J pairs u^1 with
-        # u^4 and u^2 with u^5, so it breaks type
+        # L_{u^1} iota_{e_2} (u^2 -> u^1, degree 0) added to the difference
+        # Laplacian that the check reads; J pairs u^1 with u^4 and u^2 with
+        # u^5, so it breaks type
         model = _fresh("s3xs3-nk")
         target = model.orthogonalized()
         extra = reconstruct(target.dim, {0b10: Form.basis(target.dim, 0b1)}, 0)
         want = off_type_failures(target, _difference_laplacian(target) + extra)
         assert len(want) == 14  # every type but (0,0) and (3,3)
-        original = nkhodge.checks._difference_low_columns
+        original = nkhodge.checks._difference_laplacian
 
         def mutated(m):
-            low, r = original(m)
-            return low + extra, r
+            return original(m) + extra
 
-        monkeypatch.setattr(nkhodge.checks, "_difference_low_columns", mutated)
+        monkeypatch.setattr(nkhodge.checks, "_difference_laplacian", mutated)
         assert self._type_failures(target) == want
         res = run_check(model, "VANISH_COR")
         assert res.status == "fail" and res.witness == want[0]
@@ -700,8 +728,8 @@ class TestVanishCor:
         _count_every_h_pq(target)  # the S frame is built before the mutation
         original = nkhodge.bidegree.PQBasis.frame
 
-        def mutated(pqb, op, r):
-            return _move_one_coefficient_off_type(original(pqb, op, r), pqb.n)
+        def mutated(pqb, op):
+            return _move_one_coefficient_off_type(original(pqb, op), pqb.n)
 
         monkeypatch.setattr(nkhodge.bidegree.PQBasis, "frame", mutated)
         got, want = _vanish_cor_both_routes(model)
@@ -713,7 +741,7 @@ class TestVanishCor:
         target = model.orthogonalized()
         _count_every_h_pq(target)
         pqb = pq_basis(target)
-        frame = pqb.frame(*nkhodge.checks._difference_low_columns(target))
+        frame = pqb.frame(nkhodge.checks._difference_laplacian(target))
         types = [(p, q) for p in range(pqb.n + 1) for q in range(pqb.n + 1)]
         invertible = [
             pq for pq in types
@@ -780,9 +808,9 @@ _FRAME_OPERATORS = {
 
 
 def _in_frame(model, op):
-    """The columns of F op E as DIM6_EIGEN reads them: ``PQBasis.frame``
-    with the operator's own bound."""
-    return pq_basis(model).frame(op, op.order_bound).cols
+    """The columns of F op E as DIM6_EIGEN reads them: ``PQBasis.frame``,
+    which reads the operator's own bound."""
+    return pq_basis(model).frame(op).cols
 
 
 class TestInFrame:
@@ -809,29 +837,33 @@ class TestInFrame:
             assert op.order_bound == bound
 
     def test_the_frame_needs_an_order_bound(self, monkeypatch):
-        # r is required; given r = 2 for diff rebuilt through the
-        # constructor, which carries no bound, only the 22 columns of E of
-        # degree <= 2 are composed with it, and the frame is still whole
+        # r is the operator's bound: diff, bounded by 2, is multiplied on
+        # the 22 columns of E of degree <= 2 only, reading its own columns
+        # of degree <= 2, so its store is never built, and the frame is
+        # still whole; the same matrix through the constructor carries no
+        # bound, and the frame refuses it
         model = builtin_model("s3xs3-nk").orthogonalized()
         pqb = pq_basis(model)
-        diff = _difference_laplacian(model)
-        op = GradedOperator(model.dim, diff.cols, diff.degree)
-        assert op.order_bound is None
-        with pytest.raises(TypeError):
-            pqb.frame(op)
-        original = GradedOperator.compose
+        diff = nkhodge.checks._difference_laplacian(model)
+        assert (diff.order_bound, diff._coords) == (2, None)
+        original = GradedOperator._times_columns
         columns = []
 
-        def recording(p, q):
-            if p is op:
-                columns.extend(q.coords)
-            return original(p, q)
+        def recording(p, q, cols, order_bound=None):
+            if p is diff:
+                columns.extend(cols)
+            return original(p, q, cols, order_bound)
 
-        monkeypatch.setattr(GradedOperator, "compose", recording)
-        got = pqb.frame(op, 2).cols
+        monkeypatch.setattr(GradedOperator, "_times_columns", recording)
+        got = pqb.frame(diff).cols
         assert sorted(columns) == [m for m in range(64) if m.bit_count() <= 2]
+        assert diff._coords is None
         monkeypatch.undo()
         assert got == frame_columns_by_composition(model, diff)
+        unbounded = GradedOperator(model.dim, diff.cols, diff.degree)
+        assert unbounded.order_bound is None
+        with pytest.raises(TypeError):
+            pqb.frame(unbounded)
 
 
 class TestDcFrame:
@@ -897,31 +929,67 @@ _REQUIREMENT_CHECKS = (
 )
 
 
-def _outcome(model, cid, acc):
-    """(exact zero, witness, residual) of one check on an orthogonalized
-    model, recorded by ``acc``."""
-    CHECKS[cid].fn(model, acc)
-    return acc.zero, acc.witness, acc.residual
+def _recording(route):
+    """The accumulator class ``route`` keeping, in order, the label of every
+    requirement it decides and every failure as (witness, residual)."""
+
+    class Recording(route):
+        def __init__(self):
+            super().__init__()
+            self.labels, self.failures = [], []
+
+        def op(self, label, terms):
+            self.labels.append(label)
+            super().op(label, terms)
+
+        def pair(self, label, conj_label, terms):
+            self.labels += [label, conj_label]
+            super().pair(label, conj_label, terms)
+
+        def _fail(self, witness, residual):
+            self.failures.append((witness, residual))
+            super()._fail(witness, residual)
+
+    return Recording
 
 
-def _both_routes(model):
-    """Each applicable requirement check's outcome by order (``_Acc``) and on
-    full matrices (``FullRouteAcc``), by check id."""
+# the production route and its two oracles: the rule of low columns, and
+# every sum merged on full stores
+_ROUTES = {"coefficients": _Acc, "low columns": LowColumnsAcc, "full": FullRouteAcc}
+
+
+def _routes(model):
+    """route -> check id -> (labels, failures, exact zero, witness,
+    residual) of each applicable requirement check on an orthogonalized
+    model: each requirement's label, and its witness and residual where it
+    fails, in the order the check decides them.  Every sum of the full
+    route is merged on stores."""
     ids = [cid for cid in _REQUIREMENT_CHECKS if _skip_reason(model, CHECKS[cid]) is None]
-    return {cid: _outcome(model, cid, _Acc()) for cid in ids}, {cid: _outcome(model, cid, FullRouteAcc()) for cid in ids}
+    out = {}
+    for route, acc_class in _ROUTES.items():
+        out[route] = {}
+        for cid in ids:
+            acc = _recording(acc_class)()
+            CHECKS[cid].fn(model, acc)
+            out[route][cid] = (acc.labels, acc.failures, acc.zero, acc.witness, acc.residual)
+            if route == "full":
+                assert len(acc.sums) == len(acc.labels) and all(op._symbol is None for op in acc.sums)
+    return out
 
 
 class TestRequirementsByOrder:
-    """Every requirement sum c_i T_i is decided on its columns of degree <= R,
-    R the largest order bound of its terms (Koszul), and rebuilt only when
-    it fails; the full-matrix route of ``FullRouteAcc`` is the oracle."""
+    """Every requirement sum c_i T_i is held by the summed Koszul
+    coefficients of its terms, decided by whether any is left, and its
+    store is built only when it fails.  Two oracles decide each one too:
+    on its columns of degree <= R, R the largest order bound of its terms
+    (``LowColumnsAcc``), and on full stores (``FullRouteAcc``)."""
 
     def test_the_requirement_checks_are_those_that_record_operators(self):
         # on s3xs3-nk every check but the Kahler one applies: 60 requirements
         class Counting(_Acc):
-            def _require_zero(self, label, low, r):
+            def _require_zero(self, label, op):
                 counts[cid] = counts.get(cid, 0) + 1
-                super()._require_zero(label, low, r)
+                super()._require_zero(label, op)
 
         model = builtin_model("s3xs3-nk").orthogonalized()
         counts = {}
@@ -930,30 +998,56 @@ class TestRequirementsByOrder:
                 CHECKS[cid].fn(model, Counting())
         assert sorted(counts) == sorted(set(_REQUIREMENT_CHECKS) - {"DIFF_LAPL_KAHLER"})
         assert sum(counts.values()) == 60
-        # R is read off the terms, so a term without a bound is refused
+        # a term held by no Koszul coefficients, such as one through the
+        # constructor, which carries no bound, makes the sum one of full
+        # stores, decided as well
         lap = named_operator(model, "lap:mu")
         unbounded = GradedOperator(model.dim, lap.cols, lap.degree)
-        with pytest.raises(ValueError, match="order bounds"):
-            _Acc().op("unbounded", [(rational(1), lap), (rational(-1), unbounded)])
+        sums = []
+
+        class Keeping(_Acc):
+            def _require_zero(self, label, op):
+                sums.append(op)
+                super()._require_zero(label, op)
+
+        acc = Keeping()
+        acc.op("zero", [(rational(1), lap), (rational(-1), unbounded)])
+        acc.op("twice", [(rational(1), lap), (rational(1), unbounded)])
+        assert [(op._symbol, op.order_bound) for op in sums] == [(None, None), (None, None)]
+        assert sums[0].is_zero() and sums[1] == lap.scale(rational(2))
+        assert acc.witness == "twice: " + lap.scale(rational(2)).first_witness()
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_the_full_matrix_route(self, name):
-        # status, exact_zero, witness and residual; kodaira-thurston fails
-        # eight of these checks, with the golden witnesses
-        new, full = _both_routes(builtin_model(name).orthogonalized())
-        assert new == full
-        failing = sorted(cid for cid, (zero, _, _) in new.items() if not zero)
+        # every requirement's label, witness and residual, and each check's
+        # status, alike on the three routes; kodaira-thurston fails eight of
+        # these checks, with the golden witnesses
+        routes = _routes(builtin_model(name).orthogonalized())
+        new = routes["coefficients"]
+        assert new == routes["low columns"] == routes["full"]
+        failing = sorted(cid for cid, outcome in new.items() if not outcome[2])
         if name == "kodaira-thurston":
             assert failing == ["DC_FRAME", "DELTA_SUM", "LAP_COM", "L_DELTA", "NK_COR", "NK_MAIN", "PROP_LAP", "TORSION_OP"]
-            assert new["NK_MAIN"][1] == "[d*,L] + d^c - 3i(mu-mubar): column 1, row e4: 1"
+            assert new["NK_MAIN"][3] == "[d*,L] + d^c - 3i(mu-mubar): column 1, row e4: 1"
         else:
             assert failing == []
 
+    @pytest.mark.parametrize("name", ["kodaira-thurston^2", "kodaira-thurston x s3xs3-nk"])
+    def test_the_three_routes_agree_on_the_products(self, name):
+        # the dim-8 and dim-10 products of TestMixedDimensionProducts: neither
+        # is nearly Kahler, so the nk checks fail on some requirements
+        routes = _routes(_HODGE_ABCD_ORACLE_MODELS[name]().orthogonalized())
+        assert routes["coefficients"] == routes["low columns"] == routes["full"]
+        outcomes = routes["coefficients"].values()
+        assert sum(len(labels) for labels, *_ in outcomes) > 50
+        assert any(failures for _, failures, *_ in outcomes)
+
     def test_a_sign_flipped_in_mu_fails_alike_on_both_routes(self):
         # mu(u^1) negated, mubar its conjugate, every operator built from
-        # them after: each requirement check but SL2 fails, on both routes
-        # with the same first witness and residual.  d^c, the nearly Kahler
-        # report and the SU(3) data are built first, from the true split.
+        # them after: each requirement check but SL2 fails, on all three
+        # routes with the same witness and residual for every requirement.
+        # d^c, the nearly Kahler report and the SU(3) data are built first,
+        # from the true split.
         model = _fresh("s3xs3-nk").orthogonalized()
         d_c(model), nk_report(model), nkhodge.checks._su3(model)
         split = differential_split(model)
@@ -962,11 +1056,12 @@ class TestRequirementsByOrder:
         images[0] = images[0].scale(rational(-1))
         mu = derivation_from_one_forms(model.dim, images)
         model._cache["split"] = DifferentialSplit(mu, split.del_, split.delbar, mu.conjugated())
-        new, full = _both_routes(model)
-        assert new == full
-        assert [cid for cid, (zero, _, _) in new.items() if zero] == ["SL2"]
-        assert new["D2_SPLIT"][1] == "[[del,mu]]: column e2, row e2^e3^e6: -1/12-1/36*w*I"
-        assert new["NK_MAIN"][1] == "[d*,L] + d^c - 3i(mu-mubar): column e1, row e2^e6: 1*w"
+        routes = _routes(model)
+        new = routes["coefficients"]
+        assert new == routes["low columns"] == routes["full"]
+        assert [cid for cid, outcome in new.items() if outcome[2]] == ["SL2"]
+        assert new["D2_SPLIT"][3] == "[[del,mu]]: column e2, row e2^e3^e6: -1/12-1/36*w*I"
+        assert new["NK_MAIN"][3] == "[d*,L] + d^c - 3i(mu-mubar): column e1, row e2^e6: 1*w"
 
     def test_adjoints_declared_one_order_too_low(self, monkeypatch):
         # every memoized adjoint is rebuilt from its operand's columns of
@@ -999,7 +1094,7 @@ class TestRequirementsByOrder:
         # doubled, every other operator true: HODGE_ABCD reads d* in (d)
         # only, since it takes no Delta_d kernel where its counts agree, and
         # still fails there; so do the three checks that read d* or Delta_d
-        # on their low columns.  ORDER_DSTAR reads the full transpose
+        # in their requirements.  ORDER_DSTAR reads the full transpose
         model = _fresh("s3xs3-nk")
         target = model.orthogonalized()
         d = target.d()
@@ -1027,34 +1122,45 @@ class TestRequirementsByOrder:
 
     @pytest.mark.parametrize("name", ["torus6", "s3xs3-nk", "kodaira-thurston"])
     def test_only_a_failing_requirement_is_rebuilt(self, name, monkeypatch):
-        rebuilt, failed = [], []
-        original = nkhodge.checks.from_low_columns
-        fail = _Acc._fail
+        # a requirement held by Koszul coefficients is decided on them; only a
+        # failing one builds its store, for its witness and residual, by at
+        # most one scatter of the coefficients (a barred partner conjugates
+        # the store of its unbarred half)
+        scatters, decided, failed = [], [], []
+        reconstruct, require, fail = nkhodge.operators._reconstruct, _Acc._require_zero, _Acc._fail
 
-        def recording(low, r):
-            rebuilt.append(r)
-            return original(low, r)
+        def recording(dim, coeffs):
+            scatters.append(dim)
+            return reconstruct(dim, coeffs)
+
+        def requiring(self, label, op):
+            held, before = op._coords is None, len(scatters)
+            require(self, label, op)
+            decided.append((label, held, op._coords is not None, len(scatters) - before))
 
         def failing(self, witness, residual):
             if ": column " in witness:
-                failed.append(witness)
+                failed.append(witness.partition(": column ")[0])
             fail(self, witness, residual)
 
-        monkeypatch.setattr(nkhodge.checks, "from_low_columns", recording)
+        monkeypatch.setattr(nkhodge.operators, "_reconstruct", recording)
+        monkeypatch.setattr(_Acc, "_require_zero", requiring)
         monkeypatch.setattr(_Acc, "_fail", failing)
         expected = KODAIRA_EXPECTED_FAILURES if name == "kodaira-thurston" else ()
         assert run_suite(_fresh(name), expected_failures=expected).verdict
-        assert len(rebuilt) == len(failed)
+        held = [(label, built) for label, was_held, built, _ in decided if was_held]
+        assert held and held == [(label, label in failed) for label, _ in held]
+        assert all(n <= (label in failed) for label, _, _, n in decided)
         assert (len(failed) > 0) == (name == "kodaira-thurston")
 
 
 class TestCostGuards:
     def test_su2_four_sl2_d2_split_and_nk_main_rebuild_nothing(self, monkeypatch):
         # once the shared builds exist (the split, adj:d, L, Lambda, H, d^c),
-        # the three checks decide every requirement on its low columns: each
-        # of their 8 brackets is held by the Koszul integral of its products
-        # (``operators.from_low_columns``), whose low columns it keeps, and
-        # there is no store scatter and no rebuilt sum
+        # the three checks decide every requirement on its Koszul
+        # coefficients: each of their 8 brackets is held by the Koszul
+        # integral of its products (``operators.from_low_columns``), and
+        # there is no store scatter
         model = _fresh("su2-four")
         target = model.orthogonalized()
         lefschetz_triple(target), named_operator(target, "adj:d"), d_c(target)
@@ -1067,12 +1173,8 @@ class TestCostGuards:
 
             return wrapped
 
-        for module, name in (
-            (nkhodge.operators, "from_low_columns"),
-            (nkhodge.checks, "from_low_columns"),
-            (nkhodge.operators, "_reconstruct"),
-        ):
-            monkeypatch.setattr(module, name, spy(f"{module.__name__}.{name}", getattr(module, name)))
+        for name in ("from_low_columns", "_reconstruct"):
+            monkeypatch.setattr(nkhodge.operators, name, spy(f"nkhodge.operators.{name}", getattr(nkhodge.operators, name)))
         for cid in ("SL2", "D2_SPLIT", "NK_MAIN"):
             assert run_check(model, cid).status == "pass"
         assert calls == ["nkhodge.operators.from_low_columns"] * 8
@@ -1116,8 +1218,8 @@ class TestCostGuards:
     def test_vanish_cor_memoizes_neither_d_j_nor_the_commutator(self, monkeypatch):
         # the check works in the eta-frame: it builds no derivation, holds one
         # commutator, X = [[L_mu_omega*, L_mu_omega]], by its Koszul
-        # coefficients and never builds its store (X - conj X is read on its
-        # low columns), and keeps no frame
+        # coefficients and never builds its store (X - conj X is summed on
+        # their coefficients), and keeps no frame
         model = _fresh("s3xs3-nk")
         target = model.orthogonalized()
         called = []
@@ -1190,7 +1292,8 @@ class TestCostGuards:
         # nullity(S) = b_k in every degree, so after the whole catalogue on a
         # fresh su2-four no Delta_d kernel was taken (``harmonic_space``
         # memoizes every degree it is called for) and no store of Delta_d
-        # was built: DELTA_SUM and L_DELTA read its low columns only
+        # was built: DELTA_SUM and L_DELTA read its Koszul coefficients and
+        # the bracket [L, Delta_d] its low columns only
         run = catalogue_run("su2-four")
         target = run.model.orthogonalized()
         assert run.verdict
@@ -1261,20 +1364,19 @@ class TestCostGuards:
         model = _fresh("su2-four")
         full = 1 << model.dim
         combined, binary, made = [], [], []
-        original, requirement = nkhodge.operators.combination, nkhodge.checks.requirement_columns
+        original, require = nkhodge.operators.combination, _Acc._require_zero
 
         def recording(terms):
             out = original(terms)
             made.append((len(terms), out))
             return out
 
-        def counting(terms):
+        def counting(self, label, op):
             # the outermost combination, the one whose result is the
-            # requirement's low columns; the products of its bracket terms
-            # come before, when the terms are built
-            low, r = requirement(terms)
-            combined.extend(n for n, out in made if out is low)
-            return low, r
+            # requirement; the products of its bracket terms come before,
+            # when the terms are built
+            combined.extend(n for n, out in made if out is op)
+            require(self, label, op)
 
         def spy(name, method):
             def wrapped(p, *args):
@@ -1284,8 +1386,9 @@ class TestCostGuards:
 
             return wrapped
 
-        monkeypatch.setattr(nkhodge.operators, "combination", recording)
-        monkeypatch.setattr(nkhodge.checks, "requirement_columns", counting)
+        for module in (nkhodge.operators, nkhodge.checks):
+            monkeypatch.setattr(module, "combination", recording)
+        monkeypatch.setattr(_Acc, "_require_zero", counting)
         for name in ("__add__", "__sub__", "__neg__", "scale"):
             monkeypatch.setattr(GradedOperator, name, spy(name, getattr(GradedOperator, name)))
         assert run_check(model, "NK_MAIN").status == "pass"
@@ -1449,10 +1552,13 @@ class TestHeldConjugationMutation:
 
     def test_negated_coordinates_left_unconjugated(self, monkeypatch):
         # a term with an odd sign reads the negated coordinates, so delbar and
-        # mubar go wrong on the columns of degree >= 2.  The split's own
-        # invariant d = mu + del + delbar + mubar still passes: it is decided
-        # on the columns of degree <= 1, where a derivation's terms have
-        # rest = 0 and never take the negated coordinates
+        # mubar go wrong on the columns of degree >= 2, and so does every
+        # column read off a conjugate.  A sum of held operators never reads
+        # them: it merges the coefficient coordinates and prepares its own.
+        # So the split's invariant d = mu + del + delbar + mubar passes, and
+        # so does VANISH_COR, whose X - conj X is summed from the
+        # coefficients of X and conj X; the brackets that read the columns
+        # of delbar, mubar or a conjugate fail
         _keep_negated_coordinates(monkeypatch)
         model = _fresh("s3xs3-nk")
         split = differential_split(model.orthogonalized())
@@ -1460,7 +1566,51 @@ class TestHeldConjugationMutation:
         assert split.delbar != split.del_.conjugated()
         failed = {r.check_id: r.witness for r in run_suite(model).results if r.status == "fail"}
         assert sorted(failed) == [
-            "AUX_COM", "BR67", "D2_SPLIT", "DELTA_SUM", "DIM6_EIGEN", "HODGE_ABCD", "LAP_COM", "PROP_LAP", "VANISH_COR",
+            "AUX_COM", "BR67", "D2_SPLIT", "DELTA_SUM", "DIM6_EIGEN", "HODGE_ABCD", "LAP_COM", "PROP_LAP",
         ]
         assert failed["D2_SPLIT"] == "[[delbar,mu]] + del^2: column e1, row e1^e3^e6: 1/36*w*I"
         assert run_suite(_fresh("torus6")).verdict
+
+
+class TestUnpinnedChecksFail:
+    """A failing case for the checks that no other test makes fail."""
+
+    def test_bracket_pq_fails_with_one_nijenhuis_entry_off(self):
+        # N(e_1, e_2) gains 1 in its third component in the memo the check
+        # reads: the (1,0)-bracket identity of that pair fails first on that
+        # component
+        model = _fresh("s3xs3-nk")
+        tensor = model.orthogonalized().nijenhuis_tensor()
+        tensor[0][1][2] = tensor[0][1][2] + rational(1)
+        result = run_check(model, "BRACKET_PQ")
+        assert (result.status, result.witness) == ("fail", "(1,0)-bracket component (1,2)_3: -1/8")
+        assert result.residual_approx == pytest.approx(3 ** 0.5 / 12)
+
+    def test_sl2_fails_with_a_wrong_coefficient_in_h(self):
+        # H with beta_{1} = 2 u^1 in place of u^1 counts u^1 twice: [L, Lambda]
+        # - H is off on the column e1, as on the two oracle routes, and the
+        # other requirement checks are untouched
+        target = _fresh("s3xs3-nk").orthogonalized()
+        dim = target.dim
+        beta = {1 << i: Form.basis(dim, 1 << i) for i in range(dim)}
+        beta[1] = Form.basis(dim, 1, rational(2))
+        beta[0] = Form.basis(dim, 0, rational(-(dim // 2)))
+        target._cache["H"] = reconstruct(dim, beta, 0)
+        routes = _routes(target)
+        new = routes["coefficients"]
+        assert new == routes["low columns"] == routes["full"]
+        assert [cid for cid, outcome in new.items() if not outcome[2]] == ["SL2"]
+        assert new["SL2"][1][0][0] == "[L,Lambda] - H: column e1, row e1: -1"
+        result = run_check(target, "SL2")
+        assert (result.status, result.witness) == ("fail", "[L,Lambda] - H: column e1, row e1: -1")
+
+    def test_su3_struct_fails_with_lambda_squared_doubled(self):
+        # lambda^2 = 8/9 on s3xs3-nk, doubled in the SU(3) memo: the scaled
+        # structure equation is off on e1^e2^e4^e5
+        target = _fresh("s3xs3-nk").orthogonalized()
+        su3 = su3_extract(target)
+        assert su3.lambda_sq == rational(8, 9)
+        target._cache["su3"] = dataclasses.replace(su3, lambda_sq=su3.lambda_sq * rational(2))
+        result = run_check(target, "SU3_STRUCT")
+        assert (result.status, result.witness) == ("fail", "d Im(mu omega) + (3/8) lambda^2 omega^2: e1^e2^e4^e5 = -1/2")
+        assert result.residual_approx == 0.5

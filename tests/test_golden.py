@@ -22,6 +22,7 @@ CASES = {
     "suite-torus6.json": (["suite", "builtin:torus6", "--report", "json"], 0),
     "suite-s3xs3-nk.json": (["suite", "builtin:s3xs3-nk", "--report", "json"], 0),
     "suite-kodaira-thurston.json": (["suite", "builtin:kodaira-thurston", "--report", "json"], 0),
+    "suite-su2-four.json": (["suite", "builtin:su2-four", "--report", "json"], 0),
     "hodge-torus6.json": (["hodge", "builtin:torus6", "--report", "json"], 0),
     "hodge-s3xs3-nk.json": (["hodge", "builtin:s3xs3-nk", "--report", "json"], 0),
     "hodge-su2-four.json": (["hodge", "builtin:su2-four", "--report", "json"], 0),

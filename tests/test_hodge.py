@@ -11,7 +11,7 @@ import nkhodge.hodge as hodge
 import nkhodge.linalg as linalg
 import nkhodge.operators as operators
 from nkhodge.bidegree import decompose_form, named_operator, pq_basis
-from nkhodge.checks import _difference_low_columns, run_check
+from nkhodge.checks import _difference_laplacian, run_check
 from nkhodge.hodge import (
     betti_numbers,
     degree_masks,
@@ -375,7 +375,7 @@ class TestScalarRowOracle:
         assert betti_numbers(model) == betti_by_full_ranks(model)
         # VANISH_COR's per-type ranks, pivot for pivot
         pqb = pq_basis(comp)
-        frame = pqb.frame(*_difference_low_columns(comp))
+        frame = pqb.frame(_difference_laplacian(comp))
         for p in range(n + 1):
             for q in range(n + 1):
                 masks = pqb.monomial_masks(p, q)

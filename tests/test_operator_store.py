@@ -76,6 +76,7 @@ from oracles import (
     scalar_derivation,
     scalar_koszul_coefficients,
     scalar_reconstruct,
+    stored,
     wedge_image,
 )
 
@@ -609,6 +610,39 @@ class TestHeldByCoefficients:
             # the Koszul sum is unique: it is zero exactly without coefficients
             assert held.is_zero() == all(f.is_zero() for f in beta.values())
 
+    @given(st.lists(st.tuples(koszul_data(), st.sampled_from([1, 3]).flatmap(scalars)), min_size=1, max_size=4))
+    @EXAMPLES
+    def test_a_sum_of_held_operators_is_held_by_their_summed_coefficients(self, drawn):
+        # the Koszul coefficients are unique and linear in the operator, so
+        # a sum of held operators is held by the sum of their coefficients:
+        # the matrix of the sum of their stores, with the same q, d, degree
+        # and bound, and no store built until one is read.  With one term
+        # stored the sum is merged on the stores, literally their chain
+        terms = []
+        for (beta, degree), c in drawn:
+            try:
+                terms.append((c, reconstruct(DIM, beta, degree)))
+            except ValueError:
+                assume(False)
+        got = combination(terms)
+        want = combination([(c, stored(p)) for c, p in terms])
+        live = [k for k, (c, p) in enumerate(terms) if not (c.is_zero() or p.is_zero())]
+        assert want._symbol is None
+        assert (got._symbol is not None, got._coords is None) == (bool(live), bool(live))
+        fields = ("degree", "q", "d", "real", "order_bound")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert got.is_zero() == want.is_zero()
+        assert got.coords == want.coords
+        ref = ScalarOperator.of(terms[0][1]).scale(terms[0][0])
+        for c, p in terms[1:]:
+            ref = ref + ScalarOperator.of(p).scale(c)
+        assert got.cols == ref.cols
+        if live:
+            k = live[-1]
+            mixed = combination([*terms[:k], (terms[k][0], stored(terms[k][1])), *terms[k + 1:]])
+            assert mixed._symbol is None
+            assert_literal(mixed, want)
+
     @given(low_and_high(), operators(), forms())
     @EXAMPLES
     def test_from_low_columns_reads_as_the_store_built_at_once(self, data, right, form):
@@ -629,8 +663,8 @@ class TestHeldByCoefficients:
     def test_every_reconstruction_of_the_catalogue(self, name, catalogue_run):
         # the whole catalogue on a fresh model, shared builds included: each
         # Koszul sum it holds, held anew from the same coefficients, reads
-        # as the store built at once, on the low columns that the
-        # requirements read (on su2-four the single columns of degree <= 3)
+        # as the store built at once, on the low columns that the brackets
+        # and frames read (on su2-four the single columns of degree <= 3)
         run = catalogue_run(name)
         made = run.koszul_sums
         target = run.model.orthogonalized()
@@ -759,9 +793,9 @@ class TestDerivationBrackets:
         recorded = {}
 
         class Recording(_Acc):
-            def _require_zero(self, label, low, r):
-                recorded[label] = from_low_columns(low, r)
-                super()._require_zero(label, low, r)
+            def _require_zero(self, label, op):
+                recorded[label] = op
+                super()._require_zero(label, op)
 
         for cid in ("D2_SPLIT", "BR67", "AUX_COM", "PROP_LAP", "L_DELTA"):
             CHECKS[cid].fn(model, Recording())
@@ -840,20 +874,14 @@ class TestBracketsByOrder:
             op = with_order_bound(dstar, declared)
             assert [algebraic_order_at_most(op, r) for r in range(4)] == [False, False, True, True]
 
-    def test_bracket_columns_are_the_low_columns_of_the_sum(self, monkeypatch):
+    def test_bracket_columns_are_the_low_columns_of_the_sum(self):
         # on the split of s3xs3-nk: the low columns of Delta_mu + Delta_del,
-        # with no bound, and their reconstruction is the sum itself, which
-        # keeps them: read back, they sum no Koszul column
+        # with no bound, and their reconstruction is the sum itself
         model = builtin_model("s3xs3-nk").orthogonalized()
         pairs = [tuple(named_operator(model, n) for n in (f"adj:{c}", c)) for c in ("mu", "del")]
         low, r = bracket_columns(pairs)
         full = bracket_sum(pairs)
-        summed = []
-        column = operators_module._koszul_column
-        monkeypatch.setattr(operators_module, "_koszul_column", lambda *args: summed.append(args) or column(*args))
         assert low_columns(full, r) == low
-        assert summed == []
-        monkeypatch.undo()
         assert (r, low.order_bound, full.order_bound) == (2, None, 2)
         assert low.cols == {m: col for m, col in full.cols.items() if m.bit_count() <= r}
         assert_same_matrix(from_low_columns(low, r), full)
